@@ -36,7 +36,7 @@ from .detector import (
     save_params,
     train_step,
 )
-from .evaluation import EvalConfig, evaluate_scenes
+from .evaluation import EvalConfig, EvalResult, evaluate_scenes
 from .selftrain import (
     EmaTeacher,
     EpochMetrics,
@@ -135,15 +135,10 @@ def _metrics_row(m: EpochMetrics) -> list:
 
 
 def _eval_params(params: DetectorParams, scenes: list[Scene], cfg: RunConfig,
-                 policy=None) -> dict[int, float | None]:
+                 policy=None) -> EvalResult:
     policy = policy or cfg.weak_policy()
     dets = _detect_many(scenes, params, policy, cfg.det, cfg.threads)
-    return evaluate_scenes(dets, scenes, EvalConfig()).ap
-
-
-def _map_of(ap: dict[int, float | None]) -> float:
-    defined = [v for v in ap.values() if v is not None]
-    return 100.0 * (sum(defined) / len(defined)) if defined else 0.0
+    return evaluate_scenes(dets, scenes, EvalConfig())
 
 
 def cmd_pretrain(cfg: RunConfig) -> int:
@@ -151,7 +146,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
     labeled = _load_split_scenes(cfg, "labeled")
     params = DetectorParams.zeros(cfg.det.num_classes, lr=cfg.det.learning_rate)
     policy = cfg.weak_policy(n_channels=1)  # supervised pretraining is single-channel
-    rows = [[0, 0.0, 0.0, 0.0, 0.0, _map_of(_eval_params(params, labeled, cfg, policy))]]
+    rows = [[0, 0.0, 0.0, 0.0, 0.0, 100.0 * _eval_params(params, labeled, cfg, policy).map]]
     for epoch in range(1, cfg.pretrain_epochs + 1):
         sums = [0.0, 0.0, 0.0, 0.0]
         steps = 0
@@ -175,7 +170,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
                 sums[3] += losses.total
                 steps += 1
         mean = [v / steps if steps else 0.0 for v in sums]
-        rows.append([epoch, *mean, _map_of(_eval_params(params, labeled, cfg, policy))])
+        rows.append([epoch, *mean, 100.0 * _eval_params(params, labeled, cfg, policy).map])
     out = Path(cfg.out_dir)
     save_params(params, out / PRETRAIN_PARAMS)
     _write_csv(out / "pretrain_metrics.csv",
@@ -225,10 +220,10 @@ def cmd_eval(cfg: RunConfig, params_path, split: str) -> int:
             f"params file has {params.num_classes} classes, config expects {cfg.det.num_classes}"
         )
     scenes = _load_split_scenes(cfg, split)
-    ap = _eval_params(params, scenes, cfg)
+    result = _eval_params(params, scenes, cfg)
     out = Path(cfg.out_dir)
-    per_class = {CLASS_NAMES[c - 1]: (None if v is None else 100.0 * v) for c, v in ap.items()}
-    mean_ap = _map_of(ap)
+    per_class = {CLASS_NAMES[c - 1]: (None if v is None else 100.0 * v) for c, v in result.ap.items()}
+    mean_ap = 100.0 * result.map
     wide = [[split, cfg.seed] + [per_class.get(n, None) for n in CLASS_NAMES] + [mean_ap]]
     _write_csv(out / "results.csv", ["split", "seed", *CLASS_NAMES, "Avg"], wide)
     long_rows = [

@@ -601,7 +601,11 @@ def load_params(path) -> DetectorParams:
     body = np.frombuffer(raw[32:], dtype="<f8")
     if len(body) != n_vals:
         raise ParamsFormatError(f"{path}: expected {n_vals} values, found {len(body)}")
+    if not np.isfinite(body).all():
+        raise ParamsFormatError(f"{path}: non-finite value in learning rate or weights")
     lr = float(body[0])
+    if lr <= 0:
+        raise ParamsFormatError(f"{path}: learning rate must be positive, got {lr}")
     off = 1
     w_cls = body[off : off + (c + 1) * f].reshape(c + 1, f).copy()
     off += (c + 1) * f

@@ -9,8 +9,7 @@ from .geometry import PointCloud, Transform, compose, invert, transform_xy
 
 # BEV feature layout per cell
 BEV_MAX_OCC = 0   # max point count over the vertical column
-BEV_Z_FRACTION = 1  # fraction of vertical cells occupied
-BEV_MAX_HEIGHT = 2  # highest per-voxel mean height in the column
+BEV_MAX_HEIGHT = 1  # highest per-voxel mean height in the column
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ class BevGrid:
     origin_xy: tuple[float, float]
     voxel_size: float
     z_span: float
-    features: np.ndarray  # (nx, ny, 3)
+    features: np.ndarray  # (nx, ny, 2): BEV_MAX_OCC, BEV_MAX_HEIGHT
     z_origin: float = 0.0
 
     @property
@@ -98,96 +97,58 @@ class BevGrid:
         return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
     def interpolate(self, xy: np.ndarray) -> np.ndarray:
-        """Bilinear feature lookup at planar points, zero outside the extent."""
-        return BilinearPlan(self.origin_xy, self.voxel_size, self.shape, xy).apply(self.features)
+        """Bilinear feature lookup at planar points, zero outside the extent.
 
-
-class BilinearPlan:
-    """Precomputed corner indices and weights for bilinear lookups.
-
-    The sample locations depend only on grid geometry and the query points, so
-    fixed channel transforms can reuse one plan across scenes; only the four
-    gathers and the weighted sum remain per call.
-    """
-
-    def __init__(self, origin_xy, voxel_size: float, shape: tuple[int, int], xy: np.ndarray):
-        nx, ny = shape
-        u = (xy[:, 0] - origin_xy[0]) / voxel_size - 0.5
-        v = (xy[:, 1] - origin_xy[1]) / voxel_size - 0.5
+        Corners are clipped into a zero-padded frame, so out-of-range corners
+        read zero. Points whose four corners are all empty are exactly zero;
+        only the rest, few on sparse grids, are gathered and weighted.
+        """
+        nx, ny = self.shape
+        u = (xy[:, 0] - self.origin_xy[0]) / self.voxel_size - 0.5
+        v = (xy[:, 1] - self.origin_xy[1]) / self.voxel_size - 0.5
         i0 = np.floor(u).astype(np.int64)
         j0 = np.floor(v).astype(np.int64)
-        fu = u - i0
-        fv = v - j0
-        # clip into a zero-padded frame: every out-of-range corner lands on a
-        # zero pad cell, which implements the zero-outside-extent contract
         ii0 = np.clip(i0 + 1, 0, nx + 1)
         ii1 = np.clip(i0 + 2, 0, nx + 1)
         jj0 = np.clip(j0 + 1, 0, ny + 1)
         jj1 = np.clip(j0 + 2, 0, ny + 1)
-        w00 = (1 - fu) * (1 - fv)
-        w01 = (1 - fu) * fv
-        w10 = fu * (1 - fv)
-        w11 = fu * fv
-        self.shape = shape
-        self.flat00 = ii0 * (ny + 2) + jj0
-        self.flat01 = ii0 * (ny + 2) + jj1
-        self.flat10 = ii1 * (ny + 2) + jj0
-        self.flat11 = ii1 * (ny + 2) + jj1
-        self.weights = (w00[:, None], w01[:, None], w10[:, None], w11[:, None])
-
-    def apply(self, features: np.ndarray) -> np.ndarray:
-        nx, ny = self.shape
-        padded = np.zeros((nx + 2, ny + 2, features.shape[2]))
-        padded[1 : nx + 1, 1 : ny + 1] = features
-        flat = padded.reshape(-1, features.shape[2])
-        w00, w01, w10, w11 = self.weights
-        return (
-            w00 * flat[self.flat00]
-            + w01 * flat[self.flat01]
-            + w10 * flat[self.flat10]
-            + w11 * flat[self.flat11]
+        flat00 = ii0 * (ny + 2) + jj0
+        flat01 = ii0 * (ny + 2) + jj1
+        flat10 = ii1 * (ny + 2) + jj0
+        flat11 = ii1 * (ny + 2) + jj1
+        padded = np.zeros((nx + 2, ny + 2, self.features.shape[2]))
+        padded[1 : nx + 1, 1 : ny + 1] = self.features
+        flat = padded.reshape(-1, self.features.shape[2])
+        filled = flat.any(axis=1)
+        hit = np.flatnonzero(filled[flat00] | filled[flat01] | filled[flat10] | filled[flat11])
+        fu = u[hit] - i0[hit]
+        fv = v[hit] - j0[hit]
+        out = np.zeros((len(xy), flat.shape[1]))
+        out[hit] = (
+            ((1 - fu) * (1 - fv))[:, None] * flat[flat00[hit]]
+            + ((1 - fu) * fv)[:, None] * flat[flat01[hit]]
+            + (fu * (1 - fv))[:, None] * flat[flat10[hit]]
+            + (fu * fv)[:, None] * flat[flat11[hit]]
         )
+        return out
 
 
 def bev_from_voxels(grid: VoxelGrid) -> BevGrid:
+    """Compress each vertical column into (max point count, max mean height);
+    empty columns are zero in both features."""
     cfg = grid.cfg
     n = cfg.nx * cfg.ny
     col = grid.coords[:, 0] * cfg.ny + grid.coords[:, 1] if len(grid.coords) else np.empty((0,), int)
     occ = np.zeros(n)
-    frac = np.zeros(n)
     top = np.full(n, -np.inf)
     if len(col):
         np.maximum.at(occ, col, grid.counts)
-        np.add.at(frac, col, 1.0 / cfg.nz)
         np.maximum.at(top, col, grid.mean_z)
     top[~np.isfinite(top)] = 0.0
-    features = np.stack([occ, frac, top], axis=1).reshape(cfg.nx, cfg.ny, 3)
+    features = np.stack([occ, top], axis=1).reshape(cfg.nx, cfg.ny, 2)
     return BevGrid(
         (cfg.origin[0], cfg.origin[1]), cfg.voxel_size, cfg.z_span, features, cfg.origin[2]
     )
-
-
-# plans keyed by (rel transform, grid geometry); weak policies reuse the same
-# few mappings for every scene
-_PLAN_CACHE: dict[tuple, BilinearPlan] = {}
-_PLAN_CACHE_MAX = 64
-
-
-def _plan_for(rel: Transform, grid: BevGrid, base: BevGrid) -> BilinearPlan:
-    key = (
-        rel.flip_y, rel.theta, rel.s,
-        base.origin_xy, base.voxel_size, base.shape,
-        grid.origin_xy, grid.voxel_size, grid.shape,
-    )
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = BilinearPlan(
-            grid.origin_xy, grid.voxel_size, grid.shape, transform_xy(rel, base.cell_centers())
-        )
-        if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
-            _PLAN_CACHE.clear()
-        _PLAN_CACHE[key] = plan
-    return plan
 
 
 def bev_align(grids: list[BevGrid], transforms: list[Transform]) -> BevGrid:
@@ -196,7 +157,8 @@ def bev_align(grids: list[BevGrid], transforms: list[Transform]) -> BevGrid:
     Grid points are the channel-1 cell centers; each is mapped through
     T_i o T_1^{-1} into channel i, features are bilinearly interpolated there
     (zero outside the channel extent), and the fusion is the component-wise
-    maximum over channels. Identity mappings skip interpolation so a single
+    maximum over channels. Nothing is kept between calls, so pool threads may
+    align concurrently. Identity mappings skip interpolation so a single
     channel, or all-identity transforms, reproduce inputs exactly.
     """
     if len(grids) != len(transforms) or not grids:
@@ -209,7 +171,7 @@ def bev_align(grids: list[BevGrid], transforms: list[Transform]) -> BevGrid:
         if rel.is_identity and grid.shape == base.shape:
             vals = grid.features.reshape(-1, grid.features.shape[2])
         else:
-            vals = _plan_for(rel, grid, base).apply(grid.features)
+            vals = grid.interpolate(transform_xy(rel, base.cell_centers()))
         fused = vals.copy() if fused is None else np.maximum(fused, vals)
     nx, ny = base.shape
     return BevGrid(

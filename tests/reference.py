@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's computational paths: IoU by Monte
-Carlo point sampling, average precision by direct prefix enumeration, and
-three-way partitioning by exhaustive search.
+Carlo point sampling, average precision by direct prefix enumeration,
+three-way partitioning by exhaustive search, and BEV alignment by a dense
+bilinear lookup that gathers and weights every query point.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 
-from cadet3d.geometry import Box3D
+from cadet3d.geometry import Box3D, compose, invert, transform_xy
 
 
 def point_in_box_bev(box: Box3D, xy: np.ndarray) -> np.ndarray:
@@ -83,3 +84,41 @@ def brute_force_three_partition(values) -> tuple[float, np.ndarray]:
                 best_sse = sse
                 best_centers = np.array([p.mean() for p in parts])
     return best_sse, best_centers
+
+
+def dense_bilinear(features: np.ndarray, origin_xy, voxel_size: float, xy: np.ndarray) -> np.ndarray:
+    """Bilinear lookup at every point, zero outside the extent: the four
+    corners are clipped into a zero-padded frame, then gathered and weighted."""
+    nx, ny, n_feat = features.shape
+    u = (xy[:, 0] - origin_xy[0]) / voxel_size - 0.5
+    v = (xy[:, 1] - origin_xy[1]) / voxel_size - 0.5
+    i0 = np.floor(u).astype(np.int64)
+    j0 = np.floor(v).astype(np.int64)
+    fu = u - i0
+    fv = v - j0
+    ii0 = np.clip(i0 + 1, 0, nx + 1)
+    ii1 = np.clip(i0 + 2, 0, nx + 1)
+    jj0 = np.clip(j0 + 1, 0, ny + 1)
+    jj1 = np.clip(j0 + 2, 0, ny + 1)
+    padded = np.zeros((nx + 2, ny + 2, n_feat))
+    padded[1 : nx + 1, 1 : ny + 1] = features
+    return (
+        ((1 - fu) * (1 - fv))[:, None] * padded[ii0, jj0]
+        + ((1 - fu) * fv)[:, None] * padded[ii0, jj1]
+        + (fu * (1 - fv))[:, None] * padded[ii1, jj0]
+        + (fu * fv)[:, None] * padded[ii1, jj1]
+    )
+
+
+def dense_bev_align(grids, transforms) -> np.ndarray:
+    """Fused (nx, ny, F) features: every channel looked up densely at the
+    channel-1 cell centers mapped through T_i o T_1^{-1}, then the
+    component-wise maximum."""
+    base = grids[0]
+    centers = base.cell_centers()
+    t1_inv = invert(transforms[0])
+    fused = base.features.reshape(-1, base.features.shape[2])
+    for grid, t in zip(grids[1:], transforms[1:]):
+        xy = transform_xy(compose(t, t1_inv), centers)
+        fused = np.maximum(fused, dense_bilinear(grid.features, grid.origin_xy, grid.voxel_size, xy))
+    return fused.reshape(base.features.shape)

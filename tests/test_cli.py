@@ -168,6 +168,15 @@ class TestEval:
         main(["gen-data", "--config", str(cfg)])
         assert main(["eval", "--config", str(cfg), "--params", str(tmp / "nope.params")]) == 2
 
+    def test_non_finite_params_exit_3(self, small_env):
+        tmp, cfg = small_env
+        main(["gen-data", "--config", str(cfg)])
+        bad = tmp / "nan.params"
+        params = DetectorParams.zeros()
+        params.w_cls[1, 0] = np.nan
+        save_params(params, bad)
+        assert main(["eval", "--config", str(cfg), "--params", str(bad)]) == 3
+
 
 class TestReport:
     def run_pipeline(self, small_env):

@@ -429,6 +429,21 @@ class TestParamsIo:
         with pytest.raises(FileNotFoundError):
             load_params(tmp_path / "absent.params")
 
+    @pytest.mark.parametrize("array, value", [
+        ("w_cls", math.nan), ("w_obj", math.inf), ("w_reg", -math.inf),
+        ("lr", math.nan), ("lr", math.inf), ("lr", 0.0), ("lr", -0.1),
+    ])
+    def test_non_finite_or_non_positive_rejected(self, tmp_path, array, value):
+        params = DetectorParams.zeros()
+        if array == "lr":
+            params.lr = value
+        else:
+            getattr(params, array).flat[3] = value
+        path = tmp_path / "bad.params"
+        save_params(params, path)
+        with pytest.raises(ParamsFormatError):
+            load_params(path)
+
 
 def test_softmax_sums_to_one(rng):
     for _ in range(20):

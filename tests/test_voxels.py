@@ -3,17 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from cadet3d.augment import (
+    strong_channels,
+    strong_default_policy,
+    weak_channels,
+    weak_default_policy,
+)
+from cadet3d.data import SynthConfig, synth_scene
 from cadet3d.geometry import PointCloud, Transform
 from cadet3d.voxels import (
     BEV_MAX_HEIGHT,
     BEV_MAX_OCC,
-    BEV_Z_FRACTION,
     BevGrid,
     VoxelConfig,
     bev_align,
     bev_from_voxels,
     voxelize,
 )
+from reference import dense_bev_align, dense_bilinear
 
 
 def cloud(*points):
@@ -63,7 +70,6 @@ class TestBevFeatures:
         bev = bev_from_voxels(voxelize(pc, self.cfg))
         f = bev.features[0, 0]
         assert f[BEV_MAX_OCC] == 2.0
-        assert f[BEV_Z_FRACTION] == pytest.approx(2 / 4)
         assert f[BEV_MAX_HEIGHT] == pytest.approx(1.75)
         assert bev.z_origin == 0.0
 
@@ -138,3 +144,60 @@ class TestBevAlign:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             bev_align([], [])
+
+
+class TestAlignOracle:
+    """bev_align is bit-identical to a dense lookup of every query point."""
+
+    @staticmethod
+    def channel_bevs(cs, cfg=VoxelConfig()):
+        return [bev_from_voxels(voxelize(c, cfg)) for c in cs.clouds]
+
+    def test_strong_channels(self):
+        drawn = []
+        for seed in range(4):
+            cs = strong_channels(synth_scene(seed, SynthConfig()).cloud, strong_default_policy(), seed)
+            drawn += cs.transforms
+            bevs = self.channel_bevs(cs)
+            np.testing.assert_array_equal(
+                bev_align(bevs, cs.transforms).features, dense_bev_align(bevs, cs.transforms)
+            )
+        # the draws cover flips, rotations and scales away from 1
+        assert any(t.flip_y for t in drawn) and not all(t.flip_y for t in drawn)
+        assert all(t.theta != 0.0 and t.s != 1.0 for t in drawn)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_default_weak_channels(self, seed):
+        cs = weak_channels(synth_scene(seed, SynthConfig()).cloud, weak_default_policy())
+        bevs = self.channel_bevs(cs)
+        np.testing.assert_array_equal(
+            bev_align(bevs, cs.transforms).features, dense_bev_align(bevs, cs.transforms)
+        )
+
+    def test_occupied_border_cells(self, rng):
+        # every border cell occupied: footprints straddle the extent and
+        # reach into the zero pad frame
+        n = 12
+        grids = []
+        for _ in range(3):
+            feats = np.zeros((n, n, 2))
+            feats[[0, -1], :] = rng.uniform(1.0, 5.0, (2, n, 2))
+            feats[:, [0, -1]] = rng.uniform(1.0, 5.0, (n, 2, 2))
+            grids.append(BevGrid((-3.0, -3.0), 0.5, 2.0, feats))
+        transforms = [Transform(flip_y=True, theta=0.1, s=1.02), Transform(theta=-0.3, s=0.97),
+                      Transform(flip_y=True, theta=0.7, s=1.05)]
+        fused = bev_align(grids, transforms)
+        np.testing.assert_array_equal(fused.features, dense_bev_align(grids, transforms))
+
+    def test_empty_footprint_is_exact_positive_zero(self, rng):
+        feats = np.zeros((8, 8, 2))
+        feats[2, 2] = (3.0, 1.5)
+        bev = BevGrid((0.0, 0.0), 1.0, 4.0, feats)
+        near = rng.uniform(1.0, 4.0, (50, 2))  # footprints touch cell (2, 2)
+        far = np.vstack([rng.uniform(4.5, 8.0, (50, 2)), [[-3.0, 0.0], [40.0, 40.0]]])
+        out = bev.interpolate(np.vstack([near, far]))
+        ref = dense_bilinear(feats, bev.origin_xy, bev.voxel_size, np.vstack([near, far]))
+        np.testing.assert_array_equal(out, ref)
+        assert np.any(out[: len(near)] > 0)
+        np.testing.assert_array_equal(out[len(near):], 0.0)
+        assert not np.signbit(out[len(near):]).any()
