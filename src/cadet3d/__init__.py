@@ -1,57 +1,3 @@
 """Desk-scale channel-augmented teacher-student 3D detection pipeline."""
 
-from .augment import (
-    ChannelPolicy,
-    ChannelSet,
-    StrongRanges,
-    shuffle_augment,
-    strong_channels,
-    strong_default_policy,
-    transform_pseudo_targets,
-    weak_channels,
-    weak_default_policy,
-)
-from .data import Scene, SplitSpec, SynthConfig, synth_scene
-from .detector import (
-    Detection,
-    DetectorConfig,
-    DetectorParams,
-    Proposal,
-    detect,
-    train_step,
-)
-from .evaluation import EvalConfig, ap40, evaluate_scenes, match_detections, pseudo_quality
-from .geometry import (
-    Box3D,
-    PointCloud,
-    Transform,
-    apply_box,
-    apply_points,
-    average_boxes,
-    compose,
-    decode_residual,
-    encode_residual,
-    invert,
-    iou_3d,
-    iou_bev,
-    nms,
-)
-from .selftrain import (
-    DualThresholds,
-    EmaTeacher,
-    PseudoBox,
-    SslConfig,
-    SslState,
-    ThresholdBank,
-    channel_iou_consistency,
-    ema_update,
-    fit_dual_thresholds,
-    fit_threshold_bank,
-    pairing_iou_consistency,
-    remove_low_level_points,
-    ssl_epoch,
-    stratify,
-)
-from .voxels import BevGrid, VoxelConfig, VoxelGrid, bev_align, bev_from_voxels, voxelize
-
 __version__ = "0.1.0"

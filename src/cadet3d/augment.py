@@ -1,5 +1,5 @@
 """Channel augmentation: fixed (weak) transform sets, random (strong) sets,
-pseudo-target transformation, and a grid-patch shuffle augmentation.
+and a grid-patch shuffle augmentation.
 
 The patch shuffle is a simplified stand-in for the shuffle augmentation used
 by hierarchical-supervision pipelines, NOT a reimplementation of it; it can be
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Scene
-from .geometry import Box3D, PointCloud, Transform, apply_box, apply_points
+from .geometry import Box3D, PointCloud, Transform, apply_points
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,6 @@ def strong_channels(pc: PointCloud, policy: ChannelPolicy, rng_seed) -> ChannelS
         clouds=[apply_points(t, pc) for t in transforms],
         transforms=transforms,
     )
-
-
-def transform_pseudo_targets(boxes: list[Box3D], cs: ChannelSet) -> list[list[Box3D]]:
-    """Per-channel supervision targets: each box mapped into each channel frame."""
-    return [[apply_box(t, b) for b in boxes] for t in cs.transforms]
 
 
 def shuffle_augment(scene: Scene, grid_cells: int, rng_seed) -> Scene:

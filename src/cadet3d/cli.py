@@ -29,20 +29,20 @@ from .data import (
 )
 from .detector import (
     DetectorParams,
+    LossTotals,
     NonFiniteLossError,
     ParamsFormatError,
-    build_training_examples,
     load_params,
     save_params,
-    train_step,
+    train_on_scene,
 )
-from .evaluation import EvalConfig, EvalResult, evaluate_scenes
+from .evaluation import EvalConfig
 from .selftrain import (
     EmaTeacher,
     EpochMetrics,
     SslConfig,
     SslState,
-    _detect_many,
+    detect_and_score,
     scene_seed,
     ssl_epoch,
 )
@@ -99,7 +99,6 @@ def _ssl_config(cfg: RunConfig) -> SslConfig:
         prefilter_min_score=cfg.prefilter_min_score,
         shuffle_grid_cells=cfg.shuffle_grid_cells,
         unsup_background_weight=cfg.unsup_background_weight,
-        threads=cfg.threads,
     )
 
 
@@ -134,43 +133,22 @@ def _metrics_row(m: EpochMetrics) -> list:
     return [getattr(m, f.name) for f in dataclasses.fields(EpochMetrics)]
 
 
-def _eval_params(params: DetectorParams, scenes: list[Scene], cfg: RunConfig,
-                 policy=None) -> EvalResult:
-    policy = policy or cfg.weak_policy()
-    dets = _detect_many(scenes, params, policy, cfg.det, cfg.threads)
-    return evaluate_scenes(dets, scenes, EvalConfig())
-
-
 def cmd_pretrain(cfg: RunConfig) -> int:
     _snapshot_config(cfg)
     labeled = _load_split_scenes(cfg, "labeled")
     params = DetectorParams.zeros(cfg.det.num_classes, lr=cfg.det.learning_rate)
     policy = cfg.weak_policy(n_channels=1)  # supervised pretraining is single-channel
-    rows = [[0, 0.0, 0.0, 0.0, 0.0, 100.0 * _eval_params(params, labeled, cfg, policy).map]]
-    for epoch in range(1, cfg.pretrain_epochs + 1):
-        sums = [0.0, 0.0, 0.0, 0.0]
-        steps = 0
-        for idx, scene in enumerate(labeled):
-            batch = build_training_examples(
-                scene.cloud,
-                scene.gt_boxes,
-                scene.gt_classes,
-                [1.0] * len(scene.gt_boxes),
-                policy,
-                params,
-                cfg.det,
-                rng_seed=scene_seed(cfg.seed, epoch, idx, 3),
-                background_weight=cfg.det.background_weight,
-            )
-            if batch:
-                losses = train_step(params, batch)
-                sums[0] += losses.cls
-                sums[1] += losses.reg
-                sums[2] += losses.obj
-                sums[3] += losses.total
-                steps += 1
-        mean = [v / steps if steps else 0.0 for v in sums]
-        rows.append([epoch, *mean, 100.0 * _eval_params(params, labeled, cfg, policy).map])
+    rows = []
+    for epoch in range(cfg.pretrain_epochs + 1):  # epoch 0 scores the initialization
+        totals = LossTotals()
+        for idx, scene in enumerate(labeled if epoch else []):
+            totals.add(train_on_scene(
+                scene.cloud, scene.gt_boxes, scene.gt_classes, [1.0] * len(scene.gt_boxes),
+                policy, params, cfg.det, scene_seed(cfg.seed, epoch, idx, 3),
+                cfg.det.background_weight,
+            ))
+        labeled_map = detect_and_score(labeled, params, policy, cfg.det, EvalConfig()).map
+        rows.append([epoch, *totals.means(), 100.0 * labeled_map])
     out = Path(cfg.out_dir)
     save_params(params, out / PRETRAIN_PARAMS)
     _write_csv(out / "pretrain_metrics.csv",
@@ -220,7 +198,7 @@ def cmd_eval(cfg: RunConfig, params_path, split: str) -> int:
             f"params file has {params.num_classes} classes, config expects {cfg.det.num_classes}"
         )
     scenes = _load_split_scenes(cfg, split)
-    result = _eval_params(params, scenes, cfg)
+    result = detect_and_score(scenes, params, cfg.weak_policy(), cfg.det, EvalConfig())
     out = Path(cfg.out_dir)
     per_class = {CLASS_NAMES[c - 1]: (None if v is None else 100.0 * v) for c, v in result.ap.items()}
     mean_ap = 100.0 * result.map
@@ -304,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, help="key = value config file")
     common.add_argument("--seed", type=int, default=None, help="master seed (mandatory somewhere)")
-    common.add_argument("--threads", type=int, default=None, help="worker threads for inference")
+    common.add_argument("--threads", type=int, default=None,
+                        help="kept for existing configs and scripts (must be >= 1); detection "
+                        "runs serially, so it changes neither outputs nor speed")
     common.add_argument("--out", type=str, default=None, help="output directory")
     parser = argparse.ArgumentParser(prog="cadet3d", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

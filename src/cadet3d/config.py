@@ -14,7 +14,6 @@ from pathlib import Path
 from .augment import ChannelPolicy, StrongRanges, strong_default_policy, weak_default_policy
 from .data import SynthConfig
 from .detector import DetectorConfig
-from .voxels import VoxelConfig
 
 
 class ConfigError(ValueError):
@@ -26,7 +25,7 @@ class RunConfig:
     seed: int = -1  # mandatory; -1 means "not set"
     dataset_root: str = "dataset"
     out_dir: str = "run"
-    threads: int = 1
+    threads: int = 1  # validated, otherwise unused: detection runs serially
     # dataset
     n_scenes: int = 200
     n_val_scenes: int = 50

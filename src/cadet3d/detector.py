@@ -144,13 +144,11 @@ class Detection:
     class_scores: np.ndarray
     objectness: float
 
-    def __post_init__(self) -> None:
-        agg = average_boxes(self.per_channel_boxes)
-        if not np.allclose(agg.as_array(), self.box.as_array(), atol=1e-9):
-            raise ValueError("detection box must be the average of its channel boxes")
-        mean_obj = self.objectness
-        if not 0.0 <= mean_obj <= 1.0:
-            raise ValueError("objectness must lie in [0, 1]")
+    @classmethod
+    def from_channels(cls, per_channel_boxes: list[Box3D], class_scores: np.ndarray,
+                      objectness: float) -> "Detection":
+        """Detection whose box is the average of its canonical-frame channel boxes."""
+        return cls(average_boxes(per_channel_boxes), per_channel_boxes, class_scores, objectness)
 
     @property
     def p_hat(self) -> float:
@@ -364,14 +362,9 @@ def refine(
             decoded = decode_residual(params.w_reg[k] @ phi, anchor)
             channel_boxes.append(apply_box(back, decoded))
             obj_scores.append(sigmoid(float(params.w_obj[k] @ phi)))
-        dets.append(
-            Detection(
-                box=average_boxes(channel_boxes),
-                per_channel_boxes=channel_boxes,
-                class_scores=prop.class_scores.copy(),
-                objectness=float(np.mean(obj_scores)),
-            )
-        )
+        dets.append(Detection.from_channels(
+            channel_boxes, prop.class_scores.copy(), float(np.mean(obj_scores))
+        ))
     return dets
 
 
@@ -436,6 +429,34 @@ class TrainLosses:
     @property
     def total(self) -> float:
         return self.cls + self.reg + self.obj
+
+
+@dataclass
+class LossTotals:
+    """Step losses summed over an epoch; ``means`` divides by the step count."""
+
+    cls: float = 0.0
+    reg: float = 0.0
+    obj: float = 0.0
+    total: float = 0.0
+    steps: int = 0
+
+    def add(self, losses: TrainLosses | None) -> None:
+        """Count one step; ``None`` (a scene without RoIs) is no step."""
+        if losses is None:
+            return
+        self.cls += losses.cls
+        self.reg += losses.reg
+        self.obj += losses.obj
+        self.total += losses.total
+        self.steps += 1
+
+    def means(self) -> tuple[float, float, float, float]:
+        """(cls, reg, obj, total) per step; zeros when no step ran."""
+        if not self.steps:
+            return 0.0, 0.0, 0.0, 0.0
+        n = self.steps
+        return self.cls / n, self.reg / n, self.obj / n, self.total / n
 
 
 def _smooth_l1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -563,6 +584,26 @@ def build_training_examples(
                 )
             )
     return examples
+
+
+def train_on_scene(
+    pc: PointCloud,
+    target_boxes: list[Box3D],
+    target_classes: list[int],
+    target_weights: list[float],
+    policy: ChannelPolicy,
+    params: DetectorParams,
+    cfg: DetectorConfig,
+    rng_seed,
+    background_weight: float,
+) -> TrainLosses | None:
+    """Build the scene's training examples and take one SGD step on them.
+
+    Returns None, with ``params`` untouched, when the scene yields no RoI.
+    """
+    batch = build_training_examples(pc, target_boxes, target_classes, target_weights, policy,
+                                    params, cfg, rng_seed, background_weight)
+    return train_step(params, batch) if batch else None
 
 
 # ---------------------------------------------------------------------------

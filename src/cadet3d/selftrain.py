@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,13 +15,13 @@ from .detector import (
     Detection,
     DetectorConfig,
     DetectorParams,
+    LossTotals,
     NonFiniteLossError,
     TrainLosses,
-    build_training_examples,
     detect,
-    train_step,
+    train_on_scene,
 )
-from .evaluation import EvalConfig, evaluate_scenes, pseudo_quality
+from .evaluation import EvalConfig, EvalResult, evaluate_scenes, pseudo_quality
 from .geometry import Box3D, PointCloud, iou_3d, points_in_box
 
 log = logging.getLogger(__name__)
@@ -287,7 +286,6 @@ class SslConfig:
     prefilter_min_score: float = 0.1
     shuffle_grid_cells: int = 4
     unsup_background_weight: float = 0.3
-    threads: int = 1
 
 
 @dataclass
@@ -331,26 +329,16 @@ class EpochMetrics:
 
 
 def scene_seed(master: int, epoch: int, index: int, tag: int) -> int:
-    """Stable per-scene stream seed; keeps threaded and serial runs identical."""
+    """Stable per-scene stream seed, independent of the order scenes are visited in."""
     ss = np.random.SeedSequence((master, epoch, index, tag))
     return int(ss.generate_state(1)[0])
 
 
-def _detect_many(scenes, params, policy, cfg, threads: int) -> list[list[Detection]]:
-    def run(scene):
-        return detect(scene.cloud, policy, params, cfg)
-
-    if threads > 1 and len(scenes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, scenes))
-    return [run(s) for s in scenes]
-
-
-def _accumulate(total: list[float], losses: TrainLosses) -> None:
-    total[0] += losses.cls
-    total[1] += losses.reg
-    total[2] += losses.obj
-    total[3] += losses.total
+def detect_and_score(scenes: list[Scene], params: DetectorParams, policy: ChannelPolicy,
+                     det_cfg: DetectorConfig, eval_cfg: EvalConfig) -> EvalResult:
+    """Detect every scene with ``policy`` and score the detections (AP40)."""
+    dets = [detect(scene.cloud, policy, params, det_cfg) for scene in scenes]
+    return evaluate_scenes(dets, scenes, eval_cfg)
 
 
 def ssl_epoch(
@@ -376,9 +364,10 @@ def ssl_epoch(
     metrics = EpochMetrics(epoch=state.epoch)
     channel_counter = PairCounter()
 
-    teacher_dets = _detect_many(
-        unlabeled, state.teacher.params, cfg.weak_policy, cfg.detector, cfg.threads
-    )
+    teacher_dets = [
+        detect(scene.cloud, cfg.weak_policy, state.teacher.params, cfg.detector)
+        for scene in unlabeled
+    ]
     pseudo_sets = [
         [pseudo_from_detection(d, channel_counter) for d in dets] for dets in teacher_dets
     ]
@@ -396,31 +385,26 @@ def ssl_epoch(
     # fresh strong channels per visit); the labeled anchor must stay in the
     # gradient mix or pseudo-label class noise can snowball through the EMA
     # teacher faster than a trailing supervised phase can undo.
-    unsup_losses = [0.0, 0.0, 0.0, 0.0]
-    sup_losses = [0.0, 0.0, 0.0, 0.0]
-    n_unsup_steps = 0
-    n_sup_steps = 0
+    unsup = LossTotals()
+    sup = LossTotals()
 
-    def _labeled_step(scene: Scene, idx: int) -> None:
-        nonlocal n_sup_steps
+    def student_step(kind: str, target: Scene, weights: list[float], idx: int, tag: int,
+                     background_weight: float) -> TrainLosses | None:
+        """Strong-channel student step on ``target``'s boxes, then the EMA update."""
         try:
-            batch = build_training_examples(
-                scene.cloud,
-                scene.gt_boxes,
-                scene.gt_classes,
-                [1.0] * len(scene.gt_boxes),
-                cfg.strong_policy,
-                state.student,
-                cfg.detector,
-                rng_seed=scene_seed(state.seed, state.epoch, idx, 2),
-                background_weight=1.0,
+            losses = train_on_scene(
+                target.cloud, target.gt_boxes, target.gt_classes, weights, cfg.strong_policy,
+                state.student, cfg.detector, scene_seed(state.seed, state.epoch, idx, tag),
+                background_weight,
             )
-            if batch:
-                _accumulate(sup_losses, train_step(state.student, batch))
-                n_sup_steps += 1
-                ema_update(state.teacher, state.student)
         except NonFiniteLossError as exc:
-            raise NonFiniteLossError(f"labeled scene {scene.id}: {exc}") from exc
+            raise NonFiniteLossError(f"{kind} scene {target.id}: {exc}") from exc
+        if losses is not None:
+            ema_update(state.teacher, state.student)
+        return losses
+
+    def labeled_step(scene: Scene, idx: int) -> None:
+        sup.add(student_step("labeled", scene, [1.0] * len(scene.gt_boxes), idx, 2, 1.0))
 
     for idx, (scene, pseudo) in enumerate(zip(unlabeled, pseudo_sets)):
         strat = stratify(pseudo, thr)
@@ -434,51 +418,28 @@ def ssl_epoch(
             metrics.incorrect_postfilter += quality.postfilter
         low_boxes = [pb.box for pb in strat if pb.level == LEVEL_LOW]
         kept = [pb for pb in strat if pb.level != LEVEL_LOW]
-        stripped = remove_low_level_points(scene, low_boxes)
-        t_boxes = [pb.box for pb in kept]
-        t_classes = [pb.cls for pb in kept]
-        t_weights = [pb.weight for pb in kept]
+        # the pseudo-labelled view: hidden ground truth stays on ``scene``
+        target = Scene(
+            scene.id,
+            remove_low_level_points(scene, low_boxes).cloud,
+            [pb.box for pb in kept],
+            [pb.cls for pb in kept],
+        )
         if cfg.shuffle_grid_cells >= 2:
-            shuffled = shuffle_augment(
-                Scene(scene.id, stripped.cloud, t_boxes, t_classes),
-                cfg.shuffle_grid_cells,
-                scene_seed(state.seed, state.epoch, idx, 1),
+            target = shuffle_augment(
+                target, cfg.shuffle_grid_cells, scene_seed(state.seed, state.epoch, idx, 1)
             )
-            stripped = shuffled
-            t_boxes = shuffled.gt_boxes
-        try:
-            batch = build_training_examples(
-                stripped.cloud,
-                t_boxes,
-                t_classes,
-                t_weights,
-                cfg.strong_policy,
-                state.student,
-                cfg.detector,
-                rng_seed=scene_seed(state.seed, state.epoch, idx, 0),
-                background_weight=cfg.unsup_background_weight,
-            )
-            if batch:
-                _accumulate(unsup_losses, train_step(state.student, batch))
-                n_unsup_steps += 1
-                ema_update(state.teacher, state.student)
-        except NonFiniteLossError as exc:
-            raise NonFiniteLossError(f"unlabeled scene {scene.id}: {exc}") from exc
+        unsup.add(student_step("unlabeled", target, [pb.weight for pb in kept], idx, 0,
+                               cfg.unsup_background_weight))
         if labeled:
-            _labeled_step(labeled[idx % len(labeled)], idx)
+            labeled_step(labeled[idx % len(labeled)], idx)
 
     if not unlabeled:
         for idx, scene in enumerate(labeled):
-            _labeled_step(scene, idx)
+            labeled_step(scene, idx)
 
-    if n_unsup_steps:
-        metrics.unsup_cls, metrics.unsup_reg, metrics.unsup_obj, metrics.unsup_total = (
-            v / n_unsup_steps for v in unsup_losses
-        )
-    if n_sup_steps:
-        metrics.sup_cls, metrics.sup_reg, metrics.sup_obj, metrics.sup_total = (
-            v / n_sup_steps for v in sup_losses
-        )
+    metrics.unsup_cls, metrics.unsup_reg, metrics.unsup_obj, metrics.unsup_total = unsup.means()
+    metrics.sup_cls, metrics.sup_reg, metrics.sup_obj, metrics.sup_total = sup.means()
     metrics.channel_pair_evals = channel_counter.count
     # what the all-pairs baseline would evaluate: N^2 per scene
     metrics.pairing_pair_evals = sum(len(dets) ** 2 for dets in teacher_dets)
@@ -492,8 +453,9 @@ def ssl_epoch(
     metrics.thr_iou_high = float(np.mean([b.iou_cons[1] for b in banks]))
 
     if val_scenes:
-        dets = _detect_many(val_scenes, state.student, cfg.weak_policy, cfg.detector, cfg.threads)
-        result = evaluate_scenes(dets, val_scenes, cfg.eval_cfg)
+        result = detect_and_score(
+            val_scenes, state.student, cfg.weak_policy, cfg.detector, cfg.eval_cfg
+        )
         # APs on the 100 scale in reports
         metrics.val_map = 100.0 * result.map
         metrics.val_ap_car = 100.0 * (result.ap.get(1) or 0.0)

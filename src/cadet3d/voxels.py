@@ -26,10 +26,6 @@ class VoxelConfig:
         if self.voxel_size <= 0:
             raise ValueError("voxel_size must be positive")
 
-    @property
-    def z_span(self) -> float:
-        return self.nz * self.voxel_size
-
 
 @dataclass
 class VoxelGrid:
@@ -80,7 +76,6 @@ class BevGrid:
 
     origin_xy: tuple[float, float]
     voxel_size: float
-    z_span: float
     features: np.ndarray  # (nx, ny, 2): BEV_MAX_OCC, BEV_MAX_HEIGHT
     z_origin: float = 0.0
 
@@ -146,9 +141,7 @@ def bev_from_voxels(grid: VoxelGrid) -> BevGrid:
         np.maximum.at(top, col, grid.mean_z)
     top[~np.isfinite(top)] = 0.0
     features = np.stack([occ, top], axis=1).reshape(cfg.nx, cfg.ny, 2)
-    return BevGrid(
-        (cfg.origin[0], cfg.origin[1]), cfg.voxel_size, cfg.z_span, features, cfg.origin[2]
-    )
+    return BevGrid((cfg.origin[0], cfg.origin[1]), cfg.voxel_size, features, cfg.origin[2])
 
 
 def bev_align(grids: list[BevGrid], transforms: list[Transform]) -> BevGrid:
@@ -157,8 +150,7 @@ def bev_align(grids: list[BevGrid], transforms: list[Transform]) -> BevGrid:
     Grid points are the channel-1 cell centers; each is mapped through
     T_i o T_1^{-1} into channel i, features are bilinearly interpolated there
     (zero outside the channel extent), and the fusion is the component-wise
-    maximum over channels. Nothing is kept between calls, so pool threads may
-    align concurrently. Identity mappings skip interpolation so a single
+    maximum over channels. Identity mappings skip interpolation so a single
     channel, or all-identity transforms, reproduce inputs exactly.
     """
     if len(grids) != len(transforms) or not grids:
@@ -174,6 +166,4 @@ def bev_align(grids: list[BevGrid], transforms: list[Transform]) -> BevGrid:
             vals = grid.interpolate(transform_xy(rel, base.cell_centers()))
         fused = vals.copy() if fused is None else np.maximum(fused, vals)
     nx, ny = base.shape
-    return BevGrid(
-        base.origin_xy, base.voxel_size, base.z_span, fused.reshape(nx, ny, -1), base.z_origin
-    )
+    return BevGrid(base.origin_xy, base.voxel_size, fused.reshape(nx, ny, -1), base.z_origin)

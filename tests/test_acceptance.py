@@ -334,15 +334,15 @@ def test_criterion_7_alignment():
     n = 12
     origin = (-n / 2 * 0.5, -n / 2 * 0.5)
     feats = [rng.random((n, n, 3)) for _ in range(3)]
-    grids = [BevGrid(origin, 0.5, 2.0, f) for f in feats]
+    grids = [BevGrid(origin, 0.5, f) for f in feats]
     fused = bev_align(grids, [Transform.identity()] * 3)
     assert np.array_equal(fused.features, np.maximum.reduce(feats))
 
     base = np.zeros((n, n, 3))
     base[1:-1, 1:-1] = rng.random((n - 2, n - 2, 3))
     rotated = np.rot90(base, k=1, axes=(0, 1)).copy()
-    g1 = BevGrid(origin, 0.5, 2.0, base)
-    g2 = BevGrid(origin, 0.5, 2.0, rotated)
+    g1 = BevGrid(origin, 0.5, base)
+    g2 = BevGrid(origin, 0.5, rotated)
     fused = bev_align([g1, g2], [Transform.identity(), Transform(theta=math.pi / 2)])
     err = np.abs(fused.features[1:-1, 1:-1] - base[1:-1, 1:-1]).max()
     assert err < 1e-6

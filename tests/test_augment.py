@@ -9,13 +9,11 @@ from cadet3d.augment import (
     shuffle_augment,
     strong_channels,
     strong_default_policy,
-    transform_pseudo_targets,
     weak_channels,
     weak_default_policy,
 )
 from cadet3d.data import Scene
-from cadet3d.geometry import Box3D, PointCloud, Transform, apply_box, apply_points, invert, points_in_box
-from conftest import random_box
+from cadet3d.geometry import Box3D, PointCloud, Transform, apply_box, apply_points, points_in_box
 
 
 def make_cloud(rng, n=100, spread=8.0):
@@ -129,29 +127,6 @@ class TestStrongChannels:
     def test_needs_strong_mode(self, rng):
         with pytest.raises(ValueError):
             strong_channels(make_cloud(rng), weak_default_policy(), 1)
-
-
-class TestPseudoTargets:
-    def test_identity_channel_unchanged(self, rng):
-        pc = make_cloud(rng)
-        cs = weak_channels(pc, weak_default_policy())
-        b = random_box(rng)
-        per_channel = transform_pseudo_targets([b], cs)
-        assert per_channel[0][0] == b
-
-    def test_rotation_covariance(self, rng):
-        cs = weak_channels(make_cloud(rng), weak_default_policy())
-        b = random_box(rng)
-        expected = apply_box(cs.transforms[2], b)
-        assert transform_pseudo_targets([b], cs)[2][0] == expected
-
-    def test_roundtrip_through_inverse(self, rng):
-        cs = strong_channels(make_cloud(rng), strong_default_policy(), 3)
-        b = random_box(rng)
-        per_channel = transform_pseudo_targets([b], cs)
-        for i, t in enumerate(cs.transforms):
-            back = apply_box(invert(t), per_channel[i][0])
-            np.testing.assert_allclose(back.as_array(), b.as_array(), atol=1e-9)
 
 
 def make_scene(rng, n_boxes=3, n_points=400):

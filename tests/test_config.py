@@ -54,6 +54,10 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="fraction"):
             load_config(None, {"seed": 1, "fraction": 0.0})
 
+    def test_threads_validated(self):
+        with pytest.raises(ConfigError, match="threads"):
+            load_config(None, {"seed": 1, "threads": 0})
+
     def test_overrides_beat_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("seed = 1\nout_dir = from_file\n")

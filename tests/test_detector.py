@@ -180,12 +180,14 @@ class TestRefine:
             np.testing.assert_allclose(det.box.as_array(), agg.as_array(), atol=1e-9)
             assert 0.0 <= det.objectness <= 1.0
 
-    def test_detection_invariant_enforced(self):
-        a = Box3D(0, 0, 0, 1, 1, 2, 0)
-        b = Box3D(5, 0, 0, 1, 1, 2, 0)
-        with pytest.raises(ValueError):
-            Detection(box=a, per_channel_boxes=[b, b], class_scores=np.ones(4) / 4,
-                      objectness=0.5)
+    def test_from_channels_averages_channel_boxes(self, rng):
+        boxes = [random_box(rng) for _ in range(3)]
+        scores = np.array([0.1, 0.6, 0.2, 0.1])
+        det = Detection.from_channels(boxes, scores, 0.7)
+        assert det.box == average_boxes(boxes)
+        assert det.per_channel_boxes == boxes
+        assert det.objectness == 0.7
+        assert det.class_scores is scores
 
     def test_identical_channel_boxes_consistency_one(self):
         from cadet3d.selftrain import channel_iou_consistency

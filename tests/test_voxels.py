@@ -83,7 +83,7 @@ class TestInterpolation:
         feats = np.zeros((4, 4, 3))
         feats[1, 1] = (4.0, 0.5, 2.0)
         feats[2, 1] = (8.0, 0.25, 1.0)
-        return BevGrid((0.0, 0.0), 1.0, 4.0, feats)
+        return BevGrid((0.0, 0.0), 1.0, feats)
 
     def test_exact_center(self):
         bev = self.make_bev()
@@ -103,7 +103,7 @@ class TestInterpolation:
     def test_boundary_fade(self):
         # halfway past the last cell center only half the mass remains
         feats = np.ones((2, 2, 1))
-        bev = BevGrid((0.0, 0.0), 1.0, 1.0, feats)
+        bev = BevGrid((0.0, 0.0), 1.0, feats)
         out = bev.interpolate(np.array([[1.5, 2.0]]))
         assert out[0, 0] == pytest.approx(0.5)
 
@@ -136,8 +136,8 @@ class TestBevAlign:
         interior = rng.random((n - 2, n - 2, 3))
         base[1:-1, 1:-1] = interior
         rotated = np.rot90(base, k=1, axes=(0, 1)).copy()
-        g1 = BevGrid(origin, 0.5, 2.0, base)
-        g2 = BevGrid(origin, 0.5, 2.0, rotated)
+        g1 = BevGrid(origin, 0.5, base)
+        g2 = BevGrid(origin, 0.5, rotated)
         fused = bev_align([g1, g2], [Transform.identity(), Transform(theta=math.pi / 2)])
         np.testing.assert_allclose(fused.features[1:-1, 1:-1], base[1:-1, 1:-1], atol=1e-6)
 
@@ -183,7 +183,7 @@ class TestAlignOracle:
             feats = np.zeros((n, n, 2))
             feats[[0, -1], :] = rng.uniform(1.0, 5.0, (2, n, 2))
             feats[:, [0, -1]] = rng.uniform(1.0, 5.0, (n, 2, 2))
-            grids.append(BevGrid((-3.0, -3.0), 0.5, 2.0, feats))
+            grids.append(BevGrid((-3.0, -3.0), 0.5, feats))
         transforms = [Transform(flip_y=True, theta=0.1, s=1.02), Transform(theta=-0.3, s=0.97),
                       Transform(flip_y=True, theta=0.7, s=1.05)]
         fused = bev_align(grids, transforms)
@@ -192,7 +192,7 @@ class TestAlignOracle:
     def test_empty_footprint_is_exact_positive_zero(self, rng):
         feats = np.zeros((8, 8, 2))
         feats[2, 2] = (3.0, 1.5)
-        bev = BevGrid((0.0, 0.0), 1.0, 4.0, feats)
+        bev = BevGrid((0.0, 0.0), 1.0, feats)
         near = rng.uniform(1.0, 4.0, (50, 2))  # footprints touch cell (2, 2)
         far = np.vstack([rng.uniform(4.5, 8.0, (50, 2)), [[-3.0, 0.0], [40.0, 40.0]]])
         out = bev.interpolate(np.vstack([near, far]))
