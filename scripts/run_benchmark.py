@@ -7,7 +7,7 @@ sets on the validation split. Prints a compact per-seed table plus the mean
 gain of self-training over pretraining.
 
 Usage:
-    python scripts/run_benchmark.py [--seeds 1 2 3] [--workdir DIR] [--threads N]
+    python scripts/run_benchmark.py [--seeds 1 2 3] [--workdir DIR]
 """
 import argparse
 import csv
@@ -24,13 +24,11 @@ def read_results(path):
     return {k: float(row[k]) for k in ("Car", "Pedestrian", "Cyclist", "Avg")}
 
 
-def run_seed(seed: int, workdir: Path, threads: int) -> dict:
+def run_seed(seed: int, workdir: Path) -> dict:
     data = workdir / f"data{seed}"
     out = workdir / f"run{seed}"
     cfg = workdir / f"cfg{seed}.txt"
-    cfg.write_text(
-        f"seed = {seed}\ndataset_root = {data}\nout_dir = {out}\nthreads = {threads}\n"
-    )
+    cfg.write_text(f"seed = {seed}\ndataset_root = {data}\nout_dir = {out}\n")
     for args in (
         ["gen-data", "--config", str(cfg)],
         ["pretrain", "--config", str(cfg)],
@@ -55,7 +53,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--workdir", type=str, default=None,
                     help="where datasets and runs go (default: a temp dir)")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
     workdir = Path(args.workdir) if args.workdir else Path(tempfile.mkdtemp(prefix="bench_"))
     workdir.mkdir(parents=True, exist_ok=True)
@@ -63,7 +60,7 @@ def main(argv=None) -> int:
     t0 = time.time()
     rows = []
     for seed in args.seeds:
-        res = run_seed(seed, workdir, args.threads)
+        res = run_seed(seed, workdir)
         rows.append((seed, res))
         p, s = res["pretrain"], res["student"]
         print(f"seed {seed}: pretrain Car {p['Car']:.1f} Ped {p['Pedestrian']:.1f} "

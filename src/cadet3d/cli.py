@@ -89,6 +89,15 @@ def _load_split_scenes(cfg: RunConfig, name: str) -> list[Scene]:
     return [load_scene(root, sid) for sid in read_split(root, name)]
 
 
+def _load_model(cfg: RunConfig, path) -> DetectorParams:
+    """Params file checked against the configured class count (exit 3 if not)."""
+    params = load_params(path)
+    if params.num_classes != cfg.det.num_classes:
+        raise ParamsFormatError(
+            f"{path}: {params.num_classes} classes, config expects {cfg.det.num_classes}")
+    return params
+
+
 def _ssl_config(cfg: RunConfig) -> SslConfig:
     return SslConfig(
         weak_policy=cfg.weak_policy(),
@@ -160,11 +169,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 
 def cmd_ssl_train(cfg: RunConfig, params_path) -> int:
     _snapshot_config(cfg)
-    pretrained = load_params(params_path)
-    if pretrained.num_classes != cfg.det.num_classes:
-        raise ParamsFormatError(
-            f"pretrain file has {pretrained.num_classes} classes, config expects {cfg.det.num_classes}"
-        )
+    pretrained = _load_model(cfg, params_path)
     labeled = _load_split_scenes(cfg, "labeled")
     unlabeled = _load_split_scenes(cfg, "unlabeled")
     val = _load_split_scenes(cfg, "val")
@@ -192,11 +197,7 @@ def cmd_ssl_train(cfg: RunConfig, params_path) -> int:
 
 def cmd_eval(cfg: RunConfig, params_path, split: str) -> int:
     _snapshot_config(cfg)
-    params = load_params(params_path)
-    if params.num_classes != cfg.det.num_classes:
-        raise ParamsFormatError(
-            f"params file has {params.num_classes} classes, config expects {cfg.det.num_classes}"
-        )
+    params = _load_model(cfg, params_path)
     scenes = _load_split_scenes(cfg, split)
     result = detect_and_score(scenes, params, cfg.weak_policy(), cfg.det, EvalConfig())
     out = Path(cfg.out_dir)

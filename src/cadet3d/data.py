@@ -198,7 +198,10 @@ def parse_kitti_label(text: str) -> tuple[list[Box3D], list[int]]:
             continue
         h, w, l = nums[7], nums[8], nums[9]
         x, y, z, ry = nums[10], nums[11], nums[12], nums[13]
-        boxes.append(Box3D(x, y, z, w, h, l, ry))
+        try:
+            boxes.append(Box3D(x, y, z, w, h, l, ry))
+        except ValueError as exc:
+            raise KittiFormatError(f"line {line_no}: {exc}") from None
         classes.append(CLASS_IDS[token])
     return boxes, classes
 
@@ -216,6 +219,9 @@ def read_bin_cloud(path) -> PointCloud:
             f"{path}: truncated record at byte {len(raw) - len(raw) % 16} (length {len(raw)})"
         )
     arr = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if len(bad):
+        raise BinFormatError(f"{path}: non-finite value in record at byte {16 * bad[0]}")
     return PointCloud(arr[:, :3].astype(np.float64), arr[:, 3].astype(np.float64))
 
 

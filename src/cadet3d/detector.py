@@ -24,13 +24,13 @@ from .geometry import (
     Transform,
     apply_box,
     average_boxes,
-    compose,
     decode_residual,
     encode_residual,
     invert,
     iou_3d,
     nms,
     points_in_box,
+    relative_transforms,
     wrap_angle,
 )
 from .voxels import (
@@ -271,11 +271,9 @@ def propose(fused: BevGrid, params: DetectorParams, cfg: DetectorConfig) -> list
     return [raw[i] for i in keep]
 
 
-def roi_features(proposal: Box3D, grid: VoxelGrid, t: Transform,
-                 cfg: DetectorConfig) -> np.ndarray:
-    """Pool voxel statistics inside the (enlarged) proposal mapped into the
-    channel frame by ``t``. An empty RoI yields the zero feature with bias 1."""
-    box = proposal if t.is_identity else apply_box(t, proposal)
+def roi_features(box: Box3D, grid: VoxelGrid, cfg: DetectorConfig) -> np.ndarray:
+    """Pool voxel statistics inside the enlarged channel-frame ``box``. An
+    empty RoI yields the zero feature with bias 1."""
     enlarged = Box3D(box.cx, box.cy, box.cz, box.w * cfg.roi_enlarge,
                      box.h * cfg.roi_enlarge, box.l * cfg.roi_enlarge, box.r)
     phi = np.zeros(N_FEATURES)
@@ -328,13 +326,12 @@ def align_yaw_to_anchor(target: Box3D, anchor: Box3D) -> Box3D:
     return Box3D(target.cx, target.cy, target.cz, target.w, target.h, target.l, r)
 
 
-def _relative_transforms(transforms: list[Transform]) -> list[Transform]:
-    """T_i o T_1^{-1} per channel; channel 1 is the exact identity."""
-    t1_inv = invert(transforms[0])
-    return [
-        Transform.identity() if i == 0 else compose(t, t1_inv)
-        for i, t in enumerate(transforms)
-    ]
+def _channel_rois(box: Box3D, grids: list[VoxelGrid], rels: list[Transform],
+                  cfg: DetectorConfig) -> tuple[list[Box3D], list[np.ndarray]]:
+    """(anchors, features): the channel-1 ``box`` mapped into each channel by
+    its relative transform, and the RoI features pooled there."""
+    anchors = [apply_box(rel, box) for rel in rels]
+    return anchors, [roi_features(a, grid, cfg) for a, grid in zip(anchors, grids)]
 
 
 def refine(
@@ -349,16 +346,16 @@ def refine(
     Proposals live in the channel-1 frame; refined boxes come back to the
     canonical (untransformed) frame through each channel's inverse transform.
     """
-    rels = _relative_transforms(transforms)
+    rels = relative_transforms(transforms)
     inv_backs = [invert(t) for t in transforms]
     dets = []
     for prop in proposals:
         k = prop.predicted_class - 1
         channel_boxes = []
         obj_scores = []
-        for rel, grid, back in zip(rels, grids, inv_backs):
-            phi = roi_features(prop.box, grid, rel, cfg) / FEATURE_SCALE
-            anchor = prop.box if rel.is_identity else apply_box(rel, prop.box)
+        anchors, features = _channel_rois(prop.box, grids, rels, cfg)
+        for anchor, feature, back in zip(anchors, features, inv_backs):
+            phi = feature / FEATURE_SCALE
             decoded = decode_residual(params.w_reg[k] @ phi, anchor)
             channel_boxes.append(apply_box(back, decoded))
             obj_scores.append(sigmoid(float(params.w_obj[k] @ phi)))
@@ -545,44 +542,26 @@ def build_training_examples(
     channel transform.
     """
     cs, grids, proposals = _channel_pipeline(pc, policy, params, cfg, rng_seed)
-    rels = _relative_transforms(cs.transforms)
+    rels = relative_transforms(cs.transforms)
     t1_inv = invert(cs.transforms[0])
     examples = []
     for prop in proposals:
-        canonical = prop.box if t1_inv.is_identity else apply_box(t1_inv, prop.box)
+        canonical = apply_box(t1_inv, prop.box)
         best_iou, best_idx = 0.0, -1
         for idx, tgt in enumerate(target_boxes):
             iou = iou_3d(canonical, tgt)
             if iou > best_iou:
                 best_iou, best_idx = iou, idx
-        phis = [roi_features(prop.box, grid, rel, cfg) for grid, rel in zip(grids, rels)]
-        anchors = [prop.box if rel.is_identity else apply_box(rel, prop.box) for rel in rels]
+        anchors, phis = _channel_rois(prop.box, grids, rels, cfg)
         if best_idx >= 0 and best_iou >= cfg.match_iou:
-            channel_targets = [
+            targets = [
                 align_yaw_to_anchor(apply_box(t, target_boxes[best_idx]), anchor)
                 for t, anchor in zip(cs.transforms, anchors)
             ]
-            examples.append(
-                TrainExample(
-                    cls_feature=prop.feature,
-                    channel_features=phis,
-                    anchors=anchors,
-                    targets=channel_targets,
-                    target_class=target_classes[best_idx],
-                    weight=float(target_weights[best_idx]),
-                )
-            )
+            target_class, weight = target_classes[best_idx], float(target_weights[best_idx])
         else:
-            examples.append(
-                TrainExample(
-                    cls_feature=prop.feature,
-                    channel_features=phis,
-                    anchors=anchors,
-                    targets=None,
-                    target_class=0,
-                    weight=background_weight,
-                )
-            )
+            targets, target_class, weight = None, 0, background_weight
+        examples.append(TrainExample(prop.feature, phis, anchors, targets, target_class, weight))
     return examples
 
 

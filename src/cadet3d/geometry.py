@@ -109,6 +109,12 @@ def compose(outer: Transform, inner: Transform) -> Transform:
     )
 
 
+def relative_transforms(transforms: Sequence[Transform]) -> list[Transform]:
+    """T_i o T_1^{-1} per channel, mapping channel 1 into channel i; entry 1 is the identity."""
+    t1_inv = invert(transforms[0])
+    return [Transform.identity()] + [compose(t, t1_inv) for t in transforms[1:]]
+
+
 @dataclass
 class PointCloud:
     """Points as float64 arrays: xyz (N, 3) and intensity (N,) in [0, 1]."""
@@ -161,7 +167,10 @@ def apply_points(t: Transform, pc: PointCloud) -> PointCloud:
 
 
 def apply_box(t: Transform, b: Box3D) -> Box3D:
-    """Map a box covariantly: center as a point, sizes by s, yaw by flip/rotation."""
+    """Map a box covariantly: center as a point, sizes by s, yaw by flip/rotation.
+    The identity returns ``b`` itself."""
+    if t.is_identity:
+        return b
     cx, cy, cz = b.cx, b.cy, b.cz
     r = b.r
     if t.flip_y:

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import PointCloud, Transform, compose, invert, transform_xy
+from .geometry import PointCloud, Transform, relative_transforms, transform_xy
 
 # BEV feature layout per cell
 BEV_MAX_OCC = 0   # max point count over the vertical column
@@ -37,16 +38,13 @@ class VoxelGrid:
     mean_z: np.ndarray  # (M,) mean point height per cell
     mean_intensity: np.ndarray  # (M,)
 
-    @property
+    @cached_property
     def centers(self) -> np.ndarray:
         return np.asarray(self.cfg.origin) + (self.coords + 0.5) * self.cfg.voxel_size
 
 
 def voxelize(pc: PointCloud, cfg: VoxelConfig) -> VoxelGrid:
     """Deterministic binning; points outside the configured extent are dropped."""
-    if len(pc) == 0:
-        empty = np.empty((0,))
-        return VoxelGrid(cfg, np.empty((0, 3), dtype=np.int64), empty, empty.copy(), empty.copy())
     idx = np.floor((pc.xyz - np.asarray(cfg.origin)) / cfg.voxel_size).astype(np.int64)
     inside = (
         (idx[:, 0] >= 0) & (idx[:, 0] < cfg.nx)
@@ -156,14 +154,13 @@ def bev_align(grids: list[BevGrid], transforms: list[Transform]) -> BevGrid:
     if len(grids) != len(transforms) or not grids:
         raise ValueError("need one transform per grid")
     base = grids[0]
-    t1_inv = invert(transforms[0])
+    centers = base.cell_centers() if len(grids) > 1 else None  # one channel maps nothing
     fused: np.ndarray | None = None
-    for i, (grid, t) in enumerate(zip(grids, transforms)):
-        rel = Transform.identity() if i == 0 else compose(t, t1_inv)
+    for grid, rel in zip(grids, relative_transforms(transforms)):
         if rel.is_identity and grid.shape == base.shape:
             vals = grid.features.reshape(-1, grid.features.shape[2])
         else:
-            vals = grid.interpolate(transform_xy(rel, base.cell_centers()))
+            vals = grid.interpolate(transform_xy(rel, centers))
         fused = vals.copy() if fused is None else np.maximum(fused, vals)
     nx, ny = base.shape
     return BevGrid(base.origin_xy, base.voxel_size, fused.reshape(nx, ny, -1), base.z_origin)

@@ -168,12 +168,14 @@ class TestEval:
         main(["gen-data", "--config", str(cfg)])
         assert main(["eval", "--config", str(cfg), "--params", str(tmp / "nope.params")]) == 2
 
-    def test_non_finite_params_exit_3(self, small_env):
+    @pytest.mark.parametrize("kind", ["non_finite", "class_mismatch"])
+    def test_bad_params_exit_3(self, small_env, kind):
         tmp, cfg = small_env
         main(["gen-data", "--config", str(cfg)])
-        bad = tmp / "nan.params"
-        params = DetectorParams.zeros()
-        params.w_cls[1, 0] = np.nan
+        bad = tmp / "bad.params"
+        params = DetectorParams.zeros(num_classes=2 if kind == "class_mismatch" else 3)
+        if kind == "non_finite":
+            params.w_cls[1, 0] = np.nan
         save_params(params, bad)
         assert main(["eval", "--config", str(cfg), "--params", str(bad)]) == 3
 

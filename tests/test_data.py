@@ -109,6 +109,13 @@ class TestKittiLabels:
     def test_empty_text(self):
         assert parse_kitti_label("") == ([], [])
 
+    @pytest.mark.parametrize("field, value", [(8, "nan"), (9, "0.00"), (10, "-1.00"), (14, "inf")])
+    def test_invalid_box_reports_number(self, field, value):
+        good = ["Car"] + ["1.00"] * 14
+        bad = good[:field] + [value] + good[field + 1:]
+        with pytest.raises(KittiFormatError, match="line 2"):
+            parse_kitti_label(" ".join(good) + "\n" + " ".join(bad) + "\n")
+
 
 class TestBinClouds:
     def test_empty_file(self, tmp_path):
@@ -132,6 +139,15 @@ class TestBinClouds:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00" * 17)
         with pytest.raises(BinFormatError, match="byte 16"):
+            read_bin_cloud(path)
+
+    @pytest.mark.parametrize("column, value", [(3, np.nan), (3, np.inf), (0, np.nan), (2, -np.inf)])
+    def test_non_finite_record_named(self, tmp_path, column, value):
+        arr = np.ones((4, 4), dtype="<f4")
+        arr[2, column] = value
+        path = tmp_path / "bad.bin"
+        arr.tofile(path)
+        with pytest.raises(BinFormatError, match=r"bad\.bin: non-finite value in record at byte 32"):
             read_bin_cloud(path)
 
 

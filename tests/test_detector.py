@@ -103,7 +103,7 @@ class TestPropose:
 class TestRoiFeatures:
     def test_empty_region(self):
         grid = voxelize(PointCloud.empty(), DET.voxel)
-        phi = roi_features(Box3D(0, 0, 1, 1, 1, 1, 0), grid, Transform.identity(), DET)
+        phi = roi_features(Box3D(0, 0, 1, 1, 1, 1, 0), grid, DET)
         expected = np.zeros(N_FEATURES)
         expected[11] = 1.0
         np.testing.assert_array_equal(phi, expected)
@@ -111,7 +111,7 @@ class TestRoiFeatures:
     def test_identity_transform_canonical(self, rng):
         box = Box3D(3.0, 0.0, 0.9, 1.8, 1.5, 4.0, 0.2)
         grid, pc = grid_with_cluster(rng, box)
-        phi = roi_features(box, grid, Transform.identity(), DET)
+        phi = roi_features(box, grid, DET)
         assert phi[11] == 1.0
         assert math.expm1(phi[0]) == pytest.approx(len(pc), rel=0.02)
 
@@ -126,8 +126,8 @@ class TestRoiFeatures:
         from cadet3d.geometry import apply_points
 
         grid2 = voxelize(apply_points(t, pc), DET.voxel)
-        phi1 = roi_features(box, grid1, Transform.identity(), DET)
-        phi2 = roi_features(box, grid2, t, DET)
+        phi1 = roi_features(box, grid1, DET)
+        phi2 = roi_features(apply_box(t, box), grid2, DET)
         assert phi1[0] == phi2[0]  # log1p(point count) identical
 
     def test_voxelized_tolerance_under_scale(self, rng):
@@ -139,8 +139,8 @@ class TestRoiFeatures:
 
         grid1 = voxelize(pc, DET.voxel)
         grid2 = voxelize(apply_points(t, pc), DET.voxel)
-        n1 = math.expm1(roi_features(box, grid1, Transform.identity(), DET)[0])
-        n2 = math.expm1(roi_features(box, grid2, t, DET)[0])
+        n1 = math.expm1(roi_features(box, grid1, DET)[0])
+        n2 = math.expm1(roi_features(apply_box(t, box), grid2, DET)[0])
         assert min(n1, n2) / max(n1, n2) >= 0.9
 
 
