@@ -26,6 +26,12 @@ class StrongRanges:
     scale_max: float = 1.05
     flip_prob: float = 0.5
 
+    def __post_init__(self) -> None:
+        if not (self.rot_min <= self.rot_max and 0.0 < self.scale_min <= self.scale_max
+                and 0.0 <= self.flip_prob <= 1.0):
+            raise ValueError(f"need rot_min <= rot_max, 0 < scale_min <= scale_max and "
+                             f"0 <= flip_prob <= 1, got {self}")
+
 
 @dataclass(frozen=True)
 class ChannelPolicy:

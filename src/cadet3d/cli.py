@@ -1,7 +1,8 @@
 """Experiment driver: dataset generation, pretraining, self-training, metric
 evaluation, and report emission.
 
-Exit codes: 0 success, 1 internal error, 2 I/O or configuration problem,
+Exit codes: 0 success, 1 internal error (numeric failures included), 2 input
+problem (unreadable file, bad config, malformed label, point or metrics file),
 3 model-compatibility problem. Every command is a pure function of its config
 and input files; reruns produce byte-identical outputs.
 """
@@ -18,6 +19,8 @@ import numpy as np
 from .config import ConfigError, RunConfig, config_to_text, load_config
 from .data import (
     CLASS_NAMES,
+    BinFormatError,
+    KittiFormatError,
     Scene,
     SplitSpec,
     load_scene,
@@ -36,11 +39,9 @@ from .detector import (
     save_params,
     train_on_scene,
 )
-from .evaluation import EvalConfig
 from .selftrain import (
     EmaTeacher,
     EpochMetrics,
-    SslConfig,
     SslState,
     detect_and_score,
     scene_seed,
@@ -98,19 +99,6 @@ def _load_model(cfg: RunConfig, path) -> DetectorParams:
     return params
 
 
-def _ssl_config(cfg: RunConfig) -> SslConfig:
-    return SslConfig(
-        weak_policy=cfg.weak_policy(),
-        strong_policy=cfg.strong_policy(),
-        detector=cfg.det,
-        eval_cfg=EvalConfig(),
-        threshold_period=cfg.threshold_period,
-        prefilter_min_score=cfg.prefilter_min_score,
-        shuffle_grid_cells=cfg.shuffle_grid_cells,
-        unsup_background_weight=cfg.unsup_background_weight,
-    )
-
-
 def cmd_gen_data(cfg: RunConfig) -> int:
     root = Path(cfg.dataset_root)
     root.mkdir(parents=True, exist_ok=True)
@@ -156,7 +144,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
                 policy, params, cfg.det, scene_seed(cfg.seed, epoch, idx, 3),
                 cfg.det.background_weight,
             ))
-        labeled_map = detect_and_score(labeled, params, policy, cfg.det, EvalConfig()).map
+        labeled_map = detect_and_score(labeled, params, policy, cfg.det).map
         rows.append([epoch, *totals.means(), 100.0 * labeled_map])
     out = Path(cfg.out_dir)
     save_params(params, out / PRETRAIN_PARAMS)
@@ -178,10 +166,9 @@ def cmd_ssl_train(cfg: RunConfig, params_path) -> int:
         teacher=EmaTeacher(pretrained.copy(), momentum=cfg.ema_momentum),
         seed=cfg.seed,
     )
-    ssl_cfg = _ssl_config(cfg)
     rows = []
     for _ in range(cfg.epochs):
-        metrics = ssl_epoch(state, labeled, unlabeled, ssl_cfg, val_scenes=val)
+        metrics = ssl_epoch(state, labeled, unlabeled, cfg, val_scenes=val)
         rows.append(_metrics_row(metrics))
         print(
             f"epoch {metrics.epoch}: val mAP {metrics.val_map:.2f}, "
@@ -199,7 +186,7 @@ def cmd_eval(cfg: RunConfig, params_path, split: str) -> int:
     _snapshot_config(cfg)
     params = _load_model(cfg, params_path)
     scenes = _load_split_scenes(cfg, split)
-    result = detect_and_score(scenes, params, cfg.weak_policy(), cfg.det, EvalConfig())
+    result = detect_and_score(scenes, params, cfg.weak_policy(), cfg.det)
     out = Path(cfg.out_dir)
     per_class = {CLASS_NAMES[c - 1]: (None if v is None else 100.0 * v) for c, v in result.ap.items()}
     mean_ap = 100.0 * result.map
@@ -266,15 +253,23 @@ def cmd_report(run_dir, svg: bool = True) -> int:
     with open(metrics_path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
+    needed = ["epoch", *(c for cols in _REPORT_SERIES.values() for c in cols)]
+    missing = [c for c in needed if c not in (reader.fieldnames or ())]
+    if missing:
+        print(f"error: {metrics_path} lacks column(s) {', '.join(missing)}", file=sys.stderr)
+        return EXIT_IO
+    try:
+        values = {c: [float(r[c]) for r in rows] for c in needed}
+    except (TypeError, ValueError) as exc:
+        print(f"error: {metrics_path}: {exc}", file=sys.stderr)
+        return EXIT_IO
     report_dir = run / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
-    epochs = [float(r["epoch"]) for r in rows]
     for stem, cols in _REPORT_SERIES.items():
         out_rows = [[r["epoch"], *[r[c] for c in cols]] for r in rows]
         _write_csv(report_dir / f"{stem}.csv", ["epoch", *cols], out_rows)
         if svg:
-            series = {c: [float(r[c]) for r in rows] for c in cols}
-            _write_svg(report_dir / f"{stem}.svg", epochs, series)
+            _write_svg(report_dir / f"{stem}.svg", values["epoch"], {c: values[c] for c in cols})
     print(f"report written to {report_dir} ({len(rows)} epochs, svg={'on' if svg else 'off'})")
     return EXIT_OK
 
@@ -336,11 +331,15 @@ def main(argv=None) -> int:
     except ParamsFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPAT
-    except (ConfigError, FileNotFoundError, PermissionError, OSError, ValueError) as exc:
+    # input problems; UnicodeDecodeError is undecodable config, label or split text
+    except (ConfigError, KittiFormatError, BinFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except NonFiniteLossError as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except ValueError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

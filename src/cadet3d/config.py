@@ -89,6 +89,12 @@ class RunConfig:
         )
 
 
+# the config keys each channel policy is built from
+_WEAK_KEYS = ("n_channels", "weak_rot_deg", "weak_scale_low", "weak_scale_high")
+_STRONG_KEYS = ("n_channels", "strong_rot_deg", "strong_scale_low", "strong_scale_high",
+                "strong_flip_prob")
+
+
 def _flatten(obj, prefix: str = "") -> dict[str, object]:
     out: dict[str, object] = {}
     for f in fields(obj):
@@ -128,18 +134,27 @@ def _coerce(raw: str, template):
     return raw
 
 
-def _rebuild(cls, flat: dict[str, object], prefix: str = ""):
+def _built(build, keys, flat: dict[str, object], defaults: dict[str, object]):
+    """``build()``, its ValueError re-raised as a ConfigError that names those of
+    ``keys`` set away from their defaults (the defaults always build)."""
+    try:
+        return build()
+    except ValueError as exc:
+        named = ", ".join(repr(k) for k in keys if flat[k] != defaults[k])
+        raise ConfigError(f"bad value for {named}: {exc}") from None
+
+
+def _rebuild(cls, flat: dict[str, object], defaults: dict[str, object], prefix: str = ""):
     kwargs = {}
     for f in fields(cls):
         key = f"{prefix}{f.name}"
         default = f.default if f.default is not dataclasses.MISSING else f.default_factory()
         if is_dataclass(default) and not isinstance(default, type):
-            kwargs[f.name] = _rebuild(type(default), flat, prefix=f"{key}.")
-        elif key in flat:
-            kwargs[f.name] = flat[key]
+            kwargs[f.name] = _rebuild(type(default), flat, defaults, prefix=f"{key}.")
         else:
-            kwargs[f.name] = default
-    return cls(**kwargs)
+            kwargs[f.name] = flat[key]
+    own_keys = [k for k in flat if k.startswith(prefix)]
+    return _built(lambda: cls(**kwargs), own_keys, flat, defaults)
 
 
 def config_to_text(cfg: RunConfig) -> str:
@@ -177,6 +192,9 @@ def load_config(path=None, overrides: dict[str, object] | None = None) -> RunCon
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
         flat[key] = value
-    cfg = _rebuild(RunConfig, flat)
+    cfg = _rebuild(RunConfig, flat, defaults)
     cfg.validate()
+    # built here so that a value no policy accepts fails before a command writes
+    for build, keys in ((cfg.weak_policy, _WEAK_KEYS), (cfg.strong_policy, _STRONG_KEYS)):
+        _built(build, keys, flat, defaults)
     return cfg

@@ -24,6 +24,7 @@ from .geometry import (
     Transform,
     apply_box,
     average_boxes,
+    best_match,
     decode_residual,
     encode_residual,
     invert,
@@ -278,8 +279,6 @@ def roi_features(box: Box3D, grid: VoxelGrid, cfg: DetectorConfig) -> np.ndarray
                      box.h * cfg.roi_enlarge, box.l * cfg.roi_enlarge, box.r)
     phi = np.zeros(N_FEATURES)
     phi[11] = 1.0
-    if not len(grid.coords):
-        return phi
     centers = grid.centers
     mask = points_in_box(enlarged, centers, strict=False)
     if not mask.any():
@@ -546,19 +545,14 @@ def build_training_examples(
     t1_inv = invert(cs.transforms[0])
     examples = []
     for prop in proposals:
-        canonical = apply_box(t1_inv, prop.box)
-        best_iou, best_idx = 0.0, -1
-        for idx, tgt in enumerate(target_boxes):
-            iou = iou_3d(canonical, tgt)
-            if iou > best_iou:
-                best_iou, best_idx = iou, idx
+        iou, idx = best_match(apply_box(t1_inv, prop.box), target_boxes)
         anchors, phis = _channel_rois(prop.box, grids, rels, cfg)
-        if best_idx >= 0 and best_iou >= cfg.match_iou:
+        if idx >= 0 and iou >= cfg.match_iou:
             targets = [
-                align_yaw_to_anchor(apply_box(t, target_boxes[best_idx]), anchor)
+                align_yaw_to_anchor(apply_box(t, target_boxes[idx]), anchor)
                 for t, anchor in zip(cs.transforms, anchors)
             ]
-            target_class, weight = target_classes[best_idx], float(target_weights[best_idx])
+            target_class, weight = target_classes[idx], float(target_weights[idx])
         else:
             targets, target_class, weight = None, 0, background_weight
         examples.append(TrainExample(prop.feature, phis, anchors, targets, target_class, weight))

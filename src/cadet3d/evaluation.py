@@ -6,23 +6,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box3D, iou_3d
+from .geometry import Box3D, best_match
 
-
-@dataclass(frozen=True)
-class EvalConfig:
-    # 3D IoU needed for a true positive, keyed by class id (1=Car, 2=Pedestrian, 3=Cyclist)
-    iou_thresholds: tuple[float, ...] = (0.7, 0.5, 0.5)
-    recall_positions: int = 40
-
-    def __post_init__(self) -> None:
-        if any(not 0.0 < t <= 1.0 for t in self.iou_thresholds):
-            raise ValueError("IoU thresholds must lie in (0, 1]")
-        if self.recall_positions < 1:
-            raise ValueError("need at least one recall position")
-
-    def threshold_for(self, cls_id: int) -> float:
-        return self.iou_thresholds[cls_id - 1]
+# 3D IoU a true positive needs; entry k is class id k + 1 (Car, Pedestrian, Cyclist)
+IOU_THRESHOLDS = (0.7, 0.5, 0.5)
+# AP40: precision is interpolated at recall 1/40, 2/40, ..., 40/40
+RECALL_POSITIONS = 40
 
 
 def match_detections(
@@ -39,27 +28,21 @@ def match_detections(
     visit order plus (detection index, GT index) pairs.
     """
     order = sorted(range(len(det_boxes)), key=lambda i: (-det_scores[i], i))
-    taken = [False] * len(gt_boxes)
+    taken: set[int] = set()
     flags: list[bool] = []
     pairs: list[tuple[int, int]] = []
     for di in order:
-        best_iou, best_g = 0.0, -1
-        for gi, gt in enumerate(gt_boxes):
-            if taken[gi]:
-                continue
-            iou = iou_3d(det_boxes[di], gt)
-            if iou > best_iou:
-                best_iou, best_g = iou, gi
-        if best_g >= 0 and best_iou >= iou_thresh:
-            taken[best_g] = True
+        iou, gi = best_match(det_boxes[di], gt_boxes, skip=taken)
+        if gi >= 0 and iou >= iou_thresh:
+            taken.add(gi)
             flags.append(True)
-            pairs.append((di, best_g))
+            pairs.append((di, gi))
         else:
             flags.append(False)
     return flags, pairs
 
 
-def ap40(tp_flags: list[bool], n_gt: int, positions: int = 40) -> float | None:
+def ap40(tp_flags: list[bool], n_gt: int, positions: int = RECALL_POSITIONS) -> float | None:
     """Interpolated AP over the recall grid {1/P, ..., P/P}, in [0, 1].
 
     ``tp_flags`` must be ordered by descending confidence. Undefined (None)
@@ -93,17 +76,15 @@ class EvalResult:
         return float(np.mean(defined)) if defined else 0.0
 
 
-def evaluate_scenes(dets_per_scene, scenes, cfg: EvalConfig | None = None) -> EvalResult:
-    """Dataset-level per-class AP@positions over per-scene detection lists.
+def evaluate_scenes(dets_per_scene, scenes) -> EvalResult:
+    """Dataset-level per-class AP40 over per-scene detection lists.
 
     Detections rank by p_hat * objectness. Matching happens within each scene,
     so flags can be merged across scenes and sorted globally without changing
     which detection claims which box.
     """
-    cfg = cfg or EvalConfig()
     result = EvalResult()
-    n_classes = len(cfg.iou_thresholds)
-    for cls_id in range(1, n_classes + 1):
+    for cls_id, iou_thresh in enumerate(IOU_THRESHOLDS, start=1):
         scored: list[tuple[float, int, int, bool]] = []
         n_gt = 0
         for si, (dets, scene) in enumerate(zip(dets_per_scene, scenes)):
@@ -114,13 +95,13 @@ def evaluate_scenes(dets_per_scene, scenes, cfg: EvalConfig | None = None) -> Ev
                 [d.box for d in sub],
                 [d.confidence for d in sub],
                 gts,
-                cfg.threshold_for(cls_id),
+                iou_thresh,
             )
             confs = sorted((d.confidence for d in sub), reverse=True)
             for di, (conf, flag) in enumerate(zip(confs, flags)):
                 scored.append((conf, si, di, flag))
         scored.sort(key=lambda t: (-t[0], t[1], t[2]))
-        result.ap[cls_id] = ap40([t[3] for t in scored], n_gt, cfg.recall_positions)
+        result.ap[cls_id] = ap40([t[3] for t in scored], n_gt)
     return result
 
 
@@ -139,19 +120,13 @@ class PseudoQualityCounts:
         return sum(v for k, v in self.by_level.items() if k in ("high", "ambiguous"))
 
 
-def pseudo_quality(pseudo_boxes, gt_boxes, gt_classes, cfg: EvalConfig | None = None) -> PseudoQualityCounts:
+def pseudo_quality(pseudo_boxes, gt_boxes, gt_classes) -> PseudoQualityCounts:
     """Count pseudo-boxes whose class mismatches their best-IoU ground truth or
     whose IoU misses the class threshold. Expects stratified boxes (``.level``)."""
-    cfg = cfg or EvalConfig()
     counts = PseudoQualityCounts(by_level={"high": 0, "ambiguous": 0, "low": 0})
     for pb in pseudo_boxes:
-        best_iou, best_cls = 0.0, None
-        for gt, gc in zip(gt_boxes, gt_classes):
-            iou = iou_3d(pb.box, gt)
-            if iou > best_iou:
-                best_iou, best_cls = iou, gc
-        wrong = best_cls != pb.cls or best_iou < cfg.threshold_for(pb.cls)
-        if wrong:
+        iou, gi = best_match(pb.box, gt_boxes)
+        if gi < 0 or gt_classes[gi] != pb.cls or iou < IOU_THRESHOLDS[pb.cls - 1]:
             level = pb.level if pb.level in counts.by_level else "low"
             counts.by_level[level] += 1
     return counts

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Container, Sequence
 
 import numpy as np
 
@@ -53,17 +53,9 @@ class Box3D:
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.cz, self.w, self.h, self.l, self.r])
 
-    @property
-    def volume(self) -> float:
-        return self.w * self.h * self.l
-
     def corners_bev(self) -> np.ndarray:
         """Footprint corners, CCW, shape (4, 2)."""
-        c, s = math.cos(self.r), math.sin(self.r)
-        hl, hw = 0.5 * self.l, 0.5 * self.w
-        # local (along-heading, across-heading) offsets, CCW order
-        local = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
-        return np.array([(self.cx + c * u - s * v, self.cy + s * u + c * v) for u, v in local])
+        return np.array(_corners_list(self))
 
 
 @dataclass(frozen=True)
@@ -155,14 +147,7 @@ def apply_points(t: Transform, pc: PointCloud) -> PointCloud:
     """Map every point through flip -> rotate -> scale; intensity is untouched."""
     if t.is_identity:
         return pc.copy()
-    xyz = pc.xyz.copy()
-    if t.flip_y:
-        xyz[:, 1] = -xyz[:, 1]
-    c, s = math.cos(t.theta), math.sin(t.theta)
-    x, y = xyz[:, 0].copy(), xyz[:, 1].copy()
-    xyz[:, 0] = c * x - s * y
-    xyz[:, 1] = s * x + c * y
-    xyz *= t.s
+    xyz = np.column_stack([transform_xy(t, pc.xyz[:, :2]), t.s * pc.xyz[:, 2]])
     return PointCloud(xyz, pc.intensity.copy())
 
 
@@ -232,6 +217,8 @@ def _clip_convex(
 
 
 def _corners_list(box: Box3D) -> list[tuple[float, float]]:
+    """Footprint corners, CCW: (along-heading, across-heading) offsets
+    (+l/2, +w/2), (-l/2, +w/2), (-l/2, -w/2), (+l/2, -w/2) about the center."""
     c, s = math.cos(box.r), math.sin(box.r)
     hl, hw = 0.5 * box.l, 0.5 * box.w
     cx, cy = box.cx, box.cy
@@ -286,6 +273,21 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     vol_i = area_i * zo
     union = area_a * a.h + area_b * b.h - vol_i
     return min(1.0, max(0.0, vol_i / union))
+
+
+def best_match(box: Box3D, candidates: Sequence[Box3D],
+               skip: Container[int] = ()) -> tuple[float, int]:
+    """(3D IoU, index) of the candidate overlapping ``box`` most, ignoring the
+    indices in ``skip``. Ties go to the earliest index; (0.0, -1) when no
+    candidate overlaps."""
+    best_iou, best_idx = 0.0, -1
+    for idx, cand in enumerate(candidates):
+        if idx in skip:
+            continue
+        iou = iou_3d(box, cand)
+        if iou > best_iou:
+            best_iou, best_idx = iou, idx
+    return best_iou, best_idx
 
 
 def nms(dets: Sequence[tuple[Box3D, float]], iou_thresh: float) -> list[int]:

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .augment import ChannelPolicy, shuffle_augment
+from .config import RunConfig
 from .data import Scene
 from .detector import (
     Detection,
@@ -21,8 +22,8 @@ from .detector import (
     detect,
     train_on_scene,
 )
-from .evaluation import EvalConfig, EvalResult, evaluate_scenes, pseudo_quality
-from .geometry import Box3D, PointCloud, iou_3d, points_in_box
+from .evaluation import EvalResult, evaluate_scenes, pseudo_quality
+from .geometry import Box3D, PointCloud, best_match, iou_3d, points_in_box
 
 log = logging.getLogger(__name__)
 
@@ -120,12 +121,7 @@ def pairing_iou_consistency(
     Evaluates every (a, b) pair, i.e. O(N1 * N2) work, which is what the
     channel method avoids.
     """
-    scores = np.zeros(len(boxes_a))
-    for i, a in enumerate(boxes_a):
-        best = 0.0
-        for b in boxes_b:
-            best = max(best, iou_3d(a, b))
-        scores[i] = best
+    scores = np.array([best_match(a, boxes_b)[0] for a in boxes_a], dtype=np.float64)
     if counter is not None:
         counter.add(len(boxes_a) * len(boxes_b))
     return scores
@@ -235,15 +231,16 @@ def stratify(
     return out
 
 
-def remove_low_level_points(scene: Scene, low_boxes: list[Box3D]) -> Scene:
-    """Drop points strictly inside any low-level box; boundary points survive."""
-    if not low_boxes or len(scene.cloud) == 0:
-        return Scene(scene.id, scene.cloud.copy(), list(scene.gt_boxes), list(scene.gt_classes))
-    drop = np.zeros(len(scene.cloud), dtype=bool)
+def remove_low_level_points(cloud: PointCloud, low_boxes: list[Box3D]) -> PointCloud:
+    """Drop points strictly inside any low-level box; boundary points survive.
+
+    Takes and returns a bare cloud, so no scene labels can pass through."""
+    if not low_boxes or len(cloud) == 0:
+        return cloud.copy()
+    drop = np.zeros(len(cloud), dtype=bool)
     for box in low_boxes:
-        drop |= points_in_box(box, scene.cloud.xyz, strict=True)
-    cloud = PointCloud(scene.cloud.xyz[~drop], scene.cloud.intensity[~drop])
-    return Scene(scene.id, cloud, list(scene.gt_boxes), list(scene.gt_classes))
+        drop |= points_in_box(box, cloud.xyz, strict=True)
+    return PointCloud(cloud.xyz[~drop], cloud.intensity[~drop])
 
 
 @dataclass
@@ -275,18 +272,6 @@ def pseudo_from_detection(det: Detection, counter: PairCounter | None = None) ->
 # ---------------------------------------------------------------------------
 # epoch loop
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SslConfig:
-    weak_policy: ChannelPolicy
-    strong_policy: ChannelPolicy
-    detector: DetectorConfig
-    eval_cfg: EvalConfig = field(default_factory=EvalConfig)
-    threshold_period: int = 5
-    prefilter_min_score: float = 0.1
-    shuffle_grid_cells: int = 4
-    unsup_background_weight: float = 0.3
-
 
 @dataclass
 class SslState:
@@ -335,17 +320,17 @@ def scene_seed(master: int, epoch: int, index: int, tag: int) -> int:
 
 
 def detect_and_score(scenes: list[Scene], params: DetectorParams, policy: ChannelPolicy,
-                     det_cfg: DetectorConfig, eval_cfg: EvalConfig) -> EvalResult:
+                     det_cfg: DetectorConfig) -> EvalResult:
     """Detect every scene with ``policy`` and score the detections (AP40)."""
     dets = [detect(scene.cloud, policy, params, det_cfg) for scene in scenes]
-    return evaluate_scenes(dets, scenes, eval_cfg)
+    return evaluate_scenes(dets, scenes)
 
 
 def ssl_epoch(
     state: SslState,
     labeled: list[Scene],
     unlabeled: list[Scene],
-    cfg: SslConfig,
+    cfg: RunConfig,
     val_scenes: list[Scene] | None = None,
 ) -> EpochMetrics:
     """One pass of the three-step procedure.
@@ -363,10 +348,10 @@ def ssl_epoch(
     """
     metrics = EpochMetrics(epoch=state.epoch)
     channel_counter = PairCounter()
+    weak_policy, strong_policy = cfg.weak_policy(), cfg.strong_policy()
 
     teacher_dets = [
-        detect(scene.cloud, cfg.weak_policy, state.teacher.params, cfg.detector)
-        for scene in unlabeled
+        detect(scene.cloud, weak_policy, state.teacher.params, cfg.det) for scene in unlabeled
     ]
     pseudo_sets = [
         [pseudo_from_detection(d, channel_counter) for d in dets] for dets in teacher_dets
@@ -375,7 +360,7 @@ def ssl_epoch(
     if state.epoch % cfg.threshold_period == 0 or state.thresholds is None:
         state.thresholds = fit_threshold_bank(
             [pb for group in pseudo_sets for pb in group],
-            num_classes=cfg.detector.num_classes,
+            num_classes=cfg.det.num_classes,
             previous=state.thresholds,
             min_score=cfg.prefilter_min_score,
         )
@@ -393,8 +378,8 @@ def ssl_epoch(
         """Strong-channel student step on ``target``'s boxes, then the EMA update."""
         try:
             losses = train_on_scene(
-                target.cloud, target.gt_boxes, target.gt_classes, weights, cfg.strong_policy,
-                state.student, cfg.detector, scene_seed(state.seed, state.epoch, idx, tag),
+                target.cloud, target.gt_boxes, target.gt_classes, weights, strong_policy,
+                state.student, cfg.det, scene_seed(state.seed, state.epoch, idx, tag),
                 background_weight,
             )
         except NonFiniteLossError as exc:
@@ -413,7 +398,7 @@ def ssl_epoch(
         metrics.n_ambiguous += sum(pb.level == LEVEL_AMBIGUOUS for pb in strat)
         metrics.n_low += sum(pb.level == LEVEL_LOW for pb in strat)
         if scene.gt_boxes:
-            quality = pseudo_quality(strat, scene.gt_boxes, scene.gt_classes, cfg.eval_cfg)
+            quality = pseudo_quality(strat, scene.gt_boxes, scene.gt_classes)
             metrics.incorrect_prefilter += quality.prefilter
             metrics.incorrect_postfilter += quality.postfilter
         low_boxes = [pb.box for pb in strat if pb.level == LEVEL_LOW]
@@ -421,7 +406,7 @@ def ssl_epoch(
         # the pseudo-labelled view: hidden ground truth stays on ``scene``
         target = Scene(
             scene.id,
-            remove_low_level_points(scene, low_boxes).cloud,
+            remove_low_level_points(scene.cloud, low_boxes),
             [pb.box for pb in kept],
             [pb.cls for pb in kept],
         )
@@ -453,9 +438,7 @@ def ssl_epoch(
     metrics.thr_iou_high = float(np.mean([b.iou_cons[1] for b in banks]))
 
     if val_scenes:
-        result = detect_and_score(
-            val_scenes, state.student, cfg.weak_policy, cfg.detector, cfg.eval_cfg
-        )
+        result = detect_and_score(val_scenes, state.student, weak_policy, cfg.det)
         # APs on the 100 scale in reports
         metrics.val_map = 100.0 * result.map
         metrics.val_ap_car = 100.0 * (result.ap.get(1) or 0.0)

@@ -131,12 +131,11 @@ def bev_from_voxels(grid: VoxelGrid) -> BevGrid:
     empty columns are zero in both features."""
     cfg = grid.cfg
     n = cfg.nx * cfg.ny
-    col = grid.coords[:, 0] * cfg.ny + grid.coords[:, 1] if len(grid.coords) else np.empty((0,), int)
+    col = grid.coords[:, 0] * cfg.ny + grid.coords[:, 1]
     occ = np.zeros(n)
     top = np.full(n, -np.inf)
-    if len(col):
-        np.maximum.at(occ, col, grid.counts)
-        np.maximum.at(top, col, grid.mean_z)
+    np.maximum.at(occ, col, grid.counts)
+    np.maximum.at(top, col, grid.mean_z)
     top[~np.isfinite(top)] = 0.0
     features = np.stack([occ, top], axis=1).reshape(cfg.nx, cfg.ny, 2)
     return BevGrid((cfg.origin[0], cfg.origin[1]), cfg.voxel_size, features, cfg.origin[2])

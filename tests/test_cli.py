@@ -63,6 +63,23 @@ class TestGenData:
         assert main(["gen-data", "--config", str(cfg)]) == 2
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize("line", ["n_channels = 2", "det.voxel.voxel_size = 0",
+                                      "weak_scale_low = 0", "strong_scale_low = -1"])
+    def test_unbuildable_config_exits_2_before_writing(self, small_env, line):
+        tmp, cfg = small_env
+        main(["gen-data", "--config", str(cfg)])
+        bad = tmp / "bad.txt"
+        bad.write_text(cfg.read_text() + line + "\n")
+        assert main(["pretrain", "--config", str(bad)]) == 2
+        assert not (tmp / "run").exists()
+
+    def test_undecodable_config_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"seed = 1\n\xff\xfe = 2\n")
+        assert main(["gen-data", "--config", str(bad)]) == 2
+
+
 class TestPretrain:
     def test_zero_epochs_equals_initialization(self, small_env):
         tmp, cfg = small_env
@@ -179,6 +196,18 @@ class TestEval:
         save_params(params, bad)
         assert main(["eval", "--config", str(cfg), "--params", str(bad)]) == 3
 
+    @pytest.mark.parametrize("head", ["w_cls", "w_reg"])
+    def test_numeric_failure_exit_1(self, small_env, head):
+        # finite weights that overflow inside detection: an internal failure,
+        # not an input problem
+        tmp, cfg = small_env
+        main(["gen-data", "--config", str(cfg)])
+        huge = tmp / "huge.params"
+        params = DetectorParams.zeros()
+        getattr(params, head)[:] = 1e308
+        save_params(params, huge)
+        assert main(["eval", "--config", str(cfg), "--params", str(huge)]) == 1
+
 
 class TestReport:
     def run_pipeline(self, small_env):
@@ -216,6 +245,19 @@ class TestReport:
 
     def test_missing_metrics_exit_2(self, tmp_path):
         assert main(["report", "--run", str(tmp_path)]) == 2
+
+    def test_missing_column_exit_2(self, tmp_path, capsys):
+        (tmp_path / "metrics.csv").write_text("epoch,sup_total\n0,1.5\n")
+        assert main(["report", "--run", str(tmp_path)]) == 2
+        assert "unsup_total" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+    def test_non_numeric_value_exit_2(self, small_env):
+        tmp = self.run_pipeline(small_env)
+        metrics = tmp / "run" / "metrics.csv"
+        header, row = metrics.read_text().splitlines()
+        metrics.write_text(header + "\n" + row.replace(",", ",x", 1) + "\n")
+        assert main(["report", "--run", str(tmp / "run")]) == 2
 
 
 class TestRunConfigSnapshot:

@@ -58,6 +58,17 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="threads"):
             load_config(None, {"seed": 1, "threads": 0})
 
+    @pytest.mark.parametrize("key, value", [("n_channels", "2"),
+                                            ("det.voxel.voxel_size", "0"),
+                                            ("weak_scale_low", "0"),
+                                            ("strong_scale_low", "-1"),
+                                            ("strong_flip_prob", "7")])
+    def test_unbuildable_value_named_at_load(self, tmp_path, key, value):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"seed = 1\nepochs = 3\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"^bad value for '{key}': "):
+            load_config(path)
+
     def test_overrides_beat_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("seed = 1\nout_dir = from_file\n")

@@ -4,7 +4,8 @@ import pytest
 from cadet3d.data import Scene, SynthConfig, synth_scene
 from cadet3d.detector import Detection
 from cadet3d.evaluation import (
-    EvalConfig,
+    IOU_THRESHOLDS,
+    RECALL_POSITIONS,
     ap40,
     evaluate_scenes,
     match_detections,
@@ -111,19 +112,12 @@ class TestEvaluateScenes:
         assert result.map == pytest.approx(result.ap[1])
 
 
-class TestEvalConfig:
+class TestEvalConstants:
     def test_default_thresholds(self):
-        cfg = EvalConfig()
-        assert cfg.threshold_for(1) == 0.7
-        assert cfg.threshold_for(2) == 0.5
-        assert cfg.threshold_for(3) == 0.5
-        assert cfg.recall_positions == 40
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            EvalConfig(iou_thresholds=(0.0, 0.5, 0.5))
-        with pytest.raises(ValueError):
-            EvalConfig(recall_positions=0)
+        assert IOU_THRESHOLDS[0] == 0.7  # Car
+        assert IOU_THRESHOLDS[1] == 0.5  # Pedestrian
+        assert IOU_THRESHOLDS[2] == 0.5  # Cyclist
+        assert RECALL_POSITIONS == 40
 
 
 def pseudo_at(box, cls=1, level="ambiguous"):

@@ -12,6 +12,7 @@ from cadet3d.geometry import (
     apply_box,
     apply_points,
     average_boxes,
+    best_match,
     compose,
     decode_residual,
     encode_residual,
@@ -230,6 +231,29 @@ class TestNms:
         b = Box3D(0, 0, 0, 1, 1, 1, 0)
         with pytest.raises(ValueError):
             nms([(b, math.nan)], 0.5)
+
+
+class TestBestMatch:
+    def test_highest_iou_over_candidates(self, rng):
+        for _ in range(30):
+            box = random_box(rng, 1.0)
+            cands = [random_box(rng, 1.0) for _ in range(6)]
+            ious = [iou_3d(box, c) for c in cands]
+            iou, idx = best_match(box, cands)
+            assert iou == max(ious + [0.0])
+            assert idx == (ious.index(iou) if iou > 0 else -1)
+
+    def test_no_overlap(self):
+        box = Box3D(0, 0, 0, 1, 1, 1, 0)
+        assert best_match(box, []) == (0.0, -1)
+        assert best_match(box, [Box3D(10, 0, 0, 1, 1, 1, 0)]) == (0.0, -1)
+
+    def test_tie_goes_to_earliest_and_skip(self):
+        box = Box3D(0, 0, 0, 1, 1, 2, 0)
+        far = Box3D(50, 0, 0, 1, 1, 2, 0)
+        assert best_match(box, [far, box, box]) == (1.0, 1)
+        assert best_match(box, [far, box, box], skip={1}) == (1.0, 2)
+        assert best_match(box, [far, box, box], skip={1, 2}) == (0.0, -1)
 
 
 class TestResiduals:

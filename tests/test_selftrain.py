@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cadet3d.augment import strong_default_policy, weak_default_policy
+from cadet3d.config import RunConfig
 from cadet3d.data import Scene, SynthConfig, synth_scene
-from cadet3d.detector import Detection, DetectorConfig, DetectorParams
-from cadet3d.evaluation import EvalConfig
+from cadet3d.detector import Detection, DetectorParams
 from cadet3d.geometry import Box3D, PointCloud, iou_3d, points_in_box
 from cadet3d.selftrain import (
     CRITERIA,
@@ -17,7 +16,6 @@ from cadet3d.selftrain import (
     EmaTeacher,
     PairCounter,
     PseudoBox,
-    SslConfig,
     SslState,
     ThresholdBank,
     channel_iou_consistency,
@@ -240,26 +238,26 @@ class TestStratify:
 class TestRemoveLowLevelPoints:
     def test_no_boxes_noop(self, rng):
         sc = synth_scene(5, SynthConfig())
-        out = remove_low_level_points(sc, [])
-        np.testing.assert_array_equal(out.cloud.xyz, sc.cloud.xyz)
+        out = remove_low_level_points(sc.cloud, [])
+        np.testing.assert_array_equal(out.xyz, sc.cloud.xyz)
 
     def test_all_inside_removed(self, rng):
         pts = rng.uniform(-0.4, 0.4, (50, 3))
         sc = Scene("s", PointCloud(pts, np.zeros(50)))
-        out = remove_low_level_points(sc, [Box3D(0, 0, 0, 1, 1, 1, 0)])
-        assert len(out.cloud) == 0
+        out = remove_low_level_points(sc.cloud, [Box3D(0, 0, 0, 1, 1, 1, 0)])
+        assert len(out) == 0
 
     def test_boundary_point_survives(self):
         sc = Scene("s", PointCloud(np.array([[0.5, 0.0, 0.0]]), np.zeros(1)))
-        out = remove_low_level_points(sc, [Box3D(0, 0, 0, 1, 1, 1, 0)])
-        assert len(out.cloud) == 1
+        out = remove_low_level_points(sc.cloud, [Box3D(0, 0, 0, 1, 1, 1, 0)])
+        assert len(out) == 1
 
     def test_outside_points_untouched(self, rng):
         inside = rng.uniform(-0.3, 0.3, (20, 3))
         outside = rng.uniform(5, 6, (30, 3))
         sc = Scene("s", PointCloud(np.vstack([inside, outside]), np.zeros(50)))
-        out = remove_low_level_points(sc, [Box3D(0, 0, 0, 1, 1, 1, 0)])
-        assert len(out.cloud) == 30
+        out = remove_low_level_points(sc.cloud, [Box3D(0, 0, 0, 1, 1, 1, 0)])
+        assert len(out) == 30
 
 
 class TestEma:
@@ -314,14 +312,7 @@ def tiny_ssl_setup(n_labeled=3, n_unlabeled=5, n_val=2):
         synth_scene(scene_seed(9, 0, 100 + i, 10), synth, f"u{i:06d}") for i in range(n_unlabeled)
     ]
     val = [synth_scene(scene_seed(9, 0, 200 + i, 11), synth, f"v{i:06d}") for i in range(n_val)]
-    cfg = SslConfig(
-        weak_policy=weak_default_policy(3),
-        strong_policy=strong_default_policy(3),
-        detector=DetectorConfig(),
-        eval_cfg=EvalConfig(),
-        threshold_period=5,
-        shuffle_grid_cells=4,
-    )
+    cfg = RunConfig(seed=9, n_channels=3, threshold_period=5, shuffle_grid_cells=4)
     params = DetectorParams.zeros(lr=0.1)
     state = SslState(student=params.copy(), teacher=EmaTeacher(params.copy(), 0.999), seed=9)
     return labeled, unlabeled, val, cfg, state
@@ -353,6 +344,20 @@ class TestSslEpoch:
         m = ssl_epoch(state, labeled, unlabeled, cfg)
         assert m.channel_pair_evals == 3 * m.n_pseudo
         assert m.pairing_pair_evals >= m.n_pseudo  # sum over scenes of N^2
+
+    def test_hidden_labels_never_supervise(self):
+        # dropping the unlabeled scenes' hidden labels changes the quality
+        # counts they feed, and nothing that training produces
+        runs = []
+        for drop in (False, True):
+            labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
+            if drop:
+                unlabeled = [Scene(sc.id, sc.cloud) for sc in unlabeled]
+            m = ssl_epoch(state, labeled, unlabeled, cfg)
+            weights = [a.tobytes() for a in state.student.arrays() + state.teacher.params.arrays()]
+            runs.append((weights, m.incorrect_prefilter))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] > 0 and runs[1][1] == 0
 
     def test_thresholds_fitted_on_first_epoch(self):
         labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
