@@ -23,6 +23,7 @@ from .data import (
     KittiFormatError,
     Scene,
     SplitSpec,
+    atomic_open,
     load_scene,
     read_split,
     save_scene,
@@ -35,6 +36,7 @@ from .detector import (
     LossTotals,
     NonFiniteLossError,
     ParamsFormatError,
+    encode,
     load_params,
     save_params,
     train_on_scene,
@@ -72,7 +74,7 @@ def _fmt(value) -> str:
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -134,17 +136,19 @@ def cmd_pretrain(cfg: RunConfig) -> int:
     _snapshot_config(cfg)
     labeled = _load_split_scenes(cfg, "labeled")
     params = DetectorParams.zeros(cfg.det.num_classes, lr=cfg.det.learning_rate)
-    policy = cfg.weak_policy(n_channels=1)  # supervised pretraining is single-channel
+    # supervised pretraining is single-channel and weak, so every epoch trains
+    # and scores on the same encodings
+    policy = cfg.weak_policy(n_channels=1)
+    encodings = [encode(s.cloud, policy, cfg.det) for s in labeled]
     rows = []
     for epoch in range(cfg.pretrain_epochs + 1):  # epoch 0 scores the initialization
         totals = LossTotals()
-        for idx, scene in enumerate(labeled if epoch else []):
+        for scene, enc in zip(labeled, encodings) if epoch else ():
             totals.add(train_on_scene(
-                scene.cloud, scene.gt_boxes, scene.gt_classes, [1.0] * len(scene.gt_boxes),
-                policy, params, cfg.det, scene_seed(cfg.seed, epoch, idx, 3),
-                cfg.det.background_weight,
+                enc, scene.gt_boxes, scene.gt_classes, [1.0] * len(scene.gt_boxes),
+                params, cfg.det, cfg.det.background_weight,
             ))
-        labeled_map = detect_and_score(labeled, params, policy, cfg.det).map
+        labeled_map = detect_and_score(labeled, encodings, params, cfg.det).map
         rows.append([epoch, *totals.means(), 100.0 * labeled_map])
     out = Path(cfg.out_dir)
     save_params(params, out / PRETRAIN_PARAMS)
@@ -166,9 +170,14 @@ def cmd_ssl_train(cfg: RunConfig, params_path) -> int:
         teacher=EmaTeacher(pretrained.copy(), momentum=cfg.ema_momentum),
         seed=cfg.seed,
     )
+    # the weak-policy teacher and validation passes re-score the same encodings
+    weak = cfg.weak_policy()
+    unlabeled_enc = [encode(s.cloud, weak, cfg.det) for s in unlabeled]
+    val_enc = [encode(s.cloud, weak, cfg.det) for s in val]
     rows = []
     for _ in range(cfg.epochs):
-        metrics = ssl_epoch(state, labeled, unlabeled, cfg, val_scenes=val)
+        metrics = ssl_epoch(state, labeled, unlabeled, unlabeled_enc, cfg,
+                            val_scenes=val, val_enc=val_enc)
         rows.append(_metrics_row(metrics))
         print(
             f"epoch {metrics.epoch}: val mAP {metrics.val_map:.2f}, "
@@ -186,7 +195,10 @@ def cmd_eval(cfg: RunConfig, params_path, split: str) -> int:
     _snapshot_config(cfg)
     params = _load_model(cfg, params_path)
     scenes = _load_split_scenes(cfg, split)
-    result = detect_and_score(scenes, params, cfg.weak_policy(), cfg.det)
+    policy = cfg.weak_policy()
+    # each scene is scored once: encode as it is scored, holding no encodings
+    result = detect_and_score(scenes, (encode(s.cloud, policy, cfg.det) for s in scenes),
+                              params, cfg.det)
     out = Path(cfg.out_dir)
     per_class = {CLASS_NAMES[c - 1]: (None if v is None else 100.0 * v) for c, v in result.ap.items()}
     mean_ap = 100.0 * result.map
@@ -345,3 +357,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -8,6 +8,8 @@ line match the KITTI layout so third-party tooling can still tokenize files.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -237,6 +239,24 @@ def split_sample(n_frames: int, spec: SplitSpec) -> tuple[list[str], list[str]]:
     labeled = sorted(ids[i] for i in perm[:n_lab])
     unlabeled = sorted(ids[i] for i in perm[n_lab:])
     return labeled, unlabeled
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open the sibling temp file ``<path>.tmp`` for writing. Once the block
+    completes, its contents are flushed to disk and it replaces ``path``; when
+    the block raises, it is removed. So ``path`` holds either the earlier or
+    the new contents, never a half-written file, even after a crash."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------

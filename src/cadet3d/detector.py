@@ -7,6 +7,14 @@ residual-regression heads, and back-transformed averaging into detections.
 The learned region-proposal stage of full-scale detectors is deliberately
 replaced by the geometric proposer so every head stays a linear map over a
 fixed 12-component feature vector.
+
+Detection runs in two parts. :func:`encode` does everything that reads no
+weights: channel clouds, voxel grids, the fused BEV, the raw proposals and the
+RoI features pooled for every raw proposal in every channel. It returns a
+read-only :class:`SceneEncoding`. Scoring (:func:`detect`,
+:func:`build_training_examples`) reads the weights: the proposal class scores,
+proposal NMS, the heads and the final NMS. Under a weak policy the channels are
+fixed, so one encoding of a scene serves every pass over it.
 """
 from __future__ import annotations
 
@@ -17,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import ChannelPolicy, ChannelSet, strong_channels, weak_channels
+from .augment import ChannelPolicy, strong_channels, weak_channels
+from .data import atomic_open
 from .geometry import (
     Box3D,
     PointCloud,
@@ -122,15 +131,40 @@ class DetectorParams:
         return all(a.shape == b.shape for a, b in zip(self.arrays(), other.arrays()))
 
 
+@dataclass(frozen=True)
+class SceneEncoding:
+    """The parameter-free part of detection for one scene.
+
+    K raw proposals (before NMS) in the channel-1 frame, C channels. Row k of
+    ``anchors`` is proposal k mapped into each channel frame, and row k of
+    ``channel_features`` holds the RoI features pooled at those anchors. The
+    arrays are read-only and the transforms are frozen.
+    """
+
+    transforms: tuple[Transform, ...]  # (C,) channel transforms
+    boxes: np.ndarray  # (K, 7) raw proposal boxes
+    features: np.ndarray  # (K, F) proposal-classifier features
+    anchors: np.ndarray  # (K, C, 7)
+    channel_features: np.ndarray  # (K, C, F)
+
+    def __post_init__(self) -> None:
+        for arr in (self.boxes, self.features, self.anchors, self.channel_features):
+            arr.setflags(write=False)
+
+
+def _boxes(rows: np.ndarray) -> list[Box3D]:
+    return [Box3D(*(float(v) for v in row)) for row in rows]
+
+
 @dataclass
 class Proposal:
+    """A raw proposal that survived proposal NMS, with its encoded channel RoIs."""
+
     box: Box3D
     class_scores: np.ndarray  # (C+1,), sums to 1
     feature: np.ndarray  # (F,) classifier input, kept for training parity
-
-    @property
-    def foreground_score(self) -> float:
-        return float(self.class_scores[1:].max())
+    anchors: list[Box3D]  # ``box`` in each channel frame
+    channel_features: np.ndarray  # (C, F) RoI features pooled at ``anchors``
 
     @property
     def predicted_class(self) -> int:
@@ -237,17 +271,17 @@ def _connected_components(occ: np.ndarray) -> list[np.ndarray]:
     return comps
 
 
-def propose(fused: BevGrid, params: DetectorParams, cfg: DetectorConfig) -> list[Proposal]:
-    """Geometric proposals from the fused BEV grid.
+def propose(fused: BevGrid, cfg: DetectorConfig) -> list[tuple[Box3D, np.ndarray]]:
+    """Raw geometric proposals from the fused BEV grid: (box, classifier feature).
 
     Connected occupied components are fitted with an oriented box (PCA yaw,
-    projection extents plus padding, column statistics for the vertical span)
-    and scored by the linear proposal classifier; small components are dropped
-    and the survivors pass greedy NMS.
+    projection extents plus padding, column statistics for the vertical span);
+    small components are dropped. Scoring and NMS happen per params, in
+    :func:`score_proposals`.
     """
     occ = fused.features[:, :, BEV_MAX_OCC] >= cfg.min_occ
     voxel = fused.voxel_size
-    raw: list[Proposal] = []
+    raw = []
     for comp in _connected_components(occ):
         if len(comp) < cfg.min_cells:
             continue
@@ -265,11 +299,8 @@ def propose(fused: BevGrid, params: DetectorParams, cfg: DetectorConfig) -> list
         h = max(z_top + 0.5 * voxel - fused.z_origin, voxel)
         box = Box3D(float(mu[0]), float(mu[1]), fused.z_origin + 0.5 * h, width, h, length,
                     math.atan2(major[1], major[0]))
-        phi = _component_feature(xy, feats, box, pu, pv, voxel)
-        scores = softmax(params.w_cls @ (phi / FEATURE_SCALE))
-        raw.append(Proposal(box=box, class_scores=scores, feature=phi))
-    keep = nms([(p.box, p.foreground_score) for p in raw], cfg.proposal_nms_iou)
-    return [raw[i] for i in keep]
+        raw.append((box, _component_feature(xy, feats, box, pu, pv, voxel)))
+    return raw
 
 
 def roi_features(box: Box3D, grid: VoxelGrid, cfg: DetectorConfig) -> np.ndarray:
@@ -325,18 +356,50 @@ def align_yaw_to_anchor(target: Box3D, anchor: Box3D) -> Box3D:
     return Box3D(target.cx, target.cy, target.cz, target.w, target.h, target.l, r)
 
 
-def _channel_rois(box: Box3D, grids: list[VoxelGrid], rels: list[Transform],
-                  cfg: DetectorConfig) -> tuple[list[Box3D], list[np.ndarray]]:
-    """(anchors, features): the channel-1 ``box`` mapped into each channel by
-    its relative transform, and the RoI features pooled there."""
-    anchors = [apply_box(rel, box) for rel in rels]
-    return anchors, [roi_features(a, grid, cfg) for a, grid in zip(anchors, grids)]
+def encode(pc: PointCloud, policy: ChannelPolicy, cfg: DetectorConfig,
+           rng_seed=None) -> SceneEncoding:
+    """Everything of detection that reads no weights; see :class:`SceneEncoding`.
+
+    Each raw proposal is mapped into each channel by its relative transform and
+    pooled there. The channel clouds and voxel grids are dropped on return.
+    """
+    if policy.mode == "weak":
+        cs = weak_channels(pc, policy)
+    else:
+        if rng_seed is None:
+            raise ValueError("strong policy requires an rng seed")
+        cs = strong_channels(pc, policy, rng_seed)
+    grids = [voxelize(cloud, cfg.voxel) for cloud in cs.clouds]
+    fused = bev_align([bev_from_voxels(g) for g in grids], cs.transforms)
+    raw = propose(fused, cfg)
+    rels = relative_transforms(cs.transforms)
+    anchors = [[apply_box(rel, box) for rel in rels] for box, _ in raw]
+    n, c = len(raw), len(cs.transforms)
+    return SceneEncoding(
+        transforms=tuple(cs.transforms),
+        boxes=np.array([box.as_array() for box, _ in raw]).reshape(n, BOX_DIM),
+        features=np.array([phi for _, phi in raw]).reshape(n, N_FEATURES),
+        anchors=np.array([[a.as_array() for a in row] for row in anchors]).reshape(n, c, BOX_DIM),
+        channel_features=np.array(
+            [[roi_features(a, grid, cfg) for a, grid in zip(row, grids)] for row in anchors]
+        ).reshape(n, c, N_FEATURES),
+    )
+
+
+def score_proposals(enc: SceneEncoding, params: DetectorParams,
+                    cfg: DetectorConfig) -> list[Proposal]:
+    """The encoding's raw proposals scored by the linear classifier; the
+    survivors of greedy proposal NMS, in NMS order."""
+    boxes = _boxes(enc.boxes)
+    scores = [softmax(params.w_cls @ (phi / FEATURE_SCALE)) for phi in enc.features]
+    keep = nms([(b, float(sc[1:].max())) for b, sc in zip(boxes, scores)], cfg.proposal_nms_iou)
+    return [Proposal(boxes[i], scores[i], enc.features[i], _boxes(enc.anchors[i]),
+                     enc.channel_features[i]) for i in keep]
 
 
 def refine(
     proposals: list[Proposal],
-    grids: list[VoxelGrid],
-    transforms: list[Transform],
+    transforms: tuple[Transform, ...],
     params: DetectorParams,
     cfg: DetectorConfig,
 ) -> list[Detection]:
@@ -345,15 +408,13 @@ def refine(
     Proposals live in the channel-1 frame; refined boxes come back to the
     canonical (untransformed) frame through each channel's inverse transform.
     """
-    rels = relative_transforms(transforms)
     inv_backs = [invert(t) for t in transforms]
     dets = []
     for prop in proposals:
         k = prop.predicted_class - 1
         channel_boxes = []
         obj_scores = []
-        anchors, features = _channel_rois(prop.box, grids, rels, cfg)
-        for anchor, feature, back in zip(anchors, features, inv_backs):
+        for anchor, feature, back in zip(prop.anchors, prop.channel_features, inv_backs):
             phi = feature / FEATURE_SCALE
             decoded = decode_residual(params.w_reg[k] @ phi, anchor)
             channel_boxes.append(apply_box(back, decoded))
@@ -364,34 +425,9 @@ def refine(
     return dets
 
 
-def _channel_pipeline(
-    pc: PointCloud,
-    policy: ChannelPolicy,
-    params: DetectorParams,
-    cfg: DetectorConfig,
-    rng_seed=None,
-) -> tuple[ChannelSet, list[VoxelGrid], list[Proposal]]:
-    if policy.mode == "weak":
-        cs = weak_channels(pc, policy)
-    else:
-        if rng_seed is None:
-            raise ValueError("strong policy requires an rng seed")
-        cs = strong_channels(pc, policy, rng_seed)
-    grids = [voxelize(cloud, cfg.voxel) for cloud in cs.clouds]
-    fused = bev_align([bev_from_voxels(g) for g in grids], cs.transforms)
-    return cs, grids, propose(fused, params, cfg)
-
-
-def detect(
-    pc: PointCloud,
-    policy: ChannelPolicy,
-    params: DetectorParams,
-    cfg: DetectorConfig,
-    rng_seed=None,
-) -> list[Detection]:
-    """Full inference pass; detections are canonical-frame and NMS-deduplicated."""
-    cs, grids, proposals = _channel_pipeline(pc, policy, params, cfg, rng_seed)
-    dets = refine(proposals, grids, cs.transforms, params, cfg)
+def detect(enc: SceneEncoding, params: DetectorParams, cfg: DetectorConfig) -> list[Detection]:
+    """Score an encoded scene; detections are canonical-frame and NMS-deduplicated."""
+    dets = refine(score_proposals(enc, params, cfg), enc.transforms, params, cfg)
     keep = nms([(d.box, d.confidence) for d in dets], cfg.final_nms_iou)
     return [dets[i] for i in keep]
 
@@ -523,59 +559,53 @@ def train_step(params: DetectorParams, batch: list[TrainExample]) -> TrainLosses
 
 
 def build_training_examples(
-    pc: PointCloud,
+    enc: SceneEncoding,
     target_boxes: list[Box3D],
     target_classes: list[int],
     target_weights: list[float],
-    policy: ChannelPolicy,
     params: DetectorParams,
     cfg: DetectorConfig,
-    rng_seed=None,
     background_weight: float = 1.0,
 ) -> list[TrainExample]:
-    """Run the channel pipeline and match proposals to canonical-frame targets.
+    """Match an encoded scene's proposals to canonical-frame targets.
 
     Proposals matched by 3D IoU inherit the target's class, box, and weight;
     the rest become background RoIs with ``background_weight``. Channel-frame
     box targets are produced by pushing the matched target through each
     channel transform.
     """
-    cs, grids, proposals = _channel_pipeline(pc, policy, params, cfg, rng_seed)
-    rels = relative_transforms(cs.transforms)
-    t1_inv = invert(cs.transforms[0])
+    t1_inv = invert(enc.transforms[0])
     examples = []
-    for prop in proposals:
+    for prop in score_proposals(enc, params, cfg):
         iou, idx = best_match(apply_box(t1_inv, prop.box), target_boxes)
-        anchors, phis = _channel_rois(prop.box, grids, rels, cfg)
         if idx >= 0 and iou >= cfg.match_iou:
             targets = [
                 align_yaw_to_anchor(apply_box(t, target_boxes[idx]), anchor)
-                for t, anchor in zip(cs.transforms, anchors)
+                for t, anchor in zip(enc.transforms, prop.anchors)
             ]
             target_class, weight = target_classes[idx], float(target_weights[idx])
         else:
             targets, target_class, weight = None, 0, background_weight
-        examples.append(TrainExample(prop.feature, phis, anchors, targets, target_class, weight))
+        examples.append(TrainExample(prop.feature, list(prop.channel_features), prop.anchors,
+                                     targets, target_class, weight))
     return examples
 
 
 def train_on_scene(
-    pc: PointCloud,
+    enc: SceneEncoding,
     target_boxes: list[Box3D],
     target_classes: list[int],
     target_weights: list[float],
-    policy: ChannelPolicy,
     params: DetectorParams,
     cfg: DetectorConfig,
-    rng_seed,
     background_weight: float,
 ) -> TrainLosses | None:
-    """Build the scene's training examples and take one SGD step on them.
+    """Build the encoded scene's training examples and take one SGD step on them.
 
     Returns None, with ``params`` untouched, when the scene yields no RoI.
     """
-    batch = build_training_examples(pc, target_boxes, target_classes, target_weights, policy,
-                                    params, cfg, rng_seed, background_weight)
+    batch = build_training_examples(enc, target_boxes, target_classes, target_weights,
+                                    params, cfg, background_weight)
     return train_step(params, batch) if batch else None
 
 
@@ -596,7 +626,8 @@ def save_params(params: DetectorParams, path) -> None:
     body = np.concatenate(
         [np.array([params.lr]), params.w_cls.ravel(), params.w_obj.ravel(), params.w_reg.ravel()]
     ).astype("<f8").tobytes()
-    Path(path).write_bytes(head + dims + body)
+    with atomic_open(path, "wb") as fh:
+        fh.write(head + dims + body)
 
 
 def load_params(path) -> DetectorParams:

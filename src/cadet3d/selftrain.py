@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augment import ChannelPolicy, shuffle_augment
+from .augment import shuffle_augment
 from .config import RunConfig
 from .data import Scene
 from .detector import (
@@ -18,8 +19,10 @@ from .detector import (
     DetectorParams,
     LossTotals,
     NonFiniteLossError,
+    SceneEncoding,
     TrainLosses,
     detect,
+    encode,
     train_on_scene,
 )
 from .evaluation import EvalResult, evaluate_scenes, pseudo_quality
@@ -319,10 +322,22 @@ def scene_seed(master: int, epoch: int, index: int, tag: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def detect_and_score(scenes: list[Scene], params: DetectorParams, policy: ChannelPolicy,
-                     det_cfg: DetectorConfig) -> EvalResult:
-    """Detect every scene with ``policy`` and score the detections (AP40)."""
-    dets = [detect(scene.cloud, policy, params, det_cfg) for scene in scenes]
+def _check_encoded(scenes: list[Scene], encoded: list | None, what: str) -> None:
+    """Fail unless ``encoded`` holds one entry per scene."""
+    n = 0 if encoded is None else len(encoded)
+    if n != len(scenes):
+        raise ValueError(f"{n} encodings for {len(scenes)} {what} scenes")
+
+
+def detect_and_score(scenes: list[Scene], encodings: Iterable[SceneEncoding],
+                     params: DetectorParams, det_cfg: DetectorConfig) -> EvalResult:
+    """Detect every encoded scene and score the detections against ``scenes`` (AP40).
+
+    ``encodings`` runs parallel to ``scenes``; it may be a generator, so a
+    caller that scores once need not hold every encoding at the same time.
+    """
+    dets = [detect(enc, params, det_cfg) for enc in encodings]
+    _check_encoded(scenes, dets, "scored")
     return evaluate_scenes(dets, scenes)
 
 
@@ -330,8 +345,10 @@ def ssl_epoch(
     state: SslState,
     labeled: list[Scene],
     unlabeled: list[Scene],
+    unlabeled_enc: list[SceneEncoding],
     cfg: RunConfig,
     val_scenes: list[Scene] | None = None,
+    val_enc: list[SceneEncoding] | None = None,
 ) -> EpochMetrics:
     """One pass of the three-step procedure.
 
@@ -345,14 +362,19 @@ def ssl_epoch(
        1:1 with the unlabeled steps (the labeled set cycles).
     EMA follows every student step. Hidden ground truth on unlabeled scenes
     is used only for quality metrics, never for supervision.
+
+    ``unlabeled_enc`` and ``val_enc`` hold one ``cfg.weak_policy()`` encoding
+    per scene of ``unlabeled`` and ``val_scenes``, so a caller running several
+    epochs encodes each scene once. Strong-channel student steps encode anew.
     """
+    _check_encoded(unlabeled, unlabeled_enc, "unlabeled")
+    if val_scenes:
+        _check_encoded(val_scenes, val_enc, "val")
     metrics = EpochMetrics(epoch=state.epoch)
     channel_counter = PairCounter()
-    weak_policy, strong_policy = cfg.weak_policy(), cfg.strong_policy()
+    strong_policy = cfg.strong_policy()
 
-    teacher_dets = [
-        detect(scene.cloud, weak_policy, state.teacher.params, cfg.det) for scene in unlabeled
-    ]
+    teacher_dets = [detect(enc, state.teacher.params, cfg.det) for enc in unlabeled_enc]
     pseudo_sets = [
         [pseudo_from_detection(d, channel_counter) for d in dets] for dets in teacher_dets
     ]
@@ -376,12 +398,11 @@ def ssl_epoch(
     def student_step(kind: str, target: Scene, weights: list[float], idx: int, tag: int,
                      background_weight: float) -> TrainLosses | None:
         """Strong-channel student step on ``target``'s boxes, then the EMA update."""
+        enc = encode(target.cloud, strong_policy, cfg.det,
+                     scene_seed(state.seed, state.epoch, idx, tag))
         try:
-            losses = train_on_scene(
-                target.cloud, target.gt_boxes, target.gt_classes, weights, strong_policy,
-                state.student, cfg.det, scene_seed(state.seed, state.epoch, idx, tag),
-                background_weight,
-            )
+            losses = train_on_scene(enc, target.gt_boxes, target.gt_classes, weights,
+                                    state.student, cfg.det, background_weight)
         except NonFiniteLossError as exc:
             raise NonFiniteLossError(f"{kind} scene {target.id}: {exc}") from exc
         if losses is not None:
@@ -438,7 +459,7 @@ def ssl_epoch(
     metrics.thr_iou_high = float(np.mean([b.iou_cons[1] for b in banks]))
 
     if val_scenes:
-        result = detect_and_score(val_scenes, state.student, weak_policy, cfg.det)
+        result = detect_and_score(val_scenes, val_enc, state.student, cfg.det)
         # APs on the 100 scale in reports
         metrics.val_map = 100.0 * result.map
         metrics.val_ap_car = 100.0 * (result.ap.get(1) or 0.0)

@@ -1,9 +1,14 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cadet3d
+from cadet3d import cli, data, detector
 from cadet3d.cli import main
 from cadet3d.detector import DetectorParams, load_params, save_params
 
@@ -268,3 +273,92 @@ class TestRunConfigSnapshot:
         snap = tmp / "run" / "run_config.txt"
         assert snap.exists()
         assert "seed = 5" in snap.read_text()
+
+
+class TestModuleEntry:
+    def test_python_m_runs_the_command(self, small_env):
+        tmp, cfg = small_env
+        src = str(Path(cadet3d.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-m", "cadet3d.cli", "gen-data", "--config", str(cfg)],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp / "data" / "splits" / "labeled.txt").read_text().count("\n") == 2
+
+
+class TestWorkCounts:
+    """Weak-policy scenes are encoded once per command, however many passes
+    score them; strong-channel student steps encode anew."""
+
+    def counting(self, monkeypatch, name):
+        calls = []
+        original = getattr(detector, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(detector, name, counted)
+        return calls
+
+    def test_pretrain_encodes_each_labeled_scene_once(self, small_env, monkeypatch):
+        tmp, cfg = small_env
+        main(["gen-data", "--config", str(cfg)])
+        three = tmp / "three.txt"
+        three.write_text(cfg.read_text() + "pretrain_epochs = 3\n")
+        voxelized = self.counting(monkeypatch, "voxelize")
+        assert main(["pretrain", "--config", str(three)]) == 0
+        assert len(voxelized) == 2  # two labeled scenes, one channel each
+
+    def test_ssl_train_encodes_weak_scenes_once(self, small_env, monkeypatch):
+        tmp, cfg = small_env
+        main(["gen-data", "--config", str(cfg)])
+        two = tmp / "two.txt"
+        two.write_text(cfg.read_text() + "epochs = 2\n")
+        params = tmp / "zeros.params"
+        save_params(DetectorParams.zeros(), params)
+        weak = self.counting(monkeypatch, "weak_channels")
+        voxelized = self.counting(monkeypatch, "voxelize")
+        assert main(["ssl-train", "--config", str(two), "--params", str(params)]) == 0
+        n_unlabeled, n_val, n_channels, epochs = 10, 4, 3, 2
+        assert len(weak) == n_unlabeled + n_val
+        # one unlabeled and one labeled strong step per unlabeled scene and epoch
+        strong_steps = epochs * 2 * n_unlabeled
+        assert len(voxelized) == n_channels * (n_unlabeled + n_val + strong_steps)
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("write", [
+        lambda path, value: save_params(DetectorParams.zeros(lr=value), path),
+        lambda path, value: cli._write_csv(path, ["lr"], [[value]] * 100),
+    ], ids=["save_params", "write_csv"])
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "out"
+        write(path, 0.1)
+        before = path.read_bytes()
+
+        class HalfWriter:
+            """Writes half of the first chunk it is given, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                self.fh.write(chunk[: len(chunk) // 2])
+                self.fh.flush()
+                raise OSError("disk full")
+
+        real_open = open
+        monkeypatch.setattr(data, "open", lambda *a, **k: HalfWriter(real_open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            write(path, 0.2)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]

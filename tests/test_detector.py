@@ -17,12 +17,14 @@ from cadet3d.detector import (
     align_yaw_to_anchor,
     build_training_examples,
     detect,
+    encode,
     load_params,
     loss_and_grads,
     propose,
     refine,
     roi_features,
     save_params,
+    score_proposals,
     softmax,
     train_step,
 )
@@ -62,9 +64,9 @@ class TestPropose:
         box = Box3D(2.0, 1.0, 0.9, 1.8, 1.5, 4.0, 0.5)
         grid, _ = grid_with_cluster(rng, box)
         fused = bev_align([bev_from_voxels(grid)], [Transform.identity()])
-        props = propose(fused, DetectorParams.zeros(), DET)
+        props = propose(fused, DET)
         assert len(props) == 1
-        assert iou_3d(props[0].box, box) > 0.3
+        assert iou_3d(props[0][0], box) > 0.3
 
     def test_two_distant_clusters(self, rng):
         b1 = Box3D(5.0, 5.0, 0.9, 1.8, 1.5, 4.0, 0.3)
@@ -72,31 +74,30 @@ class TestPropose:
         pts = np.vstack([box_surface_points(rng, b1), box_surface_points(rng, b2)])
         grid = voxelize(PointCloud(pts, np.zeros(len(pts))), DET.voxel)
         fused = bev_align([bev_from_voxels(grid)], [Transform.identity()])
-        assert len(propose(fused, DetectorParams.zeros(), DET)) == 2
+        assert len(propose(fused, DET)) == 2
 
     def test_yaw_from_pca(self, rng):
         yaw = math.radians(30)
         box = Box3D(0.0, 0.0, 0.75, 1.6, 1.5, 4.2, yaw)
         grid, _ = grid_with_cluster(rng, box, n=500)
         fused = bev_align([bev_from_voxels(grid)], [Transform.identity()])
-        props = propose(fused, DetectorParams.zeros(), DET)
+        props = propose(fused, DET)
         assert len(props) == 1
-        err = abs(math.degrees(props[0].box.r - yaw)) % 180
+        err = abs(math.degrees(props[0][0].r - yaw)) % 180
         assert min(err, 180 - err) < 10
 
     def test_small_components_dropped(self, rng):
         pts = np.array([[0.0, 0.0, 0.5]])
         grid = voxelize(PointCloud(pts, np.zeros(1)), DET.voxel)
         fused = bev_align([bev_from_voxels(grid)], [Transform.identity()])
-        assert propose(fused, DetectorParams.zeros(), DET) == []
+        assert propose(fused, DET) == []
 
     def test_class_scores_sum_to_one(self, rng):
         box = Box3D(1.0, -2.0, 0.9, 1.8, 1.5, 4.0, 1.0)
-        grid, _ = grid_with_cluster(rng, box)
-        fused = bev_align([bev_from_voxels(grid)], [Transform.identity()])
+        _, pc = grid_with_cluster(rng, box)
         params = DetectorParams.zeros()
         params.w_cls[:] = np.linspace(-1, 1, params.w_cls.size).reshape(params.w_cls.shape)
-        for p in propose(fused, params, DET):
+        for p in score_proposals(encode(pc, weak_default_policy(1), DET), params, DET):
             assert p.class_scores.sum() == pytest.approx(1.0, abs=1e-6)
 
 
@@ -149,18 +150,13 @@ class TestRefine:
         box = Box3D(2.0, 1.0, 0.9, 1.8, 1.5, 4.0, 0.5)
         pts = box_surface_points(rng, box, n=300)
         pc = PointCloud(pts, rng.random(300))
-        policy = weak_default_policy(3)
-        from cadet3d.augment import weak_channels
-
-        cs = weak_channels(pc, policy)
-        grids = [voxelize(c, DET.voxel) for c in cs.clouds]
-        fused = bev_align([bev_from_voxels(g) for g in grids], cs.transforms)
-        props = propose(fused, DetectorParams.zeros(), DET)
-        return box, cs, grids, props
+        enc = encode(pc, weak_default_policy(3), DET)
+        props = score_proposals(enc, DetectorParams.zeros(), DET)
+        return box, enc, props
 
     def test_zero_regression_passes_proposal_through(self, rng):
-        box, cs, grids, props = self.setup_scene(rng)
-        dets = refine(props, grids, cs.transforms, DetectorParams.zeros(), DET)
+        box, enc, props = self.setup_scene(rng)
+        dets = refine(props, enc.transforms, DetectorParams.zeros(), DET)
         assert len(dets) == len(props)
         for det, prop in zip(dets, props):
             for chan_box in det.per_channel_boxes:
@@ -170,11 +166,11 @@ class TestRefine:
             np.testing.assert_allclose(det.box.as_array(), prop.box.as_array(), atol=1e-9)
 
     def test_aggregation_invariants(self, rng):
-        box, cs, grids, props = self.setup_scene(rng)
+        box, enc, props = self.setup_scene(rng)
         params = DetectorParams.zeros()
         params.w_reg[:] = 0.01
         params.w_obj[:] = 0.1
-        dets = refine(props, grids, cs.transforms, params, DET)
+        dets = refine(props, enc.transforms, params, DET)
         for det in dets:
             agg = average_boxes(det.per_channel_boxes)
             np.testing.assert_allclose(det.box.as_array(), agg.as_array(), atol=1e-9)
@@ -312,33 +308,34 @@ class TestAlignYaw:
 
 class TestDetect:
     def test_empty_scene(self):
-        dets = detect(PointCloud.empty(), weak_default_policy(3), DetectorParams.zeros(), DET)
+        enc = encode(PointCloud.empty(), weak_default_policy(3), DET)
+        dets = detect(enc, DetectorParams.zeros(), DET)
         assert dets == []
 
     def test_weak_policy_deterministic(self, rng):
         scene = synth_scene(5, SynthConfig())
         p = DetectorParams.zeros()
-        a = detect(scene.cloud, weak_default_policy(3), p, DET)
-        b = detect(scene.cloud, weak_default_policy(3), p, DET)
+        a = detect(encode(scene.cloud, weak_default_policy(3), DET), p, DET)
+        b = detect(encode(scene.cloud, weak_default_policy(3), DET), p, DET)
         assert len(a) == len(b)
         for da, db in zip(a, b):
             np.testing.assert_array_equal(da.box.as_array(), db.box.as_array())
 
     def test_strong_policy_needs_seed(self, rng):
         with pytest.raises(ValueError):
-            detect(PointCloud.empty(), strong_default_policy(3), DetectorParams.zeros(), DET)
+            encode(PointCloud.empty(), strong_default_policy(3), DET)
 
     def test_trained_detector_finds_car(self, rng):
         synth = SynthConfig()
         policy1 = weak_default_policy(1)
         scenes = [synth_scene(100 + i, synth) for i in range(8)]
+        encodings = [encode(sc.cloud, policy1, DET) for sc in scenes]
         params = DetectorParams.zeros(lr=0.1)
         for epoch in range(12):
-            for i, sc in enumerate(scenes):
+            for sc, enc in zip(scenes, encodings):
                 batch = build_training_examples(
-                    sc.cloud, sc.gt_boxes, sc.gt_classes, [1.0] * len(sc.gt_boxes),
-                    policy1, params, DET, rng_seed=epoch * 100 + i,
-                    background_weight=0.3,
+                    enc, sc.gt_boxes, sc.gt_classes, [1.0] * len(sc.gt_boxes),
+                    params, DET, background_weight=0.3,
                 )
                 if batch:
                     train_step(params, batch)
@@ -346,10 +343,42 @@ class TestDetect:
         cars = [b for b, c in zip(probe.gt_boxes, probe.gt_classes) if c == 1]
         if not cars:  # fixed seed; guard only
             pytest.skip("probe scene drew no cars")
-        dets = detect(probe.cloud, weak_default_policy(3), params, DET)
+        dets = detect(encode(probe.cloud, weak_default_policy(3), DET), params, DET)
         best = max((iou_3d(d.box, cars[0]), d.predicted_class) for d in dets)
         assert best[0] > 0.5
         assert best[1] == 1
+
+
+class TestSceneEncoding:
+    def scene_encoding(self):
+        return encode(synth_scene(5, SynthConfig()).cloud, weak_default_policy(3), DET)
+
+    @staticmethod
+    def scored(enc, params):
+        return [(d.box.as_array().tobytes(), d.class_scores.tobytes(), d.objectness,
+                 [b.as_array().tobytes() for b in d.per_channel_boxes])
+                for d in detect(enc, params, DET)]
+
+    def test_scoring_leaves_the_encoding_unchanged(self, rng):
+        params = []
+        for _ in range(2):
+            p = DetectorParams.zeros()
+            p.w_cls[:] = rng.normal(size=p.w_cls.shape) * 0.3
+            p.w_obj[:] = rng.normal(size=p.w_obj.shape) * 0.3
+            p.w_reg[:] = rng.normal(size=p.w_reg.shape) * 0.05
+            params.append(p)
+        a, b = params
+        enc = self.scene_encoding()
+        first_a, under_b, again_a = (self.scored(enc, p) for p in (a, b, a))
+        assert first_a and first_a != under_b
+        assert again_a == first_a == self.scored(self.scene_encoding(), a)
+
+    def test_arrays_are_read_only(self):
+        enc = self.scene_encoding()
+        assert len(enc.boxes) > 0
+        for arr in (enc.boxes, enc.features, enc.anchors, enc.channel_features):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestBuildTrainingExamples:
@@ -357,9 +386,8 @@ class TestBuildTrainingExamples:
         scene = synth_scene(11, SynthConfig())
         params = DetectorParams.zeros()
         batch = build_training_examples(
-            scene.cloud, scene.gt_boxes, scene.gt_classes,
-            [1.0] * len(scene.gt_boxes), weak_default_policy(3), params, DET,
-            background_weight=0.4,
+            encode(scene.cloud, weak_default_policy(3), DET), scene.gt_boxes, scene.gt_classes,
+            [1.0] * len(scene.gt_boxes), params, DET, background_weight=0.4,
         )
         assert batch
         fg = [ex for ex in batch if ex.target_class > 0]
@@ -379,8 +407,8 @@ class TestBuildTrainingExamples:
         params = DetectorParams.zeros()
         policy = strong_default_policy(3)
         batch = build_training_examples(
-            scene.cloud, scene.gt_boxes, scene.gt_classes,
-            [1.0] * len(scene.gt_boxes), policy, params, DET, rng_seed=77,
+            encode(scene.cloud, policy, DET, rng_seed=77), scene.gt_boxes, scene.gt_classes,
+            [1.0] * len(scene.gt_boxes), params, DET,
         )
         from cadet3d.augment import strong_channels
 

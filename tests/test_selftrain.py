@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cadet3d.config import RunConfig
 from cadet3d.data import Scene, SynthConfig, synth_scene
-from cadet3d.detector import Detection, DetectorParams
+from cadet3d.detector import Detection, DetectorParams, encode
 from cadet3d.geometry import Box3D, PointCloud, iou_3d, points_in_box
 from cadet3d.selftrain import (
     CRITERIA,
@@ -318,10 +318,14 @@ def tiny_ssl_setup(n_labeled=3, n_unlabeled=5, n_val=2):
     return labeled, unlabeled, val, cfg, state
 
 
+def weak_encodings(scenes, cfg):
+    return [encode(sc.cloud, cfg.weak_policy(), cfg.det) for sc in scenes]
+
+
 class TestSslEpoch:
     def test_no_unlabeled_reduces_to_supervised(self):
         labeled, _, _, cfg, state = tiny_ssl_setup(n_unlabeled=0)
-        m = ssl_epoch(state, labeled, [], cfg)
+        m = ssl_epoch(state, labeled, [], [], cfg)
         assert m.n_pseudo == 0
         assert math.isfinite(m.sup_total)
         assert m.unsup_total == 0.0
@@ -331,9 +335,11 @@ class TestSslEpoch:
         metrics = []
         for _ in range(2):
             labeled, unlabeled, val, cfg, state = tiny_ssl_setup()
+            unlabeled_enc, val_enc = weak_encodings(unlabeled, cfg), weak_encodings(val, cfg)
             rows = []
             for _ in range(2):
-                m = ssl_epoch(state, labeled, unlabeled, cfg, val_scenes=val)
+                m = ssl_epoch(state, labeled, unlabeled, unlabeled_enc, cfg,
+                              val_scenes=val, val_enc=val_enc)
                 rows.append((m.sup_total, m.unsup_total, m.n_high, m.n_ambiguous, m.n_low,
                              m.val_map, m.incorrect_postfilter))
             metrics.append(rows)
@@ -341,7 +347,7 @@ class TestSslEpoch:
 
     def test_counters_recorded(self):
         labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
-        m = ssl_epoch(state, labeled, unlabeled, cfg)
+        m = ssl_epoch(state, labeled, unlabeled, weak_encodings(unlabeled, cfg), cfg)
         assert m.channel_pair_evals == 3 * m.n_pseudo
         assert m.pairing_pair_evals >= m.n_pseudo  # sum over scenes of N^2
 
@@ -353,16 +359,25 @@ class TestSslEpoch:
             labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
             if drop:
                 unlabeled = [Scene(sc.id, sc.cloud) for sc in unlabeled]
-            m = ssl_epoch(state, labeled, unlabeled, cfg)
+            m = ssl_epoch(state, labeled, unlabeled, weak_encodings(unlabeled, cfg), cfg)
             weights = [a.tobytes() for a in state.student.arrays() + state.teacher.params.arrays()]
             runs.append((weights, m.incorrect_prefilter))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] > 0 and runs[1][1] == 0
 
+    def test_encodings_must_match_scenes(self):
+        labeled, unlabeled, val, cfg, state = tiny_ssl_setup()
+        with pytest.raises(ValueError, match="4 encodings for 5 unlabeled scenes"):
+            ssl_epoch(state, labeled, unlabeled, weak_encodings(unlabeled[:4], cfg), cfg)
+        with pytest.raises(ValueError, match="0 encodings for 2 val scenes"):
+            ssl_epoch(state, labeled, unlabeled, weak_encodings(unlabeled, cfg), cfg,
+                      val_scenes=val)
+        assert state.epoch == 0
+
     def test_thresholds_fitted_on_first_epoch(self):
         labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
         assert state.thresholds is None
-        ssl_epoch(state, labeled, unlabeled, cfg)
+        ssl_epoch(state, labeled, unlabeled, weak_encodings(unlabeled, cfg), cfg)
         assert isinstance(state.thresholds, ThresholdBank)
 
 
