@@ -1,5 +1,8 @@
-"""Channel augmentation: fixed (weak) transform sets, random (strong) sets,
-and a grid-patch shuffle augmentation.
+"""Channel augmentation: the fixed (weak) channel transforms, randomly drawn
+(strong) ones, and a grid-patch shuffle augmentation.
+
+A channel policy is just its transforms, identity first for the weak set;
+:func:`detector.encode` builds the channel clouds from them.
 
 The patch shuffle is a simplified stand-in for the shuffle augmentation used
 by hierarchical-supervision pipelines, NOT a reimplementation of it; it can be
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Scene
-from .geometry import Box3D, PointCloud, Transform, apply_points
+from .geometry import Box3D, PointCloud, Transform
 
 
 @dataclass(frozen=True)
@@ -33,94 +36,39 @@ class StrongRanges:
                              f"0 <= flip_prob <= 1, got {self}")
 
 
-@dataclass(frozen=True)
-class ChannelPolicy:
-    n_channels: int
-    mode: str  # "weak" | "strong"
-    weak_transforms: tuple[Transform, ...] = ()
-    strong_ranges: StrongRanges | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_channels < 1:
-            raise ValueError("n_channels must be >= 1")
-        if self.mode not in ("weak", "strong"):
-            raise ValueError(f"unknown policy mode {self.mode!r}")
-        if self.mode == "weak":
-            if len(self.weak_transforms) != self.n_channels:
-                raise ValueError("weak policy needs one transform per channel")
-            if not self.weak_transforms[0].is_identity:
-                raise ValueError("weak channel 1 must be the identity")
-        elif self.strong_ranges is None:
-            raise ValueError("strong policy needs sampling ranges")
-
-
 def weak_default_policy(
     n_channels: int = 3,
     rot: float = math.radians(22.5),
     scale_low: float = 0.98,
     scale_high: float = 1.02,
-) -> ChannelPolicy:
-    """Identity channel plus two mirrored, counter-rotated, re-scaled channels."""
+) -> tuple[Transform, ...]:
+    """The fixed (weak) channel transforms: the identity, then two mirrored,
+    counter-rotated, re-scaled channels."""
     if n_channels == 1:
-        transforms: tuple[Transform, ...] = (Transform.identity(),)
-    elif n_channels == 3:
-        transforms = (
+        return (Transform.identity(),)
+    if n_channels == 3:
+        return (
             Transform.identity(),
             Transform(flip_y=True, theta=-rot, s=scale_low),
             Transform(flip_y=True, theta=rot, s=scale_high),
         )
-    else:
-        raise ValueError("weak default policy is defined for 1 or 3 channels")
-    return ChannelPolicy(n_channels=n_channels, mode="weak", weak_transforms=transforms)
+    raise ValueError("weak default policy is defined for 1 or 3 channels")
 
 
-def strong_default_policy(n_channels: int = 3, ranges: StrongRanges | None = None) -> ChannelPolicy:
-    return ChannelPolicy(
-        n_channels=n_channels, mode="strong", strong_ranges=ranges or StrongRanges()
-    )
-
-
-@dataclass
-class ChannelSet:
-    """Transformed copies of one cloud plus the transform that produced each."""
-
-    clouds: list[PointCloud]
-    transforms: list[Transform]
-
-    def __post_init__(self) -> None:
-        if len(self.clouds) != len(self.transforms):
-            raise ValueError("clouds and transforms lengths differ")
-
-
-def weak_channels(pc: PointCloud, policy: ChannelPolicy) -> ChannelSet:
-    if policy.mode != "weak":
-        raise ValueError("weak_channels requires a weak policy")
-    return ChannelSet(
-        clouds=[apply_points(t, pc) for t in policy.weak_transforms],
-        transforms=list(policy.weak_transforms),
-    )
-
-
-def strong_channels(pc: PointCloud, policy: ChannelPolicy, rng_seed) -> ChannelSet:
+def strong_channels(ranges: StrongRanges, n_channels: int, rng_seed) -> tuple[Transform, ...]:
     """Independently drawn flip/rotation/scale per channel from a seeded stream.
 
     Draw order per channel is flip, rotation, scale; the same seed reproduces
-    the same channel set bit for bit.
+    the same transforms bit for bit.
     """
-    if policy.mode != "strong":
-        raise ValueError("strong_channels requires a strong policy")
     rng = np.random.default_rng(rng_seed)
-    rg = policy.strong_ranges
     transforms = []
-    for _ in range(policy.n_channels):
-        flip = bool(rng.random() < rg.flip_prob)
-        theta = float(rng.uniform(rg.rot_min, rg.rot_max))
-        s = float(rng.uniform(rg.scale_min, rg.scale_max))
+    for _ in range(n_channels):
+        flip = bool(rng.random() < ranges.flip_prob)
+        theta = float(rng.uniform(ranges.rot_min, ranges.rot_max))
+        s = float(rng.uniform(ranges.scale_min, ranges.scale_max))
         transforms.append(Transform(flip_y=flip, theta=theta, s=s))
-    return ChannelSet(
-        clouds=[apply_points(t, pc) for t in transforms],
-        transforms=transforms,
-    )
+    return tuple(transforms)
 
 
 def shuffle_augment(scene: Scene, grid_cells: int, rng_seed) -> Scene:

@@ -84,7 +84,8 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
 def _snapshot_config(cfg: RunConfig) -> None:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "run_config.txt").write_text(config_to_text(cfg))
+    with atomic_open(out / "run_config.txt") as fh:
+        fh.write(config_to_text(cfg))
 
 
 def _load_split_scenes(cfg: RunConfig, name: str) -> list[Scene]:
@@ -92,12 +93,12 @@ def _load_split_scenes(cfg: RunConfig, name: str) -> list[Scene]:
     return [load_scene(root, sid) for sid in read_split(root, name)]
 
 
-def _load_model(cfg: RunConfig, path) -> DetectorParams:
-    """Params file checked against the configured class count (exit 3 if not)."""
+def _load_model(path) -> DetectorParams:
+    """Params file checked against the class count of ``CLASS_NAMES`` (exit 3 if not)."""
     params = load_params(path)
-    if params.num_classes != cfg.det.num_classes:
+    if params.num_classes != len(CLASS_NAMES):
         raise ParamsFormatError(
-            f"{path}: {params.num_classes} classes, config expects {cfg.det.num_classes}")
+            f"{path}: {params.num_classes} classes, expected {len(CLASS_NAMES)}")
     return params
 
 
@@ -135,7 +136,7 @@ def _metrics_row(m: EpochMetrics) -> list:
 def cmd_pretrain(cfg: RunConfig) -> int:
     _snapshot_config(cfg)
     labeled = _load_split_scenes(cfg, "labeled")
-    params = DetectorParams.zeros(cfg.det.num_classes, lr=cfg.det.learning_rate)
+    params = DetectorParams.zeros(len(CLASS_NAMES), lr=cfg.det.learning_rate)
     # supervised pretraining is single-channel and weak, so every epoch trains
     # and scores on the same encodings
     policy = cfg.weak_policy(n_channels=1)
@@ -161,7 +162,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 
 def cmd_ssl_train(cfg: RunConfig, params_path) -> int:
     _snapshot_config(cfg)
-    pretrained = _load_model(cfg, params_path)
+    pretrained = _load_model(params_path)
     labeled = _load_split_scenes(cfg, "labeled")
     unlabeled = _load_split_scenes(cfg, "unlabeled")
     val = _load_split_scenes(cfg, "val")
@@ -193,7 +194,7 @@ def cmd_ssl_train(cfg: RunConfig, params_path) -> int:
 
 def cmd_eval(cfg: RunConfig, params_path, split: str) -> int:
     _snapshot_config(cfg)
-    params = _load_model(cfg, params_path)
+    params = _load_model(params_path)
     scenes = _load_split_scenes(cfg, split)
     policy = cfg.weak_policy()
     # each scene is scored once: encode as it is scored, holding no encodings
@@ -254,7 +255,8 @@ def _write_svg(path, epochs: list[float], series: dict[str, list[float]]) -> Non
             f'<text x="{x1 - 150}" y="{y1 + 14 * k}" fill="{color}" font-size="11">{name}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(parts) + "\n")
 
 
 def cmd_report(run_dir, svg: bool = True) -> int:

@@ -11,9 +11,10 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from .augment import ChannelPolicy, StrongRanges, strong_default_policy, weak_default_policy
+from .augment import StrongRanges, weak_default_policy
 from .data import SynthConfig
 from .detector import DetectorConfig
+from .geometry import Transform
 
 
 class ConfigError(ValueError):
@@ -67,7 +68,8 @@ class RunConfig:
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
 
-    def weak_policy(self, n_channels: int | None = None) -> ChannelPolicy:
+    def weak_policy(self, n_channels: int | None = None) -> tuple[Transform, ...]:
+        """The teacher's fixed channel transforms, identity first."""
         return weak_default_policy(
             n_channels=self.n_channels if n_channels is None else n_channels,
             rot=math.radians(self.weak_rot_deg),
@@ -75,24 +77,21 @@ class RunConfig:
             scale_high=self.weak_scale_high,
         )
 
-    def strong_policy(self) -> ChannelPolicy:
+    def strong_policy(self) -> StrongRanges:
+        """The ranges the student's ``n_channels`` channel transforms are drawn from."""
         rot = math.radians(self.strong_rot_deg)
-        return strong_default_policy(
-            n_channels=self.n_channels,
-            ranges=StrongRanges(
-                rot_min=-rot,
-                rot_max=rot,
-                scale_min=self.strong_scale_low,
-                scale_max=self.strong_scale_high,
-                flip_prob=self.strong_flip_prob,
-            ),
+        return StrongRanges(
+            rot_min=-rot,
+            rot_max=rot,
+            scale_min=self.strong_scale_low,
+            scale_max=self.strong_scale_high,
+            flip_prob=self.strong_flip_prob,
         )
 
 
 # the config keys each channel policy is built from
 _WEAK_KEYS = ("n_channels", "weak_rot_deg", "weak_scale_low", "weak_scale_high")
-_STRONG_KEYS = ("n_channels", "strong_rot_deg", "strong_scale_low", "strong_scale_high",
-                "strong_flip_prob")
+_STRONG_KEYS = ("strong_rot_deg", "strong_scale_low", "strong_scale_high", "strong_flip_prob")
 
 
 def _flatten(obj, prefix: str = "") -> dict[str, object]:

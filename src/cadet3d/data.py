@@ -72,6 +72,12 @@ class SynthConfig:
     min_separation: float = 5.0
     surface_inset: float = 0.05
 
+    def __post_init__(self) -> None:
+        if self.ground_points < 0 or self.max_per_class < 0:
+            raise ValueError("ground_points and max_per_class must be non-negative")
+        if self.clutter_min > self.clutter_max:
+            raise ValueError("need clutter_min <= clutter_max")
+
 
 def _sample_disc(rng: np.random.Generator, radius: float, n: int = 1) -> np.ndarray:
     r = radius * np.sqrt(rng.random(n))

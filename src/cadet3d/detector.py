@@ -8,13 +8,14 @@ The learned region-proposal stage of full-scale detectors is deliberately
 replaced by the geometric proposer so every head stays a linear map over a
 fixed 12-component feature vector.
 
-Detection runs in two parts. :func:`encode` does everything that reads no
-weights: channel clouds, voxel grids, the fused BEV, the raw proposals and the
-RoI features pooled for every raw proposal in every channel. It returns a
-read-only :class:`SceneEncoding`. Scoring (:func:`detect`,
-:func:`build_training_examples`) reads the weights: the proposal class scores,
-proposal NMS, the heads and the final NMS. Under a weak policy the channels are
-fixed, so one encoding of a scene serves every pass over it.
+Detection runs in two parts. :func:`encode` takes a cloud and its channel
+transforms and does everything that reads no weights: channel clouds, voxel
+grids, the fused BEV, the raw proposals and the RoI features pooled for every
+raw proposal in every channel. It returns a read-only :class:`SceneEncoding`.
+Scoring (:func:`detect`, :func:`build_training_examples`) reads the weights:
+the proposal class scores, proposal NMS, the heads and the final NMS. The weak
+channel transforms are fixed, so one encoding of a scene serves every pass
+over it.
 """
 from __future__ import annotations
 
@@ -25,13 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import ChannelPolicy, strong_channels, weak_channels
 from .data import atomic_open
 from .geometry import (
     Box3D,
     PointCloud,
     Transform,
     apply_box,
+    apply_points,
     average_boxes,
     best_match,
     decode_residual,
@@ -87,7 +88,6 @@ class ParamsFormatError(ValueError):
 @dataclass(frozen=True)
 class DetectorConfig:
     voxel: VoxelConfig = VoxelConfig()
-    num_classes: int = 3
     min_occ: float = 1.0
     min_cells: int = 3
     padding: float = 0.1
@@ -97,6 +97,10 @@ class DetectorConfig:
     match_iou: float = 0.3
     learning_rate: float = 0.1
     background_weight: float = 0.3
+
+    def __post_init__(self) -> None:
+        if not (self.learning_rate > 0 and self.roi_enlarge > 0):
+            raise ValueError("learning_rate and roi_enlarge must be positive")
 
 
 @dataclass
@@ -356,27 +360,22 @@ def align_yaw_to_anchor(target: Box3D, anchor: Box3D) -> Box3D:
     return Box3D(target.cx, target.cy, target.cz, target.w, target.h, target.l, r)
 
 
-def encode(pc: PointCloud, policy: ChannelPolicy, cfg: DetectorConfig,
-           rng_seed=None) -> SceneEncoding:
+def encode(pc: PointCloud, transforms: tuple[Transform, ...],
+           cfg: DetectorConfig) -> SceneEncoding:
     """Everything of detection that reads no weights; see :class:`SceneEncoding`.
 
-    Each raw proposal is mapped into each channel by its relative transform and
-    pooled there. The channel clouds and voxel grids are dropped on return.
+    Channel c is ``pc`` under ``transforms[c]``; each channel cloud is dropped
+    once voxelized. Each raw proposal is mapped into each channel by its
+    relative transform and pooled there. The voxel grids are dropped on return.
     """
-    if policy.mode == "weak":
-        cs = weak_channels(pc, policy)
-    else:
-        if rng_seed is None:
-            raise ValueError("strong policy requires an rng seed")
-        cs = strong_channels(pc, policy, rng_seed)
-    grids = [voxelize(cloud, cfg.voxel) for cloud in cs.clouds]
-    fused = bev_align([bev_from_voxels(g) for g in grids], cs.transforms)
+    grids = [voxelize(apply_points(t, pc), cfg.voxel) for t in transforms]
+    fused = bev_align([bev_from_voxels(g) for g in grids], transforms)
     raw = propose(fused, cfg)
-    rels = relative_transforms(cs.transforms)
+    rels = relative_transforms(transforms)
     anchors = [[apply_box(rel, box) for rel in rels] for box, _ in raw]
-    n, c = len(raw), len(cs.transforms)
+    n, c = len(raw), len(transforms)
     return SceneEncoding(
-        transforms=tuple(cs.transforms),
+        transforms=tuple(transforms),
         boxes=np.array([box.as_array() for box, _ in raw]).reshape(n, BOX_DIM),
         features=np.array([phi for _, phi in raw]).reshape(n, N_FEATURES),
         anchors=np.array([[a.as_array() for a in row] for row in anchors]).reshape(n, c, BOX_DIM),

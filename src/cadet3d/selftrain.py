@@ -10,9 +10,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augment import shuffle_augment
+from .augment import shuffle_augment, strong_channels
 from .config import RunConfig
-from .data import Scene
+from .data import CLASS_NAMES, Scene
 from .detector import (
     Detection,
     DetectorConfig,
@@ -262,13 +262,13 @@ def ema_update(teacher: EmaTeacher, student_params: DetectorParams) -> None:
         t_arr += (1.0 - m) * s_arr
 
 
-def pseudo_from_detection(det: Detection, counter: PairCounter | None = None) -> PseudoBox:
+def pseudo_from_detection(det: Detection) -> PseudoBox:
     return PseudoBox(
         box=det.box,
         cls=det.predicted_class,
         p_hat=det.p_hat,
         o_hat=det.objectness,
-        iou_cons=channel_iou_consistency(det, counter),
+        iou_cons=channel_iou_consistency(det),
     )
 
 
@@ -356,33 +356,32 @@ def ssl_epoch(
        teacher detections over the unlabeled scenes.
     2. Per unlabeled scene: score teacher detections into pseudo-boxes,
        stratify, remove low-level points, optionally shuffle patches, then
-       train the student on strong channels against per-channel pseudo
-       targets with hierarchical weights.
+       train the student on freshly drawn strong channel transforms against
+       per-channel pseudo targets with hierarchical weights.
     3. Labeled scenes run as supervised steps with unit weights, interleaved
        1:1 with the unlabeled steps (the labeled set cycles).
     EMA follows every student step. Hidden ground truth on unlabeled scenes
     is used only for quality metrics, never for supervision.
 
-    ``unlabeled_enc`` and ``val_enc`` hold one ``cfg.weak_policy()`` encoding
-    per scene of ``unlabeled`` and ``val_scenes``, so a caller running several
-    epochs encodes each scene once. Strong-channel student steps encode anew.
+    ``unlabeled_enc`` and ``val_enc`` hold one encoding under the weak
+    transforms ``cfg.weak_policy()`` per scene of ``unlabeled`` and
+    ``val_scenes``, so a caller running several epochs encodes each scene
+    once. Each student step draws ``cfg.n_channels`` transforms from
+    ``cfg.strong_policy()`` with its own scene seed and encodes anew.
     """
     _check_encoded(unlabeled, unlabeled_enc, "unlabeled")
     if val_scenes:
         _check_encoded(val_scenes, val_enc, "val")
     metrics = EpochMetrics(epoch=state.epoch)
-    channel_counter = PairCounter()
-    strong_policy = cfg.strong_policy()
+    strong_ranges = cfg.strong_policy()
 
     teacher_dets = [detect(enc, state.teacher.params, cfg.det) for enc in unlabeled_enc]
-    pseudo_sets = [
-        [pseudo_from_detection(d, channel_counter) for d in dets] for dets in teacher_dets
-    ]
+    pseudo_sets = [[pseudo_from_detection(d) for d in dets] for dets in teacher_dets]
 
     if state.epoch % cfg.threshold_period == 0 or state.thresholds is None:
         state.thresholds = fit_threshold_bank(
             [pb for group in pseudo_sets for pb in group],
-            num_classes=cfg.det.num_classes,
+            num_classes=len(CLASS_NAMES),
             previous=state.thresholds,
             min_score=cfg.prefilter_min_score,
         )
@@ -398,8 +397,9 @@ def ssl_epoch(
     def student_step(kind: str, target: Scene, weights: list[float], idx: int, tag: int,
                      background_weight: float) -> TrainLosses | None:
         """Strong-channel student step on ``target``'s boxes, then the EMA update."""
-        enc = encode(target.cloud, strong_policy, cfg.det,
-                     scene_seed(state.seed, state.epoch, idx, tag))
+        transforms = strong_channels(strong_ranges, cfg.n_channels,
+                                     scene_seed(state.seed, state.epoch, idx, tag))
+        enc = encode(target.cloud, transforms, cfg.det)
         try:
             losses = train_on_scene(enc, target.gt_boxes, target.gt_classes, weights,
                                     state.student, cfg.det, background_weight)
@@ -446,7 +446,9 @@ def ssl_epoch(
 
     metrics.unsup_cls, metrics.unsup_reg, metrics.unsup_obj, metrics.unsup_total = unsup.means()
     metrics.sup_cls, metrics.sup_reg, metrics.sup_obj, metrics.sup_total = sup.means()
-    metrics.channel_pair_evals = channel_counter.count
+    # pairs the channel consistency evaluates: C(C, 2) per detection
+    metrics.channel_pair_evals = sum(
+        math.comb(len(d.per_channel_boxes), 2) for dets in teacher_dets for d in dets)
     # what the all-pairs baseline would evaluate: N^2 per scene
     metrics.pairing_pair_evals = sum(len(dets) ** 2 for dets in teacher_dets)
     # class-mean thresholds, as a compact diagnostic

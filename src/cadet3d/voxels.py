@@ -26,6 +26,8 @@ class VoxelConfig:
     def __post_init__(self) -> None:
         if self.voxel_size <= 0:
             raise ValueError("voxel_size must be positive")
+        if self.nx < 1 or self.ny < 1:
+            raise ValueError("nx and ny must be >= 1")
 
 
 @dataclass

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from cadet3d import detector
 from cadet3d.augment import (
-    ChannelPolicy,
     StrongRanges,
     shuffle_augment,
     strong_channels,
-    strong_default_policy,
-    weak_channels,
     weak_default_policy,
 )
 from cadet3d.data import Scene
@@ -22,26 +20,27 @@ def make_cloud(rng, n=100, spread=8.0):
 
 class TestPolicyValidation:
     def test_weak_needs_identity_first(self):
-        with pytest.raises(ValueError):
-            ChannelPolicy(n_channels=1, mode="weak",
-                          weak_transforms=(Transform(theta=0.2),))
+        for n in (1, 3):
+            transforms = weak_default_policy(n, rot=0.4, scale_low=0.9, scale_high=1.1)
+            assert transforms[0].is_identity
+            assert not any(t.is_identity for t in transforms[1:])
 
     def test_weak_needs_matching_length(self):
-        with pytest.raises(ValueError):
-            ChannelPolicy(n_channels=3, mode="weak", weak_transforms=(Transform.identity(),))
+        assert [len(weak_default_policy(n)) for n in (1, 3)] == [1, 3]
+        for n in (0, 2, 4):
+            with pytest.raises(ValueError):
+                weak_default_policy(n)
 
     def test_strong_needs_ranges(self):
-        with pytest.raises(ValueError):
-            ChannelPolicy(n_channels=3, mode="strong")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            ChannelPolicy(n_channels=1, mode="medium", weak_transforms=(Transform.identity(),))
+        for bad in (dict(rot_min=0.2, rot_max=0.1), dict(scale_min=0.0),
+                    dict(scale_min=1.1, scale_max=1.0), dict(flip_prob=1.5)):
+            with pytest.raises(ValueError):
+                StrongRanges(**bad)
 
     def test_default_weak_parameters(self):
-        p = weak_default_policy()
-        assert p.n_channels == 3
-        t2, t3 = p.weak_transforms[1], p.weak_transforms[2]
+        transforms = weak_default_policy()
+        assert len(transforms) == 3
+        t2, t3 = transforms[1], transforms[2]
         assert t2.flip_y and t3.flip_y
         assert t2.theta == pytest.approx(math.radians(-22.5))
         assert t3.theta == pytest.approx(math.radians(22.5))
@@ -49,60 +48,56 @@ class TestPolicyValidation:
 
 
 class TestWeakChannels:
-    def test_empty_cloud(self):
-        cs = weak_channels(PointCloud.empty(), weak_default_policy())
-        assert len(cs.clouds) == 3
-        assert all(len(c) == 0 for c in cs.clouds)
-        assert cs.transforms[0].is_identity
+    @staticmethod
+    def voxelized_clouds(monkeypatch, pc, transforms):
+        """The channel clouds ``detector.encode`` voxelizes, in channel order."""
+        clouds = []
+        original = detector.voxelize
 
-    def test_channel_one_bit_identical(self, rng):
-        pc = make_cloud(rng)
-        cs = weak_channels(pc, weak_default_policy())
-        np.testing.assert_array_equal(cs.clouds[0].xyz, pc.xyz)
-        np.testing.assert_array_equal(cs.clouds[0].intensity, pc.intensity)
+        def capture(cloud, cfg):
+            clouds.append(cloud)
+            return original(cloud, cfg)
 
-    def test_construction_invariant(self, rng):
+        monkeypatch.setattr(detector, "voxelize", capture)
+        enc = detector.encode(pc, transforms, detector.DetectorConfig())
+        return enc, clouds
+
+    def test_empty_cloud(self, monkeypatch):
+        enc, clouds = self.voxelized_clouds(monkeypatch, PointCloud.empty(), weak_default_policy())
+        assert len(clouds) == 3
+        assert all(len(c) == 0 for c in clouds)
+        assert enc.transforms[0].is_identity and len(enc.boxes) == 0
+
+    def test_channel_one_bit_identical(self, rng, monkeypatch):
         pc = make_cloud(rng)
-        cs = weak_channels(pc, weak_default_policy())
-        for cloud, t in zip(cs.clouds, cs.transforms):
+        _, clouds = self.voxelized_clouds(monkeypatch, pc, weak_default_policy())
+        np.testing.assert_array_equal(clouds[0].xyz, pc.xyz)
+        np.testing.assert_array_equal(clouds[0].intensity, pc.intensity)
+
+    def test_construction_invariant(self, rng, monkeypatch):
+        pc = make_cloud(rng)
+        transforms = weak_default_policy()
+        enc, clouds = self.voxelized_clouds(monkeypatch, pc, transforms)
+        assert enc.transforms == transforms
+        for cloud, t in zip(clouds, transforms, strict=True):
             np.testing.assert_array_equal(cloud.xyz, apply_points(t, pc).xyz)
 
-    def test_deterministic(self, rng):
-        pc = make_cloud(rng)
-        a = weak_channels(pc, weak_default_policy())
-        b = weak_channels(pc, weak_default_policy())
-        for ca, cb in zip(a.clouds, b.clouds):
-            np.testing.assert_array_equal(ca.xyz, cb.xyz)
-
-    def test_mode_check(self, rng):
-        with pytest.raises(ValueError):
-            weak_channels(make_cloud(rng), strong_default_policy())
+    def test_deterministic(self):
+        assert weak_default_policy() == weak_default_policy()
 
 
 class TestStrongChannels:
-    def test_same_seed_bit_identical(self, rng):
-        pc = make_cloud(rng)
-        p = strong_default_policy()
-        a = strong_channels(pc, p, 99)
-        b = strong_channels(pc, p, 99)
-        assert a.transforms == b.transforms
-        for ca, cb in zip(a.clouds, b.clouds):
-            np.testing.assert_array_equal(ca.xyz, cb.xyz)
+    def test_same_seed_bit_identical(self):
+        # Transform equality compares every parameter exactly
+        assert strong_channels(StrongRanges(), 3, 99) == strong_channels(StrongRanges(), 3, 99)
 
-    def test_different_seeds_differ(self, rng):
-        pc = make_cloud(rng)
-        p = strong_default_policy()
-        a = strong_channels(pc, p, 1)
-        b = strong_channels(pc, p, 2)
-        assert a.transforms != b.transforms
+    def test_different_seeds_differ(self):
+        assert strong_channels(StrongRanges(), 3, 1) != strong_channels(StrongRanges(), 3, 2)
 
     def test_sampled_parameter_ranges(self):
-        p = strong_default_policy()
-        pc = PointCloud.empty()
         thetas, scales, flips = [], [], []
         for seed in range(3400):
-            cs = strong_channels(pc, p, seed)
-            for t in cs.transforms:
+            for t in strong_channels(StrongRanges(), 3, seed):
                 thetas.append(t.theta)
                 scales.append(t.s)
                 flips.append(t.flip_y)
@@ -114,19 +109,13 @@ class TestStrongChannels:
         assert abs(np.degrees(thetas.mean())) < 1.0
         assert abs(np.mean(flips) - 0.5) < 0.02
 
-    def test_degenerate_ranges_give_identity(self, rng):
-        p = strong_default_policy(ranges=StrongRanges(0.0, 0.0, 1.0, 1.0, 0.0))
-        cs = strong_channels(make_cloud(rng), p, 7)
-        assert all(t.is_identity for t in cs.transforms)
+    def test_degenerate_ranges_give_identity(self):
+        transforms = strong_channels(StrongRanges(0.0, 0.0, 1.0, 1.0, 0.0), 3, 7)
+        assert len(transforms) == 3
+        assert all(t.is_identity for t in transforms)
 
     def test_channels_sample_independently(self):
-        p = strong_default_policy()
-        cs = strong_channels(PointCloud.empty(), p, 5)
-        assert len(set(cs.transforms)) == 3
-
-    def test_needs_strong_mode(self, rng):
-        with pytest.raises(ValueError):
-            strong_channels(make_cloud(rng), weak_default_policy(), 1)
+        assert len(set(strong_channels(StrongRanges(), 3, 5))) == 3
 
 
 def make_scene(rng, n_boxes=3, n_points=400):

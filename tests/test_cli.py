@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import cadet3d
-from cadet3d import cli, data, detector
+from cadet3d import cli, data, detector, selftrain
 from cadet3d.cli import main
+from cadet3d.config import RunConfig
 from cadet3d.detector import DetectorParams, load_params, save_params
 
 # a dataset small enough for CLI responsiveness tests
@@ -70,7 +71,10 @@ class TestGenData:
 
 class TestConfigErrors:
     @pytest.mark.parametrize("line", ["n_channels = 2", "det.voxel.voxel_size = 0",
-                                      "weak_scale_low = 0", "strong_scale_low = -1"])
+                                      "weak_scale_low = 0", "strong_scale_low = -1",
+                                      "det.learning_rate = 0", "det.roi_enlarge = 0",
+                                      "det.voxel.nx = -5", "synth.ground_points = -1",
+                                      "synth.clutter_max = 1"])
     def test_unbuildable_config_exits_2_before_writing(self, small_env, line):
         tmp, cfg = small_env
         main(["gen-data", "--config", str(cfg)])
@@ -116,6 +120,17 @@ class TestPretrain:
     def test_missing_dataset_io_error(self, small_env):
         tmp, cfg = small_env
         assert main(["pretrain", "--config", str(cfg)]) == 2
+
+    def test_class_count_is_fixed(self, small_env):
+        # the three classes of CLASS_NAMES; no config key sets the count
+        tmp, cfg = small_env
+        main(["gen-data", "--config", str(cfg)])
+        keyed = tmp / "keyed.txt"
+        keyed.write_text(cfg.read_text() + "det.num_classes = 3\n")
+        assert main(["pretrain", "--config", str(keyed)]) == 2
+        assert not (tmp / "run").exists()
+        assert main(["pretrain", "--config", str(cfg)]) == 0
+        assert load_params(tmp / "run" / "pretrain.params").num_classes == 3
 
     def test_deterministic_rerun(self, small_env):
         tmp, cfg = small_env
@@ -291,15 +306,15 @@ class TestWorkCounts:
     """Weak-policy scenes are encoded once per command, however many passes
     score them; strong-channel student steps encode anew."""
 
-    def counting(self, monkeypatch, name):
+    def counting(self, monkeypatch, module, name):
         calls = []
-        original = getattr(detector, name)
+        original = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls.append(name)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(detector, name, counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
 
     def test_pretrain_encodes_each_labeled_scene_once(self, small_env, monkeypatch):
@@ -307,7 +322,7 @@ class TestWorkCounts:
         main(["gen-data", "--config", str(cfg)])
         three = tmp / "three.txt"
         three.write_text(cfg.read_text() + "pretrain_epochs = 3\n")
-        voxelized = self.counting(monkeypatch, "voxelize")
+        voxelized = self.counting(monkeypatch, detector, "voxelize")
         assert main(["pretrain", "--config", str(three)]) == 0
         assert len(voxelized) == 2  # two labeled scenes, one channel each
 
@@ -318,13 +333,14 @@ class TestWorkCounts:
         two.write_text(cfg.read_text() + "epochs = 2\n")
         params = tmp / "zeros.params"
         save_params(DetectorParams.zeros(), params)
-        weak = self.counting(monkeypatch, "weak_channels")
-        voxelized = self.counting(monkeypatch, "voxelize")
+        drawn = self.counting(monkeypatch, selftrain, "strong_channels")
+        voxelized = self.counting(monkeypatch, detector, "voxelize")
         assert main(["ssl-train", "--config", str(two), "--params", str(params)]) == 0
         n_unlabeled, n_val, n_channels, epochs = 10, 4, 3, 2
-        assert len(weak) == n_unlabeled + n_val
-        # one unlabeled and one labeled strong step per unlabeled scene and epoch
+        # one unlabeled and one labeled strong step per unlabeled scene and epoch,
+        # each drawing its own strong transforms
         strong_steps = epochs * 2 * n_unlabeled
+        assert len(drawn) == strong_steps
         assert len(voxelized) == n_channels * (n_unlabeled + n_val + strong_steps)
 
 
@@ -332,9 +348,12 @@ class TestAtomicOutputs:
     @pytest.mark.parametrize("write", [
         lambda path, value: save_params(DetectorParams.zeros(lr=value), path),
         lambda path, value: cli._write_csv(path, ["lr"], [[value]] * 100),
-    ], ids=["save_params", "write_csv"])
+        lambda path, value: cli._snapshot_config(
+            RunConfig(seed=1, out_dir=str(path.parent), ema_momentum=value)),
+        lambda path, value: cli._write_svg(path, [0.0, 1.0], {"lr": [value, value]}),
+    ], ids=["save_params", "write_csv", "snapshot_config", "write_svg"])
     def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch, write):
-        path = tmp_path / "out"
+        path = tmp_path / "run_config.txt"  # the one name _snapshot_config writes
         write(path, 0.1)
         before = path.read_bytes()
 

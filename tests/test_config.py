@@ -3,6 +3,7 @@ import math
 import pytest
 
 from cadet3d.config import ConfigError, RunConfig, config_to_text, load_config, parse_config_text
+from cadet3d.geometry import Transform
 
 
 class TestConfigFile:
@@ -62,7 +63,14 @@ class TestConfigFile:
                                             ("det.voxel.voxel_size", "0"),
                                             ("weak_scale_low", "0"),
                                             ("strong_scale_low", "-1"),
-                                            ("strong_flip_prob", "7")])
+                                            ("strong_flip_prob", "7"),
+                                            ("det.learning_rate", "0"),
+                                            ("det.roi_enlarge", "0"),
+                                            ("det.voxel.nx", "-5"),
+                                            ("det.voxel.ny", "0"),
+                                            ("synth.ground_points", "-1"),
+                                            ("synth.max_per_class", "-1"),
+                                            ("synth.clutter_max", "1")])
     def test_unbuildable_value_named_at_load(self, tmp_path, key, value):
         path = tmp_path / "cfg.txt"
         path.write_text(f"seed = 1\nepochs = 3\n{key} = {value}\n")
@@ -79,14 +87,12 @@ class TestConfigFile:
 class TestPolicies:
     def test_degrees_converted_once(self):
         cfg = load_config(None, {"seed": 1})
-        weak = cfg.weak_policy()
-        assert weak.weak_transforms[2].theta == pytest.approx(math.radians(22.5))
-        strong = cfg.strong_policy()
-        assert strong.strong_ranges.rot_max == pytest.approx(math.radians(45.0))
+        assert cfg.weak_policy()[2].theta == pytest.approx(math.radians(22.5))
+        assert cfg.strong_policy().rot_max == pytest.approx(math.radians(45.0))
 
     def test_single_channel_variant(self):
         cfg = load_config(None, {"seed": 1})
-        assert cfg.weak_policy(n_channels=1).n_channels == 1
+        assert cfg.weak_policy(n_channels=1) == (Transform.identity(),)
 
     def test_defaults_match_stated_policy(self):
         cfg = RunConfig(seed=1)

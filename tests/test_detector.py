@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cadet3d.augment import strong_default_policy, weak_default_policy
+from cadet3d.augment import StrongRanges, strong_channels, weak_default_policy
 from cadet3d.data import SynthConfig, synth_scene
 from cadet3d.detector import (
     FEATURE_SCALE,
@@ -321,10 +321,6 @@ class TestDetect:
         for da, db in zip(a, b):
             np.testing.assert_array_equal(da.box.as_array(), db.box.as_array())
 
-    def test_strong_policy_needs_seed(self, rng):
-        with pytest.raises(ValueError):
-            encode(PointCloud.empty(), strong_default_policy(3), DET)
-
     def test_trained_detector_finds_car(self, rng):
         synth = SynthConfig()
         policy1 = weak_default_policy(1)
@@ -405,18 +401,15 @@ class TestBuildTrainingExamples:
         if not scene.gt_boxes:
             pytest.skip("no boxes drawn")
         params = DetectorParams.zeros()
-        policy = strong_default_policy(3)
+        transforms = strong_channels(StrongRanges(), 3, 77)
         batch = build_training_examples(
-            encode(scene.cloud, policy, DET, rng_seed=77), scene.gt_boxes, scene.gt_classes,
+            encode(scene.cloud, transforms, DET), scene.gt_boxes, scene.gt_classes,
             [1.0] * len(scene.gt_boxes), params, DET,
         )
-        from cadet3d.augment import strong_channels
-
-        cs = strong_channels(scene.cloud, policy, 77)
         for ex in batch:
             if ex.target_class == 0:
                 continue
-            for i, (tgt, t) in enumerate(zip(ex.targets, cs.transforms)):
+            for i, (tgt, t) in enumerate(zip(ex.targets, transforms)):
                 back = apply_box(invert(t), tgt)
                 matches = [
                     g for g in scene.gt_boxes

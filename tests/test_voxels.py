@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cadet3d.augment import (
-    strong_channels,
-    strong_default_policy,
-    weak_channels,
-    weak_default_policy,
-)
+from cadet3d.augment import StrongRanges, strong_channels, weak_default_policy
 from cadet3d.data import SynthConfig, synth_scene
-from cadet3d.geometry import PointCloud, Transform
+from cadet3d.geometry import PointCloud, Transform, apply_points
 from cadet3d.voxels import (
     BEV_MAX_HEIGHT,
     BEV_MAX_OCC,
@@ -150,17 +145,17 @@ class TestAlignOracle:
     """bev_align is bit-identical to a dense lookup of every query point."""
 
     @staticmethod
-    def channel_bevs(cs, cfg=VoxelConfig()):
-        return [bev_from_voxels(voxelize(c, cfg)) for c in cs.clouds]
+    def channel_bevs(pc, transforms, cfg=VoxelConfig()):
+        return [bev_from_voxels(voxelize(apply_points(t, pc), cfg)) for t in transforms]
 
     def test_strong_channels(self):
         drawn = []
         for seed in range(4):
-            cs = strong_channels(synth_scene(seed, SynthConfig()).cloud, strong_default_policy(), seed)
-            drawn += cs.transforms
-            bevs = self.channel_bevs(cs)
+            transforms = strong_channels(StrongRanges(), 3, seed)
+            drawn += transforms
+            bevs = self.channel_bevs(synth_scene(seed, SynthConfig()).cloud, transforms)
             np.testing.assert_array_equal(
-                bev_align(bevs, cs.transforms).features, dense_bev_align(bevs, cs.transforms)
+                bev_align(bevs, transforms).features, dense_bev_align(bevs, transforms)
             )
         # the draws cover flips, rotations and scales away from 1
         assert any(t.flip_y for t in drawn) and not all(t.flip_y for t in drawn)
@@ -168,10 +163,10 @@ class TestAlignOracle:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_default_weak_channels(self, seed):
-        cs = weak_channels(synth_scene(seed, SynthConfig()).cloud, weak_default_policy())
-        bevs = self.channel_bevs(cs)
+        transforms = weak_default_policy()
+        bevs = self.channel_bevs(synth_scene(seed, SynthConfig()).cloud, transforms)
         np.testing.assert_array_equal(
-            bev_align(bevs, cs.transforms).features, dense_bev_align(bevs, cs.transforms)
+            bev_align(bevs, transforms).features, dense_bev_align(bevs, transforms)
         )
 
     def test_occupied_border_cells(self, rng):
