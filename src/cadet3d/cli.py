@@ -32,6 +32,7 @@ from .data import (
     write_split,
 )
 from .detector import (
+    BACKGROUND_WEIGHT,
     DetectorParams,
     LossTotals,
     NonFiniteLossError,
@@ -136,20 +137,18 @@ def _metrics_row(m: EpochMetrics) -> list:
 def cmd_pretrain(cfg: RunConfig) -> int:
     _snapshot_config(cfg)
     labeled = _load_split_scenes(cfg, "labeled")
-    params = DetectorParams.zeros(len(CLASS_NAMES), lr=cfg.det.learning_rate)
+    params = DetectorParams.zeros(len(CLASS_NAMES))
     # supervised pretraining is single-channel and weak, so every epoch trains
     # and scores on the same encodings
     policy = cfg.weak_policy(n_channels=1)
-    encodings = [encode(s.cloud, policy, cfg.det) for s in labeled]
+    encodings = [encode(s.cloud, policy) for s in labeled]
     rows = []
     for epoch in range(cfg.pretrain_epochs + 1):  # epoch 0 scores the initialization
         totals = LossTotals()
         for scene, enc in zip(labeled, encodings) if epoch else ():
-            totals.add(train_on_scene(
-                enc, scene.gt_boxes, scene.gt_classes, [1.0] * len(scene.gt_boxes),
-                params, cfg.det, cfg.det.background_weight,
-            ))
-        labeled_map = detect_and_score(labeled, encodings, params, cfg.det).map
+            totals.add(train_on_scene(enc, scene.gt_boxes, scene.gt_classes,
+                                      [1.0] * len(scene.gt_boxes), params, BACKGROUND_WEIGHT))
+        labeled_map = detect_and_score(labeled, encodings, params).map
         rows.append([epoch, *totals.means(), 100.0 * labeled_map])
     out = Path(cfg.out_dir)
     save_params(params, out / PRETRAIN_PARAMS)
@@ -173,8 +172,8 @@ def cmd_ssl_train(cfg: RunConfig, params_path) -> int:
     )
     # the weak-policy teacher and validation passes re-score the same encodings
     weak = cfg.weak_policy()
-    unlabeled_enc = [encode(s.cloud, weak, cfg.det) for s in unlabeled]
-    val_enc = [encode(s.cloud, weak, cfg.det) for s in val]
+    unlabeled_enc = [encode(s.cloud, weak) for s in unlabeled]
+    val_enc = [encode(s.cloud, weak) for s in val]
     rows = []
     for _ in range(cfg.epochs):
         metrics = ssl_epoch(state, labeled, unlabeled, unlabeled_enc, cfg,
@@ -198,8 +197,7 @@ def cmd_eval(cfg: RunConfig, params_path, split: str) -> int:
     scenes = _load_split_scenes(cfg, split)
     policy = cfg.weak_policy()
     # each scene is scored once: encode as it is scored, holding no encodings
-    result = detect_and_score(scenes, (encode(s.cloud, policy, cfg.det) for s in scenes),
-                              params, cfg.det)
+    result = detect_and_score(scenes, (encode(s.cloud, policy) for s in scenes), params)
     out = Path(cfg.out_dir)
     per_class = {CLASS_NAMES[c - 1]: (None if v is None else 100.0 * v) for c, v in result.ap.items()}
     mean_ap = 100.0 * result.map

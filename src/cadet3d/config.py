@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .augment import StrongRanges, weak_default_policy
 from .data import SynthConfig
-from .detector import DetectorConfig
 from .geometry import Transform
 
 
@@ -41,8 +40,6 @@ class RunConfig:
     strong_scale_low: float = 0.95
     strong_scale_high: float = 1.05
     strong_flip_prob: float = 0.5
-    # detector
-    det: DetectorConfig = field(default_factory=DetectorConfig)
     # training
     pretrain_epochs: int = 25
     epochs: int = 10
@@ -106,30 +103,14 @@ def _flatten(obj, prefix: str = "") -> dict[str, object]:
     return out
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(repr(float(v)) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _coerce(raw: str, template):
-    if isinstance(template, bool):
-        low = raw.strip().lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
     if isinstance(template, int):
         return int(raw)
     if isinstance(template, float):
-        return float(raw)
-    if isinstance(template, tuple):
-        return tuple(float(v) for v in raw.split(","))
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {raw!r}")
+        return value
     return raw
 
 
@@ -157,7 +138,7 @@ def _rebuild(cls, flat: dict[str, object], defaults: dict[str, object], prefix: 
 
 
 def config_to_text(cfg: RunConfig) -> str:
-    lines = [f"{k} = {_format_value(v)}" for k, v in _flatten(cfg).items()]
+    lines = [f"{k} = {v}" for k, v in _flatten(cfg).items()]
     return "\n".join(lines) + "\n"
 
 

@@ -77,6 +77,10 @@ class SynthConfig:
             raise ValueError("ground_points and max_per_class must be non-negative")
         if self.clutter_min > self.clutter_max:
             raise ValueError("need clutter_min <= clutter_max")
+        if self.range_scale <= 0:
+            raise ValueError("range_scale must be positive")
+        if min(self.size_jitter, self.ground_sigma, self.surface_inset) < 0:
+            raise ValueError("size_jitter, ground_sigma and surface_inset must be non-negative")
 
 
 def _sample_disc(rng: np.random.Generator, radius: float, n: int = 1) -> np.ndarray:

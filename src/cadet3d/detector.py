@@ -16,6 +16,12 @@ Scoring (:func:`detect`, :func:`build_training_examples`) reads the weights:
 the proposal class scores, proposal NMS, the heads and the final NMS. The weak
 channel transforms are fixed, so one encoding of a scene serves every pass
 over it.
+
+The detector is fixed, as in the paper, where experiments vary the channel
+transforms and the dual thresholds but never the detector. Its settings
+(voxel grid, proposal and RoI geometry, NMS and match IoUs, learning rate,
+pretraining background weight) are the module constants below, so detection
+reads only a cloud, its channel transforms and the weights.
 """
 from __future__ import annotations
 
@@ -76,6 +82,18 @@ REG_LOSS_WEIGHT = 0.2
 # each slot's typical spread so that SGD sees comparably sized coordinates.
 FEATURE_SCALE = np.array([4.0, 0.5, 1.0, 0.3, 2.0, 1.0, 1.5, 0.5, 0.1, 0.5, 2.0, 1.0])
 
+# The detector's fixed settings, tuned together with the two above.
+VOXEL = VoxelConfig()  # every channel's voxel grid
+MIN_OCC = 1.0  # BEV cells with at least this many points are occupied
+MIN_CELLS = 3  # smaller occupied components are no proposal
+PADDING = 0.1  # metres added to a proposal's fitted footprint
+ROI_ENLARGE = 1.2  # RoI pooling box scale over the anchor
+PROPOSAL_NMS_IOU = 0.5
+FINAL_NMS_IOU = 0.1
+MATCH_IOU = 0.3  # proposal-to-target 3D IoU a training RoI needs to be foreground
+LEARNING_RATE = 0.1
+BACKGROUND_WEIGHT = 0.3  # background-RoI weight of supervised pretraining
+
 
 class NonFiniteLossError(RuntimeError):
     """A training step produced a non-finite loss; no update was applied."""
@@ -83,24 +101,6 @@ class NonFiniteLossError(RuntimeError):
 
 class ParamsFormatError(ValueError):
     """Parameter file exists but is incompatible (magic/version/shape)."""
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    voxel: VoxelConfig = VoxelConfig()
-    min_occ: float = 1.0
-    min_cells: int = 3
-    padding: float = 0.1
-    roi_enlarge: float = 1.2
-    proposal_nms_iou: float = 0.5
-    final_nms_iou: float = 0.1
-    match_iou: float = 0.3
-    learning_rate: float = 0.1
-    background_weight: float = 0.3
-
-    def __post_init__(self) -> None:
-        if not (self.learning_rate > 0 and self.roi_enlarge > 0):
-            raise ValueError("learning_rate and roi_enlarge must be positive")
 
 
 @dataclass
@@ -113,7 +113,7 @@ class DetectorParams:
     lr: float
 
     @staticmethod
-    def zeros(num_classes: int = 3, lr: float = 0.1) -> "DetectorParams":
+    def zeros(num_classes: int = 3, lr: float = LEARNING_RATE) -> "DetectorParams":
         return DetectorParams(
             w_cls=np.zeros((num_classes + 1, N_FEATURES)),
             w_obj=np.zeros((num_classes, N_FEATURES)),
@@ -275,7 +275,7 @@ def _connected_components(occ: np.ndarray) -> list[np.ndarray]:
     return comps
 
 
-def propose(fused: BevGrid, cfg: DetectorConfig) -> list[tuple[Box3D, np.ndarray]]:
+def propose(fused: BevGrid) -> list[tuple[Box3D, np.ndarray]]:
     """Raw geometric proposals from the fused BEV grid: (box, classifier feature).
 
     Connected occupied components are fitted with an oriented box (PCA yaw,
@@ -283,11 +283,11 @@ def propose(fused: BevGrid, cfg: DetectorConfig) -> list[tuple[Box3D, np.ndarray
     small components are dropped. Scoring and NMS happen per params, in
     :func:`score_proposals`.
     """
-    occ = fused.features[:, :, BEV_MAX_OCC] >= cfg.min_occ
+    occ = fused.features[:, :, BEV_MAX_OCC] >= MIN_OCC
     voxel = fused.voxel_size
     raw = []
     for comp in _connected_components(occ):
-        if len(comp) < cfg.min_cells:
+        if len(comp) < MIN_CELLS:
             continue
         xy = np.asarray(fused.origin_xy) + (comp + 0.5) * voxel
         feats = fused.features[comp[:, 0], comp[:, 1]]
@@ -295,8 +295,8 @@ def propose(fused: BevGrid, cfg: DetectorConfig) -> list[tuple[Box3D, np.ndarray
         mu = xy.mean(axis=0)
         pu = (xy - mu) @ major
         pv = (xy - mu) @ minor
-        length = float(np.ptp(pu)) + voxel + cfg.padding
-        width = float(np.ptp(pv)) + voxel + cfg.padding
+        length = float(np.ptp(pu)) + voxel + PADDING
+        width = float(np.ptp(pv)) + voxel + PADDING
         # vertical span measured from the grid floor: columns sample objects
         # too sparsely for the occupied-fraction estimate to be reliable
         z_top = float(feats[:, BEV_MAX_HEIGHT].max())
@@ -307,11 +307,11 @@ def propose(fused: BevGrid, cfg: DetectorConfig) -> list[tuple[Box3D, np.ndarray
     return raw
 
 
-def roi_features(box: Box3D, grid: VoxelGrid, cfg: DetectorConfig) -> np.ndarray:
+def roi_features(box: Box3D, grid: VoxelGrid) -> np.ndarray:
     """Pool voxel statistics inside the enlarged channel-frame ``box``. An
     empty RoI yields the zero feature with bias 1."""
-    enlarged = Box3D(box.cx, box.cy, box.cz, box.w * cfg.roi_enlarge,
-                     box.h * cfg.roi_enlarge, box.l * cfg.roi_enlarge, box.r)
+    enlarged = Box3D(box.cx, box.cy, box.cz, box.w * ROI_ENLARGE,
+                     box.h * ROI_ENLARGE, box.l * ROI_ENLARGE, box.r)
     phi = np.zeros(N_FEATURES)
     phi[11] = 1.0
     centers = grid.centers
@@ -360,17 +360,16 @@ def align_yaw_to_anchor(target: Box3D, anchor: Box3D) -> Box3D:
     return Box3D(target.cx, target.cy, target.cz, target.w, target.h, target.l, r)
 
 
-def encode(pc: PointCloud, transforms: tuple[Transform, ...],
-           cfg: DetectorConfig) -> SceneEncoding:
+def encode(pc: PointCloud, transforms: tuple[Transform, ...]) -> SceneEncoding:
     """Everything of detection that reads no weights; see :class:`SceneEncoding`.
 
     Channel c is ``pc`` under ``transforms[c]``; each channel cloud is dropped
     once voxelized. Each raw proposal is mapped into each channel by its
     relative transform and pooled there. The voxel grids are dropped on return.
     """
-    grids = [voxelize(apply_points(t, pc), cfg.voxel) for t in transforms]
+    grids = [voxelize(apply_points(t, pc), VOXEL) for t in transforms]
     fused = bev_align([bev_from_voxels(g) for g in grids], transforms)
-    raw = propose(fused, cfg)
+    raw = propose(fused)
     rels = relative_transforms(transforms)
     anchors = [[apply_box(rel, box) for rel in rels] for box, _ in raw]
     n, c = len(raw), len(transforms)
@@ -380,18 +379,17 @@ def encode(pc: PointCloud, transforms: tuple[Transform, ...],
         features=np.array([phi for _, phi in raw]).reshape(n, N_FEATURES),
         anchors=np.array([[a.as_array() for a in row] for row in anchors]).reshape(n, c, BOX_DIM),
         channel_features=np.array(
-            [[roi_features(a, grid, cfg) for a, grid in zip(row, grids)] for row in anchors]
+            [[roi_features(a, grid) for a, grid in zip(row, grids)] for row in anchors]
         ).reshape(n, c, N_FEATURES),
     )
 
 
-def score_proposals(enc: SceneEncoding, params: DetectorParams,
-                    cfg: DetectorConfig) -> list[Proposal]:
+def score_proposals(enc: SceneEncoding, params: DetectorParams) -> list[Proposal]:
     """The encoding's raw proposals scored by the linear classifier; the
     survivors of greedy proposal NMS, in NMS order."""
     boxes = _boxes(enc.boxes)
     scores = [softmax(params.w_cls @ (phi / FEATURE_SCALE)) for phi in enc.features]
-    keep = nms([(b, float(sc[1:].max())) for b, sc in zip(boxes, scores)], cfg.proposal_nms_iou)
+    keep = nms([(b, float(sc[1:].max())) for b, sc in zip(boxes, scores)], PROPOSAL_NMS_IOU)
     return [Proposal(boxes[i], scores[i], enc.features[i], _boxes(enc.anchors[i]),
                      enc.channel_features[i]) for i in keep]
 
@@ -400,7 +398,6 @@ def refine(
     proposals: list[Proposal],
     transforms: tuple[Transform, ...],
     params: DetectorParams,
-    cfg: DetectorConfig,
 ) -> list[Detection]:
     """Per-channel RoI refinement and back-transformed averaging.
 
@@ -424,10 +421,10 @@ def refine(
     return dets
 
 
-def detect(enc: SceneEncoding, params: DetectorParams, cfg: DetectorConfig) -> list[Detection]:
+def detect(enc: SceneEncoding, params: DetectorParams) -> list[Detection]:
     """Score an encoded scene; detections are canonical-frame and NMS-deduplicated."""
-    dets = refine(score_proposals(enc, params, cfg), enc.transforms, params, cfg)
-    keep = nms([(d.box, d.confidence) for d in dets], cfg.final_nms_iou)
+    dets = refine(score_proposals(enc, params), enc.transforms, params)
+    keep = nms([(d.box, d.confidence) for d in dets], FINAL_NMS_IOU)
     return [dets[i] for i in keep]
 
 
@@ -563,7 +560,6 @@ def build_training_examples(
     target_classes: list[int],
     target_weights: list[float],
     params: DetectorParams,
-    cfg: DetectorConfig,
     background_weight: float = 1.0,
 ) -> list[TrainExample]:
     """Match an encoded scene's proposals to canonical-frame targets.
@@ -575,9 +571,9 @@ def build_training_examples(
     """
     t1_inv = invert(enc.transforms[0])
     examples = []
-    for prop in score_proposals(enc, params, cfg):
+    for prop in score_proposals(enc, params):
         iou, idx = best_match(apply_box(t1_inv, prop.box), target_boxes)
-        if idx >= 0 and iou >= cfg.match_iou:
+        if idx >= 0 and iou >= MATCH_IOU:
             targets = [
                 align_yaw_to_anchor(apply_box(t, target_boxes[idx]), anchor)
                 for t, anchor in zip(enc.transforms, prop.anchors)
@@ -596,7 +592,6 @@ def train_on_scene(
     target_classes: list[int],
     target_weights: list[float],
     params: DetectorParams,
-    cfg: DetectorConfig,
     background_weight: float,
 ) -> TrainLosses | None:
     """Build the encoded scene's training examples and take one SGD step on them.
@@ -604,7 +599,7 @@ def train_on_scene(
     Returns None, with ``params`` untouched, when the scene yields no RoI.
     """
     batch = build_training_examples(enc, target_boxes, target_classes, target_weights,
-                                    params, cfg, background_weight)
+                                    params, background_weight)
     return train_step(params, batch) if batch else None
 
 

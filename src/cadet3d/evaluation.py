@@ -107,26 +107,22 @@ def evaluate_scenes(dets_per_scene, scenes) -> EvalResult:
 
 @dataclass
 class PseudoQualityCounts:
-    """Incorrect pseudo-box tallies, overall and by assigned level."""
+    """Incorrect pseudo-boxes: all of them, and those kept past the filter
+    (level high or ambiguous)."""
 
-    by_level: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def prefilter(self) -> int:
-        return sum(self.by_level.values())
-
-    @property
-    def postfilter(self) -> int:
-        return sum(v for k, v in self.by_level.items() if k in ("high", "ambiguous"))
+    prefilter: int = 0
+    postfilter: int = 0
 
 
 def pseudo_quality(pseudo_boxes, gt_boxes, gt_classes) -> PseudoQualityCounts:
     """Count pseudo-boxes whose class mismatches their best-IoU ground truth or
-    whose IoU misses the class threshold. Expects stratified boxes (``.level``)."""
-    counts = PseudoQualityCounts(by_level={"high": 0, "ambiguous": 0, "low": 0})
+    whose IoU misses the class threshold. Expects stratified boxes (``.level``);
+    an unknown level counts as low."""
+    counts = PseudoQualityCounts()
     for pb in pseudo_boxes:
         iou, gi = best_match(pb.box, gt_boxes)
         if gi < 0 or gt_classes[gi] != pb.cls or iou < IOU_THRESHOLDS[pb.cls - 1]:
-            level = pb.level if pb.level in counts.by_level else "low"
-            counts.by_level[level] += 1
+            counts.prefilter += 1
+            if pb.level in ("high", "ambiguous"):
+                counts.postfilter += 1
     return counts

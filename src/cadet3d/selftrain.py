@@ -15,7 +15,6 @@ from .config import RunConfig
 from .data import CLASS_NAMES, Scene
 from .detector import (
     Detection,
-    DetectorConfig,
     DetectorParams,
     LossTotals,
     NonFiniteLossError,
@@ -330,13 +329,13 @@ def _check_encoded(scenes: list[Scene], encoded: list | None, what: str) -> None
 
 
 def detect_and_score(scenes: list[Scene], encodings: Iterable[SceneEncoding],
-                     params: DetectorParams, det_cfg: DetectorConfig) -> EvalResult:
+                     params: DetectorParams) -> EvalResult:
     """Detect every encoded scene and score the detections against ``scenes`` (AP40).
 
     ``encodings`` runs parallel to ``scenes``; it may be a generator, so a
     caller that scores once need not hold every encoding at the same time.
     """
-    dets = [detect(enc, params, det_cfg) for enc in encodings]
+    dets = [detect(enc, params) for enc in encodings]
     _check_encoded(scenes, dets, "scored")
     return evaluate_scenes(dets, scenes)
 
@@ -375,7 +374,7 @@ def ssl_epoch(
     metrics = EpochMetrics(epoch=state.epoch)
     strong_ranges = cfg.strong_policy()
 
-    teacher_dets = [detect(enc, state.teacher.params, cfg.det) for enc in unlabeled_enc]
+    teacher_dets = [detect(enc, state.teacher.params) for enc in unlabeled_enc]
     pseudo_sets = [[pseudo_from_detection(d) for d in dets] for dets in teacher_dets]
 
     if state.epoch % cfg.threshold_period == 0 or state.thresholds is None:
@@ -399,10 +398,10 @@ def ssl_epoch(
         """Strong-channel student step on ``target``'s boxes, then the EMA update."""
         transforms = strong_channels(strong_ranges, cfg.n_channels,
                                      scene_seed(state.seed, state.epoch, idx, tag))
-        enc = encode(target.cloud, transforms, cfg.det)
+        enc = encode(target.cloud, transforms)
         try:
             losses = train_on_scene(enc, target.gt_boxes, target.gt_classes, weights,
-                                    state.student, cfg.det, background_weight)
+                                    state.student, background_weight)
         except NonFiniteLossError as exc:
             raise NonFiniteLossError(f"{kind} scene {target.id}: {exc}") from exc
         if losses is not None:
@@ -461,7 +460,7 @@ def ssl_epoch(
     metrics.thr_iou_high = float(np.mean([b.iou_cons[1] for b in banks]))
 
     if val_scenes:
-        result = detect_and_score(val_scenes, val_enc, state.student, cfg.det)
+        result = detect_and_score(val_scenes, val_enc, state.student)
         # APs on the 100 scale in reports
         metrics.val_map = 100.0 * result.map
         metrics.val_ap_car = 100.0 * (result.ap.get(1) or 0.0)

@@ -59,7 +59,7 @@ class TestWeakChannels:
             return original(cloud, cfg)
 
         monkeypatch.setattr(detector, "voxelize", capture)
-        enc = detector.encode(pc, transforms, detector.DetectorConfig())
+        enc = detector.encode(pc, transforms)
         return enc, clouds
 
     def test_empty_cloud(self, monkeypatch):

@@ -70,17 +70,33 @@ class TestGenData:
 
 
 class TestConfigErrors:
+    # the det.* lines name keys that no longer exist; they exit 2 as unknown keys
     @pytest.mark.parametrize("line", ["n_channels = 2", "det.voxel.voxel_size = 0",
                                       "weak_scale_low = 0", "strong_scale_low = -1",
                                       "det.learning_rate = 0", "det.roi_enlarge = 0",
                                       "det.voxel.nx = -5", "synth.ground_points = -1",
-                                      "synth.clutter_max = 1"])
+                                      "synth.clutter_max = 1", "strong_rot_deg = inf",
+                                      "synth.object_radius = nan",
+                                      "unsup_background_weight = nan",
+                                      "prefilter_min_score = nan", "synth.range_scale = 0",
+                                      "synth.size_jitter = -0.1"])
     def test_unbuildable_config_exits_2_before_writing(self, small_env, line):
         tmp, cfg = small_env
         main(["gen-data", "--config", str(cfg)])
         bad = tmp / "bad.txt"
         bad.write_text(cfg.read_text() + line + "\n")
         assert main(["pretrain", "--config", str(bad)]) == 2
+        assert not (tmp / "run").exists()
+
+    def test_former_detector_key_exits_2_before_writing(self, small_env, capsys):
+        # detector settings are constants of detector.py; a valid old value is still refused
+        tmp, cfg = small_env
+        main(["gen-data", "--config", str(cfg)])
+        keyed = tmp / "keyed.txt"
+        keyed.write_text(cfg.read_text() + "det.min_cells = 3\n")
+        capsys.readouterr()
+        assert main(["pretrain", "--config", str(keyed)]) == 2
+        assert "unknown config key 'det.min_cells'" in capsys.readouterr().err
         assert not (tmp / "run").exists()
 
     def test_undecodable_config_exits_2(self, tmp_path):

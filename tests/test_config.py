@@ -2,7 +2,14 @@ import math
 
 import pytest
 
-from cadet3d.config import ConfigError, RunConfig, config_to_text, load_config, parse_config_text
+from cadet3d.config import (
+    ConfigError,
+    RunConfig,
+    _flatten,
+    config_to_text,
+    load_config,
+    parse_config_text,
+)
 from cadet3d.geometry import Transform
 
 
@@ -24,11 +31,11 @@ class TestConfigFile:
 
     def test_file_values_applied(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("seed = 11\nepochs = 4\ndet.voxel.voxel_size = 0.5\n")
+        path.write_text("seed = 11\nepochs = 4\nsynth.object_radius = 10.5\n")
         cfg = load_config(path)
         assert cfg.seed == 11
         assert cfg.epochs == 4
-        assert cfg.det.voxel.voxel_size == 0.5
+        assert cfg.synth.object_radius == 10.5
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -60,22 +67,43 @@ class TestConfigFile:
             load_config(None, {"seed": 1, "threads": 0})
 
     @pytest.mark.parametrize("key, value", [("n_channels", "2"),
-                                            ("det.voxel.voxel_size", "0"),
                                             ("weak_scale_low", "0"),
                                             ("strong_scale_low", "-1"),
                                             ("strong_flip_prob", "7"),
-                                            ("det.learning_rate", "0"),
-                                            ("det.roi_enlarge", "0"),
-                                            ("det.voxel.nx", "-5"),
-                                            ("det.voxel.ny", "0"),
+                                            ("strong_rot_deg", "inf"),
+                                            ("unsup_background_weight", "nan"),
+                                            ("prefilter_min_score", "nan"),
+                                            ("synth.object_radius", "nan"),
                                             ("synth.ground_points", "-1"),
                                             ("synth.max_per_class", "-1"),
-                                            ("synth.clutter_max", "1")])
+                                            ("synth.clutter_max", "1"),
+                                            ("synth.range_scale", "0"),
+                                            ("synth.size_jitter", "-0.1"),
+                                            ("synth.ground_sigma", "-1"),
+                                            ("synth.surface_inset", "-0.05")])
     def test_unbuildable_value_named_at_load(self, tmp_path, key, value):
         path = tmp_path / "cfg.txt"
         path.write_text(f"seed = 1\nepochs = 3\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"^bad value for '{key}': "):
             load_config(path)
+
+    # the detector's settings are constants of detector.py, not config keys
+    @pytest.mark.parametrize("key, value", [("det.min_cells", "3"),
+                                            ("det.voxel.voxel_size", "0"),
+                                            ("det.learning_rate", "0"),
+                                            ("det.roi_enlarge", "0"),
+                                            ("det.voxel.nx", "-5"),
+                                            ("det.voxel.ny", "0")])
+    def test_former_detector_key_unknown(self, tmp_path, key, value):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"seed = 1\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
+            load_config(path)
+
+    def test_key_count(self):
+        keys = _flatten(RunConfig())
+        assert len(keys) == 35
+        assert not any(k.startswith("det.") for k in keys)
 
     def test_overrides_beat_file(self, tmp_path):
         path = tmp_path / "cfg.txt"

@@ -8,8 +8,8 @@ from cadet3d.data import SynthConfig, synth_scene
 from cadet3d.detector import (
     FEATURE_SCALE,
     N_FEATURES,
+    VOXEL,
     Detection,
-    DetectorConfig,
     DetectorParams,
     NonFiniteLossError,
     ParamsFormatError,
@@ -41,8 +41,6 @@ from cadet3d.geometry import (
 from cadet3d.voxels import BevGrid, VoxelConfig, bev_align, bev_from_voxels, voxelize
 from conftest import random_box
 
-DET = DetectorConfig()
-
 
 def box_surface_points(rng, box, n=150, inset=0.06):
     """Points strictly inside a box, concentrated near its faces."""
@@ -56,7 +54,7 @@ def box_surface_points(rng, box, n=150, inset=0.06):
 def grid_with_cluster(rng, box, n=200):
     pts = box_surface_points(rng, box, n)
     pc = PointCloud(pts, rng.random(n))
-    return voxelize(pc, DET.voxel), pc
+    return voxelize(pc, VOXEL), pc
 
 
 class TestPropose:
@@ -64,7 +62,7 @@ class TestPropose:
         box = Box3D(2.0, 1.0, 0.9, 1.8, 1.5, 4.0, 0.5)
         grid, _ = grid_with_cluster(rng, box)
         fused = bev_align([bev_from_voxels(grid)], [Transform.identity()])
-        props = propose(fused, DET)
+        props = propose(fused)
         assert len(props) == 1
         assert iou_3d(props[0][0], box) > 0.3
 
@@ -72,39 +70,39 @@ class TestPropose:
         b1 = Box3D(5.0, 5.0, 0.9, 1.8, 1.5, 4.0, 0.3)
         b2 = Box3D(-5.0, -5.0, 0.9, 1.8, 1.5, 4.0, -0.7)
         pts = np.vstack([box_surface_points(rng, b1), box_surface_points(rng, b2)])
-        grid = voxelize(PointCloud(pts, np.zeros(len(pts))), DET.voxel)
+        grid = voxelize(PointCloud(pts, np.zeros(len(pts))), VOXEL)
         fused = bev_align([bev_from_voxels(grid)], [Transform.identity()])
-        assert len(propose(fused, DET)) == 2
+        assert len(propose(fused)) == 2
 
     def test_yaw_from_pca(self, rng):
         yaw = math.radians(30)
         box = Box3D(0.0, 0.0, 0.75, 1.6, 1.5, 4.2, yaw)
         grid, _ = grid_with_cluster(rng, box, n=500)
         fused = bev_align([bev_from_voxels(grid)], [Transform.identity()])
-        props = propose(fused, DET)
+        props = propose(fused)
         assert len(props) == 1
         err = abs(math.degrees(props[0][0].r - yaw)) % 180
         assert min(err, 180 - err) < 10
 
     def test_small_components_dropped(self, rng):
         pts = np.array([[0.0, 0.0, 0.5]])
-        grid = voxelize(PointCloud(pts, np.zeros(1)), DET.voxel)
+        grid = voxelize(PointCloud(pts, np.zeros(1)), VOXEL)
         fused = bev_align([bev_from_voxels(grid)], [Transform.identity()])
-        assert propose(fused, DET) == []
+        assert propose(fused) == []
 
     def test_class_scores_sum_to_one(self, rng):
         box = Box3D(1.0, -2.0, 0.9, 1.8, 1.5, 4.0, 1.0)
         _, pc = grid_with_cluster(rng, box)
         params = DetectorParams.zeros()
         params.w_cls[:] = np.linspace(-1, 1, params.w_cls.size).reshape(params.w_cls.shape)
-        for p in score_proposals(encode(pc, weak_default_policy(1), DET), params, DET):
+        for p in score_proposals(encode(pc, weak_default_policy(1)), params):
             assert p.class_scores.sum() == pytest.approx(1.0, abs=1e-6)
 
 
 class TestRoiFeatures:
     def test_empty_region(self):
-        grid = voxelize(PointCloud.empty(), DET.voxel)
-        phi = roi_features(Box3D(0, 0, 1, 1, 1, 1, 0), grid, DET)
+        grid = voxelize(PointCloud.empty(), VOXEL)
+        phi = roi_features(Box3D(0, 0, 1, 1, 1, 1, 0), grid)
         expected = np.zeros(N_FEATURES)
         expected[11] = 1.0
         np.testing.assert_array_equal(phi, expected)
@@ -112,7 +110,7 @@ class TestRoiFeatures:
     def test_identity_transform_canonical(self, rng):
         box = Box3D(3.0, 0.0, 0.9, 1.8, 1.5, 4.0, 0.2)
         grid, pc = grid_with_cluster(rng, box)
-        phi = roi_features(box, grid, DET)
+        phi = roi_features(box, grid)
         assert phi[11] == 1.0
         assert math.expm1(phi[0]) == pytest.approx(len(pc), rel=0.02)
 
@@ -123,12 +121,12 @@ class TestRoiFeatures:
         pts = box_surface_points(rng, box, n=300, inset=0.5)
         pc = PointCloud(pts, rng.random(300))
         t = Transform(flip_y=True, theta=math.radians(22.5), s=1.0)
-        grid1 = voxelize(pc, DET.voxel)
+        grid1 = voxelize(pc, VOXEL)
         from cadet3d.geometry import apply_points
 
-        grid2 = voxelize(apply_points(t, pc), DET.voxel)
-        phi1 = roi_features(box, grid1, DET)
-        phi2 = roi_features(apply_box(t, box), grid2, DET)
+        grid2 = voxelize(apply_points(t, pc), VOXEL)
+        phi1 = roi_features(box, grid1)
+        phi2 = roi_features(apply_box(t, box), grid2)
         assert phi1[0] == phi2[0]  # log1p(point count) identical
 
     def test_voxelized_tolerance_under_scale(self, rng):
@@ -138,10 +136,10 @@ class TestRoiFeatures:
         t = Transform(flip_y=True, theta=math.radians(-22.5), s=0.98)
         from cadet3d.geometry import apply_points
 
-        grid1 = voxelize(pc, DET.voxel)
-        grid2 = voxelize(apply_points(t, pc), DET.voxel)
-        n1 = math.expm1(roi_features(box, grid1, DET)[0])
-        n2 = math.expm1(roi_features(apply_box(t, box), grid2, DET)[0])
+        grid1 = voxelize(pc, VOXEL)
+        grid2 = voxelize(apply_points(t, pc), VOXEL)
+        n1 = math.expm1(roi_features(box, grid1)[0])
+        n2 = math.expm1(roi_features(apply_box(t, box), grid2)[0])
         assert min(n1, n2) / max(n1, n2) >= 0.9
 
 
@@ -150,13 +148,13 @@ class TestRefine:
         box = Box3D(2.0, 1.0, 0.9, 1.8, 1.5, 4.0, 0.5)
         pts = box_surface_points(rng, box, n=300)
         pc = PointCloud(pts, rng.random(300))
-        enc = encode(pc, weak_default_policy(3), DET)
-        props = score_proposals(enc, DetectorParams.zeros(), DET)
+        enc = encode(pc, weak_default_policy(3))
+        props = score_proposals(enc, DetectorParams.zeros())
         return box, enc, props
 
     def test_zero_regression_passes_proposal_through(self, rng):
         box, enc, props = self.setup_scene(rng)
-        dets = refine(props, enc.transforms, DetectorParams.zeros(), DET)
+        dets = refine(props, enc.transforms, DetectorParams.zeros())
         assert len(dets) == len(props)
         for det, prop in zip(dets, props):
             for chan_box in det.per_channel_boxes:
@@ -170,7 +168,7 @@ class TestRefine:
         params = DetectorParams.zeros()
         params.w_reg[:] = 0.01
         params.w_obj[:] = 0.1
-        dets = refine(props, enc.transforms, params, DET)
+        dets = refine(props, enc.transforms, params)
         for det in dets:
             agg = average_boxes(det.per_channel_boxes)
             np.testing.assert_allclose(det.box.as_array(), agg.as_array(), atol=1e-9)
@@ -308,15 +306,15 @@ class TestAlignYaw:
 
 class TestDetect:
     def test_empty_scene(self):
-        enc = encode(PointCloud.empty(), weak_default_policy(3), DET)
-        dets = detect(enc, DetectorParams.zeros(), DET)
+        enc = encode(PointCloud.empty(), weak_default_policy(3))
+        dets = detect(enc, DetectorParams.zeros())
         assert dets == []
 
     def test_weak_policy_deterministic(self, rng):
         scene = synth_scene(5, SynthConfig())
         p = DetectorParams.zeros()
-        a = detect(encode(scene.cloud, weak_default_policy(3), DET), p, DET)
-        b = detect(encode(scene.cloud, weak_default_policy(3), DET), p, DET)
+        a = detect(encode(scene.cloud, weak_default_policy(3)), p)
+        b = detect(encode(scene.cloud, weak_default_policy(3)), p)
         assert len(a) == len(b)
         for da, db in zip(a, b):
             np.testing.assert_array_equal(da.box.as_array(), db.box.as_array())
@@ -325,13 +323,13 @@ class TestDetect:
         synth = SynthConfig()
         policy1 = weak_default_policy(1)
         scenes = [synth_scene(100 + i, synth) for i in range(8)]
-        encodings = [encode(sc.cloud, policy1, DET) for sc in scenes]
+        encodings = [encode(sc.cloud, policy1) for sc in scenes]
         params = DetectorParams.zeros(lr=0.1)
         for epoch in range(12):
             for sc, enc in zip(scenes, encodings):
                 batch = build_training_examples(
                     enc, sc.gt_boxes, sc.gt_classes, [1.0] * len(sc.gt_boxes),
-                    params, DET, background_weight=0.3,
+                    params, background_weight=0.3,
                 )
                 if batch:
                     train_step(params, batch)
@@ -339,7 +337,7 @@ class TestDetect:
         cars = [b for b, c in zip(probe.gt_boxes, probe.gt_classes) if c == 1]
         if not cars:  # fixed seed; guard only
             pytest.skip("probe scene drew no cars")
-        dets = detect(encode(probe.cloud, weak_default_policy(3), DET), params, DET)
+        dets = detect(encode(probe.cloud, weak_default_policy(3)), params)
         best = max((iou_3d(d.box, cars[0]), d.predicted_class) for d in dets)
         assert best[0] > 0.5
         assert best[1] == 1
@@ -347,13 +345,13 @@ class TestDetect:
 
 class TestSceneEncoding:
     def scene_encoding(self):
-        return encode(synth_scene(5, SynthConfig()).cloud, weak_default_policy(3), DET)
+        return encode(synth_scene(5, SynthConfig()).cloud, weak_default_policy(3))
 
     @staticmethod
     def scored(enc, params):
         return [(d.box.as_array().tobytes(), d.class_scores.tobytes(), d.objectness,
                  [b.as_array().tobytes() for b in d.per_channel_boxes])
-                for d in detect(enc, params, DET)]
+                for d in detect(enc, params)]
 
     def test_scoring_leaves_the_encoding_unchanged(self, rng):
         params = []
@@ -382,8 +380,8 @@ class TestBuildTrainingExamples:
         scene = synth_scene(11, SynthConfig())
         params = DetectorParams.zeros()
         batch = build_training_examples(
-            encode(scene.cloud, weak_default_policy(3), DET), scene.gt_boxes, scene.gt_classes,
-            [1.0] * len(scene.gt_boxes), params, DET, background_weight=0.4,
+            encode(scene.cloud, weak_default_policy(3)), scene.gt_boxes, scene.gt_classes,
+            [1.0] * len(scene.gt_boxes), params, background_weight=0.4,
         )
         assert batch
         fg = [ex for ex in batch if ex.target_class > 0]
@@ -403,8 +401,8 @@ class TestBuildTrainingExamples:
         params = DetectorParams.zeros()
         transforms = strong_channels(StrongRanges(), 3, 77)
         batch = build_training_examples(
-            encode(scene.cloud, transforms, DET), scene.gt_boxes, scene.gt_classes,
-            [1.0] * len(scene.gt_boxes), params, DET,
+            encode(scene.cloud, transforms), scene.gt_boxes, scene.gt_classes,
+            [1.0] * len(scene.gt_boxes), params,
         )
         for ex in batch:
             if ex.target_class == 0:

@@ -154,6 +154,11 @@ class TestPseudoQuality:
         assert counts.prefilter == 2
         assert counts.postfilter == 1
 
+    def test_unknown_level_counts_as_low(self):
+        pbs = [pseudo_at(Box3D(50, 50, 1, 1, 1, 2, 0), 1, level) for level in (None, "other")]
+        counts = pseudo_quality(pbs, [], [])
+        assert (counts.prefilter, counts.postfilter) == (2, 0)
+
     def test_postfilter_never_exceeds_prefilter(self, rng):
         gts = [random_box(rng) for _ in range(3)]
         pbs = [

@@ -319,7 +319,7 @@ def tiny_ssl_setup(n_labeled=3, n_unlabeled=5, n_val=2):
 
 
 def weak_encodings(scenes, cfg):
-    return [encode(sc.cloud, cfg.weak_policy(), cfg.det) for sc in scenes]
+    return [encode(sc.cloud, cfg.weak_policy()) for sc in scenes]
 
 
 class TestSslEpoch:
