@@ -250,29 +250,39 @@ def _component_feature(
 
 
 def _connected_components(occ: np.ndarray) -> list[np.ndarray]:
-    """8-connected components of a boolean grid, in row-major seed order."""
-    nx, ny = occ.shape
-    seen = np.zeros_like(occ, dtype=bool)
-    comps = []
+    """8-connected components of a boolean grid, in row-major seed order,
+    each an (n, 2) array of its cells in row-major order.
+
+    Every occupied cell starts labelled with its own position in the
+    row-major cell list. Each round lowers a cell's label to the least label
+    among its neighbours and then jumps it to its label's label, until nothing
+    changes; every label is then its component's first cell.
+    """
+    ny = occ.shape[1]
     cells = np.argwhere(occ)
-    occ_set = set(map(tuple, cells))
-    for i, j in cells:
-        if seen[i, j]:
-            continue
-        stack = [(int(i), int(j))]
-        seen[i, j] = True
-        comp = []
-        while stack:
-            ci, cj = stack.pop()
-            comp.append((ci, cj))
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    ni, nj = ci + di, cj + dj
-                    if (ni, nj) in occ_set and not seen[ni, nj]:
-                        seen[ni, nj] = True
-                        stack.append((ni, nj))
-        comps.append(np.array(sorted(comp)))
-    return comps
+    if not len(cells):
+        return []
+    flat = cells[:, 0] * ny + cells[:, 1]
+    a, b = [], []  # occupied neighbour pairs (a[k], b[k]), each found once
+    for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        target = flat + di * ny + dj
+        pos = np.minimum(np.searchsorted(flat, target), len(flat) - 1)
+        col = cells[:, 1] + dj
+        found = np.flatnonzero((flat[pos] == target) & (col >= 0) & (col < ny))
+        a.append(found)
+        b.append(pos[found])
+    a, b = np.concatenate(a), np.concatenate(b)
+    label = np.arange(len(cells))
+    while True:
+        low = label.copy()
+        np.minimum.at(low, a, label[b])
+        np.minimum.at(low, b, label[a])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    order = np.argsort(label, kind="stable")
+    return np.split(cells[order], np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def propose(fused: BevGrid) -> list[tuple[Box3D, np.ndarray]]:
@@ -309,24 +319,32 @@ def propose(fused: BevGrid) -> list[tuple[Box3D, np.ndarray]]:
 
 def roi_features(box: Box3D, grid: VoxelGrid) -> np.ndarray:
     """Pool voxel statistics inside the enlarged channel-frame ``box``. An
-    empty RoI yields the zero feature with bias 1."""
+    empty RoI yields the zero feature with bias 1.
+
+    Only voxels whose centers lie within the enlarged box's circumradius of
+    its center in x, plus a slack that covers rounding, are tested against
+    the box; ``grid.coords`` ascends in x, so they are a slice.
+    """
     enlarged = Box3D(box.cx, box.cy, box.cz, box.w * ROI_ENLARGE,
                      box.h * ROI_ENLARGE, box.l * ROI_ENLARGE, box.r)
     phi = np.zeros(N_FEATURES)
     phi[11] = 1.0
     centers = grid.centers
-    mask = points_in_box(enlarged, centers, strict=False)
-    if not mask.any():
+    reach = 0.5 * math.hypot(enlarged.w, enlarged.l) + 1e-6
+    lo, hi = np.searchsorted(centers[:, 0], [box.cx - reach, box.cx + reach])
+    idx = lo + np.flatnonzero(points_in_box(enlarged, centers[lo:hi], strict=False))
+    if not len(idx):
         return phi
-    counts = grid.counts[mask]
-    zs = centers[mask, 2]
+    counts = grid.counts[idx]
+    zs = centers[idx, 2]
     npts = float(counts.sum())
-    n_cells = int(mask.sum())
-    n_cols = len(np.unique(grid.coords[mask][:, 0] * grid.cfg.ny + grid.coords[mask][:, 1]))
-    cell_z = grid.mean_z[mask]
+    n_cells = len(idx)
+    col = grid.coords[idx, 0] * grid.cfg.ny + grid.coords[idx, 1]  # ascending
+    n_cols = 1 + int(np.count_nonzero(np.diff(col)))
+    cell_z = grid.mean_z[idx]
     mean_h = float(counts @ cell_z) / npts
     var_h = float(counts @ (cell_z - mean_h) ** 2) / npts
-    xy = centers[mask, :2]
+    xy = centers[idx, :2]
     major, minor = _pca_axes(xy, counts)
     mu = (counts @ xy) / npts
     voxel = grid.cfg.voxel_size
@@ -337,7 +355,7 @@ def roi_features(box: Box3D, grid: VoxelGrid) -> np.ndarray:
     phi[4] = float(np.ptp((xy - mu) @ major)) + voxel
     phi[5] = float(np.ptp((xy - mu) @ minor)) + voxel
     phi[6] = float(np.ptp(zs)) + voxel
-    phi[7] = float(counts @ grid.mean_intensity[mask]) / npts
+    phi[7] = float(counts @ grid.mean_intensity[idx]) / npts
     phi[8] = math.hypot(box.cx, box.cy) / 100.0
     phi[9] = min(box.w, box.l) / max(box.w, box.l)
     phi[10] = npts / n_cells
@@ -637,9 +655,10 @@ def load_params(path) -> DetectorParams:
     if f != N_FEATURES or b != BOX_DIM:
         raise ParamsFormatError(f"{path}: dimension table mismatch (F={f}, box={b})")
     n_vals = 1 + (c + 1) * f + c * f + c * b * f
+    if len(raw) - 32 != 8 * n_vals:
+        raise ParamsFormatError(
+            f"{path}: expected {n_vals} values ({8 * n_vals} bytes), found {len(raw) - 32} bytes")
     body = np.frombuffer(raw[32:], dtype="<f8")
-    if len(body) != n_vals:
-        raise ParamsFormatError(f"{path}: expected {n_vals} values, found {len(body)}")
     if not np.isfinite(body).all():
         raise ParamsFormatError(f"{path}: non-finite value in learning rate or weights")
     lr = float(body[0])

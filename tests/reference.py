@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's computational paths: IoU by Monte
 Carlo point sampling, average precision by direct prefix enumeration,
-three-way partitioning by exhaustive search, and BEV alignment by a dense
-bilinear lookup that gathers and weights every query point.
+three-way partitioning by exhaustive search, BEV alignment by a dense
+bilinear lookup that gathers and weights every query point, connected
+components by a flood fill, and RoI pooling by a test of every voxel.
 """
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import math
 
 import numpy as np
 
-from cadet3d.geometry import Box3D, compose, invert, transform_xy
+from cadet3d.detector import N_FEATURES, ROI_ENLARGE, _pca_axes
+from cadet3d.geometry import Box3D, compose, invert, points_in_box, transform_xy
 
 
 def point_in_box_bev(box: Box3D, xy: np.ndarray) -> np.ndarray:
@@ -115,10 +117,77 @@ def dense_bev_align(grids, transforms) -> np.ndarray:
     channel-1 cell centers mapped through T_i o T_1^{-1}, then the
     component-wise maximum."""
     base = grids[0]
-    centers = base.cell_centers()
+    nx, ny = base.shape
+    xs = base.origin_xy[0] + (np.arange(nx) + 0.5) * base.voxel_size
+    ys = base.origin_xy[1] + (np.arange(ny) + 0.5) * base.voxel_size
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    centers = np.stack([gx.ravel(), gy.ravel()], axis=1)
     t1_inv = invert(transforms[0])
     fused = base.features.reshape(-1, base.features.shape[2])
     for grid, t in zip(grids[1:], transforms[1:]):
         xy = transform_xy(compose(t, t1_inv), centers)
         fused = np.maximum(fused, dense_bilinear(grid.features, grid.origin_xy, grid.voxel_size, xy))
     return fused.reshape(base.features.shape)
+
+
+def flood_fill_components(occ: np.ndarray) -> list[np.ndarray]:
+    """8-connected components of a boolean grid by a depth-first flood fill
+    from each unseen cell in row-major order; cells sorted in each."""
+    seen = np.zeros_like(occ, dtype=bool)
+    comps = []
+    cells = np.argwhere(occ)
+    occ_set = set(map(tuple, cells))
+    for i, j in cells:
+        if seen[i, j]:
+            continue
+        stack = [(int(i), int(j))]
+        seen[i, j] = True
+        comp = []
+        while stack:
+            ci, cj = stack.pop()
+            comp.append((ci, cj))
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    ni, nj = ci + di, cj + dj
+                    if (ni, nj) in occ_set and not seen[ni, nj]:
+                        seen[ni, nj] = True
+                        stack.append((ni, nj))
+        comps.append(np.array(sorted(comp)))
+    return comps
+
+
+def dense_roi_features(box: Box3D, grid) -> np.ndarray:
+    """RoI features with every voxel tested against the enlarged box and the
+    occupied columns counted by ``np.unique``."""
+    enlarged = Box3D(box.cx, box.cy, box.cz, box.w * ROI_ENLARGE,
+                     box.h * ROI_ENLARGE, box.l * ROI_ENLARGE, box.r)
+    phi = np.zeros(N_FEATURES)
+    phi[11] = 1.0
+    centers = grid.centers
+    mask = points_in_box(enlarged, centers, strict=False)
+    if not mask.any():
+        return phi
+    counts = grid.counts[mask]
+    zs = centers[mask, 2]
+    npts = float(counts.sum())
+    n_cells = int(mask.sum())
+    n_cols = len(np.unique(grid.coords[mask][:, 0] * grid.cfg.ny + grid.coords[mask][:, 1]))
+    cell_z = grid.mean_z[mask]
+    mean_h = float(counts @ cell_z) / npts
+    var_h = float(counts @ (cell_z - mean_h) ** 2) / npts
+    xy = centers[mask, :2]
+    major, minor = _pca_axes(xy, counts)
+    mu = (counts @ xy) / npts
+    voxel = grid.cfg.voxel_size
+    phi[0] = math.log1p(npts)
+    phi[1] = min(1.0, n_cols * voxel * voxel / (enlarged.w * enlarged.l))
+    phi[2] = mean_h
+    phi[3] = math.sqrt(var_h)
+    phi[4] = float(np.ptp((xy - mu) @ major)) + voxel
+    phi[5] = float(np.ptp((xy - mu) @ minor)) + voxel
+    phi[6] = float(np.ptp(zs)) + voxel
+    phi[7] = float(counts @ grid.mean_intensity[mask]) / npts
+    phi[8] = math.hypot(box.cx, box.cy) / 100.0
+    phi[9] = min(box.w, box.l) / max(box.w, box.l)
+    phi[10] = npts / n_cells
+    return phi

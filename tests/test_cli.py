@@ -221,7 +221,7 @@ class TestEval:
         main(["gen-data", "--config", str(cfg)])
         assert main(["eval", "--config", str(cfg), "--params", str(tmp / "nope.params")]) == 2
 
-    @pytest.mark.parametrize("kind", ["non_finite", "class_mismatch"])
+    @pytest.mark.parametrize("kind", ["non_finite", "class_mismatch", "ragged_body"])
     def test_bad_params_exit_3(self, small_env, kind):
         tmp, cfg = small_env
         main(["gen-data", "--config", str(cfg)])
@@ -230,6 +230,8 @@ class TestEval:
         if kind == "non_finite":
             params.w_cls[1, 0] = np.nan
         save_params(params, bad)
+        if kind == "ragged_body":  # not a whole number of float64s
+            bad.write_bytes(bad.read_bytes() + b"\x00\x00\x00")
         assert main(["eval", "--config", str(cfg), "--params", str(bad)]) == 3
 
     @pytest.mark.parametrize("head", ["w_cls", "w_reg"])

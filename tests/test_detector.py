@@ -1,19 +1,29 @@
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cadet3d.augment import StrongRanges, strong_channels, weak_default_policy
 from cadet3d.data import SynthConfig, synth_scene
 from cadet3d.detector import (
+    BOX_DIM,
     FEATURE_SCALE,
     N_FEATURES,
+    PARAMS_MAGIC,
+    PARAMS_VERSION,
+    ROI_ENLARGE,
     VOXEL,
     Detection,
     DetectorParams,
     NonFiniteLossError,
     ParamsFormatError,
     TrainExample,
+    _connected_components,
     align_yaw_to_anchor,
     build_training_examples,
     detect,
@@ -33,6 +43,7 @@ from cadet3d.geometry import (
     PointCloud,
     Transform,
     apply_box,
+    apply_points,
     average_boxes,
     compose,
     invert,
@@ -40,6 +51,7 @@ from cadet3d.geometry import (
 )
 from cadet3d.voxels import BevGrid, VoxelConfig, bev_align, bev_from_voxels, voxelize
 from conftest import random_box
+from reference import dense_roi_features, flood_fill_components
 
 
 def box_surface_points(rng, box, n=150, inset=0.06):
@@ -141,6 +153,107 @@ class TestRoiFeatures:
         n1 = math.expm1(roi_features(box, grid1)[0])
         n2 = math.expm1(roi_features(apply_box(t, box), grid2)[0])
         assert min(n1, n2) / max(n1, n2) >= 0.9
+
+
+class TestComponentsOracle:
+    """Connected components equal a flood fill's, list for list."""
+
+    @staticmethod
+    def assert_flood_fill(occ):
+        got = _connected_components(occ)
+        want = flood_fill_components(occ)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        return got
+
+    def test_random_grids(self, rng):
+        for density in (0.02, 0.1, 0.3, 0.5, 0.8):
+            for _ in range(10):
+                shape = tuple(rng.integers(1, 30, 2))
+                self.assert_flood_fill(rng.random(shape) < density)
+
+    def test_empty_grid(self):
+        assert self.assert_flood_fill(np.zeros((6, 5), dtype=bool)) == []
+
+    def test_one_cell(self):
+        occ = np.zeros((6, 5), dtype=bool)
+        occ[4, 2] = True
+        (comp,) = self.assert_flood_fill(occ)
+        assert comp.tolist() == [[4, 2]]
+
+    def test_diagonal_only_chains(self):
+        occ = np.zeros((9, 9), dtype=bool)
+        idx = np.arange(9)
+        occ[idx, idx] = True        # main diagonal
+        occ[idx[:5], 8 - idx[:5]] = True  # anti-diagonal, meets it at (4, 4)
+        assert len(self.assert_flood_fill(occ)) == 1
+        zigzag = np.zeros((6, 4), dtype=bool)
+        zigzag[np.arange(6), [0, 1, 0, 1, 0, 1]] = True
+        assert len(self.assert_flood_fill(zigzag)) == 1
+
+    def test_occupied_border_cells(self):
+        ring = np.zeros((6, 7), dtype=bool)
+        ring[[0, -1], :] = True
+        ring[:, [0, -1]] = True
+        assert len(self.assert_flood_fill(ring)) == 1
+        corners = np.zeros((6, 7), dtype=bool)
+        corners[[0, 0, -1, -1], [0, -1, 0, -1]] = True
+        assert len(self.assert_flood_fill(corners)) == 4
+        # the end of one row and the start of the next are no neighbours
+        wrap = np.zeros((4, 5), dtype=bool)
+        wrap[1, 4] = wrap[2, 0] = True
+        assert len(self.assert_flood_fill(wrap)) == 2
+
+
+class TestRoiOracle:
+    """RoI features equal a test of every voxel against the box, bit for bit."""
+
+    CHANNELS = [Transform.identity(), Transform(flip_y=True, theta=0.7, s=1.05),
+                Transform(theta=-2.0, s=0.9)]
+
+    @staticmethod
+    def pooled(box, grid):
+        phi = roi_features(box, grid)
+        np.testing.assert_array_equal(phi, dense_roi_features(box, grid))
+        return phi
+
+    def test_scene_boxes_in_channel_frames(self, rng):
+        scene = synth_scene(3, SynthConfig())
+        tried = pooled = 0
+        for t in self.CHANNELS:
+            grid = voxelize(apply_points(t, scene.cloud), VOXEL)
+            for gt in scene.gt_boxes:
+                for _ in range(4):
+                    shift = rng.normal(0.0, 0.3, 4)
+                    box = Box3D(gt.cx + shift[0], gt.cy + shift[1], gt.cz, gt.w, gt.h,
+                                gt.l * math.exp(shift[2]), gt.r + shift[3])
+                    tried += 1
+                    pooled += self.pooled(apply_box(t, box), grid)[0] > 0
+        assert pooled > tried // 2
+
+    def test_random_boxes_past_the_grid_edge(self, rng):
+        pc = PointCloud(rng.uniform([-22, -22, 0.2], [22, 22, 2.5], (4000, 3)), rng.random(4000))
+        edge = VOXEL.origin[0] + VOXEL.nx * VOXEL.voxel_size
+        empty = straddling = 0
+        for t in self.CHANNELS:
+            grid = voxelize(apply_points(t, pc), VOXEL)
+            for _ in range(80):
+                box = apply_box(t, random_box(rng, spread=edge + 3.0))
+                empty += self.pooled(box, grid)[0] == 0
+                reach = 0.5 * ROI_ENLARGE * max(box.w, box.l)
+                straddling += any(abs(c) < edge < abs(c) + reach for c in (box.cx, box.cy))
+        assert 0 < empty < 240 and straddling > 0
+
+    def test_empty_rois(self, rng):
+        grid, _ = grid_with_cluster(rng, Box3D(3.0, 0.0, 0.9, 1.8, 1.5, 4.0, 0.2))
+        for box in (Box3D(3.0, 0.0, 6.0, 1.8, 1.5, 4.0, 0.2),   # above the cluster
+                    Box3D(-10.0, 5.0, 0.9, 1.8, 1.5, 4.0, 1.0),  # beside it
+                    Box3D(45.0, 0.0, 0.9, 1.8, 1.5, 4.0, 0.0)):  # off the grid
+            phi = self.pooled(box, grid)
+            assert phi[0] == 0 and phi[11] == 1
+        self.pooled(Box3D(3.0, 0.0, 0.9, 1.8, 1.5, 4.0, 0.2), voxelize(PointCloud.empty(), VOXEL))
 
 
 class TestRefine:
@@ -418,6 +531,20 @@ class TestBuildTrainingExamples:
                 assert matches, f"channel {i} target does not back-map to a GT box"
 
 
+@st.composite
+def params_bytes(draw):
+    """Any short byte string, or a valid header for 0-2 classes and a body of
+    about the length it declares, possibly cut anywhere."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    c = draw(st.integers(0, 2))
+    n_vals = 1 + (c + 1) * N_FEATURES + c * N_FEATURES + c * BOX_DIM * N_FEATURES
+    head = PARAMS_MAGIC + struct.pack("<IIIIII", PARAMS_VERSION, 0, c, N_FEATURES, BOX_DIM, 0)
+    size = 8 * n_vals + draw(st.sampled_from([0, 0, 0, 1, 7, -1, -8]))
+    raw = head + draw(st.binary(min_size=size, max_size=size))
+    return raw[: draw(st.integers(0, len(raw)))] if draw(st.booleans()) else raw
+
+
 class TestParamsIo:
     def test_roundtrip(self, tmp_path, rng):
         params = DetectorParams.zeros(lr=0.07)
@@ -449,6 +576,26 @@ class TestParamsIo:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_params(tmp_path / "absent.params")
+
+    def test_body_not_whole_float64s(self, tmp_path):
+        path = tmp_path / "ragged.params"
+        save_params(DetectorParams.zeros(), path)
+        path.write_bytes(path.read_bytes() + b"\x00\x00\x00")
+        with pytest.raises(ParamsFormatError):
+            load_params(path)
+
+    @given(raw=params_bytes())
+    @settings(max_examples=200)
+    def test_any_bytes_load_or_raise_format_error(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "any.params"
+            path.write_bytes(raw)
+            try:
+                params = load_params(path)
+            except ParamsFormatError:
+                return
+        assert params.lr > 0
+        assert all(np.isfinite(a).all() for a in params.arrays())
 
     @pytest.mark.parametrize("array, value", [
         ("w_cls", math.nan), ("w_obj", math.inf), ("w_reg", -math.inf),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cadet3d.augment import StrongRanges, strong_channels, weak_default_policy
 from cadet3d.data import SynthConfig, synth_scene
@@ -15,6 +17,7 @@ from cadet3d.voxels import (
     bev_from_voxels,
     voxelize,
 )
+from conftest import transforms as transform_draws
 from reference import dense_bev_align, dense_bilinear
 
 
@@ -48,6 +51,15 @@ class TestVoxelize:
     def test_mean_intensity(self):
         grid = voxelize(cloud((0.05, 0.05, 0.05, 0.2), (0.06, 0.04, 0.01, 0.8)), self.cfg)
         assert grid.mean_intensity[0] == pytest.approx(0.5)
+
+    def test_coords_ascend_in_x_y_z(self, rng):
+        cfg = VoxelConfig(origin=(-1.0, -1.0, 0.0), voxel_size=0.1, nx=20, ny=15, nz=6)
+        pts = rng.uniform([-1.2, -1.2, -0.1], [1.2, 0.6, 0.7], (3000, 3))
+        grid = voxelize(PointCloud(pts, rng.random(3000)), cfg)
+        assert len(grid.coords) > 100
+        key = (grid.coords[:, 0] * cfg.ny + grid.coords[:, 1]) * cfg.nz + grid.coords[:, 2]
+        assert np.all(np.diff(key) > 0)
+        np.testing.assert_array_equal(grid.coords, np.unique(grid.coords, axis=0))
 
     def test_positive_voxel_required(self):
         with pytest.raises(ValueError):
@@ -169,20 +181,39 @@ class TestAlignOracle:
             bev_align(bevs, transforms).features, dense_bev_align(bevs, transforms)
         )
 
+    @given(transforms=st.lists(transform_draws(), min_size=2, max_size=3),
+           seed=st.integers(0, 3))
+    @settings(max_examples=30)
+    def test_any_scale_between_half_and_two(self, transforms, seed):
+        # the looked-up cells reach 1/s cells around each occupied one
+        bevs = self.channel_bevs(synth_scene(seed, SynthConfig()).cloud, transforms)
+        np.testing.assert_array_equal(
+            bev_align(bevs, transforms).features, dense_bev_align(bevs, transforms)
+        )
+
     def test_occupied_border_cells(self, rng):
-        # every border cell occupied: footprints straddle the extent and
-        # reach into the zero pad frame
-        n = 12
-        grids = []
-        for _ in range(3):
-            feats = np.zeros((n, n, 2))
-            feats[[0, -1], :] = rng.uniform(1.0, 5.0, (2, n, 2))
-            feats[:, [0, -1]] = rng.uniform(1.0, 5.0, (n, 2, 2))
-            grids.append(BevGrid((-3.0, -3.0), 0.5, feats))
+        # every border cell occupied: footprints straddle the extent; on the
+        # small grid every cell is looked up, on the large one only footprints
         transforms = [Transform(flip_y=True, theta=0.1, s=1.02), Transform(theta=-0.3, s=0.97),
                       Transform(flip_y=True, theta=0.7, s=1.05)]
-        fused = bev_align(grids, transforms)
-        np.testing.assert_array_equal(fused.features, dense_bev_align(grids, transforms))
+        for n in (12, 160):
+            grids = []
+            for _ in range(3):
+                feats = np.zeros((n, n, 2))
+                feats[[0, -1], :] = rng.uniform(1.0, 5.0, (2, n, 2))
+                feats[:, [0, -1]] = rng.uniform(1.0, 5.0, (n, 2, 2))
+                grids.append(BevGrid((-0.25 * n, -0.25 * n), 0.5, feats))
+            fused = bev_align(grids, transforms)
+            np.testing.assert_array_equal(fused.features, dense_bev_align(grids, transforms))
+
+    def test_small_scale_looks_up_every_cell(self):
+        # at s = 0.2 footprints span 15 cells, so dilating them costs more
+        # than a lookup of every cell
+        transforms = (Transform.identity(), Transform(flip_y=True, theta=0.3, s=0.2))
+        bevs = self.channel_bevs(synth_scene(0, SynthConfig()).cloud, transforms)
+        np.testing.assert_array_equal(
+            bev_align(bevs, transforms).features, dense_bev_align(bevs, transforms)
+        )
 
     def test_empty_footprint_is_exact_positive_zero(self, rng):
         feats = np.zeros((8, 8, 2))
