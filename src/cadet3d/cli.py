@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -275,6 +276,12 @@ def cmd_report(run_dir, svg: bool = True) -> int:
     except (TypeError, ValueError) as exc:
         print(f"error: {metrics_path}: {exc}", file=sys.stderr)
         return EXIT_IO
+    for i, r in enumerate(rows):
+        for c in needed:
+            if not math.isfinite(values[c][i]):
+                print(f"error: {metrics_path}: non-finite {c} = {r[c]} at epoch {r['epoch']}",
+                      file=sys.stderr)
+                return EXIT_IO
     report_dir = run / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
     for stem, cols in _REPORT_SERIES.items():

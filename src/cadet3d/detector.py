@@ -2,8 +2,9 @@
 
 Structure: per-channel occupancy voxel grids, aligned/max-pooled BEV fusion,
 a geometric proposer (connected components + PCA box fit) with a learned
-linear classifier, per-channel RoI pooling feeding linear objectness and
-residual-regression heads, and back-transformed averaging into detections.
+linear classifier, per-channel RoI pooling (one batched pass over all
+proposals per channel grid) feeding linear objectness and residual-regression
+heads, and back-transformed averaging into detections.
 The learned region-proposal stage of full-scale detectors is deliberately
 replaced by the geometric proposer so every head stays a linear map over a
 fixed 12-component feature vector.
@@ -46,7 +47,6 @@ from .geometry import (
     invert,
     iou_3d,
     nms,
-    points_in_box,
     relative_transforms,
     wrap_angle,
 )
@@ -317,48 +317,89 @@ def propose(fused: BevGrid) -> list[tuple[Box3D, np.ndarray]]:
     return raw
 
 
-def roi_features(box: Box3D, grid: VoxelGrid) -> np.ndarray:
-    """Pool voxel statistics inside the enlarged channel-frame ``box``. An
+def roi_features(anchors: np.ndarray, grid: VoxelGrid) -> np.ndarray:
+    """Pool voxel statistics inside each enlarged channel-frame anchor box.
+
+    ``anchors`` holds one channel's (K, 7) RoIs; the result is (K, F). An
     empty RoI yields the zero feature with bias 1.
 
-    Only voxels whose centers lie within the enlarged box's circumradius of
-    its center in x, plus a slack that covers rounding, are tested against
-    the box; ``grid.coords`` ascends in x, so they are a slice.
+    A channel's RoIs are pooled in one array pass. The candidates of an RoI
+    are the voxels whose centers lie within its enlarged box's circumradius of
+    its center in x, plus a slack that covers rounding; ``grid.coords``
+    ascends in x, so they are one ``searchsorted`` window. All (RoI, voxel)
+    candidate pairs are tested with the arithmetic of
+    ``points_in_box(strict=False)``. Counts, column runs and the z extent are
+    segment sums and extrema. The dot and covariance products stay one call
+    per RoI, with the operand shapes of a single-RoI pool, and the
+    covariances go through one stacked ``eigh``, so every feature has the
+    bits of pooling each RoI alone.
     """
-    enlarged = Box3D(box.cx, box.cy, box.cz, box.w * ROI_ENLARGE,
-                     box.h * ROI_ENLARGE, box.l * ROI_ENLARGE, box.r)
-    phi = np.zeros(N_FEATURES)
-    phi[11] = 1.0
+    phi = np.zeros((len(anchors), N_FEATURES))
+    phi[:, 11] = 1.0
+    cx, cy, _, w, h, l, r = anchors.T
+    w_e, h_e, l_e = w * ROI_ENLARGE, h * ROI_ENLARGE, l * ROI_ENLARGE
     centers = grid.centers
-    reach = 0.5 * math.hypot(enlarged.w, enlarged.l) + 1e-6
-    lo, hi = np.searchsorted(centers[:, 0], [box.cx - reach, box.cx + reach])
-    idx = lo + np.flatnonzero(points_in_box(enlarged, centers[lo:hi], strict=False))
-    if not len(idx):
+    reach = 0.5 * np.hypot(w_e, l_e) + 1e-6
+    lo = np.searchsorted(centers[:, 0], cx - reach)
+    n_cand = np.searchsorted(centers[:, 0], cx + reach) - lo
+    roi = np.repeat(np.arange(len(anchors)), n_cand)
+    vox = np.arange(len(roi)) + np.repeat(lo - np.cumsum(n_cand) + n_cand, n_cand)
+    cos = np.array([math.cos(t) for t in r.tolist()])[roi]
+    sin = np.array([math.sin(t) for t in r.tolist()])[roi]
+    d = centers[vox] - anchors[roi, :3]
+    u = cos * d[:, 0] + sin * d[:, 1]
+    v = -sin * d[:, 0] + cos * d[:, 1]
+    keep = np.flatnonzero((np.abs(u) <= 0.5 * l_e[roi]) & (np.abs(v) <= 0.5 * w_e[roi])
+                          & (np.abs(d[:, 2]) <= 0.5 * h_e[roi]))
+    if not len(keep):
         return phi
+    roi, idx = roi[keep], vox[keep]  # grouped by RoI, voxels ascending
+    n_cells = np.bincount(roi, minlength=len(anchors))
+    hit = np.flatnonzero(n_cells)
+    n_cells = n_cells[hit]
+    end = np.cumsum(n_cells)
+    start = end - n_cells
+    bounds = list(zip(start.tolist(), end.tolist()))
     counts = grid.counts[idx]
+    npts = np.add.reduceat(counts, start)  # whole numbers: exact in any order
+    col = grid.coords[idx, 0] * grid.cfg.ny + grid.coords[idx, 1]
+    new_col = np.ones(len(idx), dtype=bool)
+    new_col[1:] = col[1:] != col[:-1]
+    new_col[start] = True
+    n_cols = np.add.reduceat(new_col, start)
     zs = centers[idx, 2]
-    npts = float(counts.sum())
-    n_cells = len(idx)
-    col = grid.coords[idx, 0] * grid.cfg.ny + grid.coords[idx, 1]  # ascending
-    n_cols = 1 + int(np.count_nonzero(np.diff(col)))
-    cell_z = grid.mean_z[idx]
-    mean_h = float(counts @ cell_z) / npts
-    var_h = float(counts @ (cell_z - mean_h) ** 2) / npts
-    xy = centers[idx, :2]
-    major, minor = _pca_axes(xy, counts)
-    mu = (counts @ xy) / npts
+    cell_z, intensity, xy = grid.mean_z[idx], grid.mean_intensity[idx], centers[idx, :2]
+    z_dot, i_dot, xy_dot = np.empty(len(hit)), np.empty(len(hit)), np.empty((len(hit), 2))
+    for j, (a, b) in enumerate(bounds):
+        z_dot[j] = counts[a:b] @ cell_z[a:b]
+        i_dot[j] = counts[a:b] @ intensity[a:b]
+        xy_dot[j] = counts[a:b] @ xy[a:b]
+    mean_h = z_dot / npts
+    sq = (cell_z - np.repeat(mean_h, n_cells)) ** 2
+    centered = xy - np.repeat(xy_dot / npts[:, None], n_cells, axis=0)
+    weighted = centered * counts[:, None]
+    var_dot, cov = np.empty(len(hit)), np.empty((len(hit), 2, 2))
+    for j, (a, b) in enumerate(bounds):
+        var_dot[j] = counts[a:b] @ sq[a:b]
+        cov[j] = weighted[a:b].T @ centered[a:b]
+    _, vecs = np.linalg.eigh(cov / npts[:, None, None])  # ascending eigenvalues
+    proj = np.empty((2, len(idx)))  # onto the major and the minor axis
+    for j, (a, b) in enumerate(bounds):
+        proj[0, a:b] = centered[a:b] @ vecs[j, :, 1]
+        proj[1, a:b] = centered[a:b] @ vecs[j, :, 0]
+    extent = np.maximum.reduceat(proj, start, axis=1) - np.minimum.reduceat(proj, start, axis=1)
     voxel = grid.cfg.voxel_size
-    phi[0] = math.log1p(npts)
-    phi[1] = min(1.0, n_cols * voxel * voxel / (enlarged.w * enlarged.l))
-    phi[2] = mean_h
-    phi[3] = math.sqrt(var_h)
-    phi[4] = float(np.ptp((xy - mu) @ major)) + voxel
-    phi[5] = float(np.ptp((xy - mu) @ minor)) + voxel
-    phi[6] = float(np.ptp(zs)) + voxel
-    phi[7] = float(counts @ grid.mean_intensity[idx]) / npts
-    phi[8] = math.hypot(box.cx, box.cy) / 100.0
-    phi[9] = min(box.w, box.l) / max(box.w, box.l)
-    phi[10] = npts / n_cells
+    phi[hit, 0] = [math.log1p(n) for n in npts.tolist()]
+    phi[hit, 1] = np.minimum(1.0, n_cols * voxel * voxel / (w_e[hit] * l_e[hit]))
+    phi[hit, 2] = mean_h
+    phi[hit, 3] = np.sqrt(var_dot / npts)
+    phi[hit, 4] = extent[0] + voxel
+    phi[hit, 5] = extent[1] + voxel
+    phi[hit, 6] = np.maximum.reduceat(zs, start) - np.minimum.reduceat(zs, start) + voxel
+    phi[hit, 7] = i_dot / npts
+    phi[hit, 8] = [math.hypot(x, y) / 100.0 for x, y in zip(cx[hit].tolist(), cy[hit].tolist())]
+    phi[hit, 9] = np.minimum(w[hit], l[hit]) / np.maximum(w[hit], l[hit])
+    phi[hit, 10] = npts / n_cells
     return phi
 
 
@@ -383,22 +424,23 @@ def encode(pc: PointCloud, transforms: tuple[Transform, ...]) -> SceneEncoding:
 
     Channel c is ``pc`` under ``transforms[c]``; each channel cloud is dropped
     once voxelized. Each raw proposal is mapped into each channel by its
-    relative transform and pooled there. The voxel grids are dropped on return.
+    relative transform, and each channel grid pools all its anchors in one
+    :func:`roi_features` call. The voxel grids are dropped on return.
     """
     grids = [voxelize(apply_points(t, pc), VOXEL) for t in transforms]
     fused = bev_align([bev_from_voxels(g) for g in grids], transforms)
     raw = propose(fused)
     rels = relative_transforms(transforms)
-    anchors = [[apply_box(rel, box) for rel in rels] for box, _ in raw]
     n, c = len(raw), len(transforms)
+    anchors = np.array([[apply_box(rel, box).as_array() for rel in rels]
+                        for box, _ in raw]).reshape(n, c, BOX_DIM)
     return SceneEncoding(
         transforms=tuple(transforms),
         boxes=np.array([box.as_array() for box, _ in raw]).reshape(n, BOX_DIM),
         features=np.array([phi for _, phi in raw]).reshape(n, N_FEATURES),
-        anchors=np.array([[a.as_array() for a in row] for row in anchors]).reshape(n, c, BOX_DIM),
-        channel_features=np.array(
-            [[roi_features(a, grid) for a, grid in zip(row, grids)] for row in anchors]
-        ).reshape(n, c, N_FEATURES),
+        anchors=anchors,
+        channel_features=np.stack(
+            [roi_features(anchors[:, i], grid) for i, grid in enumerate(grids)], axis=1),
     )
 
 

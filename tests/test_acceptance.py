@@ -3,6 +3,7 @@ PASS line with the measured numbers (run with -s to watch them live).
 
 The heavyweight semi-supervised benchmark (criteria 9 and 10) runs once per
 session for seeds 1-3 through the real CLI against on-disk datasets.
+Criteria 9-11 are marked ``slow``; ``pytest -m "not slow"`` leaves them out.
 """
 import csv
 import math
@@ -409,6 +410,7 @@ def benchmark_runs(tmp_path_factory):
     return runs
 
 
+@pytest.mark.slow
 def test_criterion_9_ssl_gain(benchmark_runs):
     gains = [benchmark_runs[s]["student_map"] - benchmark_runs[s]["pretrain_map"]
              for s in (1, 2, 3)]
@@ -422,6 +424,7 @@ def test_criterion_9_ssl_gain(benchmark_runs):
     report(9, f"{per_seed}; mean gain {mean_gain:+.2f} >= 5; {elapsed:.0f}s < 600s")
 
 
+@pytest.mark.slow
 def test_criterion_10_filtering_quality(benchmark_runs):
     details = []
     for seed in (1, 2, 3):
@@ -438,6 +441,7 @@ def test_criterion_10_filtering_quality(benchmark_runs):
 # criterion 11: thread-count determinism
 # -------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_11_thread_determinism(tmp_path):
     data = tmp_path / "data"
     cfg = tmp_path / "cfg.txt"

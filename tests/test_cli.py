@@ -297,6 +297,26 @@ class TestReport:
         metrics.write_text(header + "\n" + row.replace(",", ",x", 1) + "\n")
         assert main(["report", "--run", str(tmp / "run")]) == 2
 
+    @pytest.mark.parametrize("column, value", [("val_map", "inf"), ("sup_total", "nan"),
+                                               ("val_ap_car", "-inf")])
+    def test_non_finite_value_exit_2(self, tmp_path, capsys, column, value):
+        columns = ["epoch", *(c for cols in cli._REPORT_SERIES.values() for c in cols)]
+        rows = [{**{c: "1.5" for c in columns}, "epoch": str(e)} for e in range(3)]
+        for name in ("good", "bad"):
+            if name == "bad":
+                rows[1][column] = value
+            (tmp_path / name).mkdir()
+            with open(tmp_path / name / "metrics.csv", "w", newline="") as fh:
+                writer = csv.DictWriter(fh, columns)
+                writer.writeheader()
+                writer.writerows(rows)
+        assert main(["report", "--run", str(tmp_path / "good")]) == 0
+        capsys.readouterr()
+        assert main(["report", "--run", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert f"{column} = {value} at epoch 1" in err
+        assert not (tmp_path / "bad" / "report").exists()
+
 
 class TestRunConfigSnapshot:
     def test_config_snapshot_written(self, small_env):

@@ -1,6 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cadet3d.config import (
     ConfigError,
@@ -110,6 +114,43 @@ class TestConfigFile:
         path.write_text("seed = 1\nout_dir = from_file\n")
         cfg = load_config(path, {"out_dir": "from_cli"})
         assert cfg.out_dir == "from_cli"
+
+
+KNOWN_KEYS = sorted(_flatten(RunConfig()))
+
+
+@st.composite
+def config_text(draw):
+    """Any text, or ``key = value`` lines over mostly known keys with values
+    that are numbers, near-numbers or any text."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=200))
+    value = st.one_of(st.integers().map(str), st.floats().map(repr),
+                      st.sampled_from(["nan", "inf", "-1", "0", "1e400", "9" * 5000, "True"]),
+                      st.text(max_size=10))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        key = draw(st.one_of(st.sampled_from(KNOWN_KEYS), st.sampled_from(KNOWN_KEYS),
+                             st.text(max_size=8)))
+        lines.append(f"{key} = {draw(value)}")
+    if draw(st.booleans()):
+        lines.insert(0, "seed = 1")
+    return "\n".join(lines)
+
+
+class TestConfigFuzz:
+    @given(text=config_text())
+    @settings(max_examples=300)
+    def test_any_text_loads_or_raises_config_error(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.txt"
+            path.write_text(text, encoding="utf-8")
+            try:
+                cfg = load_config(path)
+            except ConfigError:
+                return
+        assert isinstance(cfg, RunConfig)
+        cfg.validate()
 
 
 class TestPolicies:

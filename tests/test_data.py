@@ -1,10 +1,17 @@
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cadet3d.data import (
     BinFormatError,
     CLASS_NAMES,
     KittiFormatError,
+    KNOWN_TOKENS,
     Scene,
     SplitSpec,
     SynthConfig,
@@ -20,6 +27,36 @@ from cadet3d.data import (
     write_split,
 )
 from cadet3d.geometry import PointCloud, points_in_box
+
+# numbers and near-numbers a parser must accept or reject cleanly
+NUMBERISH = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "inf", "1e400", "-0", "0x10", "1_0", "", "1.5.2", "+", "-"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def label_text(draw):
+    """Any text, or lines of mostly 15 fields led by mostly known class tokens."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=200))
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        token = draw(st.one_of(st.sampled_from(sorted(KNOWN_TOKENS)), st.text(max_size=5)))
+        n = draw(st.sampled_from([15, 15, 15, 14, 16, 1]))
+        lines.append(" ".join([token] + [draw(NUMBERISH) for _ in range(n - 1)]))
+    return "\n".join(lines)
+
+
+@st.composite
+def bin_bytes(draw):
+    """Any bytes, or float32 records with non-finite values, possibly cut."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    vals = draw(st.lists(st.floats(width=32), max_size=40))
+    raw = np.array(vals, dtype="<f4").tobytes()
+    return raw[: draw(st.integers(0, len(raw)))] if draw(st.booleans()) else raw
 
 
 class TestSynthScene:
@@ -116,8 +153,32 @@ class TestKittiLabels:
         with pytest.raises(KittiFormatError, match="line 2"):
             parse_kitti_label(" ".join(good) + "\n" + " ".join(bad) + "\n")
 
+    @given(text=label_text())
+    @settings(max_examples=300)
+    def test_any_text_parses_or_raises_format_error(self, text):
+        try:
+            boxes, classes = parse_kitti_label(text)
+        except KittiFormatError:
+            return
+        assert len(boxes) == len(classes)
+        assert all(c in range(1, len(CLASS_NAMES) + 1) for c in classes)
+        assert all(math.isfinite(v) for b in boxes for v in b.as_array())
+
 
 class TestBinClouds:
+    @given(raw=bin_bytes())
+    @settings(max_examples=300)
+    def test_any_bytes_read_or_raise_format_error(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "any.bin"
+            path.write_bytes(raw)
+            try:
+                pc = read_bin_cloud(path)
+            except BinFormatError:
+                return
+        assert len(pc) == len(raw) // 16
+        assert np.isfinite(pc.xyz).all() and np.isfinite(pc.intensity).all()
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.bin"
         path.write_bytes(b"")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cadet3d import detector
 from cadet3d.augment import StrongRanges, strong_channels, weak_default_policy
 from cadet3d.data import SynthConfig, synth_scene
 from cadet3d.detector import (
@@ -114,7 +115,7 @@ class TestPropose:
 class TestRoiFeatures:
     def test_empty_region(self):
         grid = voxelize(PointCloud.empty(), VOXEL)
-        phi = roi_features(Box3D(0, 0, 1, 1, 1, 1, 0), grid)
+        phi = roi_features(Box3D(0, 0, 1, 1, 1, 1, 0).as_array()[None], grid)[0]
         expected = np.zeros(N_FEATURES)
         expected[11] = 1.0
         np.testing.assert_array_equal(phi, expected)
@@ -122,7 +123,7 @@ class TestRoiFeatures:
     def test_identity_transform_canonical(self, rng):
         box = Box3D(3.0, 0.0, 0.9, 1.8, 1.5, 4.0, 0.2)
         grid, pc = grid_with_cluster(rng, box)
-        phi = roi_features(box, grid)
+        phi = roi_features(box.as_array()[None], grid)[0]
         assert phi[11] == 1.0
         assert math.expm1(phi[0]) == pytest.approx(len(pc), rel=0.02)
 
@@ -137,8 +138,8 @@ class TestRoiFeatures:
         from cadet3d.geometry import apply_points
 
         grid2 = voxelize(apply_points(t, pc), VOXEL)
-        phi1 = roi_features(box, grid1)
-        phi2 = roi_features(apply_box(t, box), grid2)
+        phi1 = roi_features(box.as_array()[None], grid1)[0]
+        phi2 = roi_features(apply_box(t, box).as_array()[None], grid2)[0]
         assert phi1[0] == phi2[0]  # log1p(point count) identical
 
     def test_voxelized_tolerance_under_scale(self, rng):
@@ -150,8 +151,8 @@ class TestRoiFeatures:
 
         grid1 = voxelize(pc, VOXEL)
         grid2 = voxelize(apply_points(t, pc), VOXEL)
-        n1 = math.expm1(roi_features(box, grid1)[0])
-        n2 = math.expm1(roi_features(apply_box(t, box), grid2)[0])
+        n1 = math.expm1(roi_features(box.as_array()[None], grid1)[0, 0])
+        n2 = math.expm1(roi_features(apply_box(t, box).as_array()[None], grid2)[0, 0])
         assert min(n1, n2) / max(n1, n2) >= 0.9
 
 
@@ -208,30 +209,43 @@ class TestComponentsOracle:
 
 
 class TestRoiOracle:
-    """RoI features equal a test of every voxel against the box, bit for bit."""
+    """A channel's RoIs pooled in one call equal, row for row and bit for bit,
+    each box tested alone against every voxel."""
 
     CHANNELS = [Transform.identity(), Transform(flip_y=True, theta=0.7, s=1.05),
-                Transform(theta=-2.0, s=0.9)]
+                Transform(theta=-2.0, s=0.9), Transform(flip_y=True, theta=-2.9, s=1.6)]
 
     @staticmethod
-    def pooled(box, grid):
-        phi = roi_features(box, grid)
-        np.testing.assert_array_equal(phi, dense_roi_features(box, grid))
+    def pooled(boxes, grid):
+        phi = roi_features(np.array([b.as_array() for b in boxes]).reshape(-1, BOX_DIM), grid)
+        assert phi.shape == (len(boxes), N_FEATURES)
+        for row, box in zip(phi, boxes):
+            np.testing.assert_array_equal(row, dense_roi_features(box, grid))
         return phi
 
     def test_scene_boxes_in_channel_frames(self, rng):
+        # four jittered copies of every object overlap, so RoIs share voxels
         scene = synth_scene(3, SynthConfig())
         tried = pooled = 0
         for t in self.CHANNELS:
             grid = voxelize(apply_points(t, scene.cloud), VOXEL)
+            boxes = []
             for gt in scene.gt_boxes:
                 for _ in range(4):
                     shift = rng.normal(0.0, 0.3, 4)
-                    box = Box3D(gt.cx + shift[0], gt.cy + shift[1], gt.cz, gt.w, gt.h,
-                                gt.l * math.exp(shift[2]), gt.r + shift[3])
-                    tried += 1
-                    pooled += self.pooled(apply_box(t, box), grid)[0] > 0
+                    boxes.append(apply_box(t, Box3D(gt.cx + shift[0], gt.cy + shift[1], gt.cz, gt.w,
+                                                    gt.h, gt.l * math.exp(shift[2]), gt.r + shift[3])))
+            tried += len(boxes)
+            pooled += int((self.pooled(boxes, grid)[:, 0] > 0).sum())
         assert pooled > tried // 2
+
+    def test_rois_sharing_voxels(self, rng):
+        box = Box3D(3.0, 0.0, 0.9, 1.8, 1.5, 4.0, 0.2)
+        grid, _ = grid_with_cluster(rng, box)
+        shifted = [Box3D(3.0 + dx, 0.1, 0.9, 1.8, 1.5, 3.0, 0.2 + dx) for dx in (-0.5, 0.0, 0.4)]
+        phi = self.pooled([box, *shifted, box], grid)
+        assert (phi[:, 0] > 0).all()
+        np.testing.assert_array_equal(phi[0], phi[-1])
 
     def test_random_boxes_past_the_grid_edge(self, rng):
         pc = PointCloud(rng.uniform([-22, -22, 0.2], [22, 22, 2.5], (4000, 3)), rng.random(4000))
@@ -239,21 +253,87 @@ class TestRoiOracle:
         empty = straddling = 0
         for t in self.CHANNELS:
             grid = voxelize(apply_points(t, pc), VOXEL)
-            for _ in range(80):
-                box = apply_box(t, random_box(rng, spread=edge + 3.0))
-                empty += self.pooled(box, grid)[0] == 0
+            boxes = [apply_box(t, random_box(rng, spread=edge + 3.0)) for _ in range(80)]
+            empty += int((self.pooled(boxes, grid)[:, 0] == 0).sum())
+            for box in boxes:
                 reach = 0.5 * ROI_ENLARGE * max(box.w, box.l)
                 straddling += any(abs(c) < edge < abs(c) + reach for c in (box.cx, box.cy))
-        assert 0 < empty < 240 and straddling > 0
+        assert 0 < empty < 320 and straddling > 0
 
     def test_empty_rois(self, rng):
+        # empty RoIs between non-empty ones
+        box = Box3D(3.0, 0.0, 0.9, 1.8, 1.5, 4.0, 0.2)
+        grid, _ = grid_with_cluster(rng, box)
+        boxes = [Box3D(3.0, 0.0, 6.0, 1.8, 1.5, 4.0, 0.2),    # above the cluster
+                 box,
+                 Box3D(-10.0, 5.0, 0.9, 1.8, 1.5, 4.0, 1.0),  # beside it
+                 Box3D(45.0, 0.0, 0.9, 1.8, 1.5, 4.0, 0.0),   # off the grid
+                 Box3D(2.5, 0.3, 1.0, 1.2, 1.0, 2.0, -0.4),
+                 Box3D(3.0, 0.0, -4.0, 1.8, 1.5, 4.0, 0.2)]   # below it
+        phi = self.pooled(boxes, grid)
+        assert (phi[[0, 2, 3, 5], 0] == 0).all() and (phi[[1, 4], 0] > 0).all()
+        assert (phi[:, 11] == 1).all()
+
+    def test_no_rois_and_empty_grid(self, rng):
         grid, _ = grid_with_cluster(rng, Box3D(3.0, 0.0, 0.9, 1.8, 1.5, 4.0, 0.2))
-        for box in (Box3D(3.0, 0.0, 6.0, 1.8, 1.5, 4.0, 0.2),   # above the cluster
-                    Box3D(-10.0, 5.0, 0.9, 1.8, 1.5, 4.0, 1.0),  # beside it
-                    Box3D(45.0, 0.0, 0.9, 1.8, 1.5, 4.0, 0.0)):  # off the grid
-            phi = self.pooled(box, grid)
-            assert phi[0] == 0 and phi[11] == 1
-        self.pooled(Box3D(3.0, 0.0, 0.9, 1.8, 1.5, 4.0, 0.2), voxelize(PointCloud.empty(), VOXEL))
+        empty_grid = voxelize(PointCloud.empty(), VOXEL)
+        for g in (grid, empty_grid):
+            assert roi_features(np.empty((0, BOX_DIM)), g).shape == (0, N_FEATURES)
+        phi = self.pooled([random_box(rng) for _ in range(5)], empty_grid)
+        expected = np.zeros(N_FEATURES)
+        expected[11] = 1.0
+        np.testing.assert_array_equal(phi, np.tile(expected, (5, 1)))
+
+    def test_single_voxel_roi(self):
+        # one occupied voxel: zero covariance, and every extent is one voxel
+        pc = PointCloud(np.array([[1.3, -2.2, 0.7], [1.31, -2.21, 0.71], [8.0, 8.0, 1.0]]),
+                        np.array([0.2, 0.4, 0.9]))
+        grid = voxelize(pc, VOXEL)
+        boxes = [Box3D(1.3, -2.2, 0.7, 0.3, 0.3, 0.3, r) for r in (0.0, 0.9, -2.4)]
+        phi = self.pooled(boxes, grid)
+        voxel = VOXEL.voxel_size
+        assert (phi[:, 10] == 2.0).all() and (phi[:, [4, 5, 6]] == voxel).all()
+        assert (phi[:, 3] == 0.0).all()
+
+
+class TestEncodeRois:
+    def test_channel_features_equal_oracle_one_pool_per_grid(self, monkeypatch):
+        scene = synth_scene(5, SynthConfig())
+        transforms = strong_channels(StrongRanges(), 3, 11)
+        calls = []
+        original = detector.roi_features
+
+        def counted(anchors, grid):
+            calls.append(len(anchors))
+            return original(anchors, grid)
+
+        monkeypatch.setattr(detector, "roi_features", counted)
+        enc = encode(scene.cloud, transforms)
+        k = len(enc.boxes)
+        assert k > 0 and calls == [k] * len(transforms)
+        for c, t in enumerate(transforms):
+            grid = voxelize(apply_points(t, scene.cloud), VOXEL)
+            for anchor, phi in zip(enc.anchors[:, c], enc.channel_features[:, c]):
+                np.testing.assert_array_equal(phi, dense_roi_features(Box3D(*anchor.tolist()), grid))
+
+
+class TestStackedEigh:
+    """One ``eigh`` over stacked (K, 2, 2) covariances equals one call per
+    matrix, bit for bit; RoI pooling relies on it."""
+
+    def test_stacked_equals_per_matrix(self, rng):
+        covs = [np.zeros((2, 2)), np.outer([0.6, -0.8], [0.6, -0.8]), np.diag([2.0, 0.5]),
+                np.eye(2) * 0.25, np.outer([1.0, 0.0], [1.0, 0.0]) * 3.0]
+        for _ in range(200):
+            xy = rng.normal(size=(int(rng.integers(1, 40)), 2)) * rng.uniform(0.1, 5.0, 2)
+            w = rng.integers(1, 9, len(xy)).astype(float)
+            centered = xy - (w @ xy) / w.sum()
+            covs.append((centered * w[:, None]).T @ centered / w.sum())
+        vals, vecs = np.linalg.eigh(np.stack(covs))
+        for cov, v_stacked, u_stacked in zip(covs, vals, vecs):
+            v, u = np.linalg.eigh(cov)
+            np.testing.assert_array_equal(v_stacked, v)
+            np.testing.assert_array_equal(u_stacked, u)
 
 
 class TestRefine:
