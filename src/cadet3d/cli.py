@@ -23,6 +23,7 @@ from .data import (
     BinFormatError,
     KittiFormatError,
     Scene,
+    SplitFormatError,
     SplitSpec,
     atomic_open,
     load_scene,
@@ -351,7 +352,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPAT
     # input problems; UnicodeDecodeError is undecodable config, label or split text
-    except (ConfigError, KittiFormatError, BinFormatError, OSError, UnicodeDecodeError) as exc:
+    except (ConfigError, KittiFormatError, BinFormatError, SplitFormatError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except NonFiniteLossError as exc:

@@ -33,6 +33,10 @@ class BinFormatError(ValueError):
     """Raised on malformed point files; message names the byte offset."""
 
 
+class SplitFormatError(ValueError):
+    """Raised on a split file whose ids cannot name scene files of the dataset."""
+
+
 @dataclass
 class Scene:
     """One sample: a point cloud plus (possibly empty) box annotations."""
@@ -297,4 +301,17 @@ def write_split(root, name: str, ids: list[str]) -> None:
 
 
 def read_split(root, name: str) -> list[str]:
-    return Path(Path(root) / "splits" / f"{name}.txt").read_text().split()
+    """Scene ids of a split file, whitespace-separated, so none is empty. An
+    id is a file name stem inside the dataset, so ``.``, ``..`` or an id that
+    holds a path separator raises :class:`SplitFormatError`, and so does an id
+    listed twice, which would count its scene twice."""
+    path = Path(root) / "splits" / f"{name}.txt"
+    ids = path.read_text().split()
+    seen = set()
+    for sid in ids:
+        if sid in (".", "..") or "/" in sid or "\\" in sid:
+            raise SplitFormatError(f"{path}: scene id {sid!r} is not a file name")
+        if sid in seen:
+            raise SplitFormatError(f"{path}: scene id {sid!r} is listed twice")
+        seen.add(sid)
+    return ids

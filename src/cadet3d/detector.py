@@ -1,10 +1,11 @@
 """Lightweight multi-channel detector.
 
 Structure: per-channel occupancy voxel grids, aligned/max-pooled BEV fusion,
-a geometric proposer (connected components + PCA box fit) with a learned
-linear classifier, per-channel RoI pooling (one batched pass over all
-proposals per channel grid) feeding linear objectness and residual-regression
-heads, and back-transformed averaging into detections.
+a geometric proposer (connected components + PCA box fit, all components in
+one batched pass) with a learned linear classifier, per-channel RoI pooling
+(one batched pass over all proposals per channel grid) feeding linear
+objectness and residual-regression heads, and back-transformed averaging into
+detections.
 The learned region-proposal stage of full-scale detectors is deliberately
 replaced by the geometric proposer so every head stays a linear map over a
 fixed 12-component feature vector.
@@ -39,6 +40,7 @@ from .geometry import (
     PointCloud,
     Transform,
     apply_box,
+    apply_boxes,
     apply_points,
     average_boxes,
     best_match,
@@ -214,65 +216,31 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _pca_axes(xy: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(major, minor) unit axes of a planar point set."""
-    if weights is None:
-        weights = np.ones(len(xy))
-    total = weights.sum()
-    mu = (weights @ xy) / total
-    centered = xy - mu
-    cov = (centered * weights[:, None]).T @ centered / total
-    _, vecs = np.linalg.eigh(cov)  # ascending eigenvalues
-    return vecs[:, 1], vecs[:, 0]
+def _connected_components(flat: np.ndarray, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """8-connected components of the cells with ascending row-major flat
+    indices ``flat`` on a grid ``ny`` cells wide.
 
+    Returns ``(order, start)``: ``flat[order]`` lists the components in
+    row-major seed order, each in ascending order, and component k begins at
+    position ``start[k]``.
 
-def _component_feature(
-    cell_xy: np.ndarray, feats: np.ndarray, box: Box3D, proj_major: np.ndarray,
-    proj_minor: np.ndarray, voxel: float
-) -> np.ndarray:
-    """Classifier feature for a BEV component. Intensity is not represented in
-    BEV features, so that slot is zero at proposal time."""
-    count = float(feats[:, BEV_MAX_OCC].sum())
-    n_cells = len(cell_xy)
-    phi = np.zeros(N_FEATURES)
-    phi[0] = math.log1p(count)
-    phi[1] = min(1.0, n_cells * voxel * voxel / (box.w * box.l))
-    phi[2] = float(feats[:, BEV_MAX_HEIGHT].mean())
-    phi[3] = float(feats[:, BEV_MAX_HEIGHT].std())
-    phi[4] = float(np.ptp(proj_major)) + voxel
-    phi[5] = float(np.ptp(proj_minor)) + voxel
-    phi[6] = box.h
-    phi[8] = math.hypot(box.cx, box.cy) / 100.0
-    phi[9] = min(box.w, box.l) / max(box.w, box.l)
-    phi[10] = count / n_cells
-    phi[11] = 1.0
-    return phi
-
-
-def _connected_components(occ: np.ndarray) -> list[np.ndarray]:
-    """8-connected components of a boolean grid, in row-major seed order,
-    each an (n, 2) array of its cells in row-major order.
-
-    Every occupied cell starts labelled with its own position in the
-    row-major cell list. Each round lowers a cell's label to the least label
-    among its neighbours and then jumps it to its label's label, until nothing
-    changes; every label is then its component's first cell.
+    Every cell starts labelled with its own position in ``flat``. Each round
+    lowers a cell's label to the least label among its neighbours and then
+    jumps it to its label's label, until nothing changes; every label is then
+    its component's first cell.
     """
-    ny = occ.shape[1]
-    cells = np.argwhere(occ)
-    if not len(cells):
-        return []
-    flat = cells[:, 0] * ny + cells[:, 1]
+    if not len(flat):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    col = flat % ny
     a, b = [], []  # occupied neighbour pairs (a[k], b[k]), each found once
     for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
         target = flat + di * ny + dj
         pos = np.minimum(np.searchsorted(flat, target), len(flat) - 1)
-        col = cells[:, 1] + dj
-        found = np.flatnonzero((flat[pos] == target) & (col >= 0) & (col < ny))
+        found = np.flatnonzero((flat[pos] == target) & (col + dj >= 0) & (col + dj < ny))
         a.append(found)
         b.append(pos[found])
     a, b = np.concatenate(a), np.concatenate(b)
-    label = np.arange(len(cells))
+    label = np.arange(len(flat))
     while True:
         low = label.copy()
         np.minimum.at(low, a, label[b])
@@ -282,38 +250,84 @@ def _connected_components(occ: np.ndarray) -> list[np.ndarray]:
             break
         label = low
     order = np.argsort(label, kind="stable")
-    return np.split(cells[order], np.flatnonzero(np.diff(label[order])) + 1)
+    return order, np.flatnonzero(np.diff(label[order], prepend=-1))
 
 
-def propose(fused: BevGrid) -> list[tuple[Box3D, np.ndarray]]:
-    """Raw geometric proposals from the fused BEV grid: (box, classifier feature).
+def propose(fused: BevGrid) -> np.ndarray:
+    """Raw geometric proposals from the fused BEV grid, one row each: the box's
+    7 parameters, then its F classifier features.
 
-    Connected occupied components are fitted with an oriented box (PCA yaw,
-    projection extents plus padding, column statistics for the vertical span);
-    small components are dropped. Scoring and NMS happen per params, in
-    :func:`score_proposals`.
+    The occupied cells are those of ``fused.cells`` with at least ``MIN_OCC``
+    points. Their connected components are fitted with an oriented box (PCA
+    yaw, projection extents plus padding, column statistics for the vertical
+    span); components of fewer than ``MIN_CELLS`` cells are dropped. Intensity
+    is not represented in BEV features, so that feature is zero. Scoring and
+    NMS happen per params, in :func:`score_proposals`.
+
+    All components are fitted in one array pass: one stacked ``eigh``, and
+    segment extrema for the extents and the vertical span. The sums stay one
+    call per component with the operand shapes of fitting it alone (the mean
+    and covariance products, ``mean``, the two projections and the column
+    ``sum``, ``mean`` and ``std``), so every row has the bits of a fit of its
+    component alone.
     """
-    occ = fused.features[:, :, BEV_MAX_OCC] >= MIN_OCC
+    occupied = fused.values[:, BEV_MAX_OCC] >= MIN_OCC
+    flat, values = fused.cells[occupied], fused.values[occupied]
+    order, start = _connected_components(flat, fused.shape[1])
+    sizes = np.diff(start, append=len(flat))
+    big = sizes >= MIN_CELLS
+    raw = np.zeros((int(big.sum()), BOX_DIM + N_FEATURES))
+    if not len(raw):
+        return raw
+    idx = order[np.repeat(big, sizes)]
+    n_cells = sizes[big]
+    end = np.cumsum(n_cells)
+    start = end - n_cells
+    bounds = list(zip(start.tolist(), end.tolist()))
+    xy, feats = fused.cell_xy(flat[idx]), values[idx]
+    ones = np.ones(len(idx))
+    sum_xy, mean = np.empty((len(raw), 2)), np.empty((len(raw), 2))
+    count, height, spread = np.empty(len(raw)), np.empty(len(raw)), np.empty(len(raw))
+    for k, (a, b) in enumerate(bounds):
+        sum_xy[k] = ones[a:b] @ xy[a:b]
+        mean[k] = xy[a:b].mean(axis=0)
+        count[k] = feats[a:b, BEV_MAX_OCC].sum()
+        height[k] = feats[a:b, BEV_MAX_HEIGHT].mean()
+        spread[k] = feats[a:b, BEV_MAX_HEIGHT].std()
+    centered = xy - np.repeat(sum_xy / n_cells[:, None], n_cells, axis=0)
+    weighted = centered * ones[:, None]
+    cov = np.empty((len(raw), 2, 2))
+    for k, (a, b) in enumerate(bounds):
+        cov[k] = weighted[a:b].T @ centered[a:b]
+    _, vecs = np.linalg.eigh(cov / n_cells[:, None, None])  # ascending eigenvalues
+    offset = xy - np.repeat(mean, n_cells, axis=0)
+    proj = np.empty((2, len(idx)))  # onto the major and the minor axis
+    for k, (a, b) in enumerate(bounds):
+        proj[0, a:b] = offset[a:b] @ vecs[k, :, 1]
+        proj[1, a:b] = offset[a:b] @ vecs[k, :, 0]
+    extent = np.maximum.reduceat(proj, start, axis=1) - np.minimum.reduceat(proj, start, axis=1)
     voxel = fused.voxel_size
-    raw = []
-    for comp in _connected_components(occ):
-        if len(comp) < MIN_CELLS:
-            continue
-        xy = np.asarray(fused.origin_xy) + (comp + 0.5) * voxel
-        feats = fused.features[comp[:, 0], comp[:, 1]]
-        major, minor = _pca_axes(xy)
-        mu = xy.mean(axis=0)
-        pu = (xy - mu) @ major
-        pv = (xy - mu) @ minor
-        length = float(np.ptp(pu)) + voxel + PADDING
-        width = float(np.ptp(pv)) + voxel + PADDING
-        # vertical span measured from the grid floor: columns sample objects
-        # too sparsely for the occupied-fraction estimate to be reliable
-        z_top = float(feats[:, BEV_MAX_HEIGHT].max())
-        h = max(z_top + 0.5 * voxel - fused.z_origin, voxel)
-        box = Box3D(float(mu[0]), float(mu[1]), fused.z_origin + 0.5 * h, width, h, length,
-                    math.atan2(major[1], major[0]))
-        raw.append((box, _component_feature(xy, feats, box, pu, pv, voxel)))
+    length = extent[0] + voxel + PADDING
+    width = extent[1] + voxel + PADDING
+    # vertical span measured from the grid floor: columns sample objects
+    # too sparsely for the occupied-fraction estimate to be reliable
+    z_top = np.maximum.reduceat(feats[:, BEV_MAX_HEIGHT], start)
+    h = np.maximum(z_top + 0.5 * voxel - fused.z_origin, voxel)
+    raw[:, :BOX_DIM] = np.column_stack([
+        mean, fused.z_origin + 0.5 * h, width, h, length,
+        [wrap_angle(math.atan2(y, x)) for x, y in vecs[:, :, 1].tolist()]])
+    phi = raw[:, BOX_DIM:]
+    phi[:, 0] = [math.log1p(n) for n in count.tolist()]
+    phi[:, 1] = np.minimum(1.0, n_cells * voxel * voxel / (width * length))
+    phi[:, 2] = height
+    phi[:, 3] = spread
+    phi[:, 4] = extent[0] + voxel
+    phi[:, 5] = extent[1] + voxel
+    phi[:, 6] = h
+    phi[:, 8] = [math.hypot(x, y) / 100.0 for x, y in mean.tolist()]
+    phi[:, 9] = np.minimum(width, length) / np.maximum(width, length)
+    phi[:, 10] = count / n_cells
+    phi[:, 11] = 1.0
     return raw
 
 
@@ -423,21 +437,20 @@ def encode(pc: PointCloud, transforms: tuple[Transform, ...]) -> SceneEncoding:
     """Everything of detection that reads no weights; see :class:`SceneEncoding`.
 
     Channel c is ``pc`` under ``transforms[c]``; each channel cloud is dropped
-    once voxelized. Each raw proposal is mapped into each channel by its
-    relative transform, and each channel grid pools all its anchors in one
-    :func:`roi_features` call. The voxel grids are dropped on return.
+    once voxelized. All raw proposals are mapped into each channel by its
+    relative transform in one :func:`apply_boxes` call, and each channel grid
+    pools all its anchors in one :func:`roi_features` call. The voxel grids
+    are dropped on return.
     """
     grids = [voxelize(apply_points(t, pc), VOXEL) for t in transforms]
-    fused = bev_align([bev_from_voxels(g) for g in grids], transforms)
-    raw = propose(fused)
-    rels = relative_transforms(transforms)
-    n, c = len(raw), len(transforms)
-    anchors = np.array([[apply_box(rel, box).as_array() for rel in rels]
-                        for box, _ in raw]).reshape(n, c, BOX_DIM)
+    raw = propose(bev_align([bev_from_voxels(g) for g in grids], transforms))
+    boxes = np.ascontiguousarray(raw[:, :BOX_DIM])
+    anchors = np.stack([apply_boxes(rel, boxes) for rel in relative_transforms(transforms)],
+                       axis=1)
     return SceneEncoding(
         transforms=tuple(transforms),
-        boxes=np.array([box.as_array() for box, _ in raw]).reshape(n, BOX_DIM),
-        features=np.array([phi for _, phi in raw]).reshape(n, N_FEATURES),
+        boxes=boxes,
+        features=np.ascontiguousarray(raw[:, BOX_DIM:]),
         anchors=anchors,
         channel_features=np.stack(
             [roi_features(anchors[:, i], grid) for i, grid in enumerate(grids)], axis=1),

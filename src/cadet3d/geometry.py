@@ -174,6 +174,24 @@ def apply_box(t: Transform, b: Box3D) -> Box3D:
     )
 
 
+def apply_boxes(t: Transform, boxes: np.ndarray) -> np.ndarray:
+    """:func:`apply_box` over the rows of an (N, 7) box array. It keeps the
+    scalar map's operations in their order, with ``cos`` and ``sin`` taken
+    once, so every row has the bits of mapping that box alone. The identity
+    returns ``boxes`` itself."""
+    if t.is_identity:
+        return boxes
+    cx, cy, cz, w, h, l, r = boxes.T
+    if t.flip_y:
+        cy = -cy
+        r = -r
+    c, s = math.cos(t.theta), math.sin(t.theta)
+    cx, cy = c * cx - s * cy, s * cx + c * cy
+    r = np.fmod(r + t.theta, TWO_PI)  # wrap_angle, elementwise
+    r = np.where(r <= -math.pi, r + TWO_PI, np.where(r > math.pi, r - TWO_PI, r))
+    return np.stack([t.s * cx, t.s * cy, t.s * cz, t.s * w, t.s * h, t.s * l, r], axis=1)
+
+
 def _polygon_area(poly: Sequence[tuple[float, float]]) -> float:
     if len(poly) < 3:
         return 0.0

@@ -75,27 +75,45 @@ def voxelize(pc: PointCloud, cfg: VoxelConfig) -> VoxelGrid:
     return VoxelGrid(cfg, coords, counts, mean_z, mean_int)
 
 
-def _filled(rows: np.ndarray) -> np.ndarray:
-    """Rows of an (N, F) feature array with any nonzero entry; one pass per
-    column, which numpy runs faster than ``rows.any(axis=1)``."""
-    filled = rows[:, 0] != 0
-    for k in range(1, rows.shape[1]):
-        filled |= rows[:, k] != 0
-    return filled
-
-
-@dataclass
 class BevGrid:
-    """Dense 2D feature grid derived from a voxel grid by vertical compression."""
+    """2D feature grid derived from a voxel grid by vertical compression,
+    held as its occupied cells.
 
-    origin_xy: tuple[float, float]
-    voxel_size: float
-    features: np.ndarray  # (nx, ny, 2): BEV_MAX_OCC, BEV_MAX_HEIGHT
-    z_origin: float = 0.0
+    ``cells`` are the ascending row-major flat indices of the held cells and
+    ``values`` their (n, F) features (``BEV_MAX_OCC``, ``BEV_MAX_HEIGHT`` for
+    grids of :func:`bev_from_voxels`); every other cell is zero. About 1 % of
+    a scene's cells are occupied. ``BevGrid(origin_xy, voxel_size, features)``
+    takes a dense (nx, ny, F) array and holds its nonzero cells;
+    :meth:`from_cells` takes the held cells, which a fused grid's lookups may
+    leave zero. :attr:`features` is the dense array, built when first read.
+    """
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.features.shape[0], self.features.shape[1]
+    def __init__(self, origin_xy: tuple[float, float], voxel_size: float,
+                 features: np.ndarray, z_origin: float = 0.0) -> None:
+        nx, ny, n_feat = features.shape
+        flat = features.reshape(nx * ny, n_feat)
+        cells = np.flatnonzero((flat != 0).any(axis=1))
+        self.origin_xy, self.voxel_size, self.z_origin = origin_xy, voxel_size, z_origin
+        self.shape, self.cells, self.values = (nx, ny), cells, flat[cells]
+
+    @classmethod
+    def from_cells(cls, origin_xy: tuple[float, float], voxel_size: float,
+                   shape: tuple[int, int], cells: np.ndarray, values: np.ndarray,
+                   z_origin: float = 0.0) -> "BevGrid":
+        """Grid of ``shape`` that holds ``cells`` (ascending flat indices) with
+        features ``values``."""
+        grid = cls.__new__(cls)
+        grid.origin_xy, grid.voxel_size, grid.z_origin = origin_xy, voxel_size, z_origin
+        grid.shape, grid.cells, grid.values = shape, cells, values
+        return grid
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        """Dense (nx, ny, F) features."""
+        nx, ny = self.shape
+        dense = np.zeros((nx * ny, self.values.shape[1]))
+        dense[self.cells] = self.values
+        return dense.reshape(nx, ny, -1)
 
     def cell_xy(self, cells: np.ndarray) -> np.ndarray:
         """(N, 2) planar centers of the cells with row-major flat indices ``cells``."""
@@ -103,49 +121,58 @@ class BevGrid:
         return np.asarray(self.origin_xy) + (ij + 0.5) * self.voxel_size
 
     def interpolate(self, xy: np.ndarray) -> np.ndarray:
-        """Bilinear feature lookup at planar points, zero outside the extent.
+        """(N, F) bilinear feature lookup at planar points, zero outside the extent."""
+        hit, rows = self.lookup(xy)
+        out = np.zeros((len(xy), self.values.shape[1]))
+        out[hit] = rows
+        return out
 
-        Corners outside the grid read zero. Points whose four corners are all
-        empty are exactly zero; only the rest, few on sparse grids, are
-        weighted.
+    def lookup(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(hit, rows): the indices of the points of ``xy`` that have a held
+        bilinear corner, and their interpolated features; every other point
+        reads exactly zero.
+
+        Corners outside the grid read zero, and each corner inside it is found
+        by ``searchsorted`` on ``cells``.
         """
         nx, ny = self.shape
-        flat = self.features.reshape(nx * ny, -1)
         u = (xy[:, 0] - self.origin_xy[0]) / self.voxel_size - 0.5
         v = (xy[:, 1] - self.origin_xy[1]) / self.voxel_size - 0.5
         i0 = np.floor(u).astype(np.int64)
         j0 = np.floor(v).astype(np.int64)
         i = i0[:, None] + np.array([0, 0, 1, 1])  # corners 00, 01, 10, 11
         j = j0[:, None] + np.array([0, 1, 0, 1])
-        inside = (i >= 0) & (i < nx) & (j >= 0) & (j < ny)
-        corner = np.where(inside[:, :, None], flat[np.where(inside, i * ny + j, 0)], 0.0)
-        hit = np.flatnonzero(_filled(corner.reshape(len(xy), 4 * flat.shape[1])))
+        flat = i * ny + j
+        n = len(self.cells)
+        pos = np.searchsorted(self.cells, flat)
+        found = (np.append(self.cells, -1)[pos] == flat) & (i >= 0) & (i < nx) & (j >= 0) & (j < ny)
+        hit = np.flatnonzero(found.any(axis=1))
+        pos = np.where(found[hit], pos[hit], n)  # row n of the padded values is zero
+        corner = np.take(np.vstack([self.values, np.zeros(self.values.shape[1])]), pos, axis=0)
         fu = u[hit] - i0[hit]
         fv = v[hit] - j0[hit]
-        f00, f01, f10, f11 = corner[hit].transpose(1, 0, 2)
-        out = np.zeros((len(xy), flat.shape[1]))
-        out[hit] = (
+        f00, f01, f10, f11 = corner.transpose(1, 0, 2)
+        return hit, (
             ((1 - fu) * (1 - fv))[:, None] * f00
             + ((1 - fu) * fv)[:, None] * f01
             + (fu * (1 - fv))[:, None] * f10
             + (fu * fv)[:, None] * f11
         )
-        return out
 
 
 def bev_from_voxels(grid: VoxelGrid) -> BevGrid:
-    """Compress each vertical column into (max point count, max mean height);
-    empty columns are zero in both features."""
+    """Compress each vertical column into (max point count, max mean height).
+
+    The voxels of a column are one run of ``grid.coords``, so the occupied
+    cells are the runs and their features are maxima over each run.
+    """
     cfg = grid.cfg
-    n = cfg.nx * cfg.ny
     col = grid.coords[:, 0] * cfg.ny + grid.coords[:, 1]
-    occ = np.zeros(n)
-    top = np.full(n, -np.inf)
-    np.maximum.at(occ, col, grid.counts)
-    np.maximum.at(top, col, grid.mean_z)
-    top[~np.isfinite(top)] = 0.0
-    features = np.stack([occ, top], axis=1).reshape(cfg.nx, cfg.ny, 2)
-    return BevGrid((cfg.origin[0], cfg.origin[1]), cfg.voxel_size, features, cfg.origin[2])
+    start = np.flatnonzero(np.diff(col, prepend=-1))
+    values = np.stack([np.maximum.reduceat(grid.counts, start),
+                       np.maximum.reduceat(grid.mean_z, start)], axis=1)
+    return BevGrid.from_cells((cfg.origin[0], cfg.origin[1]), cfg.voxel_size, (cfg.nx, cfg.ny),
+                              col[start], values, cfg.origin[2])
 
 
 def _footprint_cells(base: BevGrid, grid: BevGrid, rel: Transform) -> np.ndarray:
@@ -158,14 +185,12 @@ def _footprint_cells(base: BevGrid, grid: BevGrid, rel: Transform) -> np.ndarray
     by that radius in base cells, plus a slack that covers rounding. The result
     is a superset of the cells whose lookup is nonzero.
     """
-    gx, gy = grid.shape
-    occ = np.flatnonzero(_filled(grid.features.reshape(gx * gy, -1)))
-    back = transform_xy(invert(rel), grid.cell_xy(occ))
+    back = transform_xy(invert(rel), grid.cell_xy(grid.cells))
     back = (back - np.asarray(base.origin_xy)) / base.voxel_size - 0.5  # base cell coordinates
     radius = math.sqrt(2.0) * grid.voxel_size / (rel.s * base.voxel_size) + 1e-6
     span = np.arange(int(2 * radius) + 1)  # integers in [x - radius, x + radius]
     nx, ny = base.shape
-    if len(occ) * len(span) ** 2 >= nx * ny:  # dilating costs more than looking up every cell
+    if len(grid.cells) * len(span) ** 2 >= nx * ny:  # dilating costs more than every lookup
         return np.arange(nx * ny)
     lo = np.ceil(back - radius).astype(np.int64)
     i = (lo[:, 0, None] + span)[:, :, None]
@@ -185,20 +210,33 @@ def bev_align(grids: list[BevGrid], transforms: list[Transform]) -> BevGrid:
     maximum over channels. Only the cells of :func:`_footprint_cells` are
     looked up; every other cell is exactly zero. Identity mappings skip
     interpolation so a single channel, or all-identity transforms, reproduce
-    inputs exactly.
+    inputs exactly. The maxima run over the union of the channels' cells, a
+    frame that holds zero wherever a channel has no cell, in channel order.
     """
     if len(grids) != len(transforms) or not grids:
         raise ValueError("need one transform per grid")
     base = grids[0]
     nx, ny = base.shape
-    fused = base.features.reshape(nx * ny, -1).copy()
-    frame = np.zeros_like(fused)  # one channel's lookups, zero off its cells
+    channels = []  # (cells, values) of each further channel in channel 1
     for grid, rel in zip(grids[1:], relative_transforms(transforms)[1:]):
         if rel.is_identity and grid.shape == base.shape:
-            np.maximum(fused, grid.features.reshape(nx * ny, -1), out=fused)
+            channels.append((grid.cells, grid.values))
             continue
         cells = _footprint_cells(base, grid, rel)
-        frame[cells] = grid.interpolate(transform_xy(rel, base.cell_xy(cells)))
+        hit, rows = grid.lookup(transform_xy(rel, base.cell_xy(cells)))
+        channels.append((cells[hit], rows))
+    union = np.zeros(nx * ny, dtype=bool)
+    union[base.cells] = True
+    for cells, _ in channels:
+        union[cells] = True
+    union = np.flatnonzero(union)
+    fused = np.zeros((len(union), base.values.shape[1]))
+    fused[np.searchsorted(union, base.cells)] = base.values
+    frame = np.zeros_like(fused)
+    for cells, values in channels:
+        pos = np.searchsorted(union, cells)
+        frame[pos] = values
         np.maximum(fused, frame, out=fused)
-        frame[cells] = 0.0
-    return BevGrid(base.origin_xy, base.voxel_size, fused.reshape(nx, ny, -1), base.z_origin)
+        frame[pos] = 0.0
+    return BevGrid.from_cells(base.origin_xy, base.voxel_size, base.shape, union, fused,
+                              base.z_origin)

@@ -4,7 +4,8 @@ These deliberately avoid the library's computational paths: IoU by Monte
 Carlo point sampling, average precision by direct prefix enumeration,
 three-way partitioning by exhaustive search, BEV alignment by a dense
 bilinear lookup that gathers and weights every query point, connected
-components by a flood fill, and RoI pooling by a test of every voxel.
+components by a flood fill, RoI pooling by a test of every voxel, and
+proposals by a scan of every BEV cell and a box fit per component.
 """
 from __future__ import annotations
 
@@ -12,8 +13,21 @@ import math
 
 import numpy as np
 
-from cadet3d.detector import N_FEATURES, ROI_ENLARGE, _pca_axes
+from cadet3d.detector import BOX_DIM, MIN_CELLS, MIN_OCC, N_FEATURES, PADDING, ROI_ENLARGE
 from cadet3d.geometry import Box3D, compose, invert, points_in_box, transform_xy
+from cadet3d.voxels import BEV_MAX_HEIGHT, BEV_MAX_OCC
+
+
+def _pca_axes(xy: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(major, minor) unit axes of a planar point set."""
+    if weights is None:
+        weights = np.ones(len(xy))
+    total = weights.sum()
+    mu = (weights @ xy) / total
+    centered = xy - mu
+    cov = (centered * weights[:, None]).T @ centered / total
+    _, vecs = np.linalg.eigh(cov)  # ascending eigenvalues
+    return vecs[:, 1], vecs[:, 0]
 
 
 def point_in_box_bev(box: Box3D, xy: np.ndarray) -> np.ndarray:
@@ -191,3 +205,42 @@ def dense_roi_features(box: Box3D, grid) -> np.ndarray:
     phi[9] = min(box.w, box.l) / max(box.w, box.l)
     phi[10] = npts / n_cells
     return phi
+
+
+def dense_propose(fused) -> np.ndarray:
+    """Proposals as ``detector.propose`` returns them: the occupied cells from
+    a scan of the dense features, components by :func:`flood_fill_components`,
+    and one box and feature fit per component."""
+    features = fused.features
+    voxel = fused.voxel_size
+    rows = []
+    for comp in flood_fill_components(features[:, :, BEV_MAX_OCC] >= MIN_OCC):
+        if len(comp) < MIN_CELLS:
+            continue
+        xy = np.asarray(fused.origin_xy) + (comp + 0.5) * voxel
+        feats = features[comp[:, 0], comp[:, 1]]
+        major, minor = _pca_axes(xy)
+        mu = xy.mean(axis=0)
+        pu = (xy - mu) @ major
+        pv = (xy - mu) @ minor
+        length = float(np.ptp(pu)) + voxel + PADDING
+        width = float(np.ptp(pv)) + voxel + PADDING
+        z_top = float(feats[:, BEV_MAX_HEIGHT].max())
+        h = max(z_top + 0.5 * voxel - fused.z_origin, voxel)
+        box = Box3D(float(mu[0]), float(mu[1]), fused.z_origin + 0.5 * h, width, h, length,
+                    math.atan2(major[1], major[0]))
+        count = float(feats[:, BEV_MAX_OCC].sum())
+        phi = np.zeros(N_FEATURES)
+        phi[0] = math.log1p(count)
+        phi[1] = min(1.0, len(comp) * voxel * voxel / (box.w * box.l))
+        phi[2] = float(feats[:, BEV_MAX_HEIGHT].mean())
+        phi[3] = float(feats[:, BEV_MAX_HEIGHT].std())
+        phi[4] = float(np.ptp(pu)) + voxel
+        phi[5] = float(np.ptp(pv)) + voxel
+        phi[6] = box.h
+        phi[8] = math.hypot(box.cx, box.cy) / 100.0
+        phi[9] = min(box.w, box.l) / max(box.w, box.l)
+        phi[10] = count / len(comp)
+        phi[11] = 1.0
+        rows.append(np.concatenate([box.as_array(), phi]))
+    return np.array(rows).reshape(-1, BOX_DIM + N_FEATURES)

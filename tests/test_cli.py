@@ -221,6 +221,20 @@ class TestEval:
         main(["gen-data", "--config", str(cfg)])
         assert main(["eval", "--config", str(cfg), "--params", str(tmp / "nope.params")]) == 2
 
+    @pytest.mark.parametrize("bad_id", ["../labeled_copy/000000", "DUPLICATE"])
+    def test_bad_split_id_exit_2(self, small_env, capsys, bad_id):
+        tmp, cfg = small_env
+        main(["gen-data", "--config", str(cfg)])
+        main(["pretrain", "--config", str(cfg)])
+        split = tmp / "data" / "splits" / "val.txt"
+        ids = split.read_text().split()
+        split.write_text("\n".join(ids + [ids[0] if bad_id == "DUPLICATE" else bad_id]) + "\n")
+        out = tmp / "eval_out"
+        assert main(["eval", "--config", str(cfg), "--out", str(out),
+                     "--params", str(tmp / "run" / "pretrain.params")]) == 2
+        assert "val.txt: scene id" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     @pytest.mark.parametrize("kind", ["non_finite", "class_mismatch", "ragged_body"])
     def test_bad_params_exit_3(self, small_env, kind):
         tmp, cfg = small_env

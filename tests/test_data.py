@@ -13,6 +13,7 @@ from cadet3d.data import (
     KittiFormatError,
     KNOWN_TOKENS,
     Scene,
+    SplitFormatError,
     SplitSpec,
     SynthConfig,
     load_scene,
@@ -260,6 +261,25 @@ class TestSceneIo:
     def test_split_files(self, tmp_path):
         write_split(tmp_path, "labeled", ["000001", "000005"])
         assert read_split(tmp_path, "labeled") == ["000001", "000005"]
+
+    @pytest.mark.parametrize("text", [
+        "../../model_data/points/000000\n000001\n",  # reads a cloud outside the dataset
+        "000001\npoints/000001\n",
+        "000001\n..\\000002\n",
+        ".\n",
+        "..\n",
+        "000001\n000002\n000001\n",  # would count scene 000001 twice
+    ])
+    def test_bad_split_ids_rejected(self, tmp_path, text):
+        (tmp_path / "splits").mkdir()
+        (tmp_path / "splits" / "val.txt").write_text(text)
+        with pytest.raises(SplitFormatError):
+            read_split(tmp_path, "val")
+
+    def test_split_ids_whitespace_separated(self, tmp_path):
+        (tmp_path / "splits").mkdir()
+        (tmp_path / "splits" / "val.txt").write_text("\n 000003  000001\n\n...\n")
+        assert read_split(tmp_path, "val") == ["000003", "000001", "..."]
 
     def test_scene_validation(self):
         with pytest.raises(ValueError):

@@ -49,10 +49,11 @@ from cadet3d.geometry import (
     compose,
     invert,
     iou_3d,
+    relative_transforms,
 )
 from cadet3d.voxels import BevGrid, VoxelConfig, bev_align, bev_from_voxels, voxelize
 from conftest import random_box
-from reference import dense_roi_features, flood_fill_components
+from reference import dense_bev_align, dense_propose, dense_roi_features, flood_fill_components
 
 
 def box_surface_points(rng, box, n=150, inset=0.06):
@@ -77,7 +78,7 @@ class TestPropose:
         fused = bev_align([bev_from_voxels(grid)], [Transform.identity()])
         props = propose(fused)
         assert len(props) == 1
-        assert iou_3d(props[0][0], box) > 0.3
+        assert iou_3d(Box3D(*props[0, :BOX_DIM]), box) > 0.3
 
     def test_two_distant_clusters(self, rng):
         b1 = Box3D(5.0, 5.0, 0.9, 1.8, 1.5, 4.0, 0.3)
@@ -94,14 +95,14 @@ class TestPropose:
         fused = bev_align([bev_from_voxels(grid)], [Transform.identity()])
         props = propose(fused)
         assert len(props) == 1
-        err = abs(math.degrees(props[0][0].r - yaw)) % 180
+        err = abs(math.degrees(props[0, BOX_DIM - 1] - yaw)) % 180
         assert min(err, 180 - err) < 10
 
     def test_small_components_dropped(self, rng):
         pts = np.array([[0.0, 0.0, 0.5]])
         grid = voxelize(PointCloud(pts, np.zeros(1)), VOXEL)
         fused = bev_align([bev_from_voxels(grid)], [Transform.identity()])
-        assert propose(fused) == []
+        assert propose(fused).shape == (0, BOX_DIM + N_FEATURES)
 
     def test_class_scores_sum_to_one(self, rng):
         box = Box3D(1.0, -2.0, 0.9, 1.8, 1.5, 4.0, 1.0)
@@ -161,7 +162,8 @@ class TestComponentsOracle:
 
     @staticmethod
     def assert_flood_fill(occ):
-        got = _connected_components(occ)
+        order, start = _connected_components(np.flatnonzero(occ), occ.shape[1])
+        got = np.split(np.argwhere(occ)[order], start[1:]) if len(start) else []
         want = flood_fill_components(occ)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -206,6 +208,76 @@ class TestComponentsOracle:
         wrap = np.zeros((4, 5), dtype=bool)
         wrap[1, 4] = wrap[2, 0] = True
         assert len(self.assert_flood_fill(wrap)) == 2
+
+
+class TestProposeOracle:
+    """propose equals a scan of every dense cell, a flood fill and one box
+    and feature fit per component, row for row and bit for bit."""
+
+    @staticmethod
+    def assert_dense(fused):
+        got = propose(fused)
+        assert got.shape[1] == BOX_DIM + N_FEATURES
+        np.testing.assert_array_equal(got, dense_propose(fused))
+        return got
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_synth_scenes_weak_and_strong(self, seed):
+        cloud = synth_scene(seed, SynthConfig()).cloud
+        for transforms in (weak_default_policy(), strong_channels(StrongRanges(), 3, seed)):
+            bevs = [bev_from_voxels(voxelize(apply_points(t, cloud), VOXEL)) for t in transforms]
+            assert len(self.assert_dense(bev_align(bevs, transforms))) > 0
+
+    def test_random_grids(self, rng):
+        # occupancies on both sides of MIN_OCC, so some cells are held but not occupied
+        for density in (0.05, 0.2, 0.5):
+            for _ in range(10):
+                shape = tuple(rng.integers(3, 30, 2)) + (2,)
+                feats = rng.uniform(0.2, 4.0, shape) * (rng.random(shape[:2]) < density)[..., None]
+                self.assert_dense(BevGrid((-1.5, 2.0), 0.25, feats, z_origin=0.15))
+
+    def test_empty_grid_and_single_cell(self):
+        feats = np.zeros((6, 5, 2))
+        assert len(self.assert_dense(BevGrid((0.0, 0.0), 0.25, feats))) == 0
+        feats[3, 2] = (4.0, 1.2)
+        assert len(self.assert_dense(BevGrid((0.0, 0.0), 0.25, feats))) == 0
+
+    def test_components_below_min_cells(self):
+        feats = np.zeros((12, 12, 2))
+        feats[1, 1:3] = (2.0, 0.9)  # two cells: dropped
+        feats[5, 5], feats[6, 6] = (1.0, 0.4), (3.0, 1.1)  # diagonal pair: dropped
+        feats[9, 2:5] = (1.0, 0.5)  # three cells: kept
+        feats[9:11, 8] = (2.0, 0.7)  # two occupied cells and one below MIN_OCC: dropped
+        feats[11, 8] = (0.5, 0.7)
+        got = self.assert_dense(BevGrid((0.0, 0.0), 0.25, feats, z_origin=0.15))
+        assert len(got) == 1
+
+    def test_components_touching_the_border(self, rng):
+        n = 10
+        feats = np.zeros((n, n, 2))
+        feats[0, :] = rng.uniform(1.0, 3.0, (n, 2))  # first row
+        feats[3:7, -1] = rng.uniform(1.0, 3.0, (4, 2))  # last column
+        feats[4:8, 0] = rng.uniform(1.0, 3.0, (4, 2))  # first column: no neighbour of the last
+        feats[-1, -3:] = rng.uniform(1.0, 3.0, (3, 2))  # last row, corner
+        got = self.assert_dense(BevGrid((-1.25, -1.25), 0.25, feats))
+        assert len(got) == 4
+
+    def test_encode_equals_the_dense_path(self):
+        strong = strong_channels(StrongRanges(), 3, 7)
+        for seed, transforms in ((2, weak_default_policy()), (3, strong)):
+            cloud = synth_scene(seed, SynthConfig()).cloud
+            enc = encode(cloud, transforms)
+            bevs = [bev_from_voxels(voxelize(apply_points(t, cloud), VOXEL)) for t in transforms]
+            fused = BevGrid(bevs[0].origin_xy, bevs[0].voxel_size,
+                            dense_bev_align(bevs, transforms), bevs[0].z_origin)
+            raw = dense_propose(fused)
+            assert len(raw) > 0
+            np.testing.assert_array_equal(enc.boxes, raw[:, :BOX_DIM])
+            np.testing.assert_array_equal(enc.features, raw[:, BOX_DIM:])
+            for box, anchors in zip(enc.boxes, enc.anchors):
+                for rel, anchor in zip(relative_transforms(transforms), anchors):
+                    np.testing.assert_array_equal(
+                        anchor, apply_box(rel, Box3D(*box.tolist())).as_array())
 
 
 class TestRoiOracle:

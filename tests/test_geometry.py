@@ -10,6 +10,7 @@ from cadet3d.geometry import (
     PointCloud,
     Transform,
     apply_box,
+    apply_boxes,
     apply_points,
     average_boxes,
     best_match,
@@ -89,6 +90,25 @@ class TestTransforms:
         b = apply_box(Transform(theta=math.pi / 2), Box3D(1, 0, 0, 1, 1, 2, 0.0))
         np.testing.assert_allclose([b.cx, b.cy], [0.0, 1.0], atol=1e-12)
         assert b.r == pytest.approx(math.pi / 2)
+
+    def test_box_array_equals_scalar(self, rng):
+        # yaws at and beside +-pi, where the wrap steps by 2 pi, and zero
+        near_pi = [math.pi, math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0),
+                   -math.pi + 1e-9, 0.0, -0.0]
+        rows = [Box3D(1.5, -2.0, 0.3, 1.0, 1.2, 2.0, r) for r in near_pi]
+        rows += [random_box(rng) for _ in range(300)]
+        arr = np.array([b.as_array() for b in rows])
+        cases = [Transform.identity(), Transform(flip_y=True), Transform(theta=math.pi),
+                 Transform(theta=-math.pi, s=1.3), Transform(flip_y=True, theta=math.pi, s=0.7),
+                 Transform(flip_y=True, theta=math.nextafter(-math.pi, 0.0), s=1.02)]
+        cases += [Transform(flip_y=bool(rng.random() < 0.5), theta=rng.uniform(-math.pi, math.pi),
+                            s=rng.uniform(0.5, 2.0)) for _ in range(40)]
+        for t in cases:
+            got = apply_boxes(t, arr)
+            want = np.array([apply_box(t, b).as_array() for b in rows])
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        assert apply_boxes(Transform(theta=0.3), np.empty((0, 7))).shape == (0, 7)
 
     def test_invert_identity(self):
         assert invert(Transform.identity()) == Transform.identity()
