@@ -19,6 +19,17 @@ the proposal class scores, proposal NMS, the heads and the final NMS. The weak
 channel transforms are fixed, so one encoding of a scene serves every pass
 over it.
 
+Scoring runs on the encoding's arrays. :func:`score_proposals` returns the
+indices of the proposals that survive NMS, and :func:`refine` indexes their
+(K, C, 7) anchors and (K, C, F) features; decoding, back-transforms and the
+channel average run over all rows at once. The calls whose bits depend on
+being made alone stay one per row or value: each head's matvec, and
+``math.exp``, ``hypot`` and ``atan2``. ``nms`` and ``best_match`` test exact
+IoU only on the pairs that pass an array circumradius pre-reject. So scores
+and boxes keep the bits of scoring one proposal, channel and box at a time.
+:class:`Box3D` objects are built only for the detections :func:`detect`
+returns and for training examples.
+
 The detector is fixed, as in the paper, where experiments vary the channel
 transforms and the dual thresholds but never the detector. Its settings
 (voxel grid, proposal and RoI geometry, NMS and match IoUs, learning rate,
@@ -39,12 +50,14 @@ from .geometry import (
     Box3D,
     PointCloud,
     Transform,
-    apply_box,
     apply_boxes,
     apply_points,
-    average_boxes,
+    average_box_rows,
     best_match,
+    box_rows,
+    check_boxes,
     decode_residual,
+    decode_residuals,
     encode_residual,
     invert,
     iou_3d,
@@ -158,38 +171,12 @@ class SceneEncoding:
             arr.setflags(write=False)
 
 
-def _boxes(rows: np.ndarray) -> list[Box3D]:
-    return [Box3D(*(float(v) for v in row)) for row in rows]
-
-
-@dataclass
-class Proposal:
-    """A raw proposal that survived proposal NMS, with its encoded channel RoIs."""
-
-    box: Box3D
-    class_scores: np.ndarray  # (C+1,), sums to 1
-    feature: np.ndarray  # (F,) classifier input, kept for training parity
-    anchors: list[Box3D]  # ``box`` in each channel frame
-    channel_features: np.ndarray  # (C, F) RoI features pooled at ``anchors``
-
-    @property
-    def predicted_class(self) -> int:
-        """Most likely foreground class id (1-based)."""
-        return int(self.class_scores[1:].argmax()) + 1
-
-
 @dataclass
 class Detection:
-    box: Box3D
-    per_channel_boxes: list[Box3D]
+    box: Box3D  # the average of ``per_channel_boxes``
+    per_channel_boxes: list[Box3D]  # canonical frame
     class_scores: np.ndarray
     objectness: float
-
-    @classmethod
-    def from_channels(cls, per_channel_boxes: list[Box3D], class_scores: np.ndarray,
-                      objectness: float) -> "Detection":
-        """Detection whose box is the average of its canonical-frame channel boxes."""
-        return cls(average_boxes(per_channel_boxes), per_channel_boxes, class_scores, objectness)
 
     @property
     def p_hat(self) -> float:
@@ -288,12 +275,16 @@ def propose(fused: BevGrid) -> np.ndarray:
     ones = np.ones(len(idx))
     sum_xy, mean = np.empty((len(raw), 2)), np.empty((len(raw), 2))
     count, height, spread = np.empty(len(raw)), np.empty(len(raw)), np.empty(len(raw))
+    add = np.add.reduce  # ndarray.mean and .std are add.reduce, then the division by n
     for k, (a, b) in enumerate(bounds):
         sum_xy[k] = ones[a:b] @ xy[a:b]
-        mean[k] = xy[a:b].mean(axis=0)
-        count[k] = feats[a:b, BEV_MAX_OCC].sum()
-        height[k] = feats[a:b, BEV_MAX_HEIGHT].mean()
-        spread[k] = feats[a:b, BEV_MAX_HEIGHT].std()
+        mean[k] = add(xy[a:b], axis=0) / (b - a)
+        count[k] = add(feats[a:b, BEV_MAX_OCC])
+        z = feats[a:b, BEV_MAX_HEIGHT]
+        height[k] = add(z) / (b - a)
+        d = z - height[k]
+        spread[k] = add(d * d) / (b - a)
+    spread = np.sqrt(spread)
     centered = xy - np.repeat(sum_xy / n_cells[:, None], n_cells, axis=0)
     weighted = centered * ones[:, None]
     cov = np.empty((len(raw), 2, 2))
@@ -457,48 +448,54 @@ def encode(pc: PointCloud, transforms: tuple[Transform, ...]) -> SceneEncoding:
     )
 
 
-def score_proposals(enc: SceneEncoding, params: DetectorParams) -> list[Proposal]:
-    """The encoding's raw proposals scored by the linear classifier; the
-    survivors of greedy proposal NMS, in NMS order."""
-    boxes = _boxes(enc.boxes)
-    scores = [softmax(params.w_cls @ (phi / FEATURE_SCALE)) for phi in enc.features]
-    keep = nms([(b, float(sc[1:].max())) for b, sc in zip(boxes, scores)], PROPOSAL_NMS_IOU)
-    return [Proposal(boxes[i], scores[i], enc.features[i], _boxes(enc.anchors[i]),
-                     enc.channel_features[i]) for i in keep]
+def score_proposals(enc: SceneEncoding, params: DetectorParams) -> tuple[list[int], np.ndarray]:
+    """The encoding's raw proposals scored by the linear classifier: the
+    indices of the survivors of greedy proposal NMS, in NMS order, and their
+    (C+1,) class score rows."""
+    scores = [softmax(params.w_cls @ phi) for phi in enc.features / FEATURE_SCALE]
+    keep = nms(enc.boxes, [float(sc[1:].max()) for sc in scores], PROPOSAL_NMS_IOU)
+    return keep, np.array([scores[i] for i in keep]).reshape(len(keep), len(params.w_cls))
 
 
 def refine(
-    proposals: list[Proposal],
-    transforms: tuple[Transform, ...],
+    enc: SceneEncoding,
+    keep: list[int],
+    class_scores: np.ndarray,
     params: DetectorParams,
-) -> list[Detection]:
-    """Per-channel RoI refinement and back-transformed averaging.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-channel RoI refinement and back-transformed averaging of the
+    proposals ``keep`` of ``enc``, whose class scores are ``class_scores``.
 
     Proposals live in the channel-1 frame; refined boxes come back to the
     canonical (untransformed) frame through each channel's inverse transform.
+    Returns the (M, 7) averaged boxes, the (M, C, 7) channel boxes and the
+    (M,) objectness. Each head's matvec is one call per proposal and channel;
+    decoding, back-transforms and averaging run over all rows at once with
+    the bits of the scalar :func:`decode_residual`, :func:`apply_box` and
+    :func:`average_boxes`. A non-finite or non-positive decoded,
+    back-transformed or averaged box raises ValueError.
     """
-    inv_backs = [invert(t) for t in transforms]
-    dets = []
-    for prop in proposals:
-        k = prop.predicted_class - 1
-        channel_boxes = []
-        obj_scores = []
-        for anchor, feature, back in zip(prop.anchors, prop.channel_features, inv_backs):
-            phi = feature / FEATURE_SCALE
-            decoded = decode_residual(params.w_reg[k] @ phi, anchor)
-            channel_boxes.append(apply_box(back, decoded))
-            obj_scores.append(sigmoid(float(params.w_obj[k] @ phi)))
-        dets.append(Detection.from_channels(
-            channel_boxes, prop.class_scores.copy(), float(np.mean(obj_scores))
-        ))
-    return dets
+    n_ch = len(enc.transforms)
+    anchors = enc.anchors[keep].reshape(-1, BOX_DIM)
+    phis = (enc.channel_features[keep] / FEATURE_SCALE).reshape(-1, N_FEATURES)
+    heads = np.repeat(class_scores[:, 1:].argmax(axis=1), n_ch).tolist()
+    res = np.array([params.w_reg[k] @ phi for k, phi in zip(heads, phis)]).reshape(-1, BOX_DIM)
+    obj = np.array([sigmoid(float(params.w_obj[k] @ phi)) for k, phi in zip(heads, phis)])
+    decoded = check_boxes(decode_residuals(res, anchors)).reshape(-1, n_ch, BOX_DIM)
+    channel_boxes = check_boxes(np.stack(
+        [apply_boxes(invert(t), decoded[:, c]) for c, t in enumerate(enc.transforms)], axis=1))
+    boxes = check_boxes(average_box_rows(channel_boxes))
+    return boxes, channel_boxes, obj.reshape(-1, n_ch).mean(axis=1)
 
 
 def detect(enc: SceneEncoding, params: DetectorParams) -> list[Detection]:
     """Score an encoded scene; detections are canonical-frame and NMS-deduplicated."""
-    dets = refine(score_proposals(enc, params), enc.transforms, params)
-    keep = nms([(d.box, d.confidence) for d in dets], FINAL_NMS_IOU)
-    return [dets[i] for i in keep]
+    keep, class_scores = score_proposals(enc, params)
+    boxes, channel_boxes, objectness = refine(enc, keep, class_scores, params)
+    confidence = class_scores[:, 1:].max(axis=1) * objectness
+    return [Detection(Box3D(*boxes[i].tolist()), [Box3D(*b) for b in channel_boxes[i].tolist()],
+                      class_scores[i], float(objectness[i]))
+            for i in nms(boxes, confidence.tolist(), FINAL_NMS_IOU)]
 
 
 # ---------------------------------------------------------------------------
@@ -642,19 +639,20 @@ def build_training_examples(
     box targets are produced by pushing the matched target through each
     channel transform.
     """
-    t1_inv = invert(enc.transforms[0])
+    keep, _ = score_proposals(enc, params)
+    gts = box_rows(target_boxes)
+    canonical = apply_boxes(invert(enc.transforms[0]), enc.boxes[keep])
+    channel_gts = [apply_boxes(t, gts).tolist() for t in enc.transforms]
     examples = []
-    for prop in score_proposals(enc, params):
-        iou, idx = best_match(apply_box(t1_inv, prop.box), target_boxes)
+    for i, (iou, idx) in zip(keep, best_match(canonical, gts)):
+        anchors = [Box3D(*a) for a in enc.anchors[i].tolist()]
         if idx >= 0 and iou >= MATCH_IOU:
-            targets = [
-                align_yaw_to_anchor(apply_box(t, target_boxes[idx]), anchor)
-                for t, anchor in zip(enc.transforms, prop.anchors)
-            ]
+            targets = [align_yaw_to_anchor(Box3D(*gt[idx]), anchor)
+                       for gt, anchor in zip(channel_gts, anchors)]
             target_class, weight = target_classes[idx], float(target_weights[idx])
         else:
             targets, target_class, weight = None, 0, background_weight
-        examples.append(TrainExample(prop.feature, list(prop.channel_features), prop.anchors,
+        examples.append(TrainExample(enc.features[i], list(enc.channel_features[i]), anchors,
                                      targets, target_class, weight))
     return examples
 

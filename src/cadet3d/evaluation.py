@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box3D, best_match
+from .geometry import Box3D, best_match, box_rows
 
 # 3D IoU a true positive needs; entry k is class id k + 1 (Car, Pedestrian, Cyclist)
 IOU_THRESHOLDS = (0.7, 0.5, 0.5)
@@ -31,8 +31,8 @@ def match_detections(
     taken: set[int] = set()
     flags: list[bool] = []
     pairs: list[tuple[int, int]] = []
-    for di in order:
-        iou, gi = best_match(det_boxes[di], gt_boxes, skip=taken)
+    matches = best_match(box_rows(det_boxes)[order], box_rows(gt_boxes), skip=taken)
+    for di, (iou, gi) in zip(order, matches):
         if gi >= 0 and iou >= iou_thresh:
             taken.add(gi)
             flags.append(True)
@@ -119,8 +119,8 @@ def pseudo_quality(pseudo_boxes, gt_boxes, gt_classes) -> PseudoQualityCounts:
     whose IoU misses the class threshold. Expects stratified boxes (``.level``);
     an unknown level counts as low."""
     counts = PseudoQualityCounts()
-    for pb in pseudo_boxes:
-        iou, gi = best_match(pb.box, gt_boxes)
+    matches = best_match(box_rows([pb.box for pb in pseudo_boxes]), box_rows(gt_boxes))
+    for pb, (iou, gi) in zip(pseudo_boxes, matches):
         if gi < 0 or gt_classes[gi] != pb.cls or iou < IOU_THRESHOLDS[pb.cls - 1]:
             counts.prefilter += 1
             if pb.level in ("high", "ambiguous"):

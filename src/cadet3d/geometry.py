@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Container, Sequence
+from typing import Container, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +30,13 @@ def wrap_angle(r: float) -> float:
     return r
 
 
+def wrap_angles(r: np.ndarray) -> np.ndarray:
+    """:func:`wrap_angle` elementwise, with the same bits for finite angles
+    (``fmod`` is exact); a non-finite angle becomes NaN."""
+    r = np.fmod(r, TWO_PI)
+    return np.where(r <= -math.pi, r + TWO_PI, np.where(r > math.pi, r - TWO_PI, r))
+
+
 @dataclass(frozen=True)
 class Box3D:
     """7-DoF oriented box: center (m), width/height/length (m), yaw (rad)."""
@@ -44,7 +51,7 @@ class Box3D:
 
     def __post_init__(self) -> None:
         vals = (self.cx, self.cy, self.cz, self.w, self.h, self.l, self.r)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError(f"non-finite box field: {vals}")
         if self.w <= 0 or self.h <= 0 or self.l <= 0:
             raise ValueError(f"box sizes must be positive: w={self.w} h={self.h} l={self.l}")
@@ -56,6 +63,36 @@ class Box3D:
     def corners_bev(self) -> np.ndarray:
         """Footprint corners, CCW, shape (4, 2)."""
         return np.array(_corners_list(self))
+
+
+class BoxRow(NamedTuple):
+    """One row of a box array under :class:`Box3D`'s field names, unvalidated:
+    the exact overlap tests read it as they read a Box3D. The array it comes
+    from is validated whole by :func:`check_boxes`."""
+
+    cx: float
+    cy: float
+    cz: float
+    w: float
+    h: float
+    l: float
+    r: float
+
+
+def box_rows(boxes: Sequence[Box3D]) -> np.ndarray:
+    """The (N, 7) array of the boxes' fields."""
+    return np.array([(b.cx, b.cy, b.cz, b.w, b.h, b.l, b.r) for b in boxes],
+                    dtype=np.float64).reshape(-1, 7)
+
+
+def check_boxes(boxes: np.ndarray) -> np.ndarray:
+    """``boxes`` itself if every row would pass :class:`Box3D` validation:
+    finite fields and positive sizes. Raises ValueError otherwise."""
+    if not np.isfinite(boxes).all():
+        raise ValueError("non-finite box field")
+    if not (boxes[..., 3:6] > 0).all():
+        raise ValueError("box sizes must be positive")
+    return boxes
 
 
 @dataclass(frozen=True)
@@ -187,8 +224,7 @@ def apply_boxes(t: Transform, boxes: np.ndarray) -> np.ndarray:
         r = -r
     c, s = math.cos(t.theta), math.sin(t.theta)
     cx, cy = c * cx - s * cy, s * cx + c * cy
-    r = np.fmod(r + t.theta, TWO_PI)  # wrap_angle, elementwise
-    r = np.where(r <= -math.pi, r + TWO_PI, np.where(r > math.pi, r - TWO_PI, r))
+    r = wrap_angles(r + t.theta)
     return np.stack([t.s * cx, t.s * cy, t.s * cz, t.s * w, t.s * h, t.s * l, r], axis=1)
 
 
@@ -258,12 +294,8 @@ def _bev_overlap(a: Box3D, b: Box3D) -> tuple[float, float, float]:
         return 0.0, a.w * a.l, b.w * b.l
     ca, cb = _corners_list(a), _corners_list(b)
     area_a, area_b = _polygon_area(ca), _polygon_area(cb)
-    if (
-        max(p[0] for p in ca) < min(p[0] for p in cb)
-        or max(p[0] for p in cb) < min(p[0] for p in ca)
-        or max(p[1] for p in ca) < min(p[1] for p in cb)
-        or max(p[1] for p in cb) < min(p[1] for p in ca)
-    ):
+    (xa, ya), (xb, yb) = zip(*ca), zip(*cb)
+    if max(xa) < min(xb) or max(xb) < min(xa) or max(ya) < min(yb) or max(yb) < min(ya):
         return 0.0, area_a, area_b
     inter = _clip_convex(ca, cb)
     area_i = _polygon_area(inter)
@@ -293,35 +325,73 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     return min(1.0, max(0.0, vol_i / union))
 
 
-def best_match(box: Box3D, candidates: Sequence[Box3D],
-               skip: Container[int] = ()) -> tuple[float, int]:
-    """(3D IoU, index) of the candidate overlapping ``box`` most, ignoring the
-    indices in ``skip``. Ties go to the earliest index; (0.0, -1) when no
-    candidate overlaps."""
-    best_iou, best_idx = 0.0, -1
-    for idx, cand in enumerate(candidates):
-        if idx in skip:
-            continue
-        iou = iou_3d(box, cand)
-        if iou > best_iou:
-            best_iou, best_idx = iou, idx
-    return best_iou, best_idx
+def overlap_candidates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) mask of the box-row pairs whose BEV footprints may
+    overlap.
+
+    A pair is False only where :func:`_bev_overlap` rejects it by its
+    circumradius test, so its IoU is exactly 0.0 and it is never clipped.
+    The test runs here over all pairs at once, each circumradius loosened by
+    a slack far above the test's rounding error, so a borderline pair still
+    reaches the exact test. A non-finite row is a candidate of every row.
+    """
+    def reach(boxes):
+        radius = 0.5 * np.hypot(boxes[:, 3], boxes[:, 5])
+        return radius * (1.0 + 1e-9) + 1e-9 * (1.0 + np.abs(boxes[:, :2]).sum(axis=1))
+
+    ra = reach(a)
+    rb = ra if b is a else reach(b)
+    return ~(np.hypot(a[:, 0, None] - b[:, 0], a[:, 1, None] - b[:, 1]) > ra[:, None] + rb)
 
 
-def nms(dets: Sequence[tuple[Box3D, float]], iou_thresh: float) -> list[int]:
-    """Greedy BEV-IoU suppression; returns kept indices in descending-score order.
+def best_match(boxes: np.ndarray, candidates: np.ndarray,
+               skip: Container[int] = ()) -> Iterator[tuple[float, int]]:
+    """For each (7,) row of ``boxes`` in turn, the (3D IoU, index) of the row
+    of ``candidates`` overlapping it most, ignoring the indices in ``skip``.
+    Ties go to the earliest index; (0.0, -1) when no candidate overlaps.
+
+    ``skip`` is read afresh for every row, so a caller may add the candidates
+    it claims as it iterates. The exact :func:`iou_3d` runs only on the pairs
+    that :func:`overlap_candidates` keeps; any other pair's IoU is 0.0, which
+    never beats the running best.
+    """
+    near = overlap_candidates(check_boxes(boxes), check_boxes(candidates)).tolist()
+    cands = [BoxRow(*row) for row in candidates.tolist()]
+    for row, hits in zip(boxes.tolist(), near):
+        box = BoxRow(*row)
+        best_iou, best_idx = 0.0, -1
+        for idx, hit in enumerate(hits):
+            if not hit or idx in skip:
+                continue
+            iou = iou_3d(box, cands[idx])
+            if iou > best_iou:
+                best_iou, best_idx = iou, idx
+        yield best_iou, best_idx
+
+
+def nms(boxes: np.ndarray, scores: Sequence[float], iou_thresh: float) -> list[int]:
+    """Greedy BEV-IoU suppression over (N, 7) box rows; returns kept indices
+    in descending-score order. A box is suppressed when its IoU with a kept
+    box reaches ``iou_thresh``.
 
     Ties in score break toward the earlier input index, so the result is a
-    pure function of the input sequence.
+    pure function of the input sequence. The exact :func:`iou_bev` runs only
+    on the pairs that :func:`overlap_candidates` keeps; any other pair's IoU
+    is 0.0.
     """
-    for _, score in dets:
+    for score in scores:
         if not math.isfinite(score):
             raise ValueError("nms scores must be finite")
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i][1], i))
+    near = overlap_candidates(check_boxes(boxes), boxes).tolist()
+    rows = [BoxRow(*row) for row in boxes.tolist()]
+    order = sorted(range(len(rows)), key=lambda i: (-scores[i], i))
     kept: list[int] = []
     for i in order:
-        box = dets[i][0]
-        if all(iou_bev(box, dets[j][0]) < iou_thresh for j in kept):
+        hits = near[i]
+        for j in kept:
+            if not (iou_bev(rows[i], rows[j]) if hits[j] else 0.0) < iou_thresh:
+                break
+        else:
             kept.append(i)
     return kept
 
@@ -342,6 +412,14 @@ def encode_residual(target: Box3D, anchor: Box3D) -> np.ndarray:
     )
 
 
+def _exp(x: float) -> float:
+    """``math.exp``, with inf where it overflows, for validation to reject."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def decode_residual(res: np.ndarray, anchor: Box3D) -> Box3D:
     """Inverse of :func:`encode_residual`."""
     d = math.hypot(anchor.w, anchor.l)
@@ -349,21 +427,38 @@ def decode_residual(res: np.ndarray, anchor: Box3D) -> Box3D:
         cx=anchor.cx + float(res[0]) * d,
         cy=anchor.cy + float(res[1]) * d,
         cz=anchor.cz + float(res[2]) * anchor.h,
-        w=anchor.w * math.exp(float(res[3])),
-        h=anchor.h * math.exp(float(res[4])),
-        l=anchor.l * math.exp(float(res[5])),
+        w=anchor.w * _exp(float(res[3])),
+        h=anchor.h * _exp(float(res[4])),
+        l=anchor.l * _exp(float(res[5])),
         r=wrap_angle(anchor.r + float(res[6])),
     )
+
+
+def decode_residuals(res: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """:func:`decode_residual` over the rows of (N, 7) residuals and anchors,
+    with the bits of decoding each row alone: ``hypot`` and ``exp`` come from
+    ``math``, one call per value. Rows are not validated."""
+    cx, cy, cz, w, h, l, r = anchors.T
+    d = np.array([math.hypot(a, b) for a, b in zip(w.tolist(), l.tolist())])
+    e = np.array([_exp(v) for v in res[:, 3:6].ravel().tolist()]).reshape(-1, 3)
+    return np.column_stack([cx + res[:, 0] * d, cy + res[:, 1] * d, cz + res[:, 2] * h,
+                            w * e[:, 0], h * e[:, 1], l * e[:, 2], wrap_angles(r + res[:, 6])])
+
+
+def average_box_rows(boxes: np.ndarray) -> np.ndarray:
+    """:func:`average_boxes` of each (C, 7) block of a (M, C, 7) array, as
+    (M, 7) rows with the bits of averaging each block alone. Rows are not
+    validated."""
+    sin, cos = np.sin(boxes[:, :, 6]).sum(axis=1), np.cos(boxes[:, :, 6]).sum(axis=1)
+    r = [math.atan2(s, c) for s, c in zip(sin.tolist(), cos.tolist())]
+    return np.column_stack([boxes[:, :, :6].mean(axis=1), wrap_angles(np.array(r))])
 
 
 def average_boxes(boxes: Sequence[Box3D]) -> Box3D:
     """Arithmetic mean of center and sizes; yaw averaged on the circle."""
     if not boxes:
         raise ValueError("average_boxes requires at least one box")
-    arr = np.stack([b.as_array() for b in boxes])
-    mean = arr[:, :6].mean(axis=0)
-    r = math.atan2(np.sin(arr[:, 6]).sum(), np.cos(arr[:, 6]).sum())
-    return Box3D(mean[0], mean[1], mean[2], mean[3], mean[4], mean[5], wrap_angle(r))
+    return Box3D(*average_box_rows(box_rows(boxes)[None])[0].tolist())
 
 
 def points_in_box(box: Box3D, xyz: np.ndarray, strict: bool = True) -> np.ndarray:

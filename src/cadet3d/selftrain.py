@@ -25,7 +25,7 @@ from .detector import (
     train_on_scene,
 )
 from .evaluation import EvalResult, evaluate_scenes, pseudo_quality
-from .geometry import Box3D, PointCloud, best_match, iou_3d, points_in_box
+from .geometry import Box3D, PointCloud, best_match, box_rows, iou_3d, points_in_box
 
 log = logging.getLogger(__name__)
 
@@ -120,10 +120,12 @@ def pairing_iou_consistency(
 ) -> np.ndarray:
     """Baseline comparator: per box in ``a``, the best IoU over all of ``b``.
 
-    Evaluates every (a, b) pair, i.e. O(N1 * N2) work, which is what the
-    channel method avoids.
+    Considers every (a, b) pair, i.e. O(N1 * N2) work, which is what the
+    channel method avoids; the exact IoU runs on the pairs that pass
+    ``best_match``'s pre-reject.
     """
-    scores = np.array([best_match(a, boxes_b)[0] for a in boxes_a], dtype=np.float64)
+    scores = np.array([iou for iou, _ in best_match(box_rows(boxes_a), box_rows(boxes_b))],
+                      dtype=np.float64)
     if counter is not None:
         counter.add(len(boxes_a) * len(boxes_b))
     return scores

@@ -4,8 +4,10 @@ These deliberately avoid the library's computational paths: IoU by Monte
 Carlo point sampling, average precision by direct prefix enumeration,
 three-way partitioning by exhaustive search, BEV alignment by a dense
 bilinear lookup that gathers and weights every query point, connected
-components by a flood fill, RoI pooling by a test of every voxel, and
-proposals by a scan of every BEV cell and a box fit per component.
+components by a flood fill, RoI pooling by a test of every voxel,
+proposals by a scan of every BEV cell and a box fit per component, NMS and
+best-match by the exact IoU of every pair, and scoring one proposal, channel
+and box at a time.
 """
 from __future__ import annotations
 
@@ -13,8 +15,37 @@ import math
 
 import numpy as np
 
-from cadet3d.detector import BOX_DIM, MIN_CELLS, MIN_OCC, N_FEATURES, PADDING, ROI_ENLARGE
-from cadet3d.geometry import Box3D, compose, invert, points_in_box, transform_xy
+from dataclasses import dataclass
+
+from cadet3d.detector import (
+    BOX_DIM,
+    FEATURE_SCALE,
+    FINAL_NMS_IOU,
+    MATCH_IOU,
+    MIN_CELLS,
+    MIN_OCC,
+    N_FEATURES,
+    PADDING,
+    PROPOSAL_NMS_IOU,
+    ROI_ENLARGE,
+    Detection,
+    TrainExample,
+    align_yaw_to_anchor,
+    sigmoid,
+    softmax,
+)
+from cadet3d.geometry import (
+    Box3D,
+    apply_box,
+    compose,
+    decode_residual,
+    invert,
+    iou_3d,
+    iou_bev,
+    points_in_box,
+    transform_xy,
+    wrap_angle,
+)
 from cadet3d.voxels import BEV_MAX_HEIGHT, BEV_MAX_OCC
 
 
@@ -244,3 +275,101 @@ def dense_propose(fused) -> np.ndarray:
         phi[11] = 1.0
         rows.append(np.concatenate([box.as_array(), phi]))
     return np.array(rows).reshape(-1, BOX_DIM + N_FEATURES)
+
+
+def scalar_best_match(box: Box3D, candidates, skip=()) -> tuple[float, int]:
+    """(3D IoU, index) of the candidate overlapping ``box`` most, by the exact
+    IoU of every pair; ties to the earliest index, (0.0, -1) for no overlap."""
+    best_iou, best_idx = 0.0, -1
+    for idx, cand in enumerate(candidates):
+        if idx in skip:
+            continue
+        iou = iou_3d(box, cand)
+        if iou > best_iou:
+            best_iou, best_idx = iou, idx
+    return best_iou, best_idx
+
+
+def scalar_nms(dets, iou_thresh: float) -> list[int]:
+    """Greedy suppression of (box, score) pairs by the exact BEV IoU of every
+    pair; kept indices in descending score, ties to the earlier index."""
+    for _, score in dets:
+        if not math.isfinite(score):
+            raise ValueError("nms scores must be finite")
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i][1], i))
+    kept: list[int] = []
+    for i in order:
+        if all(iou_bev(dets[i][0], dets[j][0]) < iou_thresh for j in kept):
+            kept.append(i)
+    return kept
+
+
+def scalar_average_boxes(boxes) -> Box3D:
+    """Mean center and sizes, circular mean yaw, from a stacked (C, 7) array."""
+    arr = np.stack([b.as_array() for b in boxes])
+    mean = arr[:, :6].mean(axis=0)
+    r = math.atan2(np.sin(arr[:, 6]).sum(), np.cos(arr[:, 6]).sum())
+    return Box3D(mean[0], mean[1], mean[2], mean[3], mean[4], mean[5], wrap_angle(r))
+
+
+@dataclass
+class ScalarProposal:
+    box: Box3D
+    class_scores: np.ndarray
+    feature: np.ndarray
+    anchors: list
+    channel_features: np.ndarray
+
+
+def _box_list(rows) -> list:
+    return [Box3D(*(float(v) for v in row)) for row in rows]
+
+
+def scalar_score_proposals(enc, params) -> list:
+    """Proposal NMS survivors, each proposal scored and boxed on its own."""
+    boxes = _box_list(enc.boxes)
+    scores = [softmax(params.w_cls @ (phi / FEATURE_SCALE)) for phi in enc.features]
+    keep = scalar_nms([(b, float(sc[1:].max())) for b, sc in zip(boxes, scores)],
+                      PROPOSAL_NMS_IOU)
+    return [ScalarProposal(boxes[i], scores[i], enc.features[i], _box_list(enc.anchors[i]),
+                           enc.channel_features[i]) for i in keep]
+
+
+def scalar_refine(proposals, transforms, params) -> list:
+    """Detections decoded, back-transformed and averaged one box at a time."""
+    inv_backs = [invert(t) for t in transforms]
+    dets = []
+    for prop in proposals:
+        k = int(prop.class_scores[1:].argmax())
+        channel_boxes, obj_scores = [], []
+        for anchor, feature, back in zip(prop.anchors, prop.channel_features, inv_backs):
+            phi = feature / FEATURE_SCALE
+            decoded = decode_residual(params.w_reg[k] @ phi, anchor)
+            channel_boxes.append(apply_box(back, decoded))
+            obj_scores.append(sigmoid(float(params.w_obj[k] @ phi)))
+        dets.append(Detection(scalar_average_boxes(channel_boxes), channel_boxes,
+                              prop.class_scores.copy(), float(np.mean(obj_scores))))
+    return dets
+
+
+def scalar_detect(enc, params) -> list:
+    dets = scalar_refine(scalar_score_proposals(enc, params), enc.transforms, params)
+    keep = scalar_nms([(d.box, d.confidence) for d in dets], FINAL_NMS_IOU)
+    return [dets[i] for i in keep]
+
+
+def scalar_build_training_examples(enc, target_boxes, target_classes, target_weights,
+                                   params, background_weight=1.0) -> list:
+    t1_inv = invert(enc.transforms[0])
+    examples = []
+    for prop in scalar_score_proposals(enc, params):
+        iou, idx = scalar_best_match(apply_box(t1_inv, prop.box), target_boxes)
+        if idx >= 0 and iou >= MATCH_IOU:
+            targets = [align_yaw_to_anchor(apply_box(t, target_boxes[idx]), anchor)
+                       for t, anchor in zip(enc.transforms, prop.anchors)]
+            target_class, weight = target_classes[idx], float(target_weights[idx])
+        else:
+            targets, target_class, weight = None, 0, background_weight
+        examples.append(TrainExample(prop.feature, list(prop.channel_features), prop.anchors,
+                                     targets, target_class, weight))
+    return examples

@@ -53,7 +53,15 @@ from cadet3d.geometry import (
 )
 from cadet3d.voxels import BevGrid, VoxelConfig, bev_align, bev_from_voxels, voxelize
 from conftest import random_box
-from reference import dense_bev_align, dense_propose, dense_roi_features, flood_fill_components
+from reference import (
+    dense_bev_align,
+    dense_propose,
+    dense_roi_features,
+    flood_fill_components,
+    scalar_build_training_examples,
+    scalar_detect,
+    scalar_score_proposals,
+)
 
 
 def box_surface_points(rng, box, n=150, inset=0.06):
@@ -109,8 +117,10 @@ class TestPropose:
         _, pc = grid_with_cluster(rng, box)
         params = DetectorParams.zeros()
         params.w_cls[:] = np.linspace(-1, 1, params.w_cls.size).reshape(params.w_cls.shape)
-        for p in score_proposals(encode(pc, weak_default_policy(1)), params):
-            assert p.class_scores.sum() == pytest.approx(1.0, abs=1e-6)
+        keep, scores = score_proposals(encode(pc, weak_default_policy(1)), params)
+        assert len(keep) == len(scores) > 0
+        for row in scores:
+            assert row.sum() == pytest.approx(1.0, abs=1e-6)
 
 
 class TestRoiFeatures:
@@ -408,45 +418,55 @@ class TestStackedEigh:
             np.testing.assert_array_equal(u_stacked, u)
 
 
+def random_params(rng, reg_scale=0.05):
+    p = DetectorParams.zeros()
+    p.w_cls[:] = rng.normal(size=p.w_cls.shape) * 0.5
+    p.w_obj[:] = rng.normal(size=p.w_obj.shape) * 0.5
+    p.w_reg[:] = rng.normal(size=p.w_reg.shape) * reg_scale
+    return p
+
+
+def field_bits(box):
+    return box.as_array().tobytes()
+
+
 class TestRefine:
     def setup_scene(self, rng):
         box = Box3D(2.0, 1.0, 0.9, 1.8, 1.5, 4.0, 0.5)
         pts = box_surface_points(rng, box, n=300)
         pc = PointCloud(pts, rng.random(300))
         enc = encode(pc, weak_default_policy(3))
-        props = score_proposals(enc, DetectorParams.zeros())
-        return box, enc, props
+        keep, scores = score_proposals(enc, DetectorParams.zeros())
+        return box, enc, keep, scores
 
     def test_zero_regression_passes_proposal_through(self, rng):
-        box, enc, props = self.setup_scene(rng)
-        dets = refine(props, enc.transforms, DetectorParams.zeros())
-        assert len(dets) == len(props)
-        for det, prop in zip(dets, props):
-            for chan_box in det.per_channel_boxes:
-                np.testing.assert_allclose(
-                    chan_box.as_array(), prop.box.as_array(), atol=1e-9
-                )
-            np.testing.assert_allclose(det.box.as_array(), prop.box.as_array(), atol=1e-9)
+        box, enc, keep, scores = self.setup_scene(rng)
+        boxes, channel_boxes, _ = refine(enc, keep, scores, DetectorParams.zeros())
+        assert len(boxes) == len(channel_boxes) == len(keep) > 0
+        for row, chans, i in zip(boxes, channel_boxes, keep):
+            for chan in chans:
+                np.testing.assert_allclose(chan, enc.boxes[i], atol=1e-9)
+            np.testing.assert_allclose(row, enc.boxes[i], atol=1e-9)
 
     def test_aggregation_invariants(self, rng):
-        box, enc, props = self.setup_scene(rng)
+        box, enc, keep, scores = self.setup_scene(rng)
         params = DetectorParams.zeros()
         params.w_reg[:] = 0.01
         params.w_obj[:] = 0.1
-        dets = refine(props, enc.transforms, params)
-        for det in dets:
-            agg = average_boxes(det.per_channel_boxes)
-            np.testing.assert_allclose(det.box.as_array(), agg.as_array(), atol=1e-9)
-            assert 0.0 <= det.objectness <= 1.0
+        boxes, channel_boxes, objectness = refine(enc, keep, scores, params)
+        assert channel_boxes.shape == (len(keep), len(enc.transforms), BOX_DIM)
+        for row, chans, obj in zip(boxes, channel_boxes, objectness):
+            agg = average_boxes([Box3D(*c) for c in chans.tolist()])
+            np.testing.assert_allclose(row, agg.as_array(), atol=1e-9)
+            assert 0.0 <= obj <= 1.0
 
-    def test_from_channels_averages_channel_boxes(self, rng):
-        boxes = [random_box(rng) for _ in range(3)]
-        scores = np.array([0.1, 0.6, 0.2, 0.1])
-        det = Detection.from_channels(boxes, scores, 0.7)
-        assert det.box == average_boxes(boxes)
-        assert det.per_channel_boxes == boxes
-        assert det.objectness == 0.7
-        assert det.class_scores is scores
+    def test_detection_box_averages_channel_boxes(self, rng):
+        enc = encode(synth_scene(3, SynthConfig()).cloud, weak_default_policy(3))
+        dets = detect(enc, random_params(rng))
+        assert dets
+        for det in dets:
+            assert len(det.per_channel_boxes) == 3
+            assert field_bits(det.box) == field_bits(average_boxes(det.per_channel_boxes))
 
     def test_identical_channel_boxes_consistency_one(self):
         from cadet3d.selftrain import channel_iou_consistency
@@ -455,6 +475,119 @@ class TestRefine:
         det = Detection(box=b, per_channel_boxes=[b, b, b],
                         class_scores=np.array([0.1, 0.6, 0.2, 0.1]), objectness=0.7)
         assert channel_iou_consistency(det) == 1.0
+
+    def test_empty_encoding(self):
+        enc = encode(PointCloud.empty(), weak_default_policy(3))
+        keep, scores = score_proposals(enc, DetectorParams.zeros())
+        assert keep == [] and scores.shape == (0, 4)
+        boxes, channel_boxes, objectness = refine(enc, keep, scores, DetectorParams.zeros())
+        assert boxes.shape == (0, 7) and channel_boxes.shape == (0, 3, 7)
+        assert objectness.shape == (0,)
+        assert detect(enc, DetectorParams.zeros()) == []
+
+
+def scoring_cases():
+    for seed in range(4):
+        yield pytest.param(seed, "weak", id=f"weak-{seed}")
+        yield pytest.param(seed, "strong", id=f"strong-{seed}")
+
+
+class TestScoringOracle:
+    """Array scoring equals the scalar scoring of ``reference``, bit for bit."""
+
+    @staticmethod
+    def encoded(seed, policy):
+        scene = synth_scene(seed, SynthConfig())
+        if policy == "weak":
+            transforms = weak_default_policy(3)
+        else:
+            transforms = strong_channels(StrongRanges(), 4, 100 + seed)
+        return scene, encode(scene.cloud, transforms)
+
+    @pytest.mark.parametrize("seed,policy", scoring_cases())
+    def test_detect(self, seed, policy):
+        _, enc = self.encoded(seed, policy)
+        rng = np.random.default_rng(seed)
+        for reg_scale in (0.0, 0.05, 0.3):
+            params = random_params(rng, reg_scale)
+            got, want = detect(enc, params), scalar_detect(enc, params)
+            assert len(got) == len(want) > 0
+            for g, w in zip(got, want):
+                assert field_bits(g.box) == field_bits(w.box)
+                assert [field_bits(b) for b in g.per_channel_boxes] == [
+                    field_bits(b) for b in w.per_channel_boxes]
+                assert g.class_scores.tobytes() == w.class_scores.tobytes()
+                assert g.objectness == w.objectness and type(g.objectness) is float
+
+    @pytest.mark.parametrize("seed,policy", scoring_cases())
+    def test_score_proposals(self, seed, policy):
+        _, enc = self.encoded(seed, policy)
+        params = random_params(np.random.default_rng(seed))
+        keep, scores = score_proposals(enc, params)
+        want = scalar_score_proposals(enc, params)
+        assert [enc.boxes[i].tobytes() for i in keep] == [field_bits(p.box) for p in want]
+        assert [row.tobytes() for row in scores] == [p.class_scores.tobytes() for p in want]
+
+    @pytest.mark.parametrize("seed,policy", scoring_cases())
+    def test_build_training_examples(self, seed, policy):
+        scene, enc = self.encoded(seed, policy)
+        rng = np.random.default_rng(seed)
+        params = random_params(rng)
+        pseudo = [d.box for d in detect(enc, params)]
+        for targets in (scene.gt_boxes, pseudo, []):
+            classes = [int(c) for c in rng.integers(1, 4, len(targets))]
+            weights = rng.random(len(targets)).tolist()
+            got = build_training_examples(enc, targets, classes, weights, params, 0.3)
+            want = scalar_build_training_examples(enc, targets, classes, weights, params, 0.3)
+            assert len(got) == len(want) > 0
+            if targets:
+                assert any(ex.targets is not None for ex in got)
+            for g, w in zip(got, want):
+                assert g.cls_feature.tobytes() == w.cls_feature.tobytes()
+                assert [f.tobytes() for f in g.channel_features] == [
+                    f.tobytes() for f in w.channel_features]
+                assert [field_bits(a) for a in g.anchors] == [field_bits(a) for a in w.anchors]
+                assert g.anchors == w.anchors
+                if w.targets is None:
+                    assert g.targets is None
+                else:
+                    assert [field_bits(t) for t in g.targets] == [
+                        field_bits(t) for t in w.targets]
+                assert (g.target_class, g.weight) == (w.target_class, w.weight)
+
+    def test_boxes_hold_python_floats(self):
+        scene, enc = self.encoded(2, "strong")
+        params = random_params(np.random.default_rng(2))
+        dets = detect(enc, params)
+        batch = build_training_examples(enc, [d.box for d in dets], [1] * len(dets),
+                                        [1.0] * len(dets), params)
+        boxes = [d.box for d in dets] + [b for d in dets for b in d.per_channel_boxes]
+        boxes += [b for ex in batch for b in ex.anchors + (ex.targets or [])]
+        assert dets and any(ex.targets for ex in batch)
+        fields = ("cx", "cy", "cz", "w", "h", "l", "r")
+        assert all(type(getattr(b, f)) is float for b in boxes for f in fields)
+
+
+class TestNumericFailure:
+    """Weights that overflow inside scoring raise ValueError (exit 1 in the
+    CLI), never OverflowError, and no NaN reaches a detection."""
+
+    @pytest.mark.parametrize("head,value", [("w_cls", 1e308), ("w_obj", 1e308),
+                                            ("w_reg", 1e308), ("w_reg", 800.0)])
+    def test_huge_weights(self, head, value):
+        enc = encode(synth_scene(0, SynthConfig()).cloud, weak_default_policy(3))
+        params = DetectorParams.zeros()
+        getattr(params, head)[:] = value
+        with np.errstate(all="ignore"):
+            if head == "w_obj":
+                dets = detect(enc, params)
+                assert dets and [d.objectness for d in dets] == [
+                    d.objectness for d in scalar_detect(enc, params)]
+                for d in dets:
+                    assert np.isfinite(d.class_scores).all() and math.isfinite(d.objectness)
+            else:
+                with pytest.raises(ValueError):
+                    detect(enc, params)
 
 
 class TestTrainStep:

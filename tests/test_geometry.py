@@ -5,27 +5,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unittest import mock
+
+from cadet3d import geometry
 from cadet3d.geometry import (
     Box3D,
     PointCloud,
     Transform,
+    _bev_overlap,
     apply_box,
     apply_boxes,
     apply_points,
+    average_box_rows,
     average_boxes,
     best_match,
+    box_rows,
+    check_boxes,
     compose,
     decode_residual,
+    decode_residuals,
     encode_residual,
     invert,
     iou_3d,
     iou_bev,
     nms,
+    overlap_candidates,
     points_in_box,
     wrap_angle,
+    wrap_angles,
 )
 from conftest import boxes, random_box, transforms
-from reference import mc_iou_3d, mc_iou_bev
+from reference import (
+    mc_iou_3d,
+    mc_iou_bev,
+    scalar_average_boxes,
+    scalar_best_match,
+    scalar_nms,
+)
 
 
 class TestBox3D:
@@ -222,35 +238,51 @@ class TestIou:
             )
 
 
+def first_match(box, cands, skip=()):
+    return next(best_match(box_rows([box]), box_rows(cands), skip))
+
+
 class TestNms:
     def test_single_box_kept(self):
         b = Box3D(0, 0, 0, 1, 1, 2, 0)
-        assert nms([(b, 0.5)], 0.5) == [0]
+        assert nms(box_rows([b]), [0.5], 0.5) == [0]
 
     def test_duplicate_suppressed(self):
         b = Box3D(0, 0, 0, 1, 1, 2, 0)
-        assert nms([(b, 0.9), (b, 0.8)], 0.5) == [0]
-        assert nms([(b, 0.8), (b, 0.9)], 0.5) == [1]
+        assert nms(box_rows([b, b]), [0.9, 0.8], 0.5) == [0]
+        assert nms(box_rows([b, b]), [0.8, 0.9], 0.5) == [1]
 
     def test_constructed_triple(self):
         a = Box3D(0, 0, 0, 2, 1, 4, 0)
         b = Box3D(0.3, 0, 0, 2, 1, 4, 0)  # heavy overlap with a
         c = Box3D(50, 0, 0, 2, 1, 4, 0)
         assert iou_bev(a, b) > 0.5
-        kept = nms([(a, 0.9), (b, 0.7), (c, 0.8)], 0.5)
+        kept = nms(box_rows([a, b, c]), [0.9, 0.7, 0.8], 0.5)
         assert kept == [0, 2]
 
     def test_order_independence_distinct_scores(self, rng):
         dets = [(random_box(rng, 2.0), float(s)) for s in rng.permutation(10) / 10]
-        kept_a = {dets[i][1] for i in nms(dets, 0.4)}
-        shuffled = [dets[i] for i in rng.permutation(len(dets))]
-        kept_b = {shuffled[i][1] for i in nms(shuffled, 0.4)}
-        assert kept_a == kept_b
+
+        def kept_scores(ds):
+            return {ds[i][1] for i in nms(box_rows([d[0] for d in ds]), [d[1] for d in ds], 0.4)}
+
+        assert kept_scores(dets) == kept_scores([dets[i] for i in rng.permutation(len(dets))])
 
     def test_nonfinite_score_rejected(self):
         b = Box3D(0, 0, 0, 1, 1, 1, 0)
         with pytest.raises(ValueError):
-            nms([(b, math.nan)], 0.5)
+            nms(box_rows([b]), [math.nan], 0.5)
+
+    def test_invalid_rows_rejected(self):
+        for bad in ([0, 0, 0, 1, 1, math.nan, 0], [0, 0, 0, 1, 0.0, 1, 0], [math.inf] * 7):
+            rows = np.array([[0, 0, 0, 1, 1, 1, 0], bad], dtype=float)
+            with pytest.raises(ValueError):
+                nms(rows, [0.5, 0.4], 0.5)
+            with pytest.raises(ValueError):
+                list(best_match(rows[:1], rows))
+
+    def test_empty(self):
+        assert nms(np.empty((0, 7)), [], 0.5) == []
 
 
 class TestBestMatch:
@@ -259,21 +291,135 @@ class TestBestMatch:
             box = random_box(rng, 1.0)
             cands = [random_box(rng, 1.0) for _ in range(6)]
             ious = [iou_3d(box, c) for c in cands]
-            iou, idx = best_match(box, cands)
+            iou, idx = first_match(box, cands)
             assert iou == max(ious + [0.0])
             assert idx == (ious.index(iou) if iou > 0 else -1)
 
     def test_no_overlap(self):
         box = Box3D(0, 0, 0, 1, 1, 1, 0)
-        assert best_match(box, []) == (0.0, -1)
-        assert best_match(box, [Box3D(10, 0, 0, 1, 1, 1, 0)]) == (0.0, -1)
+        assert first_match(box, []) == (0.0, -1)
+        assert first_match(box, [Box3D(10, 0, 0, 1, 1, 1, 0)]) == (0.0, -1)
 
     def test_tie_goes_to_earliest_and_skip(self):
         box = Box3D(0, 0, 0, 1, 1, 2, 0)
         far = Box3D(50, 0, 0, 1, 1, 2, 0)
-        assert best_match(box, [far, box, box]) == (1.0, 1)
-        assert best_match(box, [far, box, box], skip={1}) == (1.0, 2)
-        assert best_match(box, [far, box, box], skip={1, 2}) == (0.0, -1)
+        assert first_match(box, [far, box, box]) == (1.0, 1)
+        assert first_match(box, [far, box, box], skip={1}) == (1.0, 2)
+        assert first_match(box, [far, box, box], skip={1, 2}) == (0.0, -1)
+
+    def test_skip_read_per_row(self):
+        box = Box3D(0, 0, 0, 1, 1, 2, 0)
+        taken = set()
+        got = []
+        for iou, idx in best_match(box_rows([box] * 3), box_rows([box, box]), skip=taken):
+            got.append((iou, idx))
+            taken.add(idx)
+        assert got == [(1.0, 0), (1.0, 1), (0.0, -1)]
+
+
+@st.composite
+def box_sets(draw, max_boxes=8):
+    """Lists of boxes built to stress the overlap tests: random, duplicate,
+    nested, edge-touching, corner-touching, stacked (touching in z), rotated,
+    degenerate (near-zero sizes) and far-away boxes, each derived from an
+    earlier one."""
+    out = [draw(boxes())]
+    for _ in range(draw(st.integers(0, max_boxes - 1))):
+        src = out[draw(st.integers(0, len(out) - 1))]
+        kind = draw(st.sampled_from(["random", "duplicate", "nested", "touching", "corner",
+                                     "stacked", "rotated", "degenerate", "far"]))
+        cx, cy, cz, w, h, l, r = src.cx, src.cy, src.cz, src.w, src.h, src.l, src.r
+        if kind == "random":
+            out.append(draw(boxes()))
+            continue
+        if kind == "nested":
+            f = draw(st.floats(0.05, 1.0))
+            w, h, l = w * f, h * f, l * f
+        elif kind == "touching":  # shares the front face, or overlaps it by a hair
+            l2 = draw(st.floats(0.2, 4.0))
+            d = 0.5 * (l + l2) + draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-9]))
+            cx, cy, l = cx + d * math.cos(r), cy + d * math.sin(r), l2
+        elif kind == "corner":  # a twin meeting it corner to corner: circumcircles touch
+            c, s = math.cos(r), math.sin(r)
+            cx, cy = cx + c * l - s * w, cy + s * l + c * w
+        elif kind == "stacked":
+            cz += 0.5 * h + 0.5 * draw(st.floats(0.2, 4.0))
+        elif kind == "rotated":
+            r += draw(st.sampled_from([math.pi / 2, math.pi, -math.pi / 2, math.pi / 4])
+                      | st.floats(-math.pi, math.pi))
+        elif kind == "degenerate":
+            w = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+            l = draw(st.sampled_from([l, 1e-9, 1e-4]))
+        elif kind == "far":
+            cx += draw(st.sampled_from([-1, 1])) * draw(st.floats(5.0, 1e4))
+        out.append(Box3D(cx, cy, cz, w, h, l, r))
+    return out
+
+
+THRESHOLDS = [0.0, 0.1, 0.5, 1.0]
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type of the exception it raises: the exact IoU
+    divides by zero for some near-zero boxes, on both paths alike."""
+    try:
+        return fn(*args)
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+class TestOverlapOracle:
+    """``nms`` and ``best_match`` equal the exact all-pairs loops of
+    ``reference``, indices and IoUs alike."""
+
+    @pytest.mark.parametrize("thresh", THRESHOLDS)
+    @given(box_sets(), st.data())
+    @settings(max_examples=60)
+    def test_nms(self, thresh, bs, data):
+        scores = data.draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]) | st.floats(0, 1),
+                                    min_size=len(bs), max_size=len(bs)))
+        got = outcome(nms, box_rows(bs), scores, thresh)
+        assert got == outcome(scalar_nms, list(zip(bs, scores)), thresh)
+
+    @given(box_sets(), box_sets(), st.sets(st.integers(0, 7)))
+    @settings(max_examples=100)
+    def test_best_match(self, queries, cands, skip):
+        got = outcome(lambda: list(best_match(box_rows(queries), box_rows(cands), skip)))
+        assert got == outcome(lambda: [scalar_best_match(q, cands, skip) for q in queries])
+
+    @pytest.mark.parametrize("thresh", THRESHOLDS)
+    @given(box_sets(), box_sets())
+    @settings(max_examples=40)
+    def test_best_match_claiming(self, thresh, queries, cands):
+        """The greedy claiming of ``evaluation.match_detections``."""
+        def claim(matches):
+            taken, out = set(), []
+            for match in matches(taken):
+                out.append(match)
+                if match[1] >= 0 and match[0] >= thresh:
+                    taken.add(match[1])
+            return out
+
+        got = outcome(claim, lambda taken: best_match(box_rows(queries), box_rows(cands), taken))
+        want = outcome(claim, lambda taken: (scalar_best_match(q, cands, taken) for q in queries))
+        assert got == want
+
+    @given(box_sets(), box_sets())
+    @settings(max_examples=150)
+    def test_pre_reject_never_drops_an_overlap(self, a, b):
+        """A pair the mask rejects is one that ``_bev_overlap`` rejects before
+        clipping, so its area is 0.0 and the clipped pairs are the same."""
+        assert overlap_candidates(box_rows(a), box_rows(b)).shape == (len(a), len(b))
+        bs = a + b
+        near = overlap_candidates(box_rows(bs), box_rows(bs))
+        with mock.patch.object(geometry, "_clip_convex", side_effect=AssertionError):
+            for i, j in zip(*np.nonzero(~near)):
+                assert _bev_overlap(bs[i], bs[j])[0] == 0.0
+
+    def test_non_finite_rows_stay_candidates(self):
+        rows = np.array([[0, 0, 0, 1, 1, 1, 0], [math.nan, 0, 0, 1, 1, 1, 0],
+                         [1e308, 1e308, 0, 1e308, 1, 1e308, 0]])
+        assert overlap_candidates(rows, rows)[:, 1:].all()
 
 
 class TestResiduals:
@@ -296,7 +442,63 @@ class TestResiduals:
         assert worst < 1e-9
 
 
+class TestArrayForms:
+    """The (N, 7) forms keep the bits of their scalar counterparts."""
+
+    @given(st.lists(st.floats(-50, 50, allow_nan=False)
+                    | st.sampled_from([math.pi, -math.pi, 3 * math.pi, 0.0, -0.0]), max_size=20))
+    def test_wrap_angles(self, rs):
+        got = wrap_angles(np.array(rs, dtype=float))
+        np.testing.assert_array_equal(got, [wrap_angle(r) for r in rs])
+
+    def test_wrap_angles_non_finite(self):
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(wrap_angles(np.array([math.inf, -math.inf, math.nan]))).all()
+
+    def test_decode_residuals(self, rng):
+        anchors = [random_box(rng) for _ in range(200)]
+        res = rng.normal(size=(200, 7)) * rng.choice([0.01, 0.3, 2.0], size=(200, 7))
+        got = decode_residuals(res, box_rows(anchors))
+        want = box_rows([decode_residual(r, a) for r, a in zip(res, anchors)])
+        np.testing.assert_array_equal(got, want)
+        assert decode_residuals(np.empty((0, 7)), np.empty((0, 7))).shape == (0, 7)
+
+    def test_decode_overflow_is_a_value_error(self):
+        anchor = Box3D(0, 0, 0, 1, 1, 1, 0)
+        res = np.array([0, 0, 0, 800.0, 0, 0, 0])
+        out = decode_residuals(res[None], box_rows([anchor]))
+        assert out[0, 3] == math.inf
+        with pytest.raises(ValueError):
+            check_boxes(out)
+        with pytest.raises(ValueError):
+            decode_residual(res, anchor)
+
+    @pytest.mark.parametrize("n_ch", [1, 2, 3, 4, 8, 9])
+    def test_average_box_rows(self, rng, n_ch):
+        blocks = [[random_box(rng) for _ in range(n_ch)] for _ in range(30)]
+        got = average_box_rows(np.stack([box_rows(b) for b in blocks]))
+        np.testing.assert_array_equal(got, box_rows([scalar_average_boxes(b) for b in blocks]))
+
+    def test_check_boxes(self):
+        good = np.array([[0, 0, 0, 1, 1, 1, 0]], dtype=float)
+        assert check_boxes(good) is good
+        for col, bad in [(0, math.nan), (6, math.inf), (3, 0.0), (4, -1.0), (5, 0.0)]:
+            rows = good.copy()
+            rows[0, col] = bad
+            with pytest.raises(ValueError):
+                check_boxes(rows)
+
+    def test_box_rows(self, rng):
+        bs = [random_box(rng) for _ in range(5)]
+        np.testing.assert_array_equal(box_rows(bs), np.stack([b.as_array() for b in bs]))
+        assert box_rows([]).shape == (0, 7)
+
+
 class TestAverageBoxes:
+    def test_fields_are_python_floats(self, rng):
+        avg = average_boxes([random_box(rng) for _ in range(3)])
+        assert all(type(getattr(avg, f)) is float for f in ("cx", "cy", "cz", "w", "h", "l", "r"))
+
     def test_single(self):
         b = Box3D(1, 2, 3, 1, 1, 2, 0.4)
         assert average_boxes([b]) == b
