@@ -2,8 +2,8 @@
 
 Structure: per-channel occupancy voxel grids, aligned/max-pooled BEV fusion,
 a geometric proposer (connected components + PCA box fit, all components in
-one batched pass) with a learned linear classifier, per-channel RoI pooling
-(one batched pass over all proposals per channel grid) feeding linear
+one array pass) with a learned linear classifier, per-channel RoI pooling
+(one array pass over all proposals per channel grid) feeding linear
 objectness and residual-regression heads, and back-transformed averaging into
 detections.
 The learned region-proposal stage of full-scale detectors is deliberately
@@ -19,16 +19,18 @@ the proposal class scores, proposal NMS, the heads and the final NMS. The weak
 channel transforms are fixed, so one encoding of a scene serves every pass
 over it.
 
-Scoring runs on the encoding's arrays. :func:`score_proposals` returns the
-indices of the proposals that survive NMS, and :func:`refine` indexes their
-(K, C, 7) anchors and (K, C, F) features; decoding, back-transforms and the
-channel average run over all rows at once. The calls whose bits depend on
-being made alone stay one per row or value: each head's matvec, and
-``math.exp``, ``hypot`` and ``atan2``. ``nms`` and ``best_match`` test exact
-IoU only on the pairs that pass an array circumradius pre-reject. So scores
-and boxes keep the bits of scoring one proposal, channel and box at a time.
-:class:`Box3D` objects are built only for the detections :func:`detect`
-returns and for training examples.
+Scoring runs on the encoding's arrays, "shared proposals x channels".
+:func:`score_proposals` takes one row-wise softmax over all proposals and
+returns the indices of the proposals that survive NMS; :func:`refine` indexes
+their (K, C, 7) anchors and (K, C, F) features and evaluates each head as one
+``einsum``, and decoding, back-transforms and the channel average run over all
+rows at once. :func:`loss_and_grads` stacks its examples the same way.
+``nms`` and ``best_match`` test exact IoU only on the pairs that pass an array
+circumradius pre-reject. :class:`Box3D` objects are built only for the
+detections :func:`detect` returns and for training examples. Scoring and
+training run with numpy's overflow and invalid-value warnings off: the
+finiteness checks on scores, boxes and losses decide what a non-finite value
+means.
 
 The detector is fixed, as in the paper, where experiments vary the channel
 transforms and the dual thresholds but never the detector. Its settings
@@ -48,6 +50,7 @@ import numpy as np
 from .data import atomic_open
 from .geometry import (
     Box3D,
+    BoxRow,
     PointCloud,
     Transform,
     apply_boxes,
@@ -56,14 +59,14 @@ from .geometry import (
     best_match,
     box_rows,
     check_boxes,
-    decode_residual,
     decode_residuals,
-    encode_residual,
+    encode_residuals,
     invert,
     iou_3d,
     nms,
     relative_transforms,
     wrap_angle,
+    wrap_angles,
 )
 from .voxels import (
     BEV_MAX_HEIGHT,
@@ -192,15 +195,15 @@ class Detection:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    """Softmax along the last axis."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function elementwise, without overflow for large ``|x|``."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _connected_components(flat: np.ndarray, ny: int) -> tuple[np.ndarray, np.ndarray]:
@@ -240,6 +243,25 @@ def _connected_components(flat: np.ndarray, ny: int) -> tuple[np.ndarray, np.nda
     return order, np.flatnonzero(np.diff(label[order], prepend=-1))
 
 
+def _segment_pca(centered: np.ndarray, weights: np.ndarray | float, start: np.ndarray,
+                 sizes: np.ndarray, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Principal axes and extents of point segments.
+
+    ``centered`` holds (N, 2) offsets from each segment's weighted mean; the
+    segments begin at the ascending positions ``start`` and hold ``sizes``
+    points and ``total`` weight. Returns the (n, 2, 2) eigenvectors of the
+    weighted covariances (columns, ascending eigenvalues) and the (2, n)
+    extents of the segments projected onto the major and the minor axis.
+    """
+    wx, wy = weights * centered[:, 0], weights * centered[:, 1]
+    sums = np.add.reduceat(np.column_stack([wx * centered[:, 0], wx * centered[:, 1],
+                                            wy * centered[:, 1]]), start) / total[:, None]
+    _, vecs = np.linalg.eigh(sums[:, [0, 1, 1, 2]].reshape(-1, 2, 2))
+    axes = np.repeat(vecs[:, :, ::-1], sizes, axis=0)
+    proj = (centered[:, :, None] * axes).sum(axis=1).T  # (2, N): major, minor
+    return vecs, np.maximum.reduceat(proj, start, axis=1) - np.minimum.reduceat(proj, start, axis=1)
+
+
 def propose(fused: BevGrid) -> np.ndarray:
     """Raw geometric proposals from the fused BEV grid, one row each: the box's
     7 parameters, then its F classifier features.
@@ -251,12 +273,10 @@ def propose(fused: BevGrid) -> np.ndarray:
     is not represented in BEV features, so that feature is zero. Scoring and
     NMS happen per params, in :func:`score_proposals`.
 
-    All components are fitted in one array pass: one stacked ``eigh``, and
-    segment extrema for the extents and the vertical span. The sums stay one
-    call per component with the operand shapes of fitting it alone (the mean
-    and covariance products, ``mean``, the two projections and the column
-    ``sum``, ``mean`` and ``std``), so every row has the bits of a fit of its
-    component alone.
+    All components are fitted in one array pass: segment sums
+    (``np.add.reduceat``) for the means and covariances, one stacked
+    ``eigh``, projections onto the repeated eigenvectors, and segment extrema
+    for the extents and the vertical span.
     """
     occupied = fused.values[:, BEV_MAX_OCC] >= MIN_OCC
     flat, values = fused.cells[occupied], fused.values[occupied]
@@ -268,54 +288,34 @@ def propose(fused: BevGrid) -> np.ndarray:
         return raw
     idx = order[np.repeat(big, sizes)]
     n_cells = sizes[big]
-    end = np.cumsum(n_cells)
-    start = end - n_cells
-    bounds = list(zip(start.tolist(), end.tolist()))
-    xy, feats = fused.cell_xy(flat[idx]), values[idx]
-    ones = np.ones(len(idx))
-    sum_xy, mean = np.empty((len(raw), 2)), np.empty((len(raw), 2))
-    count, height, spread = np.empty(len(raw)), np.empty(len(raw)), np.empty(len(raw))
-    add = np.add.reduce  # ndarray.mean and .std are add.reduce, then the division by n
-    for k, (a, b) in enumerate(bounds):
-        sum_xy[k] = ones[a:b] @ xy[a:b]
-        mean[k] = add(xy[a:b], axis=0) / (b - a)
-        count[k] = add(feats[a:b, BEV_MAX_OCC])
-        z = feats[a:b, BEV_MAX_HEIGHT]
-        height[k] = add(z) / (b - a)
-        d = z - height[k]
-        spread[k] = add(d * d) / (b - a)
-    spread = np.sqrt(spread)
-    centered = xy - np.repeat(sum_xy / n_cells[:, None], n_cells, axis=0)
-    weighted = centered * ones[:, None]
-    cov = np.empty((len(raw), 2, 2))
-    for k, (a, b) in enumerate(bounds):
-        cov[k] = weighted[a:b].T @ centered[a:b]
-    _, vecs = np.linalg.eigh(cov / n_cells[:, None, None])  # ascending eigenvalues
-    offset = xy - np.repeat(mean, n_cells, axis=0)
-    proj = np.empty((2, len(idx)))  # onto the major and the minor axis
-    for k, (a, b) in enumerate(bounds):
-        proj[0, a:b] = offset[a:b] @ vecs[k, :, 1]
-        proj[1, a:b] = offset[a:b] @ vecs[k, :, 0]
-    extent = np.maximum.reduceat(proj, start, axis=1) - np.minimum.reduceat(proj, start, axis=1)
+    start = np.cumsum(n_cells) - n_cells
+    xy, z = fused.cell_xy(flat[idx]), values[idx, BEV_MAX_HEIGHT]
+    sums = np.add.reduceat(np.column_stack([xy, values[idx]]), start)  # x, y, BEV features
+    mean = sums[:, :2] / n_cells[:, None]
+    count = sums[:, 2 + BEV_MAX_OCC]
+    height = sums[:, 2 + BEV_MAX_HEIGHT] / n_cells
+    spread = np.sqrt(np.add.reduceat((z - np.repeat(height, n_cells)) ** 2, start) / n_cells)
+    centered = xy - np.repeat(mean, n_cells, axis=0)
+    vecs, extent = _segment_pca(centered, 1.0, start, n_cells, n_cells)
     voxel = fused.voxel_size
     length = extent[0] + voxel + PADDING
     width = extent[1] + voxel + PADDING
     # vertical span measured from the grid floor: columns sample objects
     # too sparsely for the occupied-fraction estimate to be reliable
-    z_top = np.maximum.reduceat(feats[:, BEV_MAX_HEIGHT], start)
+    z_top = np.maximum.reduceat(z, start)
     h = np.maximum(z_top + 0.5 * voxel - fused.z_origin, voxel)
     raw[:, :BOX_DIM] = np.column_stack([
         mean, fused.z_origin + 0.5 * h, width, h, length,
-        [wrap_angle(math.atan2(y, x)) for x, y in vecs[:, :, 1].tolist()]])
+        wrap_angles(np.arctan2(vecs[:, 1, 1], vecs[:, 0, 1]))])
     phi = raw[:, BOX_DIM:]
-    phi[:, 0] = [math.log1p(n) for n in count.tolist()]
+    phi[:, 0] = np.log1p(count)
     phi[:, 1] = np.minimum(1.0, n_cells * voxel * voxel / (width * length))
     phi[:, 2] = height
     phi[:, 3] = spread
     phi[:, 4] = extent[0] + voxel
     phi[:, 5] = extent[1] + voxel
     phi[:, 6] = h
-    phi[:, 8] = [math.hypot(x, y) / 100.0 for x, y in mean.tolist()]
+    phi[:, 8] = np.hypot(mean[:, 0], mean[:, 1]) / 100.0
     phi[:, 9] = np.minimum(width, length) / np.maximum(width, length)
     phi[:, 10] = count / n_cells
     phi[:, 11] = 1.0
@@ -333,11 +333,9 @@ def roi_features(anchors: np.ndarray, grid: VoxelGrid) -> np.ndarray:
     its center in x, plus a slack that covers rounding; ``grid.coords``
     ascends in x, so they are one ``searchsorted`` window. All (RoI, voxel)
     candidate pairs are tested with the arithmetic of
-    ``points_in_box(strict=False)``. Counts, column runs and the z extent are
-    segment sums and extrema. The dot and covariance products stay one call
-    per RoI, with the operand shapes of a single-RoI pool, and the
-    covariances go through one stacked ``eigh``, so every feature has the
-    bits of pooling each RoI alone.
+    ``points_in_box(strict=False)``. Counts, column runs, the weighted sums
+    and the extents are segment reductions over the RoIs' voxels, and the
+    covariances go through one stacked ``eigh``.
     """
     phi = np.zeros((len(anchors), N_FEATURES))
     phi[:, 11] = 1.0
@@ -349,8 +347,7 @@ def roi_features(anchors: np.ndarray, grid: VoxelGrid) -> np.ndarray:
     n_cand = np.searchsorted(centers[:, 0], cx + reach) - lo
     roi = np.repeat(np.arange(len(anchors)), n_cand)
     vox = np.arange(len(roi)) + np.repeat(lo - np.cumsum(n_cand) + n_cand, n_cand)
-    cos = np.array([math.cos(t) for t in r.tolist()])[roi]
-    sin = np.array([math.sin(t) for t in r.tolist()])[roi]
+    cos, sin = np.cos(r)[roi], np.sin(r)[roi]
     d = centers[vox] - anchors[roi, :3]
     u = cos * d[:, 0] + sin * d[:, 1]
     v = -sin * d[:, 0] + cos * d[:, 1]
@@ -362,47 +359,31 @@ def roi_features(anchors: np.ndarray, grid: VoxelGrid) -> np.ndarray:
     n_cells = np.bincount(roi, minlength=len(anchors))
     hit = np.flatnonzero(n_cells)
     n_cells = n_cells[hit]
-    end = np.cumsum(n_cells)
-    start = end - n_cells
-    bounds = list(zip(start.tolist(), end.tolist()))
+    start = np.cumsum(n_cells) - n_cells
     counts = grid.counts[idx]
-    npts = np.add.reduceat(counts, start)  # whole numbers: exact in any order
     col = grid.coords[idx, 0] * grid.cfg.ny + grid.coords[idx, 1]
     new_col = np.ones(len(idx), dtype=bool)
     new_col[1:] = col[1:] != col[:-1]
     new_col[start] = True
     n_cols = np.add.reduceat(new_col, start)
-    zs = centers[idx, 2]
-    cell_z, intensity, xy = grid.mean_z[idx], grid.mean_intensity[idx], centers[idx, :2]
-    z_dot, i_dot, xy_dot = np.empty(len(hit)), np.empty(len(hit)), np.empty((len(hit), 2))
-    for j, (a, b) in enumerate(bounds):
-        z_dot[j] = counts[a:b] @ cell_z[a:b]
-        i_dot[j] = counts[a:b] @ intensity[a:b]
-        xy_dot[j] = counts[a:b] @ xy[a:b]
-    mean_h = z_dot / npts
-    sq = (cell_z - np.repeat(mean_h, n_cells)) ** 2
-    centered = xy - np.repeat(xy_dot / npts[:, None], n_cells, axis=0)
-    weighted = centered * counts[:, None]
-    var_dot, cov = np.empty(len(hit)), np.empty((len(hit), 2, 2))
-    for j, (a, b) in enumerate(bounds):
-        var_dot[j] = counts[a:b] @ sq[a:b]
-        cov[j] = weighted[a:b].T @ centered[a:b]
-    _, vecs = np.linalg.eigh(cov / npts[:, None, None])  # ascending eigenvalues
-    proj = np.empty((2, len(idx)))  # onto the major and the minor axis
-    for j, (a, b) in enumerate(bounds):
-        proj[0, a:b] = centered[a:b] @ vecs[j, :, 1]
-        proj[1, a:b] = centered[a:b] @ vecs[j, :, 0]
-    extent = np.maximum.reduceat(proj, start, axis=1) - np.minimum.reduceat(proj, start, axis=1)
+    zs, cell_z, xy = centers[idx, 2], grid.mean_z[idx], centers[idx, :2]
+    sums = np.add.reduceat(np.column_stack(
+        [counts, counts * cell_z, counts * grid.mean_intensity[idx], counts[:, None] * xy]), start)
+    npts = sums[:, 0]  # whole numbers: exact in any order
+    mean_h = sums[:, 1] / npts
+    var_h = np.add.reduceat(counts * (cell_z - np.repeat(mean_h, n_cells)) ** 2, start) / npts
+    centered = xy - np.repeat(sums[:, 3:] / npts[:, None], n_cells, axis=0)
+    _, extent = _segment_pca(centered, counts, start, n_cells, npts)
     voxel = grid.cfg.voxel_size
-    phi[hit, 0] = [math.log1p(n) for n in npts.tolist()]
+    phi[hit, 0] = np.log1p(npts)
     phi[hit, 1] = np.minimum(1.0, n_cols * voxel * voxel / (w_e[hit] * l_e[hit]))
     phi[hit, 2] = mean_h
-    phi[hit, 3] = np.sqrt(var_dot / npts)
+    phi[hit, 3] = np.sqrt(var_h)
     phi[hit, 4] = extent[0] + voxel
     phi[hit, 5] = extent[1] + voxel
     phi[hit, 6] = np.maximum.reduceat(zs, start) - np.minimum.reduceat(zs, start) + voxel
-    phi[hit, 7] = i_dot / npts
-    phi[hit, 8] = [math.hypot(x, y) / 100.0 for x, y in zip(cx[hit].tolist(), cy[hit].tolist())]
+    phi[hit, 7] = sums[:, 2] / npts
+    phi[hit, 8] = np.hypot(cx[hit], cy[hit]) / 100.0
     phi[hit, 9] = np.minimum(w[hit], l[hit]) / np.maximum(w[hit], l[hit])
     phi[hit, 10] = npts / n_cells
     return phi
@@ -448,15 +429,17 @@ def encode(pc: PointCloud, transforms: tuple[Transform, ...]) -> SceneEncoding:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def score_proposals(enc: SceneEncoding, params: DetectorParams) -> tuple[list[int], np.ndarray]:
     """The encoding's raw proposals scored by the linear classifier: the
     indices of the survivors of greedy proposal NMS, in NMS order, and their
     (C+1,) class score rows."""
-    scores = [softmax(params.w_cls @ phi) for phi in enc.features / FEATURE_SCALE]
-    keep = nms(enc.boxes, [float(sc[1:].max()) for sc in scores], PROPOSAL_NMS_IOU)
-    return keep, np.array([scores[i] for i in keep]).reshape(len(keep), len(params.w_cls))
+    scores = softmax(np.einsum("kf,cf->kc", enc.features / FEATURE_SCALE, params.w_cls))
+    keep = nms(enc.boxes, scores[:, 1:].max(axis=1).tolist(), PROPOSAL_NMS_IOU)
+    return keep, scores[keep]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def refine(
     enc: SceneEncoding,
     keep: list[int],
@@ -469,23 +452,22 @@ def refine(
     Proposals live in the channel-1 frame; refined boxes come back to the
     canonical (untransformed) frame through each channel's inverse transform.
     Returns the (M, 7) averaged boxes, the (M, C, 7) channel boxes and the
-    (M,) objectness. Each head's matvec is one call per proposal and channel;
-    decoding, back-transforms and averaging run over all rows at once with
-    the bits of the scalar :func:`decode_residual`, :func:`apply_box` and
-    :func:`average_boxes`. A non-finite or non-positive decoded,
+    (M,) objectness. Each head is one ``einsum`` of the proposals' class rows
+    with their (M, C, F) features; decoding, back-transforms and averaging run
+    over all rows at once. A non-finite or non-positive decoded,
     back-transformed or averaged box raises ValueError.
     """
     n_ch = len(enc.transforms)
-    anchors = enc.anchors[keep].reshape(-1, BOX_DIM)
-    phis = (enc.channel_features[keep] / FEATURE_SCALE).reshape(-1, N_FEATURES)
-    heads = np.repeat(class_scores[:, 1:].argmax(axis=1), n_ch).tolist()
-    res = np.array([params.w_reg[k] @ phi for k, phi in zip(heads, phis)]).reshape(-1, BOX_DIM)
-    obj = np.array([sigmoid(float(params.w_obj[k] @ phi)) for k, phi in zip(heads, phis)])
-    decoded = check_boxes(decode_residuals(res, anchors)).reshape(-1, n_ch, BOX_DIM)
+    phis = enc.channel_features[keep] / FEATURE_SCALE
+    heads = class_scores[:, 1:].argmax(axis=1)
+    res = np.einsum("mrf,mcf->mcr", params.w_reg[heads], phis)
+    obj = sigmoid(np.einsum("mf,mcf->mc", params.w_obj[heads], phis))
+    decoded = decode_residuals(res.reshape(-1, BOX_DIM), enc.anchors[keep].reshape(-1, BOX_DIM))
+    decoded = check_boxes(decoded).reshape(-1, n_ch, BOX_DIM)
     channel_boxes = check_boxes(np.stack(
         [apply_boxes(invert(t), decoded[:, c]) for c, t in enumerate(enc.transforms)], axis=1))
     boxes = check_boxes(average_box_rows(channel_boxes))
-    return boxes, channel_boxes, obj.reshape(-1, n_ch).mean(axis=1)
+    return boxes, channel_boxes, obj.mean(axis=1)
 
 
 def detect(enc: SceneEncoding, params: DetectorParams) -> list[Detection]:
@@ -566,6 +548,7 @@ def _smooth_l1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return val, grad
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def loss_and_grads(
     params: DetectorParams, batch: list[TrainExample]
 ) -> tuple[TrainLosses, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -576,37 +559,49 @@ def loss_and_grads(
     RoIs. Objectness regresses toward the 3D IoU of the currently decoded box
     with its target; that target is treated as a constant within the step, so
     the objectness gradient flows only through the objectness head.
+
+    The batch is stacked into arrays: (B, F) classifier features and, for the
+    G foreground RoIs, (G, C, F) channel features and (G, C, 7) anchors and
+    targets. Every example must have the same channel count C (ValueError
+    otherwise). A non-finite or non-positive decoded box raises ValueError.
     """
-    g_cls = np.zeros_like(params.w_cls)
+    if len({len(ex.channel_features) for ex in batch}) > 1:
+        raise ValueError("training examples differ in channel count")
     g_obj = np.zeros_like(params.w_obj)
     g_reg = np.zeros_like(params.w_reg)
-    l_cls = l_reg = l_obj = 0.0
-    n = max(len(batch), 1)
-    n_fg = max(sum(1 for ex in batch if ex.target_class > 0), 1)
-    for ex in batch:
-        w = ex.weight
-        phi_c = ex.cls_feature / FEATURE_SCALE
-        probs = softmax(params.w_cls @ phi_c)
-        l_cls += -w * math.log(max(float(probs[ex.target_class]), 1e-300)) / n
-        dlogits = probs.copy()
-        dlogits[ex.target_class] -= 1.0
-        g_cls += (w / n) * np.outer(dlogits, phi_c)
-        if ex.target_class > 0:
-            k = ex.target_class - 1
-            n_ch = max(len(ex.channel_features), 1)
-            scale = w / (n_fg * n_ch)
-            for phi_raw, anchor, target in zip(ex.channel_features, ex.anchors, ex.targets):
-                phi = phi_raw / FEATURE_SCALE
-                res_pred = params.w_reg[k] @ phi
-                diff = res_pred - encode_residual(target, anchor)
-                val, dval = _smooth_l1(diff)
-                l_reg += scale * REG_LOSS_WEIGHT * float(val.sum())
-                g_reg[k] += scale * REG_LOSS_WEIGHT * np.outer(dval, phi)
-                iou_target = iou_3d(decode_residual(res_pred, anchor), target)
-                o = sigmoid(float(params.w_obj[k] @ phi))
-                l_obj += scale * (o - iou_target) ** 2
-                g_obj[k] += scale * 2.0 * (o - iou_target) * o * (1.0 - o) * phi
-    return TrainLosses(cls=l_cls, reg=l_reg, obj=l_obj), (g_cls, g_obj, g_reg)
+    if not batch:
+        return TrainLosses(cls=0.0, reg=0.0, obj=0.0), (np.zeros_like(params.w_cls), g_obj, g_reg)
+    n, n_ch = len(batch), len(batch[0].channel_features)
+    weight = np.array([ex.weight for ex in batch], dtype=np.float64)
+    target = np.array([ex.target_class for ex in batch])
+    phi_c = np.stack([ex.cls_feature for ex in batch]) / FEATURE_SCALE
+    probs = softmax(np.einsum("bf,cf->bc", phi_c, params.w_cls))
+    rows = np.arange(n)
+    l_cls = -(weight * np.log(np.maximum(probs[rows, target], 1e-300))).sum() / n
+    dlogits = probs  # cross-entropy gradient: probabilities minus the one-hot target
+    dlogits[rows, target] -= 1.0
+    g_cls = np.einsum("b,bc,bf->cf", weight / n, dlogits, phi_c)
+    fg = [ex for ex in batch if ex.target_class > 0]
+    if not fg or not n_ch:
+        return TrainLosses(cls=float(l_cls), reg=0.0, obj=0.0), (g_cls, g_obj, g_reg)
+    k = target[target > 0] - 1
+    scale = weight[target > 0] / (len(fg) * n_ch)
+    phi = np.array([ex.channel_features for ex in fg]) / FEATURE_SCALE
+    anchors = box_rows([a for ex in fg for a in ex.anchors])
+    targets = box_rows([t for ex in fg for t in ex.targets])
+    res_pred = np.einsum("grf,gcf->gcr", params.w_reg[k], phi)
+    val, dval = _smooth_l1(res_pred - encode_residuals(targets, anchors).reshape(res_pred.shape))
+    l_reg = REG_LOSS_WEIGHT * (scale * val.sum(axis=(1, 2))).sum()
+    np.add.at(g_reg, k, np.einsum("g,gcr,gcf->grf", REG_LOSS_WEIGHT * scale, dval, phi))
+    decoded = check_boxes(decode_residuals(res_pred.reshape(-1, BOX_DIM), anchors))
+    iou_target = np.array([iou_3d(BoxRow(*d), BoxRow(*t))
+                           for d, t in zip(decoded.tolist(), targets.tolist())]).reshape(-1, n_ch)
+    o = sigmoid(np.einsum("gf,gcf->gc", params.w_obj[k], phi))
+    l_obj = (scale * ((o - iou_target) ** 2).sum(axis=1)).sum()
+    np.add.at(g_obj, k, np.einsum("gc,gcf->gf",
+                                  scale[:, None] * 2.0 * (o - iou_target) * o * (1.0 - o), phi))
+    return (TrainLosses(cls=float(l_cls), reg=float(l_reg), obj=float(l_obj)),
+            (g_cls, g_obj, g_reg))
 
 
 def train_step(params: DetectorParams, batch: list[TrainExample]) -> TrainLosses:

@@ -305,15 +305,18 @@ def _bev_overlap(a: Box3D, b: Box3D) -> tuple[float, float, float]:
 
 
 def iou_bev(a: Box3D, b: Box3D) -> float:
-    """Overlap-over-union of the rotated BEV footprints, in [0, 1]."""
+    """Overlap-over-union of the rotated BEV footprints, in [0, 1]; 0.0 when
+    the union rounds to zero."""
     area_i, area_a, area_b = _bev_overlap(a, b)
-    if area_i == 0.0:
+    union = area_a + area_b - area_i
+    if area_i == 0.0 or union <= 0.0:
         return 0.0
-    return min(1.0, max(0.0, area_i / (area_a + area_b - area_i)))
+    return min(1.0, max(0.0, area_i / union))
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
-    """Volumetric overlap-over-union: BEV intersection times vertical overlap."""
+    """Volumetric overlap-over-union: BEV intersection times vertical overlap;
+    0.0 when the union rounds to zero."""
     zo = min(a.cz + 0.5 * a.h, b.cz + 0.5 * b.h) - max(a.cz - 0.5 * a.h, b.cz - 0.5 * b.h)
     if zo <= 0.0:
         return 0.0
@@ -322,9 +325,12 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
         return 0.0
     vol_i = area_i * zo
     union = area_a * a.h + area_b * b.h - vol_i
+    if union <= 0.0:
+        return 0.0
     return min(1.0, max(0.0, vol_i / union))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def overlap_candidates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) mask of the box-row pairs whose BEV footprints may
     overlap.
@@ -396,62 +402,43 @@ def nms(boxes: np.ndarray, scores: Sequence[float], iou_thresh: float) -> list[i
     return kept
 
 
-def encode_residual(target: Box3D, anchor: Box3D) -> np.ndarray:
-    """Diagonal-normalized 7-vector residual of ``target`` relative to ``anchor``."""
-    d = math.hypot(anchor.w, anchor.l)
-    return np.array(
-        [
-            (target.cx - anchor.cx) / d,
-            (target.cy - anchor.cy) / d,
-            (target.cz - anchor.cz) / anchor.h,
-            math.log(target.w / anchor.w),
-            math.log(target.h / anchor.h),
-            math.log(target.l / anchor.l),
-            wrap_angle(target.r - anchor.r),
-        ]
-    )
+def encode_residuals(targets: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Diagonal-normalized (N, 7) residuals of the rows of ``targets``
+    relative to the rows of ``anchors``."""
+    d = np.hypot(anchors[:, 3], anchors[:, 5])
+    return np.column_stack([(targets[:, :2] - anchors[:, :2]) / d[:, None],
+                            (targets[:, 2] - anchors[:, 2]) / anchors[:, 4],
+                            np.log(targets[:, 3:6] / anchors[:, 3:6]),
+                            wrap_angles(targets[:, 6] - anchors[:, 6])])
 
 
-def _exp(x: float) -> float:
-    """``math.exp``, with inf where it overflows, for validation to reject."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def decode_residual(res: np.ndarray, anchor: Box3D) -> Box3D:
-    """Inverse of :func:`encode_residual`."""
-    d = math.hypot(anchor.w, anchor.l)
-    return Box3D(
-        cx=anchor.cx + float(res[0]) * d,
-        cy=anchor.cy + float(res[1]) * d,
-        cz=anchor.cz + float(res[2]) * anchor.h,
-        w=anchor.w * _exp(float(res[3])),
-        h=anchor.h * _exp(float(res[4])),
-        l=anchor.l * _exp(float(res[5])),
-        r=wrap_angle(anchor.r + float(res[6])),
-    )
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def decode_residuals(res: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """:func:`decode_residual` over the rows of (N, 7) residuals and anchors,
-    with the bits of decoding each row alone: ``hypot`` and ``exp`` come from
-    ``math``, one call per value. Rows are not validated."""
+    """Inverse of :func:`encode_residuals`. Rows are not validated: a size
+    that overflows becomes inf, for :func:`check_boxes` to reject."""
     cx, cy, cz, w, h, l, r = anchors.T
-    d = np.array([math.hypot(a, b) for a, b in zip(w.tolist(), l.tolist())])
-    e = np.array([_exp(v) for v in res[:, 3:6].ravel().tolist()]).reshape(-1, 3)
+    d = np.hypot(w, l)
+    e = np.exp(res[:, 3:6])
     return np.column_stack([cx + res[:, 0] * d, cy + res[:, 1] * d, cz + res[:, 2] * h,
                             w * e[:, 0], h * e[:, 1], l * e[:, 2], wrap_angles(r + res[:, 6])])
 
 
+def encode_residual(target: Box3D, anchor: Box3D) -> np.ndarray:
+    """:func:`encode_residuals` of one box."""
+    return encode_residuals(box_rows([target]), box_rows([anchor]))[0]
+
+
+def decode_residual(res: np.ndarray, anchor: Box3D) -> Box3D:
+    """:func:`decode_residuals` of one box, validated."""
+    return Box3D(*decode_residuals(np.asarray(res, dtype=np.float64)[None],
+                                   box_rows([anchor]))[0].tolist())
+
+
 def average_box_rows(boxes: np.ndarray) -> np.ndarray:
     """:func:`average_boxes` of each (C, 7) block of a (M, C, 7) array, as
-    (M, 7) rows with the bits of averaging each block alone. Rows are not
-    validated."""
+    (M, 7) rows. Rows are not validated."""
     sin, cos = np.sin(boxes[:, :, 6]).sum(axis=1), np.cos(boxes[:, :, 6]).sum(axis=1)
-    r = [math.atan2(s, c) for s, c in zip(sin.tolist(), cos.tolist())]
-    return np.column_stack([boxes[:, :, :6].mean(axis=1), wrap_angles(np.array(r))])
+    return np.column_stack([boxes[:, :, :6].mean(axis=1), wrap_angles(np.arctan2(sin, cos))])
 
 
 def average_boxes(boxes: Sequence[Box3D]) -> Box3D:

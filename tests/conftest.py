@@ -45,3 +45,25 @@ def random_box(gen: np.random.Generator, spread: float = 4.0) -> Box3D:
         l=gen.uniform(0.4, 3.5),
         r=gen.uniform(-math.pi, math.pi),
     )
+
+
+# The array paths sum in another order than the scalar oracles of
+# ``reference`` and call ``np.*`` where those call ``math.*``, so their floats
+# agree to a few ulps (under 1e-14 relative in practice), not bit for bit.
+# Everything discrete or whole-valued is still compared exactly.
+RTOL = ATOL = 1e-12
+
+
+def assert_close(got, want) -> None:
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+
+
+def assert_boxes_close(got, want, period: float = 2 * math.pi) -> None:
+    """(..., 7) box rows equal at the tolerance, yaws as angles modulo
+    ``period``: pi where a box comes from a principal axis, whose sign is
+    arbitrary, so the fit may turn it by a half turn."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert_close(got[..., :6], want[..., :6])
+    turn = np.remainder(got[..., 6] - want[..., 6] + 0.5 * period, period) - 0.5 * period
+    np.testing.assert_allclose(turn, 0.0, atol=ATOL)

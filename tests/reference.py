@@ -6,8 +6,8 @@ three-way partitioning by exhaustive search, BEV alignment by a dense
 bilinear lookup that gathers and weights every query point, connected
 components by a flood fill, RoI pooling by a test of every voxel,
 proposals by a scan of every BEV cell and a box fit per component, NMS and
-best-match by the exact IoU of every pair, and scoring one proposal, channel
-and box at a time.
+best-match by the exact IoU of every pair, and scoring and training one
+proposal, channel, example and box at a time with ``math`` functions.
 """
 from __future__ import annotations
 
@@ -27,18 +27,18 @@ from cadet3d.detector import (
     N_FEATURES,
     PADDING,
     PROPOSAL_NMS_IOU,
+    REG_LOSS_WEIGHT,
     ROI_ENLARGE,
     Detection,
     TrainExample,
+    TrainLosses,
+    _smooth_l1,
     align_yaw_to_anchor,
-    sigmoid,
-    softmax,
 )
 from cadet3d.geometry import (
     Box3D,
     apply_box,
     compose,
-    decode_residual,
     invert,
     iou_3d,
     iou_bev,
@@ -312,6 +312,41 @@ def scalar_average_boxes(boxes) -> Box3D:
     return Box3D(mean[0], mean[1], mean[2], mean[3], mean[4], mean[5], wrap_angle(r))
 
 
+def scalar_softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def scalar_sigmoid(x: float) -> float:
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def scalar_encode_residual(target: Box3D, anchor: Box3D) -> np.ndarray:
+    d = math.hypot(anchor.w, anchor.l)
+    return np.array([(target.cx - anchor.cx) / d, (target.cy - anchor.cy) / d,
+                     (target.cz - anchor.cz) / anchor.h, math.log(target.w / anchor.w),
+                     math.log(target.h / anchor.h), math.log(target.l / anchor.l),
+                     wrap_angle(target.r - anchor.r)])
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def scalar_decode_residual(res: np.ndarray, anchor: Box3D) -> Box3D:
+    d = math.hypot(anchor.w, anchor.l)
+    return Box3D(anchor.cx + float(res[0]) * d, anchor.cy + float(res[1]) * d,
+                 anchor.cz + float(res[2]) * anchor.h, anchor.w * _exp(float(res[3])),
+                 anchor.h * _exp(float(res[4])), anchor.l * _exp(float(res[5])),
+                 wrap_angle(anchor.r + float(res[6])))
+
+
 @dataclass
 class ScalarProposal:
     box: Box3D
@@ -328,7 +363,7 @@ def _box_list(rows) -> list:
 def scalar_score_proposals(enc, params) -> list:
     """Proposal NMS survivors, each proposal scored and boxed on its own."""
     boxes = _box_list(enc.boxes)
-    scores = [softmax(params.w_cls @ (phi / FEATURE_SCALE)) for phi in enc.features]
+    scores = [scalar_softmax(params.w_cls @ (phi / FEATURE_SCALE)) for phi in enc.features]
     keep = scalar_nms([(b, float(sc[1:].max())) for b, sc in zip(boxes, scores)],
                       PROPOSAL_NMS_IOU)
     return [ScalarProposal(boxes[i], scores[i], enc.features[i], _box_list(enc.anchors[i]),
@@ -344,9 +379,9 @@ def scalar_refine(proposals, transforms, params) -> list:
         channel_boxes, obj_scores = [], []
         for anchor, feature, back in zip(prop.anchors, prop.channel_features, inv_backs):
             phi = feature / FEATURE_SCALE
-            decoded = decode_residual(params.w_reg[k] @ phi, anchor)
+            decoded = scalar_decode_residual(params.w_reg[k] @ phi, anchor)
             channel_boxes.append(apply_box(back, decoded))
-            obj_scores.append(sigmoid(float(params.w_obj[k] @ phi)))
+            obj_scores.append(scalar_sigmoid(float(params.w_obj[k] @ phi)))
         dets.append(Detection(scalar_average_boxes(channel_boxes), channel_boxes,
                               prop.class_scores.copy(), float(np.mean(obj_scores))))
     return dets
@@ -373,3 +408,35 @@ def scalar_build_training_examples(enc, target_boxes, target_classes, target_wei
         examples.append(TrainExample(prop.feature, list(prop.channel_features), prop.anchors,
                                      targets, target_class, weight))
     return examples
+
+
+def scalar_loss_and_grads(params, batch):
+    """Losses and gradients one example and channel at a time."""
+    g_cls = np.zeros_like(params.w_cls)
+    g_obj = np.zeros_like(params.w_obj)
+    g_reg = np.zeros_like(params.w_reg)
+    l_cls = l_reg = l_obj = 0.0
+    n = max(len(batch), 1)
+    n_fg = max(sum(1 for ex in batch if ex.target_class > 0), 1)
+    for ex in batch:
+        w = ex.weight
+        phi_c = ex.cls_feature / FEATURE_SCALE
+        probs = scalar_softmax(params.w_cls @ phi_c)
+        l_cls += -w * math.log(max(float(probs[ex.target_class]), 1e-300)) / n
+        dlogits = probs.copy()
+        dlogits[ex.target_class] -= 1.0
+        g_cls += (w / n) * np.outer(dlogits, phi_c)
+        if ex.target_class > 0:
+            k = ex.target_class - 1
+            scale = w / (n_fg * max(len(ex.channel_features), 1))
+            for phi_raw, anchor, target in zip(ex.channel_features, ex.anchors, ex.targets):
+                phi = phi_raw / FEATURE_SCALE
+                res_pred = params.w_reg[k] @ phi
+                val, dval = _smooth_l1(res_pred - scalar_encode_residual(target, anchor))
+                l_reg += scale * REG_LOSS_WEIGHT * float(val.sum())
+                g_reg[k] += scale * REG_LOSS_WEIGHT * np.outer(dval, phi)
+                iou_target = iou_3d(scalar_decode_residual(res_pred, anchor), target)
+                o = scalar_sigmoid(float(params.w_obj[k] @ phi))
+                l_obj += scale * (o - iou_target) ** 2
+                g_obj[k] += scale * 2.0 * (o - iou_target) * o * (1.0 - o) * phi
+    return TrainLosses(cls=l_cls, reg=l_reg, obj=l_obj), (g_cls, g_obj, g_reg)

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -249,7 +250,7 @@ class TestEval:
         assert main(["eval", "--config", str(cfg), "--params", str(bad)]) == 3
 
     @pytest.mark.parametrize("head", ["w_cls", "w_reg"])
-    def test_numeric_failure_exit_1(self, small_env, head):
+    def test_numeric_failure_exit_1(self, small_env, head, capsys):
         # finite weights that overflow inside detection: an internal failure,
         # not an input problem
         tmp, cfg = small_env
@@ -258,7 +259,13 @@ class TestEval:
         params = DetectorParams.zeros()
         getattr(params, head)[:] = 1e308
         save_params(params, huge)
-        assert main(["eval", "--config", str(cfg), "--params", str(huge)]) == 1
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["eval", "--config", str(cfg), "--params", str(huge)]) == 1
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("internal error:")
 
 
 class TestReport:

@@ -25,6 +25,7 @@ from cadet3d.geometry import (
     decode_residual,
     decode_residuals,
     encode_residual,
+    encode_residuals,
     invert,
     iou_3d,
     iou_bev,
@@ -34,12 +35,14 @@ from cadet3d.geometry import (
     wrap_angle,
     wrap_angles,
 )
-from conftest import boxes, random_box, transforms
+from conftest import assert_boxes_close, assert_close, boxes, random_box, transforms
 from reference import (
     mc_iou_3d,
     mc_iou_bev,
     scalar_average_boxes,
     scalar_best_match,
+    scalar_decode_residual,
+    scalar_encode_residual,
     scalar_nms,
 )
 
@@ -194,6 +197,16 @@ class TestIou:
         a = Box3D(0, 0, 0.0, 2, 1, 2, 0.0)
         b = Box3D(0, 0, 2.0, 2, 1, 2, 0.0)
         assert iou_3d(a, b) == 0.0
+
+    def test_union_rounding_to_zero(self):
+        # clipping keeps the whole 1e-6 x 1e-4 box (the inside test has an
+        # absolute tolerance) while the 1e-9 box's area rounds to 0.0, so the
+        # union is 0.0: the IoU is 0.0, not a ZeroDivisionError
+        a = Box3D(1, 1, 0, 1e-6, 1, 1e-4, 0)
+        b = Box3D(1, 1, 0, 1e-9, 1, 1e-9, 0)
+        for x, y in ((a, b), (b, a)):
+            assert iou_bev(x, y) == 0.0
+            assert iou_3d(x, y) == 0.0
 
     def test_monte_carlo_agreement(self, rng):
         for _ in range(60):
@@ -443,7 +456,10 @@ class TestResiduals:
 
 
 class TestArrayForms:
-    """The (N, 7) forms keep the bits of their scalar counterparts."""
+    """The (N, 7) forms equal their scalar counterparts: ``wrap_angles``,
+    ``check_boxes`` and ``box_rows`` exactly, the others, which call
+    ``np.*`` where the scalar forms of ``reference`` call ``math.*``, at the
+    tolerance; ``decode_residual`` and ``encode_residual`` are rows of them."""
 
     @given(st.lists(st.floats(-50, 50, allow_nan=False)
                     | st.sampled_from([math.pi, -math.pi, 3 * math.pi, 0.0, -0.0]), max_size=20))
@@ -459,9 +475,18 @@ class TestArrayForms:
         anchors = [random_box(rng) for _ in range(200)]
         res = rng.normal(size=(200, 7)) * rng.choice([0.01, 0.3, 2.0], size=(200, 7))
         got = decode_residuals(res, box_rows(anchors))
-        want = box_rows([decode_residual(r, a) for r, a in zip(res, anchors)])
-        np.testing.assert_array_equal(got, want)
+        assert_boxes_close(got, box_rows([scalar_decode_residual(r, a)
+                                          for r, a in zip(res, anchors)]))
+        np.testing.assert_array_equal(box_rows([decode_residual(r, a) for r, a in zip(res, anchors)]),
+                                      got)
         assert decode_residuals(np.empty((0, 7)), np.empty((0, 7))).shape == (0, 7)
+
+    def test_encode_residuals(self, rng):
+        anchors, targets = [random_box(rng) for _ in range(200)], [random_box(rng) for _ in range(200)]
+        got = encode_residuals(box_rows(targets), box_rows(anchors))
+        assert_close(got, [scalar_encode_residual(t, a) for t, a in zip(targets, anchors)])
+        np.testing.assert_array_equal([encode_residual(t, a) for t, a in zip(targets, anchors)], got)
+        assert encode_residuals(np.empty((0, 7)), np.empty((0, 7))).shape == (0, 7)
 
     def test_decode_overflow_is_a_value_error(self):
         anchor = Box3D(0, 0, 0, 1, 1, 1, 0)
@@ -477,7 +502,7 @@ class TestArrayForms:
     def test_average_box_rows(self, rng, n_ch):
         blocks = [[random_box(rng) for _ in range(n_ch)] for _ in range(30)]
         got = average_box_rows(np.stack([box_rows(b) for b in blocks]))
-        np.testing.assert_array_equal(got, box_rows([scalar_average_boxes(b) for b in blocks]))
+        assert_boxes_close(got, box_rows([scalar_average_boxes(b) for b in blocks]))
 
     def test_check_boxes(self):
         good = np.array([[0, 0, 0, 1, 1, 1, 0]], dtype=float)
