@@ -14,6 +14,7 @@ import dataclasses
 import math
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -35,15 +36,18 @@ from .data import (
 )
 from .detector import (
     BACKGROUND_WEIGHT,
+    ENCODE_BATCH,
     DetectorParams,
     LossTotals,
     NonFiniteLossError,
     ParamsFormatError,
-    encode,
+    SceneEncoding,
+    encode_batch,
     load_params,
     save_params,
     train_on_scene,
 )
+from .geometry import PointCloud
 from .selftrain import (
     EmaTeacher,
     EpochMetrics,
@@ -96,6 +100,19 @@ def _load_split_scenes(cfg: RunConfig, name: str) -> list[Scene]:
     return [load_scene(root, sid) for sid in read_split(root, name)]
 
 
+def _encode(scenes: list[Scene], policy, drop_clouds: bool = False) -> Iterator[SceneEncoding]:
+    """Encodings of ``scenes`` under ``policy``, ``ENCODE_BATCH`` scenes per
+    :func:`encode_batch` call. With ``drop_clouds``, each scene's cloud is
+    replaced by an empty one once its batch is encoded; its labels stay."""
+    for k in range(0, len(scenes), ENCODE_BATCH):
+        batch = scenes[k:k + ENCODE_BATCH]
+        encodings = encode_batch([s.cloud for s in batch], [policy] * len(batch))
+        if drop_clouds:
+            for scene in batch:
+                scene.cloud = PointCloud.empty()
+        yield from encodings
+
+
 def _load_model(path) -> DetectorParams:
     """Params file checked against the class count of ``CLASS_NAMES`` (exit 3 if not)."""
     params = load_params(path)
@@ -143,7 +160,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
     # supervised pretraining is single-channel and weak, so every epoch trains
     # and scores on the same encodings
     policy = cfg.weak_policy(n_channels=1)
-    encodings = [encode(s.cloud, policy) for s in labeled]
+    encodings = list(_encode(labeled, policy))
     rows = []
     for epoch in range(cfg.pretrain_epochs + 1):  # epoch 0 scores the initialization
         totals = LossTotals()
@@ -172,10 +189,11 @@ def cmd_ssl_train(cfg: RunConfig, params_path) -> int:
         teacher=EmaTeacher(pretrained.copy(), momentum=cfg.ema_momentum),
         seed=cfg.seed,
     )
-    # the weak-policy teacher and validation passes re-score the same encodings
+    # the weak-policy teacher and validation passes re-score the same
+    # encodings; nothing reads a val cloud after its encode
     weak = cfg.weak_policy()
-    unlabeled_enc = [encode(s.cloud, weak) for s in unlabeled]
-    val_enc = [encode(s.cloud, weak) for s in val]
+    unlabeled_enc = list(_encode(unlabeled, weak))
+    val_enc = list(_encode(val, weak, drop_clouds=True))
     rows = []
     for _ in range(cfg.epochs):
         metrics = ssl_epoch(state, labeled, unlabeled, unlabeled_enc, cfg,
@@ -198,8 +216,9 @@ def cmd_eval(cfg: RunConfig, params_path, split: str) -> int:
     params = _load_model(params_path)
     scenes = _load_split_scenes(cfg, split)
     policy = cfg.weak_policy()
-    # each scene is scored once: encode as it is scored, holding no encodings
-    result = detect_and_score(scenes, (encode(s.cloud, policy) for s in scenes), params)
+    # every scene is loaded and checked before any is detected; then each batch
+    # is encoded as it is scored, its clouds dropped, and no encoding is held
+    result = detect_and_score(scenes, _encode(scenes, policy, drop_clouds=True), params)
     out = Path(cfg.out_dir)
     per_class = {CLASS_NAMES[c - 1]: (None if v is None else 100.0 * v) for c, v in result.ap.items()}
     mean_ap = 100.0 * result.map

@@ -238,6 +238,10 @@ def read_bin_cloud(path) -> PointCloud:
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
     if len(bad):
         raise BinFormatError(f"{path}: non-finite value in record at byte {16 * bad[0]}")
+    bad = np.flatnonzero((arr[:, 3] < 0.0) | (arr[:, 3] > 1.0))
+    if len(bad):
+        raise BinFormatError(f"{path}: intensity {float(arr[bad[0], 3])} outside [0, 1] "
+                             f"in record at byte {16 * bad[0]}")
     return PointCloud(arr[:, :3].astype(np.float64), arr[:, 3].astype(np.float64))
 
 

@@ -3,21 +3,26 @@
 Structure: per-channel occupancy voxel grids, aligned/max-pooled BEV fusion,
 a geometric proposer (connected components + PCA box fit, all components in
 one array pass) with a learned linear classifier, per-channel RoI pooling
-(one array pass over all proposals per channel grid) feeding linear
+(one array pass over all proposals and channels) feeding linear
 objectness and residual-regression heads, and back-transformed averaging into
 detections.
 The learned region-proposal stage of full-scale detectors is deliberately
 replaced by the geometric proposer so every head stays a linear map over a
 fixed 12-component feature vector.
 
-Detection runs in two parts. :func:`encode` takes a cloud and its channel
-transforms and does everything that reads no weights: channel clouds, voxel
-grids, the fused BEV, the raw proposals and the RoI features pooled for every
-raw proposal in every channel. It returns a read-only :class:`SceneEncoding`.
-Scoring (:func:`detect`, :func:`build_training_examples`) reads the weights:
-the proposal class scores, proposal NMS, the heads and the final NMS. The weak
+Detection runs in two parts. :func:`encode_batch` takes a batch of clouds,
+each with its own channel transforms, and does everything that reads no
+weights: channel clouds, voxel grids, the fused BEV, the raw proposals and
+the RoI features pooled for every raw proposal in every channel. Each stage
+is one array pass over every (scene, channel) slot of the batch: voxel, BEV
+cell and RoI keys carry a leading slot or scene index, and per-slot transform
+parameters are broadcast per point and repeated per cell or row, so each
+scene's result has the bits of encoding it alone. :func:`encode` is the
+batch of one. Each scene gets a read-only :class:`SceneEncoding`. Scoring
+(:func:`detect`, :func:`build_training_examples`) reads the weights: the
+proposal class scores, proposal NMS, the heads and the final NMS. The weak
 channel transforms are fixed, so one encoding of a scene serves every pass
-over it.
+over it; the CLI encodes weak-policy scenes ``ENCODE_BATCH`` at a time.
 
 Scoring runs on the encoding's arrays, "shared proposals x channels".
 :func:`score_proposals` takes one row-wise softmax over all proposals and
@@ -44,6 +49,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -54,7 +60,6 @@ from .geometry import (
     PointCloud,
     Transform,
     apply_boxes,
-    apply_points,
     average_box_rows,
     best_match,
     box_rows,
@@ -63,8 +68,11 @@ from .geometry import (
     encode_residuals,
     invert,
     iou_3d,
+    map_boxes,
+    map_xy,
     nms,
     relative_transforms,
+    transform_params,
     wrap_angle,
     wrap_angles,
 )
@@ -111,6 +119,11 @@ FINAL_NMS_IOU = 0.1
 MATCH_IOU = 0.3  # proposal-to-target 3D IoU a training RoI needs to be foreground
 LEARNING_RATE = 0.1
 BACKGROUND_WEIGHT = 0.3  # background-RoI weight of supervised pretraining
+# Scenes per encode_batch call of the CLI commands. A batch holds about
+# 0.5 MB of transients per scene. At 4 scenes the benchmark's peak RSS stays
+# at or below that of encoding one scene at a time; at 8 it rose 3-5 % and
+# encoding got no faster.
+ENCODE_BATCH = 4
 
 
 class NonFiniteLossError(RuntimeError):
@@ -214,6 +227,8 @@ def _connected_components(flat: np.ndarray, ny: int) -> tuple[np.ndarray, np.nda
     row-major seed order, each in ascending order, and component k begins at
     position ``start[k]``.
 
+    Neighbours are found in a dense int32 map of the grid bordered by an
+    empty column, so no neighbour wraps from one row's end to the next row.
     Every cell starts labelled with its own position in ``flat``. Each round
     lowers a cell's label to the least label among its neighbours and then
     jumps it to its label's label, until nothing changes; every label is then
@@ -221,15 +236,17 @@ def _connected_components(flat: np.ndarray, ny: int) -> tuple[np.ndarray, np.nda
     """
     if not len(flat):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    col = flat % ny
+    width = ny + 1
+    key = flat // ny * width + flat % ny
+    where = np.full(int(key[-1]) + width + 2, -1, dtype=np.int32)
+    where[key] = np.arange(len(flat), dtype=np.int32)
     a, b = [], []  # occupied neighbour pairs (a[k], b[k]), each found once
-    for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
-        target = flat + di * ny + dj
-        pos = np.minimum(np.searchsorted(flat, target), len(flat) - 1)
-        found = np.flatnonzero((flat[pos] == target) & (col + dj >= 0) & (col + dj < ny))
+    for step in (1, width - 1, width, width + 1):  # (0, 1), (1, -1), (1, 0), (1, 1)
+        nb = where[key + step]
+        found = np.flatnonzero(nb >= 0)
         a.append(found)
-        b.append(pos[found])
-    a, b = np.concatenate(a), np.concatenate(b)
+        b.append(nb[found])
+    a, b = np.concatenate(a), np.concatenate(b).astype(np.int64)
     label = np.arange(len(flat))
     while True:
         low = label.copy()
@@ -262,9 +279,19 @@ def _segment_pca(centered: np.ndarray, weights: np.ndarray | float, start: np.nd
     return vecs, np.maximum.reduceat(proj, start, axis=1) - np.minimum.reduceat(proj, start, axis=1)
 
 
-def propose(fused: BevGrid) -> np.ndarray:
-    """Raw geometric proposals from the fused BEV grid, one row each: the box's
-    7 parameters, then its F classifier features.
+@dataclass(frozen=True)
+class Proposals:
+    """Raw proposals of a fused grid, grouped by plane in ascending order."""
+
+    rows: np.ndarray  # (K, 7 + F): the box's 7 parameters, then its classifier features
+    plane: np.ndarray  # (K,) plane (scene) of each row
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def propose(fused: BevGrid) -> Proposals:
+    """Raw geometric proposals from every plane of the fused BEV grid.
 
     The occupied cells are those of ``fused.cells`` with at least ``MIN_OCC``
     points. Their connected components are fitted with an oriented box (PCA
@@ -273,19 +300,21 @@ def propose(fused: BevGrid) -> np.ndarray:
     is not represented in BEV features, so that feature is zero. Scoring and
     NMS happen per params, in :func:`score_proposals`.
 
-    All components are fitted in one array pass: segment sums
-    (``np.add.reduceat``) for the means and covariances, one stacked
-    ``eigh``, projections onto the repeated eigenvectors, and segment extrema
-    for the extents and the vertical span.
+    The planes are labelled as one tall grid with an empty row between
+    planes, so no component crosses planes. All components are fitted in one
+    array pass: segment sums (``np.add.reduceat``) for the means and
+    covariances, one stacked ``eigh``, projections onto the repeated
+    eigenvectors, and segment extrema for the extents and the vertical span.
     """
     occupied = fused.values[:, BEV_MAX_OCC] >= MIN_OCC
     flat, values = fused.cells[occupied], fused.values[occupied]
-    order, start = _connected_components(flat, fused.shape[1])
+    ny = fused.shape[1]
+    order, start = _connected_components(flat + flat // fused.plane_size * ny, ny)
     sizes = np.diff(start, append=len(flat))
     big = sizes >= MIN_CELLS
     raw = np.zeros((int(big.sum()), BOX_DIM + N_FEATURES))
     if not len(raw):
-        return raw
+        return Proposals(raw, np.zeros(0, dtype=np.int64))
     idx = order[np.repeat(big, sizes)]
     n_cells = sizes[big]
     start = np.cumsum(n_cells) - n_cells
@@ -319,49 +348,72 @@ def propose(fused: BevGrid) -> np.ndarray:
     phi[:, 9] = np.minimum(width, length) / np.maximum(width, length)
     phi[:, 10] = count / n_cells
     phi[:, 11] = 1.0
-    return raw
+    return Proposals(raw, flat[idx[start]] // fused.plane_size)
 
 
-def roi_features(anchors: np.ndarray, grid: VoxelGrid) -> np.ndarray:
-    """Pool voxel statistics inside each enlarged channel-frame anchor box.
+def _roi_voxels(anchors: np.ndarray, grid: VoxelGrid, slot: np.ndarray | None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(RoI, voxel) index pairs of the voxels inside each enlarged anchor box,
+    grouped by RoI with the voxels ascending.
 
-    ``anchors`` holds one channel's (K, 7) RoIs; the result is (K, F). An
-    empty RoI yields the zero feature with bias 1.
-
-    A channel's RoIs are pooled in one array pass. The candidates of an RoI
-    are the voxels whose centers lie within its enlarged box's circumradius of
-    its center in x, plus a slack that covers rounding; ``grid.coords``
-    ascends in x, so they are one ``searchsorted`` window. All (RoI, voxel)
-    candidate pairs are tested with the arithmetic of
-    ``points_in_box(strict=False)``. Counts, column runs, the weighted sums
-    and the extents are segment reductions over the RoIs' voxels, and the
-    covariances go through one stacked ``eigh``.
+    The candidates of an RoI are the voxels of its slot whose centers lie
+    within its enlarged box's circumradius of its center, plus a slack that
+    covers rounding. ``grid.coords`` ascends in (slot, x), so the x bound is
+    one window, found by ``searchsorted`` on the column x centers, and the
+    y bound thins it. The candidates are tested with the arithmetic of
+    ``points_in_box(strict=False)``.
     """
-    phi = np.zeros((len(anchors), N_FEATURES))
-    phi[:, 11] = 1.0
     cx, cy, _, w, h, l, r = anchors.T
     w_e, h_e, l_e = w * ROI_ENLARGE, h * ROI_ENLARGE, l * ROI_ENLARGE
+    cfg = grid.cfg
     centers = grid.centers
+    x_centers = cfg.origin[0] + (np.arange(cfg.nx) + 0.5) * cfg.voxel_size  # bits of centers[:, 0]
     reach = 0.5 * np.hypot(w_e, l_e) + 1e-6
-    lo = np.searchsorted(centers[:, 0], cx - reach)
-    n_cand = np.searchsorted(centers[:, 0], cx + reach) - lo
+    key = grid.slot * cfg.nx + grid.coords[:, 0]  # ascending
+    first = 0 if slot is None else slot * cfg.nx
+    lo = np.searchsorted(key, first + np.searchsorted(x_centers, cx - reach))
+    n_cand = np.searchsorted(key, first + np.searchsorted(x_centers, cx + reach)) - lo
     roi = np.repeat(np.arange(len(anchors)), n_cand)
     vox = np.arange(len(roi)) + np.repeat(lo - np.cumsum(n_cand) + n_cand, n_cand)
+    near = np.flatnonzero(np.abs(centers[vox, 1] - cy[roi]) <= reach[roi])
+    roi, vox = roi[near], vox[near]
     cos, sin = np.cos(r)[roi], np.sin(r)[roi]
     d = centers[vox] - anchors[roi, :3]
     u = cos * d[:, 0] + sin * d[:, 1]
     v = -sin * d[:, 0] + cos * d[:, 1]
     keep = np.flatnonzero((np.abs(u) <= 0.5 * l_e[roi]) & (np.abs(v) <= 0.5 * w_e[roi])
                           & (np.abs(d[:, 2]) <= 0.5 * h_e[roi]))
-    if not len(keep):
+    return roi[keep], vox[keep]
+
+
+def roi_features(anchors: np.ndarray, grid: VoxelGrid, slot: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """Pool voxel statistics inside each enlarged channel-frame anchor box.
+
+    ``anchors`` holds (K, 7) RoIs, RoI k pooled over the voxels of slot
+    ``slot[k]`` of ``grid`` (default: slot 0); the result is (K, F). An empty
+    RoI yields the zero feature with bias 1.
+
+    All RoIs are pooled in one array pass over the voxels of
+    :func:`_roi_voxels`. Counts, column runs, the weighted sums and the
+    extents are segment reductions over the RoIs' voxels, and the
+    covariances go through one stacked ``eigh``.
+    """
+    phi = np.zeros((len(anchors), N_FEATURES))
+    phi[:, 11] = 1.0
+    roi, idx = _roi_voxels(anchors, grid, slot)
+    if not len(roi):
         return phi
-    roi, idx = roi[keep], vox[keep]  # grouped by RoI, voxels ascending
+    cx, cy, _, w, _, l, _ = anchors.T
+    w_e, l_e = w * ROI_ENLARGE, l * ROI_ENLARGE
+    cfg = grid.cfg
+    centers = grid.centers
     n_cells = np.bincount(roi, minlength=len(anchors))
     hit = np.flatnonzero(n_cells)
     n_cells = n_cells[hit]
     start = np.cumsum(n_cells) - n_cells
     counts = grid.counts[idx]
-    col = grid.coords[idx, 0] * grid.cfg.ny + grid.coords[idx, 1]
+    col = grid.coords[idx, 0] * cfg.ny + grid.coords[idx, 1]
     new_col = np.ones(len(idx), dtype=bool)
     new_col[1:] = col[1:] != col[:-1]
     new_col[start] = True
@@ -374,7 +426,7 @@ def roi_features(anchors: np.ndarray, grid: VoxelGrid) -> np.ndarray:
     var_h = np.add.reduceat(counts * (cell_z - np.repeat(mean_h, n_cells)) ** 2, start) / npts
     centered = xy - np.repeat(sums[:, 3:] / npts[:, None], n_cells, axis=0)
     _, extent = _segment_pca(centered, counts, start, n_cells, npts)
-    voxel = grid.cfg.voxel_size
+    voxel = cfg.voxel_size
     phi[hit, 0] = np.log1p(npts)
     phi[hit, 1] = np.minimum(1.0, n_cols * voxel * voxel / (w_e[hit] * l_e[hit]))
     phi[hit, 2] = mean_h
@@ -405,28 +457,74 @@ def align_yaw_to_anchor(target: Box3D, anchor: Box3D) -> Box3D:
     return Box3D(target.cx, target.cy, target.cz, target.w, target.h, target.l, r)
 
 
-def encode(pc: PointCloud, transforms: tuple[Transform, ...]) -> SceneEncoding:
+def _channel_clouds(clouds: Sequence[PointCloud], transforms: list[tuple[Transform, ...]]
+                    ) -> tuple[PointCloud, list[int]]:
+    """Every cloud under each of its channel transforms, one (scene, channel)
+    slot after another, and the points per slot. A cloud's channels are
+    mapped in one pass, its transforms' parameters broadcast against its
+    points, with the bits of mapping each alone."""
+    xyz, intensity, sizes = [], [], []
+    for pc, ts in zip(clouds, transforms):
+        params = transform_params(ts)[:, None]  # (C, 1, 5)
+        xyz.append(np.concatenate([map_xy(params, pc.xyz[:, :2]),
+                                   (params[..., 3] * pc.xyz[:, 2])[..., None]], axis=-1))
+        intensity.append(np.tile(pc.intensity, len(ts)))
+        sizes += [len(pc)] * len(ts)
+    return PointCloud(np.concatenate([a.reshape(-1, 3) for a in xyz] or [np.empty((0, 3))]),
+                      np.concatenate(intensity or [np.empty(0)])), sizes
+
+
+def encode_batch(clouds: Sequence[PointCloud],
+                 transforms_per_scene: Sequence[Sequence[Transform]]) -> list[SceneEncoding]:
+    """:func:`encode` of every cloud under its own channel transforms; see
+    :class:`SceneEncoding`. Each encoding has the bits of encoding its scene
+    alone.
+
+    A slot is one (scene, channel) pair, scene-major. The slots' clouds are
+    voxelized, compressed to BEV, aligned and fused (one plane per scene),
+    proposed from and pooled in one call each, and every proposal's anchors
+    in every channel are mapped in one pass, its slot's relative transform
+    parameters repeated per row.
+    """
+    transforms = [tuple(t) for t in transforms_per_scene]
+    if len(clouds) != len(transforms):
+        raise ValueError("need one transform list per cloud")
+    channels = np.array([len(t) for t in transforms], dtype=np.int64)
+    pc, sizes = _channel_clouds(clouds, transforms)
+    grid = voxelize(pc, VOXEL, sizes)
+    del pc  # each channel cloud is dropped once voxelized
+    props = propose(bev_align(bev_from_voxels(grid), [t for ts in transforms for t in ts],
+                              channels))
+    # anchor rows: scene-major, then proposal, then channel
+    n_ch = channels[props.plane]
+    first = np.cumsum(channels) - channels
+    row_slot = (np.repeat(first[props.plane] - (np.cumsum(n_ch) - n_ch), n_ch)
+                + np.arange(n_ch.sum()))
+    rels = [r for ts in transforms for r in relative_transforms(ts)]
+    anchors = np.repeat(props.rows[:, :BOX_DIM], n_ch, axis=0)
+    moved = np.flatnonzero(~np.array([r.is_identity for r in rels])[row_slot])
+    anchors[moved] = map_boxes(transform_params(rels)[row_slot[moved]], anchors[moved])
+    phi = roi_features(anchors, grid, row_slot)
+    out, k0, r0 = [], 0, 0
+    for ts, k in zip(transforms, np.bincount(props.plane, minlength=len(clouds)).tolist()):
+        r1 = r0 + k * len(ts)
+        out.append(SceneEncoding(
+            transforms=ts,
+            boxes=np.ascontiguousarray(props.rows[k0:k0 + k, :BOX_DIM]),
+            features=np.ascontiguousarray(props.rows[k0:k0 + k, BOX_DIM:]),
+            anchors=anchors[r0:r1].reshape(k, len(ts), BOX_DIM),
+            channel_features=phi[r0:r1].reshape(k, len(ts), N_FEATURES)))
+        k0, r0 = k0 + k, r1
+    return out
+
+
+def encode(pc: PointCloud, transforms: Sequence[Transform]) -> SceneEncoding:
     """Everything of detection that reads no weights; see :class:`SceneEncoding`.
 
-    Channel c is ``pc`` under ``transforms[c]``; each channel cloud is dropped
-    once voxelized. All raw proposals are mapped into each channel by its
-    relative transform in one :func:`apply_boxes` call, and each channel grid
-    pools all its anchors in one :func:`roi_features` call. The voxel grids
-    are dropped on return.
+    Channel c is ``pc`` under ``transforms[c]``. This is :func:`encode_batch`
+    of one scene.
     """
-    grids = [voxelize(apply_points(t, pc), VOXEL) for t in transforms]
-    raw = propose(bev_align([bev_from_voxels(g) for g in grids], transforms))
-    boxes = np.ascontiguousarray(raw[:, :BOX_DIM])
-    anchors = np.stack([apply_boxes(rel, boxes) for rel in relative_transforms(transforms)],
-                       axis=1)
-    return SceneEncoding(
-        transforms=tuple(transforms),
-        boxes=boxes,
-        features=np.ascontiguousarray(raw[:, BOX_DIM:]),
-        anchors=anchors,
-        channel_features=np.stack(
-            [roi_features(anchors[:, i], grid) for i, grid in enumerate(grids)], axis=1),
-    )
+    return encode_batch([pc], [transforms])[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")

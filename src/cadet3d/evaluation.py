@@ -77,7 +77,8 @@ class EvalResult:
 
 
 def evaluate_scenes(dets_per_scene, scenes) -> EvalResult:
-    """Dataset-level per-class AP40 over per-scene detection lists.
+    """Dataset-level per-class AP40 over per-scene detection lists, one list
+    per scene of ``scenes`` (ValueError if the counts differ).
 
     Detections rank by p_hat * objectness. Matching happens within each scene,
     so flags can be merged across scenes and sorted globally without changing
@@ -87,7 +88,7 @@ def evaluate_scenes(dets_per_scene, scenes) -> EvalResult:
     for cls_id, iou_thresh in enumerate(IOU_THRESHOLDS, start=1):
         scored: list[tuple[float, int, int, bool]] = []
         n_gt = 0
-        for si, (dets, scene) in enumerate(zip(dets_per_scene, scenes)):
+        for si, (dets, scene) in enumerate(zip(dets_per_scene, scenes, strict=True)):
             gts = [b for b, c in zip(scene.gt_boxes, scene.gt_classes) if c == cls_id]
             n_gt += len(gts)
             sub = [d for d in dets if d.predicted_class == cls_id]

@@ -170,14 +170,37 @@ class PointCloud:
         return PointCloud(self.xyz.copy(), self.intensity.copy())
 
 
+def transform_params(transforms: Sequence[Transform]) -> np.ndarray:
+    """(n, 5) rows (mirror sign, cos theta, sin theta, s, theta) of ``transforms``,
+    with ``math``'s cos and sin. Indexed per point or box, the rows let one
+    array pass apply a different transform to each (:func:`map_xy`,
+    :func:`map_boxes`) with the bits of applying each alone."""
+    return np.array([(-1.0 if t.flip_y else 1.0, math.cos(t.theta), math.sin(t.theta), t.s,
+                      t.theta) for t in transforms], dtype=np.float64).reshape(-1, 5)
+
+
+def map_xy(params: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """(..., 2) planar coordinates mapped by :func:`transform_params` rows
+    ``params``, broadcast against ``xy``'s leading axes: (N, 5) maps row i by
+    ``params[i]``, (C, 1, 5) maps every point by each of C transforms."""
+    f, c, s, k, _ = np.moveaxis(params, -1, 0)
+    x, y = xy[..., 0], f * xy[..., 1]
+    return np.stack([k * (c * x - s * y), k * (s * x + c * y)], axis=-1)
+
+
+def map_boxes(params: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """(N, 7) boxes, row i mapped covariantly by the :func:`transform_params`
+    row ``params[i]`` (``params`` may also be one row for all)."""
+    f, c, s, k, theta = params.T
+    cx, cy, cz, w, h, l, r = boxes.T
+    cy, r = f * cy, f * r
+    cx, cy = c * cx - s * cy, s * cx + c * cy
+    return np.stack([k * cx, k * cy, k * cz, k * w, k * h, k * l, wrap_angles(r + theta)], axis=1)
+
+
 def transform_xy(t: Transform, xy: np.ndarray) -> np.ndarray:
     """Apply a transform to (N, 2) planar coordinates."""
-    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-    x, y = xy[:, 0], xy[:, 1].copy()
-    if t.flip_y:
-        y = -y
-    c, s = math.cos(t.theta), math.sin(t.theta)
-    return np.stack([t.s * (c * x - s * y), t.s * (s * x + c * y)], axis=1)
+    return map_xy(transform_params([t]), np.asarray(xy, dtype=np.float64).reshape(-1, 2))
 
 
 def apply_points(t: Transform, pc: PointCloud) -> PointCloud:
@@ -216,16 +239,7 @@ def apply_boxes(t: Transform, boxes: np.ndarray) -> np.ndarray:
     scalar map's operations in their order, with ``cos`` and ``sin`` taken
     once, so every row has the bits of mapping that box alone. The identity
     returns ``boxes`` itself."""
-    if t.is_identity:
-        return boxes
-    cx, cy, cz, w, h, l, r = boxes.T
-    if t.flip_y:
-        cy = -cy
-        r = -r
-    c, s = math.cos(t.theta), math.sin(t.theta)
-    cx, cy = c * cx - s * cy, s * cx + c * cy
-    r = wrap_angles(r + t.theta)
-    return np.stack([t.s * cx, t.s * cy, t.s * cz, t.s * w, t.s * h, t.s * l, r], axis=1)
+    return boxes if t.is_identity else map_boxes(transform_params([t]), boxes)
 
 
 def _polygon_area(poly: Sequence[tuple[float, float]]) -> float:

@@ -335,7 +335,9 @@ def detect_and_score(scenes: list[Scene], encodings: Iterable[SceneEncoding],
     """Detect every encoded scene and score the detections against ``scenes`` (AP40).
 
     ``encodings`` runs parallel to ``scenes``; it may be a generator, so a
-    caller that scores once need not hold every encoding at the same time.
+    caller that scores once can encode a batch at a time as it is detected
+    and need not hold every encoding at the same time. ``scenes`` is read
+    only for its labels once every scene is detected.
     """
     dets = [detect(enc, params) for enc in encodings]
     _check_encoded(scenes, dets, "scored")

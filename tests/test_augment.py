@@ -50,13 +50,16 @@ class TestPolicyValidation:
 class TestWeakChannels:
     @staticmethod
     def voxelized_clouds(monkeypatch, pc, transforms):
-        """The channel clouds ``detector.encode`` voxelizes, in channel order."""
+        """The channel clouds ``detector.encode`` voxelizes, in channel order:
+        the slots of its one ``voxelize`` call."""
         clouds = []
         original = detector.voxelize
 
-        def capture(cloud, cfg):
-            clouds.append(cloud)
-            return original(cloud, cfg)
+        def capture(cloud, cfg, sizes):
+            ends = np.cumsum(sizes)
+            clouds.extend(PointCloud(cloud.xyz[end - n:end], cloud.intensity[end - n:end])
+                          for n, end in zip(sizes, ends))
+            return original(cloud, cfg, sizes)
 
         monkeypatch.setattr(detector, "voxelize", capture)
         enc = detector.encode(pc, transforms)

@@ -236,6 +236,23 @@ class TestEval:
         assert "val.txt: scene id" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    def test_intensity_out_of_range_exit_2(self, small_env, capsys):
+        # the last val scene is bad: every scene is read before any is detected
+        tmp, cfg = small_env
+        main(["gen-data", "--config", str(cfg)])
+        main(["pretrain", "--config", str(cfg)])
+        last = (tmp / "data" / "splits" / "val.txt").read_text().split()[-1]
+        path = tmp / "data" / "points" / f"{last}.bin"
+        records = np.fromfile(path, dtype="<f4").reshape(-1, 4)
+        records[1, 3] = 1.5
+        records.tofile(path)
+        out = tmp / "eval_out"
+        assert main(["eval", "--config", str(cfg), "--out", str(out),
+                     "--params", str(tmp / "run" / "pretrain.params")]) == 2
+        err = capsys.readouterr().err
+        assert f"{last}.bin: intensity 1.5 outside [0, 1] in record at byte 16" in err
+        assert not (out / "results.csv").exists()
+
     @pytest.mark.parametrize("kind", ["non_finite", "class_mismatch", "ragged_body"])
     def test_bad_params_exit_3(self, small_env, kind):
         tmp, cfg = small_env
@@ -366,11 +383,14 @@ class TestWorkCounts:
     score them; strong-channel student steps encode anew."""
 
     def counting(self, monkeypatch, module, name):
+        """Calls of ``module.name``; a ``voxelize`` call counts once per slot
+        (scene and channel) of its batch."""
         calls = []
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls.append(name)
+            slots = args[2] if name == "voxelize" else [None]
+            calls.extend([name] * len(slots))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)

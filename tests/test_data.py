@@ -212,6 +212,23 @@ class TestBinClouds:
         with pytest.raises(BinFormatError, match=r"bad\.bin: non-finite value in record at byte 32"):
             read_bin_cloud(path)
 
+    @pytest.mark.parametrize("value", [-0.25, -1e-6, 1.0000001, 3.0, 1e30])
+    def test_intensity_outside_unit_interval_named(self, tmp_path, value):
+        arr = np.full((4, 4), 0.5, dtype="<f4")
+        arr[3, 3] = value
+        path = tmp_path / "bad.bin"
+        arr.tofile(path)
+        with pytest.raises(BinFormatError, match=r"bad\.bin: intensity .* outside \[0, 1\] "
+                                                 r"in record at byte 48"):
+            read_bin_cloud(path)
+
+    def test_intensity_bounds_accepted(self, tmp_path):
+        arr = np.full((2, 4), 0.5, dtype="<f4")
+        arr[:, 3] = (0.0, 1.0)
+        path = tmp_path / "edge.bin"
+        arr.tofile(path)
+        assert read_bin_cloud(path).intensity.tolist() == [0.0, 1.0]
+
 
 class TestSplits:
     def test_kitti_scale_one_percent(self):

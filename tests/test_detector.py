@@ -1,6 +1,7 @@
 import math
 import struct
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from cadet3d.augment import StrongRanges, strong_channels, weak_default_policy
 from cadet3d.data import SynthConfig, synth_scene
 from cadet3d.detector import (
     BOX_DIM,
+    ENCODE_BATCH,
     FEATURE_SCALE,
     N_FEATURES,
     PARAMS_MAGIC,
@@ -31,6 +33,7 @@ from cadet3d.detector import (
     build_training_examples,
     detect,
     encode,
+    encode_batch,
     load_params,
     loss_and_grads,
     propose,
@@ -89,7 +92,7 @@ class TestPropose:
         box = Box3D(2.0, 1.0, 0.9, 1.8, 1.5, 4.0, 0.5)
         grid, _ = grid_with_cluster(rng, box)
         fused = bev_align([bev_from_voxels(grid)], [Transform.identity()])
-        props = propose(fused)
+        props = propose(fused).rows
         assert len(props) == 1
         assert iou_3d(Box3D(*props[0, :BOX_DIM]), box) > 0.3
 
@@ -106,7 +109,7 @@ class TestPropose:
         box = Box3D(0.0, 0.0, 0.75, 1.6, 1.5, 4.2, yaw)
         grid, _ = grid_with_cluster(rng, box, n=500)
         fused = bev_align([bev_from_voxels(grid)], [Transform.identity()])
-        props = propose(fused)
+        props = propose(fused).rows
         assert len(props) == 1
         err = abs(math.degrees(props[0, BOX_DIM - 1] - yaw)) % 180
         assert min(err, 180 - err) < 10
@@ -115,7 +118,7 @@ class TestPropose:
         pts = np.array([[0.0, 0.0, 0.5]])
         grid = voxelize(PointCloud(pts, np.zeros(1)), VOXEL)
         fused = bev_align([bev_from_voxels(grid)], [Transform.identity()])
-        assert propose(fused).shape == (0, BOX_DIM + N_FEATURES)
+        assert propose(fused).rows.shape == (0, BOX_DIM + N_FEATURES)
 
     def test_class_scores_sum_to_one(self, rng):
         box = Box3D(1.0, -2.0, 0.9, 1.8, 1.5, 4.0, 1.0)
@@ -243,7 +246,7 @@ class TestProposeOracle:
 
     @staticmethod
     def assert_dense(fused):
-        got = propose(fused)
+        got = propose(fused).rows
         assert_proposals_close(got, dense_propose(fused))
         return got
 
@@ -410,18 +413,119 @@ class TestEncodeRois:
         calls = []
         original = detector.roi_features
 
-        def counted(anchors, grid):
+        def counted(anchors, grid, slot=None):
             calls.append(len(anchors))
-            return original(anchors, grid)
+            return original(anchors, grid, slot)
 
         monkeypatch.setattr(detector, "roi_features", counted)
         enc = encode(scene.cloud, transforms)
         k = len(enc.boxes)
-        assert k > 0 and calls == [k] * len(transforms)
+        assert k > 0 and calls == [k * len(transforms)]  # every channel's anchors in one call
         for c, t in enumerate(transforms):
             grid = voxelize(apply_points(t, scene.cloud), VOXEL)
             assert_roi_close(enc.channel_features[:, c], np.array(
                 [dense_roi_features(Box3D(*anchor), grid) for anchor in enc.anchors[:, c].tolist()]))
+
+
+class TestEncodeBatch:
+    """A batch of scenes encodes, field for field and byte for byte, as each
+    scene alone; no component, fused cell or pooled voxel crosses scenes."""
+
+    POLICIES = [weak_default_policy(), strong_channels(StrongRanges(), 3, 21),
+                strong_channels(StrongRanges(), 4, 22), weak_default_policy(1)]
+
+    @staticmethod
+    def check(clouds, transforms):
+        encs = encode_batch(clouds, transforms)
+        assert len(encs) == len(clouds)
+        for got, pc, ts in zip(encs, clouds, transforms, strict=True):
+            want = encode(pc, ts)
+            assert got.transforms == want.transforms == tuple(ts)
+            for field in ("boxes", "features", "anchors", "channel_features"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert (a.shape, a.dtype) == (b.shape, b.dtype), field
+                assert a.tobytes() == b.tobytes(), field
+                assert not a.flags.writeable
+        return encs
+
+    @pytest.mark.parametrize("size", [1, 2, ENCODE_BATCH, ENCODE_BATCH + 1])
+    def test_sizes_and_mixed_policies(self, size):
+        clouds = [synth_scene(seed, SynthConfig()).cloud for seed in range(size)]
+        for shift in range(len(self.POLICIES)):  # every policy at every position
+            encs = self.check(clouds, [self.POLICIES[(i + shift) % len(self.POLICIES)]
+                                       for i in range(size)])
+            assert all(len(enc.boxes) > 0 for enc in encs)
+
+    def test_empty_outside_and_proposal_free_scenes(self, rng):
+        # far in x and y, or below the grid floor, under any channel transform
+        far = rng.uniform([25.0, 25.0, 0.5], [30.0, 30.0, 2.0], (200, 3))
+        low = rng.uniform([-5.0, -5.0, -1.0], [5.0, 5.0, 0.05], (200, 3))
+        outside = PointCloud(np.vstack([far, low]), rng.random(400))
+        lonely = PointCloud(np.array([[0.0, 0.0, 0.5], [8.0, 8.0, 0.5], [8.0, -8.0, 1.0]]),
+                            np.array([0.3, 0.6, 0.9]))  # occupied cells, no component of MIN_CELLS
+        real = synth_scene(1, SynthConfig()).cloud
+        clouds = [PointCloud.empty(), real, outside, lonely, real, PointCloud.empty()]
+        for shift in range(len(self.POLICIES)):
+            transforms = [self.POLICIES[(i + shift) % len(self.POLICIES)]
+                          for i in range(len(clouds))]
+            encs = self.check(clouds, transforms)
+            assert [len(enc.boxes) > 0 for enc in encs] == [False, True, False, False, True, False]
+            for enc, ts in zip(encs, transforms):
+                assert enc.anchors.shape[1:] == (len(ts), BOX_DIM)
+                assert enc.channel_features.shape[1:] == (len(ts), N_FEATURES)
+
+    def test_only_empty_scenes(self):
+        for enc, ts in zip(self.check([PointCloud.empty()] * 2, self.POLICIES[:2]),
+                           self.POLICIES[:2]):
+            assert enc.anchors.shape == (0, len(ts), BOX_DIM)
+
+    def test_scenes_never_mix(self, rng):
+        # scene b fills the last grid row and column, scene b + 1 the first:
+        # stacked planes would join them. Every scene also holds the same
+        # cluster at the same (x, y, z), with its own intensities.
+        cluster = box_surface_points(rng, Box3D(5.0, 5.0, 0.9, 1.8, 1.5, 4.0, 0.3), 300)
+        far = VOXEL.origin[0] + VOXEL.nx * VOXEL.voxel_size - 0.1
+
+        def edge_cloud(edge):
+            t = rng.uniform(-18.0, 18.0, 400)
+            xy = np.vstack([np.column_stack([np.full(400, edge), t]),
+                            np.column_stack([t, np.full(400, edge)])])
+            xyz = np.vstack([np.column_stack([xy, rng.uniform(0.3, 1.5, len(xy))]), cluster])
+            return PointCloud(xyz, rng.random(len(xyz)))
+
+        clouds = [edge_cloud(far), edge_cloud(-far), edge_cloud(far), edge_cloud(-far)]
+        first_row = far - VOXEL.nx * VOXEL.voxel_size + 0.2
+        assert first_row < VOXEL.origin[0] + VOXEL.voxel_size  # -far lies in row 0
+        identity = (Transform.identity(),)
+        for transforms in ([identity] * 4, [weak_default_policy()] * 4, self.POLICIES):
+            encs = self.check(clouds, transforms)
+            assert all(len(enc.boxes) >= 3 for enc in encs)
+
+
+class TestEncodeMemory:
+    # tracemalloc peak of encode_batch over ENCODE_BATCH weak-policy synth
+    # scenes (0 to 3, ENCODE_BATCH = 4, numpy 2.4): 2.2 MB measured, about
+    # 0.55 MB a scene. The bound is about twice that, so a change that
+    # densifies per-batch arrays (or raises ENCODE_BATCH) fails here before
+    # it moves the benchmark's peak RSS.
+    PEAK_BOUND_MB = 4.5
+
+    def test_batch_peak_traced_memory(self):
+        clouds = [synth_scene(seed, SynthConfig()).cloud for seed in range(ENCODE_BATCH)]
+        transforms = [weak_default_policy()] * len(clouds)
+        encode_batch(clouds, transforms)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            encode_batch(clouds, transforms)
+            peak_mb = (tracemalloc.get_traced_memory()[1] - before) / 1e6
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert 0 < peak_mb < self.PEAK_BOUND_MB
 
 
 class TestStackedEigh:

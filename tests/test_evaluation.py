@@ -111,6 +111,14 @@ class TestEvaluateScenes:
         assert result.ap[2] is None and result.ap[3] is None
         assert result.map == pytest.approx(result.ap[1])
 
+    @pytest.mark.parametrize("n_dets", [2, 4])
+    def test_count_mismatch_rejected(self, n_dets):
+        # a bare zip dropped the unpaired tail and scored the rest
+        scenes = [synth_scene(s, SynthConfig()) for s in range(3)]
+        dets = [gt_echo_detections(s) for s in scenes] + [[]]
+        with pytest.raises(ValueError):
+            evaluate_scenes(dets[:n_dets], scenes)
+
 
 class TestEvalConstants:
     def test_default_thresholds(self):
