@@ -26,6 +26,7 @@ from .data import (
     Scene,
     SplitFormatError,
     SplitSpec,
+    SynthConfig,
     atomic_open,
     load_scene,
     read_split,
@@ -126,12 +127,12 @@ def cmd_gen_data(cfg: RunConfig) -> int:
     root = Path(cfg.dataset_root)
     root.mkdir(parents=True, exist_ok=True)
     for i in range(cfg.n_scenes):
-        scene = synth_scene(scene_seed(cfg.seed, 0, i, 10), cfg.synth, scene_id=f"{i:06d}")
+        scene = synth_scene(scene_seed(cfg.seed, 0, i, 10), SynthConfig(), scene_id=f"{i:06d}")
         save_scene(root, scene)
     val_ids = []
     for i in range(cfg.n_val_scenes):
         sid = f"{cfg.n_scenes + i:06d}"
-        scene = synth_scene(scene_seed(cfg.seed, 0, i, 11), cfg.synth, scene_id=sid)
+        scene = synth_scene(scene_seed(cfg.seed, 0, i, 11), SynthConfig(), scene_id=sid)
         save_scene(root, scene)
         val_ids.append(sid)
     labeled, unlabeled = split_sample(cfg.n_scenes, SplitSpec(cfg.fraction, cfg.seed))

@@ -6,13 +6,11 @@ depends on wall-clock state.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .augment import StrongRanges, weak_default_policy
-from .data import SynthConfig
 from .geometry import Transform
 
 
@@ -30,7 +28,6 @@ class RunConfig:
     n_scenes: int = 200
     n_val_scenes: int = 50
     fraction: float = 0.05
-    synth: SynthConfig = field(default_factory=SynthConfig)
     # channel policies (angles in degrees here)
     n_channels: int = 3
     weak_rot_deg: float = 22.5
@@ -52,6 +49,9 @@ class RunConfig:
     def validate(self) -> None:
         if self.seed < 0:
             raise ConfigError("seed is mandatory (set it in the config file or pass --seed)")
+        for key in ("dataset_root", "out_dir"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key} must not be empty")
         if not 0.0 < self.fraction <= 1.0:
             raise ConfigError(f"fraction must be in (0, 1], got {self.fraction}")
         if self.n_scenes < 1 or self.n_val_scenes < 0:
@@ -91,16 +91,8 @@ _WEAK_KEYS = ("n_channels", "weak_rot_deg", "weak_scale_low", "weak_scale_high")
 _STRONG_KEYS = ("strong_rot_deg", "strong_scale_low", "strong_scale_high", "strong_flip_prob")
 
 
-def _flatten(obj, prefix: str = "") -> dict[str, object]:
-    out: dict[str, object] = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        key = f"{prefix}{f.name}"
-        if is_dataclass(value) and not isinstance(value, type):
-            out.update(_flatten(value, prefix=f"{key}."))
-        else:
-            out[key] = value
-    return out
+def _flatten(cfg: RunConfig) -> dict[str, object]:
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
 
 
 def _coerce(raw: str, template):
@@ -124,22 +116,8 @@ def _built(build, keys, flat: dict[str, object], defaults: dict[str, object]):
         raise ConfigError(f"bad value for {named}: {exc}") from None
 
 
-def _rebuild(cls, flat: dict[str, object], defaults: dict[str, object], prefix: str = ""):
-    kwargs = {}
-    for f in fields(cls):
-        key = f"{prefix}{f.name}"
-        default = f.default if f.default is not dataclasses.MISSING else f.default_factory()
-        if is_dataclass(default) and not isinstance(default, type):
-            kwargs[f.name] = _rebuild(type(default), flat, defaults, prefix=f"{key}.")
-        else:
-            kwargs[f.name] = flat[key]
-    own_keys = [k for k in flat if k.startswith(prefix)]
-    return _built(lambda: cls(**kwargs), own_keys, flat, defaults)
-
-
 def config_to_text(cfg: RunConfig) -> str:
-    lines = [f"{k} = {v}" for k, v in _flatten(cfg).items()]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{k} = {v}\n" for k, v in _flatten(cfg).items())
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -160,8 +138,7 @@ def load_config(path=None, overrides: dict[str, object] | None = None) -> RunCon
     defaults = _flatten(RunConfig())
     flat: dict[str, object] = dict(defaults)
     if path is not None:
-        text = Path(path).read_text()
-        for key, raw in parse_config_text(text).items():
+        for key, raw in parse_config_text(Path(path).read_text()).items():
             if key not in defaults:
                 raise ConfigError(f"unknown config key {key!r}")
             try:
@@ -172,7 +149,7 @@ def load_config(path=None, overrides: dict[str, object] | None = None) -> RunCon
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
         flat[key] = value
-    cfg = _rebuild(RunConfig, flat, defaults)
+    cfg = RunConfig(**flat)
     cfg.validate()
     # built here so that a value no policy accepts fails before a command writes
     for build, keys in ((cfg.weak_policy, _WEAK_KEYS), (cfg.strong_policy, _STRONG_KEYS)):

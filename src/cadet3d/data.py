@@ -59,8 +59,8 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Knobs for the synthetic scene generator. Size priors are config values
-    chosen for class separability at desk scale, not measured statistics."""
+    """The synthetic scene generator's settings; ``gen-data`` uses the defaults, fixed
+    values chosen for class separability at desk scale, not measured statistics."""
 
     ground_points: int = 1000
     ground_sigma: float = 0.03

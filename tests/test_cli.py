@@ -58,6 +58,19 @@ class TestGenData:
         assert main(["gen-data", "--config", str(cfg)]) == 0
         assert read_bytes_tree(tmp / "data") == first
 
+    def test_writes_default_generator_scenes(self, small_env):
+        # gen-data's scenes are synth_scene's with data.SynthConfig's defaults
+        tmp, cfg = small_env
+        assert main(["gen-data", "--config", str(cfg)]) == 0
+        ref = tmp / "ref"
+        for i in range(12 + 4):
+            stream, index = (10, i) if i < 12 else (11, i - 12)
+            seed = selftrain.scene_seed(5, 0, index, stream)
+            data.save_scene(ref, data.synth_scene(seed, data.SynthConfig(), scene_id=f"{i:06d}"))
+        written = read_bytes_tree(tmp / "data")
+        assert {k: v for k, v in written.items() if not k.startswith("splits")} == \
+            read_bytes_tree(ref)
+
     def test_fraction_zero_config_error(self, small_env):
         tmp, cfg = small_env
         bad = tmp / "bad.txt"
@@ -71,7 +84,7 @@ class TestGenData:
 
 
 class TestConfigErrors:
-    # the det.* lines name keys that no longer exist; they exit 2 as unknown keys
+    # the det.* and synth.* lines name keys that no longer exist; they exit 2 as unknown keys
     @pytest.mark.parametrize("line", ["n_channels = 2", "det.voxel.voxel_size = 0",
                                       "weak_scale_low = 0", "strong_scale_low = -1",
                                       "det.learning_rate = 0", "det.roi_enlarge = 0",
@@ -99,6 +112,28 @@ class TestConfigErrors:
         assert main(["pretrain", "--config", str(keyed)]) == 2
         assert "unknown config key 'det.min_cells'" in capsys.readouterr().err
         assert not (tmp / "run").exists()
+
+    def test_former_synth_key_exits_2_before_writing(self, small_env, capsys):
+        # the generator's settings are data.SynthConfig's defaults; a valid old value is refused
+        tmp, cfg = small_env
+        keyed = tmp / "keyed.txt"
+        keyed.write_text(cfg.read_text() + "synth.object_radius = 10.5\n")
+        assert main(["gen-data", "--config", str(keyed)]) == 2
+        assert "unknown config key 'synth.object_radius'" in capsys.readouterr().err
+        assert not (tmp / "data").exists() and not (tmp / "run").exists()
+
+    @pytest.mark.parametrize("key", ["dataset_root", "out_dir"])
+    def test_empty_path_exits_2_before_writing(self, small_env, capsys, monkeypatch, key):
+        tmp, cfg = small_env
+        work = tmp / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        blank = tmp / "blank.txt"
+        blank.write_text(cfg.read_text() + f"{key} =\n")
+        assert main(["gen-data", "--config", str(blank)]) == 2
+        assert key in capsys.readouterr().err
+        assert list(work.iterdir()) == []
+        assert not (tmp / "data").exists()
 
     def test_undecodable_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -35,11 +35,11 @@ class TestConfigFile:
 
     def test_file_values_applied(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("seed = 11\nepochs = 4\nsynth.object_radius = 10.5\n")
+        path.write_text("seed = 11\nepochs = 4\nstrong_rot_deg = 30.5\n")
         cfg = load_config(path)
         assert cfg.seed == 11
         assert cfg.epochs == 4
-        assert cfg.synth.object_radius == 10.5
+        assert cfg.strong_rot_deg == 30.5
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -76,15 +76,7 @@ class TestConfigFile:
                                             ("strong_flip_prob", "7"),
                                             ("strong_rot_deg", "inf"),
                                             ("unsup_background_weight", "nan"),
-                                            ("prefilter_min_score", "nan"),
-                                            ("synth.object_radius", "nan"),
-                                            ("synth.ground_points", "-1"),
-                                            ("synth.max_per_class", "-1"),
-                                            ("synth.clutter_max", "1"),
-                                            ("synth.range_scale", "0"),
-                                            ("synth.size_jitter", "-0.1"),
-                                            ("synth.ground_sigma", "-1"),
-                                            ("synth.surface_inset", "-0.05")])
+                                            ("prefilter_min_score", "nan")])
     def test_unbuildable_value_named_at_load(self, tmp_path, key, value):
         path = tmp_path / "cfg.txt"
         path.write_text(f"seed = 1\nepochs = 3\n{key} = {value}\n")
@@ -104,10 +96,35 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
             load_config(path)
 
+    # the generator's settings are the defaults of data.SynthConfig, not config keys
+    @pytest.mark.parametrize("key, value", [("synth.object_radius", "nan"),
+                                            ("synth.ground_points", "-1"),
+                                            ("synth.max_per_class", "-1"),
+                                            ("synth.clutter_max", "1"),
+                                            ("synth.range_scale", "0"),
+                                            ("synth.size_jitter", "-0.1"),
+                                            ("synth.ground_sigma", "-1"),
+                                            ("synth.surface_inset", "-0.05")])
+    def test_former_synth_key_unknown(self, tmp_path, key, value):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"seed = 1\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
+            load_config(path)
+
     def test_key_count(self):
         keys = _flatten(RunConfig())
-        assert len(keys) == 35
-        assert not any(k.startswith("det.") for k in keys)
+        assert len(keys) == 22
+        assert not any("." in k for k in keys)
+
+    @pytest.mark.parametrize("key", ["dataset_root", "out_dir"])
+    def test_empty_path_rejected(self, tmp_path, key):
+        # an empty path would otherwise mean the working directory
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"seed = 1\n{key} =\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, {"seed": 1, key: ""})
 
     def test_overrides_beat_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
