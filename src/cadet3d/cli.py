@@ -37,13 +37,12 @@ from .data import (
 )
 from .detector import (
     BACKGROUND_WEIGHT,
-    ENCODE_BATCH,
     DetectorParams,
     LossTotals,
     NonFiniteLossError,
     ParamsFormatError,
     SceneEncoding,
-    encode_batch,
+    encode_batches,
     load_params,
     save_params,
     train_on_scene,
@@ -105,13 +104,10 @@ def _encode(scenes: list[Scene], policy, drop_clouds: bool = False) -> Iterator[
     """Encodings of ``scenes`` under ``policy``, ``ENCODE_BATCH`` scenes per
     :func:`encode_batch` call. With ``drop_clouds``, each scene's cloud is
     replaced by an empty one once its batch is encoded; its labels stay."""
-    for k in range(0, len(scenes), ENCODE_BATCH):
-        batch = scenes[k:k + ENCODE_BATCH]
-        encodings = encode_batch([s.cloud for s in batch], [policy] * len(batch))
+    for scene, enc in encode_batches(scenes, lambda s: (s.cloud, policy)):
         if drop_clouds:
-            for scene in batch:
-                scene.cloud = PointCloud.empty()
-        yield from encodings
+            scene.cloud = PointCloud.empty()
+        yield enc
 
 
 def _load_model(path) -> DetectorParams:

@@ -22,7 +22,8 @@ batch of one. Each scene gets a read-only :class:`SceneEncoding`. Scoring
 (:func:`detect`, :func:`build_training_examples`) reads the weights: the
 proposal class scores, proposal NMS, the heads and the final NMS. The weak
 channel transforms are fixed, so one encoding of a scene serves every pass
-over it; the CLI encodes weak-policy scenes ``ENCODE_BATCH`` at a time.
+over it. :func:`encode_batches` encodes ``ENCODE_BATCH`` scenes per call:
+the CLI's weak-policy scenes and the student's strong-channel steps alike.
 
 Scoring runs on the encoding's arrays, "shared proposals x channels".
 :func:`score_proposals` takes one row-wise softmax over all proposals and
@@ -48,8 +49,9 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -119,11 +121,26 @@ FINAL_NMS_IOU = 0.1
 MATCH_IOU = 0.3  # proposal-to-target 3D IoU a training RoI needs to be foreground
 LEARNING_RATE = 0.1
 BACKGROUND_WEIGHT = 0.3  # background-RoI weight of supervised pretraining
-# Scenes per encode_batch call of the CLI commands. A batch holds about
+# Scenes per encode_batch call of encode_batches. A batch holds about
 # 0.5 MB of transients per scene. At 4 scenes the benchmark's peak RSS stays
 # at or below that of encoding one scene at a time; at 8 it rose 3-5 % and
 # encoding got no faster.
 ENCODE_BATCH = 4
+
+T = TypeVar("T")
+
+
+def encode_batches(items: Iterable[T],
+                   inputs: Callable[[T], tuple[PointCloud, Sequence[Transform]]]
+                   ) -> Iterator[tuple[T, SceneEncoding]]:
+    """Each of ``items`` with the encoding of ``inputs(item)``, a cloud and its
+    channel transforms, ``ENCODE_BATCH`` items per :func:`encode_batch` call.
+    Each batch of ``items`` is drawn, and its inputs built, just before it is
+    encoded, once the previous batch has been yielded."""
+    it = iter(items)
+    while batch := list(islice(it, ENCODE_BATCH)):
+        yield from zip(batch, encode_batch(*zip(*map(inputs, batch))))
+        del batch  # the next batch is drawn without this one held
 
 
 class NonFiniteLossError(RuntimeError):

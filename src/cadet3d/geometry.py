@@ -198,19 +198,6 @@ def map_boxes(params: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     return np.stack([k * cx, k * cy, k * cz, k * w, k * h, k * l, wrap_angles(r + theta)], axis=1)
 
 
-def transform_xy(t: Transform, xy: np.ndarray) -> np.ndarray:
-    """Apply a transform to (N, 2) planar coordinates."""
-    return map_xy(transform_params([t]), np.asarray(xy, dtype=np.float64).reshape(-1, 2))
-
-
-def apply_points(t: Transform, pc: PointCloud) -> PointCloud:
-    """Map every point through flip -> rotate -> scale; intensity is untouched."""
-    if t.is_identity:
-        return pc.copy()
-    xyz = np.column_stack([transform_xy(t, pc.xyz[:, :2]), t.s * pc.xyz[:, 2]])
-    return PointCloud(xyz, pc.intensity.copy())
-
-
 def apply_box(t: Transform, b: Box3D) -> Box3D:
     """Map a box covariantly: center as a point, sizes by s, yaw by flip/rotation.
     The identity returns ``b`` itself."""

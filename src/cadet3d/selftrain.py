@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,13 +19,12 @@ from .detector import (
     LossTotals,
     NonFiniteLossError,
     SceneEncoding,
-    TrainLosses,
     detect,
-    encode,
+    encode_batches,
     train_on_scene,
 )
 from .evaluation import EvalResult, evaluate_scenes, pseudo_quality
-from .geometry import Box3D, PointCloud, best_match, box_rows, iou_3d, points_in_box
+from .geometry import Box3D, PointCloud, Transform, best_match, box_rows, iou_3d, points_in_box
 
 log = logging.getLogger(__name__)
 
@@ -370,7 +369,11 @@ def ssl_epoch(
     transforms ``cfg.weak_policy()`` per scene of ``unlabeled`` and
     ``val_scenes``, so a caller running several epochs encodes each scene
     once. Each student step draws ``cfg.n_channels`` transforms from
-    ``cfg.strong_policy()`` with its own scene seed and encodes anew.
+    ``cfg.strong_policy()`` with its own scene seed. The teacher detects and
+    the thresholds are fitted before the first step, so no step's target,
+    weights or transforms depend on an update: the steps are encoded anew
+    ``ENCODE_BATCH`` at a time (each as if alone), their targets built just
+    before their batch is encoded, and trained on in order.
     """
     _check_encoded(unlabeled, unlabeled_enc, "unlabeled")
     if val_scenes:
@@ -394,15 +397,53 @@ def ssl_epoch(
     # fresh strong channels per visit); the labeled anchor must stay in the
     # gradient mix or pseudo-label class noise can snowball through the EMA
     # teacher faster than a trailing supervised phase can undo.
+    Step = tuple[str, Scene, list[float], int, float]
+
+    def labeled_step(scene: Scene, idx: int) -> Step:
+        seed = scene_seed(state.seed, state.epoch, idx, 2)
+        return "labeled", scene, [1.0] * len(scene.gt_boxes), seed, 1.0
+
+    def steps() -> Iterator[Step]:
+        """(kind, target, weights, strong-channel seed, background weight) per
+        student step, in training order, each target built when drawn."""
+        for idx, (scene, pseudo) in enumerate(zip(unlabeled, pseudo_sets)):
+            strat = stratify(pseudo, thr)
+            metrics.n_pseudo += len(strat)
+            metrics.n_high += sum(pb.level == LEVEL_HIGH for pb in strat)
+            metrics.n_ambiguous += sum(pb.level == LEVEL_AMBIGUOUS for pb in strat)
+            metrics.n_low += sum(pb.level == LEVEL_LOW for pb in strat)
+            if scene.gt_boxes:
+                quality = pseudo_quality(strat, scene.gt_boxes, scene.gt_classes)
+                metrics.incorrect_prefilter += quality.prefilter
+                metrics.incorrect_postfilter += quality.postfilter
+            low_boxes = [pb.box for pb in strat if pb.level == LEVEL_LOW]
+            kept = [pb for pb in strat if pb.level != LEVEL_LOW]
+            # the pseudo-labelled view: hidden ground truth stays on ``scene``
+            target = Scene(
+                scene.id,
+                remove_low_level_points(scene.cloud, low_boxes),
+                [pb.box for pb in kept],
+                [pb.cls for pb in kept],
+            )
+            if cfg.shuffle_grid_cells >= 2:
+                target = shuffle_augment(
+                    target, cfg.shuffle_grid_cells, scene_seed(state.seed, state.epoch, idx, 1)
+                )
+            yield ("unlabeled", target, [pb.weight for pb in kept],
+                   scene_seed(state.seed, state.epoch, idx, 0), cfg.unsup_background_weight)
+            if labeled:
+                yield labeled_step(labeled[idx % len(labeled)], idx)
+        if not unlabeled:
+            for idx, scene in enumerate(labeled):
+                yield labeled_step(scene, idx)
+
+    def strong_inputs(step: Step) -> tuple[PointCloud, tuple[Transform, ...]]:
+        return step[1].cloud, strong_channels(strong_ranges, cfg.n_channels, step[3])
+
     unsup = LossTotals()
     sup = LossTotals()
-
-    def student_step(kind: str, target: Scene, weights: list[float], idx: int, tag: int,
-                     background_weight: float) -> TrainLosses | None:
-        """Strong-channel student step on ``target``'s boxes, then the EMA update."""
-        transforms = strong_channels(strong_ranges, cfg.n_channels,
-                                     scene_seed(state.seed, state.epoch, idx, tag))
-        enc = encode(target.cloud, transforms)
+    for (kind, target, weights, _, background_weight), enc in encode_batches(steps(),
+                                                                            strong_inputs):
         try:
             losses = train_on_scene(enc, target.gt_boxes, target.gt_classes, weights,
                                     state.student, background_weight)
@@ -410,42 +451,7 @@ def ssl_epoch(
             raise NonFiniteLossError(f"{kind} scene {target.id}: {exc}") from exc
         if losses is not None:
             ema_update(state.teacher, state.student)
-        return losses
-
-    def labeled_step(scene: Scene, idx: int) -> None:
-        sup.add(student_step("labeled", scene, [1.0] * len(scene.gt_boxes), idx, 2, 1.0))
-
-    for idx, (scene, pseudo) in enumerate(zip(unlabeled, pseudo_sets)):
-        strat = stratify(pseudo, thr)
-        metrics.n_pseudo += len(strat)
-        metrics.n_high += sum(pb.level == LEVEL_HIGH for pb in strat)
-        metrics.n_ambiguous += sum(pb.level == LEVEL_AMBIGUOUS for pb in strat)
-        metrics.n_low += sum(pb.level == LEVEL_LOW for pb in strat)
-        if scene.gt_boxes:
-            quality = pseudo_quality(strat, scene.gt_boxes, scene.gt_classes)
-            metrics.incorrect_prefilter += quality.prefilter
-            metrics.incorrect_postfilter += quality.postfilter
-        low_boxes = [pb.box for pb in strat if pb.level == LEVEL_LOW]
-        kept = [pb for pb in strat if pb.level != LEVEL_LOW]
-        # the pseudo-labelled view: hidden ground truth stays on ``scene``
-        target = Scene(
-            scene.id,
-            remove_low_level_points(scene.cloud, low_boxes),
-            [pb.box for pb in kept],
-            [pb.cls for pb in kept],
-        )
-        if cfg.shuffle_grid_cells >= 2:
-            target = shuffle_augment(
-                target, cfg.shuffle_grid_cells, scene_seed(state.seed, state.epoch, idx, 1)
-            )
-        unsup.add(student_step("unlabeled", target, [pb.weight for pb in kept], idx, 0,
-                               cfg.unsup_background_weight))
-        if labeled:
-            labeled_step(labeled[idx % len(labeled)], idx)
-
-    if not unlabeled:
-        for idx, scene in enumerate(labeled):
-            labeled_step(scene, idx)
+        (unsup if kind == "unlabeled" else sup).add(losses)
 
     metrics.unsup_cls, metrics.unsup_reg, metrics.unsup_obj, metrics.unsup_total = unsup.means()
     metrics.sup_cls, metrics.sup_reg, metrics.sup_obj, metrics.sup_total = sup.means()

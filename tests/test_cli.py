@@ -415,7 +415,8 @@ class TestModuleEntry:
 
 class TestWorkCounts:
     """Weak-policy scenes are encoded once per command, however many passes
-    score them; strong-channel student steps encode anew."""
+    score them; strong-channel student steps encode anew, ``ENCODE_BATCH``
+    steps per ``encode_batch`` call."""
 
     def counting(self, monkeypatch, module, name):
         """Calls of ``module.name``; a ``voxelize`` call counts once per slot
@@ -456,6 +457,47 @@ class TestWorkCounts:
         strong_steps = epochs * 2 * n_unlabeled
         assert len(drawn) == strong_steps
         assert len(voxelized) == n_channels * (n_unlabeled + n_val + strong_steps)
+
+    def test_student_steps_encode_in_batches(self, small_env, monkeypatch):
+        tmp, cfg = small_env
+        main(["gen-data", "--config", str(cfg)])
+        two = tmp / "two.txt"
+        two.write_text(cfg.read_text() + "epochs = 2\n")
+        params = tmp / "zeros.params"
+        save_params(DetectorParams.zeros(), params)
+        events = []  # ("encode", batch size) and ("target", None), in call order
+        for module, name in ((detector, "encode_batch"), (selftrain, "remove_low_level_points")):
+            original = getattr(module, name)
+
+            def logged(*args, _original=original, _name=name):
+                events.append(("encode", len(args[0])) if _name == "encode_batch"
+                              else ("target", None))
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, logged)
+        assert main(["ssl-train", "--config", str(two), "--params", str(params)]) == 0
+        n_unlabeled, n_val, epochs, batch = 10, 4, 2, detector.ENCODE_BATCH
+        steps = 2 * n_unlabeled  # an unlabeled and a labeled step per unlabeled scene
+        n_weak = -(-n_unlabeled // batch) + -(-n_val // batch)  # ceil divisions
+        per_epoch = -(-steps // batch)
+        encodes = [size for kind, size in events if kind == "encode"]
+        assert len(encodes) == n_weak + epochs * per_epoch
+        sizes = [min(batch, steps - k * batch) for k in range(per_epoch)]
+        assert encodes[n_weak:] == epochs * sizes
+        # targets are built per batch: by the k-th student encode of an epoch,
+        # at most k * ENCODE_BATCH unlabeled targets of that epoch exist; with
+        # steps interleaved 1:1, exactly half of them
+        built, built_by_encode = 0, []
+        for kind, _ in events[n_weak:]:
+            if kind == "target":
+                built += 1
+            else:
+                built_by_encode.append(built)
+        for e in range(epochs):
+            for k, n in enumerate(built_by_encode[e * per_epoch:(e + 1) * per_epoch], start=1):
+                assert n - e * n_unlabeled <= k * batch
+                assert n - e * n_unlabeled == min(k * batch // 2, n_unlabeled)
+        assert built == epochs * n_unlabeled
 
 
 class TestAtomicOutputs:

@@ -49,7 +49,6 @@ from cadet3d.geometry import (
     PointCloud,
     Transform,
     apply_box,
-    apply_points,
     average_boxes,
     box_rows,
     compose,
@@ -60,6 +59,7 @@ from cadet3d.geometry import (
 from cadet3d.voxels import BevGrid, VoxelConfig, bev_align, bev_from_voxels, voxelize
 from conftest import assert_boxes_close, assert_close, random_box
 from reference import (
+    apply_points,
     dense_bev_align,
     dense_propose,
     dense_roi_features,
@@ -154,8 +154,6 @@ class TestRoiFeatures:
         pc = PointCloud(pts, rng.random(300))
         t = Transform(flip_y=True, theta=math.radians(22.5), s=1.0)
         grid1 = voxelize(pc, VOXEL)
-        from cadet3d.geometry import apply_points
-
         grid2 = voxelize(apply_points(t, pc), VOXEL)
         phi1 = roi_features(box.as_array()[None], grid1)[0]
         phi2 = roi_features(apply_box(t, box).as_array()[None], grid2)[0]
@@ -166,8 +164,6 @@ class TestRoiFeatures:
         pts = box_surface_points(rng, box, n=300, inset=0.15)
         pc = PointCloud(pts, rng.random(300))
         t = Transform(flip_y=True, theta=math.radians(-22.5), s=0.98)
-        from cadet3d.geometry import apply_points
-
         grid1 = voxelize(pc, VOXEL)
         grid2 = voxelize(apply_points(t, pc), VOXEL)
         n1 = math.expm1(roi_features(box.as_array()[None], grid1)[0, 0])
@@ -503,16 +499,16 @@ class TestEncodeBatch:
 
 
 class TestEncodeMemory:
-    # tracemalloc peak of encode_batch over ENCODE_BATCH weak-policy synth
-    # scenes (0 to 3, ENCODE_BATCH = 4, numpy 2.4): 2.2 MB measured, about
-    # 0.55 MB a scene. The bound is about twice that, so a change that
-    # densifies per-batch arrays (or raises ENCODE_BATCH) fails here before
-    # it moves the benchmark's peak RSS.
+    # tracemalloc peak of encode_batch over ENCODE_BATCH synth scenes (0 to
+    # 3, ENCODE_BATCH = 4, numpy 2.4): 2.2 MB measured under the weak policy,
+    # about 0.55 MB a scene, and 2.2 MB under strong channels drawn per scene
+    # (seeds 0 to 3), as the student's steps are encoded. The bound is about
+    # twice that, so a change that densifies per-batch arrays (or raises
+    # ENCODE_BATCH) fails here before it moves the benchmark's peak RSS.
     PEAK_BOUND_MB = 4.5
 
-    def test_batch_peak_traced_memory(self):
+    def peak_mb(self, transforms):
         clouds = [synth_scene(seed, SynthConfig()).cloud for seed in range(ENCODE_BATCH)]
-        transforms = [weak_default_policy()] * len(clouds)
         encode_batch(clouds, transforms)
         tracing = tracemalloc.is_tracing()
         if not tracing:
@@ -521,11 +517,19 @@ class TestEncodeMemory:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             encode_batch(clouds, transforms)
-            peak_mb = (tracemalloc.get_traced_memory()[1] - before) / 1e6
+            return (tracemalloc.get_traced_memory()[1] - before) / 1e6
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert 0 < peak_mb < self.PEAK_BOUND_MB
+
+    def test_batch_peak_traced_memory(self):
+        peak = self.peak_mb([weak_default_policy()] * ENCODE_BATCH)
+        assert 0 < peak < self.PEAK_BOUND_MB
+
+    def test_strong_batch_peak_traced_memory(self):
+        peak = self.peak_mb([strong_channels(StrongRanges(), 3, seed)
+                             for seed in range(ENCODE_BATCH)])
+        assert 0 < peak < self.PEAK_BOUND_MB
 
 
 class TestStackedEigh:

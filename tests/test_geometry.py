@@ -15,7 +15,6 @@ from cadet3d.geometry import (
     _bev_overlap,
     apply_box,
     apply_boxes,
-    apply_points,
     average_box_rows,
     average_boxes,
     best_match,
@@ -37,6 +36,7 @@ from cadet3d.geometry import (
 )
 from conftest import assert_boxes_close, assert_close, boxes, random_box, transforms
 from reference import (
+    apply_points,
     mc_iou_3d,
     mc_iou_bev,
     scalar_average_boxes,

@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cadet3d import selftrain
 from cadet3d.config import RunConfig
 from cadet3d.data import Scene, SynthConfig, synth_scene
-from cadet3d.detector import Detection, DetectorParams, encode
+from cadet3d.detector import (
+    ENCODE_BATCH,
+    Detection,
+    DetectorParams,
+    NonFiniteLossError,
+    encode,
+)
 from cadet3d.geometry import Box3D, PointCloud, iou_3d, points_in_box
 from cadet3d.selftrain import (
     CRITERIA,
@@ -30,7 +37,7 @@ from cadet3d.selftrain import (
     stratify,
 )
 from conftest import random_box
-from reference import brute_force_three_partition
+from reference import brute_force_three_partition, stepwise_ssl_epoch
 
 
 def det_with_boxes(boxes, scores=(0.1, 0.6, 0.2, 0.1), obj=0.8):
@@ -305,16 +312,17 @@ class TestEma:
             ema_update(teacher, DetectorParams.zeros(num_classes=2))
 
 
-def tiny_ssl_setup(n_labeled=3, n_unlabeled=5, n_val=2):
+def tiny_ssl_setup(n_labeled=3, n_unlabeled=5, n_val=2, shuffle_grid_cells=4, momentum=0.999):
     synth = SynthConfig()
     labeled = [synth_scene(scene_seed(9, 0, i, 10), synth, f"{i:06d}") for i in range(n_labeled)]
     unlabeled = [
         synth_scene(scene_seed(9, 0, 100 + i, 10), synth, f"u{i:06d}") for i in range(n_unlabeled)
     ]
     val = [synth_scene(scene_seed(9, 0, 200 + i, 11), synth, f"v{i:06d}") for i in range(n_val)]
-    cfg = RunConfig(seed=9, n_channels=3, threshold_period=5, shuffle_grid_cells=4)
+    cfg = RunConfig(seed=9, n_channels=3, threshold_period=5,
+                    shuffle_grid_cells=shuffle_grid_cells)
     params = DetectorParams.zeros(lr=0.1)
-    state = SslState(student=params.copy(), teacher=EmaTeacher(params.copy(), 0.999), seed=9)
+    state = SslState(student=params.copy(), teacher=EmaTeacher(params.copy(), momentum), seed=9)
     return labeled, unlabeled, val, cfg, state
 
 
@@ -379,6 +387,115 @@ class TestSslEpoch:
         assert state.thresholds is None
         ssl_epoch(state, labeled, unlabeled, weak_encodings(unlabeled, cfg), cfg)
         assert isinstance(state.thresholds, ThresholdBank)
+
+
+def params_bytes(state):
+    return [a.tobytes() for a in state.student.arrays() + state.teacher.params.arrays()]
+
+
+def cluster_scene(scene_id):
+    """An unlabeled scene that is one compact cluster, well inside the box a
+    detection fits to it, so removing that box's points leaves no point."""
+    rng = np.random.default_rng(0)
+    n = 400
+    xyz = np.column_stack([rng.uniform(9.0, 13.0, n), rng.uniform(4.0, 5.8, n),
+                           rng.uniform(0.4, 1.2, n)])
+    return Scene(scene_id, PointCloud(xyz, rng.random(n)))
+
+
+class TestBatchedEpochMatchesStepwise:
+    """``ssl_epoch`` encodes its student steps ``ENCODE_BATCH`` at a time;
+    the step-by-step loop of ``reference`` must leave the same bytes in both
+    parameter sets and the same metrics, epoch after epoch."""
+
+    def run_both(self, setup, epochs=2, prepare=None):
+        results = []
+        for epoch_fn in (ssl_epoch, stepwise_ssl_epoch):
+            labeled, unlabeled, val, cfg, state = setup()
+            if prepare is not None:
+                labeled, unlabeled, state = prepare(labeled, unlabeled, state)
+            unlabeled_enc, val_enc = weak_encodings(unlabeled, cfg), weak_encodings(val, cfg)
+            rows = []
+            for _ in range(epochs):
+                m = epoch_fn(state, labeled, unlabeled, unlabeled_enc, cfg,
+                             val_scenes=val, val_enc=val_enc)
+                rows.append((m, params_bytes(state)))
+            results.append(rows)
+        batched, stepwise = results
+        for (m_b, p_b), (m_s, p_s) in zip(batched, stepwise, strict=True):
+            assert m_b == m_s
+            assert p_b == p_s
+        return batched
+
+    @pytest.mark.parametrize("n_labeled, n_unlabeled, steps", [
+        (3, 3, 6),
+        (2, 5, 10),  # the labeled set cycles
+        (0, 5, 5),  # no labeled scene
+        (3, 0, 3),  # the labeled-only loop
+    ])
+    def test_step_counts(self, n_labeled, n_unlabeled, steps):
+        assert steps % ENCODE_BATCH  # the last batch is short
+        rows = self.run_both(lambda: tiny_ssl_setup(n_labeled, n_unlabeled, momentum=0.5))
+        assert rows[-1][1] != params_bytes(tiny_ssl_setup()[-1])  # training moved the weights
+
+    @pytest.mark.parametrize("cells", [0, 1, 2, 4])
+    def test_shuffle_grid_cells(self, cells):
+        self.run_both(lambda: tiny_ssl_setup(2, 3, n_val=0, shuffle_grid_cells=cells,
+                                             momentum=0.5))
+
+    def test_target_emptied_by_low_level_removal(self, monkeypatch):
+        # thresholds of 1 make every teacher detection low; from epoch 1 on,
+        # threshold_period 5 refits them in neither epoch run
+        never_high = DualThresholds((1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
+
+        def prepare(labeled, unlabeled, state):
+            state.thresholds = ThresholdBank({c: never_high for c in (1, 2, 3)})
+            state.epoch = 1
+            return labeled, [unlabeled[0], cluster_scene("u-cluster"), unlabeled[1]], state
+
+        sizes = []
+        original = selftrain.remove_low_level_points
+
+        def sized(cloud, boxes):
+            out = original(cloud, boxes)
+            sizes.append((len(cloud), len(out)))
+            return out
+
+        monkeypatch.setattr(selftrain, "remove_low_level_points", sized)
+        self.run_both(lambda: tiny_ssl_setup(2, 2, n_val=0, momentum=0.5), prepare=prepare)
+        assert (400, 0) in sizes
+
+
+class TestNonFiniteStepNamed:
+    """A student step whose loss is not finite names its kind and scene.
+
+    The student's yaw residual has a bias of 1e308: every decoded box stays
+    finite (yaws wrap), but the regression loss of any foreground RoI sums
+    to inf. An overflowing ``w_cls`` would not do: its NaN proposal scores
+    fail proposal NMS with a ValueError before any loss is formed.
+    """
+
+    def overflowing(self, n_labeled, n_unlabeled):
+        labeled, unlabeled, _, cfg, state = tiny_ssl_setup(n_labeled, n_unlabeled)
+        state.student.w_reg[:, 6, -1] = 1e308  # feature 11 is the bias, always 1
+        # every teacher detection high (the teacher stays finite), and not
+        # refitted at epoch 1, so the first unlabeled step has foreground RoIs
+        always_high = DualThresholds((0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
+        state.thresholds = ThresholdBank({c: always_high for c in (1, 2, 3)})
+        state.epoch = 1
+        return labeled, unlabeled, cfg, state
+
+    def test_unlabeled_step(self):
+        labeled, unlabeled, cfg, state = self.overflowing(2, 3)
+        with pytest.raises(NonFiniteLossError) as info:
+            ssl_epoch(state, labeled, unlabeled, weak_encodings(unlabeled, cfg), cfg)
+        assert str(info.value).startswith(f"unlabeled scene {unlabeled[0].id}: ")
+
+    def test_labeled_only_epoch(self):
+        labeled, _, cfg, state = self.overflowing(2, 0)
+        with pytest.raises(NonFiniteLossError) as info:
+            ssl_epoch(state, labeled, [], [], cfg)
+        assert str(info.value).startswith(f"labeled scene {labeled[0].id}: ")
 
 
 class TestSceneSeed:

