@@ -21,13 +21,14 @@ from .geometry import Box3D, PointCloud, Transform
 
 @dataclass(frozen=True)
 class StrongRanges:
-    """Sampling ranges for one randomly drawn channel transform."""
+    """Sampling ranges for one randomly drawn channel transform; the run
+    configuration's ``strong_*`` keys set them."""
 
-    rot_min: float = -math.pi / 4
-    rot_max: float = math.pi / 4
-    scale_min: float = 0.95
-    scale_max: float = 1.05
-    flip_prob: float = 0.5
+    rot_min: float
+    rot_max: float
+    scale_min: float
+    scale_max: float
+    flip_prob: float
 
     def __post_init__(self) -> None:
         if not (self.rot_min <= self.rot_max and 0.0 < self.scale_min <= self.scale_max
@@ -36,14 +37,11 @@ class StrongRanges:
                              f"0 <= flip_prob <= 1, got {self}")
 
 
-def weak_default_policy(
-    n_channels: int = 3,
-    rot: float = math.radians(22.5),
-    scale_low: float = 0.98,
-    scale_high: float = 1.02,
-) -> tuple[Transform, ...]:
+def weak_default_policy(n_channels: int, rot: float, scale_low: float,
+                        scale_high: float) -> tuple[Transform, ...]:
     """The fixed (weak) channel transforms: the identity, then two mirrored,
-    counter-rotated, re-scaled channels."""
+    counter-rotated, re-scaled channels; the run configuration's ``n_channels``
+    and ``weak_*`` keys set them."""
     if n_channels == 1:
         return (Transform.identity(),)
     if n_channels == 3:

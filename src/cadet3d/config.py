@@ -28,7 +28,7 @@ class RunConfig:
     n_scenes: int = 200
     n_val_scenes: int = 50
     fraction: float = 0.05
-    # channel policies (angles in degrees here)
+    # channel policies, their only defaults (angles in degrees here)
     n_channels: int = 3
     weak_rot_deg: float = 22.5
     weak_scale_low: float = 0.98

@@ -32,8 +32,9 @@ their (K, C, 7) anchors and (K, C, F) features and evaluates each head as one
 ``einsum``, and decoding, back-transforms and the channel average run over all
 rows at once. :func:`loss_and_grads` stacks its examples the same way.
 ``nms`` and ``best_match`` test exact IoU only on the pairs that pass an array
-circumradius pre-reject. :class:`Box3D` objects are built only for the
-detections :func:`detect` returns and for training examples. Scoring and
+circumradius pre-reject. Boxes travel as (N, 7) rows: :func:`detect` builds
+one :class:`Box3D` per detection, its averaged box, and training examples
+hold their (C, 7) anchor and target rows. Scoring and
 training run with numpy's overflow and invalid-value warnings off: the
 finiteness checks on scores, boxes and losses decide what a non-finite value
 means.
@@ -58,7 +59,6 @@ import numpy as np
 from .data import atomic_open
 from .geometry import (
     Box3D,
-    BoxRow,
     PointCloud,
     Transform,
     apply_boxes,
@@ -75,7 +75,6 @@ from .geometry import (
     nms,
     relative_transforms,
     transform_params,
-    wrap_angle,
     wrap_angles,
 )
 from .voxels import (
@@ -207,7 +206,7 @@ class SceneEncoding:
 @dataclass
 class Detection:
     box: Box3D  # the average of ``per_channel_boxes``
-    per_channel_boxes: list[Box3D]  # canonical frame
+    per_channel_boxes: Sequence[Sequence[float]]  # (C, 7) rows, canonical frame
     class_scores: np.ndarray
     objectness: float
 
@@ -458,22 +457,6 @@ def roi_features(anchors: np.ndarray, grid: VoxelGrid, slot: np.ndarray | None =
     return phi
 
 
-def align_yaw_to_anchor(target: Box3D, anchor: Box3D) -> Box3D:
-    """Equivalent box whose yaw residual against the anchor lies in (-pi/2, pi/2].
-
-    A footprint is invariant under a half-turn of its heading, so regression
-    targets can always use the flip closest to the anchor; this keeps yaw
-    residuals unimodal."""
-    d = wrap_angle(target.r - anchor.r)
-    if d > math.pi / 2:
-        r = target.r - math.pi
-    elif d <= -math.pi / 2:
-        r = target.r + math.pi
-    else:
-        return target
-    return Box3D(target.cx, target.cy, target.cz, target.w, target.h, target.l, r)
-
-
 def _channel_clouds(clouds: Sequence[PointCloud], transforms: list[tuple[Transform, ...]]
                     ) -> tuple[PointCloud, list[int]]:
     """Every cloud under each of its channel transforms, one (scene, channel)
@@ -590,8 +573,8 @@ def detect(enc: SceneEncoding, params: DetectorParams) -> list[Detection]:
     keep, class_scores = score_proposals(enc, params)
     boxes, channel_boxes, objectness = refine(enc, keep, class_scores, params)
     confidence = class_scores[:, 1:].max(axis=1) * objectness
-    return [Detection(Box3D(*boxes[i].tolist()), [Box3D(*b) for b in channel_boxes[i].tolist()],
-                      class_scores[i], float(objectness[i]))
+    return [Detection(Box3D(*boxes[i].tolist()), channel_boxes[i].tolist(), class_scores[i],
+                      float(objectness[i]))
             for i in nms(boxes, confidence.tolist(), FINAL_NMS_IOU)]
 
 
@@ -603,14 +586,15 @@ def detect(enc: SceneEncoding, params: DetectorParams) -> list[Detection]:
 class TrainExample:
     """One RoI with per-channel pooled features and (optionally) box targets.
 
-    ``anchors``/``targets`` are channel-frame boxes; ``targets`` is None for
-    background RoIs. ``cls_feature`` is the proposal-classifier input.
+    ``anchors``/``targets`` are channel-frame boxes, one per channel: (C, 7)
+    rows or :class:`Box3D` lists alike. ``targets`` is None for background
+    RoIs. ``cls_feature`` is the proposal-classifier input.
     """
 
     cls_feature: np.ndarray
     channel_features: list[np.ndarray]
-    anchors: list[Box3D]
-    targets: list[Box3D] | None
+    anchors: Sequence[Sequence[float]]
+    targets: Sequence[Sequence[float]] | None
     target_class: int  # 0 = background
     weight: float
 
@@ -702,15 +686,15 @@ def loss_and_grads(
     k = target[target > 0] - 1
     scale = weight[target > 0] / (len(fg) * n_ch)
     phi = np.array([ex.channel_features for ex in fg]) / FEATURE_SCALE
-    anchors = box_rows([a for ex in fg for a in ex.anchors])
-    targets = box_rows([t for ex in fg for t in ex.targets])
+    anchors = box_rows([ex.anchors for ex in fg])
+    targets = box_rows([ex.targets for ex in fg])
     res_pred = np.einsum("grf,gcf->gcr", params.w_reg[k], phi)
     val, dval = _smooth_l1(res_pred - encode_residuals(targets, anchors).reshape(res_pred.shape))
     l_reg = REG_LOSS_WEIGHT * (scale * val.sum(axis=(1, 2))).sum()
     np.add.at(g_reg, k, np.einsum("g,gcr,gcf->grf", REG_LOSS_WEIGHT * scale, dval, phi))
     decoded = check_boxes(decode_residuals(res_pred.reshape(-1, BOX_DIM), anchors))
-    iou_target = np.array([iou_3d(BoxRow(*d), BoxRow(*t))
-                           for d, t in zip(decoded.tolist(), targets.tolist())]).reshape(-1, n_ch)
+    iou_target = np.array([iou_3d(d, t) for d, t in zip(decoded.tolist(), targets.tolist())]
+                          ).reshape(-1, n_ch)
     o = sigmoid(np.einsum("gf,gcf->gc", params.w_obj[k], phi))
     l_obj = (scale * ((o - iou_target) ** 2).sum(axis=1)).sum()
     np.add.at(g_obj, k, np.einsum("gc,gcf->gf",
@@ -734,6 +718,7 @@ def train_step(params: DetectorParams, batch: list[TrainExample]) -> TrainLosses
     return losses
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_training_examples(
     enc: SceneEncoding,
     target_boxes: list[Box3D],
@@ -745,25 +730,38 @@ def build_training_examples(
     """Match an encoded scene's proposals to canonical-frame targets.
 
     Proposals matched by 3D IoU inherit the target's class, box, and weight;
-    the rest become background RoIs with ``background_weight``. Channel-frame
-    box targets are produced by pushing the matched target through each
-    channel transform.
+    the rest become background RoIs with ``background_weight``. Each example
+    holds its proposal's (C, 7) channel-frame anchor rows. A foreground RoI's
+    (C, 7) target rows are the matched target pushed through each channel
+    transform, each turned by a half-turn where that brings its yaw residual
+    against the anchor into (-pi/2, pi/2]: a footprint is invariant under a
+    half-turn of its heading, and this keeps yaw residuals unimodal. The kept
+    anchors and the matched targets must be finite with positive sizes
+    (ValueError otherwise).
     """
     keep, _ = score_proposals(enc, params)
     gts = box_rows(target_boxes)
     canonical = apply_boxes(invert(enc.transforms[0]), enc.boxes[keep])
-    channel_gts = [apply_boxes(t, gts).tolist() for t in enc.transforms]
+    matches = [idx if idx >= 0 and iou >= MATCH_IOU else -1
+               for iou, idx in best_match(canonical, gts)]
+    anchors = check_boxes(enc.anchors[keep])  # (K, C, 7)
+    fg = [k for k, idx in enumerate(matches) if idx >= 0]
+    channel_gts = np.stack([apply_boxes(t, gts) for t in enc.transforms], axis=1)  # (G, C, 7)
+    targets = check_boxes(channel_gts[[matches[k] for k in fg]])  # (len(fg), C, 7)
+    yaw = targets[..., 6]
+    d = wrap_angles(yaw - anchors[fg, :, 6])
+    yaw[:] = wrap_angles(np.where(d > math.pi / 2, yaw - math.pi,
+                                  np.where(d <= -math.pi / 2, yaw + math.pi, yaw)))
+    fg_targets = iter(targets)
     examples = []
-    for i, (iou, idx) in zip(keep, best_match(canonical, gts)):
-        anchors = [Box3D(*a) for a in enc.anchors[i].tolist()]
-        if idx >= 0 and iou >= MATCH_IOU:
-            targets = [align_yaw_to_anchor(Box3D(*gt[idx]), anchor)
-                       for gt, anchor in zip(channel_gts, anchors)]
+    for i, row_anchors, idx in zip(keep, anchors, matches):
+        if idx >= 0:
+            row_targets = next(fg_targets)
             target_class, weight = target_classes[idx], float(target_weights[idx])
         else:
-            targets, target_class, weight = None, 0, background_weight
-        examples.append(TrainExample(enc.features[i], list(enc.channel_features[i]), anchors,
-                                     targets, target_class, weight))
+            row_targets, target_class, weight = None, 0, background_weight
+        examples.append(TrainExample(enc.features[i], list(enc.channel_features[i]), row_anchors,
+                                     row_targets, target_class, weight))
     return examples
 
 

@@ -9,8 +9,9 @@ reflects across the x-z plane (y -> -y, yaw -> -yaw).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Container, Iterator, NamedTuple, Sequence
+from typing import Container, Iterator, Sequence
 
 import numpy as np
 
@@ -37,52 +38,38 @@ def wrap_angles(r: np.ndarray) -> np.ndarray:
     return np.where(r <= -math.pi, r + TWO_PI, np.where(r > math.pi, r - TWO_PI, r))
 
 
-@dataclass(frozen=True)
-class Box3D:
-    """7-DoF oriented box: center (m), width/height/length (m), yaw (rad)."""
+class Box3D(namedtuple("Box3D", "cx cy cz w h l r")):
+    """7-DoF oriented box: center (m), width/height/length (m), yaw (rad).
 
-    cx: float
-    cy: float
-    cz: float
-    w: float
-    h: float
-    l: float
-    r: float
+    A tuple of its seven fields, so a list of boxes is already an (N, 7)
+    array-like. Construction rejects non-finite fields and non-positive sizes
+    and wraps the yaw; ``_make`` and ``_replace`` skip that, so the package
+    does not call them.
+    """
 
-    def __post_init__(self) -> None:
-        vals = (self.cx, self.cy, self.cz, self.w, self.h, self.l, self.r)
+    __slots__ = ()
+
+    def __new__(cls, cx: float, cy: float, cz: float, w: float, h: float, l: float,
+                r: float) -> "Box3D":
+        vals = (cx, cy, cz, w, h, l, r)
         if not all(map(math.isfinite, vals)):
             raise ValueError(f"non-finite box field: {vals}")
-        if self.w <= 0 or self.h <= 0 or self.l <= 0:
-            raise ValueError(f"box sizes must be positive: w={self.w} h={self.h} l={self.l}")
-        object.__setattr__(self, "r", wrap_angle(self.r))
+        if w <= 0 or h <= 0 or l <= 0:
+            raise ValueError(f"box sizes must be positive: w={w} h={h} l={l}")
+        return tuple.__new__(cls, (cx, cy, cz, w, h, l, wrap_angle(r)))
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.cx, self.cy, self.cz, self.w, self.h, self.l, self.r])
+        return np.array(self, dtype=np.float64)
 
     def corners_bev(self) -> np.ndarray:
         """Footprint corners, CCW, shape (4, 2)."""
         return np.array(_corners_list(self))
 
 
-class BoxRow(NamedTuple):
-    """One row of a box array under :class:`Box3D`'s field names, unvalidated:
-    the exact overlap tests read it as they read a Box3D. The array it comes
-    from is validated whole by :func:`check_boxes`."""
-
-    cx: float
-    cy: float
-    cz: float
-    w: float
-    h: float
-    l: float
-    r: float
-
-
-def box_rows(boxes: Sequence[Box3D]) -> np.ndarray:
-    """The (N, 7) array of the boxes' fields."""
-    return np.array([(b.cx, b.cy, b.cz, b.w, b.h, b.l, b.r) for b in boxes],
-                    dtype=np.float64).reshape(-1, 7)
+def box_rows(boxes: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
+    """The (N, 7) float64 array of ``boxes``: :class:`Box3D` objects, other
+    7-sequences or an array of rows."""
+    return np.array(boxes, dtype=np.float64).reshape(-1, 7)
 
 
 def check_boxes(boxes: np.ndarray) -> np.ndarray:
@@ -198,35 +185,17 @@ def map_boxes(params: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     return np.stack([k * cx, k * cy, k * cz, k * w, k * h, k * l, wrap_angles(r + theta)], axis=1)
 
 
-def apply_box(t: Transform, b: Box3D) -> Box3D:
-    """Map a box covariantly: center as a point, sizes by s, yaw by flip/rotation.
-    The identity returns ``b`` itself."""
-    if t.is_identity:
-        return b
-    cx, cy, cz = b.cx, b.cy, b.cz
-    r = b.r
-    if t.flip_y:
-        cy = -cy
-        r = -r
-    c, s = math.cos(t.theta), math.sin(t.theta)
-    cx, cy = c * cx - s * cy, s * cx + c * cy
-    return Box3D(
-        cx=t.s * cx,
-        cy=t.s * cy,
-        cz=t.s * cz,
-        w=t.s * b.w,
-        h=t.s * b.h,
-        l=t.s * b.l,
-        r=wrap_angle(r + t.theta),
-    )
-
-
 def apply_boxes(t: Transform, boxes: np.ndarray) -> np.ndarray:
-    """:func:`apply_box` over the rows of an (N, 7) box array. It keeps the
-    scalar map's operations in their order, with ``cos`` and ``sin`` taken
-    once, so every row has the bits of mapping that box alone. The identity
-    returns ``boxes`` itself."""
+    """Map the rows of an (N, 7) box array covariantly: centers as points,
+    sizes by s, yaws by flip and rotation. The identity returns ``boxes``
+    itself."""
     return boxes if t.is_identity else map_boxes(transform_params([t]), boxes)
+
+
+def apply_box(t: Transform, b: Box3D) -> Box3D:
+    """:func:`apply_boxes` of one box, validated. The identity returns ``b``
+    itself."""
+    return b if t.is_identity else Box3D(*apply_boxes(t, box_rows([b]))[0].tolist())
 
 
 def _polygon_area(poly: Sequence[tuple[float, float]]) -> float:
@@ -271,12 +240,13 @@ def _clip_convex(
     return output
 
 
-def _corners_list(box: Box3D) -> list[tuple[float, float]]:
-    """Footprint corners, CCW: (along-heading, across-heading) offsets
-    (+l/2, +w/2), (-l/2, +w/2), (-l/2, -w/2), (+l/2, -w/2) about the center."""
-    c, s = math.cos(box.r), math.sin(box.r)
-    hl, hw = 0.5 * box.l, 0.5 * box.w
-    cx, cy = box.cx, box.cy
+def _corners_list(box: Sequence[float]) -> list[tuple[float, float]]:
+    """Footprint corners of a 7-sequence box, CCW: (along-heading,
+    across-heading) offsets (+l/2, +w/2), (-l/2, +w/2), (-l/2, -w/2),
+    (+l/2, -w/2) about the center."""
+    cx, cy, _, w, _, l, r = box
+    c, s = math.cos(r), math.sin(r)
+    hl, hw = 0.5 * l, 0.5 * w
     return [
         (cx + c * hl - s * hw, cy + s * hl + c * hw),
         (cx - c * hl - s * hw, cy - s * hl + c * hw),
@@ -285,14 +255,17 @@ def _corners_list(box: Box3D) -> list[tuple[float, float]]:
     ]
 
 
-def _bev_overlap(a: Box3D, b: Box3D) -> tuple[float, float, float]:
-    """(intersection area, area a, area b) of the two BEV footprints."""
+def _bev_overlap(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, float]:
+    """(intersection area, area a, area b) of the BEV footprints of two
+    7-sequence boxes."""
+    acx, acy, _, aw, _, al, _ = a
+    bcx, bcy, _, bw, _, bl, _ = b
     # cheap circumradius pre-reject before any corner math
-    ra = 0.5 * math.hypot(a.l, a.w)
-    rb = 0.5 * math.hypot(b.l, b.w)
-    if math.hypot(a.cx - b.cx, a.cy - b.cy) > ra + rb:
+    ra = 0.5 * math.hypot(al, aw)
+    rb = 0.5 * math.hypot(bl, bw)
+    if math.hypot(acx - bcx, acy - bcy) > ra + rb:
         # disjoint; areas only matter when the intersection is non-empty
-        return 0.0, a.w * a.l, b.w * b.l
+        return 0.0, aw * al, bw * bl
     ca, cb = _corners_list(a), _corners_list(b)
     area_a, area_b = _polygon_area(ca), _polygon_area(cb)
     (xa, ya), (xb, yb) = zip(*ca), zip(*cb)
@@ -305,9 +278,9 @@ def _bev_overlap(a: Box3D, b: Box3D) -> tuple[float, float, float]:
     return area_i, area_a, area_b
 
 
-def iou_bev(a: Box3D, b: Box3D) -> float:
-    """Overlap-over-union of the rotated BEV footprints, in [0, 1]; 0.0 when
-    the union rounds to zero."""
+def iou_bev(a: Sequence[float], b: Sequence[float]) -> float:
+    """Overlap-over-union of the rotated BEV footprints of two boxes (any
+    7-sequences), in [0, 1]; 0.0 when the union rounds to zero."""
     area_i, area_a, area_b = _bev_overlap(a, b)
     union = area_a + area_b - area_i
     if area_i == 0.0 or union <= 0.0:
@@ -315,17 +288,19 @@ def iou_bev(a: Box3D, b: Box3D) -> float:
     return min(1.0, max(0.0, area_i / union))
 
 
-def iou_3d(a: Box3D, b: Box3D) -> float:
-    """Volumetric overlap-over-union: BEV intersection times vertical overlap;
-    0.0 when the union rounds to zero."""
-    zo = min(a.cz + 0.5 * a.h, b.cz + 0.5 * b.h) - max(a.cz - 0.5 * a.h, b.cz - 0.5 * b.h)
+def iou_3d(a: Sequence[float], b: Sequence[float]) -> float:
+    """Volumetric overlap-over-union of two boxes (any 7-sequences): BEV
+    intersection times vertical overlap; 0.0 when the union rounds to zero."""
+    _, _, acz, _, ah, _, _ = a
+    _, _, bcz, _, bh, _, _ = b
+    zo = min(acz + 0.5 * ah, bcz + 0.5 * bh) - max(acz - 0.5 * ah, bcz - 0.5 * bh)
     if zo <= 0.0:
         return 0.0
     area_i, area_a, area_b = _bev_overlap(a, b)
     if area_i == 0.0:
         return 0.0
     vol_i = area_i * zo
-    union = area_a * a.h + area_b * b.h - vol_i
+    union = area_a * ah + area_b * bh - vol_i
     if union <= 0.0:
         return 0.0
     return min(1.0, max(0.0, vol_i / union))
@@ -363,9 +338,8 @@ def best_match(boxes: np.ndarray, candidates: np.ndarray,
     never beats the running best.
     """
     near = overlap_candidates(check_boxes(boxes), check_boxes(candidates)).tolist()
-    cands = [BoxRow(*row) for row in candidates.tolist()]
-    for row, hits in zip(boxes.tolist(), near):
-        box = BoxRow(*row)
+    cands = candidates.tolist()
+    for box, hits in zip(boxes.tolist(), near):
         best_iou, best_idx = 0.0, -1
         for idx, hit in enumerate(hits):
             if not hit or idx in skip:
@@ -390,7 +364,7 @@ def nms(boxes: np.ndarray, scores: Sequence[float], iou_thresh: float) -> list[i
         if not math.isfinite(score):
             raise ValueError("nms scores must be finite")
     near = overlap_candidates(check_boxes(boxes), boxes).tolist()
-    rows = [BoxRow(*row) for row in boxes.tolist()]
+    rows = boxes.tolist()
     order = sorted(range(len(rows)), key=lambda i: (-scores[i], i))
     kept: list[int] = []
     for i in order:

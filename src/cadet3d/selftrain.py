@@ -373,7 +373,9 @@ def ssl_epoch(
     the thresholds are fitted before the first step, so no step's target,
     weights or transforms depend on an update: the steps are encoded anew
     ``ENCODE_BATCH`` at a time (each as if alone), their targets built just
-    before their batch is encoded, and trained on in order.
+    before their batch is encoded, and trained on in order. A step's
+    NonFiniteLossError or ValueError is re-raised, with its type, as
+    ``<kind> scene <id>: ...``.
     """
     _check_encoded(unlabeled, unlabeled_enc, "unlabeled")
     if val_scenes:
@@ -447,8 +449,8 @@ def ssl_epoch(
         try:
             losses = train_on_scene(enc, target.gt_boxes, target.gt_classes, weights,
                                     state.student, background_weight)
-        except NonFiniteLossError as exc:
-            raise NonFiniteLossError(f"{kind} scene {target.id}: {exc}") from exc
+        except (NonFiniteLossError, ValueError) as exc:
+            raise type(exc)(f"{kind} scene {target.id}: {exc}") from exc
         if losses is not None:
             ema_update(state.teacher, state.student)
         (unsup if kind == "unlabeled" else sup).add(losses)

@@ -5,12 +5,20 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from cadet3d.config import RunConfig
 from cadet3d.geometry import Box3D, Transform
 
 # numeric property tests can be slow per-example on loaded machines; the
 # budget that matters is the whole suite, not one draw
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
+
+
+def default_config() -> RunConfig:
+    """The run configuration's defaults, which alone define the channel
+    policies: tests build ``weak_policy()`` and ``strong_policy()`` from it,
+    so they run the policies the CLI runs."""
+    return RunConfig(seed=1)
 
 
 @pytest.fixture

@@ -9,7 +9,9 @@ proposals by a scan of every BEV cell and a box fit per component, NMS and
 best-match by the exact IoU of every pair, and scoring and training one
 proposal, channel, example and box at a time with ``math`` functions.
 
-It also holds one-transform conveniences that build test inputs
+It also holds the scalar box map (:func:`scalar_apply_box`) and half-turn
+yaw alignment (:func:`align_yaw_to_anchor`) that the array forms must
+reproduce bit for bit, one-transform conveniences that build test inputs
 (:func:`transform_xy`, :func:`apply_points`, :func:`interpolate`) on the
 library's own array maps and BEV lookup, and the step-by-step self-training
 epoch loop (:func:`stepwise_ssl_epoch`) that the batched one must reproduce.
@@ -44,7 +46,6 @@ from cadet3d.detector import (
     TrainExample,
     TrainLosses,
     _smooth_l1,
-    align_yaw_to_anchor,
     detect,
     encode,
     train_on_scene,
@@ -54,7 +55,6 @@ from cadet3d.geometry import (
     Box3D,
     PointCloud,
     Transform,
-    apply_box,
     compose,
     invert,
     iou_3d,
@@ -103,6 +103,35 @@ def interpolate(grid: BevGrid, xy: np.ndarray) -> np.ndarray:
     out = np.zeros((len(xy), grid.values.shape[1]))
     out[hit] = rows
     return out
+
+
+def scalar_apply_box(t: Transform, b: Box3D) -> Box3D:
+    """Map a box covariantly, one field at a time with ``math``'s cos and sin:
+    center as a point, sizes by s, yaw by flip/rotation. The identity returns
+    ``b`` itself."""
+    if t.is_identity:
+        return b
+    cx, cy, cz, w, h, l, r = b
+    if t.flip_y:
+        cy = -cy
+        r = -r
+    c, s = math.cos(t.theta), math.sin(t.theta)
+    cx, cy = c * cx - s * cy, s * cx + c * cy
+    return Box3D(t.s * cx, t.s * cy, t.s * cz, t.s * w, t.s * h, t.s * l,
+                 wrap_angle(r + t.theta))
+
+
+def align_yaw_to_anchor(target: Box3D, anchor: Box3D) -> Box3D:
+    """Equivalent box whose yaw residual against the anchor lies in (-pi/2, pi/2]:
+    the target turned by a half-turn where that is needed, else ``target``."""
+    d = wrap_angle(target.r - anchor.r)
+    if d > math.pi / 2:
+        r = target.r - math.pi
+    elif d <= -math.pi / 2:
+        r = target.r + math.pi
+    else:
+        return target
+    return Box3D(target.cx, target.cy, target.cz, target.w, target.h, target.l, r)
 
 
 def _pca_axes(xy: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -436,7 +465,7 @@ def scalar_refine(proposals, transforms, params) -> list:
         for anchor, feature, back in zip(prop.anchors, prop.channel_features, inv_backs):
             phi = feature / FEATURE_SCALE
             decoded = scalar_decode_residual(params.w_reg[k] @ phi, anchor)
-            channel_boxes.append(apply_box(back, decoded))
+            channel_boxes.append(scalar_apply_box(back, decoded))
             obj_scores.append(scalar_sigmoid(float(params.w_obj[k] @ phi)))
         dets.append(Detection(scalar_average_boxes(channel_boxes), channel_boxes,
                               prop.class_scores.copy(), float(np.mean(obj_scores))))
@@ -454,9 +483,9 @@ def scalar_build_training_examples(enc, target_boxes, target_classes, target_wei
     t1_inv = invert(enc.transforms[0])
     examples = []
     for prop in scalar_score_proposals(enc, params):
-        iou, idx = scalar_best_match(apply_box(t1_inv, prop.box), target_boxes)
+        iou, idx = scalar_best_match(scalar_apply_box(t1_inv, prop.box), target_boxes)
         if idx >= 0 and iou >= MATCH_IOU:
-            targets = [align_yaw_to_anchor(apply_box(t, target_boxes[idx]), anchor)
+            targets = [align_yaw_to_anchor(scalar_apply_box(t, target_boxes[idx]), anchor)
                        for t, anchor in zip(enc.transforms, prop.anchors)]
             target_class, weight = target_classes[idx], float(target_weights[idx])
         else:
@@ -467,7 +496,8 @@ def scalar_build_training_examples(enc, target_boxes, target_classes, target_wei
 
 
 def scalar_loss_and_grads(params, batch):
-    """Losses and gradients one example and channel at a time."""
+    """Losses and gradients one example and channel at a time; anchors and
+    targets may be :class:`Box3D` lists or (C, 7) rows."""
     g_cls = np.zeros_like(params.w_cls)
     g_obj = np.zeros_like(params.w_obj)
     g_reg = np.zeros_like(params.w_reg)
@@ -485,7 +515,8 @@ def scalar_loss_and_grads(params, batch):
         if ex.target_class > 0:
             k = ex.target_class - 1
             scale = w / (n_fg * max(len(ex.channel_features), 1))
-            for phi_raw, anchor, target in zip(ex.channel_features, ex.anchors, ex.targets):
+            for phi_raw, anchor, target in zip(ex.channel_features, _box_list(ex.anchors),
+                                               _box_list(ex.targets)):
                 phi = phi_raw / FEATURE_SCALE
                 res_pred = params.w_reg[k] @ phi
                 val, dval = _smooth_l1(res_pred - scalar_encode_residual(target, anchor))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cadet3d.augment import (
 )
 from cadet3d.data import Scene
 from cadet3d.geometry import Box3D, PointCloud, Transform, apply_box, points_in_box
+from conftest import default_config
 from reference import apply_points
 
 
@@ -27,19 +29,19 @@ class TestPolicyValidation:
             assert not any(t.is_identity for t in transforms[1:])
 
     def test_weak_needs_matching_length(self):
-        assert [len(weak_default_policy(n)) for n in (1, 3)] == [1, 3]
+        assert [len(default_config().weak_policy(n)) for n in (1, 3)] == [1, 3]
         for n in (0, 2, 4):
             with pytest.raises(ValueError):
-                weak_default_policy(n)
+                default_config().weak_policy(n)
 
     def test_strong_needs_ranges(self):
         for bad in (dict(rot_min=0.2, rot_max=0.1), dict(scale_min=0.0),
                     dict(scale_min=1.1, scale_max=1.0), dict(flip_prob=1.5)):
             with pytest.raises(ValueError):
-                StrongRanges(**bad)
+                replace(default_config().strong_policy(), **bad)
 
     def test_default_weak_parameters(self):
-        transforms = weak_default_policy()
+        transforms = default_config().weak_policy()
         assert len(transforms) == 3
         t2, t3 = transforms[1], transforms[2]
         assert t2.flip_y and t3.flip_y
@@ -67,41 +69,45 @@ class TestWeakChannels:
         return enc, clouds
 
     def test_empty_cloud(self, monkeypatch):
-        enc, clouds = self.voxelized_clouds(monkeypatch, PointCloud.empty(), weak_default_policy())
+        enc, clouds = self.voxelized_clouds(monkeypatch, PointCloud.empty(),
+                                            default_config().weak_policy())
         assert len(clouds) == 3
         assert all(len(c) == 0 for c in clouds)
         assert enc.transforms[0].is_identity and len(enc.boxes) == 0
 
     def test_channel_one_bit_identical(self, rng, monkeypatch):
         pc = make_cloud(rng)
-        _, clouds = self.voxelized_clouds(monkeypatch, pc, weak_default_policy())
+        _, clouds = self.voxelized_clouds(monkeypatch, pc, default_config().weak_policy())
         np.testing.assert_array_equal(clouds[0].xyz, pc.xyz)
         np.testing.assert_array_equal(clouds[0].intensity, pc.intensity)
 
     def test_construction_invariant(self, rng, monkeypatch):
         pc = make_cloud(rng)
-        transforms = weak_default_policy()
+        transforms = default_config().weak_policy()
         enc, clouds = self.voxelized_clouds(monkeypatch, pc, transforms)
         assert enc.transforms == transforms
         for cloud, t in zip(clouds, transforms, strict=True):
             np.testing.assert_array_equal(cloud.xyz, apply_points(t, pc).xyz)
 
     def test_deterministic(self):
-        assert weak_default_policy() == weak_default_policy()
+        assert default_config().weak_policy() == default_config().weak_policy()
 
 
 class TestStrongChannels:
     def test_same_seed_bit_identical(self):
         # Transform equality compares every parameter exactly
-        assert strong_channels(StrongRanges(), 3, 99) == strong_channels(StrongRanges(), 3, 99)
+        ranges = default_config().strong_policy()
+        assert strong_channels(ranges, 3, 99) == strong_channels(ranges, 3, 99)
 
     def test_different_seeds_differ(self):
-        assert strong_channels(StrongRanges(), 3, 1) != strong_channels(StrongRanges(), 3, 2)
+        ranges = default_config().strong_policy()
+        assert strong_channels(ranges, 3, 1) != strong_channels(ranges, 3, 2)
 
     def test_sampled_parameter_ranges(self):
         thetas, scales, flips = [], [], []
+        ranges = default_config().strong_policy()
         for seed in range(3400):
-            for t in strong_channels(StrongRanges(), 3, seed):
+            for t in strong_channels(ranges, 3, seed):
                 thetas.append(t.theta)
                 scales.append(t.s)
                 flips.append(t.flip_y)
@@ -119,7 +125,7 @@ class TestStrongChannels:
         assert all(t.is_identity for t in transforms)
 
     def test_channels_sample_independently(self):
-        assert len(set(strong_channels(StrongRanges(), 3, 5))) == 3
+        assert len(set(strong_channels(default_config().strong_policy(), 3, 5))) == 3
 
 
 def make_scene(rng, n_boxes=3, n_points=400):

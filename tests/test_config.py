@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cadet3d.augment import StrongRanges, weak_default_policy
 from cadet3d.config import (
     ConfigError,
     RunConfig,
@@ -180,12 +179,6 @@ class TestPolicies:
     def test_single_channel_variant(self):
         cfg = load_config(None, {"seed": 1})
         assert cfg.weak_policy(n_channels=1) == (Transform.identity(),)
-
-    def test_defaults_equal_the_channel_policy_defaults(self):
-        # the run configuration and augment each hold a copy of the defaults
-        cfg = RunConfig(seed=1)
-        assert cfg.weak_policy() == weak_default_policy()
-        assert cfg.strong_policy() == StrongRanges()
 
     def test_defaults_match_stated_policy(self):
         cfg = RunConfig(seed=1)

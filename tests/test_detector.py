@@ -1,5 +1,6 @@
 import math
 import struct
+from dataclasses import replace
 import tempfile
 import tracemalloc
 import warnings
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cadet3d import detector
-from cadet3d.augment import StrongRanges, strong_channels, weak_default_policy
+from cadet3d.augment import strong_channels
 from cadet3d.data import SynthConfig, synth_scene
 from cadet3d.detector import (
     BOX_DIM,
@@ -29,7 +30,6 @@ from cadet3d.detector import (
     TrainExample,
     TrainLosses,
     _connected_components,
-    align_yaw_to_anchor,
     build_training_examples,
     detect,
     encode,
@@ -49,16 +49,20 @@ from cadet3d.geometry import (
     PointCloud,
     Transform,
     apply_box,
+    apply_boxes,
     average_boxes,
     box_rows,
     compose,
     invert,
     iou_3d,
     relative_transforms,
+    wrap_angle,
+    wrap_angles,
 )
 from cadet3d.voxels import BevGrid, VoxelConfig, bev_align, bev_from_voxels, voxelize
-from conftest import assert_boxes_close, assert_close, random_box
+from conftest import assert_boxes_close, assert_close, default_config, random_box
 from reference import (
+    align_yaw_to_anchor,
     apply_points,
     dense_bev_align,
     dense_propose,
@@ -70,6 +74,8 @@ from reference import (
     scalar_score_proposals,
     scalar_sigmoid,
 )
+
+CONFIG = default_config()  # the channel policies the CLI runs
 
 
 def box_surface_points(rng, box, n=150, inset=0.06):
@@ -125,7 +131,7 @@ class TestPropose:
         _, pc = grid_with_cluster(rng, box)
         params = DetectorParams.zeros()
         params.w_cls[:] = np.linspace(-1, 1, params.w_cls.size).reshape(params.w_cls.shape)
-        keep, scores = score_proposals(encode(pc, weak_default_policy(1)), params)
+        keep, scores = score_proposals(encode(pc, CONFIG.weak_policy(1)), params)
         assert len(keep) == len(scores) > 0
         for row in scores:
             assert row.sum() == pytest.approx(1.0, abs=1e-6)
@@ -249,7 +255,8 @@ class TestProposeOracle:
     @pytest.mark.parametrize("seed", range(4))
     def test_synth_scenes_weak_and_strong(self, seed):
         cloud = synth_scene(seed, SynthConfig()).cloud
-        for transforms in (weak_default_policy(), strong_channels(StrongRanges(), 3, seed)):
+        for transforms in (CONFIG.weak_policy(),
+                           strong_channels(CONFIG.strong_policy(), 3, seed)):
             bevs = [bev_from_voxels(voxelize(apply_points(t, cloud), VOXEL)) for t in transforms]
             assert len(self.assert_dense(bev_align(bevs, transforms))) > 0
 
@@ -288,8 +295,8 @@ class TestProposeOracle:
         assert len(got) == 4
 
     def test_encode_equals_the_dense_path(self):
-        strong = strong_channels(StrongRanges(), 3, 7)
-        for seed, transforms in ((2, weak_default_policy()), (3, strong)):
+        strong = strong_channels(CONFIG.strong_policy(), 3, 7)
+        for seed, transforms in ((2, CONFIG.weak_policy()), (3, strong)):
             cloud = synth_scene(seed, SynthConfig()).cloud
             enc = encode(cloud, transforms)
             bevs = [bev_from_voxels(voxelize(apply_points(t, cloud), VOXEL)) for t in transforms]
@@ -405,7 +412,7 @@ class TestRoiOracle:
 class TestEncodeRois:
     def test_channel_features_equal_oracle_one_pool_per_grid(self, monkeypatch):
         scene = synth_scene(5, SynthConfig())
-        transforms = strong_channels(StrongRanges(), 3, 11)
+        transforms = strong_channels(CONFIG.strong_policy(), 3, 11)
         calls = []
         original = detector.roi_features
 
@@ -427,8 +434,8 @@ class TestEncodeBatch:
     """A batch of scenes encodes, field for field and byte for byte, as each
     scene alone; no component, fused cell or pooled voxel crosses scenes."""
 
-    POLICIES = [weak_default_policy(), strong_channels(StrongRanges(), 3, 21),
-                strong_channels(StrongRanges(), 4, 22), weak_default_policy(1)]
+    POLICIES = [CONFIG.weak_policy(), strong_channels(CONFIG.strong_policy(), 3, 21),
+                strong_channels(CONFIG.strong_policy(), 4, 22), CONFIG.weak_policy(1)]
 
     @staticmethod
     def check(clouds, transforms):
@@ -493,7 +500,7 @@ class TestEncodeBatch:
         first_row = far - VOXEL.nx * VOXEL.voxel_size + 0.2
         assert first_row < VOXEL.origin[0] + VOXEL.voxel_size  # -far lies in row 0
         identity = (Transform.identity(),)
-        for transforms in ([identity] * 4, [weak_default_policy()] * 4, self.POLICIES):
+        for transforms in ([identity] * 4, [CONFIG.weak_policy()] * 4, self.POLICIES):
             encs = self.check(clouds, transforms)
             assert all(len(enc.boxes) >= 3 for enc in encs)
 
@@ -523,11 +530,11 @@ class TestEncodeMemory:
                 tracemalloc.stop()
 
     def test_batch_peak_traced_memory(self):
-        peak = self.peak_mb([weak_default_policy()] * ENCODE_BATCH)
+        peak = self.peak_mb([CONFIG.weak_policy()] * ENCODE_BATCH)
         assert 0 < peak < self.PEAK_BOUND_MB
 
     def test_strong_batch_peak_traced_memory(self):
-        peak = self.peak_mb([strong_channels(StrongRanges(), 3, seed)
+        peak = self.peak_mb([strong_channels(CONFIG.strong_policy(), 3, seed)
                              for seed in range(ENCODE_BATCH)])
         assert 0 < peak < self.PEAK_BOUND_MB
 
@@ -563,12 +570,19 @@ def field_bits(box):
     return box.as_array().tobytes()
 
 
+def loss_bits(params, batch):
+    """The bytes of ``loss_and_grads(params, batch)``: losses and gradients."""
+    losses, grads = loss_and_grads(params, batch)
+    return (np.array([losses.cls, losses.reg, losses.obj]).tobytes(),
+            [g.tobytes() for g in grads])
+
+
 class TestRefine:
     def setup_scene(self, rng):
         box = Box3D(2.0, 1.0, 0.9, 1.8, 1.5, 4.0, 0.5)
         pts = box_surface_points(rng, box, n=300)
         pc = PointCloud(pts, rng.random(300))
-        enc = encode(pc, weak_default_policy(3))
+        enc = encode(pc, CONFIG.weak_policy(3))
         keep, scores = score_proposals(enc, DetectorParams.zeros())
         return box, enc, keep, scores
 
@@ -594,7 +608,7 @@ class TestRefine:
             assert 0.0 <= obj <= 1.0
 
     def test_detection_box_averages_channel_boxes(self, rng):
-        enc = encode(synth_scene(3, SynthConfig()).cloud, weak_default_policy(3))
+        enc = encode(synth_scene(3, SynthConfig()).cloud, CONFIG.weak_policy(3))
         dets = detect(enc, random_params(rng))
         assert dets
         for det in dets:
@@ -610,7 +624,7 @@ class TestRefine:
         assert channel_iou_consistency(det) == 1.0
 
     def test_empty_encoding(self):
-        enc = encode(PointCloud.empty(), weak_default_policy(3))
+        enc = encode(PointCloud.empty(), CONFIG.weak_policy(3))
         keep, scores = score_proposals(enc, DetectorParams.zeros())
         assert keep == [] and scores.shape == (0, 4)
         boxes, channel_boxes, objectness = refine(enc, keep, scores, DetectorParams.zeros())
@@ -634,9 +648,9 @@ class TestScoringOracle:
     def encoded(seed, policy):
         scene = synth_scene(seed, SynthConfig())
         if policy == "weak":
-            transforms = weak_default_policy(3)
+            transforms = CONFIG.weak_policy(3)
         else:
-            transforms = strong_channels(StrongRanges(), 4, 100 + seed)
+            transforms = strong_channels(CONFIG.strong_policy(), 4, 100 + seed)
         return scene, encode(scene.cloud, transforms)
 
     @pytest.mark.parametrize("seed,policy", scoring_cases())
@@ -682,26 +696,31 @@ class TestScoringOracle:
                 assert g.cls_feature.tobytes() == w.cls_feature.tobytes()
                 assert [f.tobytes() for f in g.channel_features] == [
                     f.tobytes() for f in w.channel_features]
-                assert [field_bits(a) for a in g.anchors] == [field_bits(a) for a in w.anchors]
-                assert g.anchors == w.anchors
+                assert g.anchors.shape == (len(enc.transforms), BOX_DIM)
+                assert g.anchors.tobytes() == box_rows(w.anchors).tobytes()
                 if w.targets is None:
                     assert g.targets is None
                 else:
-                    assert [field_bits(t) for t in g.targets] == [
-                        field_bits(t) for t in w.targets]
+                    assert g.targets.shape == g.anchors.shape
+                    assert g.targets.tobytes() == box_rows(w.targets).tobytes()
                 assert (g.target_class, g.weight) == (w.target_class, w.weight)
 
     def test_boxes_hold_python_floats(self):
+        # a detection's box and channel box rows hold Python floats; training
+        # examples hold their proposal's (C, 7) float64 rows
         scene, enc = self.encoded(2, "strong")
         params = random_params(np.random.default_rng(2))
         dets = detect(enc, params)
         batch = build_training_examples(enc, [d.box for d in dets], [1] * len(dets),
                                         [1.0] * len(dets), params)
-        boxes = [d.box for d in dets] + [b for d in dets for b in d.per_channel_boxes]
-        boxes += [b for ex in batch for b in ex.anchors + (ex.targets or [])]
-        assert dets and any(ex.targets for ex in batch)
+        assert dets and any(ex.targets is not None for ex in batch)
         fields = ("cx", "cy", "cz", "w", "h", "l", "r")
-        assert all(type(getattr(b, f)) is float for b in boxes for f in fields)
+        assert all(type(getattr(d.box, f)) is float for d in dets for f in fields)
+        for d in dets:
+            assert [len(row) for row in d.per_channel_boxes] == [BOX_DIM] * 4
+            assert all(type(v) is float for row in d.per_channel_boxes for v in row)
+        rows = [ex.anchors for ex in batch] + [ex.targets for ex in batch if ex.targets is not None]
+        assert all(r.dtype == np.float64 and r.shape == (4, BOX_DIM) for r in rows)
 
 
 def runtime_warnings(fn, *args):
@@ -724,7 +743,7 @@ class TestNumericFailure:
     @pytest.mark.parametrize("head,value", [("w_cls", 1e308), ("w_obj", 1e308),
                                             ("w_reg", 1e308), ("w_reg", 800.0)])
     def test_huge_weights(self, head, value):
-        enc = encode(synth_scene(0, SynthConfig()).cloud, weak_default_policy(3))
+        enc = encode(synth_scene(0, SynthConfig()).cloud, CONFIG.weak_policy(3))
         params = DetectorParams.zeros()
         getattr(params, head)[:] = value
         dets, caught = runtime_warnings(detect, enc, params)
@@ -873,10 +892,25 @@ class TestLossOracle:
     def test_scene_examples(self):
         scene, enc = TestScoringOracle.encoded(1, "strong")
         params = random_params(np.random.default_rng(1))
-        batch = build_training_examples(enc, scene.gt_boxes, scene.gt_classes,
-                                        [0.7] * len(scene.gt_boxes), params, 0.3)
+        args = (enc, scene.gt_boxes, scene.gt_classes, [0.7] * len(scene.gt_boxes), params, 0.3)
+        batch = build_training_examples(*args)
         assert any(ex.target_class > 0 for ex in batch)
         self.assert_oracle(params, batch)
+        # the same examples as Box3D lists give the same bits
+        assert loss_bits(params, batch) == loss_bits(params, scalar_build_training_examples(*args))
+
+    def test_rows_and_boxes_bit_identical(self, rng):
+        make = TestTrainStep().make_example
+        for n_channels in (1, 3, 4):
+            boxes = [make(rng, target_class=c, weight=float(rng.uniform(0.2, 1.0)),
+                          n_channels=n_channels) for c in (0, 1, 3, 2, 0)]
+            params = random_params(rng, reg_scale=0.1)
+            want = loss_bits(params, boxes)
+            for as_rows in (box_rows, lambda bs: box_rows(bs).tolist()):
+                rows = [replace(ex, anchors=as_rows(ex.anchors),
+                                targets=None if ex.targets is None else as_rows(ex.targets))
+                        for ex in boxes]
+                assert loss_bits(params, rows) == want
 
     def test_empty_batch(self):
         params = random_params(np.random.default_rng(0))
@@ -911,29 +945,44 @@ class TestAlignYaw:
         for _ in range(200):
             a, t = random_box(rng), random_box(rng)
             out = align_yaw_to_anchor(t, a)
-            from cadet3d.geometry import wrap_angle
-
             assert abs(wrap_angle(out.r - a.r)) <= math.pi / 2 + 1e-12
+
+    @given(seed=st.integers(0, 40), channel_seed=st.integers(0, 2**32 - 1),
+           turned=st.booleans())
+    @settings(max_examples=15)
+    def test_training_targets_face_their_anchors(self, seed, channel_seed, turned):
+        # targets turned by a half turn keep their footprints, so they still
+        # match, and their channel targets must turn back
+        scene = synth_scene(seed, SynthConfig())
+        targets = [Box3D(*b[:6], b.r + math.pi) if turned else b for b in scene.gt_boxes]
+        transforms = strong_channels(CONFIG.strong_policy(), 3, channel_seed)
+        batch = build_training_examples(encode(scene.cloud, transforms), targets,
+                                        scene.gt_classes, [1.0] * len(targets),
+                                        DetectorParams.zeros())
+        for ex in batch:
+            if ex.targets is not None:
+                d = wrap_angles(ex.targets[:, 6] - ex.anchors[:, 6])
+                assert ((d > -math.pi / 2) & (d <= math.pi / 2)).all()
 
 
 class TestDetect:
     def test_empty_scene(self):
-        enc = encode(PointCloud.empty(), weak_default_policy(3))
+        enc = encode(PointCloud.empty(), CONFIG.weak_policy(3))
         dets = detect(enc, DetectorParams.zeros())
         assert dets == []
 
     def test_weak_policy_deterministic(self, rng):
         scene = synth_scene(5, SynthConfig())
         p = DetectorParams.zeros()
-        a = detect(encode(scene.cloud, weak_default_policy(3)), p)
-        b = detect(encode(scene.cloud, weak_default_policy(3)), p)
+        a = detect(encode(scene.cloud, CONFIG.weak_policy(3)), p)
+        b = detect(encode(scene.cloud, CONFIG.weak_policy(3)), p)
         assert len(a) == len(b)
         for da, db in zip(a, b):
             np.testing.assert_array_equal(da.box.as_array(), db.box.as_array())
 
     def test_trained_detector_finds_car(self, rng):
         synth = SynthConfig()
-        policy1 = weak_default_policy(1)
+        policy1 = CONFIG.weak_policy(1)
         scenes = [synth_scene(100 + i, synth) for i in range(8)]
         encodings = [encode(sc.cloud, policy1) for sc in scenes]
         params = DetectorParams.zeros(lr=0.1)
@@ -949,7 +998,7 @@ class TestDetect:
         cars = [b for b, c in zip(probe.gt_boxes, probe.gt_classes) if c == 1]
         if not cars:  # fixed seed; guard only
             pytest.skip("probe scene drew no cars")
-        dets = detect(encode(probe.cloud, weak_default_policy(3)), params)
+        dets = detect(encode(probe.cloud, CONFIG.weak_policy(3)), params)
         best = max((iou_3d(d.box, cars[0]), d.predicted_class) for d in dets)
         assert best[0] > 0.5
         assert best[1] == 1
@@ -957,12 +1006,12 @@ class TestDetect:
 
 class TestSceneEncoding:
     def scene_encoding(self):
-        return encode(synth_scene(5, SynthConfig()).cloud, weak_default_policy(3))
+        return encode(synth_scene(5, SynthConfig()).cloud, CONFIG.weak_policy(3))
 
     @staticmethod
     def scored(enc, params):
         return [(d.box.as_array().tobytes(), d.class_scores.tobytes(), d.objectness,
-                 [b.as_array().tobytes() for b in d.per_channel_boxes])
+                 box_rows(d.per_channel_boxes).tobytes())
                 for d in detect(enc, params)]
 
     def test_scoring_leaves_the_encoding_unchanged(self, rng):
@@ -992,7 +1041,7 @@ class TestBuildTrainingExamples:
         scene = synth_scene(11, SynthConfig())
         params = DetectorParams.zeros()
         batch = build_training_examples(
-            encode(scene.cloud, weak_default_policy(3)), scene.gt_boxes, scene.gt_classes,
+            encode(scene.cloud, CONFIG.weak_policy(3)), scene.gt_boxes, scene.gt_classes,
             [1.0] * len(scene.gt_boxes), params, background_weight=0.4,
         )
         assert batch
@@ -1006,12 +1055,27 @@ class TestBuildTrainingExamples:
             assert ex.weight == 0.4
             assert ex.targets is None
 
+    def test_anchors_and_matched_targets_validated(self):
+        # the rows are checked as Box3D construction would check them
+        scene = synth_scene(11, SynthConfig())
+        enc = encode(scene.cloud, CONFIG.weak_policy(3))
+        args = (scene.gt_boxes, scene.gt_classes, [1.0] * len(scene.gt_boxes),
+                DetectorParams.zeros())
+        assert any(ex.targets is not None for ex in build_training_examples(enc, *args))
+        flat = enc.anchors.copy()
+        flat[..., 4] = 0.0
+        with pytest.raises(ValueError, match="sizes must be positive"):
+            build_training_examples(replace(enc, anchors=flat), *args)
+        huge = replace(enc, transforms=(*enc.transforms[:2], Transform(s=1e308)))
+        with pytest.raises(ValueError, match="non-finite"):
+            build_training_examples(huge, *args)
+
     def test_channel_targets_in_channel_frames(self, rng):
         scene = synth_scene(12, SynthConfig())
         if not scene.gt_boxes:
             pytest.skip("no boxes drawn")
         params = DetectorParams.zeros()
-        transforms = strong_channels(StrongRanges(), 3, 77)
+        transforms = strong_channels(CONFIG.strong_policy(), 3, 77)
         batch = build_training_examples(
             encode(scene.cloud, transforms), scene.gt_boxes, scene.gt_classes,
             [1.0] * len(scene.gt_boxes), params,
@@ -1019,15 +1083,44 @@ class TestBuildTrainingExamples:
         for ex in batch:
             if ex.target_class == 0:
                 continue
-            for i, (tgt, t) in enumerate(zip(ex.targets, transforms)):
-                back = apply_box(invert(t), tgt)
+            for i, t in enumerate(transforms):
+                back = apply_boxes(invert(t), ex.targets[i:i + 1])[0]
                 matches = [
                     g for g in scene.gt_boxes
-                    if np.allclose(
-                        np.abs(back.as_array()[:6] - g.as_array()[:6]).max(), 0, atol=1e-6
-                    )
+                    if np.allclose(np.abs(back[:6] - g.as_array()[:6]).max(), 0, atol=1e-6)
                 ]
                 assert matches, f"channel {i} target does not back-map to a GT box"
+
+
+class TestBoxConstructions:
+    """Detection and training run on box rows: ``detect`` builds one
+    :class:`Box3D` per detection, its averaged box, and
+    ``build_training_examples`` builds none."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        built = []
+        original = Box3D.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(cls)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Box3D, "__new__", staticmethod(counted))
+        return built
+
+    @pytest.mark.parametrize("policy", ["weak", "strong"])
+    def test_detect_and_build_training_examples(self, monkeypatch, policy):
+        scene, enc = TestScoringOracle.encoded(3, policy)
+        params = random_params(np.random.default_rng(3))
+        built = self.counting(monkeypatch)
+        dets = detect(enc, params)
+        assert len(built) == len(dets) > 0
+        built.clear()
+        targets = [d.box for d in dets] + scene.gt_boxes
+        batch = build_training_examples(enc, targets, [1] * len(targets), [1.0] * len(targets),
+                                        params, 0.3)
+        assert any(ex.targets is not None for ex in batch) and built == []
 
 
 @st.composite

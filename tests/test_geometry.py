@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from reference import (
     apply_points,
     mc_iou_3d,
     mc_iou_bev,
+    scalar_apply_box,
     scalar_average_boxes,
     scalar_best_match,
     scalar_decode_residual,
@@ -57,10 +59,38 @@ class TestBox3D:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             Box3D(math.nan, 0, 0, 1, 1, 1, 0)
+        for field in range(7):
+            for bad in (math.nan, math.inf, -math.inf):
+                vals = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0]
+                vals[field] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    Box3D(*vals)
 
     def test_yaw_normalized_on_construction(self):
         assert Box3D(0, 0, 0, 1, 1, 1, 3 * math.pi).r == pytest.approx(math.pi)
         assert Box3D(0, 0, 0, 1, 1, 1, -math.pi).r == pytest.approx(math.pi)
+        assert Box3D(cx=0, cy=0, cz=0, w=1, h=1, l=1, r=-math.pi)[6] == math.pi
+
+    def test_is_its_seven_fields(self):
+        b = Box3D(1, 2, 3, 4, 5, 6, 0.5)
+        assert tuple(b) == (1, 2, 3, 4, 5, 6, 0.5) and len(b) == 7
+        assert (b.cx, b.cy, b.cz, b.w, b.h, b.l, b.r) == tuple(b)
+        np.testing.assert_array_equal(b.as_array(), [1, 2, 3, 4, 5, 6, 0.5])
+
+    def test_refuses_attribute_assignment(self):
+        b = Box3D(1, 2, 3, 4, 5, 6, 0.5)
+        with pytest.raises(AttributeError):
+            b.cx = 0.0
+        with pytest.raises(AttributeError):
+            b.extra = 0.0
+        assert tuple(b) == (1, 2, 3, 4, 5, 6, 0.5)
+
+    def test_package_never_skips_validation(self):
+        # namedtuple's _make and _replace build a box without __new__
+        src = Path(geometry.__file__).parent
+        for path in src.glob("*.py"):
+            text = path.read_text()
+            assert "._make(" not in text and "._replace(" not in text, path.name
 
     def test_corners_are_ccw_and_sized(self):
         b = Box3D(1, 2, 0, 1.6, 1.5, 3.9, 0.7)
@@ -98,7 +128,7 @@ class TestTransforms:
 
     def test_box_identity(self):
         b = Box3D(1, 2, 3, 1, 1, 2, 0.3)
-        assert apply_box(Transform.identity(), b) == b
+        assert apply_box(Transform.identity(), b) is b
 
     def test_box_flip(self):
         b = apply_box(Transform(flip_y=True), Box3D(1, 2, 0, 1, 1, 2, 0.3))
@@ -124,9 +154,11 @@ class TestTransforms:
                             s=rng.uniform(0.5, 2.0)) for _ in range(40)]
         for t in cases:
             got = apply_boxes(t, arr)
-            want = np.array([apply_box(t, b).as_array() for b in rows])
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            want = np.array([scalar_apply_box(t, b).as_array() for b in rows])
+            one = box_rows([apply_box(t, b) for b in rows])
+            for out in (got, one):
+                np.testing.assert_array_equal(out, want)
+                np.testing.assert_array_equal(np.signbit(out), np.signbit(want))
         assert apply_boxes(Transform(theta=0.3), np.empty((0, 7))).shape == (0, 7)
 
     def test_invert_identity(self):
@@ -517,6 +549,19 @@ class TestArrayForms:
         bs = [random_box(rng) for _ in range(5)]
         np.testing.assert_array_equal(box_rows(bs), np.stack([b.as_array() for b in bs]))
         assert box_rows([]).shape == (0, 7)
+
+    def test_box_rows_read_every_form(self, rng):
+        # a Box3D list, the same rows as an array, and as .tolist() lists
+        bs = [random_box(rng) for _ in range(6)] + [Box3D(1, -0.0, 0, 1, 2, 3, -0.0)]
+        want = box_rows(bs)
+        assert want.dtype == np.float64 and want.shape == (7, 7)
+        for form in (want, want.tolist(), [list(b) for b in bs], [want[i] for i in range(7)]):
+            got = box_rows(form)
+            assert got.tobytes() == want.tobytes()
+        # a (K, C, 7) block and its nested forms flatten to the same rows
+        blocks = [bs[:3], bs[3:6]]
+        assert box_rows(blocks).tobytes() == want[:6].tobytes()
+        assert box_rows(np.array(blocks)).tobytes() == want[:6].tobytes()
 
 
 class TestAverageBoxes:

@@ -16,7 +16,7 @@ from cadet3d.detector import (
     NonFiniteLossError,
     encode,
 )
-from cadet3d.geometry import Box3D, PointCloud, iou_3d, points_in_box
+from cadet3d.geometry import Box3D, PointCloud, box_rows, iou_3d, points_in_box
 from cadet3d.selftrain import (
     CRITERIA,
     DualThresholds,
@@ -72,6 +72,22 @@ class TestChannelConsistency:
         counter = PairCounter()
         channel_iou_consistency(det_with_boxes([b, b, b]), counter)
         assert counter.count == 3
+
+    def test_rows_and_boxes_bit_identical(self, rng):
+        # a detection holding Box3Ds, and the same boxes as rows, as detect
+        # builds them, or as an array
+        for n_ch in (1, 2, 3, 4):
+            for _ in range(20):
+                base = random_box(rng, spread=1.0)
+                boxes = [base] + [random_box(rng, spread=1.0) for _ in range(n_ch - 1)]
+                det = det_with_boxes(boxes)
+                counter = PairCounter()
+                want = channel_iou_consistency(det, counter)
+                for rows in (box_rows(boxes).tolist(), box_rows(boxes)):
+                    got_counter = PairCounter()
+                    got = channel_iou_consistency(replace(det, per_channel_boxes=rows), got_counter)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                    assert got_counter.count == counter.count == math.comb(n_ch, 2)
 
     def test_linear_scaling_in_detections(self, rng):
         for n_dets in (10, 100):
@@ -467,12 +483,14 @@ class TestBatchedEpochMatchesStepwise:
 
 
 class TestNonFiniteStepNamed:
-    """A student step whose loss is not finite names its kind and scene.
+    """A student step that fails names its kind and scene, keeping the
+    error's type.
 
     The student's yaw residual has a bias of 1e308: every decoded box stays
     finite (yaws wrap), but the regression loss of any foreground RoI sums
-    to inf. An overflowing ``w_cls`` would not do: its NaN proposal scores
-    fail proposal NMS with a ValueError before any loss is formed.
+    to inf, a NonFiniteLossError. An overflowing ``w_cls`` instead gives NaN
+    proposal scores, which fail proposal NMS with a ValueError before any
+    loss is formed.
     """
 
     def overflowing(self, n_labeled, n_unlabeled):
@@ -490,6 +508,14 @@ class TestNonFiniteStepNamed:
         with pytest.raises(NonFiniteLossError) as info:
             ssl_epoch(state, labeled, unlabeled, weak_encodings(unlabeled, cfg), cfg)
         assert str(info.value).startswith(f"unlabeled scene {unlabeled[0].id}: ")
+
+    def test_value_error(self):
+        labeled, unlabeled, _, cfg, state = tiny_ssl_setup(2, 3)
+        state.student.w_cls[:] = 1e308
+        with pytest.raises(ValueError) as info:
+            ssl_epoch(state, labeled, unlabeled, weak_encodings(unlabeled, cfg), cfg)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"unlabeled scene {unlabeled[0].id}: nms scores must be finite"
 
     def test_labeled_only_epoch(self):
         labeled, _, cfg, state = self.overflowing(2, 0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cadet3d.augment import StrongRanges, strong_channels, weak_default_policy
+from cadet3d.augment import strong_channels
 from cadet3d.data import SynthConfig, synth_scene
 from cadet3d.geometry import PointCloud, Transform
 from cadet3d.voxels import (
@@ -17,7 +17,7 @@ from cadet3d.voxels import (
     bev_from_voxels,
     voxelize,
 )
-from conftest import transforms as transform_draws
+from conftest import default_config, transforms as transform_draws
 from reference import apply_points, dense_bev_align, dense_bilinear, interpolate
 
 
@@ -163,7 +163,7 @@ class TestAlignOracle:
     def test_strong_channels(self):
         drawn = []
         for seed in range(4):
-            transforms = strong_channels(StrongRanges(), 3, seed)
+            transforms = strong_channels(default_config().strong_policy(), 3, seed)
             drawn += transforms
             bevs = self.channel_bevs(synth_scene(seed, SynthConfig()).cloud, transforms)
             np.testing.assert_array_equal(
@@ -175,7 +175,7 @@ class TestAlignOracle:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_default_weak_channels(self, seed):
-        transforms = weak_default_policy()
+        transforms = default_config().weak_policy()
         bevs = self.channel_bevs(synth_scene(seed, SynthConfig()).cloud, transforms)
         np.testing.assert_array_equal(
             bev_align(bevs, transforms).features, dense_bev_align(bevs, transforms)
