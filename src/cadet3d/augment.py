@@ -10,7 +10,6 @@ disabled via configuration.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,77 +72,47 @@ def shuffle_augment(scene: Scene, grid_cells: int, rng_seed) -> Scene:
     """Permute equal-occupancy BEV patches of the scene footprint.
 
     The footprint AABB of the points is split into ``grid_cells`` x
-    ``grid_cells`` patches. A patch may move only when every box touching it
-    lies entirely inside it and it holds at most one box; movable patches are
-    permuted among patches of equal box count, carrying their points and
-    contained boxes along. Box order is preserved.
+    ``grid_cells`` patches, indexed ``i * grid_cells + j`` (``i`` along x). A
+    patch may move only when every box touching it lies entirely inside it and
+    it holds at most one box; the movable patches holding no box, then those
+    holding one, are permuted among themselves, carrying their points and
+    contained boxes along. Box order is kept; an unmoved box is the same object.
     """
     if grid_cells < 1:
         raise ValueError("grid_cells must be >= 1")
-    pts = scene.cloud
-    if grid_cells == 1 or len(pts) == 0:
-        return Scene(scene.id, pts.copy(), list(scene.gt_boxes), list(scene.gt_classes))
-    g = grid_cells
-    xmin, ymin = pts.xyz[:, 0].min(), pts.xyz[:, 1].min()
-    xmax, ymax = pts.xyz[:, 0].max(), pts.xyz[:, 1].max()
-    cw, ch = (xmax - xmin) / g, (ymax - ymin) / g
-    if cw < 1e-9 or ch < 1e-9:
+    g, pts = grid_cells, scene.cloud
+    if len(pts):
+        lo = pts.xyz[:, :2].min(axis=0)
+        size = (pts.xyz[:, :2].max(axis=0) - lo) / g
+    if g == 1 or len(pts) == 0 or (size < 1e-9).any():
         return Scene(scene.id, pts.copy(), list(scene.gt_boxes), list(scene.gt_classes))
 
-    def cell_of(x, y):
-        return (
-            int(np.clip(math.floor((x - xmin) / cw), 0, g - 1)),
-            int(np.clip(math.floor((y - ymin) / ch), 0, g - 1)),
-        )
+    def patch(xy: np.ndarray) -> np.ndarray:  # (N, 2) -> nearest patch index
+        i, j = np.clip(np.floor((xy - lo) / size), 0, g - 1).astype(np.intp).T
+        return i * g + j
 
+    # each box spans the patches from its corners' min (x, y) to their max
+    corners = np.array([box.corners_bev() for box in scene.gt_boxes]).reshape(-1, 4, 2)
+    first, last = patch(corners.min(axis=1)), patch(corners.max(axis=1))
     occupancy = np.zeros((g, g), dtype=int)
     blocked = np.zeros((g, g), dtype=bool)
-    box_patch: list[tuple[int, int] | None] = []  # patch fully containing the box, if any
-    for box in scene.gt_boxes:
-        corners = box.corners_bev()
-        i0, j0 = cell_of(corners[:, 0].min(), corners[:, 1].min())
-        i1, j1 = cell_of(corners[:, 0].max(), corners[:, 1].max())
+    for a, b in zip(first, last):
+        (i0, j0), (i1, j1) = divmod(a, g), divmod(b, g)
         occupancy[i0 : i1 + 1, j0 : j1 + 1] += 1
-        if (i0, j0) == (i1, j1):
-            box_patch.append((i0, j0))
-        else:
-            box_patch.append(None)
-            blocked[i0 : i1 + 1, j0 : j1 + 1] = True
-    blocked |= occupancy >= 2
+        blocked[i0 : i1 + 1, j0 : j1 + 1] |= a != b
 
     rng = np.random.default_rng(rng_seed)
-    dest = {(i, j): (i, j) for i in range(g) for j in range(g)}
-    for occ_level in (0, 1):
-        group = [
-            (i, j)
-            for i in range(g)
-            for j in range(g)
-            if not blocked[i, j] and occupancy[i, j] == occ_level
-        ]
-        perm = rng.permutation(len(group))
-        for src_idx, dst_idx in enumerate(perm):
-            dest[group[src_idx]] = group[dst_idx]
+    dest = np.arange(g * g)
+    for level in (0, 1):  # a patch shared by two boxes never moves
+        group = np.flatnonzero(~blocked & (occupancy == level))
+        dest[group] = group[rng.permutation(len(group))]
+    # the (dx, dy) that carries each patch onto its destination
+    shift = (np.stack(divmod(dest, g)) - np.stack(divmod(np.arange(g * g), g))).T * size
 
     xyz = pts.xyz.copy()
-    ix = np.clip(np.floor((xyz[:, 0] - xmin) / cw).astype(int), 0, g - 1)
-    iy = np.clip(np.floor((xyz[:, 1] - ymin) / ch).astype(int), 0, g - 1)
-    dx = np.zeros((g, g))
-    dy = np.zeros((g, g))
-    for (i, j), (ti, tj) in dest.items():
-        dx[i, j] = (ti - i) * cw
-        dy[i, j] = (tj - j) * ch
-    xyz[:, 0] += dx[ix, iy]
-    xyz[:, 1] += dy[ix, iy]
-
-    new_boxes = []
-    for box, patch in zip(scene.gt_boxes, box_patch):
-        if patch is None or dest[patch] == patch:
-            new_boxes.append(box)
-        else:
-            ti, tj = dest[patch]
-            i, j = patch
-            new_boxes.append(
-                Box3D(box.cx + (ti - i) * cw, box.cy + (tj - j) * ch, box.cz,
-                      box.w, box.h, box.l, box.r)
-            )
-    return Scene(scene.id, PointCloud(xyz, pts.intensity.copy()), new_boxes, list(scene.gt_classes))
+    xyz[:, :2] += shift[patch(xyz[:, :2])]
+    boxes = list(scene.gt_boxes)
+    for k in np.flatnonzero((first == last) & (dest[first] != first)):
+        box, (dx, dy) = boxes[k], shift[first[k]]
+        boxes[k] = Box3D(box.cx + dx, box.cy + dy, *box[2:])
+    return Scene(scene.id, PointCloud(xyz, pts.intensity.copy()), boxes, list(scene.gt_classes))

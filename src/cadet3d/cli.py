@@ -164,7 +164,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
         for scene, enc in zip(labeled, encodings) if epoch else ():
             totals.add(train_on_scene(enc, scene.gt_boxes, scene.gt_classes,
                                       [1.0] * len(scene.gt_boxes), params, BACKGROUND_WEIGHT))
-        labeled_map = detect_and_score(labeled, encodings, params).map
+        labeled_map = detect_and_score(labeled, encodings, params, "labeled").map
         rows.append([epoch, *totals.means(), 100.0 * labeled_map])
     out = Path(cfg.out_dir)
     save_params(params, out / PRETRAIN_PARAMS)
@@ -215,7 +215,8 @@ def cmd_eval(cfg: RunConfig, params_path, split: str) -> int:
     policy = cfg.weak_policy()
     # every scene is loaded and checked before any is detected; then each batch
     # is encoded as it is scored, its clouds dropped, and no encoding is held
-    result = detect_and_score(scenes, _encode(scenes, policy, drop_clouds=True), params)
+    result = detect_and_score(scenes, _encode(scenes, policy, drop_clouds=True), params,
+                              split)
     out = Path(cfg.out_dir)
     per_class = {CLASS_NAMES[c - 1]: (None if v is None else 100.0 * v) for c, v in result.ap.items()}
     mean_ap = 100.0 * result.map

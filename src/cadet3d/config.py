@@ -62,6 +62,12 @@ class RunConfig:
             raise ConfigError("threshold_period must be >= 1")
         if not 0.0 <= self.ema_momentum <= 1.0:
             raise ConfigError("ema_momentum must be in [0, 1]")
+        if not 0.0 <= self.prefilter_min_score <= 1.0:  # scores p_hat * o_hat lie in [0, 1]
+            raise ConfigError("prefilter_min_score must be in [0, 1]")
+        if self.shuffle_grid_cells < 0:
+            raise ConfigError("shuffle_grid_cells must be >= 0")
+        if not self.unsup_background_weight >= 0.0:
+            raise ConfigError("unsup_background_weight must be >= 0")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
 

@@ -329,17 +329,32 @@ def _check_encoded(scenes: list[Scene], encoded: list | None, what: str) -> None
         raise ValueError(f"{n} encodings for {len(scenes)} {what} scenes")
 
 
+def _detect_each(scenes: list[Scene], encodings: Iterable[SceneEncoding],
+                 params: DetectorParams, what: str) -> list[list[Detection]]:
+    """``detect`` on each encoding; a ValueError is re-raised, with its type,
+    as ``<what> scene <id>: ...`` for the scene of ``scenes`` it runs parallel to."""
+    dets = []
+    for i, enc in enumerate(encodings):
+        try:
+            dets.append(detect(enc, params))
+        except ValueError as exc:
+            raise type(exc)(f"{what} scene {scenes[i].id}: {exc}") from exc
+    return dets
+
+
 def detect_and_score(scenes: list[Scene], encodings: Iterable[SceneEncoding],
-                     params: DetectorParams) -> EvalResult:
+                     params: DetectorParams, what: str) -> EvalResult:
     """Detect every encoded scene and score the detections against ``scenes`` (AP40).
 
     ``encodings`` runs parallel to ``scenes``; it may be a generator, so a
     caller that scores once can encode a batch at a time as it is detected
     and need not hold every encoding at the same time. ``scenes`` is read
-    only for its labels once every scene is detected.
+    only for its labels once every scene is detected. ``what`` names the
+    pass in errors: a detection's ValueError is re-raised, with its type, as
+    ``<what> scene <id>: ...``.
     """
-    dets = [detect(enc, params) for enc in encodings]
-    _check_encoded(scenes, dets, "scored")
+    dets = _detect_each(scenes, encodings, params, what)
+    _check_encoded(scenes, dets, what)
     return evaluate_scenes(dets, scenes)
 
 
@@ -375,7 +390,8 @@ def ssl_epoch(
     ``ENCODE_BATCH`` at a time (each as if alone), their targets built just
     before their batch is encoded, and trained on in order. A step's
     NonFiniteLossError or ValueError is re-raised, with its type, as
-    ``<kind> scene <id>: ...``.
+    ``<kind> scene <id>: ...``, and so is a detection's ValueError in the
+    teacher and val passes, ``<kind>`` being ``teacher`` or ``val``.
     """
     _check_encoded(unlabeled, unlabeled_enc, "unlabeled")
     if val_scenes:
@@ -383,7 +399,7 @@ def ssl_epoch(
     metrics = EpochMetrics(epoch=state.epoch)
     strong_ranges = cfg.strong_policy()
 
-    teacher_dets = [detect(enc, state.teacher.params) for enc in unlabeled_enc]
+    teacher_dets = _detect_each(unlabeled, unlabeled_enc, state.teacher.params, "teacher")
     pseudo_sets = [[pseudo_from_detection(d) for d in dets] for dets in teacher_dets]
 
     if state.epoch % cfg.threshold_period == 0 or state.thresholds is None:
@@ -472,7 +488,7 @@ def ssl_epoch(
     metrics.thr_iou_high = float(np.mean([b.iou_cons[1] for b in banks]))
 
     if val_scenes:
-        result = detect_and_score(val_scenes, val_enc, state.student)
+        result = detect_and_score(val_scenes, val_enc, state.student, "val")
         # APs on the 100 scale in reports
         metrics.val_map = 100.0 * result.map
         metrics.val_ap_car = 100.0 * (result.ap.get(1) or 0.0)

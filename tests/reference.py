@@ -9,9 +9,10 @@ proposals by a scan of every BEV cell and a box fit per component, NMS and
 best-match by the exact IoU of every pair, and scoring and training one
 proposal, channel, example and box at a time with ``math`` functions.
 
-It also holds the scalar box map (:func:`scalar_apply_box`) and half-turn
-yaw alignment (:func:`align_yaw_to_anchor`) that the array forms must
-reproduce bit for bit, one-transform conveniences that build test inputs
+It also holds the scalar box map (:func:`scalar_apply_box`), half-turn
+yaw alignment (:func:`align_yaw_to_anchor`) and patch shuffle
+(:func:`scalar_shuffle_augment`) that the array forms must reproduce bit
+for bit, one-transform conveniences that build test inputs
 (:func:`transform_xy`, :func:`apply_points`, :func:`interpolate`) on the
 library's own array maps and BEV lookup, and the step-by-step self-training
 epoch loop (:func:`stepwise_ssl_epoch`) that the batched one must reproduce.
@@ -132,6 +133,81 @@ def align_yaw_to_anchor(target: Box3D, anchor: Box3D) -> Box3D:
     else:
         return target
     return Box3D(target.cx, target.cy, target.cz, target.w, target.h, target.l, r)
+
+
+def scalar_shuffle_augment(scene: Scene, grid_cells: int, rng_seed) -> Scene:
+    """:func:`cadet3d.augment.shuffle_augment` one patch and one box at a time:
+    patches as ``(i, j)`` keys of a destination dict, per-patch displacement
+    grids, and the patch of each single-patch box."""
+    if grid_cells < 1:
+        raise ValueError("grid_cells must be >= 1")
+    pts = scene.cloud
+    if grid_cells == 1 or len(pts) == 0:
+        return Scene(scene.id, pts.copy(), list(scene.gt_boxes), list(scene.gt_classes))
+    g = grid_cells
+    xmin, ymin = pts.xyz[:, 0].min(), pts.xyz[:, 1].min()
+    xmax, ymax = pts.xyz[:, 0].max(), pts.xyz[:, 1].max()
+    cw, ch = (xmax - xmin) / g, (ymax - ymin) / g
+    if cw < 1e-9 or ch < 1e-9:
+        return Scene(scene.id, pts.copy(), list(scene.gt_boxes), list(scene.gt_classes))
+
+    def cell_of(x, y):
+        return (
+            int(np.clip(math.floor((x - xmin) / cw), 0, g - 1)),
+            int(np.clip(math.floor((y - ymin) / ch), 0, g - 1)),
+        )
+
+    occupancy = np.zeros((g, g), dtype=int)
+    blocked = np.zeros((g, g), dtype=bool)
+    box_patch: list[tuple[int, int] | None] = []  # patch fully containing the box, if any
+    for box in scene.gt_boxes:
+        corners = box.corners_bev()
+        i0, j0 = cell_of(corners[:, 0].min(), corners[:, 1].min())
+        i1, j1 = cell_of(corners[:, 0].max(), corners[:, 1].max())
+        occupancy[i0 : i1 + 1, j0 : j1 + 1] += 1
+        if (i0, j0) == (i1, j1):
+            box_patch.append((i0, j0))
+        else:
+            box_patch.append(None)
+            blocked[i0 : i1 + 1, j0 : j1 + 1] = True
+    blocked |= occupancy >= 2
+
+    rng = np.random.default_rng(rng_seed)
+    dest = {(i, j): (i, j) for i in range(g) for j in range(g)}
+    for occ_level in (0, 1):
+        group = [
+            (i, j)
+            for i in range(g)
+            for j in range(g)
+            if not blocked[i, j] and occupancy[i, j] == occ_level
+        ]
+        perm = rng.permutation(len(group))
+        for src_idx, dst_idx in enumerate(perm):
+            dest[group[src_idx]] = group[dst_idx]
+
+    xyz = pts.xyz.copy()
+    ix = np.clip(np.floor((xyz[:, 0] - xmin) / cw).astype(int), 0, g - 1)
+    iy = np.clip(np.floor((xyz[:, 1] - ymin) / ch).astype(int), 0, g - 1)
+    dx = np.zeros((g, g))
+    dy = np.zeros((g, g))
+    for (i, j), (ti, tj) in dest.items():
+        dx[i, j] = (ti - i) * cw
+        dy[i, j] = (tj - j) * ch
+    xyz[:, 0] += dx[ix, iy]
+    xyz[:, 1] += dy[ix, iy]
+
+    new_boxes = []
+    for box, patch in zip(scene.gt_boxes, box_patch):
+        if patch is None or dest[patch] == patch:
+            new_boxes.append(box)
+        else:
+            ti, tj = dest[patch]
+            i, j = patch
+            new_boxes.append(
+                Box3D(box.cx + (ti - i) * cw, box.cy + (tj - j) * ch, box.cz,
+                      box.w, box.h, box.l, box.r)
+            )
+    return Scene(scene.id, PointCloud(xyz, pts.intensity.copy()), new_boxes, list(scene.gt_classes))
 
 
 def _pca_axes(xy: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -634,7 +710,7 @@ def stepwise_ssl_epoch(
     metrics.thr_iou_high = float(np.mean([b.iou_cons[1] for b in banks]))
 
     if val_scenes:
-        result = detect_and_score(val_scenes, val_enc, state.student)
+        result = detect_and_score(val_scenes, val_enc, state.student, "val")
         # APs on the 100 scale in reports
         metrics.val_map = 100.0 * result.map
         metrics.val_ap_car = 100.0 * (result.ap.get(1) or 0.0)

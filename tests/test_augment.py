@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cadet3d import detector
 from cadet3d.augment import (
@@ -11,10 +13,10 @@ from cadet3d.augment import (
     strong_channels,
     weak_default_policy,
 )
-from cadet3d.data import Scene
+from cadet3d.data import Scene, SynthConfig, synth_scene
 from cadet3d.geometry import Box3D, PointCloud, Transform, apply_box, points_in_box
-from conftest import default_config
-from reference import apply_points
+from conftest import boxes as box_draws, default_config
+from reference import apply_points, scalar_shuffle_augment
 
 
 def make_cloud(rng, n=100, spread=8.0):
@@ -188,6 +190,55 @@ class TestShuffleAugment:
             for seed in range(10)
         )
         assert moved
+
+
+def assert_same_shuffle(got: Scene, want: Scene, scene: Scene) -> None:
+    """``got`` equals ``want`` bit for bit, and each returns the same boxes of
+    ``scene`` as unmoved objects."""
+    assert got.id == want.id and got.gt_classes == want.gt_classes
+    assert got.cloud.xyz.tobytes() == want.cloud.xyz.tobytes()
+    assert got.cloud.intensity.tobytes() == want.cloud.intensity.tobytes()
+    assert len(got.gt_boxes) == len(want.gt_boxes) == len(scene.gt_boxes)
+    for a, b, before in zip(got.gt_boxes, want.gt_boxes, scene.gt_boxes):
+        assert np.array(a).tobytes() == np.array(b).tobytes()
+        assert (a is before) == (b is before)
+
+
+# coordinates on the integer lattice put points on patch boundaries
+coords = st.one_of(st.integers(-4, 4).map(float), st.floats(-5.0, 5.0))
+
+
+class TestShuffleMatchesScalar:
+    @given(grid=st.integers(1, 8), xy=st.lists(st.tuples(coords, coords), max_size=60),
+           gt=st.lists(box_draws(center_span=7.0), max_size=7),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300)
+    @example(grid=4, xy=[], gt=[], seed=0)  # empty cloud
+    @example(grid=4, xy=[(-4.0, -4.0), (4.0, 4.0), (0.0, 1.0)], gt=[], seed=3)  # no boxes
+    @example(grid=3, xy=[(1.0, -4.0), (1.0, 4.0)], gt=[Box3D(1, 0, 0, 1, 1, 1, 0)], seed=1)  # flat
+    @example(grid=2, xy=[(-4.0, -4.0), (4.0, 4.0), (-2.0, 2.0), (2.0, -2.0)],  # two in one patch
+             gt=[Box3D(-2.5, -2.5, 0, 0.5, 1, 0.5, 0), Box3D(-1.5, -1.5, 0, 0.5, 1, 0.5, 0.3),
+                 Box3D(2.5, 2.5, 0, 0.5, 1, 0.5, 0)], seed=5)
+    @example(grid=2, xy=[(-4.0, -4.0), (4.0, 4.0), (2.0, -2.0)],  # a box far past the extent
+             gt=[Box3D(1e6, -2.0, 0, 1, 1, 1, 0), Box3D(-2.5, 2.5, 0, 0.5, 1, 0.5, 0)], seed=2)
+    def test_random_scenes(self, grid, xy, gt, seed):
+        gen = np.random.default_rng(seed)
+        xyz = np.column_stack([np.array(xy, dtype=float).reshape(-1, 2), gen.random(len(xy))])
+        classes = [1 + k % 3 for k in range(len(gt))]
+        scene = Scene("h", PointCloud(xyz, gen.random(len(xy))), gt, classes)
+        assert_same_shuffle(shuffle_augment(scene, grid, seed),
+                            scalar_shuffle_augment(scene, grid, seed), scene)
+
+    @pytest.mark.parametrize("grid", [2, 3, 4, 6])
+    def test_synth_scenes(self, grid):
+        moved = 0
+        for scene_seed in range(12):
+            scene = synth_scene(scene_seed, SynthConfig())
+            for seed in range(3):
+                got = shuffle_augment(scene, grid, seed)
+                assert_same_shuffle(got, scalar_shuffle_augment(scene, grid, seed), scene)
+                moved += sum(a is not b for a, b in zip(got.gt_boxes, scene.gt_boxes))
+        assert moved > 0
 
 
 def test_labels_and_points_consistent_under_transforms(rng):

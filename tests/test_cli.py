@@ -93,7 +93,9 @@ class TestConfigErrors:
                                       "synth.object_radius = nan",
                                       "unsup_background_weight = nan",
                                       "prefilter_min_score = nan", "synth.range_scale = 0",
-                                      "synth.size_jitter = -0.1"])
+                                      "synth.size_jitter = -0.1", "shuffle_grid_cells = -3",
+                                      "unsup_background_weight = -1.0",
+                                      "prefilter_min_score = 7.0", "prefilter_min_score = -2.0"])
     def test_unbuildable_config_exits_2_before_writing(self, small_env, line):
         tmp, cfg = small_env
         main(["gen-data", "--config", str(cfg)])
@@ -301,10 +303,11 @@ class TestEval:
             bad.write_bytes(bad.read_bytes() + b"\x00\x00\x00")
         assert main(["eval", "--config", str(cfg), "--params", str(bad)]) == 3
 
-    @pytest.mark.parametrize("head", ["w_cls", "w_reg"])
-    def test_numeric_failure_exit_1(self, small_env, head, capsys):
-        # finite weights that overflow inside detection: an internal failure,
-        # not an input problem
+    @staticmethod
+    def failed_scene(small_env, capsys, head, command, what):
+        """The scene id that ``command``'s ``what`` pass names when detection
+        overflows on finite weights: an internal failure (exit 1), not an
+        input problem."""
         tmp, cfg = small_env
         main(["gen-data", "--config", str(cfg)])
         huge = tmp / "huge.params"
@@ -314,10 +317,27 @@ class TestEval:
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["eval", "--config", str(cfg), "--params", str(huge)]) == 1
+            assert main([command, "--config", str(cfg), "--params", str(huge)]) == 1
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("internal error:")
+        prefix = f"internal error: {what} scene "
+        assert len(err) == 1 and err[0].startswith(prefix)
+        return err[0].removeprefix(prefix).split(":")[0]
+
+    @staticmethod
+    def split_ids(small_env, split):
+        return (small_env[0] / "data" / "splits" / f"{split}.txt").read_text().split()
+
+    @pytest.mark.parametrize("head", ["w_cls", "w_reg"])
+    def test_numeric_failure_exit_1(self, small_env, head, capsys):
+        scene_id = self.failed_scene(small_env, capsys, head, "eval", "val")
+        assert scene_id in self.split_ids(small_env, "val")
+
+    @pytest.mark.parametrize("head", ["w_cls", "w_reg"])
+    def test_ssl_train_numeric_failure_exit_1(self, small_env, head, capsys):
+        # the teacher pass detects the unlabeled scenes before any student step
+        scene_id = self.failed_scene(small_env, capsys, head, "ssl-train", "teacher")
+        assert scene_id in self.split_ids(small_env, "unlabeled")
 
 
 class TestReport:

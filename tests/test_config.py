@@ -70,6 +70,27 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="threads"):
             load_config(None, {"seed": 1, "threads": 0})
 
+    # a negative grid would turn the shuffle off, a negative weight flip the
+    # background loss, and a prefilter score outside [0, 1] keep all or nothing
+    @pytest.mark.parametrize("key, value", [("shuffle_grid_cells", -3),
+                                            ("unsup_background_weight", -1.0),
+                                            ("prefilter_min_score", 7.0),
+                                            ("prefilter_min_score", -2.0)])
+    def test_out_of_range_value_named(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            load_config(None, {"seed": 1, key: value})
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"seed = 1\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, value", [("shuffle_grid_cells", 0),
+                                            ("unsup_background_weight", 0.0),
+                                            ("prefilter_min_score", 0.0),
+                                            ("prefilter_min_score", 1.0)])
+    def test_range_edges_accepted(self, key, value):
+        assert getattr(load_config(None, {"seed": 1, key: value}), key) == value
+
     @pytest.mark.parametrize("key, value", [("n_channels", "2"),
                                             ("weak_scale_low", "0"),
                                             ("strong_scale_low", "-1"),
