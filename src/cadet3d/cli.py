@@ -29,6 +29,7 @@ from .data import (
     SynthConfig,
     atomic_open,
     load_scene,
+    read_bin_cloud,
     read_split,
     save_scene,
     split_sample,
@@ -211,12 +212,17 @@ def cmd_ssl_train(cfg: RunConfig, params_path) -> int:
 def cmd_eval(cfg: RunConfig, params_path, split: str) -> int:
     _snapshot_config(cfg)
     params = _load_model(params_path)
-    scenes = _load_split_scenes(cfg, split)
+    root = Path(cfg.dataset_root)
+    # every scene is loaded and checked before any is encoded, so a bad file
+    # exits 2 before any work, but only its labels are kept; each batch reads
+    # its clouds again, with the same checks, just before it is encoded, and
+    # is detected and scored scene by scene, so memory holds one batch
+    scenes = [dataclasses.replace(load_scene(root, sid), cloud=PointCloud.empty())
+              for sid in read_split(root, split)]
     policy = cfg.weak_policy()
-    # every scene is loaded and checked before any is detected; then each batch
-    # is encoded as it is scored, its clouds dropped, and no encoding is held
-    result = detect_and_score(scenes, _encode(scenes, policy, drop_clouds=True), params,
-                              split)
+    encodings = (enc for _, enc in encode_batches(
+        scenes, lambda s: (read_bin_cloud(root / "points" / f"{s.id}.bin"), policy)))
+    result = detect_and_score(scenes, encodings, params, split)
     out = Path(cfg.out_dir)
     per_class = {CLASS_NAMES[c - 1]: (None if v is None else 100.0 * v) for c, v in result.ap.items()}
     mean_ap = 100.0 * result.map

@@ -80,29 +80,33 @@ def evaluate_scenes(dets_per_scene, scenes) -> EvalResult:
     """Dataset-level per-class AP40 over per-scene detection lists, one list
     per scene of ``scenes`` (ValueError if the counts differ).
 
+    ``dets_per_scene`` may be any iterable, a generator included: it is drawn
+    one scene at a time, the next list only once the previous scene is
+    matched, and only each class's (confidence, scene, rank, TP flag) tallies
+    and GT count are kept, so no caller need hold every scene's detections.
+
     Detections rank by p_hat * objectness. Matching happens within each scene,
     so flags can be merged across scenes and sorted globally without changing
     which detection claims which box.
     """
-    result = EvalResult()
-    for cls_id, iou_thresh in enumerate(IOU_THRESHOLDS, start=1):
-        scored: list[tuple[float, int, int, bool]] = []
-        n_gt = 0
-        for si, (dets, scene) in enumerate(zip(dets_per_scene, scenes, strict=True)):
+    classes = range(1, len(IOU_THRESHOLDS) + 1)
+    scored: dict[int, list[tuple[float, int, int, bool]]] = {c: [] for c in classes}
+    n_gt = dict.fromkeys(classes, 0)
+    for si, (dets, scene) in enumerate(zip(dets_per_scene, scenes, strict=True)):
+        predicted = [d.predicted_class for d in dets]
+        confidence = [d.confidence for d in dets]
+        for cls_id, iou_thresh in zip(classes, IOU_THRESHOLDS):
             gts = [b for b, c in zip(scene.gt_boxes, scene.gt_classes) if c == cls_id]
-            n_gt += len(gts)
-            sub = [d for d in dets if d.predicted_class == cls_id]
-            flags, _ = match_detections(
-                [d.box for d in sub],
-                [d.confidence for d in sub],
-                gts,
-                iou_thresh,
-            )
-            confs = sorted((d.confidence for d in sub), reverse=True)
-            for di, (conf, flag) in enumerate(zip(confs, flags)):
-                scored.append((conf, si, di, flag))
-        scored.sort(key=lambda t: (-t[0], t[1], t[2]))
-        result.ap[cls_id] = ap40([t[3] for t in scored], n_gt)
+            n_gt[cls_id] += len(gts)
+            sub = [i for i, c in enumerate(predicted) if c == cls_id]
+            confs = [confidence[i] for i in sub]
+            flags, _ = match_detections([dets[i].box for i in sub], confs, gts, iou_thresh)
+            for di, (conf, flag) in enumerate(zip(sorted(confs, reverse=True), flags)):
+                scored[cls_id].append((conf, si, di, flag))
+    result = EvalResult()
+    for cls_id in classes:
+        scored[cls_id].sort(key=lambda t: (-t[0], t[1], t[2]))
+        result.ap[cls_id] = ap40([t[3] for t in scored[cls_id]], n_gt[cls_id])
     return result
 
 

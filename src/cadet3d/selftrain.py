@@ -322,40 +322,45 @@ def scene_seed(master: int, epoch: int, index: int, tag: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _check_encoded(scenes: list[Scene], encoded: list | None, what: str) -> None:
-    """Fail unless ``encoded`` holds one entry per scene."""
-    n = 0 if encoded is None else len(encoded)
-    if n != len(scenes):
-        raise ValueError(f"{n} encodings for {len(scenes)} {what} scenes")
+def _check_encoded(scenes: list[Scene], n_encoded: int, what: str) -> None:
+    """Fail unless there are as many encodings, ``n_encoded``, as scenes."""
+    if n_encoded != len(scenes):
+        raise ValueError(f"{n_encoded} encodings for {len(scenes)} {what} scenes")
 
 
 def _detect_each(scenes: list[Scene], encodings: Iterable[SceneEncoding],
-                 params: DetectorParams, what: str) -> list[list[Detection]]:
-    """``detect`` on each encoding; a ValueError is re-raised, with its type,
-    as ``<what> scene <id>: ...`` for the scene of ``scenes`` it runs parallel to."""
-    dets = []
-    for i, enc in enumerate(encodings):
+                 params: DetectorParams, what: str) -> Iterator[list[Detection]]:
+    """``detect`` on each encoding, yielded as it is drawn. A ValueError is
+    re-raised, with its type, as ``<what> scene <id>: ...`` for the scene of
+    ``scenes`` it runs parallel to. Once ``encodings`` ends, or outlasts
+    ``scenes``, a count that differs from the scenes' raises ValueError
+    ``N encodings for M <what> scenes``."""
+    encodings = iter(encodings)
+    n = 0
+    for scene, enc in zip(scenes, encodings):
         try:
-            dets.append(detect(enc, params))
+            dets = detect(enc, params)
         except ValueError as exc:
-            raise type(exc)(f"{what} scene {scenes[i].id}: {exc}") from exc
-    return dets
+            raise type(exc)(f"{what} scene {scene.id}: {exc}") from exc
+        n += 1
+        yield dets
+    _check_encoded(scenes, n + sum(1 for _ in encodings), what)
 
 
 def detect_and_score(scenes: list[Scene], encodings: Iterable[SceneEncoding],
                      params: DetectorParams, what: str) -> EvalResult:
     """Detect every encoded scene and score the detections against ``scenes`` (AP40).
 
-    ``encodings`` runs parallel to ``scenes``; it may be a generator, so a
-    caller that scores once can encode a batch at a time as it is detected
-    and need not hold every encoding at the same time. ``scenes`` is read
-    only for its labels once every scene is detected. ``what`` names the
-    pass in errors: a detection's ValueError is re-raised, with its type, as
-    ``<what> scene <id>: ...``.
+    ``encodings`` runs parallel to ``scenes`` and may be any iterable, a
+    generator included. Each scene is detected as its encoding is drawn and
+    scored before the next is drawn, so a caller can encode a batch at a
+    time, and no pass holds every encoding or every scene's detections at
+    the same time. ``what`` names the pass in errors: a detection's
+    ValueError is re-raised, with its type, as ``<what> scene <id>: ...``,
+    and ``encodings`` shorter or longer than ``scenes`` raises ValueError
+    ``N encodings for M <what> scenes``.
     """
-    dets = _detect_each(scenes, encodings, params, what)
-    _check_encoded(scenes, dets, what)
-    return evaluate_scenes(dets, scenes)
+    return evaluate_scenes(_detect_each(scenes, encodings, params, what), scenes)
 
 
 def ssl_epoch(
@@ -393,13 +398,13 @@ def ssl_epoch(
     ``<kind> scene <id>: ...``, and so is a detection's ValueError in the
     teacher and val passes, ``<kind>`` being ``teacher`` or ``val``.
     """
-    _check_encoded(unlabeled, unlabeled_enc, "unlabeled")
+    _check_encoded(unlabeled, len(unlabeled_enc), "unlabeled")
     if val_scenes:
-        _check_encoded(val_scenes, val_enc, "val")
+        _check_encoded(val_scenes, len(val_enc or ()), "val")
     metrics = EpochMetrics(epoch=state.epoch)
     strong_ranges = cfg.strong_policy()
 
-    teacher_dets = _detect_each(unlabeled, unlabeled_enc, state.teacher.params, "teacher")
+    teacher_dets = list(_detect_each(unlabeled, unlabeled_enc, state.teacher.params, "teacher"))
     pseudo_sets = [[pseudo_from_detection(d) for d in dets] for dets in teacher_dets]
 
     if state.epoch % cfg.threshold_period == 0 or state.thresholds is None:

@@ -12,9 +12,11 @@ proposal, channel, example and box at a time with ``math`` functions.
 It also holds the scalar box map (:func:`scalar_apply_box`), half-turn
 yaw alignment (:func:`align_yaw_to_anchor`) and patch shuffle
 (:func:`scalar_shuffle_augment`) that the array forms must reproduce bit
-for bit, one-transform conveniences that build test inputs
-(:func:`transform_xy`, :func:`apply_points`, :func:`interpolate`) on the
-library's own array maps and BEV lookup, and the step-by-step self-training
+for bit, the class-by-class dataset AP (:func:`classwise_evaluate_scenes`)
+that the scene-by-scene one must reproduce exactly, one-transform
+conveniences that build test inputs (:func:`transform_xy`,
+:func:`apply_points`, :func:`interpolate`) on the library's own array maps
+and BEV lookup, and the step-by-step self-training
 epoch loop (:func:`stepwise_ssl_epoch`) that the batched one must reproduce.
 """
 from __future__ import annotations
@@ -51,7 +53,13 @@ from cadet3d.detector import (
     encode,
     train_on_scene,
 )
-from cadet3d.evaluation import pseudo_quality
+from cadet3d.evaluation import (
+    IOU_THRESHOLDS,
+    EvalResult,
+    ap40,
+    match_detections,
+    pseudo_quality,
+)
 from cadet3d.geometry import (
     Box3D,
     PointCloud,
@@ -276,6 +284,33 @@ def brute_force_ap(tp_flags: list[bool], n_gt: int, positions: int = 40) -> floa
                 best = max(best, tp / (tp + fp))
         total += best
     return total / positions
+
+
+def classwise_evaluate_scenes(dets_per_scene, scenes) -> EvalResult:
+    """:func:`cadet3d.evaluation.evaluate_scenes` as it ran before it scored
+    scene by scene: class in the outer loop, so it reads every scene's
+    detection list once per class, and each detection's class and confidence
+    are recomputed for each class."""
+    result = EvalResult()
+    for cls_id, iou_thresh in enumerate(IOU_THRESHOLDS, start=1):
+        scored: list[tuple[float, int, int, bool]] = []
+        n_gt = 0
+        for si, (dets, scene) in enumerate(zip(dets_per_scene, scenes, strict=True)):
+            gts = [b for b, c in zip(scene.gt_boxes, scene.gt_classes) if c == cls_id]
+            n_gt += len(gts)
+            sub = [d for d in dets if d.predicted_class == cls_id]
+            flags, _ = match_detections(
+                [d.box for d in sub],
+                [d.confidence for d in sub],
+                gts,
+                iou_thresh,
+            )
+            confs = sorted((d.confidence for d in sub), reverse=True)
+            for di, (conf, flag) in enumerate(zip(confs, flags)):
+                scored.append((conf, si, di, flag))
+        scored.sort(key=lambda t: (-t[0], t[1], t[2]))
+        result.ap[cls_id] = ap40([t[3] for t in scored], n_gt)
+    return result
 
 
 def brute_force_three_partition(values) -> tuple[float, np.ndarray]:
@@ -618,9 +653,9 @@ def stepwise_ssl_epoch(
     were batched: each step draws its strong channels and encodes its target
     alone, right before it trains, so nothing of a later step is built first.
     """
-    _check_encoded(unlabeled, unlabeled_enc, "unlabeled")
+    _check_encoded(unlabeled, len(unlabeled_enc), "unlabeled")
     if val_scenes:
-        _check_encoded(val_scenes, val_enc, "val")
+        _check_encoded(val_scenes, len(val_enc or ()), "val")
     metrics = EpochMetrics(epoch=state.epoch)
     strong_ranges = cfg.strong_policy()
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cadet3d import evaluation
 from cadet3d.data import Scene, SynthConfig, synth_scene
 from cadet3d.detector import Detection
 from cadet3d.evaluation import (
@@ -13,8 +16,8 @@ from cadet3d.evaluation import (
 )
 from cadet3d.geometry import Box3D, PointCloud
 from cadet3d.selftrain import PseudoBox
-from conftest import random_box
-from reference import brute_force_ap
+from conftest import boxes, random_box
+from reference import brute_force_ap, classwise_evaluate_scenes
 
 
 class TestMatchDetections:
@@ -118,6 +121,87 @@ class TestEvaluateScenes:
         dets = [gt_echo_detections(s) for s in scenes] + [[]]
         with pytest.raises(ValueError):
             evaluate_scenes(dets[:n_dets], scenes)
+
+
+CLASSES = st.integers(1, 3)
+# few distinct values, so confidences p_hat * objectness tie within and across scenes
+LEVELS = st.sampled_from([0.5, 0.75, 1.0])
+
+
+def detection(box, cls, p_hat, objectness):
+    """A detection of class ``cls`` with confidence ``p_hat * objectness``."""
+    scores = np.full(4, (1.0 - p_hat) / 3)
+    scores[cls] = p_hat
+    return Detection(box=box, per_channel_boxes=[box], class_scores=scores,
+                     objectness=objectness)
+
+
+@st.composite
+def scored_scenes(draw):
+    """Scenes and their detection lists: perturbed ``gt_echo_detections`` (each
+    ground-truth box kept or dropped, shifted, maybe relabelled) shuffled in
+    with free boxes of any class. Scenes and classes may be empty."""
+    scenes, dets = [], []
+    for si in range(draw(st.integers(0, 5))):
+        gts = draw(st.lists(st.tuples(boxes(), CLASSES), max_size=4))
+        scenes.append(Scene(f"{si:06d}", PointCloud.empty(), [b for b, _ in gts],
+                            [c for _, c in gts]))
+        shift = st.floats(-0.6, 0.6)
+        echoes = [
+            detection(Box3D(box.cx + draw(shift), box.cy + draw(shift), *box[2:]),
+                      draw(st.sampled_from([cls, cls % 3 + 1])), draw(LEVELS), draw(LEVELS))
+            for box, cls in gts if draw(st.booleans())
+        ]
+        free = draw(st.lists(st.builds(detection, boxes(), CLASSES, LEVELS, LEVELS), max_size=3))
+        dets.append(draw(st.permutations(echoes + free)))
+    return scenes, dets
+
+
+class TestScoresMatchClasswise:
+    """Scene-by-scene scoring equals the class-by-class oracle exactly."""
+
+    @given(scored_scenes())
+    @settings(max_examples=200)
+    def test_equals_oracle(self, case):
+        scenes, dets = case
+        want = classwise_evaluate_scenes(dets, scenes).ap
+        assert evaluate_scenes(dets, scenes).ap == want
+        assert evaluate_scenes((d for d in dets), scenes).ap == want
+
+    @pytest.mark.parametrize("first_true", [False, True])
+    def test_confidence_ties_rank_by_scene(self, first_true):
+        # one GT box per scene and one detection each, of equal confidence; the
+        # earlier scene ranks first, so only its flag decides the precision at
+        # recall 1/2
+        gt = Box3D(0, 0, 1, 1.6, 1.5, 3.9, 0.4)
+        miss = Box3D(20, 20, 1, 1.6, 1.5, 3.9, 0.4)
+        scenes = [Scene(f"{i}", PointCloud.empty(), [gt], [1]) for i in range(2)]
+        dets = [[detection(gt if first_true else miss, 1, 0.75, 1.0)],
+                [detection(miss if first_true else gt, 1, 0.75, 1.0)]]
+        got = evaluate_scenes(iter(dets), scenes).ap
+        assert got == classwise_evaluate_scenes(dets, scenes).ap
+        assert got[1] == (0.5 if first_true else 0.25)
+
+    def test_empty_inputs(self):
+        assert evaluate_scenes(iter([]), []).ap == {1: None, 2: None, 3: None}
+        blank = [Scene(f"{i}", PointCloud.empty()) for i in range(3)]
+        assert evaluate_scenes(iter([[], [], []]), blank).ap == {1: None, 2: None, 3: None}
+
+    def test_draws_each_scene_after_the_previous_is_matched(self, monkeypatch):
+        scenes = [synth_scene(s, SynthConfig()) for s in range(4)]
+        matched = []
+        original = evaluation.match_detections
+        monkeypatch.setattr(evaluation, "match_detections",
+                            lambda *a: matched.append(1) or original(*a))
+        drawn_at = []  # matching calls made when scene k's list is drawn
+
+        def lists():
+            for scene in scenes:
+                drawn_at.append(len(matched))
+                yield gt_echo_detections(scene)
+
+        assert evaluate_scenes(lists(), scenes).map == pytest.approx(1.0)
+        assert drawn_at == [len(IOU_THRESHOLDS) * k for k in range(len(scenes))]
 
 
 class TestEvalConstants:

@@ -26,6 +26,7 @@ from cadet3d.selftrain import (
     SslState,
     ThresholdBank,
     channel_iou_consistency,
+    detect_and_score,
     ema_update,
     fit_dual_thresholds,
     fit_threshold_bank,
@@ -403,6 +404,17 @@ class TestSslEpoch:
         assert state.thresholds is None
         ssl_epoch(state, labeled, unlabeled, weak_encodings(unlabeled, cfg), cfg)
         assert isinstance(state.thresholds, ThresholdBank)
+
+
+class TestDetectAndScore:
+    @pytest.mark.parametrize("n_enc", [2, 5])
+    def test_generator_count_must_match(self, n_enc):
+        # a generator has no length: the count is checked once it ends or
+        # outlasts the scenes, with no IndexError or zip message first
+        _, _, val, cfg, state = tiny_ssl_setup(n_val=3)
+        encodings = weak_encodings(val + val[:2], cfg)[:n_enc]
+        with pytest.raises(ValueError, match=f"^{n_enc} encodings for 3 val scenes$"):
+            detect_and_score(val, (enc for enc in encodings), state.student, "val")
 
 
 def params_bytes(state):
