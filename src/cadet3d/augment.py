@@ -2,7 +2,7 @@
 (strong) ones, and a grid-patch shuffle augmentation.
 
 A channel policy is just its transforms, identity first for the weak set;
-:func:`detector.encode` builds the channel clouds from them.
+:func:`detector.encode_batch` builds the channel clouds from them.
 
 The patch shuffle is a simplified stand-in for the shuffle augmentation used
 by hierarchical-supervision pipelines, NOT a reimplementation of it; it can be

@@ -14,7 +14,6 @@ import dataclasses
 import math
 import sys
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from .detector import (
     LossTotals,
     NonFiniteLossError,
     ParamsFormatError,
-    SceneEncoding,
     encode_batches,
     load_params,
     save_params,
@@ -101,16 +99,6 @@ def _load_split_scenes(cfg: RunConfig, name: str) -> list[Scene]:
     return [load_scene(root, sid) for sid in read_split(root, name)]
 
 
-def _encode(scenes: list[Scene], policy, drop_clouds: bool = False) -> Iterator[SceneEncoding]:
-    """Encodings of ``scenes`` under ``policy``, ``ENCODE_BATCH`` scenes per
-    :func:`encode_batch` call. With ``drop_clouds``, each scene's cloud is
-    replaced by an empty one once its batch is encoded; its labels stay."""
-    for scene, enc in encode_batches(scenes, lambda s: (s.cloud, policy)):
-        if drop_clouds:
-            scene.cloud = PointCloud.empty()
-        yield enc
-
-
 def _load_model(path) -> DetectorParams:
     """Params file checked against the class count of ``CLASS_NAMES`` (exit 3 if not)."""
     params = load_params(path)
@@ -158,14 +146,14 @@ def cmd_pretrain(cfg: RunConfig) -> int:
     # supervised pretraining is single-channel and weak, so every epoch trains
     # and scores on the same encodings
     policy = cfg.weak_policy(n_channels=1)
-    encodings = list(_encode(labeled, policy))
+    encoded = list(encode_batches(labeled, lambda s: (s.cloud, policy)))
     rows = []
     for epoch in range(cfg.pretrain_epochs + 1):  # epoch 0 scores the initialization
         totals = LossTotals()
-        for scene, enc in zip(labeled, encodings) if epoch else ():
+        for scene, enc in encoded if epoch else ():
             totals.add(train_on_scene(enc, scene.gt_boxes, scene.gt_classes,
                                       [1.0] * len(scene.gt_boxes), params, BACKGROUND_WEIGHT))
-        labeled_map = detect_and_score(labeled, encodings, params, "labeled").map
+        labeled_map = detect_and_score(encoded, params, "labeled").map
         rows.append([epoch, *totals.means(), 100.0 * labeled_map])
     out = Path(cfg.out_dir)
     save_params(params, out / PRETRAIN_PARAMS)
@@ -185,17 +173,19 @@ def cmd_ssl_train(cfg: RunConfig, params_path) -> int:
     state = SslState(
         student=pretrained.copy(),
         teacher=EmaTeacher(pretrained.copy(), momentum=cfg.ema_momentum),
-        seed=cfg.seed,
     )
     # the weak-policy teacher and validation passes re-score the same
-    # encodings; nothing reads a val cloud after its encode
+    # encodings; nothing reads a val cloud after its encode, so each is
+    # dropped as its pair is drawn
     weak = cfg.weak_policy()
-    unlabeled_enc = list(_encode(unlabeled, weak))
-    val_enc = list(_encode(val, weak, drop_clouds=True))
+    unlabeled = list(encode_batches(unlabeled, lambda s: (s.cloud, weak)))
+    encoded_val = []
+    for scene, enc in encode_batches(val, lambda s: (s.cloud, weak)):
+        scene.cloud = PointCloud.empty()
+        encoded_val.append((scene, enc))
     rows = []
     for _ in range(cfg.epochs):
-        metrics = ssl_epoch(state, labeled, unlabeled, unlabeled_enc, cfg,
-                            val_scenes=val, val_enc=val_enc)
+        metrics = ssl_epoch(state, labeled, unlabeled, cfg, encoded_val)
         rows.append(_metrics_row(metrics))
         print(
             f"epoch {metrics.epoch}: val mAP {metrics.val_map:.2f}, "
@@ -220,9 +210,9 @@ def cmd_eval(cfg: RunConfig, params_path, split: str) -> int:
     scenes = [dataclasses.replace(load_scene(root, sid), cloud=PointCloud.empty())
               for sid in read_split(root, split)]
     policy = cfg.weak_policy()
-    encodings = (enc for _, enc in encode_batches(
-        scenes, lambda s: (read_bin_cloud(root / "points" / f"{s.id}.bin"), policy)))
-    result = detect_and_score(scenes, encodings, params, split)
+    result = detect_and_score(encode_batches(
+        scenes, lambda s: (read_bin_cloud(root / "points" / f"{s.id}.bin"), policy)),
+        params, split)
     out = Path(cfg.out_dir)
     per_class = {CLASS_NAMES[c - 1]: (None if v is None else 100.0 * v) for c, v in result.ap.items()}
     mean_ap = 100.0 * result.map

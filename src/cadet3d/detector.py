@@ -17,8 +17,8 @@ the RoI features pooled for every raw proposal in every channel. Each stage
 is one array pass over every (scene, channel) slot of the batch: voxel, BEV
 cell and RoI keys carry a leading slot or scene index, and per-slot transform
 parameters are broadcast per point and repeated per cell or row, so each
-scene's result has the bits of encoding it alone. :func:`encode` is the
-batch of one. Each scene gets a read-only :class:`SceneEncoding`. Scoring
+scene's result has the bits of encoding it alone, in a batch of one
+included. Each scene gets a read-only :class:`SceneEncoding`. Scoring
 (:func:`detect`, :func:`build_training_examples`) reads the weights: the
 proposal class scores, proposal NMS, the heads and the final NMS. The weak
 channel transforms are fixed, so one encoding of a scene serves every pass
@@ -476,7 +476,7 @@ def _channel_clouds(clouds: Sequence[PointCloud], transforms: list[tuple[Transfo
 
 def encode_batch(clouds: Sequence[PointCloud],
                  transforms_per_scene: Sequence[Sequence[Transform]]) -> list[SceneEncoding]:
-    """:func:`encode` of every cloud under its own channel transforms; see
+    """The encoding of every cloud under its own channel transforms; see
     :class:`SceneEncoding`. Each encoding has the bits of encoding its scene
     alone.
 
@@ -516,15 +516,6 @@ def encode_batch(clouds: Sequence[PointCloud],
             channel_features=phi[r0:r1].reshape(k, len(ts), N_FEATURES)))
         k0, r0 = k0 + k, r1
     return out
-
-
-def encode(pc: PointCloud, transforms: Sequence[Transform]) -> SceneEncoding:
-    """Everything of detection that reads no weights; see :class:`SceneEncoding`.
-
-    Channel c is ``pc`` under ``transforms[c]``. This is :func:`encode_batch`
-    of one scene.
-    """
-    return encode_batch([pc], [transforms])[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")

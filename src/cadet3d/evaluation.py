@@ -76,14 +76,14 @@ class EvalResult:
         return float(np.mean(defined)) if defined else 0.0
 
 
-def evaluate_scenes(dets_per_scene, scenes) -> EvalResult:
-    """Dataset-level per-class AP40 over per-scene detection lists, one list
-    per scene of ``scenes`` (ValueError if the counts differ).
+def evaluate_scenes(detected) -> EvalResult:
+    """Dataset-level per-class AP40 over ``(scene, detections)`` pairs, each
+    scene's detection list scored against its labels.
 
-    ``dets_per_scene`` may be any iterable, a generator included: it is drawn
-    one scene at a time, the next list only once the previous scene is
-    matched, and only each class's (confidence, scene, rank, TP flag) tallies
-    and GT count are kept, so no caller need hold every scene's detections.
+    ``detected`` may be any iterable, a generator included: it is drawn one
+    scene at a time, the next pair only once the previous scene is matched,
+    and only each class's (confidence, scene, rank, TP flag) tallies and GT
+    count are kept, so no caller need hold every scene's detections.
 
     Detections rank by p_hat * objectness. Matching happens within each scene,
     so flags can be merged across scenes and sorted globally without changing
@@ -92,7 +92,7 @@ def evaluate_scenes(dets_per_scene, scenes) -> EvalResult:
     classes = range(1, len(IOU_THRESHOLDS) + 1)
     scored: dict[int, list[tuple[float, int, int, bool]]] = {c: [] for c in classes}
     n_gt = dict.fromkeys(classes, 0)
-    for si, (dets, scene) in enumerate(zip(dets_per_scene, scenes, strict=True)):
+    for si, (scene, dets) in enumerate(detected):
         predicted = [d.predicted_class for d in dets]
         confidence = [d.confidence for d in dets]
         for cls_id, iou_thresh in zip(classes, IOU_THRESHOLDS):

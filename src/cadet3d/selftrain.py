@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -282,7 +282,6 @@ class SslState:
     teacher: EmaTeacher
     thresholds: ThresholdBank | None = None
     epoch: int = 0
-    seed: int = 0
 
 
 @dataclass
@@ -322,55 +321,40 @@ def scene_seed(master: int, epoch: int, index: int, tag: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _check_encoded(scenes: list[Scene], n_encoded: int, what: str) -> None:
-    """Fail unless there are as many encodings, ``n_encoded``, as scenes."""
-    if n_encoded != len(scenes):
-        raise ValueError(f"{n_encoded} encodings for {len(scenes)} {what} scenes")
-
-
-def _detect_each(scenes: list[Scene], encodings: Iterable[SceneEncoding],
-                 params: DetectorParams, what: str) -> Iterator[list[Detection]]:
-    """``detect`` on each encoding, yielded as it is drawn. A ValueError is
-    re-raised, with its type, as ``<what> scene <id>: ...`` for the scene of
-    ``scenes`` it runs parallel to. Once ``encodings`` ends, or outlasts
-    ``scenes``, a count that differs from the scenes' raises ValueError
-    ``N encodings for M <what> scenes``."""
-    encodings = iter(encodings)
-    n = 0
-    for scene, enc in zip(scenes, encodings):
+def _detect_each(encoded: Iterable[tuple[Scene, SceneEncoding]], params: DetectorParams,
+                 what: str) -> Iterator[tuple[Scene, list[Detection]]]:
+    """Each ``(scene, encoding)`` pair of ``encoded`` as ``(scene, detections)``,
+    detected as it is drawn. A ValueError is re-raised, with its type, as
+    ``<what> scene <id>: ...``."""
+    for scene, enc in encoded:
         try:
             dets = detect(enc, params)
         except ValueError as exc:
             raise type(exc)(f"{what} scene {scene.id}: {exc}") from exc
-        n += 1
-        yield dets
-    _check_encoded(scenes, n + sum(1 for _ in encodings), what)
+        yield scene, dets
 
 
-def detect_and_score(scenes: list[Scene], encodings: Iterable[SceneEncoding],
-                     params: DetectorParams, what: str) -> EvalResult:
-    """Detect every encoded scene and score the detections against ``scenes`` (AP40).
+def detect_and_score(encoded: Iterable[tuple[Scene, SceneEncoding]], params: DetectorParams,
+                     what: str) -> EvalResult:
+    """Detect every scene of the ``(scene, encoding)`` pairs ``encoded`` and
+    score its detections against its labels (AP40).
 
-    ``encodings`` runs parallel to ``scenes`` and may be any iterable, a
-    generator included. Each scene is detected as its encoding is drawn and
-    scored before the next is drawn, so a caller can encode a batch at a
-    time, and no pass holds every encoding or every scene's detections at
-    the same time. ``what`` names the pass in errors: a detection's
-    ValueError is re-raised, with its type, as ``<what> scene <id>: ...``,
-    and ``encodings`` shorter or longer than ``scenes`` raises ValueError
-    ``N encodings for M <what> scenes``.
+    ``encoded`` may be any iterable, a generator included. Each scene is
+    detected as its pair is drawn and scored before the next is drawn, so a
+    caller can encode a batch at a time, and no pass holds every encoding or
+    every scene's detections at the same time. ``what`` names the pass in
+    errors: a detection's ValueError is re-raised, with its type, as
+    ``<what> scene <id>: ...``.
     """
-    return evaluate_scenes(_detect_each(scenes, encodings, params, what), scenes)
+    return evaluate_scenes(_detect_each(encoded, params, what))
 
 
 def ssl_epoch(
     state: SslState,
     labeled: list[Scene],
-    unlabeled: list[Scene],
-    unlabeled_enc: list[SceneEncoding],
+    unlabeled: list[tuple[Scene, SceneEncoding]],
     cfg: RunConfig,
-    val_scenes: list[Scene] | None = None,
-    val_enc: list[SceneEncoding] | None = None,
+    val: Sequence[tuple[Scene, SceneEncoding]] = (),
 ) -> EpochMetrics:
     """One pass of the three-step procedure.
 
@@ -385,31 +369,28 @@ def ssl_epoch(
     EMA follows every student step. Hidden ground truth on unlabeled scenes
     is used only for quality metrics, never for supervision.
 
-    ``unlabeled_enc`` and ``val_enc`` hold one encoding under the weak
-    transforms ``cfg.weak_policy()`` per scene of ``unlabeled`` and
-    ``val_scenes``, so a caller running several epochs encodes each scene
-    once. Each student step draws ``cfg.n_channels`` transforms from
-    ``cfg.strong_policy()`` with its own scene seed. The teacher detects and
-    the thresholds are fitted before the first step, so no step's target,
-    weights or transforms depend on an update: the steps are encoded anew
-    ``ENCODE_BATCH`` at a time (each as if alone), their targets built just
-    before their batch is encoded, and trained on in order. A step's
-    NonFiniteLossError or ValueError is re-raised, with its type, as
-    ``<kind> scene <id>: ...``, and so is a detection's ValueError in the
-    teacher and val passes, ``<kind>`` being ``teacher`` or ``val``.
+    ``unlabeled`` and ``val`` pair each scene with its encoding under the
+    weak transforms ``cfg.weak_policy()``, so a caller running several
+    epochs encodes each scene once; a val scene's cloud is never read. Each
+    student step draws ``cfg.n_channels`` transforms from
+    ``cfg.strong_policy()`` with its own scene seed under ``cfg.seed``. The
+    teacher detects and the thresholds are fitted before the first step, so
+    no step's target, weights or transforms depend on an update: the steps
+    are encoded anew ``ENCODE_BATCH`` at a time (each as if alone), their
+    targets built just before their batch is encoded, and trained on in
+    order. A step's NonFiniteLossError or ValueError is re-raised, with its
+    type, as ``<kind> scene <id>: ...``, and so is a detection's ValueError
+    in the teacher and val passes, ``<kind>`` being ``teacher`` or ``val``.
     """
-    _check_encoded(unlabeled, len(unlabeled_enc), "unlabeled")
-    if val_scenes:
-        _check_encoded(val_scenes, len(val_enc or ()), "val")
     metrics = EpochMetrics(epoch=state.epoch)
     strong_ranges = cfg.strong_policy()
 
-    teacher_dets = list(_detect_each(unlabeled, unlabeled_enc, state.teacher.params, "teacher"))
-    pseudo_sets = [[pseudo_from_detection(d) for d in dets] for dets in teacher_dets]
+    teacher = list(_detect_each(unlabeled, state.teacher.params, "teacher"))
+    pseudo_sets = [(scene, [pseudo_from_detection(d) for d in dets]) for scene, dets in teacher]
 
     if state.epoch % cfg.threshold_period == 0 or state.thresholds is None:
         state.thresholds = fit_threshold_bank(
-            [pb for group in pseudo_sets for pb in group],
+            [pb for _, group in pseudo_sets for pb in group],
             num_classes=len(CLASS_NAMES),
             previous=state.thresholds,
             min_score=cfg.prefilter_min_score,
@@ -423,13 +404,13 @@ def ssl_epoch(
     Step = tuple[str, Scene, list[float], int, float]
 
     def labeled_step(scene: Scene, idx: int) -> Step:
-        seed = scene_seed(state.seed, state.epoch, idx, 2)
+        seed = scene_seed(cfg.seed, state.epoch, idx, 2)
         return "labeled", scene, [1.0] * len(scene.gt_boxes), seed, 1.0
 
     def steps() -> Iterator[Step]:
         """(kind, target, weights, strong-channel seed, background weight) per
         student step, in training order, each target built when drawn."""
-        for idx, (scene, pseudo) in enumerate(zip(unlabeled, pseudo_sets)):
+        for idx, (scene, pseudo) in enumerate(pseudo_sets):
             strat = stratify(pseudo, thr)
             metrics.n_pseudo += len(strat)
             metrics.n_high += sum(pb.level == LEVEL_HIGH for pb in strat)
@@ -450,10 +431,10 @@ def ssl_epoch(
             )
             if cfg.shuffle_grid_cells >= 2:
                 target = shuffle_augment(
-                    target, cfg.shuffle_grid_cells, scene_seed(state.seed, state.epoch, idx, 1)
+                    target, cfg.shuffle_grid_cells, scene_seed(cfg.seed, state.epoch, idx, 1)
                 )
             yield ("unlabeled", target, [pb.weight for pb in kept],
-                   scene_seed(state.seed, state.epoch, idx, 0), cfg.unsup_background_weight)
+                   scene_seed(cfg.seed, state.epoch, idx, 0), cfg.unsup_background_weight)
             if labeled:
                 yield labeled_step(labeled[idx % len(labeled)], idx)
         if not unlabeled:
@@ -480,9 +461,9 @@ def ssl_epoch(
     metrics.sup_cls, metrics.sup_reg, metrics.sup_obj, metrics.sup_total = sup.means()
     # pairs the channel consistency evaluates: C(C, 2) per detection
     metrics.channel_pair_evals = sum(
-        math.comb(len(d.per_channel_boxes), 2) for dets in teacher_dets for d in dets)
+        math.comb(len(d.per_channel_boxes), 2) for _, dets in teacher for d in dets)
     # what the all-pairs baseline would evaluate: N^2 per scene
-    metrics.pairing_pair_evals = sum(len(dets) ** 2 for dets in teacher_dets)
+    metrics.pairing_pair_evals = sum(len(dets) ** 2 for _, dets in teacher)
     # class-mean thresholds, as a compact diagnostic
     banks = list(thr.per_class.values()) or [DualThresholds()]
     metrics.thr_p_low = float(np.mean([b.p_hat[0] for b in banks]))
@@ -492,8 +473,8 @@ def ssl_epoch(
     metrics.thr_iou_low = float(np.mean([b.iou_cons[0] for b in banks]))
     metrics.thr_iou_high = float(np.mean([b.iou_cons[1] for b in banks]))
 
-    if val_scenes:
-        result = detect_and_score(val_scenes, val_enc, state.student, "val")
+    if val:
+        result = detect_and_score(val, state.student, "val")
         # APs on the 100 scale in reports
         metrics.val_map = 100.0 * result.map
         metrics.val_ap_car = 100.0 * (result.ap.get(1) or 0.0)

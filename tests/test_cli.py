@@ -291,14 +291,21 @@ class TestEval:
         assert f"{last}.bin: intensity 1.5 outside [0, 1] in record at byte 16" in err
         assert not (out / "results.csv").exists()
 
-    @pytest.mark.parametrize("bad", ["bin", "label"])
-    def test_bad_last_scene_exits_2_before_any_encode(self, small_env, monkeypatch, bad):
-        # clouds are read again per batch, but every scene is checked first
+    @pytest.mark.parametrize("command, split, bad", [
+        pytest.param(c, split, bad, id=bad if c == "eval" else f"{c}-{bad}")
+        for c, split in [("eval", "val"), ("pretrain", "labeled"), ("ssl-train", "val")]
+        for bad in ("bin", "label")
+    ])
+    def test_bad_last_scene_exits_2_before_any_encode(self, small_env, monkeypatch, command,
+                                                      split, bad):
+        # every command checks every scene it reads before encoding any;
+        # ssl-train loads its val split last, so all three splits are loaded
+        # before the unlabeled encode (eval reads its clouds again per batch)
         tmp, cfg = small_env
         main(["gen-data", "--config", str(cfg)])
         params = tmp / "zeros.params"
         save_params(DetectorParams.zeros(), params)
-        last = (tmp / "data" / "splits" / "val.txt").read_text().split()[-1]
+        last = (tmp / "data" / "splits" / f"{split}.txt").read_text().split()[-1]
         if bad == "bin":
             path = tmp / "data" / "points" / f"{last}.bin"
             path.write_bytes(path.read_bytes()[:-3])
@@ -308,11 +315,11 @@ class TestEval:
         original = detector.encode_batch
         monkeypatch.setattr(detector, "encode_batch",
                             lambda *a: encoded.append(len(a[0])) or original(*a))
-        out = tmp / "eval_out"
-        assert main(["eval", "--config", str(cfg), "--out", str(out),
-                     "--params", str(params)]) == 2
+        out = tmp / "bad_out"
+        args = [command, "--config", str(cfg), "--out", str(out)]
+        assert main(args + (["--params", str(params)] if command != "pretrain" else [])) == 2
         assert encoded == []
-        assert not (out / "results.csv").exists()
+        assert not [f for f in out.iterdir() if f.suffix in (".csv", ".params")]
 
     def test_memory_does_not_grow_with_the_split(self, small_env):
         # eval holds one encode batch of clouds and one scene's detections, not

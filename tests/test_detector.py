@@ -32,7 +32,6 @@ from cadet3d.detector import (
     _connected_components,
     build_training_examples,
     detect,
-    encode,
     encode_batch,
     load_params,
     loss_and_grads,
@@ -67,6 +66,7 @@ from reference import (
     dense_bev_align,
     dense_propose,
     dense_roi_features,
+    encode,
     flood_fill_components,
     scalar_build_training_examples,
     scalar_detect,

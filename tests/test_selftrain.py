@@ -14,7 +14,6 @@ from cadet3d.detector import (
     Detection,
     DetectorParams,
     NonFiniteLossError,
-    encode,
 )
 from cadet3d.geometry import Box3D, PointCloud, box_rows, iou_3d, points_in_box
 from cadet3d.selftrain import (
@@ -38,7 +37,7 @@ from cadet3d.selftrain import (
     stratify,
 )
 from conftest import random_box
-from reference import brute_force_three_partition, stepwise_ssl_epoch
+from reference import brute_force_three_partition, encode, stepwise_ssl_epoch
 
 
 def det_with_boxes(boxes, scores=(0.1, 0.6, 0.2, 0.1), obj=0.8):
@@ -339,18 +338,19 @@ def tiny_ssl_setup(n_labeled=3, n_unlabeled=5, n_val=2, shuffle_grid_cells=4, mo
     cfg = RunConfig(seed=9, n_channels=3, threshold_period=5,
                     shuffle_grid_cells=shuffle_grid_cells)
     params = DetectorParams.zeros(lr=0.1)
-    state = SslState(student=params.copy(), teacher=EmaTeacher(params.copy(), momentum), seed=9)
+    state = SslState(student=params.copy(), teacher=EmaTeacher(params.copy(), momentum))
     return labeled, unlabeled, val, cfg, state
 
 
-def weak_encodings(scenes, cfg):
-    return [encode(sc.cloud, cfg.weak_policy()) for sc in scenes]
+def weak_pairs(scenes, cfg):
+    """Each scene with its encoding under the weak channels."""
+    return [(sc, encode(sc.cloud, cfg.weak_policy())) for sc in scenes]
 
 
 class TestSslEpoch:
     def test_no_unlabeled_reduces_to_supervised(self):
         labeled, _, _, cfg, state = tiny_ssl_setup(n_unlabeled=0)
-        m = ssl_epoch(state, labeled, [], [], cfg)
+        m = ssl_epoch(state, labeled, [], cfg)
         assert m.n_pseudo == 0
         assert math.isfinite(m.sup_total)
         assert m.unsup_total == 0.0
@@ -360,11 +360,10 @@ class TestSslEpoch:
         metrics = []
         for _ in range(2):
             labeled, unlabeled, val, cfg, state = tiny_ssl_setup()
-            unlabeled_enc, val_enc = weak_encodings(unlabeled, cfg), weak_encodings(val, cfg)
+            unlabeled, val = weak_pairs(unlabeled, cfg), weak_pairs(val, cfg)
             rows = []
             for _ in range(2):
-                m = ssl_epoch(state, labeled, unlabeled, unlabeled_enc, cfg,
-                              val_scenes=val, val_enc=val_enc)
+                m = ssl_epoch(state, labeled, unlabeled, cfg, val)
                 rows.append((m.sup_total, m.unsup_total, m.n_high, m.n_ambiguous, m.n_low,
                              m.val_map, m.incorrect_postfilter))
             metrics.append(rows)
@@ -372,7 +371,7 @@ class TestSslEpoch:
 
     def test_counters_recorded(self):
         labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
-        m = ssl_epoch(state, labeled, unlabeled, weak_encodings(unlabeled, cfg), cfg)
+        m = ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg)
         assert m.channel_pair_evals == 3 * m.n_pseudo
         assert m.pairing_pair_evals >= m.n_pseudo  # sum over scenes of N^2
 
@@ -384,37 +383,58 @@ class TestSslEpoch:
             labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
             if drop:
                 unlabeled = [Scene(sc.id, sc.cloud) for sc in unlabeled]
-            m = ssl_epoch(state, labeled, unlabeled, weak_encodings(unlabeled, cfg), cfg)
+            m = ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg)
             weights = [a.tobytes() for a in state.student.arrays() + state.teacher.params.arrays()]
             runs.append((weights, m.incorrect_prefilter))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] > 0 and runs[1][1] == 0
 
-    def test_encodings_must_match_scenes(self):
-        labeled, unlabeled, val, cfg, state = tiny_ssl_setup()
-        with pytest.raises(ValueError, match="4 encodings for 5 unlabeled scenes"):
-            ssl_epoch(state, labeled, unlabeled, weak_encodings(unlabeled[:4], cfg), cfg)
-        with pytest.raises(ValueError, match="0 encodings for 2 val scenes"):
-            ssl_epoch(state, labeled, unlabeled, weak_encodings(unlabeled, cfg), cfg,
-                      val_scenes=val)
-        assert state.epoch == 0
-
     def test_thresholds_fitted_on_first_epoch(self):
         labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
         assert state.thresholds is None
-        ssl_epoch(state, labeled, unlabeled, weak_encodings(unlabeled, cfg), cfg)
+        ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg)
         assert isinstance(state.thresholds, ThresholdBank)
 
 
-class TestDetectAndScore:
-    @pytest.mark.parametrize("n_enc", [2, 5])
-    def test_generator_count_must_match(self, n_enc):
-        # a generator has no length: the count is checked once it ends or
-        # outlasts the scenes, with no IndexError or zip message first
+class TestPairsNameTheirScene:
+    """A detection that fails names the scene paired with the encoding it
+    ran on: ``selftrain.detect`` raises on the k-th encoding drawn."""
+
+    @pytest.fixture
+    def fail_at(self, monkeypatch):
+        def arm(k):
+            calls = []
+            original = selftrain.detect
+
+            def detect(enc, params):
+                calls.append(enc)
+                if len(calls) == k + 1:
+                    raise ValueError("boom")
+                return original(enc, params)
+
+            monkeypatch.setattr(selftrain, "detect", detect)
+        return arm
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("as_generator", [False, True])
+    def test_detect_and_score(self, fail_at, k, as_generator):
         _, _, val, cfg, state = tiny_ssl_setup(n_val=3)
-        encodings = weak_encodings(val + val[:2], cfg)[:n_enc]
-        with pytest.raises(ValueError, match=f"^{n_enc} encodings for 3 val scenes$"):
-            detect_and_score(val, (enc for enc in encodings), state.student, "val")
+        pairs = weak_pairs(val, cfg)
+        fail_at(k)
+        with pytest.raises(ValueError) as info:
+            detect_and_score((p for p in pairs) if as_generator else pairs, state.student, "val")
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"val scene {val[k].id}: boom"
+
+    def test_teacher_pass(self, fail_at):
+        labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
+        pairs = weak_pairs(unlabeled, cfg)
+        fail_at(3)
+        with pytest.raises(ValueError) as info:
+            ssl_epoch(state, labeled, pairs, cfg)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"teacher scene {unlabeled[3].id}: boom"
+        assert state.epoch == 0
 
 
 def params_bytes(state):
@@ -442,11 +462,10 @@ class TestBatchedEpochMatchesStepwise:
             labeled, unlabeled, val, cfg, state = setup()
             if prepare is not None:
                 labeled, unlabeled, state = prepare(labeled, unlabeled, state)
-            unlabeled_enc, val_enc = weak_encodings(unlabeled, cfg), weak_encodings(val, cfg)
+            unlabeled, val = weak_pairs(unlabeled, cfg), weak_pairs(val, cfg)
             rows = []
             for _ in range(epochs):
-                m = epoch_fn(state, labeled, unlabeled, unlabeled_enc, cfg,
-                             val_scenes=val, val_enc=val_enc)
+                m = epoch_fn(state, labeled, unlabeled, cfg, val)
                 rows.append((m, params_bytes(state)))
             results.append(rows)
         batched, stepwise = results
@@ -518,21 +537,21 @@ class TestNonFiniteStepNamed:
     def test_unlabeled_step(self):
         labeled, unlabeled, cfg, state = self.overflowing(2, 3)
         with pytest.raises(NonFiniteLossError) as info:
-            ssl_epoch(state, labeled, unlabeled, weak_encodings(unlabeled, cfg), cfg)
+            ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg)
         assert str(info.value).startswith(f"unlabeled scene {unlabeled[0].id}: ")
 
     def test_value_error(self):
         labeled, unlabeled, _, cfg, state = tiny_ssl_setup(2, 3)
         state.student.w_cls[:] = 1e308
         with pytest.raises(ValueError) as info:
-            ssl_epoch(state, labeled, unlabeled, weak_encodings(unlabeled, cfg), cfg)
+            ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg)
         assert type(info.value) is ValueError
         assert str(info.value) == f"unlabeled scene {unlabeled[0].id}: nms scores must be finite"
 
     def test_labeled_only_epoch(self):
         labeled, _, cfg, state = self.overflowing(2, 0)
         with pytest.raises(NonFiniteLossError) as info:
-            ssl_epoch(state, labeled, [], [], cfg)
+            ssl_epoch(state, labeled, [], cfg)
         assert str(info.value).startswith(f"labeled scene {labeled[0].id}: ")
 
 
