@@ -20,7 +20,8 @@ from cadet3d.cli import main as cli
 
 
 def read_results(path):
-    row = next(csv.DictReader(open(path)))
+    with open(path, newline="") as fh:
+        row = next(csv.DictReader(fh))
     return {k: float(row[k]) for k in ("Car", "Pedestrian", "Cyclist", "Avg")}
 
 

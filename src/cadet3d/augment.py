@@ -1,8 +1,10 @@
-"""Channel augmentation: the fixed (weak) channel transforms, randomly drawn
-(strong) ones, and a grid-patch shuffle augmentation.
+"""Channel augmentation: randomly drawn (strong) channel transforms and a
+grid-patch shuffle augmentation.
 
-A channel policy is just its transforms, identity first for the weak set;
-:func:`detector.encode_batch` builds the channel clouds from them.
+A channel policy is just its transforms: the fixed (weak) set, identity
+first, is :meth:`RunConfig.weak_policy`, the strong set is drawn by
+:func:`strong_channels`, and :func:`detector.encode_batch` builds the channel
+clouds from either.
 
 The patch shuffle is a simplified stand-in for the shuffle augmentation used
 by hierarchical-supervision pipelines, NOT a reimplementation of it; it can be
@@ -10,60 +12,31 @@ disabled via configuration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
+from .config import RunConfig
 from .data import Scene
 from .geometry import Box3D, PointCloud, Transform
 
 
-@dataclass(frozen=True)
-class StrongRanges:
-    """Sampling ranges for one randomly drawn channel transform; the run
-    configuration's ``strong_*`` keys set them."""
-
-    rot_min: float
-    rot_max: float
-    scale_min: float
-    scale_max: float
-    flip_prob: float
-
-    def __post_init__(self) -> None:
-        if not (self.rot_min <= self.rot_max and 0.0 < self.scale_min <= self.scale_max
-                and 0.0 <= self.flip_prob <= 1.0):
-            raise ValueError(f"need rot_min <= rot_max, 0 < scale_min <= scale_max and "
-                             f"0 <= flip_prob <= 1, got {self}")
-
-
-def weak_default_policy(n_channels: int, rot: float, scale_low: float,
-                        scale_high: float) -> tuple[Transform, ...]:
-    """The fixed (weak) channel transforms: the identity, then two mirrored,
-    counter-rotated, re-scaled channels; the run configuration's ``n_channels``
-    and ``weak_*`` keys set them."""
-    if n_channels == 1:
-        return (Transform.identity(),)
-    if n_channels == 3:
-        return (
-            Transform.identity(),
-            Transform(flip_y=True, theta=-rot, s=scale_low),
-            Transform(flip_y=True, theta=rot, s=scale_high),
-        )
-    raise ValueError("weak default policy is defined for 1 or 3 channels")
-
-
-def strong_channels(ranges: StrongRanges, n_channels: int, rng_seed) -> tuple[Transform, ...]:
-    """Independently drawn flip/rotation/scale per channel from a seeded stream.
+def strong_channels(cfg: RunConfig, rng_seed) -> tuple[Transform, ...]:
+    """``cfg.n_channels`` independently drawn transforms from a seeded stream:
+    a flip with probability ``strong_flip_prob``, a rotation uniform in
+    ±``strong_rot_deg`` (in radians) and a scale uniform in
+    [``strong_scale_low``, ``strong_scale_high``].
 
     Draw order per channel is flip, rotation, scale; the same seed reproduces
     the same transforms bit for bit.
     """
     rng = np.random.default_rng(rng_seed)
+    rot = math.radians(cfg.strong_rot_deg)
     transforms = []
-    for _ in range(n_channels):
-        flip = bool(rng.random() < ranges.flip_prob)
-        theta = float(rng.uniform(ranges.rot_min, ranges.rot_max))
-        s = float(rng.uniform(ranges.scale_min, ranges.scale_max))
+    for _ in range(cfg.n_channels):
+        flip = bool(rng.random() < cfg.strong_flip_prob)
+        theta = float(rng.uniform(-rot, rot))
+        s = float(rng.uniform(cfg.strong_scale_low, cfg.strong_scale_high))
         transforms.append(Transform(flip_y=flip, theta=theta, s=s))
     return tuple(transforms)
 

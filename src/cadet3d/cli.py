@@ -47,14 +47,7 @@ from .detector import (
     train_on_scene,
 )
 from .geometry import PointCloud
-from .selftrain import (
-    EmaTeacher,
-    EpochMetrics,
-    SslState,
-    detect_and_score,
-    scene_seed,
-    ssl_epoch,
-)
+from .selftrain import EpochMetrics, SslState, detect_and_score, scene_seed, ssl_epoch
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -170,10 +163,7 @@ def cmd_ssl_train(cfg: RunConfig, params_path) -> int:
     labeled = _load_split_scenes(cfg, "labeled")
     unlabeled = _load_split_scenes(cfg, "unlabeled")
     val = _load_split_scenes(cfg, "val")
-    state = SslState(
-        student=pretrained.copy(),
-        teacher=EmaTeacher(pretrained.copy(), momentum=cfg.ema_momentum),
-    )
+    state = SslState(student=pretrained.copy(), teacher=pretrained.copy())
     # the weak-policy teacher and validation passes re-score the same
     # encodings; nothing reads a val cloud after its encode, so each is
     # dropped as its pair is drawn
@@ -194,7 +184,7 @@ def cmd_ssl_train(cfg: RunConfig, params_path) -> int:
         )
     out = Path(cfg.out_dir)
     save_params(state.student, out / STUDENT_PARAMS)
-    save_params(state.teacher.params, out / TEACHER_PARAMS)
+    save_params(state.teacher, out / TEACHER_PARAMS)
     _write_csv(out / METRICS_CSV, _metrics_header(), rows)
     return EXIT_OK
 
@@ -246,8 +236,8 @@ def _write_svg(path, epochs: list[float], series: dict[str, list[float]]) -> Non
     span = (hi - lo) or 1.0
     x0, x1 = margin, width - margin
     y0, y1 = height - margin, margin
-    xspan = (max(epochs) - min(epochs)) if len(epochs) > 1 else 1.0
-    xmin = min(epochs) if epochs else 0.0
+    xmin = min(epochs, default=0.0)
+    xspan = (max(epochs, default=0.0) - xmin) or 1.0
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .augment import StrongRanges, weak_default_policy
 from .geometry import Transform
 
 
@@ -70,31 +69,35 @@ class RunConfig:
             raise ConfigError("unsup_background_weight must be >= 0")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        # the channel policies' keys; the weak scales are checked even when
+        # n_channels = 1 reads neither
+        for key, ok, rule in (
+            ("n_channels", self.n_channels in (1, 3), "must be 1 or 3"),
+            ("weak_scale_low", self.weak_scale_low > 0.0, "must be > 0"),
+            ("weak_scale_high", self.weak_scale_high > 0.0, "must be > 0"),
+            ("strong_rot_deg", self.strong_rot_deg >= 0.0, "must be >= 0"),
+            ("strong_scale_low", self.strong_scale_low > 0.0, "must be > 0"),
+            ("strong_scale_low", self.strong_scale_low <= self.strong_scale_high,
+             "must be <= strong_scale_high"),
+            ("strong_flip_prob", 0.0 <= self.strong_flip_prob <= 1.0, "must be in [0, 1]"),
+        ):
+            if not ok:
+                raise ConfigError(f"bad value for {key!r}: {rule}, got {getattr(self, key)}")
 
     def weak_policy(self, n_channels: int | None = None) -> tuple[Transform, ...]:
-        """The teacher's fixed channel transforms, identity first."""
-        return weak_default_policy(
-            n_channels=self.n_channels if n_channels is None else n_channels,
-            rot=math.radians(self.weak_rot_deg),
-            scale_low=self.weak_scale_low,
-            scale_high=self.weak_scale_high,
+        """The teacher's fixed channel transforms: the identity, then for 3
+        channels two mirrored, counter-rotated, re-scaled ones."""
+        n = self.n_channels if n_channels is None else n_channels
+        if n == 1:
+            return (Transform.identity(),)
+        if n != 3:
+            raise ValueError("the weak policy is defined for 1 or 3 channels")
+        rot = math.radians(self.weak_rot_deg)
+        return (
+            Transform.identity(),
+            Transform(flip_y=True, theta=-rot, s=self.weak_scale_low),
+            Transform(flip_y=True, theta=rot, s=self.weak_scale_high),
         )
-
-    def strong_policy(self) -> StrongRanges:
-        """The ranges the student's ``n_channels`` channel transforms are drawn from."""
-        rot = math.radians(self.strong_rot_deg)
-        return StrongRanges(
-            rot_min=-rot,
-            rot_max=rot,
-            scale_min=self.strong_scale_low,
-            scale_max=self.strong_scale_high,
-            flip_prob=self.strong_flip_prob,
-        )
-
-
-# the config keys each channel policy is built from
-_WEAK_KEYS = ("n_channels", "weak_rot_deg", "weak_scale_low", "weak_scale_high")
-_STRONG_KEYS = ("strong_rot_deg", "strong_scale_low", "strong_scale_high", "strong_flip_prob")
 
 
 def _flatten(cfg: RunConfig) -> dict[str, object]:
@@ -112,22 +115,14 @@ def _coerce(raw: str, template):
     return raw
 
 
-def _built(build, keys, flat: dict[str, object], defaults: dict[str, object]):
-    """``build()``, its ValueError re-raised as a ConfigError that names those of
-    ``keys`` set away from their defaults (the defaults always build)."""
-    try:
-        return build()
-    except ValueError as exc:
-        named = ", ".join(repr(k) for k in keys if flat[k] != defaults[k])
-        raise ConfigError(f"bad value for {named}: {exc}") from None
-
-
 def config_to_text(cfg: RunConfig) -> str:
     return "".join(f"{k} = {v}\n" for k, v in _flatten(cfg).items())
 
 
 def parse_config_text(text: str) -> dict[str, str]:
+    """``key: value`` per ``key = value`` line; a key set on two lines raises."""
     out: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -135,7 +130,12 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in line_of:
+            raise ConfigError(f"config key {key!r} is set twice, on lines {line_of[key]} "
+                              f"and {line_no}")
+        line_of[key] = line_no
+        out[key] = value.strip()
     return out
 
 
@@ -157,7 +157,4 @@ def load_config(path=None, overrides: dict[str, object] | None = None) -> RunCon
         flat[key] = value
     cfg = RunConfig(**flat)
     cfg.validate()
-    # built here so that a value no policy accepts fails before a command writes
-    for build, keys in ((cfg.weak_policy, _WEAK_KEYS), (cfg.strong_policy, _STRONG_KEYS)):
-        _built(build, keys, flat, defaults)
     return cfg

@@ -175,7 +175,8 @@ def _criterion_thresholds(values: np.ndarray) -> tuple[float, float]:
 def fit_dual_thresholds(
     pseudo_boxes: list[PseudoBox],
     previous: DualThresholds | None = None,
-    min_score: float = 0.1,
+    *,
+    min_score: float,
 ) -> DualThresholds:
     """Three-group clustering of each quality criterion over confident boxes.
 
@@ -199,7 +200,8 @@ def fit_threshold_bank(
     pseudo_boxes: list[PseudoBox],
     num_classes: int,
     previous: ThresholdBank | None = None,
-    min_score: float = 0.1,
+    *,
+    min_score: float,
 ) -> ThresholdBank:
     """Per-class dual thresholds; classes without enough boxes retain their
     previous thresholds."""
@@ -246,20 +248,13 @@ def remove_low_level_points(cloud: PointCloud, low_boxes: list[Box3D]) -> PointC
     return PointCloud(cloud.xyz[~drop], cloud.intensity[~drop])
 
 
-@dataclass
-class EmaTeacher:
-    params: DetectorParams
-    momentum: float = 0.999
-
-
-def ema_update(teacher: EmaTeacher, student_params: DetectorParams) -> None:
+def ema_update(teacher: DetectorParams, student: DetectorParams, momentum: float) -> None:
     """theta_t <- m * theta_t + (1 - m) * theta_s, elementwise, in place."""
-    if not teacher.params.same_shapes(student_params):
+    if not teacher.same_shapes(student):
         raise ValueError("teacher/student parameter shapes differ")
-    m = teacher.momentum
-    for t_arr, s_arr in zip(teacher.params.arrays(), student_params.arrays()):
-        t_arr *= m
-        t_arr += (1.0 - m) * s_arr
+    for t_arr, s_arr in zip(teacher.arrays(), student.arrays()):
+        t_arr *= momentum
+        t_arr += (1.0 - momentum) * s_arr
 
 
 def pseudo_from_detection(det: Detection) -> PseudoBox:
@@ -279,7 +274,7 @@ def pseudo_from_detection(det: Detection) -> PseudoBox:
 @dataclass
 class SslState:
     student: DetectorParams
-    teacher: EmaTeacher
+    teacher: DetectorParams
     thresholds: ThresholdBank | None = None
     epoch: int = 0
 
@@ -366,26 +361,26 @@ def ssl_epoch(
        per-channel pseudo targets with hierarchical weights.
     3. Labeled scenes run as supervised steps with unit weights, interleaved
        1:1 with the unlabeled steps (the labeled set cycles).
-    EMA follows every student step. Hidden ground truth on unlabeled scenes
-    is used only for quality metrics, never for supervision.
+    ``ema_update`` at ``cfg.ema_momentum`` follows every student step that
+    trains. Hidden ground truth on unlabeled scenes is used only for quality
+    metrics, never for supervision.
 
     ``unlabeled`` and ``val`` pair each scene with its encoding under the
     weak transforms ``cfg.weak_policy()``, so a caller running several
     epochs encodes each scene once; a val scene's cloud is never read. Each
-    student step draws ``cfg.n_channels`` transforms from
-    ``cfg.strong_policy()`` with its own scene seed under ``cfg.seed``. The
-    teacher detects and the thresholds are fitted before the first step, so
-    no step's target, weights or transforms depend on an update: the steps
-    are encoded anew ``ENCODE_BATCH`` at a time (each as if alone), their
-    targets built just before their batch is encoded, and trained on in
-    order. A step's NonFiniteLossError or ValueError is re-raised, with its
-    type, as ``<kind> scene <id>: ...``, and so is a detection's ValueError
-    in the teacher and val passes, ``<kind>`` being ``teacher`` or ``val``.
+    student step draws its channels as ``strong_channels(cfg, seed)``, its
+    own scene seed under ``cfg.seed``. The teacher detects and the thresholds
+    are fitted before the first step, so no step's target, weights or
+    transforms depend on an update: the steps are encoded anew
+    ``ENCODE_BATCH`` at a time (each as if alone), their targets built just
+    before their batch is encoded, and trained on in order. A step's
+    NonFiniteLossError or ValueError is re-raised, with its type, as
+    ``<kind> scene <id>: ...``, and so is a detection's ValueError in the
+    teacher and val passes, ``<kind>`` being ``teacher`` or ``val``.
     """
     metrics = EpochMetrics(epoch=state.epoch)
-    strong_ranges = cfg.strong_policy()
 
-    teacher = list(_detect_each(unlabeled, state.teacher.params, "teacher"))
+    teacher = list(_detect_each(unlabeled, state.teacher, "teacher"))
     pseudo_sets = [(scene, [pseudo_from_detection(d) for d in dets]) for scene, dets in teacher]
 
     if state.epoch % cfg.threshold_period == 0 or state.thresholds is None:
@@ -442,7 +437,7 @@ def ssl_epoch(
                 yield labeled_step(scene, idx)
 
     def strong_inputs(step: Step) -> tuple[PointCloud, tuple[Transform, ...]]:
-        return step[1].cloud, strong_channels(strong_ranges, cfg.n_channels, step[3])
+        return step[1].cloud, strong_channels(cfg, step[3])
 
     unsup = LossTotals()
     sup = LossTotals()
@@ -454,7 +449,7 @@ def ssl_epoch(
         except (NonFiniteLossError, ValueError) as exc:
             raise type(exc)(f"{kind} scene {target.id}: {exc}") from exc
         if losses is not None:
-            ema_update(state.teacher, state.student)
+            ema_update(state.teacher, state.student, cfg.ema_momentum)
         (unsup if kind == "unlabeled" else sup).add(losses)
 
     metrics.unsup_cls, metrics.unsup_reg, metrics.unsup_obj, metrics.unsup_total = unsup.means()

@@ -16,8 +16,8 @@ settings.load_profile("suite")
 
 def default_config() -> RunConfig:
     """The run configuration's defaults, which alone define the channel
-    policies: tests build ``weak_policy()`` and ``strong_policy()`` from it,
-    so they run the policies the CLI runs."""
+    policies: tests take ``weak_policy()`` from it and pass it to
+    ``augment.strong_channels``, so they run the policies the CLI runs."""
     return RunConfig(seed=1)
 
 

@@ -659,9 +659,8 @@ def stepwise_ssl_epoch(
     alone, right before it trains, so nothing of a later step is built first.
     """
     metrics = EpochMetrics(epoch=state.epoch)
-    strong_ranges = cfg.strong_policy()
 
-    teacher_dets = [detect(enc, state.teacher.params) for _, enc in unlabeled]
+    teacher_dets = [detect(enc, state.teacher) for _, enc in unlabeled]
     pseudo_sets = [[pseudo_from_detection(d) for d in dets] for dets in teacher_dets]
 
     if state.epoch % cfg.threshold_period == 0 or state.thresholds is None:
@@ -683,8 +682,7 @@ def stepwise_ssl_epoch(
     def student_step(kind: str, target: Scene, weights: list[float], idx: int, tag: int,
                      background_weight: float) -> TrainLosses | None:
         """Strong-channel student step on ``target``'s boxes, then the EMA update."""
-        transforms = strong_channels(strong_ranges, cfg.n_channels,
-                                     scene_seed(cfg.seed, state.epoch, idx, tag))
+        transforms = strong_channels(cfg, scene_seed(cfg.seed, state.epoch, idx, tag))
         enc = encode(target.cloud, transforms)
         try:
             losses = train_on_scene(enc, target.gt_boxes, target.gt_classes, weights,
@@ -692,7 +690,7 @@ def stepwise_ssl_epoch(
         except NonFiniteLossError as exc:
             raise NonFiniteLossError(f"{kind} scene {target.id}: {exc}") from exc
         if losses is not None:
-            ema_update(state.teacher, state.student)
+            ema_update(state.teacher, state.student, cfg.ema_momentum)
         return losses
 
     def labeled_step(scene: Scene, idx: int) -> None:

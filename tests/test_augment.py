@@ -7,12 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cadet3d import detector
-from cadet3d.augment import (
-    StrongRanges,
-    shuffle_augment,
-    strong_channels,
-    weak_default_policy,
-)
+from cadet3d.augment import shuffle_augment, strong_channels
 from cadet3d.data import Scene, SynthConfig, synth_scene
 from cadet3d.geometry import Box3D, PointCloud, Transform, apply_box, points_in_box
 from conftest import boxes as box_draws, default_config
@@ -25,8 +20,9 @@ def make_cloud(rng, n=100, spread=8.0):
 
 class TestPolicyValidation:
     def test_weak_needs_identity_first(self):
+        cfg = replace(default_config(), weak_rot_deg=23.0, weak_scale_low=0.9, weak_scale_high=1.1)
         for n in (1, 3):
-            transforms = weak_default_policy(n, rot=0.4, scale_low=0.9, scale_high=1.1)
+            transforms = cfg.weak_policy(n)
             assert transforms[0].is_identity
             assert not any(t.is_identity for t in transforms[1:])
 
@@ -35,12 +31,6 @@ class TestPolicyValidation:
         for n in (0, 2, 4):
             with pytest.raises(ValueError):
                 default_config().weak_policy(n)
-
-    def test_strong_needs_ranges(self):
-        for bad in (dict(rot_min=0.2, rot_max=0.1), dict(scale_min=0.0),
-                    dict(scale_min=1.1, scale_max=1.0), dict(flip_prob=1.5)):
-            with pytest.raises(ValueError):
-                replace(default_config().strong_policy(), **bad)
 
     def test_default_weak_parameters(self):
         transforms = default_config().weak_policy()
@@ -98,18 +88,33 @@ class TestWeakChannels:
 class TestStrongChannels:
     def test_same_seed_bit_identical(self):
         # Transform equality compares every parameter exactly
-        ranges = default_config().strong_policy()
-        assert strong_channels(ranges, 3, 99) == strong_channels(ranges, 3, 99)
+        cfg = default_config()
+        assert strong_channels(cfg, 99) == strong_channels(cfg, 99)
 
     def test_different_seeds_differ(self):
-        ranges = default_config().strong_policy()
-        assert strong_channels(ranges, 3, 1) != strong_channels(ranges, 3, 2)
+        cfg = default_config()
+        assert strong_channels(cfg, 1) != strong_channels(cfg, 2)
+
+    @pytest.mark.parametrize("n_channels", [1, 3, 4])
+    def test_pinned_draw(self, n_channels):
+        # per channel: flip, then rotation in +-radians(strong_rot_deg), then scale
+        cfg = replace(default_config(), n_channels=n_channels, strong_rot_deg=30.0,
+                      strong_scale_low=0.9, strong_scale_high=1.2, strong_flip_prob=0.3)
+        rot = math.radians(30.0)
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            want = []
+            for _ in range(n_channels):
+                flip = bool(rng.random() < 0.3)
+                theta = float(rng.uniform(-rot, rot))
+                want.append(Transform(flip_y=flip, theta=theta, s=float(rng.uniform(0.9, 1.2))))
+            assert strong_channels(cfg, seed) == tuple(want)
 
     def test_sampled_parameter_ranges(self):
         thetas, scales, flips = [], [], []
-        ranges = default_config().strong_policy()
+        cfg = default_config()
         for seed in range(3400):
-            for t in strong_channels(ranges, 3, seed):
+            for t in strong_channels(cfg, seed):
                 thetas.append(t.theta)
                 scales.append(t.s)
                 flips.append(t.flip_y)
@@ -122,12 +127,14 @@ class TestStrongChannels:
         assert abs(np.mean(flips) - 0.5) < 0.02
 
     def test_degenerate_ranges_give_identity(self):
-        transforms = strong_channels(StrongRanges(0.0, 0.0, 1.0, 1.0, 0.0), 3, 7)
+        cfg = replace(default_config(), strong_rot_deg=0, strong_scale_low=1,
+                      strong_scale_high=1, strong_flip_prob=0)
+        transforms = strong_channels(cfg, 7)
         assert len(transforms) == 3
         assert all(t.is_identity for t in transforms)
 
     def test_channels_sample_independently(self):
-        assert len(set(strong_channels(default_config().strong_policy(), 3, 5))) == 3
+        assert len(set(strong_channels(default_config(), 5))) == 3
 
 
 def make_scene(rng, n_boxes=3, n_points=400):

@@ -35,6 +35,16 @@ def small_env(tmp_path):
     return tmp_path, cfg_path
 
 
+def set_keys(cfg_path, path, text):
+    """Write ``path`` as the config file ``cfg_path`` with the ``key = value``
+    lines of ``text`` in place of its lines for the same keys (a key set on
+    two lines is a config error)."""
+    keys = {line.partition("=")[0].strip() for line in text.splitlines()}
+    kept = [line for line in cfg_path.read_text().splitlines(keepends=True)
+            if line.partition("=")[0].strip() not in keys]
+    path.write_text("".join(kept) + text)
+
+
 def read_bytes_tree(root):
     return {
         str(p.relative_to(root)): p.read_bytes() for p in sorted(Path(root).rglob("*")) if p.is_file()
@@ -75,7 +85,7 @@ class TestGenData:
     def test_fraction_zero_config_error(self, small_env):
         tmp, cfg = small_env
         bad = tmp / "bad.txt"
-        bad.write_text(cfg.read_text() + "fraction = 0\n")
+        set_keys(cfg, bad, "fraction = 0\n")
         assert main(["gen-data", "--config", str(bad)]) == 2
 
     def test_seed_required(self, tmp_path):
@@ -96,13 +106,27 @@ class TestConfigErrors:
                                       "prefilter_min_score = nan", "synth.range_scale = 0",
                                       "synth.size_jitter = -0.1", "shuffle_grid_cells = -3",
                                       "unsup_background_weight = -1.0",
-                                      "prefilter_min_score = 7.0", "prefilter_min_score = -2.0"])
+                                      "prefilter_min_score = 7.0", "prefilter_min_score = -2.0",
+                                      "strong_rot_deg = -1", "strong_scale_low = 1.2"])
     def test_unbuildable_config_exits_2_before_writing(self, small_env, line):
         tmp, cfg = small_env
         main(["gen-data", "--config", str(cfg)])
         bad = tmp / "bad.txt"
-        bad.write_text(cfg.read_text() + line + "\n")
+        set_keys(cfg, bad, line + "\n")
         assert main(["pretrain", "--config", str(bad)]) == 2
+        assert not (tmp / "run").exists()
+
+    def test_key_set_twice_exits_2_before_writing(self, small_env, capsys):
+        # one of two values would be silently unused
+        tmp, cfg = small_env
+        main(["gen-data", "--config", str(cfg)])
+        twice = tmp / "twice.txt"
+        set_keys(cfg, twice, "epochs = 10\nepochs = 2\n")
+        n = twice.read_text().count("\n")
+        capsys.readouterr()
+        assert main(["pretrain", "--config", str(twice)]) == 2
+        assert (f"config key 'epochs' is set twice, on lines {n - 1} and {n}"
+                in capsys.readouterr().err)
         assert not (tmp / "run").exists()
 
     def test_former_detector_key_exits_2_before_writing(self, small_env, capsys):
@@ -110,7 +134,7 @@ class TestConfigErrors:
         tmp, cfg = small_env
         main(["gen-data", "--config", str(cfg)])
         keyed = tmp / "keyed.txt"
-        keyed.write_text(cfg.read_text() + "det.min_cells = 3\n")
+        set_keys(cfg, keyed, "det.min_cells = 3\n")
         capsys.readouterr()
         assert main(["pretrain", "--config", str(keyed)]) == 2
         assert "unknown config key 'det.min_cells'" in capsys.readouterr().err
@@ -120,7 +144,7 @@ class TestConfigErrors:
         # the generator's settings are data.SynthConfig's defaults; a valid old value is refused
         tmp, cfg = small_env
         keyed = tmp / "keyed.txt"
-        keyed.write_text(cfg.read_text() + "synth.object_radius = 10.5\n")
+        set_keys(cfg, keyed, "synth.object_radius = 10.5\n")
         assert main(["gen-data", "--config", str(keyed)]) == 2
         assert "unknown config key 'synth.object_radius'" in capsys.readouterr().err
         assert not (tmp / "data").exists() and not (tmp / "run").exists()
@@ -132,7 +156,7 @@ class TestConfigErrors:
         work.mkdir()
         monkeypatch.chdir(work)
         blank = tmp / "blank.txt"
-        blank.write_text(cfg.read_text() + f"{key} =\n")
+        set_keys(cfg, blank, f"{key} =\n")
         assert main(["gen-data", "--config", str(blank)]) == 2
         assert key in capsys.readouterr().err
         assert list(work.iterdir()) == []
@@ -149,7 +173,7 @@ class TestPretrain:
         tmp, cfg = small_env
         main(["gen-data", "--config", str(cfg)])
         zero_cfg = tmp / "zero.txt"
-        zero_cfg.write_text(cfg.read_text() + "pretrain_epochs = 0\n")
+        set_keys(cfg, zero_cfg, "pretrain_epochs = 0\n")
         assert main(["pretrain", "--config", str(zero_cfg)]) == 0
         params = load_params(tmp / "run" / "pretrain.params")
         for arr in params.arrays():
@@ -167,7 +191,7 @@ class TestPretrain:
         tmp, cfg = small_env
         main(["gen-data", "--config", str(cfg)])
         longer = tmp / "longer.txt"
-        longer.write_text(cfg.read_text() + "pretrain_epochs = 10\n")
+        set_keys(cfg, longer, "pretrain_epochs = 10\n")
         assert main(["pretrain", "--config", str(longer)]) == 0
         rows = list(csv.DictReader(open(tmp / "run" / "pretrain_metrics.csv")))
         assert float(rows[-1]["labeled_map"]) > float(rows[0]["labeled_map"])
@@ -181,7 +205,7 @@ class TestPretrain:
         tmp, cfg = small_env
         main(["gen-data", "--config", str(cfg)])
         keyed = tmp / "keyed.txt"
-        keyed.write_text(cfg.read_text() + "det.num_classes = 3\n")
+        set_keys(cfg, keyed, "det.num_classes = 3\n")
         assert main(["pretrain", "--config", str(keyed)]) == 2
         assert not (tmp / "run").exists()
         assert main(["pretrain", "--config", str(cfg)]) == 0
@@ -202,7 +226,7 @@ class TestSslTrain:
         main(["gen-data", "--config", str(cfg)])
         main(["pretrain", "--config", str(cfg)])
         zero_cfg = tmp / "zero.txt"
-        zero_cfg.write_text(cfg.read_text() + "epochs = 0\n")
+        set_keys(cfg, zero_cfg, "epochs = 0\n")
         assert main(["ssl-train", "--config", str(zero_cfg)]) == 0
         pre = load_params(tmp / "run" / "pretrain.params")
         stu = load_params(tmp / "run" / "student.params")
@@ -335,8 +359,8 @@ class TestEval:
         peaks = []
         for n_val in (8, 32):
             sized = tmp / f"val{n_val}.txt"
-            sized.write_text(cfg.read_text() + f"n_val_scenes = {n_val}\n"
-                             f"dataset_root = {tmp / f'data{n_val}'}\n")
+            set_keys(cfg, sized, f"n_val_scenes = {n_val}\n"
+                     f"dataset_root = {tmp / f'data{n_val}'}\n")
             assert main(["gen-data", "--config", str(sized)]) == 0
             tracemalloc.start()
             try:
@@ -424,11 +448,23 @@ class TestReport:
         main(["gen-data", "--config", str(cfg)])
         main(["pretrain", "--config", str(cfg)])
         zero_cfg = tmp / "zero.txt"
-        zero_cfg.write_text(cfg.read_text() + "epochs = 0\n")
+        set_keys(cfg, zero_cfg, "epochs = 0\n")
         main(["ssl-train", "--config", str(zero_cfg)])
         assert main(["report", "--run", str(tmp / "run")]) == 0
         rows = list(csv.reader(open(tmp / "run" / "report" / "loss_curves.csv")))
         assert len(rows) == 1 and rows[0][0] == "epoch"
+
+    def test_one_epoch_on_every_row(self, tmp_path):
+        # every row at one epoch: the x span is zero
+        columns = ["epoch", *(c for cols in cli._REPORT_SERIES.values() for c in cols)]
+        with open(tmp_path / "metrics.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, columns)
+            writer.writeheader()
+            writer.writerows([{**{c: str(v) for c in columns}, "epoch": "0"} for v in (1, 2)])
+        assert main(["report", "--run", str(tmp_path)]) == 0
+        svgs = sorted(p.name for p in (tmp_path / "report").glob("*.svg"))
+        assert svgs == sorted(f"{stem}.svg" for stem in cli._REPORT_SERIES)
+        assert len(svgs) == 5
 
     def test_missing_metrics_exit_2(self, tmp_path):
         assert main(["report", "--run", str(tmp_path)]) == 2
@@ -512,7 +548,7 @@ class TestWorkCounts:
         tmp, cfg = small_env
         main(["gen-data", "--config", str(cfg)])
         three = tmp / "three.txt"
-        three.write_text(cfg.read_text() + "pretrain_epochs = 3\n")
+        set_keys(cfg, three, "pretrain_epochs = 3\n")
         voxelized = self.counting(monkeypatch, detector, "voxelize")
         assert main(["pretrain", "--config", str(three)]) == 0
         assert len(voxelized) == 2  # two labeled scenes, one channel each
@@ -521,7 +557,7 @@ class TestWorkCounts:
         tmp, cfg = small_env
         main(["gen-data", "--config", str(cfg)])
         two = tmp / "two.txt"
-        two.write_text(cfg.read_text() + "epochs = 2\n")
+        set_keys(cfg, two, "epochs = 2\n")
         params = tmp / "zeros.params"
         save_params(DetectorParams.zeros(), params)
         drawn = self.counting(monkeypatch, selftrain, "strong_channels")
@@ -538,7 +574,7 @@ class TestWorkCounts:
         tmp, cfg = small_env
         main(["gen-data", "--config", str(cfg)])
         two = tmp / "two.txt"
-        two.write_text(cfg.read_text() + "epochs = 2\n")
+        set_keys(cfg, two, "epochs = 2\n")
         params = tmp / "zeros.params"
         save_params(DetectorParams.zeros(), params)
         events = []  # ("encode", batch size) and ("target", None), in call order

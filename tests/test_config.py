@@ -62,6 +62,14 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("seed 1\n")
 
+    def test_key_set_twice_rejected(self, tmp_path):
+        # one of two values would be silently unused
+        path = tmp_path / "cfg.txt"
+        path.write_text("seed = 1\nepochs = 10\n# a comment\n epochs= 2\n")
+        with pytest.raises(ConfigError,
+                           match="^config key 'epochs' is set twice, on lines 2 and 4$"):
+            load_config(path)
+
     def test_fraction_validated(self):
         with pytest.raises(ConfigError, match="fraction"):
             load_config(None, {"seed": 1, "fraction": 0.0})
@@ -87,7 +95,12 @@ class TestConfigFile:
     @pytest.mark.parametrize("key, value", [("shuffle_grid_cells", 0),
                                             ("unsup_background_weight", 0.0),
                                             ("prefilter_min_score", 0.0),
-                                            ("prefilter_min_score", 1.0)])
+                                            ("prefilter_min_score", 1.0),
+                                            ("strong_rot_deg", 0.0),
+                                            ("strong_scale_low", 1.05),  # = strong_scale_high
+                                            ("strong_flip_prob", 0.0),
+                                            ("strong_flip_prob", 1.0),
+                                            ("n_channels", 1)])
     def test_range_edges_accepted(self, key, value):
         assert getattr(load_config(None, {"seed": 1, key: value}), key) == value
 
@@ -96,12 +109,21 @@ class TestConfigFile:
                                             ("strong_scale_low", "-1"),
                                             ("strong_flip_prob", "7"),
                                             ("strong_rot_deg", "inf"),
+                                            ("strong_rot_deg", "-1"),
+                                            ("strong_scale_low", "1.2"),  # > strong_scale_high
                                             ("unsup_background_weight", "nan"),
                                             ("prefilter_min_score", "nan")])
     def test_unbuildable_value_named_at_load(self, tmp_path, key, value):
         path = tmp_path / "cfg.txt"
         path.write_text(f"seed = 1\nepochs = 3\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"^bad value for '{key}': "):
+            load_config(path)
+
+    def test_weak_scale_checked_for_one_channel(self, tmp_path):
+        # one channel reads no weak scale, but a non-positive one is still refused
+        path = tmp_path / "cfg.txt"
+        path.write_text("seed = 1\nn_channels = 1\nweak_scale_high = 0\n")
+        with pytest.raises(ConfigError, match="^bad value for 'weak_scale_high': "):
             load_config(path)
 
     # the detector's settings are constants of detector.py, not config keys
@@ -195,7 +217,6 @@ class TestPolicies:
     def test_degrees_converted_once(self):
         cfg = load_config(None, {"seed": 1})
         assert cfg.weak_policy()[2].theta == pytest.approx(math.radians(22.5))
-        assert cfg.strong_policy().rot_max == pytest.approx(math.radians(45.0))
 
     def test_single_channel_variant(self):
         cfg = load_config(None, {"seed": 1})

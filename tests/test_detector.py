@@ -255,8 +255,7 @@ class TestProposeOracle:
     @pytest.mark.parametrize("seed", range(4))
     def test_synth_scenes_weak_and_strong(self, seed):
         cloud = synth_scene(seed, SynthConfig()).cloud
-        for transforms in (CONFIG.weak_policy(),
-                           strong_channels(CONFIG.strong_policy(), 3, seed)):
+        for transforms in (CONFIG.weak_policy(), strong_channels(CONFIG, seed)):
             bevs = [bev_from_voxels(voxelize(apply_points(t, cloud), VOXEL)) for t in transforms]
             assert len(self.assert_dense(bev_align(bevs, transforms))) > 0
 
@@ -295,7 +294,7 @@ class TestProposeOracle:
         assert len(got) == 4
 
     def test_encode_equals_the_dense_path(self):
-        strong = strong_channels(CONFIG.strong_policy(), 3, 7)
+        strong = strong_channels(CONFIG, 7)
         for seed, transforms in ((2, CONFIG.weak_policy()), (3, strong)):
             cloud = synth_scene(seed, SynthConfig()).cloud
             enc = encode(cloud, transforms)
@@ -412,7 +411,7 @@ class TestRoiOracle:
 class TestEncodeRois:
     def test_channel_features_equal_oracle_one_pool_per_grid(self, monkeypatch):
         scene = synth_scene(5, SynthConfig())
-        transforms = strong_channels(CONFIG.strong_policy(), 3, 11)
+        transforms = strong_channels(CONFIG, 11)
         calls = []
         original = detector.roi_features
 
@@ -434,8 +433,8 @@ class TestEncodeBatch:
     """A batch of scenes encodes, field for field and byte for byte, as each
     scene alone; no component, fused cell or pooled voxel crosses scenes."""
 
-    POLICIES = [CONFIG.weak_policy(), strong_channels(CONFIG.strong_policy(), 3, 21),
-                strong_channels(CONFIG.strong_policy(), 4, 22), CONFIG.weak_policy(1)]
+    POLICIES = [CONFIG.weak_policy(), strong_channels(CONFIG, 21),
+                strong_channels(replace(CONFIG, n_channels=4), 22), CONFIG.weak_policy(1)]
 
     @staticmethod
     def check(clouds, transforms):
@@ -534,7 +533,7 @@ class TestEncodeMemory:
         assert 0 < peak < self.PEAK_BOUND_MB
 
     def test_strong_batch_peak_traced_memory(self):
-        peak = self.peak_mb([strong_channels(CONFIG.strong_policy(), 3, seed)
+        peak = self.peak_mb([strong_channels(CONFIG, seed)
                              for seed in range(ENCODE_BATCH)])
         assert 0 < peak < self.PEAK_BOUND_MB
 
@@ -650,7 +649,7 @@ class TestScoringOracle:
         if policy == "weak":
             transforms = CONFIG.weak_policy(3)
         else:
-            transforms = strong_channels(CONFIG.strong_policy(), 4, 100 + seed)
+            transforms = strong_channels(replace(CONFIG, n_channels=4), 100 + seed)
         return scene, encode(scene.cloud, transforms)
 
     @pytest.mark.parametrize("seed,policy", scoring_cases())
@@ -955,7 +954,7 @@ class TestAlignYaw:
         # match, and their channel targets must turn back
         scene = synth_scene(seed, SynthConfig())
         targets = [Box3D(*b[:6], b.r + math.pi) if turned else b for b in scene.gt_boxes]
-        transforms = strong_channels(CONFIG.strong_policy(), 3, channel_seed)
+        transforms = strong_channels(CONFIG, channel_seed)
         batch = build_training_examples(encode(scene.cloud, transforms), targets,
                                         scene.gt_classes, [1.0] * len(targets),
                                         DetectorParams.zeros())
@@ -1075,7 +1074,7 @@ class TestBuildTrainingExamples:
         if not scene.gt_boxes:
             pytest.skip("no boxes drawn")
         params = DetectorParams.zeros()
-        transforms = strong_channels(CONFIG.strong_policy(), 3, 77)
+        transforms = strong_channels(CONFIG, 77)
         batch = build_training_examples(
             encode(scene.cloud, transforms), scene.gt_boxes, scene.gt_classes,
             [1.0] * len(scene.gt_boxes), params,

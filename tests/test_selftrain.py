@@ -19,7 +19,6 @@ from cadet3d.geometry import Box3D, PointCloud, box_rows, iou_3d, points_in_box
 from cadet3d.selftrain import (
     CRITERIA,
     DualThresholds,
-    EmaTeacher,
     PairCounter,
     PseudoBox,
     SslState,
@@ -175,7 +174,7 @@ class TestFitThresholds:
 
     def test_previous_retained_when_sparse(self):
         prev = DualThresholds(p_hat=(0.2, 0.8), o_hat=(0.3, 0.7), iou_cons=(0.4, 0.6))
-        thr = fit_dual_thresholds([pseudo()], previous=prev)
+        thr = fit_dual_thresholds([pseudo()], previous=prev, min_score=0.1)
         assert thr == prev
 
     def test_degenerate_criterion_uses_median(self):
@@ -287,45 +286,45 @@ class TestEma:
     def test_momentum_one_freezes_teacher(self, rng):
         student = DetectorParams.zeros()
         student.w_cls[:] = 1.0
-        teacher = EmaTeacher(DetectorParams.zeros(), momentum=1.0)
-        ema_update(teacher, student)
-        assert teacher.params.w_cls.sum() == 0.0
+        teacher = DetectorParams.zeros()
+        ema_update(teacher, student, 1.0)
+        assert teacher.w_cls.sum() == 0.0
 
     def test_momentum_zero_copies_student(self, rng):
         student = DetectorParams.zeros()
         student.w_reg[:] = rng.normal(size=student.w_reg.shape)
-        teacher = EmaTeacher(DetectorParams.zeros(), momentum=0.0)
-        ema_update(teacher, student)
-        np.testing.assert_array_equal(teacher.params.w_reg, student.w_reg)
+        teacher = DetectorParams.zeros()
+        ema_update(teacher, student, 0.0)
+        np.testing.assert_array_equal(teacher.w_reg, student.w_reg)
 
     def test_standard_momentum_arithmetic(self):
         student = DetectorParams.zeros()
-        teacher = EmaTeacher(DetectorParams.zeros(), momentum=0.999)
-        teacher.params.w_obj[:] = 1.0
-        ema_update(teacher, student)
-        np.testing.assert_allclose(teacher.params.w_obj, 0.999)
+        teacher = DetectorParams.zeros()
+        teacher.w_obj[:] = 1.0
+        ema_update(teacher, student, 0.999)
+        np.testing.assert_allclose(teacher.w_obj, 0.999)
 
     def test_closed_form_after_k_steps(self, rng):
         m = 0.97
-        teacher = EmaTeacher(DetectorParams.zeros(), momentum=m)
+        teacher = DetectorParams.zeros()
         theta0 = rng.normal()
-        teacher.params.w_cls[0, 0] = theta0
+        teacher.w_cls[0, 0] = theta0
         history = []
         for _ in range(40):
             student = DetectorParams.zeros()
             student.w_cls[0, 0] = rng.normal()
             history.append(student.w_cls[0, 0])
-            ema_update(teacher, student)
+            ema_update(teacher, student, m)
         k = len(history)
         expected = (m ** k) * theta0 + (1 - m) * sum(
             (m ** (k - i - 1)) * h for i, h in enumerate(history)
         )
-        assert teacher.params.w_cls[0, 0] == pytest.approx(expected, abs=1e-9)
+        assert teacher.w_cls[0, 0] == pytest.approx(expected, abs=1e-9)
 
     def test_shape_mismatch_rejected(self):
-        teacher = EmaTeacher(DetectorParams.zeros(num_classes=3))
         with pytest.raises(ValueError):
-            ema_update(teacher, DetectorParams.zeros(num_classes=2))
+            ema_update(DetectorParams.zeros(num_classes=3), DetectorParams.zeros(num_classes=2),
+                       0.999)
 
 
 def tiny_ssl_setup(n_labeled=3, n_unlabeled=5, n_val=2, shuffle_grid_cells=4, momentum=0.999):
@@ -336,9 +335,9 @@ def tiny_ssl_setup(n_labeled=3, n_unlabeled=5, n_val=2, shuffle_grid_cells=4, mo
     ]
     val = [synth_scene(scene_seed(9, 0, 200 + i, 11), synth, f"v{i:06d}") for i in range(n_val)]
     cfg = RunConfig(seed=9, n_channels=3, threshold_period=5,
-                    shuffle_grid_cells=shuffle_grid_cells)
+                    shuffle_grid_cells=shuffle_grid_cells, ema_momentum=momentum)
     params = DetectorParams.zeros(lr=0.1)
-    state = SslState(student=params.copy(), teacher=EmaTeacher(params.copy(), momentum))
+    state = SslState(student=params.copy(), teacher=params.copy())
     return labeled, unlabeled, val, cfg, state
 
 
@@ -384,7 +383,7 @@ class TestSslEpoch:
             if drop:
                 unlabeled = [Scene(sc.id, sc.cloud) for sc in unlabeled]
             m = ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg)
-            weights = [a.tobytes() for a in state.student.arrays() + state.teacher.params.arrays()]
+            weights = [a.tobytes() for a in state.student.arrays() + state.teacher.arrays()]
             runs.append((weights, m.incorrect_prefilter))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] > 0 and runs[1][1] == 0
@@ -438,7 +437,7 @@ class TestPairsNameTheirScene:
 
 
 def params_bytes(state):
-    return [a.tobytes() for a in state.student.arrays() + state.teacher.params.arrays()]
+    return [a.tobytes() for a in state.student.arrays() + state.teacher.arrays()]
 
 
 def cluster_scene(scene_id):

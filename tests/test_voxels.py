@@ -163,7 +163,7 @@ class TestAlignOracle:
     def test_strong_channels(self):
         drawn = []
         for seed in range(4):
-            transforms = strong_channels(default_config().strong_policy(), 3, seed)
+            transforms = strong_channels(default_config(), seed)
             drawn += transforms
             bevs = self.channel_bevs(synth_scene(seed, SynthConfig()).cloud, transforms)
             np.testing.assert_array_equal(
