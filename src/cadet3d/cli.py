@@ -14,6 +14,7 @@ import dataclasses
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -87,9 +88,22 @@ def _snapshot_config(cfg: RunConfig) -> None:
         fh.write(config_to_text(cfg))
 
 
-def _load_split_scenes(cfg: RunConfig, name: str) -> list[Scene]:
+def _load_split(cfg: RunConfig, name: str) -> list[Scene]:
+    """The scenes of split ``name`` with their labels and an empty cloud.
+
+    Every point and label file of the split is read and checked first, so a
+    bad file exits 2 before any encode; only ids and labels are kept. A cloud
+    is read again, with the same checks, by :func:`_cloud_reader`'s reader
+    when it is used, so no command holds more than a batch of clouds."""
     root = Path(cfg.dataset_root)
-    return [load_scene(root, sid) for sid in read_split(root, name)]
+    return [dataclasses.replace(load_scene(root, sid), cloud=PointCloud.empty())
+            for sid in read_split(root, name)]
+
+
+def _cloud_reader(cfg: RunConfig) -> Callable[[Scene], PointCloud]:
+    """The reader of a scene's cloud from its point file."""
+    points = Path(cfg.dataset_root) / "points"
+    return lambda scene: read_bin_cloud(points / f"{scene.id}.bin")
 
 
 def _load_model(path) -> DetectorParams:
@@ -134,12 +148,13 @@ def _metrics_row(m: EpochMetrics) -> list:
 
 def cmd_pretrain(cfg: RunConfig) -> int:
     _snapshot_config(cfg)
-    labeled = _load_split_scenes(cfg, "labeled")
+    labeled = _load_split(cfg, "labeled")
     params = DetectorParams.zeros(len(CLASS_NAMES))
     # supervised pretraining is single-channel and weak, so every epoch trains
     # and scores on the same encodings
     policy = cfg.weak_policy(n_channels=1)
-    encoded = list(encode_batches(labeled, lambda s: (s.cloud, policy)))
+    read = _cloud_reader(cfg)
+    encoded = list(encode_batches(labeled, lambda s: (read(s), policy)))
     rows = []
     for epoch in range(cfg.pretrain_epochs + 1):  # epoch 0 scores the initialization
         totals = LossTotals()
@@ -160,22 +175,19 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 def cmd_ssl_train(cfg: RunConfig, params_path) -> int:
     _snapshot_config(cfg)
     pretrained = _load_model(params_path)
-    labeled = _load_split_scenes(cfg, "labeled")
-    unlabeled = _load_split_scenes(cfg, "unlabeled")
-    val = _load_split_scenes(cfg, "val")
+    labeled = _load_split(cfg, "labeled")
+    unlabeled = _load_split(cfg, "unlabeled")
+    val = _load_split(cfg, "val")
     state = SslState(student=pretrained.copy(), teacher=pretrained.copy())
     # the weak-policy teacher and validation passes re-score the same
-    # encodings; nothing reads a val cloud after its encode, so each is
-    # dropped as its pair is drawn
+    # encodings; ssl_epoch reads the train clouds again for its student steps
     weak = cfg.weak_policy()
-    unlabeled = list(encode_batches(unlabeled, lambda s: (s.cloud, weak)))
-    encoded_val = []
-    for scene, enc in encode_batches(val, lambda s: (s.cloud, weak)):
-        scene.cloud = PointCloud.empty()
-        encoded_val.append((scene, enc))
+    read = _cloud_reader(cfg)
+    unlabeled = list(encode_batches(unlabeled, lambda s: (read(s), weak)))
+    val = list(encode_batches(val, lambda s: (read(s), weak)))
     rows = []
     for _ in range(cfg.epochs):
-        metrics = ssl_epoch(state, labeled, unlabeled, cfg, encoded_val)
+        metrics = ssl_epoch(state, labeled, unlabeled, cfg, read, val)
         rows.append(_metrics_row(metrics))
         print(
             f"epoch {metrics.epoch}: val mAP {metrics.val_map:.2f}, "
@@ -192,17 +204,12 @@ def cmd_ssl_train(cfg: RunConfig, params_path) -> int:
 def cmd_eval(cfg: RunConfig, params_path, split: str) -> int:
     _snapshot_config(cfg)
     params = _load_model(params_path)
-    root = Path(cfg.dataset_root)
-    # every scene is loaded and checked before any is encoded, so a bad file
-    # exits 2 before any work, but only its labels are kept; each batch reads
-    # its clouds again, with the same checks, just before it is encoded, and
-    # is detected and scored scene by scene, so memory holds one batch
-    scenes = [dataclasses.replace(load_scene(root, sid), cloud=PointCloud.empty())
-              for sid in read_split(root, split)]
+    scenes = _load_split(cfg, split)
+    # each batch is detected and scored scene by scene, so memory holds one batch
     policy = cfg.weak_policy()
-    result = detect_and_score(encode_batches(
-        scenes, lambda s: (read_bin_cloud(root / "points" / f"{s.id}.bin"), policy)),
-        params, split)
+    read = _cloud_reader(cfg)
+    result = detect_and_score(encode_batches(scenes, lambda s: (read(s), policy)),
+                              params, split)
     out = Path(cfg.out_dir)
     per_class = {CLASS_NAMES[c - 1]: (None if v is None else 100.0 * v) for c, v in result.ap.items()}
     mean_ap = 100.0 * result.map

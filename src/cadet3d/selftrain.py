@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -139,7 +139,8 @@ def optimal_three_partition(values: np.ndarray) -> np.ndarray | None:
     """
     xs = np.sort(np.asarray(values, dtype=np.float64))
     n = len(xs)
-    if n < 3 or len(np.unique(xs)) < 3:
+    # distinct values of the sorted xs; np.unique would import numpy.ma
+    if n < 3 or np.count_nonzero(xs[1:] != xs[:-1]) < 2:
         return None
     s1 = np.concatenate([[0.0], np.cumsum(xs)])
     s2 = np.concatenate([[0.0], np.cumsum(xs * xs)])
@@ -349,6 +350,7 @@ def ssl_epoch(
     labeled: list[Scene],
     unlabeled: list[tuple[Scene, SceneEncoding]],
     cfg: RunConfig,
+    read_cloud: Callable[[Scene], PointCloud],
     val: Sequence[tuple[Scene, SceneEncoding]] = (),
 ) -> EpochMetrics:
     """One pass of the three-step procedure.
@@ -367,21 +369,31 @@ def ssl_epoch(
 
     ``unlabeled`` and ``val`` pair each scene with its encoding under the
     weak transforms ``cfg.weak_policy()``, so a caller running several
-    epochs encodes each scene once; a val scene's cloud is never read. Each
-    student step draws its channels as ``strong_channels(cfg, seed)``, its
-    own scene seed under ``cfg.seed``. The teacher detects and the thresholds
-    are fitted before the first step, so no step's target, weights or
-    transforms depend on an update: the steps are encoded anew
-    ``ENCODE_BATCH`` at a time (each as if alone), their targets built just
-    before their batch is encoded, and trained on in order. A step's
-    NonFiniteLossError or ValueError is re-raised, with its type, as
-    ``<kind> scene <id>: ...``, and so is a detection's ValueError in the
-    teacher and val passes, ``<kind>`` being ``teacher`` or ``val``.
+    epochs encodes each scene once. The ``cloud`` of a scene passed in is
+    never read: ``read_cloud(scene)`` gives a labeled or unlabeled scene's
+    cloud, called when the step that trains on it is built (the CLI reads
+    the scene's point file, tests pass ``lambda s: s.cloud``), and a val
+    scene's cloud is not needed. The teacher pass keeps each unlabeled
+    scene's pseudo-boxes, not its detections. Each student step draws its
+    channels as ``strong_channels(cfg, seed)``, its own scene seed under
+    ``cfg.seed``. The teacher detects and the thresholds are fitted before
+    the first step, so no step's target, weights or transforms depend on an
+    update: the steps are encoded anew ``ENCODE_BATCH`` at a time (each as
+    if alone), their targets built just before their batch is encoded, and
+    trained on in order, so the epoch holds the clouds of one batch of
+    steps. A step's NonFiniteLossError or ValueError is re-raised, with its
+    type, as ``<kind> scene <id>: ...``, and so is a detection's ValueError
+    in the teacher and val passes, ``<kind>`` being ``teacher`` or ``val``.
     """
     metrics = EpochMetrics(epoch=state.epoch)
 
-    teacher = list(_detect_each(unlabeled, state.teacher, "teacher"))
-    pseudo_sets = [(scene, [pseudo_from_detection(d) for d in dets]) for scene, dets in teacher]
+    pseudo_sets = []
+    for scene, dets in _detect_each(unlabeled, state.teacher, "teacher"):
+        pseudo_sets.append((scene, [pseudo_from_detection(d) for d in dets]))
+        # pairs the channel consistency evaluates: C(C, 2) per detection
+        metrics.channel_pair_evals += sum(math.comb(len(d.per_channel_boxes), 2) for d in dets)
+        # what the all-pairs baseline would evaluate: N^2 per scene
+        metrics.pairing_pair_evals += len(dets) ** 2
 
     if state.epoch % cfg.threshold_period == 0 or state.thresholds is None:
         state.thresholds = fit_threshold_bank(
@@ -400,7 +412,8 @@ def ssl_epoch(
 
     def labeled_step(scene: Scene, idx: int) -> Step:
         seed = scene_seed(cfg.seed, state.epoch, idx, 2)
-        return "labeled", scene, [1.0] * len(scene.gt_boxes), seed, 1.0
+        return ("labeled", replace(scene, cloud=read_cloud(scene)), [1.0] * len(scene.gt_boxes),
+                seed, 1.0)
 
     def steps() -> Iterator[Step]:
         """(kind, target, weights, strong-channel seed, background weight) per
@@ -420,7 +433,7 @@ def ssl_epoch(
             # the pseudo-labelled view: hidden ground truth stays on ``scene``
             target = Scene(
                 scene.id,
-                remove_low_level_points(scene.cloud, low_boxes),
+                remove_low_level_points(read_cloud(scene), low_boxes),
                 [pb.box for pb in kept],
                 [pb.cls for pb in kept],
             )
@@ -454,11 +467,6 @@ def ssl_epoch(
 
     metrics.unsup_cls, metrics.unsup_reg, metrics.unsup_obj, metrics.unsup_total = unsup.means()
     metrics.sup_cls, metrics.sup_reg, metrics.sup_obj, metrics.sup_total = sup.means()
-    # pairs the channel consistency evaluates: C(C, 2) per detection
-    metrics.channel_pair_evals = sum(
-        math.comb(len(d.per_channel_boxes), 2) for _, dets in teacher for d in dets)
-    # what the all-pairs baseline would evaluate: N^2 per scene
-    metrics.pairing_pair_evals = sum(len(dets) ** 2 for _, dets in teacher)
     # class-mean thresholds, as a compact diagnostic
     banks = list(thr.per_class.values()) or [DualThresholds()]
     metrics.thr_p_low = float(np.mean([b.p_hat[0] for b in banks]))

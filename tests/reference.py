@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's computational paths: IoU by Monte
 Carlo point sampling, average precision by direct prefix enumeration,
-three-way partitioning by exhaustive search, BEV alignment by a dense
+three-way partitioning by exhaustive search (and, as it counted distinct
+values with ``np.unique``, by :func:`unique_three_partition`), BEV alignment by a dense
 bilinear lookup that gathers and weights every query point, connected
 components by a flood fill, RoI pooling by a test of every voxel,
 proposals by a scan of every BEV cell and a box fit per component, NMS and
@@ -23,7 +24,7 @@ must reproduce.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -334,6 +335,35 @@ def brute_force_three_partition(values) -> tuple[float, np.ndarray]:
                 best_sse = sse
                 best_centers = np.array([p.mean() for p in parts])
     return best_sse, best_centers
+
+
+def unique_three_partition(values) -> np.ndarray | None:
+    """:func:`cadet3d.selftrain.optimal_three_partition` as it counted
+    distinct values before, with ``np.unique``."""
+    xs = np.sort(np.asarray(values, dtype=np.float64))
+    n = len(xs)
+    if n < 3 or len(np.unique(xs)) < 3:
+        return None
+    s1 = np.concatenate([[0.0], np.cumsum(xs)])
+    s2 = np.concatenate([[0.0], np.cumsum(xs * xs)])
+
+    def seg_sse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        cnt = b - a
+        tot = s1[b] - s1[a]
+        return (s2[b] - s2[a]) - tot * tot / cnt
+
+    best = (math.inf, -1, -1)
+    for i in range(1, n - 1):
+        j = np.arange(i + 1, n)
+        left = float(seg_sse(np.array([0]), np.array([i]))[0])
+        mid = seg_sse(np.full_like(j, i), j)
+        right = seg_sse(j, np.full_like(j, n))
+        total = left + mid + right
+        k = int(np.argmin(total))
+        if total[k] < best[0] - 1e-15:
+            best = (float(total[k]), i, int(j[k]))
+    _, i, j = best
+    return np.array([xs[:i].mean(), xs[i:j].mean(), xs[j:].mean()])
 
 
 def dense_bilinear(features: np.ndarray, origin_xy, voxel_size: float, xy: np.ndarray) -> np.ndarray:
@@ -652,6 +682,7 @@ def stepwise_ssl_epoch(
     labeled: list[Scene],
     unlabeled: list[tuple[Scene, SceneEncoding]],
     cfg: RunConfig,
+    read_cloud: Callable[[Scene], PointCloud],
     val: Sequence[tuple[Scene, SceneEncoding]] = (),
 ) -> EpochMetrics:
     """:func:`cadet3d.selftrain.ssl_epoch` as it ran before its student steps
@@ -694,7 +725,8 @@ def stepwise_ssl_epoch(
         return losses
 
     def labeled_step(scene: Scene, idx: int) -> None:
-        sup.add(student_step("labeled", scene, [1.0] * len(scene.gt_boxes), idx, 2, 1.0))
+        target = Scene(scene.id, read_cloud(scene), scene.gt_boxes, scene.gt_classes)
+        sup.add(student_step("labeled", target, [1.0] * len(scene.gt_boxes), idx, 2, 1.0))
 
     for idx, ((scene, _), pseudo) in enumerate(zip(unlabeled, pseudo_sets)):
         strat = stratify(pseudo, thr)
@@ -711,7 +743,7 @@ def stepwise_ssl_epoch(
         # the pseudo-labelled view: hidden ground truth stays on ``scene``
         target = Scene(
             scene.id,
-            remove_low_level_points(scene.cloud, low_boxes),
+            remove_low_level_points(read_cloud(scene), low_boxes),
             [pb.box for pb in kept],
             [pb.cls for pb in kept],
         )

@@ -265,6 +265,67 @@ class TestSslTrain:
         bad.write_bytes(b"JUNKJUNK" + bytes(80))
         assert main(["ssl-train", "--config", str(cfg), "--params", str(bad)]) == 3
 
+    @pytest.mark.parametrize("split", ["unlabeled", "labeled"])
+    def test_cloud_turned_bad_after_the_check_exits_2(self, small_env, monkeypatch, capsys,
+                                                      split):
+        # a student step reads its scene's cloud when it is built, with the
+        # checks of the first pass, so no stale copy of a cloud ever trains;
+        # the first unlabeled scene is weak-encoded by the first call
+        tmp, cfg = small_env
+        main(["gen-data", "--config", str(cfg)])
+        main(["pretrain", "--config", str(cfg)])
+        first = (tmp / "data" / "splits" / f"{split}.txt").read_text().split()[0]
+        path = tmp / "data" / "points" / f"{first}.bin"
+        calls = []
+        original = detector.encode_batch
+
+        def encode_then_truncate(*args):
+            encoded = original(*args)
+            if not calls:
+                path.write_bytes(path.read_bytes()[:-3])
+            calls.append(len(args[0]))
+            return encoded
+
+        monkeypatch.setattr(detector, "encode_batch", encode_then_truncate)
+        out = tmp / "bad_out"
+        capsys.readouterr()
+        assert main(["ssl-train", "--config", str(cfg), "--out", str(out),
+                     "--params", str(tmp / "run" / "pretrain.params")]) == 2
+        assert f"{first}.bin: truncated record" in capsys.readouterr().err
+        assert len(calls) > 1
+        assert not {cli.STUDENT_PARAMS, cli.TEACHER_PARAMS, cli.METRICS_CSV} & {
+            f.name for f in out.iterdir()}
+
+    def test_memory_does_not_grow_with_the_splits(self, small_env):
+        # ssl-train holds the weak encodings, labels and pseudo-boxes of its
+        # unlabeled and val scenes, but one batch of clouds. From 8 to 32
+        # unlabeled and val scenes, with 4 labeled scenes and 1 epoch, the
+        # traced peak grew 2.48 MiB while every cloud and every teacher
+        # detection of the epoch was held, 1.59 MiB with the detections held
+        # alone, and grows 1.11 MiB now: 0.49 MiB of encodings and
+        # pseudo-boxes, and the largest strong-encode batch of 32 scenes'
+        # steps outweighs that of 8
+        bound = 1.35 * 2**20
+        tmp, cfg = small_env
+        main(["gen-data", "--config", str(cfg)])
+        main(["pretrain", "--config", str(cfg)])
+        params = tmp / "run" / "pretrain.params"
+        peaks = []
+        for n, fraction in ((8, 0.34), (32, 0.12)):  # 4 of n + 4 train scenes labeled
+            sized = tmp / f"splits{n}.txt"
+            set_keys(cfg, sized, f"n_scenes = {n + 4}\nfraction = {fraction}\n"
+                     f"n_val_scenes = {n}\ndataset_root = {tmp / f'data{n}'}\n")
+            assert main(["gen-data", "--config", str(sized)]) == 0
+            labeled = (tmp / f"data{n}" / "splits" / "labeled.txt").read_text().split()
+            assert len(labeled) == 4
+            tracemalloc.start()
+            try:
+                assert main(["ssl-train", "--config", str(sized), "--params", str(params)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < bound, [p / 2**20 for p in peaks]
+
 
 class TestEval:
     def test_eval_writes_results(self, small_env):
@@ -324,7 +385,8 @@ class TestEval:
                                                       split, bad):
         # every command checks every scene it reads before encoding any;
         # ssl-train loads its val split last, so all three splits are loaded
-        # before the unlabeled encode (eval reads its clouds again per batch)
+        # before the unlabeled encode (each command reads a cloud again when
+        # it encodes it)
         tmp, cfg = small_env
         main(["gen-data", "--config", str(cfg)])
         params = tmp / "zeros.params"
@@ -513,16 +575,49 @@ class TestRunConfigSnapshot:
         assert "seed = 5" in snap.read_text()
 
 
+def package_env():
+    """The environment of a child Python that imports this ``cadet3d``."""
+    src = str(Path(cadet3d.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 class TestModuleEntry:
     def test_python_m_runs_the_command(self, small_env):
         tmp, cfg = small_env
-        src = str(Path(cadet3d.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         proc = subprocess.run([sys.executable, "-m", "cadet3d.cli", "gen-data", "--config", str(cfg)],
-                              env=env, capture_output=True, timeout=120)
+                              env=package_env(), capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert (tmp / "data" / "splits" / "labeled.txt").read_text().count("\n") == 2
+
+
+class TestImports:
+    """The numpy submodules a command imports, in a fresh process: the test
+    process has numpy.random already, through hypothesis. ``ssl-train`` needs
+    ``numpy.random``, for ``scene_seed`` and the strong channels; that import
+    costs about 6 MB RSS (Python 3.11, numpy 2.4 on Linux), 3.6 MB of it the
+    OpenSSL that ``secrets`` and ``hashlib`` load. ``eval`` needs neither it
+    nor ``numpy.ma``, which costs 1.3 MB more and which no command needs:
+    ``np.unique`` without return flags imports it, so
+    ``optimal_three_partition`` counts distinct values without it."""
+
+    SCRIPT = ("import sys\nfrom cadet3d.cli import main\nrc = main(sys.argv[1:])\n"
+              "print(rc, *(m for m in ('numpy.ma', 'numpy.random') if m in sys.modules))")
+
+    @pytest.mark.parametrize("command, absent", [("eval", ["numpy.ma", "numpy.random"]),
+                                                 ("ssl-train", ["numpy.ma"])],
+                             ids=["eval", "ssl-train"])
+    def test_numpy_submodules_not_imported(self, small_env, command, absent):
+        tmp, cfg = small_env
+        main(["gen-data", "--config", str(cfg)])
+        main(["pretrain", "--config", str(cfg)])
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, command, "--config", str(cfg),
+                               "--params", str(tmp / "run" / "pretrain.params")],
+                              env=package_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rc, *imported = proc.stdout.splitlines()[-1].split()
+        assert rc == "0"
+        assert not set(absent) & set(imported)
 
 
 class TestWorkCounts:

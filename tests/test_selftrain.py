@@ -36,7 +36,12 @@ from cadet3d.selftrain import (
     stratify,
 )
 from conftest import random_box
-from reference import brute_force_three_partition, encode, stepwise_ssl_epoch
+from reference import (
+    brute_force_three_partition,
+    encode,
+    stepwise_ssl_epoch,
+    unique_three_partition,
+)
 
 
 def det_with_boxes(boxes, scores=(0.1, 0.6, 0.2, 0.1), obj=0.8):
@@ -154,6 +159,19 @@ class TestOptimalPartition:
             sse = sum(((p - p.mean()) ** 2).sum() for p in parts if len(p))
             assert sse <= sse_brute + 1e-9
             np.testing.assert_allclose(centers, centers_brute, atol=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_distinct_count_matches_np_unique(self, data):
+        # ties, signed zeros and values one ulp apart; the criteria are IoUs
+        # and probabilities, so every value is finite
+        base = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+        pool = [0.0, -0.0, *base, *np.nextafter(base, 2.0), *np.nextafter(base, -1.0)]
+        vals = np.array(data.draw(st.lists(st.sampled_from(pool), max_size=12)), dtype=np.float64)
+        got, want = optimal_three_partition(vals), unique_three_partition(vals)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.tobytes() == want.tobytes()
 
 
 def pseudo(p=0.8, o=0.7, iou=0.9, cls=1):
@@ -341,6 +359,11 @@ def tiny_ssl_setup(n_labeled=3, n_unlabeled=5, n_val=2, shuffle_grid_cells=4, mo
     return labeled, unlabeled, val, cfg, state
 
 
+def in_memory(scene):
+    """``ssl_epoch``'s cloud reader for scenes built in memory."""
+    return scene.cloud
+
+
 def weak_pairs(scenes, cfg):
     """Each scene with its encoding under the weak channels."""
     return [(sc, encode(sc.cloud, cfg.weak_policy())) for sc in scenes]
@@ -349,7 +372,7 @@ def weak_pairs(scenes, cfg):
 class TestSslEpoch:
     def test_no_unlabeled_reduces_to_supervised(self):
         labeled, _, _, cfg, state = tiny_ssl_setup(n_unlabeled=0)
-        m = ssl_epoch(state, labeled, [], cfg)
+        m = ssl_epoch(state, labeled, [], cfg, in_memory)
         assert m.n_pseudo == 0
         assert math.isfinite(m.sup_total)
         assert m.unsup_total == 0.0
@@ -362,7 +385,7 @@ class TestSslEpoch:
             unlabeled, val = weak_pairs(unlabeled, cfg), weak_pairs(val, cfg)
             rows = []
             for _ in range(2):
-                m = ssl_epoch(state, labeled, unlabeled, cfg, val)
+                m = ssl_epoch(state, labeled, unlabeled, cfg, in_memory, val)
                 rows.append((m.sup_total, m.unsup_total, m.n_high, m.n_ambiguous, m.n_low,
                              m.val_map, m.incorrect_postfilter))
             metrics.append(rows)
@@ -370,7 +393,7 @@ class TestSslEpoch:
 
     def test_counters_recorded(self):
         labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
-        m = ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg)
+        m = ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg, in_memory)
         assert m.channel_pair_evals == 3 * m.n_pseudo
         assert m.pairing_pair_evals >= m.n_pseudo  # sum over scenes of N^2
 
@@ -382,7 +405,7 @@ class TestSslEpoch:
             labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
             if drop:
                 unlabeled = [Scene(sc.id, sc.cloud) for sc in unlabeled]
-            m = ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg)
+            m = ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg, in_memory)
             weights = [a.tobytes() for a in state.student.arrays() + state.teacher.arrays()]
             runs.append((weights, m.incorrect_prefilter))
         assert runs[0][0] == runs[1][0]
@@ -391,7 +414,7 @@ class TestSslEpoch:
     def test_thresholds_fitted_on_first_epoch(self):
         labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
         assert state.thresholds is None
-        ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg)
+        ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg, in_memory)
         assert isinstance(state.thresholds, ThresholdBank)
 
 
@@ -430,7 +453,7 @@ class TestPairsNameTheirScene:
         pairs = weak_pairs(unlabeled, cfg)
         fail_at(3)
         with pytest.raises(ValueError) as info:
-            ssl_epoch(state, labeled, pairs, cfg)
+            ssl_epoch(state, labeled, pairs, cfg, in_memory)
         assert type(info.value) is ValueError
         assert str(info.value) == f"teacher scene {unlabeled[3].id}: boom"
         assert state.epoch == 0
@@ -464,7 +487,7 @@ class TestBatchedEpochMatchesStepwise:
             unlabeled, val = weak_pairs(unlabeled, cfg), weak_pairs(val, cfg)
             rows = []
             for _ in range(epochs):
-                m = epoch_fn(state, labeled, unlabeled, cfg, val)
+                m = epoch_fn(state, labeled, unlabeled, cfg, in_memory, val)
                 rows.append((m, params_bytes(state)))
             results.append(rows)
         batched, stepwise = results
@@ -536,21 +559,21 @@ class TestNonFiniteStepNamed:
     def test_unlabeled_step(self):
         labeled, unlabeled, cfg, state = self.overflowing(2, 3)
         with pytest.raises(NonFiniteLossError) as info:
-            ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg)
+            ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg, in_memory)
         assert str(info.value).startswith(f"unlabeled scene {unlabeled[0].id}: ")
 
     def test_value_error(self):
         labeled, unlabeled, _, cfg, state = tiny_ssl_setup(2, 3)
         state.student.w_cls[:] = 1e308
         with pytest.raises(ValueError) as info:
-            ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg)
+            ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg, in_memory)
         assert type(info.value) is ValueError
         assert str(info.value) == f"unlabeled scene {unlabeled[0].id}: nms scores must be finite"
 
     def test_labeled_only_epoch(self):
         labeled, _, cfg, state = self.overflowing(2, 0)
         with pytest.raises(NonFiniteLossError) as info:
-            ssl_epoch(state, labeled, [], cfg)
+            ssl_epoch(state, labeled, [], cfg, in_memory)
         assert str(info.value).startswith(f"labeled scene {labeled[0].id}: ")
 
 
