@@ -48,30 +48,22 @@ class RunConfig:
     def validate(self) -> None:
         if self.seed < 0:
             raise ConfigError("seed is mandatory (set it in the config file or pass --seed)")
-        for key in ("dataset_root", "out_dir"):
-            if not getattr(self, key):
-                raise ConfigError(f"{key} must not be empty")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ConfigError(f"fraction must be in (0, 1], got {self.fraction}")
-        if self.n_scenes < 1 or self.n_val_scenes < 0:
-            raise ConfigError("scene counts must be positive")
-        if self.epochs < 0 or self.pretrain_epochs < 0:
-            raise ConfigError("epoch counts must be non-negative")
-        if self.threshold_period < 1:
-            raise ConfigError("threshold_period must be >= 1")
-        if not 0.0 <= self.ema_momentum <= 1.0:
-            raise ConfigError("ema_momentum must be in [0, 1]")
-        if not 0.0 <= self.prefilter_min_score <= 1.0:  # scores p_hat * o_hat lie in [0, 1]
-            raise ConfigError("prefilter_min_score must be in [0, 1]")
-        if self.shuffle_grid_cells < 0:
-            raise ConfigError("shuffle_grid_cells must be >= 0")
-        if not self.unsup_background_weight >= 0.0:
-            raise ConfigError("unsup_background_weight must be >= 0")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        # the channel policies' keys; the weak scales are checked even when
-        # n_channels = 1 reads neither
+        # the weak scales are checked even when n_channels = 1 reads neither
         for key, ok, rule in (
+            ("dataset_root", bool(self.dataset_root), "must not be empty"),
+            ("out_dir", bool(self.out_dir), "must not be empty"),
+            ("fraction", 0.0 < self.fraction <= 1.0, "must be in (0, 1]"),
+            ("n_scenes", self.n_scenes >= 1, "must be >= 1"),
+            ("n_val_scenes", self.n_val_scenes >= 0, "must be >= 0"),
+            ("epochs", self.epochs >= 0, "must be >= 0"),
+            ("pretrain_epochs", self.pretrain_epochs >= 0, "must be >= 0"),
+            ("threshold_period", self.threshold_period >= 1, "must be >= 1"),
+            ("ema_momentum", 0.0 <= self.ema_momentum <= 1.0, "must be in [0, 1]"),
+            # scores p_hat * o_hat lie in [0, 1]
+            ("prefilter_min_score", 0.0 <= self.prefilter_min_score <= 1.0, "must be in [0, 1]"),
+            ("shuffle_grid_cells", self.shuffle_grid_cells >= 0, "must be >= 0"),
+            ("unsup_background_weight", self.unsup_background_weight >= 0.0, "must be >= 0"),
+            ("threads", self.threads >= 1, "must be >= 1"),
             ("n_channels", self.n_channels in (1, 3), "must be 1 or 3"),
             ("weak_scale_low", self.weak_scale_low > 0.0, "must be > 0"),
             ("weak_scale_high", self.weak_scale_high > 0.0, "must be > 0"),
@@ -82,7 +74,7 @@ class RunConfig:
             ("strong_flip_prob", 0.0 <= self.strong_flip_prob <= 1.0, "must be in [0, 1]"),
         ):
             if not ok:
-                raise ConfigError(f"bad value for {key!r}: {rule}, got {getattr(self, key)}")
+                raise ConfigError(f"bad value for {key!r}: {rule}, got {getattr(self, key)!r}")
 
     def weak_policy(self, n_channels: int | None = None) -> tuple[Transform, ...]:
         """The teacher's fixed channel transforms: the identity, then for 3

@@ -294,7 +294,10 @@ def load_scene(root, scene_id: str) -> Scene:
     root = Path(root)
     cloud = read_bin_cloud(root / "points" / f"{scene_id}.bin")
     label_path = root / "labels" / f"{scene_id}.txt"
-    boxes, classes = parse_kitti_label(label_path.read_text()) if label_path.exists() else ([], [])
+    try:
+        boxes, classes = parse_kitti_label(label_path.read_text() if label_path.exists() else "")
+    except KittiFormatError as exc:  # name the file, as the point and split readers do
+        raise KittiFormatError(f"{label_path}: {exc}") from None
     return Scene(scene_id, cloud, boxes, classes)
 
 

@@ -110,24 +110,18 @@ def evaluate_scenes(detected) -> EvalResult:
     return result
 
 
-@dataclass
-class PseudoQualityCounts:
-    """Incorrect pseudo-boxes: all of them, and those kept past the filter
-    (level high or ambiguous)."""
+def pseudo_quality(pseudo_boxes, gt_boxes, gt_classes) -> tuple[int, int]:
+    """``(prefilter, postfilter)``: how many pseudo-boxes are incorrect, and
+    how many of those are kept past the filter (level high or ambiguous).
 
-    prefilter: int = 0
-    postfilter: int = 0
-
-
-def pseudo_quality(pseudo_boxes, gt_boxes, gt_classes) -> PseudoQualityCounts:
-    """Count pseudo-boxes whose class mismatches their best-IoU ground truth or
-    whose IoU misses the class threshold. Expects stratified boxes (``.level``);
-    an unknown level counts as low."""
-    counts = PseudoQualityCounts()
+    A pseudo-box is incorrect when its class mismatches its best-IoU ground
+    truth or its IoU misses the class threshold. Expects stratified boxes
+    (``.level``); an unknown level counts as low."""
+    prefilter = postfilter = 0
     matches = best_match(box_rows([pb.box for pb in pseudo_boxes]), box_rows(gt_boxes))
     for pb, (iou, gi) in zip(pseudo_boxes, matches):
         if gi < 0 or gt_classes[gi] != pb.cls or iou < IOU_THRESHOLDS[pb.cls - 1]:
-            counts.prefilter += 1
+            prefilter += 1
             if pb.level in ("high", "ambiguous"):
-                counts.postfilter += 1
-    return counts
+                postfilter += 1
+    return prefilter, postfilter

@@ -6,7 +6,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,21 +75,6 @@ class DualThresholds:
             lo, hi = getattr(self, name)
             if not 0.0 <= lo <= hi <= 1.0:
                 raise ValueError(f"{name}: need 0 <= low <= high <= 1, got ({lo}, {hi})")
-
-
-@dataclass
-class ThresholdBank:
-    """Dual thresholds fitted separately per object class.
-
-    Score scales differ by class (small objects localize worse, so their
-    objectness and consistency run lower); clustering them jointly lets the
-    strong classes squeeze every weak-class box into the low level.
-    """
-
-    per_class: dict[int, DualThresholds] = field(default_factory=dict)
-
-    def for_class(self, cls_id: int) -> DualThresholds:
-        return self.per_class.get(cls_id, DualThresholds())
 
 
 def channel_iou_consistency(det: Detection, counter: PairCounter | None = None) -> float:
@@ -200,24 +185,26 @@ def fit_dual_thresholds(
 def fit_threshold_bank(
     pseudo_boxes: list[PseudoBox],
     num_classes: int,
-    previous: ThresholdBank | None = None,
+    previous: dict[int, DualThresholds] | None = None,
     *,
     min_score: float,
-) -> ThresholdBank:
-    """Per-class dual thresholds; classes without enough boxes retain their
-    previous thresholds."""
-    bank = ThresholdBank()
-    for cls_id in range(1, num_classes + 1):
-        prev = previous.per_class.get(cls_id) if previous is not None else None
-        group = [pb for pb in pseudo_boxes if pb.cls == cls_id]
-        bank.per_class[cls_id] = fit_dual_thresholds(group, previous=prev, min_score=min_score)
-    return bank
+) -> dict[int, DualThresholds]:
+    """Dual thresholds per class id ``1..num_classes``, fitted per class
+    because score scales differ by class (small objects localize worse, so
+    their objectness and consistency run lower): clustering them jointly lets
+    the strong classes squeeze every weak-class box into the low level. A
+    class without enough boxes retains its previous thresholds."""
+    previous = previous or {}
+    return {cls_id: fit_dual_thresholds([pb for pb in pseudo_boxes if pb.cls == cls_id],
+                                        previous=previous.get(cls_id), min_score=min_score)
+            for cls_id in range(1, num_classes + 1)}
 
 
 def stratify(
-    pseudo_boxes: list[PseudoBox], thr: DualThresholds | ThresholdBank
+    pseudo_boxes: list[PseudoBox], thr: DualThresholds | dict[int, DualThresholds]
 ) -> list[PseudoBox]:
-    """Assign levels and supervision weights.
+    """Assign levels and supervision weights, under ``thr`` or, for a dict,
+    under the thresholds of each box's class.
 
     High requires every criterion at or above its high boundary; low is any
     criterion below its low boundary; everything else is ambiguous. Weights:
@@ -225,7 +212,7 @@ def stratify(
     """
     out = []
     for pb in pseudo_boxes:
-        t = thr.for_class(pb.cls) if isinstance(thr, ThresholdBank) else thr
+        t = thr[pb.cls] if isinstance(thr, dict) else thr
         scores = {name: getattr(pb, name) for name in CRITERIA}
         if any(scores[name] < getattr(t, name)[0] for name in CRITERIA):
             level, weight = LEVEL_LOW, 0.0
@@ -258,13 +245,13 @@ def ema_update(teacher: DetectorParams, student: DetectorParams, momentum: float
         t_arr += (1.0 - momentum) * s_arr
 
 
-def pseudo_from_detection(det: Detection) -> PseudoBox:
+def pseudo_from_detection(det: Detection, counter: PairCounter | None = None) -> PseudoBox:
     return PseudoBox(
         box=det.box,
         cls=det.predicted_class,
         p_hat=det.p_hat,
         o_hat=det.objectness,
-        iou_cons=channel_iou_consistency(det),
+        iou_cons=channel_iou_consistency(det, counter),
     )
 
 
@@ -276,7 +263,7 @@ def pseudo_from_detection(det: Detection) -> PseudoBox:
 class SslState:
     student: DetectorParams
     teacher: DetectorParams
-    thresholds: ThresholdBank | None = None
+    thresholds: dict[int, DualThresholds] | None = None  # per class id
     epoch: int = 0
 
 
@@ -353,16 +340,19 @@ def ssl_epoch(
     read_cloud: Callable[[Scene], PointCloud],
     val: Sequence[tuple[Scene, SceneEncoding]] = (),
 ) -> EpochMetrics:
-    """One pass of the three-step procedure.
+    """One epoch in three stages.
 
-    1. On threshold epochs, refit the dual thresholds from this epoch's
-       teacher detections over the unlabeled scenes.
-    2. Per unlabeled scene: score teacher detections into pseudo-boxes,
-       stratify, remove low-level points, optionally shuffle patches, then
-       train the student on freshly drawn strong channel transforms against
-       per-channel pseudo targets with hierarchical weights.
-    3. Labeled scenes run as supervised steps with unit weights, interleaved
-       1:1 with the unlabeled steps (the labeled set cycles).
+    1. Teacher pass: each teacher detection on an unlabeled scene becomes a
+       pseudo-box scored by its channel IoU consistency.
+    2. Levels: on threshold epochs, refit the per-class dual thresholds;
+       then stratify every scene's pseudo-boxes, in place of the unstratified
+       ones, and add the level and incorrect-box counts.
+    3. Student steps: per unlabeled scene, remove low-level points,
+       optionally shuffle patches, then train the student on freshly drawn
+       strong channel transforms against the kept boxes with hierarchical
+       weights. Labeled scenes run as supervised steps with unit weights,
+       interleaved 1:1 with the unlabeled steps (the labeled set cycles; with
+       no unlabeled scene, each labeled scene runs once).
     ``ema_update`` at ``cfg.ema_momentum`` follows every student step that
     trains. Hidden ground truth on unlabeled scenes is used only for quality
     metrics, never for supervision.
@@ -373,81 +363,85 @@ def ssl_epoch(
     never read: ``read_cloud(scene)`` gives a labeled or unlabeled scene's
     cloud, called when the step that trains on it is built (the CLI reads
     the scene's point file, tests pass ``lambda s: s.cloud``), and a val
-    scene's cloud is not needed. The teacher pass keeps each unlabeled
-    scene's pseudo-boxes, not its detections. Each student step draws its
-    channels as ``strong_channels(cfg, seed)``, its own scene seed under
-    ``cfg.seed``. The teacher detects and the thresholds are fitted before
-    the first step, so no step's target, weights or transforms depend on an
-    update: the steps are encoded anew ``ENCODE_BATCH`` at a time (each as
-    if alone), their targets built just before their batch is encoded, and
-    trained on in order, so the epoch holds the clouds of one batch of
-    steps. A step's NonFiniteLossError or ValueError is re-raised, with its
-    type, as ``<kind> scene <id>: ...``, and so is a detection's ValueError
-    in the teacher and val passes, ``<kind>`` being ``teacher`` or ``val``.
+    scene's cloud is not needed. Each student step draws its channels as
+    ``strong_channels(cfg, seed)``, its own scene seed under ``cfg.seed``.
+    As stages 1 and 2 end before the first step, no step's target, weights
+    or transforms depend on an update: the steps are encoded anew
+    ``ENCODE_BATCH`` at a time (each as if alone), their targets built just
+    before their batch is encoded, and trained on in order, so the epoch
+    holds the clouds of one batch of steps. A step's NonFiniteLossError or
+    ValueError is re-raised, with its type, as ``<kind> scene <id>: ...``,
+    and so is a detection's ValueError in the teacher and val passes,
+    ``<kind>`` being ``teacher`` or ``val``.
     """
     metrics = EpochMetrics(epoch=state.epoch)
 
-    pseudo_sets = []
+    # stage 1: the teacher pass
+    channel_pairs = PairCounter()
+    strata = []
     for scene, dets in _detect_each(unlabeled, state.teacher, "teacher"):
-        pseudo_sets.append((scene, [pseudo_from_detection(d) for d in dets]))
-        # pairs the channel consistency evaluates: C(C, 2) per detection
-        metrics.channel_pair_evals += sum(math.comb(len(d.per_channel_boxes), 2) for d in dets)
+        strata.append((scene, [pseudo_from_detection(d, channel_pairs) for d in dets]))
         # what the all-pairs baseline would evaluate: N^2 per scene
         metrics.pairing_pair_evals += len(dets) ** 2
+    metrics.channel_pair_evals = channel_pairs.count
 
+    # stage 2: levels
     if state.epoch % cfg.threshold_period == 0 or state.thresholds is None:
         state.thresholds = fit_threshold_bank(
-            [pb for _, group in pseudo_sets for pb in group],
+            [pb for _, group in strata for pb in group],
             num_classes=len(CLASS_NAMES),
             previous=state.thresholds,
             min_score=cfg.prefilter_min_score,
         )
     thr = state.thresholds
+    for i, (scene, pseudo) in enumerate(strata):
+        strat = stratify(pseudo, thr)
+        strata[i] = scene, strat
+        metrics.n_pseudo += len(strat)
+        metrics.n_high += sum(pb.level == LEVEL_HIGH for pb in strat)
+        metrics.n_ambiguous += sum(pb.level == LEVEL_AMBIGUOUS for pb in strat)
+        metrics.n_low += sum(pb.level == LEVEL_LOW for pb in strat)
+        if scene.gt_boxes:
+            prefilter, postfilter = pseudo_quality(strat, scene.gt_boxes, scene.gt_classes)
+            metrics.incorrect_prefilter += prefilter
+            metrics.incorrect_postfilter += postfilter
+    # class-mean thresholds, as a compact diagnostic
+    means = np.mean([[*t.p_hat, *t.o_hat, *t.iou_cons] for t in thr.values()], axis=0)
+    (metrics.thr_p_low, metrics.thr_p_high, metrics.thr_o_low, metrics.thr_o_high,
+     metrics.thr_iou_low, metrics.thr_iou_high) = map(float, means)
 
-    # Unlabeled and labeled steps interleave 1:1 (the labeled set cycles, with
-    # fresh strong channels per visit); the labeled anchor must stay in the
-    # gradient mix or pseudo-label class noise can snowball through the EMA
-    # teacher faster than a trailing supervised phase can undo.
+    # stage 3: student steps. Unlabeled and labeled steps interleave 1:1 (the
+    # labeled set cycles, with fresh strong channels per visit); the labeled
+    # anchor must stay in the gradient mix or pseudo-label class noise can
+    # snowball through the EMA teacher faster than a trailing supervised
+    # phase can undo.
     Step = tuple[str, Scene, list[float], int, float]
-
-    def labeled_step(scene: Scene, idx: int) -> Step:
-        seed = scene_seed(cfg.seed, state.epoch, idx, 2)
-        return ("labeled", replace(scene, cloud=read_cloud(scene)), [1.0] * len(scene.gt_boxes),
-                seed, 1.0)
 
     def steps() -> Iterator[Step]:
         """(kind, target, weights, strong-channel seed, background weight) per
         student step, in training order, each target built when drawn."""
-        for idx, (scene, pseudo) in enumerate(pseudo_sets):
-            strat = stratify(pseudo, thr)
-            metrics.n_pseudo += len(strat)
-            metrics.n_high += sum(pb.level == LEVEL_HIGH for pb in strat)
-            metrics.n_ambiguous += sum(pb.level == LEVEL_AMBIGUOUS for pb in strat)
-            metrics.n_low += sum(pb.level == LEVEL_LOW for pb in strat)
-            if scene.gt_boxes:
-                quality = pseudo_quality(strat, scene.gt_boxes, scene.gt_classes)
-                metrics.incorrect_prefilter += quality.prefilter
-                metrics.incorrect_postfilter += quality.postfilter
-            low_boxes = [pb.box for pb in strat if pb.level == LEVEL_LOW]
-            kept = [pb for pb in strat if pb.level != LEVEL_LOW]
-            # the pseudo-labelled view: hidden ground truth stays on ``scene``
-            target = Scene(
-                scene.id,
-                remove_low_level_points(read_cloud(scene), low_boxes),
-                [pb.box for pb in kept],
-                [pb.cls for pb in kept],
-            )
-            if cfg.shuffle_grid_cells >= 2:
-                target = shuffle_augment(
-                    target, cfg.shuffle_grid_cells, scene_seed(cfg.seed, state.epoch, idx, 1)
+        for idx in range(len(strata) or len(labeled)):
+            if strata:
+                scene, strat = strata[idx]
+                low_boxes = [pb.box for pb in strat if pb.level == LEVEL_LOW]
+                kept = [pb for pb in strat if pb.level != LEVEL_LOW]
+                # the pseudo-labelled view: hidden ground truth stays on ``scene``
+                target = Scene(
+                    scene.id,
+                    remove_low_level_points(read_cloud(scene), low_boxes),
+                    [pb.box for pb in kept],
+                    [pb.cls for pb in kept],
                 )
-            yield ("unlabeled", target, [pb.weight for pb in kept],
-                   scene_seed(cfg.seed, state.epoch, idx, 0), cfg.unsup_background_weight)
+                if cfg.shuffle_grid_cells >= 2:
+                    target = shuffle_augment(
+                        target, cfg.shuffle_grid_cells, scene_seed(cfg.seed, state.epoch, idx, 1)
+                    )
+                yield ("unlabeled", target, [pb.weight for pb in kept],
+                       scene_seed(cfg.seed, state.epoch, idx, 0), cfg.unsup_background_weight)
             if labeled:
-                yield labeled_step(labeled[idx % len(labeled)], idx)
-        if not unlabeled:
-            for idx, scene in enumerate(labeled):
-                yield labeled_step(scene, idx)
+                scene = labeled[idx % len(labeled)]
+                yield ("labeled", replace(scene, cloud=read_cloud(scene)),
+                       [1.0] * len(scene.gt_boxes), scene_seed(cfg.seed, state.epoch, idx, 2), 1.0)
 
     def strong_inputs(step: Step) -> tuple[PointCloud, tuple[Transform, ...]]:
         return step[1].cloud, strong_channels(cfg, step[3])
@@ -467,14 +461,6 @@ def ssl_epoch(
 
     metrics.unsup_cls, metrics.unsup_reg, metrics.unsup_obj, metrics.unsup_total = unsup.means()
     metrics.sup_cls, metrics.sup_reg, metrics.sup_obj, metrics.sup_total = sup.means()
-    # class-mean thresholds, as a compact diagnostic
-    banks = list(thr.per_class.values()) or [DualThresholds()]
-    metrics.thr_p_low = float(np.mean([b.p_hat[0] for b in banks]))
-    metrics.thr_p_high = float(np.mean([b.p_hat[1] for b in banks]))
-    metrics.thr_o_low = float(np.mean([b.o_hat[0] for b in banks]))
-    metrics.thr_o_high = float(np.mean([b.o_hat[1] for b in banks]))
-    metrics.thr_iou_low = float(np.mean([b.iou_cons[0] for b in banks]))
-    metrics.thr_iou_high = float(np.mean([b.iou_cons[1] for b in banks]))
 
     if val:
         result = detect_and_score(val, state.student, "val")

@@ -206,8 +206,7 @@ def _footprints(grid: BevGrid, rels: list[Transform]) -> np.ndarray:
     within sqrt(2) cells; ``rel`` scales distances by ``rel.s``. Each occupied
     cell center is mapped back through ``rel``'s inverse and dilated by that
     radius in cells, plus a slack that covers rounding. The result is a
-    superset of the cells whose lookup is nonzero. Where dilating costs more
-    than a lookup of every cell, every cell is taken.
+    superset of the cells whose lookup is nonzero.
     """
     nx, ny = grid.shape
     size = grid.plane_size
@@ -217,8 +216,6 @@ def _footprints(grid: BevGrid, rels: list[Transform]) -> np.ndarray:
     radius = np.array([math.sqrt(2.0) * grid.voxel_size / (r.s * grid.voxel_size) + 1e-6
                        for r in rels])
     n_span = (2 * radius).astype(np.int64) + 1  # integers in [x - radius, x + radius]
-    dense = np.bincount(q, minlength=len(rels)) * n_span ** 2 >= size
-    n_span[dense] = 0  # those planes take every cell
     lo = np.ceil(back - radius[q][:, None]).astype(np.int64)
     span = np.arange(n_span.max(initial=0))
     j = lo[:, 1, None] + span
@@ -228,7 +225,6 @@ def _footprints(grid: BevGrid, rels: list[Transform]) -> np.ndarray:
         i = lo[:, 0] + di
         ok = j_ok & ((i >= 0) & (i < nx) & (di < n_span[q]))[:, None]
         mark.reshape(-1)[((q * size + i * ny)[:, None] + j)[ok]] = True
-    mark[dense] = True
     return np.flatnonzero(mark)
 
 

@@ -80,7 +80,6 @@ from cadet3d.selftrain import (
     LEVEL_AMBIGUOUS,
     LEVEL_HIGH,
     LEVEL_LOW,
-    DualThresholds,
     EpochMetrics,
     SslState,
     detect_and_score,
@@ -735,9 +734,9 @@ def stepwise_ssl_epoch(
         metrics.n_ambiguous += sum(pb.level == LEVEL_AMBIGUOUS for pb in strat)
         metrics.n_low += sum(pb.level == LEVEL_LOW for pb in strat)
         if scene.gt_boxes:
-            quality = pseudo_quality(strat, scene.gt_boxes, scene.gt_classes)
-            metrics.incorrect_prefilter += quality.prefilter
-            metrics.incorrect_postfilter += quality.postfilter
+            prefilter, postfilter = pseudo_quality(strat, scene.gt_boxes, scene.gt_classes)
+            metrics.incorrect_prefilter += prefilter
+            metrics.incorrect_postfilter += postfilter
         low_boxes = [pb.box for pb in strat if pb.level == LEVEL_LOW]
         kept = [pb for pb in strat if pb.level != LEVEL_LOW]
         # the pseudo-labelled view: hidden ground truth stays on ``scene``
@@ -768,7 +767,7 @@ def stepwise_ssl_epoch(
     # what the all-pairs baseline would evaluate: N^2 per scene
     metrics.pairing_pair_evals = sum(len(dets) ** 2 for dets in teacher_dets)
     # class-mean thresholds, as a compact diagnostic
-    banks = list(thr.per_class.values()) or [DualThresholds()]
+    banks = list(thr.values())
     metrics.thr_p_low = float(np.mean([b.p_hat[0] for b in banks]))
     metrics.thr_p_high = float(np.mean([b.p_hat[1] for b in banks]))
     metrics.thr_o_low = float(np.mean([b.o_hat[0] for b in banks]))

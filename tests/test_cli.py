@@ -381,8 +381,8 @@ class TestEval:
         for c, split in [("eval", "val"), ("pretrain", "labeled"), ("ssl-train", "val")]
         for bad in ("bin", "label")
     ])
-    def test_bad_last_scene_exits_2_before_any_encode(self, small_env, monkeypatch, command,
-                                                      split, bad):
+    def test_bad_last_scene_exits_2_before_any_encode(self, small_env, monkeypatch, capsys,
+                                                      command, split, bad):
         # every command checks every scene it reads before encoding any;
         # ssl-train loads its val split last, so all three splits are loaded
         # before the unlabeled encode (each command reads a cloud again when
@@ -406,6 +406,8 @@ class TestEval:
         assert main(args + (["--params", str(params)] if command != "pretrain" else [])) == 2
         assert encoded == []
         assert not [f for f in out.iterdir() if f.suffix in (".csv", ".params")]
+        if bad == "label":  # the message names the file among the split's
+            assert f"{last}.txt: line 1: expected 15 fields, got 4" in capsys.readouterr().err
 
     def test_memory_does_not_grow_with_the_split(self, small_env):
         # eval holds one encode batch of clouds and one scene's detections, not

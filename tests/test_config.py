@@ -83,13 +83,17 @@ class TestConfigFile:
     @pytest.mark.parametrize("key, value", [("shuffle_grid_cells", -3),
                                             ("unsup_background_weight", -1.0),
                                             ("prefilter_min_score", 7.0),
-                                            ("prefilter_min_score", -2.0)])
+                                            ("prefilter_min_score", -2.0),
+                                            ("n_scenes", 0),
+                                            ("n_val_scenes", -1),
+                                            ("epochs", -1),
+                                            ("pretrain_epochs", -1)])
     def test_out_of_range_value_named(self, tmp_path, key, value):
-        with pytest.raises(ConfigError, match=f"^{key} must be"):
+        with pytest.raises(ConfigError, match=f"^bad value for '{key}': must be"):
             load_config(None, {"seed": 1, key: value})
         path = tmp_path / "cfg.txt"
         path.write_text(f"seed = 1\n{key} = {value}\n")
-        with pytest.raises(ConfigError, match=f"^{key} must be"):
+        with pytest.raises(ConfigError, match=f"^bad value for '{key}': must be"):
             load_config(path)
 
     @pytest.mark.parametrize("key, value", [("shuffle_grid_cells", 0),

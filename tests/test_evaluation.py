@@ -212,36 +212,30 @@ def pseudo_at(box, cls=1, level="ambiguous"):
 class TestPseudoQuality:
     def test_exact_pseudo_no_incorrect(self):
         gt = Box3D(0, 0, 1, 1.6, 1.5, 3.9, 0.4)
-        counts = pseudo_quality([pseudo_at(gt, 1, "high")], [gt], [1])
-        assert counts.prefilter == 0 and counts.postfilter == 0
+        assert pseudo_quality([pseudo_at(gt, 1, "high")], [gt], [1]) == (0, 0)
 
     def test_box_in_empty_space_incorrect(self):
         pb = pseudo_at(Box3D(50, 50, 1, 1, 1, 2, 0), 1, "high")
-        counts = pseudo_quality([pb], [], [])
-        assert counts.prefilter == 1 and counts.postfilter == 1
+        assert pseudo_quality([pb], [], []) == (1, 1)
 
     def test_class_mismatch_incorrect(self):
         gt = Box3D(0, 0, 1, 1.6, 1.5, 3.9, 0.4)
-        counts = pseudo_quality([pseudo_at(gt, 2, "high")], [gt], [1])
-        assert counts.prefilter == 1
+        prefilter, _ = pseudo_quality([pseudo_at(gt, 2, "high")], [gt], [1])
+        assert prefilter == 1
 
     def test_low_iou_incorrect(self):
         gt = Box3D(0, 0, 1, 1.6, 1.5, 3.9, 0.0)
         off = Box3D(1.5, 0.8, 1, 1.6, 1.5, 3.9, 0.0)
-        counts = pseudo_quality([pseudo_at(off, 1, "ambiguous")], [gt], [1])
-        assert counts.prefilter == 1 and counts.postfilter == 1
+        assert pseudo_quality([pseudo_at(off, 1, "ambiguous")], [gt], [1]) == (1, 1)
 
     def test_postfilter_excludes_low(self):
         bad_low = pseudo_at(Box3D(50, 50, 1, 1, 1, 2, 0), 1, "low")
         bad_high = pseudo_at(Box3D(-50, 50, 1, 1, 1, 2, 0), 1, "high")
-        counts = pseudo_quality([bad_low, bad_high], [], [])
-        assert counts.prefilter == 2
-        assert counts.postfilter == 1
+        assert pseudo_quality([bad_low, bad_high], [], []) == (2, 1)
 
     def test_unknown_level_counts_as_low(self):
         pbs = [pseudo_at(Box3D(50, 50, 1, 1, 1, 2, 0), 1, level) for level in (None, "other")]
-        counts = pseudo_quality(pbs, [], [])
-        assert (counts.prefilter, counts.postfilter) == (2, 0)
+        assert pseudo_quality(pbs, [], []) == (2, 0)
 
     def test_postfilter_never_exceeds_prefilter(self, rng):
         gts = [random_box(rng) for _ in range(3)]
@@ -250,5 +244,5 @@ class TestPseudoQuality:
                       ("high", "ambiguous", "low")[int(rng.integers(0, 3))])
             for _ in range(20)
         ]
-        counts = pseudo_quality(pbs, gts, [1, 2, 3])
-        assert counts.postfilter <= counts.prefilter
+        prefilter, postfilter = pseudo_quality(pbs, gts, [1, 2, 3])
+        assert postfilter <= prefilter

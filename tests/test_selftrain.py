@@ -22,7 +22,6 @@ from cadet3d.selftrain import (
     PairCounter,
     PseudoBox,
     SslState,
-    ThresholdBank,
     channel_iou_consistency,
     detect_and_score,
     ema_update,
@@ -219,8 +218,8 @@ class TestFitThresholds:
             pseudo(p=v, cls=2) for v in (0.3, 0.6, 0.95)
         ]
         bank = fit_threshold_bank(boxes, num_classes=3, min_score=0.0)
-        assert bank.for_class(1) != bank.for_class(2)
-        assert bank.for_class(3) == DualThresholds()  # no boxes -> neutral
+        assert bank[1] != bank[2]
+        assert bank[3] == DualThresholds()  # no boxes -> neutral
 
 
 class TestStratify:
@@ -265,10 +264,10 @@ class TestStratify:
                         assert rank[raised.level] >= rank[out.level]
 
     def test_uses_class_bank(self):
-        bank = ThresholdBank(per_class={
+        bank = {
             1: DualThresholds(p_hat=(0.9, 0.95), o_hat=(0.0, 0.0), iou_cons=(0.0, 0.0)),
             2: DualThresholds(p_hat=(0.1, 0.2), o_hat=(0.0, 0.0), iou_cons=(0.0, 0.0)),
-        })
+        }
         same_scores = [pseudo(p=0.5, cls=1), pseudo(p=0.5, cls=2)]
         out = stratify(same_scores, bank)
         assert out[0].level == "low"
@@ -415,7 +414,28 @@ class TestSslEpoch:
         labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
         assert state.thresholds is None
         ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg, in_memory)
-        assert isinstance(state.thresholds, ThresholdBank)
+        assert isinstance(state.thresholds, dict)
+        assert sorted(state.thresholds) == [1, 2, 3]
+        assert all(isinstance(t, DualThresholds) for t in state.thresholds.values())
+
+    def test_levels_and_counts_settled_before_the_first_step(self, monkeypatch):
+        # every scene is stratified and counted before any student step reads
+        # a cloud, so no count is a side effect of drawing the steps
+        calls = []
+
+        def recorded(name):
+            original = getattr(selftrain, name)
+            return lambda *args: calls.append(name) or original(*args)
+
+        for name in ("stratify", "pseudo_quality"):
+            monkeypatch.setattr(selftrain, name, recorded(name))
+        labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
+        assert all(sc.gt_boxes for sc in unlabeled)  # each feeds the quality counts
+        ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg,
+                  lambda scene: calls.append("read_cloud") or scene.cloud)
+        first_read = calls.index("read_cloud")
+        assert calls[:first_read] == ["stratify", "pseudo_quality"] * len(unlabeled)
+        assert set(calls[first_read:]) == {"read_cloud"}
 
 
 class TestPairsNameTheirScene:
@@ -518,7 +538,7 @@ class TestBatchedEpochMatchesStepwise:
         never_high = DualThresholds((1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
 
         def prepare(labeled, unlabeled, state):
-            state.thresholds = ThresholdBank({c: never_high for c in (1, 2, 3)})
+            state.thresholds = {c: never_high for c in (1, 2, 3)}
             state.epoch = 1
             return labeled, [unlabeled[0], cluster_scene("u-cluster"), unlabeled[1]], state
 
@@ -552,7 +572,7 @@ class TestNonFiniteStepNamed:
         # every teacher detection high (the teacher stays finite), and not
         # refitted at epoch 1, so the first unlabeled step has foreground RoIs
         always_high = DualThresholds((0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
-        state.thresholds = ThresholdBank({c: always_high for c in (1, 2, 3)})
+        state.thresholds = {c: always_high for c in (1, 2, 3)}
         state.epoch = 1
         return labeled, unlabeled, cfg, state
 
