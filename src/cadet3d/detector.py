@@ -19,23 +19,26 @@ cell and RoI keys carry a leading slot or scene index, and per-slot transform
 parameters are broadcast per point and repeated per cell or row, so each
 scene's result has the bits of encoding it alone, in a batch of one
 included. Each scene gets a read-only :class:`SceneEncoding`. Scoring
-(:func:`detect`, :func:`build_training_examples`) reads the weights: the
-proposal class scores, proposal NMS, the heads and the final NMS. The weak
-channel transforms are fixed, so one encoding of a scene serves every pass
-over it. :func:`encode_batches` encodes ``ENCODE_BATCH`` scenes per call:
-the CLI's weak-policy scenes and the student's strong-channel steps alike.
+(:func:`detect_batch`, :func:`build_training_examples`) reads the weights:
+the proposal class scores, proposal NMS, the heads and the final NMS. The
+weak channel transforms are fixed, so one encoding of a scene serves every
+pass over it. :func:`encode_batches` encodes ``ENCODE_BATCH`` scenes per
+call: the CLI's weak-policy scenes and the student's strong-channel steps
+alike; every weak pass detects as many per :func:`detect_batch` call.
 
-Scoring runs on the encoding's arrays, "shared proposals x channels".
-:func:`score_proposals` takes one row-wise softmax over all proposals and
-returns the indices of the proposals that survive NMS; :func:`refine` indexes
-their (K, C, 7) anchors and (K, C, F) features and evaluates each head as one
-``einsum``, and decoding, back-transforms and the channel average run over all
-rows at once. :func:`loss_and_grads` stacks its examples the same way.
-``nms`` and ``best_match`` test exact IoU only on the pairs that pass an array
-circumradius pre-reject. Boxes travel as (N, 7) rows: :func:`detect` builds
-one :class:`Box3D` per detection, its averaged box, and training examples
-hold their (C, 7) anchor and target rows. Scoring and
-training run with numpy's overflow and invalid-value warnings off: the
+Scoring runs on the encodings' arrays, "shared proposals x channels".
+:func:`score_proposals` takes one row-wise softmax over the stacked proposals
+of a batch of encodings and returns, per encoding, the indices of the
+proposals that survive NMS; :func:`refine` indexes their (K, C, 7) anchors
+and (K, C, F) features, stacks them over the batch and evaluates each head as
+one ``einsum``, and decoding, back-transforms and the channel average run
+over all rows at once. Each row is computed as in a batch of one, so the
+batching keeps every bit. :func:`loss_and_grads` stacks its examples the same
+way. ``nms`` and ``best_match`` test exact IoU only on the pairs that pass an
+array circumradius pre-reject. Boxes travel as (N, 7) rows:
+:func:`detect_batch` builds one :class:`Box3D` per detection, its averaged
+box, and training examples hold their (C, 7) anchor and target rows. Scoring
+and training run with numpy's overflow and invalid-value warnings off: the
 finiteness checks on scores, boxes and losses decide what a non-finite value
 means.
 
@@ -519,54 +522,96 @@ def encode_batch(clouds: Sequence[PointCloud],
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def score_proposals(enc: SceneEncoding, params: DetectorParams) -> tuple[list[int], np.ndarray]:
-    """The encoding's raw proposals scored by the linear classifier: the
-    indices of the survivors of greedy proposal NMS, in NMS order, and their
-    (C+1,) class score rows."""
-    scores = softmax(np.einsum("kf,cf->kc", enc.features / FEATURE_SCALE, params.w_cls))
-    keep = nms(enc.boxes, scores[:, 1:].max(axis=1).tolist(), PROPOSAL_NMS_IOU)
-    return keep, scores[keep]
+def score_proposals(encs: Sequence[SceneEncoding], params: DetectorParams
+                    ) -> list[tuple[list[int], np.ndarray]]:
+    """Each encoding's raw proposals scored by the linear classifier: per
+    encoding, the indices of the survivors of greedy proposal NMS, in NMS
+    order, and their (C+1,) class score rows. One ``einsum`` and one softmax
+    run over the stacked proposals of all ``encs``; NMS runs per encoding."""
+    if not encs:
+        return []
+    features = np.concatenate([enc.features for enc in encs])
+    scores = softmax(np.einsum("kf,cf->kc", features / FEATURE_SCALE, params.w_cls))
+    out, k0 = [], 0
+    for enc in encs:
+        rows = scores[k0:k0 + len(enc.boxes)]
+        k0 += len(enc.boxes)
+        keep = nms(enc.boxes, rows[:, 1:].max(axis=1).tolist(), PROPOSAL_NMS_IOU)
+        out.append((keep, rows[keep]))
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def refine(
-    enc: SceneEncoding,
-    keep: list[int],
+    encs: Sequence[SceneEncoding],
+    keeps: Sequence[list[int]],
     class_scores: np.ndarray,
     params: DetectorParams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-channel RoI refinement and back-transformed averaging of the
-    proposals ``keep`` of ``enc``, whose class scores are ``class_scores``.
+    proposals ``keeps[i]`` of each of ``encs``, stacked encoding after
+    encoding; ``class_scores`` holds their class score rows in that order.
+    The encodings must have one channel count C.
 
     Proposals live in the channel-1 frame; refined boxes come back to the
     canonical (untransformed) frame through each channel's inverse transform.
     Returns the (M, 7) averaged boxes, the (M, C, 7) channel boxes and the
     (M,) objectness. Each head is one ``einsum`` of the proposals' class rows
     with their (M, C, F) features; decoding, back-transforms and averaging run
-    over all rows at once. A non-finite or non-positive decoded,
-    back-transformed or averaged box raises ValueError.
+    over all rows at once, each row back-transformed by its own encoding's
+    :func:`transform_params` row, so the encodings may differ in transforms.
+    A non-finite or non-positive decoded, back-transformed or averaged box
+    raises ValueError.
     """
-    n_ch = len(enc.transforms)
-    phis = enc.channel_features[keep] / FEATURE_SCALE
+    n_ch = len(encs[0].transforms)
+    phis = np.concatenate([enc.channel_features[keep] for enc, keep in zip(encs, keeps)])
+    phis = phis / FEATURE_SCALE
+    anchors = np.concatenate([enc.anchors[keep] for enc, keep in zip(encs, keeps)])
     heads = class_scores[:, 1:].argmax(axis=1)
     res = np.einsum("mrf,mcf->mcr", params.w_reg[heads], phis)
     obj = sigmoid(np.einsum("mf,mcf->mc", params.w_obj[heads], phis))
-    decoded = decode_residuals(res.reshape(-1, BOX_DIM), enc.anchors[keep].reshape(-1, BOX_DIM))
-    decoded = check_boxes(decoded).reshape(-1, n_ch, BOX_DIM)
-    channel_boxes = check_boxes(np.stack(
-        [apply_boxes(invert(t), decoded[:, c]) for c, t in enumerate(enc.transforms)], axis=1))
+    decoded = check_boxes(decode_residuals(res.reshape(-1, BOX_DIM), anchors.reshape(-1, BOX_DIM)))
+    # row (m, c) goes back by the inverse of channel c of its encoding
+    backs = [invert(t) for enc in encs for t in enc.transforms]
+    first = np.repeat(np.arange(len(encs)) * n_ch, [len(keep) for keep in keeps])
+    row_back = (first[:, None] + np.arange(n_ch)).ravel()
+    moved = np.flatnonzero(~np.array([t.is_identity for t in backs], dtype=bool)[row_back])
+    decoded[moved] = map_boxes(transform_params(backs)[row_back[moved]], decoded[moved])
+    channel_boxes = check_boxes(decoded).reshape(-1, n_ch, BOX_DIM)
     boxes = check_boxes(average_box_rows(channel_boxes))
     return boxes, channel_boxes, obj.mean(axis=1)
 
 
+def detect_batch(encs: Sequence[SceneEncoding], params: DetectorParams) -> list[list[Detection]]:
+    """Score encoded scenes of one channel count: per encoding, its
+    canonical-frame, NMS-deduplicated detections.
+
+    The batch is scored in one :func:`score_proposals` call and refined in
+    one :func:`refine` call over the kept rows of every encoding; the
+    proposal NMS and the final NMS run per encoding. Every row is computed
+    as in a batch of one, so each scene's detections have the bits of
+    detecting it alone.
+    """
+    scored = score_proposals(encs, params)
+    if not scored:
+        return []
+    keeps = [keep for keep, _ in scored]
+    class_scores = np.concatenate([rows for _, rows in scored])
+    boxes, channel_boxes, objectness = refine(encs, keeps, class_scores, params)
+    confidence = (class_scores[:, 1:].max(axis=1) * objectness).tolist()
+    out, m0 = [], 0
+    for keep in keeps:
+        m1 = m0 + len(keep)
+        out.append([Detection(Box3D(*boxes[m0 + i].tolist()), channel_boxes[m0 + i].tolist(),
+                              class_scores[m0 + i], float(objectness[m0 + i]))
+                    for i in nms(boxes[m0:m1], confidence[m0:m1], FINAL_NMS_IOU)])
+        m0 = m1
+    return out
+
+
 def detect(enc: SceneEncoding, params: DetectorParams) -> list[Detection]:
-    """Score an encoded scene; detections are canonical-frame and NMS-deduplicated."""
-    keep, class_scores = score_proposals(enc, params)
-    boxes, channel_boxes, objectness = refine(enc, keep, class_scores, params)
-    confidence = class_scores[:, 1:].max(axis=1) * objectness
-    return [Detection(Box3D(*boxes[i].tolist()), channel_boxes[i].tolist(), class_scores[i],
-                      float(objectness[i]))
-            for i in nms(boxes, confidence.tolist(), FINAL_NMS_IOU)]
+    """Score an encoded scene: :func:`detect_batch` of one encoding."""
+    return detect_batch([enc], params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +775,7 @@ def build_training_examples(
     anchors and the matched targets must be finite with positive sizes
     (ValueError otherwise).
     """
-    keep, _ = score_proposals(enc, params)
+    keep, _ = score_proposals([enc], params)[0]
     gts = box_rows(target_boxes)
     canonical = apply_boxes(invert(enc.transforms[0]), enc.boxes[keep])
     matches = [idx if idx >= 0 and iou >= MATCH_IOU else -1

@@ -232,7 +232,9 @@ def _clip_convex(
             if q_in != s_in:
                 dx, dy = qx - sx, qy - sy
                 den = ex * dy - ey * dx
-                tpar = (ex * (p1y - sy) - ey * (p1x - sx)) / den
+                # a segment parallel to the edge (its ends on either side only
+                # within the tolerance) crosses it at its start
+                tpar = (ex * (p1y - sy) - ey * (p1x - sx)) / den if den else 0.0
                 output.append((sx + tpar * dx, sy + tpar * dy))
             if q_in:
                 output.append((qx, qy))
@@ -304,6 +306,135 @@ def iou_3d(a: Sequence[float], b: Sequence[float]) -> float:
     if union <= 0.0:
         return 0.0
     return min(1.0, max(0.0, vol_i / union))
+
+
+# Box pairs per chunk of bev_overlap_rows; bounds its transients.
+PAIR_CHUNK = 256
+
+
+def _math_rows(fn, *cols: np.ndarray) -> np.ndarray:
+    """``math`` function ``fn`` elementwise over equal-length arrays: numpy's
+    ``hypot`` differs from ``math.hypot`` in the last bit for some inputs."""
+    return np.array(list(map(fn, *(c.tolist() for c in cols))), dtype=np.float64)
+
+
+def _corner_rows(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 4) x and y of the footprint corners of (N, 7) rows, with
+    :func:`_corners_list`'s arithmetic and order."""
+    cx, cy, _, w, _, l, r = boxes.T
+    c, s = _math_rows(math.cos, r), _math_rows(math.sin, r)
+    hl, hw = 0.5 * l, 0.5 * w
+    return (np.column_stack([cx + c * hl - s * hw, cx - c * hl - s * hw,
+                             cx - c * hl + s * hw, cx + c * hl + s * hw]),
+            np.column_stack([cy + s * hl + c * hw, cy - s * hl + c * hw,
+                             cy - s * hl - c * hw, cy + s * hl - c * hw]))
+
+
+def _previous(v: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Each vertex's predecessor in the padded polygons of ``n`` vertices whose
+    (P, W) coordinates or flags are ``v``: vertex 0 follows the last."""
+    prev = np.empty_like(v)
+    prev[:, 1:] = v[:, :-1]
+    prev[:, 0] = v[np.arange(len(v)), n - 1]
+    return prev
+
+
+def _polygon_areas(x: np.ndarray, y: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """:func:`_polygon_area` of each padded polygon: the first ``n[i]`` of the
+    (P, W) vertices ``x[i]``, ``y[i]``, summed in the same order."""
+    acc = np.zeros(len(x))
+    if x.shape[1]:
+        term = np.where(np.arange(x.shape[1]) < n[:, None],
+                        _previous(x, n) * y - x * _previous(y, n), 0.0)
+        for col in term.T:
+            acc = acc + col
+    return np.where(n >= 3, np.abs(acc) * 0.5, 0.0)
+
+
+def _clip_rows(x: np.ndarray, y: np.ndarray, n: np.ndarray, cx: np.ndarray, cy: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_clip_convex` of each padded polygon (``x``, ``y``, ``n``) by the
+    CCW quadrilateral of (P, 4) corners ``cx``, ``cy``, one clip edge at a
+    time. As in the loop, each vertex emits its crossing, then itself; the
+    emitted vertices are moved to the front of their row, and the padding
+    grows to the most vertices any polygon reaches."""
+    for k in range(4):
+        if not x.shape[1]:
+            break
+        p1x, p1y = cx[:, k, None], cy[:, k, None]
+        ex, ey = cx[:, (k + 1) % 4, None] - p1x, cy[:, (k + 1) % 4, None] - p1y
+        inside = ex * (y - p1y) - ey * (x - p1x) >= -DEGENERATE_AREA
+        sx, sy = _previous(x, n), _previous(y, n)
+        valid = np.arange(x.shape[1]) < n[:, None]
+        dx, dy = x - sx, y - sy
+        den = ex * dy - ey * dx
+        tpar = np.divide(ex * (p1y - sy) - ey * (p1x - sx), den, out=np.zeros_like(den),
+                         where=den != 0)
+        emit = np.stack([valid & (inside != _previous(inside, n)), valid & inside], axis=2)
+        emit = emit.reshape(len(x), 2 * x.shape[1])
+        at = np.cumsum(emit, axis=1)
+        n = at[:, -1]
+        width = int(n.max(initial=0))
+        src = np.flatnonzero(emit)
+        dst = src // emit.shape[1] * width + at.ravel()[src] - 1
+        x_out, y_out = np.zeros((2, len(x) * width))
+        x_out[dst] = np.stack([sx + tpar * dx, x], axis=2).ravel()[src]
+        y_out[dst] = np.stack([sy + tpar * dy, y], axis=2).ravel()[src]
+        x, y = x_out.reshape(len(x), width), y_out.reshape(len(y), width)
+    return x, y, n
+
+
+def _bev_overlap_chunk(a: np.ndarray, b: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    acx, acy, _, aw, _, al, _ = a.T
+    bcx, bcy, _, bw, _, bl, _ = b.T
+    inter, area_a, area_b = np.zeros(len(a)), aw * al, bw * bl  # a rejected pair's areas
+    reach = 0.5 * _math_rows(math.hypot, al, aw) + 0.5 * _math_rows(math.hypot, bl, bw)
+    near = np.flatnonzero(~(_math_rows(math.hypot, acx - bcx, acy - bcy) > reach))
+    (ax, ay), (bx, by) = _corner_rows(a[near]), _corner_rows(b[near])
+    four = np.full(len(near), 4)
+    area_a[near], area_b[near] = _polygon_areas(ax, ay, four), _polygon_areas(bx, by, four)
+    live = np.flatnonzero(~((ax.max(axis=1) < bx.min(axis=1)) | (bx.max(axis=1) < ax.min(axis=1))
+                            | (ay.max(axis=1) < by.min(axis=1)) | (by.max(axis=1) < ay.min(axis=1))))
+    area_i = _polygon_areas(*_clip_rows(ax[live], ay[live], four[live], bx[live], by[live]))
+    inter[near[live]] = np.where(area_i < DEGENERATE_AREA, 0.0, area_i)
+    return inter, area_a, area_b
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def bev_overlap_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_bev_overlap` of each pair of rows of the (P, 7) arrays ``a``
+    and ``b``, ``a[i]`` clipped by ``b[i]``: (P,) intersection areas, areas of
+    ``a`` and areas of ``b``, bit for bit.
+
+    Every step runs on arrays with the scalar code's float operations in its
+    order: the circumradius and bounding-box rejects, the corners from
+    ``math.cos`` and ``math.sin``, Sutherland-Hodgman over padded polygons
+    and the shoelace sums. Pairs go ``PAIR_CHUNK`` at a time.
+    """
+    parts = [_bev_overlap_chunk(a[i:i + PAIR_CHUNK], b[i:i + PAIR_CHUNK])
+             for i in range(0, len(a), PAIR_CHUNK)] or [(np.zeros(0),) * 3]
+    return tuple(np.concatenate(arrs) for arrs in zip(*parts))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def iou_3d_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`iou_3d` of each pair of rows of the (P, 7) arrays ``a`` and
+    ``b``, bit for bit (see :func:`bev_overlap_rows`); only the pairs that
+    overlap vertically reach the BEV overlap."""
+    _, _, acz, _, ah, _, _ = a.T
+    _, _, bcz, _, bh, _, _ = b.T
+    zo = np.minimum(acz + 0.5 * ah, bcz + 0.5 * bh) - np.maximum(acz - 0.5 * ah, bcz - 0.5 * bh)
+    up = np.flatnonzero(~(zo <= 0.0))
+    area_i, area_a, area_b = bev_overlap_rows(a[up], b[up])
+    vol_i = area_i * zo[up]
+    union = area_a * ah[up] + area_b * bh[up] - vol_i
+    ok = (area_i != 0.0) & ~(union <= 0.0)
+    iou = np.zeros(len(a))
+    ratio = np.divide(vol_i, union, out=np.zeros(len(up)), where=ok)
+    # min(1.0, max(0.0, ratio)), a NaN to 0.0 as there
+    iou[up] = np.where(ratio > 0.0, np.where(ratio < 1.0, ratio, 1.0), 0.0)
+    return iou
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -7,6 +7,7 @@ import logging
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -14,17 +15,27 @@ from .augment import shuffle_augment, strong_channels
 from .config import RunConfig
 from .data import CLASS_NAMES, Scene
 from .detector import (
+    BOX_DIM,
+    ENCODE_BATCH,
     Detection,
     DetectorParams,
     LossTotals,
     NonFiniteLossError,
     SceneEncoding,
-    detect,
+    detect_batch,
     encode_batches,
     train_on_scene,
 )
 from .evaluation import EvalResult, evaluate_scenes, pseudo_quality
-from .geometry import Box3D, PointCloud, Transform, best_match, box_rows, iou_3d, points_in_box
+from .geometry import (
+    Box3D,
+    PointCloud,
+    Transform,
+    best_match,
+    box_rows,
+    iou_3d_rows,
+    points_in_box,
+)
 
 log = logging.getLogger(__name__)
 
@@ -77,26 +88,36 @@ class DualThresholds:
                 raise ValueError(f"{name}: need 0 <= low <= high <= 1, got ({lo}, {hi})")
 
 
-def channel_iou_consistency(det: Detection, counter: PairCounter | None = None) -> float:
-    """Mean pairwise 3D IoU over the detection's back-transformed channel boxes.
+def channel_consistencies(boxes: np.ndarray, counter: PairCounter | None = None) -> np.ndarray:
+    """(D,) mean pairwise 3D IoU of each detection's back-transformed channel
+    boxes, from their (D, C, 7) rows.
 
-    Uses only the boxes already attached to the detection, so a scene with N
-    detections and C channels costs exactly N * C(C, 2) pair evaluations. A
+    Uses only each detection's own boxes, so D detections of C channels cost
+    exactly D * C(C, 2) pair evaluations, all in one :func:`iou_3d_rows`
+    call. Each pair keeps its order, channel i against a later channel j,
+    and each detection's pairs are summed in that order before dividing, so
+    every value has the bits of the pair-by-pair ``iou_3d`` loop. A
     single-channel detection is trivially self-consistent (1.0).
     """
-    boxes = det.per_channel_boxes
-    n = len(boxes)
-    if n < 2:
-        return 1.0
-    total = 0.0
-    pairs = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += iou_3d(boxes[i], boxes[j])
-            pairs += 1
+    n_det, n_ch = boxes.shape[:2]
+    first, second = np.triu_indices(n_ch, 1)
     if counter is not None:
-        counter.add(pairs)
-    return total / pairs
+        counter.add(n_det * len(first))
+    if n_ch < 2:
+        return np.ones(n_det)
+    ious = iou_3d_rows(boxes[:, first].reshape(-1, BOX_DIM),
+                       boxes[:, second].reshape(-1, BOX_DIM)).reshape(n_det, len(first))
+    total = np.zeros(n_det)
+    for col in ious.T:
+        total = total + col
+    return total / len(first)
+
+
+def channel_iou_consistency(det: Detection, counter: PairCounter | None = None) -> float:
+    """Mean pairwise 3D IoU over the detection's back-transformed channel
+    boxes: :func:`channel_consistencies` of the one detection."""
+    rows = box_rows(det.per_channel_boxes)
+    return float(channel_consistencies(rows[None], counter)[0])
 
 
 def pairing_iou_consistency(
@@ -135,13 +156,15 @@ def optimal_three_partition(values: np.ndarray) -> np.ndarray | None:
         tot = s1[b] - s1[a]
         return (s2[b] - s2[a]) - tot * tot / cnt
 
+    # the segments that do not depend on the row i: [0, i), and [j, n) for
+    # every second cut j = 2..n-1
+    cuts = np.arange(2, n)
+    left = seg_sse(np.zeros_like(cuts), cuts - 1).tolist()
+    right = seg_sse(cuts, np.full_like(cuts, n))
     best = (math.inf, -1, -1)
     for i in range(1, n - 1):
-        j = np.arange(i + 1, n)
-        left = float(seg_sse(np.array([0]), np.array([i]))[0])
-        mid = seg_sse(np.full_like(j, i), j)
-        right = seg_sse(j, np.full_like(j, n))
-        total = left + mid + right
+        j = cuts[i - 1:]
+        total = left[i - 1] + seg_sse(np.full_like(j, i), j) + right[i - 1:]
         k = int(np.argmin(total))
         if total[k] < best[0] - 1e-15:
             best = (float(total[k]), i, int(j[k]))
@@ -246,6 +269,8 @@ def ema_update(teacher: DetectorParams, student: DetectorParams, momentum: float
 
 
 def pseudo_from_detection(det: Detection, counter: PairCounter | None = None) -> PseudoBox:
+    """The unstratified pseudo-box of one detection, as the teacher pass in
+    :func:`ssl_epoch` builds it for a whole pass."""
     return PseudoBox(
         box=det.box,
         cls=det.predicted_class,
@@ -307,14 +332,23 @@ def scene_seed(master: int, epoch: int, index: int, tag: int) -> int:
 def _detect_each(encoded: Iterable[tuple[Scene, SceneEncoding]], params: DetectorParams,
                  what: str) -> Iterator[tuple[Scene, list[Detection]]]:
     """Each ``(scene, encoding)`` pair of ``encoded`` as ``(scene, detections)``,
-    detected as it is drawn. A ValueError is re-raised, with its type, as
-    ``<what> scene <id>: ...``."""
-    for scene, enc in encoded:
+    ``ENCODE_BATCH`` pairs drawn and detected per :func:`detect_batch` call,
+    the next batch only once the previous one has been yielded. A
+    ValueError is re-raised, with its type, as ``<what> scene <id>: ...``:
+    a batch that raises is detected again one scene at a time to find the
+    scene."""
+    it = iter(encoded)
+    while batch := list(islice(it, ENCODE_BATCH)):
         try:
-            dets = detect(enc, params)
-        except ValueError as exc:
-            raise type(exc)(f"{what} scene {scene.id}: {exc}") from exc
-        yield scene, dets
+            dets = detect_batch([enc for _, enc in batch], params)
+        except ValueError:
+            for scene, enc in batch:
+                try:
+                    detect_batch([enc], params)
+                except ValueError as exc:
+                    raise type(exc)(f"{what} scene {scene.id}: {exc}") from exc
+            raise
+        yield from zip([scene for scene, _ in batch], dets)
 
 
 def detect_and_score(encoded: Iterable[tuple[Scene, SceneEncoding]], params: DetectorParams,
@@ -322,12 +356,13 @@ def detect_and_score(encoded: Iterable[tuple[Scene, SceneEncoding]], params: Det
     """Detect every scene of the ``(scene, encoding)`` pairs ``encoded`` and
     score its detections against its labels (AP40).
 
-    ``encoded`` may be any iterable, a generator included. Each scene is
-    detected as its pair is drawn and scored before the next is drawn, so a
-    caller can encode a batch at a time, and no pass holds every encoding or
-    every scene's detections at the same time. ``what`` names the pass in
-    errors: a detection's ValueError is re-raised, with its type, as
-    ``<what> scene <id>: ...``.
+    ``encoded`` may be any iterable, a generator included. Its pairs are
+    drawn and detected ``ENCODE_BATCH`` at a time, one :func:`detect_batch`
+    call each, and every scene of a batch is scored before the next batch is
+    drawn, so a caller can encode a batch at a time, and no pass holds every
+    encoding or every scene's detections at the same time. ``what`` names
+    the pass in errors: a detection's ValueError is re-raised, with its
+    type, as ``<what> scene <id>: ...``.
     """
     return evaluate_scenes(_detect_each(encoded, params, what))
 
@@ -376,13 +411,24 @@ def ssl_epoch(
     """
     metrics = EpochMetrics(epoch=state.epoch)
 
-    # stage 1: the teacher pass
+    # stage 1: the teacher pass. Each scene keeps its pseudo-boxes and its
+    # detections' (D, C, 7) channel boxes, whose consistencies are then
+    # computed for the whole pass in one call
     channel_pairs = PairCounter()
-    strata = []
+    strata, channel_boxes = [], []
     for scene, dets in _detect_each(unlabeled, state.teacher, "teacher"):
-        strata.append((scene, [pseudo_from_detection(d, channel_pairs) for d in dets]))
+        strata.append((scene, [PseudoBox(d.box, d.predicted_class, d.p_hat, d.objectness, 0.0)
+                               for d in dets]))
+        if dets:
+            channel_boxes.append(np.array([d.per_channel_boxes for d in dets], dtype=np.float64))
         # what the all-pairs baseline would evaluate: N^2 per scene
         metrics.pairing_pair_evals += len(dets) ** 2
+    if channel_boxes:
+        consistencies = channel_consistencies(np.concatenate(channel_boxes), channel_pairs)
+        for pb, iou_cons in zip([pb for _, group in strata for pb in group],
+                                consistencies.tolist()):
+            pb.iou_cons = iou_cons
+    del channel_boxes  # not held through the student steps
     metrics.channel_pair_evals = channel_pairs.count
 
     # stage 2: levels
@@ -401,10 +447,8 @@ def ssl_epoch(
         metrics.n_high += sum(pb.level == LEVEL_HIGH for pb in strat)
         metrics.n_ambiguous += sum(pb.level == LEVEL_AMBIGUOUS for pb in strat)
         metrics.n_low += sum(pb.level == LEVEL_LOW for pb in strat)
-        if scene.gt_boxes:
-            prefilter, postfilter = pseudo_quality(strat, scene.gt_boxes, scene.gt_classes)
-            metrics.incorrect_prefilter += prefilter
-            metrics.incorrect_postfilter += postfilter
+    metrics.incorrect_prefilter, metrics.incorrect_postfilter = pseudo_quality(
+        [(strat, scene.gt_boxes, scene.gt_classes) for scene, strat in strata if scene.gt_boxes])
     # class-mean thresholds, as a compact diagnostic
     means = np.mean([[*t.p_hat, *t.o_hat, *t.iou_cons] for t in thr.values()], axis=0)
     (metrics.thr_p_low, metrics.thr_p_high, metrics.thr_o_low, metrics.thr_o_high,

@@ -6,9 +6,10 @@ three-way partitioning by exhaustive search (and, as it counted distinct
 values with ``np.unique``, by :func:`unique_three_partition`), BEV alignment by a dense
 bilinear lookup that gathers and weights every query point, connected
 components by a flood fill, RoI pooling by a test of every voxel,
-proposals by a scan of every BEV cell and a box fit per component, NMS and
-best-match by the exact IoU of every pair, and scoring and training one
-proposal, channel, example and box at a time with ``math`` functions.
+proposals by a scan of every BEV cell and a box fit per component, NMS,
+best-match, the channel IoU consistency and the pseudo-box quality counts by
+the exact scalar IoU of every pair, and scoring and training one proposal,
+channel, example and box at a time with ``math`` functions.
 
 It also holds the scalar box map (:func:`scalar_apply_box`), half-turn
 yaw alignment (:func:`align_yaw_to_anchor`) and patch shuffle
@@ -61,7 +62,6 @@ from cadet3d.evaluation import (
     EvalResult,
     ap40,
     match_detections,
-    pseudo_quality,
 )
 from cadet3d.geometry import (
     Box3D,
@@ -522,6 +522,33 @@ def scalar_best_match(box: Box3D, candidates, skip=()) -> tuple[float, int]:
     return best_iou, best_idx
 
 
+def scalar_channel_iou_consistency(boxes) -> float:
+    """Mean ``iou_3d`` over the pairs of a detection's channel boxes, one pair
+    at a time: channel i against each later channel j, summed in that order;
+    1.0 for fewer than two channels."""
+    if len(boxes) < 2:
+        return 1.0
+    total, pairs = 0.0, 0
+    for i in range(len(boxes)):
+        for j in range(i + 1, len(boxes)):
+            total += iou_3d(boxes[i], boxes[j])
+            pairs += 1
+    return total / pairs
+
+
+def scalar_pseudo_quality(pseudo_boxes, gt_boxes, gt_classes) -> tuple[int, int]:
+    """One scene's ``(prefilter, postfilter)`` incorrect pseudo-box counts,
+    each pseudo-box matched by :func:`scalar_best_match`."""
+    prefilter = postfilter = 0
+    for pb in pseudo_boxes:
+        iou, gi = scalar_best_match(pb.box, gt_boxes)
+        if gi < 0 or gt_classes[gi] != pb.cls or iou < IOU_THRESHOLDS[pb.cls - 1]:
+            prefilter += 1
+            if pb.level in (LEVEL_HIGH, LEVEL_AMBIGUOUS):
+                postfilter += 1
+    return prefilter, postfilter
+
+
 def scalar_nms(dets, iou_thresh: float) -> list[int]:
     """Greedy suppression of (box, score) pairs by the exact BEV IoU of every
     pair; kept indices in descending score, ties to the earlier index."""
@@ -734,7 +761,7 @@ def stepwise_ssl_epoch(
         metrics.n_ambiguous += sum(pb.level == LEVEL_AMBIGUOUS for pb in strat)
         metrics.n_low += sum(pb.level == LEVEL_LOW for pb in strat)
         if scene.gt_boxes:
-            prefilter, postfilter = pseudo_quality(strat, scene.gt_boxes, scene.gt_classes)
+            prefilter, postfilter = scalar_pseudo_quality(strat, scene.gt_boxes, scene.gt_classes)
             metrics.incorrect_prefilter += prefilter
             metrics.incorrect_postfilter += postfilter
         low_boxes = [pb.box for pb in strat if pb.level == LEVEL_LOW]

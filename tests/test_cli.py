@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import cadet3d
-from cadet3d import cli, data, detector, selftrain
+import reference
+from cadet3d import cli, data, detector, geometry, selftrain
 from cadet3d.cli import main
 from cadet3d.config import RunConfig
 from cadet3d.detector import DetectorParams, load_params, save_params
@@ -625,7 +626,11 @@ class TestImports:
 class TestWorkCounts:
     """Weak-policy scenes are encoded once per command, however many passes
     score them; strong-channel student steps encode anew, ``ENCODE_BATCH``
-    steps per ``encode_batch`` call."""
+    steps per ``encode_batch`` call. Every weak-channel pass detects
+    ``ENCODE_BATCH`` scenes per ``detect_batch`` call, and the teacher pass
+    and the levels (stages 1-2 of ``ssl_epoch``) clip no box pair with the
+    scalar ``_bev_overlap`` outside detection: the channel consistencies and
+    the pseudo-box quality counts go through the array IoU."""
 
     def counting(self, monkeypatch, module, name):
         """Calls of ``module.name``; a ``voxelize`` call counts once per slot
@@ -707,6 +712,75 @@ class TestWorkCounts:
                 assert n - e * n_unlabeled <= k * batch
                 assert n - e * n_unlabeled == min(k * batch // 2, n_unlabeled)
         assert built == epochs * n_unlabeled
+
+
+    @staticmethod
+    def ceil(n):
+        return -(-n // detector.ENCODE_BATCH)
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Per ``detect_batch`` call its batch size, and the scalar overlaps of
+        stages 1-2 made outside detection, as they happen."""
+        counts = {"batches": [], "stage": None, "detecting": False, "clipped": 0}
+        original = {name: getattr(mod, name) for mod, name in (
+            (selftrain, "detect_batch"), (selftrain, "train_on_scene"), (cli, "ssl_epoch"),
+            (geometry, "_bev_overlap"))}
+
+        def detect_batch(encs, params):
+            counts["batches"].append(len(encs))
+            counts["detecting"] = True
+            try:
+                return original["detect_batch"](encs, params)
+            finally:
+                counts["detecting"] = False
+
+        def ssl_epoch(*args, **kwargs):
+            counts["stage"] = "teacher and levels"
+            return original["ssl_epoch"](*args, **kwargs)
+
+        def train_on_scene(*args):
+            counts["stage"] = "student"
+            return original["train_on_scene"](*args)
+
+        def bev_overlap(a, b):
+            if counts["stage"] == "teacher and levels" and not counts["detecting"]:
+                counts["clipped"] += 1
+            return original["_bev_overlap"](a, b)
+
+        monkeypatch.setattr(selftrain, "detect_batch", detect_batch)
+        monkeypatch.setattr(selftrain, "train_on_scene", train_on_scene)
+        monkeypatch.setattr(cli, "ssl_epoch", ssl_epoch)
+        monkeypatch.setattr(geometry, "_bev_overlap", bev_overlap)
+        return counts
+
+    def test_weak_passes_detect_in_batches(self, small_env, counted):
+        tmp, cfg = small_env
+        main(["gen-data", "--config", str(cfg)])
+        n_labeled, n_unlabeled, n_val, pretrain_epochs, epochs = 2, 10, 4, 2, 1
+        assert main(["pretrain", "--config", str(cfg)]) == 0
+        assert len(counted["batches"]) == (pretrain_epochs + 1) * self.ceil(n_labeled)
+        counted["batches"].clear()
+        assert main(["ssl-train", "--config", str(cfg)]) == 0
+        passes = [n_unlabeled, n_val] * epochs  # the teacher pass, then the val pass
+        assert counted["batches"] == [min(detector.ENCODE_BATCH, n - k)
+                                      for n in passes for k in range(0, n, detector.ENCODE_BATCH)]
+        assert counted["clipped"] == 0
+        counted["batches"].clear()
+        assert main(["eval", "--config", str(cfg), "--params",
+                     str(tmp / "run" / "pretrain.params")]) == 0
+        assert len(counted["batches"]) == self.ceil(n_val)
+
+    def test_scalar_consistency_would_be_counted(self, small_env, counted, monkeypatch):
+        # with the pair-by-pair consistency, stages 1-2 clip pairs one at a
+        # time, and the count above sees them
+        tmp, cfg = small_env
+        main(["gen-data", "--config", str(cfg)])
+        main(["pretrain", "--config", str(cfg)])
+        monkeypatch.setattr(selftrain, "channel_consistencies", lambda boxes, counter: np.array(
+            [reference.scalar_channel_iou_consistency(chans) for chans in boxes.tolist()]))
+        assert main(["ssl-train", "--config", str(cfg)]) == 0
+        assert counted["clipped"] > 0
 
 
 class TestAtomicOutputs:

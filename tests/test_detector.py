@@ -32,6 +32,7 @@ from cadet3d.detector import (
     _connected_components,
     build_training_examples,
     detect,
+    detect_batch,
     encode_batch,
     load_params,
     loss_and_grads,
@@ -131,7 +132,7 @@ class TestPropose:
         _, pc = grid_with_cluster(rng, box)
         params = DetectorParams.zeros()
         params.w_cls[:] = np.linspace(-1, 1, params.w_cls.size).reshape(params.w_cls.shape)
-        keep, scores = score_proposals(encode(pc, CONFIG.weak_policy(1)), params)
+        keep, scores = score_proposals([encode(pc, CONFIG.weak_policy(1))], params)[0]
         assert len(keep) == len(scores) > 0
         for row in scores:
             assert row.sum() == pytest.approx(1.0, abs=1e-6)
@@ -582,12 +583,12 @@ class TestRefine:
         pts = box_surface_points(rng, box, n=300)
         pc = PointCloud(pts, rng.random(300))
         enc = encode(pc, CONFIG.weak_policy(3))
-        keep, scores = score_proposals(enc, DetectorParams.zeros())
+        keep, scores = score_proposals([enc], DetectorParams.zeros())[0]
         return box, enc, keep, scores
 
     def test_zero_regression_passes_proposal_through(self, rng):
         box, enc, keep, scores = self.setup_scene(rng)
-        boxes, channel_boxes, _ = refine(enc, keep, scores, DetectorParams.zeros())
+        boxes, channel_boxes, _ = refine([enc], [keep], scores, DetectorParams.zeros())
         assert len(boxes) == len(channel_boxes) == len(keep) > 0
         for row, chans, i in zip(boxes, channel_boxes, keep):
             for chan in chans:
@@ -599,7 +600,7 @@ class TestRefine:
         params = DetectorParams.zeros()
         params.w_reg[:] = 0.01
         params.w_obj[:] = 0.1
-        boxes, channel_boxes, objectness = refine(enc, keep, scores, params)
+        boxes, channel_boxes, objectness = refine([enc], [keep], scores, params)
         assert channel_boxes.shape == (len(keep), len(enc.transforms), BOX_DIM)
         for row, chans, obj in zip(boxes, channel_boxes, objectness):
             agg = average_boxes([Box3D(*c) for c in chans.tolist()])
@@ -624,9 +625,9 @@ class TestRefine:
 
     def test_empty_encoding(self):
         enc = encode(PointCloud.empty(), CONFIG.weak_policy(3))
-        keep, scores = score_proposals(enc, DetectorParams.zeros())
+        keep, scores = score_proposals([enc], DetectorParams.zeros())[0]
         assert keep == [] and scores.shape == (0, 4)
-        boxes, channel_boxes, objectness = refine(enc, keep, scores, DetectorParams.zeros())
+        boxes, channel_boxes, objectness = refine([enc], [keep], scores, DetectorParams.zeros())
         assert boxes.shape == (0, 7) and channel_boxes.shape == (0, 3, 7)
         assert objectness.shape == (0,)
         assert detect(enc, DetectorParams.zeros()) == []
@@ -671,7 +672,7 @@ class TestScoringOracle:
     def test_score_proposals(self, seed, policy):
         _, enc = self.encoded(seed, policy)
         params = random_params(np.random.default_rng(seed))
-        keep, scores = score_proposals(enc, params)
+        keep, scores = score_proposals([enc], params)[0]
         want = scalar_score_proposals(enc, params)
         assert [enc.boxes[i].tobytes() for i in keep] == [field_bits(p.box) for p in want]
         assert scores.shape == (len(want), len(params.w_cls))
@@ -720,6 +721,60 @@ class TestScoringOracle:
             assert all(type(v) is float for row in d.per_channel_boxes for v in row)
         rows = [ex.anchors for ex in batch] + [ex.targets for ex in batch if ex.targets is not None]
         assert all(r.dtype == np.float64 and r.shape == (4, BOX_DIM) for r in rows)
+
+
+def detection_bits(dets):
+    """Every bit of a detection list: boxes, channel boxes, scores, objectness."""
+    return [(box_rows([d.box]).tobytes(), box_rows(d.per_channel_boxes).tobytes(),
+             d.class_scores.tobytes(), np.float64(d.objectness).tobytes()) for d in dets]
+
+
+class TestDetectBatch:
+    """``detect_batch`` scores a batch in one classifier ``einsum`` and one
+    ``refine``: each encoding's detections have the bits of detecting it
+    alone, and equal ``scalar_detect`` (same detections, same NMS order) at
+    the tolerance. Batches mix weak and strong transforms of one channel
+    count and hold scenes without proposals."""
+
+    @staticmethod
+    def encodings(seed, n):
+        rng = np.random.default_rng(seed)
+        encs = []
+        for k in range(n):
+            cloud = (PointCloud.empty() if k % 3 == 1
+                     else synth_scene(int(rng.integers(0, 10_000)), SynthConfig()).cloud)
+            transforms = (CONFIG.weak_policy(3) if k % 2 == 0
+                          else strong_channels(replace(CONFIG, n_channels=3), seed * 10 + k))
+            encs.append(encode(cloud, transforms))
+        return encs
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_equals_one_at_a_time(self, seed, n):
+        encs = self.encodings(seed, n)
+        assert n < 2 or any(len(enc.boxes) == 0 for enc in encs)
+        rng = np.random.default_rng(seed)
+        for reg_scale in (0.0, 0.05, 0.3):
+            params = random_params(rng, reg_scale)
+            batched = detect_batch(encs, params)
+            assert len(batched) == n and (n == 0 or any(batched))
+            for enc, got in zip(encs, batched):
+                assert detection_bits(got) == detection_bits(detect(enc, params))
+                want = scalar_detect(enc, params)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert_boxes_close(g.box.as_array(), w.box.as_array())
+                    assert_boxes_close(box_rows(g.per_channel_boxes),
+                                       box_rows(w.per_channel_boxes))
+                    assert_close(g.class_scores, w.class_scores)
+                    assert_close(g.objectness, w.objectness)
+
+    def test_batch_order_keeps_bits(self):
+        encs = self.encodings(7, 5)
+        params = random_params(np.random.default_rng(7))
+        forward = detect_batch(encs, params)
+        backward = detect_batch(encs[::-1], params)[::-1]
+        assert [detection_bits(d) for d in forward] == [detection_bits(d) for d in backward]
 
 
 def runtime_warnings(fn, *args):

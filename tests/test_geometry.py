@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from unittest import mock
 
 from cadet3d import geometry
+from cadet3d.evaluation import match_detections
 from cadet3d.geometry import (
     Box3D,
     PointCloud,
@@ -19,6 +20,7 @@ from cadet3d.geometry import (
     average_box_rows,
     average_boxes,
     best_match,
+    bev_overlap_rows,
     box_rows,
     check_boxes,
     compose,
@@ -28,6 +30,7 @@ from cadet3d.geometry import (
     encode_residuals,
     invert,
     iou_3d,
+    iou_3d_rows,
     iou_bev,
     nms,
     overlap_candidates,
@@ -283,6 +286,30 @@ class TestIou:
             )
 
 
+# a pair with a crossing segment that runs parallel to a clip edge: its ends
+# differ in side only within the inside test's tolerance
+PARALLEL_CROSSING = (
+    Box3D(0.9561099184857604, -0.21292906772801112, 0, 1.0, 1, 1e-4, 2.1507245392837504),
+    Box3D(0.6821005763868146, 0.20536375188942263, 0, 1.0, 1, 1.0, 2.1507245392837504),
+)
+
+
+class TestParallelCrossing:
+    """A crossing segment parallel to its clip edge crosses it at its start,
+    on the scalar and the array path alike, so the exact IoU is defined."""
+
+    def test_scalar_and_array_paths(self):
+        for a, b in (PARALLEL_CROSSING, PARALLEL_CROSSING[::-1]):
+            for value in (iou_3d(a, b), iou_bev(a, b)):
+                assert math.isfinite(value) and 0.0 <= value <= 1.0
+            TestArrayOverlapOracle.assert_rows_equal([a], [b])
+
+    def test_matching(self):
+        a, b = PARALLEL_CROSSING
+        flags, _ = match_detections([a], [0.5], [b], 0.5)
+        assert len(flags) == 1
+
+
 def first_match(box, cands, skip=()):
     return next(best_match(box_rows([box]), box_rows(cands), skip))
 
@@ -465,6 +492,56 @@ class TestOverlapOracle:
         rows = np.array([[0, 0, 0, 1, 1, 1, 0], [math.nan, 0, 0, 1, 1, 1, 0],
                          [1e308, 1e308, 0, 1e308, 1, 1e308, 0]])
         assert overlap_candidates(rows, rows)[:, 1:].all()
+
+
+class TestArrayOverlapOracle:
+    """``bev_overlap_rows`` and ``iou_3d_rows`` equal the scalar
+    ``_bev_overlap`` and ``iou_3d`` bit for bit, each pair in both
+    orientations, and so the ``iou_bev`` of the array overlaps equals the
+    scalar ``iou_bev``."""
+
+    @staticmethod
+    def assert_rows_equal(a, b):
+        ra, rb = box_rows(a), box_rows(b)
+        overlaps = bev_overlap_rows(ra, rb)
+        for got, want in zip(overlaps, zip(*map(_bev_overlap, a, b))):
+            assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        want = np.array(list(map(iou_3d, a, b)), dtype=np.float64).reshape(-1)
+        assert iou_3d_rows(ra, rb).tobytes() == want.tobytes()
+        # iou_bev reads nothing but _bev_overlap's three areas
+        triples = iter(zip(*(v.tolist() for v in overlaps)))
+        with mock.patch.object(geometry, "_bev_overlap", lambda *_: next(triples)):
+            got = [iou_bev(x, y) for x, y in zip(a, b)]
+        assert got == list(map(iou_bev, a, b))
+
+    @given(box_sets(), box_sets())
+    @settings(max_examples=150)
+    def test_box_sets(self, a, b):
+        bs = a + b
+        pairs = [(i, j) for i in range(len(bs)) for j in range(len(bs))]
+        self.assert_rows_equal([bs[i] for i, _ in pairs], [bs[j] for _, j in pairs])
+
+    def test_circumcircles_that_touch(self, rng):
+        # boxes of length |dx| and width |dy| whose centers lie (dx, dy)
+        # apart: their circumradii sum to exactly math.hypot(dx, dy), the
+        # distance, so the reject turns on the last bit of that hypot, where
+        # numpy's hypot differs from it for some pairs
+        pairs = []
+        for dx, dy, r1, r2 in rng.uniform(0.05, 3.0, (2000, 4)).tolist():
+            a = Box3D(0.0, 0.0, 0.0, dy, 1.0, dx, r1)
+            pairs.append((a, Box3D(dx, dy, 0.0, dy, 1.0, dx, r2)))
+        self.assert_rows_equal(*zip(*pairs))
+
+    def test_more_pairs_than_a_chunk(self, rng):
+        n = 2 * geometry.PAIR_CHUNK + 37
+        a = [random_box(rng, spread=1.5) for _ in range(n)]
+        b = [random_box(rng, spread=1.5) for _ in range(n)]
+        self.assert_rows_equal(a, b)
+
+    def test_no_pairs(self):
+        empty = np.zeros((0, 7))
+        assert [v.shape for v in bev_overlap_rows(empty, empty)] == [(0,)] * 3
+        assert iou_3d_rows(empty, empty).shape == (0,)
 
 
 class TestResiduals:

@@ -22,6 +22,7 @@ from cadet3d.selftrain import (
     PairCounter,
     PseudoBox,
     SslState,
+    channel_consistencies,
     channel_iou_consistency,
     detect_and_score,
     ema_update,
@@ -38,6 +39,7 @@ from conftest import random_box
 from reference import (
     brute_force_three_partition,
     encode,
+    scalar_channel_iou_consistency,
     stepwise_ssl_epoch,
     unique_three_partition,
 )
@@ -91,6 +93,34 @@ class TestChannelConsistency:
                     got = channel_iou_consistency(replace(det, per_channel_boxes=rows), got_counter)
                     assert np.float64(got).tobytes() == np.float64(want).tobytes()
                     assert got_counter.count == counter.count == math.comb(n_ch, 2)
+
+    def test_pass_equals_pair_by_pair(self, rng):
+        # one call over a pass's (D, C, 7) rows: near and far channel boxes,
+        # identical ones and boxes far apart in z, against the scalar loop
+        for n_ch in (1, 2, 3, 4):
+            dets = []
+            for _ in range(60):
+                base = random_box(rng, spread=1.0)
+                chans = [base]
+                for _ in range(n_ch - 1):
+                    kind = rng.integers(0, 4)
+                    if kind == 0:
+                        chans.append(base)
+                    elif kind == 1:
+                        jitter = rng.normal(0.0, 0.05, 7)
+                        jitter[3:6] = np.abs(jitter[3:6])
+                        chans.append(Box3D(*(box_rows([base])[0] + jitter)))
+                    elif kind == 2:
+                        chans.append(Box3D(base.cx, base.cy, base.cz + 10.0, *base[3:]))
+                    else:
+                        chans.append(random_box(rng, spread=1.0))
+                dets.append(chans)
+            counter = PairCounter()
+            got = channel_consistencies(box_rows(dets).reshape(len(dets), n_ch, 7), counter)
+            want = np.array([scalar_channel_iou_consistency(chans) for chans in dets])
+            assert got.tobytes() == want.tobytes()
+            assert counter.count == len(dets) * math.comb(n_ch, 2)
+        assert channel_consistencies(np.zeros((0, 3, 7))).shape == (0,)
 
     def test_linear_scaling_in_detections(self, rng):
         for n_dets in (10, 100):
@@ -419,8 +449,9 @@ class TestSslEpoch:
         assert all(isinstance(t, DualThresholds) for t in state.thresholds.values())
 
     def test_levels_and_counts_settled_before_the_first_step(self, monkeypatch):
-        # every scene is stratified and counted before any student step reads
-        # a cloud, so no count is a side effect of drawing the steps
+        # every scene is stratified, and all are counted in one call, before
+        # any student step reads a cloud, so no count is a side effect of
+        # drawing the steps
         calls = []
 
         def recorded(name):
@@ -434,27 +465,29 @@ class TestSslEpoch:
         ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg,
                   lambda scene: calls.append("read_cloud") or scene.cloud)
         first_read = calls.index("read_cloud")
-        assert calls[:first_read] == ["stratify", "pseudo_quality"] * len(unlabeled)
+        assert calls[:first_read] == ["stratify"] * len(unlabeled) + ["pseudo_quality"]
         assert set(calls[first_read:]) == {"read_cloud"}
 
 
 class TestPairsNameTheirScene:
     """A detection that fails names the scene paired with the encoding it
-    ran on: ``selftrain.detect`` raises on the k-th encoding drawn."""
+    ran on: ``selftrain.detect_batch`` raises on any batch that holds the
+    k-th encoding drawn, so the batch holding it fails first and then that
+    encoding alone."""
 
     @pytest.fixture
     def fail_at(self, monkeypatch):
         def arm(k):
-            calls = []
-            original = selftrain.detect
+            drawn = []
+            original = selftrain.detect_batch
 
-            def detect(enc, params):
-                calls.append(enc)
-                if len(calls) == k + 1:
+            def detect_batch(encs, params):
+                drawn.extend(enc for enc in encs if all(enc is not d for d in drawn))
+                if len(drawn) > k and any(enc is drawn[k] for enc in encs):
                     raise ValueError("boom")
-                return original(enc, params)
+                return original(encs, params)
 
-            monkeypatch.setattr(selftrain, "detect", detect)
+            monkeypatch.setattr(selftrain, "detect_batch", detect_batch)
         return arm
 
     @pytest.mark.parametrize("k", [0, 2])
