@@ -235,13 +235,13 @@ def read_bin_cloud(path) -> PointCloud:
             f"{path}: truncated record at byte {len(raw) - len(raw) % 16} (length {len(raw)})"
         )
     arr = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
-    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
-    if len(bad):
-        raise BinFormatError(f"{path}: non-finite value in record at byte {16 * bad[0]}")
-    bad = np.flatnonzero((arr[:, 3] < 0.0) | (arr[:, 3] > 1.0))
-    if len(bad):
-        raise BinFormatError(f"{path}: intensity {float(arr[bad[0], 3])} outside [0, 1] "
-                             f"in record at byte {16 * bad[0]}")
+    if not np.isfinite(arr).all():  # whole-array tests; the bad record is sought on failure
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]
+        raise BinFormatError(f"{path}: non-finite value in record at byte {16 * bad}")
+    if len(arr) and not 0.0 <= arr[:, 3].min() <= arr[:, 3].max() <= 1.0:
+        bad = np.flatnonzero((arr[:, 3] < 0.0) | (arr[:, 3] > 1.0))[0]
+        raise BinFormatError(f"{path}: intensity {float(arr[bad, 3])} outside [0, 1] "
+                             f"in record at byte {16 * bad}")
     return PointCloud(arr[:, :3].astype(np.float64), arr[:, 3].astype(np.float64))
 
 

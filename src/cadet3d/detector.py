@@ -36,8 +36,9 @@ over all rows at once. Each row is computed as in a batch of one, so the
 batching keeps every bit. :func:`loss_and_grads` stacks its examples the same
 way. ``nms`` and ``best_match`` test exact IoU only on the pairs that pass an
 array circumradius pre-reject. Boxes travel as (N, 7) rows:
-:func:`detect_batch` builds one :class:`Box3D` per detection, its averaged
-box, and training examples hold their (C, 7) anchor and target rows. Scoring
+:func:`detect_batch` returns each scene's detections as the read-only rows of
+a :class:`SceneDetections`, and training examples hold their (C, 7) anchor
+and target rows; no :class:`Box3D` is built. Scoring
 and training run with numpy's overflow and invalid-value warnings off: the
 finiteness checks on scores, boxes and losses decide what a non-finite value
 means.
@@ -206,24 +207,50 @@ class SceneEncoding:
             arr.setflags(write=False)
 
 
+class _Scored:
+    """``p_hat``, ``predicted_class`` and ``confidence`` of the last axis of
+    ``class_scores`` (column 0 the background) and of ``objectness``: numpy
+    scalars for one detection, (D,) arrays for D."""
+
+    @property
+    def p_hat(self):
+        return self.class_scores[..., 1:].max(axis=-1)
+
+    @property
+    def predicted_class(self):
+        return self.class_scores[..., 1:].argmax(axis=-1) + 1
+
+    @property
+    def confidence(self):
+        return self.p_hat * self.objectness
+
+
 @dataclass
-class Detection:
+class Detection(_Scored):
+    """One detection as objects, for one-detection callers."""
+
     box: Box3D  # the average of ``per_channel_boxes``
     per_channel_boxes: Sequence[Sequence[float]]  # (C, 7) rows, canonical frame
     class_scores: np.ndarray
     objectness: float
 
-    @property
-    def p_hat(self) -> float:
-        return float(self.class_scores[1:].max())
 
-    @property
-    def predicted_class(self) -> int:
-        return int(self.class_scores[1:].argmax()) + 1
+@dataclass(frozen=True)
+class SceneDetections(_Scored):
+    """One scene's D detections, in final-NMS order, as read-only float64
+    rows: row i of each array is detection i."""
 
-    @property
-    def confidence(self) -> float:
-        return self.p_hat * self.objectness
+    boxes: np.ndarray  # (D, 7) the averages of ``channel_boxes``
+    channel_boxes: np.ndarray  # (D, C, 7) canonical frame
+    class_scores: np.ndarray  # (D, K+1)
+    objectness: np.ndarray  # (D,)
+
+    def __post_init__(self) -> None:
+        for arr in (self.boxes, self.channel_boxes, self.class_scores, self.objectness):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.boxes)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -582,9 +609,10 @@ def refine(
     return boxes, channel_boxes, obj.mean(axis=1)
 
 
-def detect_batch(encs: Sequence[SceneEncoding], params: DetectorParams) -> list[list[Detection]]:
+def detect_batch(encs: Sequence[SceneEncoding], params: DetectorParams
+                 ) -> list[SceneDetections]:
     """Score encoded scenes of one channel count: per encoding, its
-    canonical-frame, NMS-deduplicated detections.
+    canonical-frame, NMS-deduplicated detections as rows.
 
     The batch is scored in one :func:`score_proposals` call and refined in
     one :func:`refine` call over the kept rows of every encoding; the
@@ -602,14 +630,14 @@ def detect_batch(encs: Sequence[SceneEncoding], params: DetectorParams) -> list[
     out, m0 = [], 0
     for keep in keeps:
         m1 = m0 + len(keep)
-        out.append([Detection(Box3D(*boxes[m0 + i].tolist()), channel_boxes[m0 + i].tolist(),
-                              class_scores[m0 + i], float(objectness[m0 + i]))
-                    for i in nms(boxes[m0:m1], confidence[m0:m1], FINAL_NMS_IOU)])
+        rows = m0 + np.array(nms(boxes[m0:m1], confidence[m0:m1], FINAL_NMS_IOU), dtype=np.int64)
+        out.append(SceneDetections(boxes[rows], channel_boxes[rows], class_scores[rows],
+                                   objectness[rows]))
         m0 = m1
     return out
 
 
-def detect(enc: SceneEncoding, params: DetectorParams) -> list[Detection]:
+def detect(enc: SceneEncoding, params: DetectorParams) -> SceneDetections:
     """Score an encoded scene: :func:`detect_batch` of one encoding."""
     return detect_batch([enc], params)[0]
 

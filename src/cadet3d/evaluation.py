@@ -1,45 +1,18 @@
-"""Detection metrics: 40-point interpolated average precision, per-class
+"""Detection metrics: 40-point interpolated average precision, same-class
 matching, and pseudo-box quality counting."""
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box3D, best_match, box_rows, iou_3d_rows, overlap_candidates
+from .geometry import best_match, box_rows, iou_3d_rows, overlap_candidates
 
 # 3D IoU a true positive needs; entry k is class id k + 1 (Car, Pedestrian, Cyclist)
 IOU_THRESHOLDS = (0.7, 0.5, 0.5)
 # AP40: precision is interpolated at recall 1/40, 2/40, ..., 40/40
 RECALL_POSITIONS = 40
-
-
-def match_detections(
-    det_boxes: list[Box3D],
-    det_scores: list[float],
-    gt_boxes: list[Box3D],
-    iou_thresh: float,
-) -> tuple[list[bool], list[tuple[int, int]]]:
-    """Greedy same-class matching within one scene.
-
-    Detections are visited in descending confidence (ties keep input order);
-    each claims its highest-IoU unmatched ground-truth box if the IoU reaches
-    the threshold (ties break toward the lower GT index). Returns TP flags in
-    visit order plus (detection index, GT index) pairs.
-    """
-    order = sorted(range(len(det_boxes)), key=lambda i: (-det_scores[i], i))
-    taken: set[int] = set()
-    flags: list[bool] = []
-    pairs: list[tuple[int, int]] = []
-    matches = best_match(box_rows(det_boxes)[order], box_rows(gt_boxes), skip=taken)
-    for di, (iou, gi) in zip(order, matches):
-        if gi >= 0 and iou >= iou_thresh:
-            taken.add(gi)
-            flags.append(True)
-            pairs.append((di, gi))
-        else:
-            flags.append(False)
-    return flags, pairs
 
 
 def ap40(tp_flags: list[bool], n_gt: int, positions: int = RECALL_POSITIONS) -> float | None:
@@ -56,14 +29,10 @@ def ap40(tp_flags: list[bool], n_gt: int, positions: int = RECALL_POSITIONS) -> 
         return 0.0
     tp = np.cumsum(np.asarray(tp_flags, dtype=np.float64))
     fp = np.cumsum(~np.asarray(tp_flags, dtype=bool))
-    recall = tp / n_gt
-    precision = tp / (tp + fp)
-    total = 0.0
-    for k in range(1, positions + 1):
-        r = k / positions
-        at_least = precision[recall >= r]
-        total += float(at_least.max()) if len(at_least) else 0.0
-    return total / positions
+    recall = tp / n_gt  # non-decreasing, so the rows reaching a recall are a suffix
+    precision = np.append(np.maximum.accumulate((tp / (tp + fp))[::-1])[::-1], 0.0)
+    first = np.searchsorted(recall, np.arange(1, positions + 1) / positions)
+    return sum(precision[first].tolist()) / positions  # summed in recall order
 
 
 @dataclass
@@ -77,32 +46,38 @@ class EvalResult:
 
 
 def evaluate_scenes(detected) -> EvalResult:
-    """Dataset-level per-class AP40 over ``(scene, detections)`` pairs, each
-    scene's detection list scored against its labels.
+    """Dataset-level per-class AP40 over ``(scene, SceneDetections)`` pairs,
+    any iterable, drawn one scene at a time once the previous scene is
+    matched; only each class's (confidence, scene, visit, TP flag) tallies
+    and GT count are kept, so no caller need hold every scene's detections.
 
-    ``detected`` may be any iterable, a generator included: it is drawn one
-    scene at a time, the next pair only once the previous scene is matched,
-    and only each class's (confidence, scene, rank, TP flag) tallies and GT
-    count are kept, so no caller need hold every scene's detections.
-
-    Detections rank by p_hat * objectness. Matching happens within each scene,
-    so flags can be merged across scenes and sorted globally without changing
-    which detection claims which box.
+    Detections rank by p_hat * objectness. A scene is matched in one
+    :func:`best_match` pass, in descending confidence (ties in row order),
+    over one :func:`overlap_candidates` table masked to same-class pairs:
+    each detection claims its best unclaimed label whose IoU reaches its
+    class threshold. As classes share no label, this is class-by-class
+    matching, and flags merged across scenes sort globally as they would
+    per class.
     """
     classes = range(1, len(IOU_THRESHOLDS) + 1)
-    scored: dict[int, list[tuple[float, int, int, bool]]] = {c: [] for c in classes}
-    n_gt = dict.fromkeys(classes, 0)
+    scored: dict[int, list[tuple[float, int, int, bool]]] = defaultdict(list)
+    n_gt: Counter[int] = Counter()
     for si, (scene, dets) in enumerate(detected):
-        predicted = [d.predicted_class for d in dets]
-        confidence = [d.confidence for d in dets]
-        for cls_id, iou_thresh in zip(classes, IOU_THRESHOLDS):
-            gts = [b for b, c in zip(scene.gt_boxes, scene.gt_classes) if c == cls_id]
-            n_gt[cls_id] += len(gts)
-            sub = [i for i, c in enumerate(predicted) if c == cls_id]
-            confs = [confidence[i] for i in sub]
-            flags, _ = match_detections([dets[i].box for i in sub], confs, gts, iou_thresh)
-            for di, (conf, flag) in enumerate(zip(sorted(confs, reverse=True), flags)):
-                scored[cls_id].append((conf, si, di, flag))
+        n_gt.update(scene.gt_classes)
+        if not len(dets):
+            continue
+        predicted, confidence = dets.predicted_class, dets.confidence
+        truths = box_rows(scene.gt_boxes)
+        order = np.argsort(-confidence, kind="stable")
+        near = overlap_candidates(dets.boxes, truths) & (predicted[:, None] == scene.gt_classes)
+        taken: set[int] = set()
+        for visit, (cls, conf, (iou, gi)) in enumerate(zip(
+                predicted[order].tolist(), confidence[order].tolist(),
+                best_match(dets.boxes[order], truths, taken, near[order]))):
+            flag = gi >= 0 and iou >= IOU_THRESHOLDS[cls - 1]
+            if flag:
+                taken.add(gi)
+            scored[cls].append((conf, si, visit, flag))
     result = EvalResult()
     for cls_id in classes:
         scored[cls_id].sort(key=lambda t: (-t[0], t[1], t[2]))

@@ -457,19 +457,20 @@ def overlap_candidates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ~(np.hypot(a[:, 0, None] - b[:, 0], a[:, 1, None] - b[:, 1]) > ra[:, None] + rb)
 
 
-def best_match(boxes: np.ndarray, candidates: np.ndarray,
-               skip: Container[int] = ()) -> Iterator[tuple[float, int]]:
+def best_match(boxes: np.ndarray, candidates: np.ndarray, skip: Container[int] = (),
+               near: np.ndarray | None = None) -> Iterator[tuple[float, int]]:
     """For each (7,) row of ``boxes`` in turn, the (3D IoU, index) of the row
     of ``candidates`` overlapping it most, ignoring the indices in ``skip``.
     Ties go to the earliest index; (0.0, -1) when no candidate overlaps.
 
     ``skip`` is read afresh for every row, so a caller may add the candidates
     it claims as it iterates. The exact :func:`iou_3d` runs only on the pairs
-    that :func:`overlap_candidates` keeps; any other pair's IoU is 0.0, which
-    never beats the running best.
+    that :func:`overlap_candidates` keeps, or a caller's subset ``near`` of
+    them; any other pair's IoU is 0.0, which never beats the running best.
     """
-    near = overlap_candidates(check_boxes(boxes), check_boxes(candidates)).tolist()
-    cands = candidates.tolist()
+    if near is None:
+        near = overlap_candidates(check_boxes(boxes), check_boxes(candidates))
+    near, cands = near.tolist(), candidates.tolist()
     for box, hits in zip(boxes.tolist(), near):
         best_iou, best_idx = 0.0, -1
         for idx, hit in enumerate(hits):

@@ -21,6 +21,7 @@ from .detector import (
     DetectorParams,
     LossTotals,
     NonFiniteLossError,
+    SceneDetections,
     SceneEncoding,
     detect_batch,
     encode_batches,
@@ -330,7 +331,7 @@ def scene_seed(master: int, epoch: int, index: int, tag: int) -> int:
 
 
 def _detect_each(encoded: Iterable[tuple[Scene, SceneEncoding]], params: DetectorParams,
-                 what: str) -> Iterator[tuple[Scene, list[Detection]]]:
+                 what: str) -> Iterator[tuple[Scene, SceneDetections]]:
     """Each ``(scene, encoding)`` pair of ``encoded`` as ``(scene, detections)``,
     ``ENCODE_BATCH`` pairs drawn and detected per :func:`detect_batch` call,
     the next batch only once the previous one has been yielded. A
@@ -353,17 +354,11 @@ def _detect_each(encoded: Iterable[tuple[Scene, SceneEncoding]], params: Detecto
 
 def detect_and_score(encoded: Iterable[tuple[Scene, SceneEncoding]], params: DetectorParams,
                      what: str) -> EvalResult:
-    """Detect every scene of the ``(scene, encoding)`` pairs ``encoded`` and
-    score its detections against its labels (AP40).
-
-    ``encoded`` may be any iterable, a generator included. Its pairs are
-    drawn and detected ``ENCODE_BATCH`` at a time, one :func:`detect_batch`
-    call each, and every scene of a batch is scored before the next batch is
-    drawn, so a caller can encode a batch at a time, and no pass holds every
-    encoding or every scene's detections at the same time. ``what`` names
-    the pass in errors: a detection's ValueError is re-raised, with its
-    type, as ``<what> scene <id>: ...``.
-    """
+    """:func:`evaluate_scenes` (AP40) of the detection rows of every
+    ``(scene, encoding)`` pair of ``encoded``, any iterable, detected by
+    :func:`_detect_each` with ``what`` naming the pass in errors. Each scene
+    of a batch is scored before the next batch is drawn, so a caller can
+    encode a batch at a time, and no pass holds every scene's detections."""
     return evaluate_scenes(_detect_each(encoded, params, what))
 
 
@@ -417,10 +412,11 @@ def ssl_epoch(
     channel_pairs = PairCounter()
     strata, channel_boxes = [], []
     for scene, dets in _detect_each(unlabeled, state.teacher, "teacher"):
-        strata.append((scene, [PseudoBox(d.box, d.predicted_class, d.p_hat, d.objectness, 0.0)
-                               for d in dets]))
-        if dets:
-            channel_boxes.append(np.array([d.per_channel_boxes for d in dets], dtype=np.float64))
+        strata.append((scene, [PseudoBox(Box3D(*row), cls, p_hat, o_hat, 0.0)
+                               for row, cls, p_hat, o_hat in zip(
+                                   dets.boxes.tolist(), dets.predicted_class.tolist(),
+                                   dets.p_hat.tolist(), dets.objectness.tolist())]))
+        channel_boxes.append(dets.channel_boxes)
         # what the all-pairs baseline would evaluate: N^2 per scene
         metrics.pairing_pair_evals += len(dets) ** 2
     if channel_boxes:

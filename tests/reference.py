@@ -14,8 +14,10 @@ channel, example and box at a time with ``math`` functions.
 It also holds the scalar box map (:func:`scalar_apply_box`), half-turn
 yaw alignment (:func:`align_yaw_to_anchor`) and patch shuffle
 (:func:`scalar_shuffle_augment`) that the array forms must reproduce bit
-for bit, the class-by-class dataset AP (:func:`classwise_evaluate_scenes`)
-that the scene-by-scene one must reproduce exactly, one-transform
+for bit, the class-by-class dataset AP (:func:`classwise_evaluate_scenes`, over
+:func:`match_detections`) that the one-pass scene matching must reproduce
+exactly, the :class:`Detection` view of a scene's detection rows
+(:func:`detections`) and its inverse (:func:`scene_detections`), one-transform
 conveniences that build test inputs (:func:`transform_xy`,
 :func:`apply_points`, :func:`interpolate`) on the library's own array maps
 and BEV lookup, the batch of one (:func:`encode`), and the step-by-step
@@ -49,6 +51,7 @@ from cadet3d.detector import (
     Detection,
     LossTotals,
     NonFiniteLossError,
+    SceneDetections,
     SceneEncoding,
     TrainExample,
     TrainLosses,
@@ -61,12 +64,13 @@ from cadet3d.evaluation import (
     IOU_THRESHOLDS,
     EvalResult,
     ap40,
-    match_detections,
 )
 from cadet3d.geometry import (
     Box3D,
     PointCloud,
     Transform,
+    best_match,
+    box_rows,
     compose,
     invert,
     iou_3d,
@@ -293,19 +297,70 @@ def brute_force_ap(tp_flags: list[bool], n_gt: int, positions: int = 40) -> floa
     return total / positions
 
 
+def detections(rows: SceneDetections) -> list[Detection]:
+    """A scene's detection rows viewed as :class:`Detection` objects, as
+    ``detect_batch`` built them before it returned rows: each box the
+    :class:`Box3D` of its row, its channel boxes lists of Python floats, its
+    class scores its row of the scores and its objectness a Python float."""
+    return [Detection(Box3D(*box), chans, scores, obj) for box, chans, scores, obj in zip(
+        rows.boxes.tolist(), rows.channel_boxes.tolist(), rows.class_scores,
+        rows.objectness.tolist())]
+
+
+def scene_detections(dets: Sequence[Detection]) -> SceneDetections:
+    """The rows of one scene's :class:`Detection` list, all of one channel
+    count: the inverse of :func:`detections`."""
+    if not dets:
+        return SceneDetections(np.zeros((0, BOX_DIM)), np.zeros((0, 1, BOX_DIM)),
+                               np.zeros((0, len(CLASS_NAMES) + 1)), np.zeros(0))
+    return SceneDetections(box_rows([d.box for d in dets]),
+                           np.array([box_rows(d.per_channel_boxes) for d in dets]),
+                           np.array([d.class_scores for d in dets], dtype=np.float64),
+                           np.array([d.objectness for d in dets], dtype=np.float64))
+
+
+def match_detections(
+    det_boxes: list[Box3D],
+    det_scores: list[float],
+    gt_boxes: list[Box3D],
+    iou_thresh: float,
+) -> tuple[list[bool], list[tuple[int, int]]]:
+    """Greedy same-class matching within one scene, one class at a time.
+
+    Detections are visited in descending confidence (ties keep input order);
+    each claims its highest-IoU unmatched ground-truth box if the IoU reaches
+    the threshold (ties break toward the lower GT index). Returns TP flags in
+    visit order plus (detection index, GT index) pairs.
+    """
+    order = sorted(range(len(det_boxes)), key=lambda i: (-det_scores[i], i))
+    taken: set[int] = set()
+    flags: list[bool] = []
+    pairs: list[tuple[int, int]] = []
+    matches = best_match(box_rows(det_boxes)[order], box_rows(gt_boxes), skip=taken)
+    for di, (iou, gi) in zip(order, matches):
+        if gi >= 0 and iou >= iou_thresh:
+            taken.add(gi)
+            flags.append(True)
+            pairs.append((di, gi))
+        else:
+            flags.append(False)
+    return flags, pairs
+
+
 def classwise_evaluate_scenes(dets_per_scene, scenes) -> EvalResult:
     """:func:`cadet3d.evaluation.evaluate_scenes` as it ran before it scored
-    scene by scene: class in the outer loop, so it reads every scene's
-    detection list once per class, and each detection's class and confidence
-    are recomputed for each class."""
+    scene by scene and each scene in one pass: class in the outer loop, so
+    it reads every scene's :class:`SceneDetections` once per class, as
+    :func:`detections`, and matches each class with
+    :func:`match_detections`."""
     result = EvalResult()
     for cls_id, iou_thresh in enumerate(IOU_THRESHOLDS, start=1):
         scored: list[tuple[float, int, int, bool]] = []
         n_gt = 0
-        for si, (dets, scene) in enumerate(zip(dets_per_scene, scenes, strict=True)):
+        for si, (rows, scene) in enumerate(zip(dets_per_scene, scenes, strict=True)):
             gts = [b for b, c in zip(scene.gt_boxes, scene.gt_classes) if c == cls_id]
             n_gt += len(gts)
-            sub = [d for d in dets if d.predicted_class == cls_id]
+            sub = [d for d in detections(rows) if d.predicted_class == cls_id]
             flags, _ = match_detections(
                 [d.box for d in sub],
                 [d.confidence for d in sub],
@@ -717,7 +772,7 @@ def stepwise_ssl_epoch(
     """
     metrics = EpochMetrics(epoch=state.epoch)
 
-    teacher_dets = [detect(enc, state.teacher) for _, enc in unlabeled]
+    teacher_dets = [detections(detect(enc, state.teacher)) for _, enc in unlabeled]
     pseudo_sets = [[pseudo_from_detection(d) for d in dets] for dets in teacher_dets]
 
     if state.epoch % cfg.threshold_period == 0 or state.thresholds is None:

@@ -11,7 +11,7 @@ import pytest
 
 import cadet3d
 import reference
-from cadet3d import cli, data, detector, geometry, selftrain
+from cadet3d import cli, data, detector, evaluation, geometry, selftrain
 from cadet3d.cli import main
 from cadet3d.config import RunConfig
 from cadet3d.detector import DetectorParams, load_params, save_params
@@ -781,6 +781,56 @@ class TestWorkCounts:
             [reference.scalar_channel_iou_consistency(chans) for chans in boxes.tolist()]))
         assert main(["ssl-train", "--config", str(cfg)]) == 0
         assert counted["clipped"] > 0
+
+
+    def test_eval_scores_each_scene_in_one_pass(self, small_env, monkeypatch):
+        """``detect_batch`` builds no ``Box3D``; evaluation builds one overlap
+        table per scene with detections, not one per class, and runs the
+        scalar ``iou_3d`` on exactly the pairs that class-by-class matching
+        runs it on."""
+        tmp, cfg = small_env
+        more = tmp / "more.txt"
+        set_keys(cfg, more, "fraction = 0.5\npretrain_epochs = 6\n")
+        main(["gen-data", "--config", str(more)])
+        assert main(["pretrain", "--config", str(more)]) == 0
+        counts = {"box3d": 0, "detecting": False, "tables": 0, "iou_3d": 0}
+        scored = []  # the (scene, detections) pairs evaluation draws
+        box_new, detect_batch = geometry.Box3D.__new__, selftrain.detect_batch
+        tables, evaluate_scenes = evaluation.overlap_candidates, selftrain.evaluate_scenes
+
+        def counted_box(cls, *args):
+            counts["box3d"] += counts["detecting"]
+            return box_new(cls, *args)
+
+        def counted_detect_batch(encs, params):
+            counts["detecting"] = True
+            try:
+                return detect_batch(encs, params)
+            finally:
+                counts["detecting"] = False
+
+        def counted(key, fn):
+            return lambda *args: counts.__setitem__(key, counts[key] + 1) or fn(*args)
+
+        monkeypatch.setattr(geometry.Box3D, "__new__", staticmethod(counted_box))
+        monkeypatch.setattr(selftrain, "detect_batch", counted_detect_batch)
+        monkeypatch.setattr(evaluation, "overlap_candidates", counted("tables", tables))
+        # detection clips with iou_bev, so eval's scalar iou_3d calls are evaluation's
+        monkeypatch.setattr(geometry, "iou_3d", counted("iou_3d", geometry.iou_3d))
+        monkeypatch.setattr(selftrain, "evaluate_scenes", lambda detected: evaluate_scenes(
+            scored.append(pair) or pair for pair in detected))
+        assert main(["eval", "--config", str(more), "--params",
+                     str(tmp / "run" / "pretrain.params")]) == 0
+        assert counts["box3d"] == 0
+        with_dets = [dets for _, dets in scored if len(dets)]
+        # a scene with two detected classes, so matching class by class
+        # would build more tables than there are scenes
+        assert any(len(set(dets.predicted_class.tolist())) > 1 for dets in with_dets)
+        assert counts["tables"] == len(with_dets)
+        evaluated, counts["iou_3d"] = counts["iou_3d"], 0
+        scenes, dets = zip(*scored)
+        reference.classwise_evaluate_scenes(dets, scenes)
+        assert evaluated == counts["iou_3d"] > 0
 
 
 class TestAtomicOutputs:

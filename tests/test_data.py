@@ -222,6 +222,30 @@ class TestBinClouds:
                                                  r"in record at byte 48"):
             read_bin_cloud(path)
 
+    @given(data=st.data(), n=st.integers(1, 60),
+           defect=st.one_of(st.tuples(st.integers(0, 3), st.sampled_from([np.nan, np.inf, -np.inf])),
+                            st.tuples(st.just(3), st.sampled_from([-0.5, -1e-6, 1.0000001, 2.0,
+                                                                   3e38]))))
+    @settings(max_examples=150)
+    def test_one_bad_value_names_its_record(self, data, n, defect):
+        """One non-finite value in any column, or one intensity outside
+        [0, 1], at a random record of a random cloud: the message names that
+        record's byte offset."""
+        finite = st.floats(-1e3, 1e3, width=32)
+        rows = data.draw(st.lists(st.tuples(finite, finite, finite, st.floats(0.0, 1.0, width=32)),
+                                  min_size=n, max_size=n))
+        arr = np.array(rows, dtype="<f4")
+        at = data.draw(st.integers(0, n - 1))
+        column, value = defect
+        arr[at, column] = value
+        what = "non-finite value" if not np.isfinite(value) else r"intensity .* outside \[0, 1\]"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bad.bin"
+            arr.tofile(path)
+            with pytest.raises(BinFormatError,
+                               match=rf"bad\.bin: {what} in record at byte {16 * at}$"):
+                read_bin_cloud(path)
+
     def test_intensity_bounds_accepted(self, tmp_path):
         arr = np.full((2, 4), 0.5, dtype="<f4")
         arr[:, 3] = (0.0, 1.0)

@@ -67,6 +67,7 @@ from reference import (
     dense_bev_align,
     dense_propose,
     dense_roi_features,
+    detections,
     encode,
     flood_fill_components,
     scalar_build_training_examples,
@@ -609,7 +610,7 @@ class TestRefine:
 
     def test_detection_box_averages_channel_boxes(self, rng):
         enc = encode(synth_scene(3, SynthConfig()).cloud, CONFIG.weak_policy(3))
-        dets = detect(enc, random_params(rng))
+        dets = detections(detect(enc, random_params(rng)))
         assert dets
         for det in dets:
             assert len(det.per_channel_boxes) == 3
@@ -630,7 +631,7 @@ class TestRefine:
         boxes, channel_boxes, objectness = refine([enc], [keep], scores, DetectorParams.zeros())
         assert boxes.shape == (0, 7) and channel_boxes.shape == (0, 3, 7)
         assert objectness.shape == (0,)
-        assert detect(enc, DetectorParams.zeros()) == []
+        assert detections(detect(enc, DetectorParams.zeros())) == []
 
 
 def scoring_cases():
@@ -659,7 +660,7 @@ class TestScoringOracle:
         rng = np.random.default_rng(seed)
         for reg_scale in (0.0, 0.05, 0.3):
             params = random_params(rng, reg_scale)
-            got, want = detect(enc, params), scalar_detect(enc, params)
+            got, want = detections(detect(enc, params)), scalar_detect(enc, params)
             assert len(got) == len(want) > 0
             for g, w in zip(got, want):
                 assert_boxes_close(g.box.as_array(), w.box.as_array())
@@ -683,7 +684,7 @@ class TestScoringOracle:
         scene, enc = self.encoded(seed, policy)
         rng = np.random.default_rng(seed)
         params = random_params(rng)
-        pseudo = [d.box for d in detect(enc, params)]
+        pseudo = [d.box for d in detections(detect(enc, params))]
         for targets in (scene.gt_boxes, pseudo, []):
             classes = [int(c) for c in rng.integers(1, 4, len(targets))]
             weights = rng.random(len(targets)).tolist()
@@ -705,28 +706,32 @@ class TestScoringOracle:
                     assert g.targets.tobytes() == box_rows(w.targets).tobytes()
                 assert (g.target_class, g.weight) == (w.target_class, w.weight)
 
-    def test_boxes_hold_python_floats(self):
-        # a detection's box and channel box rows hold Python floats; training
-        # examples hold their proposal's (C, 7) float64 rows
+    def test_rows_are_read_only_float64(self):
+        # a scene's detections are read-only float64 rows; training examples
+        # hold their proposal's (C, 7) float64 rows
         scene, enc = self.encoded(2, "strong")
         params = random_params(np.random.default_rng(2))
         dets = detect(enc, params)
-        batch = build_training_examples(enc, [d.box for d in dets], [1] * len(dets),
-                                        [1.0] * len(dets), params)
-        assert dets and any(ex.targets is not None for ex in batch)
-        fields = ("cx", "cy", "cz", "w", "h", "l", "r")
-        assert all(type(getattr(d.box, f)) is float for d in dets for f in fields)
-        for d in dets:
-            assert [len(row) for row in d.per_channel_boxes] == [BOX_DIM] * 4
-            assert all(type(v) is float for row in d.per_channel_boxes for v in row)
+        n = len(dets)
+        batch = build_training_examples(enc, [d.box for d in detections(dets)], [1] * n,
+                                        [1.0] * n, params)
+        assert n and any(ex.targets is not None for ex in batch)
+        shapes = {"boxes": (n, BOX_DIM), "channel_boxes": (n, 4, BOX_DIM),
+                  "class_scores": (n, len(params.w_cls)), "objectness": (n,)}
+        for name, shape in shapes.items():
+            arr = getattr(dets, name)
+            assert arr.dtype == np.float64 and arr.shape == shape
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
         rows = [ex.anchors for ex in batch] + [ex.targets for ex in batch if ex.targets is not None]
         assert all(r.dtype == np.float64 and r.shape == (4, BOX_DIM) for r in rows)
 
 
-def detection_bits(dets):
-    """Every bit of a detection list: boxes, channel boxes, scores, objectness."""
+def detection_bits(rows):
+    """Every bit of a scene's detections: boxes, channel boxes, scores, objectness."""
     return [(box_rows([d.box]).tobytes(), box_rows(d.per_channel_boxes).tobytes(),
-             d.class_scores.tobytes(), np.float64(d.objectness).tobytes()) for d in dets]
+             d.class_scores.tobytes(), np.float64(d.objectness).tobytes())
+            for d in detections(rows)]
 
 
 class TestDetectBatch:
@@ -758,9 +763,9 @@ class TestDetectBatch:
             params = random_params(rng, reg_scale)
             batched = detect_batch(encs, params)
             assert len(batched) == n and (n == 0 or any(batched))
-            for enc, got in zip(encs, batched):
-                assert detection_bits(got) == detection_bits(detect(enc, params))
-                want = scalar_detect(enc, params)
+            for enc, rows in zip(encs, batched):
+                assert detection_bits(rows) == detection_bits(detect(enc, params))
+                got, want = detections(rows), scalar_detect(enc, params)
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
                     assert_boxes_close(g.box.as_array(), w.box.as_array())
@@ -805,6 +810,7 @@ class TestNumericFailure:
         if head == "w_obj":
             with np.errstate(all="ignore"):
                 want = scalar_detect(enc, params)
+            dets = detections(dets)
             assert dets and [d.objectness for d in dets] == [d.objectness for d in want]
             for d in dets:
                 assert np.isfinite(d.class_scores).all() and math.isfinite(d.objectness)
@@ -1022,14 +1028,14 @@ class TestAlignYaw:
 class TestDetect:
     def test_empty_scene(self):
         enc = encode(PointCloud.empty(), CONFIG.weak_policy(3))
-        dets = detect(enc, DetectorParams.zeros())
+        dets = detections(detect(enc, DetectorParams.zeros()))
         assert dets == []
 
     def test_weak_policy_deterministic(self, rng):
         scene = synth_scene(5, SynthConfig())
         p = DetectorParams.zeros()
-        a = detect(encode(scene.cloud, CONFIG.weak_policy(3)), p)
-        b = detect(encode(scene.cloud, CONFIG.weak_policy(3)), p)
+        a = detections(detect(encode(scene.cloud, CONFIG.weak_policy(3)), p))
+        b = detections(detect(encode(scene.cloud, CONFIG.weak_policy(3)), p))
         assert len(a) == len(b)
         for da, db in zip(a, b):
             np.testing.assert_array_equal(da.box.as_array(), db.box.as_array())
@@ -1052,7 +1058,7 @@ class TestDetect:
         cars = [b for b, c in zip(probe.gt_boxes, probe.gt_classes) if c == 1]
         if not cars:  # fixed seed; guard only
             pytest.skip("probe scene drew no cars")
-        dets = detect(encode(probe.cloud, CONFIG.weak_policy(3)), params)
+        dets = detections(detect(encode(probe.cloud, CONFIG.weak_policy(3)), params))
         best = max((iou_3d(d.box, cars[0]), d.predicted_class) for d in dets)
         assert best[0] > 0.5
         assert best[1] == 1
@@ -1066,7 +1072,7 @@ class TestSceneEncoding:
     def scored(enc, params):
         return [(d.box.as_array().tobytes(), d.class_scores.tobytes(), d.objectness,
                  box_rows(d.per_channel_boxes).tobytes())
-                for d in detect(enc, params)]
+                for d in detections(detect(enc, params))]
 
     def test_scoring_leaves_the_encoding_unchanged(self, rng):
         params = []
@@ -1147,9 +1153,8 @@ class TestBuildTrainingExamples:
 
 
 class TestBoxConstructions:
-    """Detection and training run on box rows: ``detect`` builds one
-    :class:`Box3D` per detection, its averaged box, and
-    ``build_training_examples`` builds none."""
+    """Detection and training run on box rows: neither ``detect`` nor
+    ``build_training_examples`` builds a :class:`Box3D`."""
 
     @staticmethod
     def counting(monkeypatch):
@@ -1169,9 +1174,9 @@ class TestBoxConstructions:
         params = random_params(np.random.default_rng(3))
         built = self.counting(monkeypatch)
         dets = detect(enc, params)
-        assert len(built) == len(dets) > 0
+        assert len(dets) > 0 and built == []
+        targets = [d.box for d in detections(dets)] + scene.gt_boxes
         built.clear()
-        targets = [d.box for d in dets] + scene.gt_boxes
         batch = build_training_examples(enc, targets, [1] * len(targets), [1.0] * len(targets),
                                         params, 0.3)
         assert any(ex.targets is not None for ex in batch) and built == []

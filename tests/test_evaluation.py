@@ -11,13 +11,18 @@ from cadet3d.evaluation import (
     RECALL_POSITIONS,
     ap40,
     evaluate_scenes,
-    match_detections,
     pseudo_quality,
 )
 from cadet3d.geometry import Box3D, PointCloud
 from cadet3d.selftrain import PseudoBox
 from conftest import boxes, random_box
-from reference import brute_force_ap, classwise_evaluate_scenes, scalar_pseudo_quality
+from reference import (
+    brute_force_ap,
+    classwise_evaluate_scenes,
+    match_detections,
+    scalar_pseudo_quality,
+    scene_detections,
+)
 
 
 class TestMatchDetections:
@@ -90,7 +95,7 @@ def gt_echo_detections(scene):
         scores[0] = 1.0 - scores[1:].sum()
         dets.append(Detection(box=box, per_channel_boxes=[box], class_scores=scores,
                               objectness=0.99))
-    return dets
+    return scene_detections(dets)
 
 
 class TestEvaluateScenes:
@@ -105,7 +110,7 @@ class TestEvaluateScenes:
 
     def test_empty_detector_zero(self):
         scenes = [synth_scene(s, SynthConfig()) for s in range(4)]
-        result = evaluate_scenes((scene, []) for scene in scenes)
+        result = evaluate_scenes((scene, scene_detections([])) for scene in scenes)
         assert result.map == 0.0
 
     def test_absent_class_excluded_from_map(self):
@@ -145,7 +150,33 @@ def scored_scenes(draw):
             for box, cls in gts if draw(st.booleans())
         ]
         free = draw(st.lists(st.builds(detection, boxes(), CLASSES, LEVELS, LEVELS), max_size=3))
-        dets.append(draw(st.permutations(echoes + free)))
+        dets.append(scene_detections(draw(st.permutations(echoes + free))))
+    return scenes, dets
+
+
+@st.composite
+def cross_class_scenes(draw):
+    """Scenes in which every detection lies exactly on a label of another
+    class, its best overlap, and maybe beside a shifted label of its own
+    class (or on it, when the shift is 0); else its class has no label in
+    the scene. All detections share one confidence, so confidences tie
+    across classes and scenes, and some scenes keep their labels but lose
+    their detections."""
+    conf = draw(LEVELS)
+    scenes, dets = [], []
+    for si in range(draw(st.integers(1, 4))):
+        gts, found = [], []
+        for box in draw(st.lists(boxes(), max_size=3)):
+            cls = draw(CLASSES)
+            gts.append((box, draw(st.sampled_from([c for c in (1, 2, 3) if c != cls]))))
+            if draw(st.booleans()):
+                gts.append((Box3D(box.cx + draw(st.floats(0.0, 0.8)), *box[1:]), cls))
+            found.append(detection(box, cls, conf, 1.0))
+        if draw(st.booleans()):
+            found = []
+        scenes.append(Scene(f"{si:06d}", PointCloud.empty(), [b for b, _ in gts],
+                            [c for _, c in gts]))
+        dets.append(scene_detections(draw(st.permutations(found))))
     return scenes, dets
 
 
@@ -160,6 +191,25 @@ class TestScoresMatchClasswise:
         assert evaluate_scenes(list(zip(scenes, dets))).ap == want
         assert evaluate_scenes(zip(scenes, dets)).ap == want
 
+    @given(cross_class_scenes())
+    @settings(max_examples=200)
+    def test_cross_class_labels_equal_oracle(self, case):
+        scenes, dets = case
+        assert evaluate_scenes(zip(scenes, dets)).ap == classwise_evaluate_scenes(dets, scenes).ap
+
+    @pytest.mark.parametrize("shift, want", [(0.3, 1.0), (1.2, 0.0)])
+    def test_best_overlap_of_another_class_is_not_claimed(self, shift, want):
+        # a Pedestrian detection lies exactly on a Car label, beside a
+        # Pedestrian label shifted along both axes: it is a true positive
+        # only if the Pedestrian label overlaps it enough on its own
+        box = Box3D(0, 0, 1, 1.6, 1.5, 3.9, 0.0)
+        pedestrian = Box3D(shift, shift, *box[2:])
+        scene = Scene("s", PointCloud.empty(), [box, pedestrian], [1, 2])
+        dets = [scene_detections([detection(box, 2, 0.75, 1.0)])]
+        got = evaluate_scenes(zip([scene], dets)).ap
+        assert got == classwise_evaluate_scenes(dets, [scene]).ap
+        assert got == {1: 0.0, 2: want, 3: None}
+
     @pytest.mark.parametrize("first_true", [False, True])
     def test_confidence_ties_rank_by_scene(self, first_true):
         # one GT box per scene and one detection each, of equal confidence; the
@@ -168,8 +218,8 @@ class TestScoresMatchClasswise:
         gt = Box3D(0, 0, 1, 1.6, 1.5, 3.9, 0.4)
         miss = Box3D(20, 20, 1, 1.6, 1.5, 3.9, 0.4)
         scenes = [Scene(f"{i}", PointCloud.empty(), [gt], [1]) for i in range(2)]
-        dets = [[detection(gt if first_true else miss, 1, 0.75, 1.0)],
-                [detection(miss if first_true else gt, 1, 0.75, 1.0)]]
+        dets = [scene_detections([detection(gt if first_true else miss, 1, 0.75, 1.0)]),
+                scene_detections([detection(miss if first_true else gt, 1, 0.75, 1.0)])]
         got = evaluate_scenes(zip(scenes, dets)).ap
         assert got == classwise_evaluate_scenes(dets, scenes).ap
         assert got[1] == (0.5 if first_true else 0.25)
@@ -177,15 +227,17 @@ class TestScoresMatchClasswise:
     def test_empty_inputs(self):
         assert evaluate_scenes([]).ap == {1: None, 2: None, 3: None}
         blank = [Scene(f"{i}", PointCloud.empty()) for i in range(3)]
-        assert evaluate_scenes((b, []) for b in blank).ap == {1: None, 2: None, 3: None}
+        assert evaluate_scenes((b, scene_detections([])) for b in blank).ap == {
+            1: None, 2: None, 3: None}
 
     def test_draws_each_scene_after_the_previous_is_matched(self, monkeypatch):
         scenes = [synth_scene(s, SynthConfig()) for s in range(4)]
-        matched = []
-        original = evaluation.match_detections
-        monkeypatch.setattr(evaluation, "match_detections",
+        assert all(scene.gt_boxes for scene in scenes)
+        matched = []  # one overlap table per scene with detections
+        original = evaluation.overlap_candidates
+        monkeypatch.setattr(evaluation, "overlap_candidates",
                             lambda *a: matched.append(1) or original(*a))
-        drawn_at = []  # matching calls made when scene k's list is drawn
+        drawn_at = []  # overlap tables built when scene k's detections are drawn
 
         def lists():
             for scene in scenes:
@@ -193,7 +245,7 @@ class TestScoresMatchClasswise:
                 yield scene, gt_echo_detections(scene)
 
         assert evaluate_scenes(lists()).map == pytest.approx(1.0)
-        assert drawn_at == [len(IOU_THRESHOLDS) * k for k in range(len(scenes))]
+        assert drawn_at == list(range(len(scenes)))
 
 
 class TestEvalConstants:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from unittest import mock
 
 from cadet3d import geometry
-from cadet3d.evaluation import match_detections
 from cadet3d.geometry import (
     Box3D,
     PointCloud,
@@ -41,6 +40,7 @@ from cadet3d.geometry import (
 from conftest import assert_boxes_close, assert_close, boxes, random_box, transforms
 from reference import (
     apply_points,
+    match_detections,
     mc_iou_3d,
     mc_iou_bev,
     scalar_apply_box,
@@ -463,7 +463,7 @@ class TestOverlapOracle:
     @given(box_sets(), box_sets())
     @settings(max_examples=40)
     def test_best_match_claiming(self, thresh, queries, cands):
-        """The greedy claiming of ``evaluation.match_detections``."""
+        """The greedy claiming of ``reference.match_detections``."""
         def claim(matches):
             taken, out = set(), []
             for match in matches(taken):

@@ -79,8 +79,8 @@ class TestChannelConsistency:
         assert counter.count == 3
 
     def test_rows_and_boxes_bit_identical(self, rng):
-        # a detection holding Box3Ds, and the same boxes as rows, as detect
-        # builds them, or as an array
+        # a detection holding Box3Ds, and the same boxes as lists of floats
+        # or as an array
         for n_ch in (1, 2, 3, 4):
             for _ in range(20):
                 base = random_box(rng, spread=1.0)
