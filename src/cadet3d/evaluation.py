@@ -86,36 +86,36 @@ def evaluate_scenes(detected) -> EvalResult:
 
 
 def pseudo_quality(scenes) -> tuple[int, int]:
-    """``(prefilter, postfilter)`` over the ``(pseudo_boxes, gt_boxes,
-    gt_classes)`` of each of ``scenes``: how many pseudo-boxes are incorrect,
-    and how many of those are kept past the filter (level high or ambiguous).
+    """``(prefilter, postfilter)`` over the ``(rows, classes, kept, gt_boxes,
+    gt_classes)`` of each of ``scenes``, its pseudo-boxes' (P, 7) rows, (P,)
+    classes and (P,) flags of those kept past the filter (level high or
+    ambiguous), then its labels: how many pseudo-boxes are incorrect, and how
+    many of those are kept.
 
     A pseudo-box is incorrect when its class mismatches its best-IoU ground
     truth of its scene or its IoU misses the class threshold; the best match
     follows ``best_match``'s rules (strictly larger IoU wins, ties to the
     earliest index, none without overlap). The exact 3D IoUs of the pairs
     that pass ``best_match``'s pre-reject (:func:`overlap_candidates`), in
-    every scene, come from one :func:`iou_3d_rows` call.
-    Expects stratified boxes (``.level``); an unknown level counts as low."""
+    every scene, come from one :func:`iou_3d_rows` call."""
     scenes = list(scenes)
     near, a, b = [], [np.zeros((0, 7))], [np.zeros((0, 7))]
-    for pbs, gts, _ in scenes:
-        rows, truths = box_rows([pb.box for pb in pbs]), box_rows(gts)
+    for rows, _, _, gts, _ in scenes:
+        rows, truths = box_rows(rows), box_rows(gts)
         near.append(overlap_candidates(rows, truths))
         pb_idx, gt_idx = np.nonzero(near[-1])
         a.append(rows[pb_idx])
         b.append(truths[gt_idx])
     ious = iou_3d_rows(np.concatenate(a), np.concatenate(b))
     prefilter = postfilter = p0 = 0
-    for (pbs, _, classes), mask in zip(scenes, near):
+    for (_, classes, kept, _, gt_classes), mask in zip(scenes, near):
         n_near = np.count_nonzero(mask)
         table = np.zeros(mask.shape)  # a pair the pre-reject drops has IoU 0.0
         table[mask] = ious[p0:p0 + n_near]
         p0 += n_near
-        for pb, row in zip(pbs, table.tolist()):
+        for cls, keep, row in zip(classes.tolist(), kept.tolist(), table.tolist()):
             iou = max(row, default=0.0)
-            if iou == 0.0 or classes[row.index(iou)] != pb.cls or iou < IOU_THRESHOLDS[pb.cls - 1]:
+            if iou == 0.0 or gt_classes[row.index(iou)] != cls or iou < IOU_THRESHOLDS[cls - 1]:
                 prefilter += 1
-                if pb.level in ("high", "ambiguous"):
-                    postfilter += 1
+                postfilter += keep
     return prefilter, postfilter

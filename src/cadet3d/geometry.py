@@ -555,17 +555,17 @@ def average_boxes(boxes: Sequence[Box3D]) -> Box3D:
     return Box3D(*average_box_rows(box_rows(boxes)[None])[0].tolist())
 
 
-def points_in_box(box: Box3D, xyz: np.ndarray, strict: bool = True) -> np.ndarray:
-    """Boolean mask of points inside the rotated box (strict interior by default)."""
+def points_in_box(box: Sequence[float], xyz: np.ndarray, strict: bool = True) -> np.ndarray:
+    """Boolean mask of points inside the rotated box, any 7-sequence (strict
+    interior by default)."""
+    cx, cy, cz, w, h, l, r = box
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
-    dx = xyz[:, 0] - box.cx
-    dy = xyz[:, 1] - box.cy
-    dz = xyz[:, 2] - box.cz
-    c, s = math.cos(box.r), math.sin(box.r)
+    dx = xyz[:, 0] - cx
+    dy = xyz[:, 1] - cy
+    dz = xyz[:, 2] - cz
+    c, s = math.cos(r), math.sin(r)
     u = c * dx + s * dy
     v = -s * dx + c * dy
     if strict:
-        return (
-            (np.abs(u) < 0.5 * box.l) & (np.abs(v) < 0.5 * box.w) & (np.abs(dz) < 0.5 * box.h)
-        )
-    return (np.abs(u) <= 0.5 * box.l) & (np.abs(v) <= 0.5 * box.w) & (np.abs(dz) <= 0.5 * box.h)
+        return (np.abs(u) < 0.5 * l) & (np.abs(v) < 0.5 * w) & (np.abs(dz) < 0.5 * h)
+    return (np.abs(u) <= 0.5 * l) & (np.abs(v) <= 0.5 * w) & (np.abs(dz) <= 0.5 * h)

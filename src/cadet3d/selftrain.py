@@ -43,6 +43,7 @@ log = logging.getLogger(__name__)
 LEVEL_HIGH = "high"
 LEVEL_AMBIGUOUS = "ambiguous"
 LEVEL_LOW = "low"
+LEVELS = (LEVEL_LOW, LEVEL_AMBIGUOUS, LEVEL_HIGH)  # indexed by level code
 
 CRITERIA = ("p_hat", "o_hat", "iou_cons")
 
@@ -59,7 +60,8 @@ class PairCounter:
 
 @dataclass
 class PseudoBox:
-    """Teacher detection promoted to a (to-be-stratified) training target."""
+    """Teacher detection promoted to a (to-be-stratified) training target;
+    :func:`ssl_epoch` keeps a pass's pseudo-boxes as table rows instead."""
 
     box: Box3D
     cls: int
@@ -68,10 +70,6 @@ class PseudoBox:
     iou_cons: float
     level: str | None = None
     weight: float = 0.0
-
-    @property
-    def score(self) -> float:
-        return self.p_hat * self.o_hat
 
 
 @dataclass(frozen=True)
@@ -182,80 +180,91 @@ def _criterion_thresholds(values: np.ndarray) -> tuple[float, float]:
     return float(0.5 * (centers[0] + centers[1])), float(0.5 * (centers[1] + centers[2]))
 
 
-def fit_dual_thresholds(
-    pseudo_boxes: list[PseudoBox],
-    previous: DualThresholds | None = None,
-    *,
-    min_score: float,
-) -> DualThresholds:
+def _table(pseudo_boxes: list[PseudoBox]) -> tuple[np.ndarray, np.ndarray]:
+    """The (P,) classes and (P, 3) ``CRITERIA`` values of ``pseudo_boxes``."""
+    values = [[pb.p_hat, pb.o_hat, pb.iou_cons] for pb in pseudo_boxes]
+    return (np.array([pb.cls for pb in pseudo_boxes], dtype=np.int64),
+            np.array(values, dtype=np.float64).reshape(-1, len(CRITERIA)))
+
+
+def _fit_rows(values: np.ndarray, previous: DualThresholds | None, min_score: float):
+    """:func:`fit_dual_thresholds` of the (P, 3) ``CRITERIA`` ``values``."""
+    confident = values[values[:, 0] * values[:, 1] >= min_score]
+    if len(confident) < 3:
+        log.warning("threshold fit skipped: only %d confident pseudo-boxes", len(confident))
+        return previous if previous is not None else DualThresholds()
+    fitted = {}
+    for name, vals in zip(CRITERIA, confident.T):
+        lo, hi = _criterion_thresholds(vals)
+        fitted[name] = (min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
+    return DualThresholds(**fitted)
+
+
+def fit_dual_thresholds(pseudo_boxes: list[PseudoBox], previous: DualThresholds | None = None,
+                        *, min_score: float) -> DualThresholds:
     """Three-group clustering of each quality criterion over confident boxes.
 
     Boxes with p_hat * o_hat below ``min_score`` are excluded; with fewer than
     three boxes left the previous thresholds are retained (neutral defaults
     when none exist yet).
     """
-    confident = [pb for pb in pseudo_boxes if pb.score >= min_score]
-    if len(confident) < 3:
-        log.warning("threshold fit skipped: only %d confident pseudo-boxes", len(confident))
-        return previous if previous is not None else DualThresholds()
-    fitted = {}
-    for name in CRITERIA:
-        vals = np.array([getattr(pb, name) for pb in confident])
-        lo, hi = _criterion_thresholds(vals)
-        fitted[name] = (min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
-    return DualThresholds(**fitted)
+    return _fit_rows(_table(pseudo_boxes)[1], previous, min_score)
 
 
-def fit_threshold_bank(
-    pseudo_boxes: list[PseudoBox],
-    num_classes: int,
-    previous: dict[int, DualThresholds] | None = None,
-    *,
-    min_score: float,
-) -> dict[int, DualThresholds]:
-    """Dual thresholds per class id ``1..num_classes``, fitted per class
-    because score scales differ by class (small objects localize worse, so
-    their objectness and consistency run lower): clustering them jointly lets
-    the strong classes squeeze every weak-class box into the low level. A
-    class without enough boxes retains its previous thresholds."""
+def fit_threshold_bank(classes: np.ndarray, values: np.ndarray, num_classes: int,
+                       previous: dict[int, DualThresholds] | None = None, *,
+                       min_score: float) -> dict[int, DualThresholds]:
+    """Dual thresholds per class id ``1..num_classes`` of the (P,) ``classes``
+    and (P, 3) ``CRITERIA`` ``values`` of a pass's pseudo-boxes, fitted per
+    class because score scales differ by class (small objects localize worse,
+    so their objectness and consistency run lower): clustering them jointly
+    lets the strong classes squeeze every weak-class box into the low level.
+    A class without enough boxes retains its previous thresholds."""
     previous = previous or {}
-    return {cls_id: fit_dual_thresholds([pb for pb in pseudo_boxes if pb.cls == cls_id],
-                                        previous=previous.get(cls_id), min_score=min_score)
+    return {cls_id: _fit_rows(values[classes == cls_id], previous.get(cls_id), min_score)
             for cls_id in range(1, num_classes + 1)}
 
 
-def stratify(
-    pseudo_boxes: list[PseudoBox], thr: DualThresholds | dict[int, DualThresholds]
-) -> list[PseudoBox]:
-    """Assign levels and supervision weights, under ``thr`` or, for a dict,
-    under the thresholds of each box's class.
+def levels(classes: np.ndarray, values: np.ndarray,
+           thr: DualThresholds | dict[int, DualThresholds]) -> tuple[np.ndarray, np.ndarray]:
+    """Level codes (indices into ``LEVELS``) and supervision weights of the
+    (P,) ``classes`` and (P, 3) ``CRITERIA`` ``values`` of pseudo-boxes, under
+    ``thr`` or, for a dict, under the thresholds of each row's class.
 
     High requires every criterion at or above its high boundary; low is any
     criterion below its low boundary; everything else is ambiguous. Weights:
     1 for high, p_hat * o_hat for ambiguous, 0 for low.
     """
-    out = []
-    for pb in pseudo_boxes:
-        t = thr[pb.cls] if isinstance(thr, dict) else thr
-        scores = {name: getattr(pb, name) for name in CRITERIA}
-        if any(scores[name] < getattr(t, name)[0] for name in CRITERIA):
-            level, weight = LEVEL_LOW, 0.0
-        elif all(scores[name] >= getattr(t, name)[1] for name in CRITERIA):
-            level, weight = LEVEL_HIGH, 1.0
-        else:
-            level, weight = LEVEL_AMBIGUOUS, pb.p_hat * pb.o_hat
-        out.append(replace(pb, level=level, weight=weight))
-    return out
+    ids = sorted(set(classes.tolist()))  # the (low, high) bounds of each class present
+    table = np.array([[getattr(thr[c] if isinstance(thr, dict) else thr, name)
+                       for name in CRITERIA] for c in ids]).reshape(-1, len(CRITERIA), 2)
+    bound = table[np.searchsorted(ids, classes)]
+    low = (values < bound[..., 0]).any(axis=1)
+    high = (values >= bound[..., 1]).all(axis=1)
+    codes = np.where(low, 0, np.where(high, 2, 1))
+    weights = np.where(low, 0.0, np.where(high, 1.0, values[:, 0] * values[:, 1]))
+    return codes, weights
 
 
-def remove_low_level_points(cloud: PointCloud, low_boxes: list[Box3D]) -> PointCloud:
-    """Drop points strictly inside any low-level box; boundary points survive.
+def stratify(pseudo_boxes: list[PseudoBox],
+             thr: DualThresholds | dict[int, DualThresholds]) -> list[PseudoBox]:
+    """Copies of ``pseudo_boxes`` with the level and weight :func:`levels`
+    gives them under ``thr``."""
+    codes, weights = levels(*_table(pseudo_boxes), thr)
+    return [replace(pb, level=LEVELS[code], weight=weight)
+            for pb, code, weight in zip(pseudo_boxes, codes.tolist(), weights.tolist())]
+
+
+def remove_low_level_points(cloud: PointCloud, low_boxes: Sequence[Sequence[float]]) -> PointCloud:
+    """Drop points strictly inside any low-level box (``Box3D``s or (L, 7)
+    rows), one box at a time; boundary points survive.
 
     Takes and returns a bare cloud, so no scene labels can pass through."""
-    if not low_boxes or len(cloud) == 0:
+    boxes = box_rows(low_boxes).tolist()
+    if not boxes or len(cloud) == 0:
         return cloud.copy()
     drop = np.zeros(len(cloud), dtype=bool)
-    for box in low_boxes:
+    for box in boxes:
         drop |= points_in_box(box, cloud.xyz, strict=True)
     return PointCloud(cloud.xyz[~drop], cloud.intensity[~drop])
 
@@ -267,18 +276,6 @@ def ema_update(teacher: DetectorParams, student: DetectorParams, momentum: float
     for t_arr, s_arr in zip(teacher.arrays(), student.arrays()):
         t_arr *= momentum
         t_arr += (1.0 - momentum) * s_arr
-
-
-def pseudo_from_detection(det: Detection, counter: PairCounter | None = None) -> PseudoBox:
-    """The unstratified pseudo-box of one detection, as the teacher pass in
-    :func:`ssl_epoch` builds it for a whole pass."""
-    return PseudoBox(
-        box=det.box,
-        cls=det.predicted_class,
-        p_hat=det.p_hat,
-        o_hat=det.objectness,
-        iou_cons=channel_iou_consistency(det, counter),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +370,12 @@ def ssl_epoch(
     """One epoch in three stages.
 
     1. Teacher pass: each teacher detection on an unlabeled scene becomes a
-       pseudo-box scored by its channel IoU consistency.
+       pseudo-box row of one table: its box, class and ``CRITERIA`` values,
+       the last its channel IoU consistency.
     2. Levels: on threshold epochs, refit the per-class dual thresholds;
-       then stratify every scene's pseudo-boxes, in place of the unstratified
-       ones, and add the level and incorrect-box counts.
-    3. Student steps: per unlabeled scene, remove low-level points,
+       then give every row its level and weight in one :func:`levels` call,
+       and count the levels and the incorrect boxes.
+    3. Student steps: per unlabeled scene, remove the points of its low rows,
        optionally shuffle patches, then train the student on freshly drawn
        strong channel transforms against the kept boxes with hierarchical
        weights. Labeled scenes run as supervised steps with unit weights,
@@ -406,45 +404,46 @@ def ssl_epoch(
     """
     metrics = EpochMetrics(epoch=state.epoch)
 
-    # stage 1: the teacher pass. Each scene keeps its pseudo-boxes and its
-    # detections' (D, C, 7) channel boxes, whose consistencies are then
-    # computed for the whole pass in one call
+    # stage 1: the teacher pass as one table of pseudo-boxes, scene after
+    # scene: boxes (P, 7), classes (P,) and CRITERIA values (P, 3)
     channel_pairs = PairCounter()
-    strata, channel_boxes = [], []
+    scenes, passes = [], []
     for scene, dets in _detect_each(unlabeled, state.teacher, "teacher"):
-        strata.append((scene, [PseudoBox(Box3D(*row), cls, p_hat, o_hat, 0.0)
-                               for row, cls, p_hat, o_hat in zip(
-                                   dets.boxes.tolist(), dets.predicted_class.tolist(),
-                                   dets.p_hat.tolist(), dets.objectness.tolist())]))
-        channel_boxes.append(dets.channel_boxes)
+        scenes.append(scene)
+        passes.append(dets)
         # what the all-pairs baseline would evaluate: N^2 per scene
         metrics.pairing_pair_evals += len(dets) ** 2
-    if channel_boxes:
-        consistencies = channel_consistencies(np.concatenate(channel_boxes), channel_pairs)
-        for pb, iou_cons in zip([pb for _, group in strata for pb in group],
-                                consistencies.tolist()):
-            pb.iou_cons = iou_cons
-    del channel_boxes  # not held through the student steps
+
+    def stacked(column: str, shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray:
+        """The pass's ``column`` rows; (0, *shape) when no scene was detected."""
+        parts = [getattr(dets, column) for dets in passes]
+        return np.concatenate(parts) if parts else np.zeros((0, *shape), dtype)
+
+    boxes, classes = stacked("boxes", (BOX_DIM,)), stacked("predicted_class", (), np.int64)
+    values = np.column_stack([stacked("p_hat", ()), stacked("objectness", ()),
+                              channel_consistencies(stacked("channel_boxes", (1, BOX_DIM)),
+                                                    channel_pairs)])
+    starts = np.cumsum([0, *map(len, passes)]).tolist()  # scene k has rows starts[k]:starts[k + 1]
+    del passes  # the channel boxes are not held through the student steps
     metrics.channel_pair_evals = channel_pairs.count
 
     # stage 2: levels
     if state.epoch % cfg.threshold_period == 0 or state.thresholds is None:
         state.thresholds = fit_threshold_bank(
-            [pb for _, group in strata for pb in group],
+            classes, values,
             num_classes=len(CLASS_NAMES),
             previous=state.thresholds,
             min_score=cfg.prefilter_min_score,
         )
     thr = state.thresholds
-    for i, (scene, pseudo) in enumerate(strata):
-        strat = stratify(pseudo, thr)
-        strata[i] = scene, strat
-        metrics.n_pseudo += len(strat)
-        metrics.n_high += sum(pb.level == LEVEL_HIGH for pb in strat)
-        metrics.n_ambiguous += sum(pb.level == LEVEL_AMBIGUOUS for pb in strat)
-        metrics.n_low += sum(pb.level == LEVEL_LOW for pb in strat)
+    codes, pseudo_weights = levels(classes, values, thr)
+    kept = codes != LEVELS.index(LEVEL_LOW)
+    metrics.n_pseudo = len(codes)
+    metrics.n_low, metrics.n_ambiguous, metrics.n_high = np.bincount(  # in LEVELS order
+        codes, minlength=len(LEVELS)).tolist()
     metrics.incorrect_prefilter, metrics.incorrect_postfilter = pseudo_quality(
-        [(strat, scene.gt_boxes, scene.gt_classes) for scene, strat in strata if scene.gt_boxes])
+        (boxes[a:b], classes[a:b], kept[a:b], scene.gt_boxes, scene.gt_classes)
+        for scene, a, b in zip(scenes, starts, starts[1:]) if scene.gt_boxes)
     # class-mean thresholds, as a compact diagnostic
     means = np.mean([[*t.p_hat, *t.o_hat, *t.iou_cons] for t in thr.values()], axis=0)
     (metrics.thr_p_low, metrics.thr_p_high, metrics.thr_o_low, metrics.thr_o_high,
@@ -460,23 +459,22 @@ def ssl_epoch(
     def steps() -> Iterator[Step]:
         """(kind, target, weights, strong-channel seed, background weight) per
         student step, in training order, each target built when drawn."""
-        for idx in range(len(strata) or len(labeled)):
-            if strata:
-                scene, strat = strata[idx]
-                low_boxes = [pb.box for pb in strat if pb.level == LEVEL_LOW]
-                kept = [pb for pb in strat if pb.level != LEVEL_LOW]
+        for idx in range(len(scenes) or len(labeled)):
+            if scenes:
+                scene, rows = scenes[idx], slice(starts[idx], starts[idx + 1])
+                keep = kept[rows]
                 # the pseudo-labelled view: hidden ground truth stays on ``scene``
                 target = Scene(
                     scene.id,
-                    remove_low_level_points(read_cloud(scene), low_boxes),
-                    [pb.box for pb in kept],
-                    [pb.cls for pb in kept],
+                    remove_low_level_points(read_cloud(scene), boxes[rows][~keep]),
+                    [Box3D(*box) for box in boxes[rows][keep].tolist()],
+                    classes[rows][keep].tolist(),
                 )
                 if cfg.shuffle_grid_cells >= 2:
                     target = shuffle_augment(
                         target, cfg.shuffle_grid_cells, scene_seed(cfg.seed, state.epoch, idx, 1)
                     )
-                yield ("unlabeled", target, [pb.weight for pb in kept],
+                yield ("unlabeled", target, pseudo_weights[rows][keep].tolist(),
                        scene_seed(cfg.seed, state.epoch, idx, 0), cfg.unsup_background_weight)
             if labeled:
                 scene = labeled[idx % len(labeled)]

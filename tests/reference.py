@@ -31,7 +31,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from cadet3d.augment import shuffle_augment, strong_channels
 from cadet3d.config import RunConfig
@@ -81,18 +81,19 @@ from cadet3d.geometry import (
     wrap_angle,
 )
 from cadet3d.selftrain import (
+    CRITERIA,
     LEVEL_AMBIGUOUS,
     LEVEL_HIGH,
     LEVEL_LOW,
     EpochMetrics,
+    PseudoBox,
     SslState,
+    channel_iou_consistency,
     detect_and_score,
     ema_update,
-    fit_threshold_bank,
-    pseudo_from_detection,
+    fit_dual_thresholds,
     remove_low_level_points,
     scene_seed,
-    stratify,
 )
 from cadet3d.voxels import BEV_MAX_HEIGHT, BEV_MAX_OCC, BevGrid
 
@@ -591,6 +592,33 @@ def scalar_channel_iou_consistency(boxes) -> float:
     return total / pairs
 
 
+def scalar_stratify(pseudo_boxes, thr):
+    """``stratify`` one pseudo-box at a time: low when any criterion is below
+    its low boundary, else high when every criterion reaches its high
+    boundary, else ambiguous with weight p_hat * o_hat."""
+    out = []
+    for pb in pseudo_boxes:
+        t = thr[pb.cls] if isinstance(thr, dict) else thr
+        scores = {name: getattr(pb, name) for name in CRITERIA}
+        if any(scores[name] < getattr(t, name)[0] for name in CRITERIA):
+            level, weight = LEVEL_LOW, 0.0
+        elif all(scores[name] >= getattr(t, name)[1] for name in CRITERIA):
+            level, weight = LEVEL_HIGH, 1.0
+        else:
+            level, weight = LEVEL_AMBIGUOUS, pb.p_hat * pb.o_hat
+        out.append(replace(pb, level=level, weight=weight))
+    return out
+
+
+def classwise_threshold_bank(pseudo_boxes, num_classes, previous=None, *, min_score):
+    """``fit_threshold_bank`` as ``fit_dual_thresholds`` of each class's
+    pseudo-boxes."""
+    previous = previous or {}
+    return {cls_id: fit_dual_thresholds([pb for pb in pseudo_boxes if pb.cls == cls_id],
+                                        previous.get(cls_id), min_score=min_score)
+            for cls_id in range(1, num_classes + 1)}
+
+
 def scalar_pseudo_quality(pseudo_boxes, gt_boxes, gt_classes) -> tuple[int, int]:
     """One scene's ``(prefilter, postfilter)`` incorrect pseudo-box counts,
     each pseudo-box matched by :func:`scalar_best_match`."""
@@ -773,10 +801,12 @@ def stepwise_ssl_epoch(
     metrics = EpochMetrics(epoch=state.epoch)
 
     teacher_dets = [detections(detect(enc, state.teacher)) for _, enc in unlabeled]
-    pseudo_sets = [[pseudo_from_detection(d) for d in dets] for dets in teacher_dets]
+    pseudo_sets = [[PseudoBox(d.box, d.predicted_class, d.p_hat, d.objectness,
+                              channel_iou_consistency(d)) for d in dets]
+                   for dets in teacher_dets]
 
     if state.epoch % cfg.threshold_period == 0 or state.thresholds is None:
-        state.thresholds = fit_threshold_bank(
+        state.thresholds = classwise_threshold_bank(
             [pb for group in pseudo_sets for pb in group],
             num_classes=len(CLASS_NAMES),
             previous=state.thresholds,
@@ -810,7 +840,7 @@ def stepwise_ssl_epoch(
         sup.add(student_step("labeled", target, [1.0] * len(scene.gt_boxes), idx, 2, 1.0))
 
     for idx, ((scene, _), pseudo) in enumerate(zip(unlabeled, pseudo_sets)):
-        strat = stratify(pseudo, thr)
+        strat = scalar_stratify(pseudo, thr)
         metrics.n_pseudo += len(strat)
         metrics.n_high += sum(pb.level == LEVEL_HIGH for pb in strat)
         metrics.n_ambiguous += sum(pb.level == LEVEL_AMBIGUOUS for pb in strat)

@@ -783,6 +783,46 @@ class TestWorkCounts:
         assert counted["clipped"] > 0
 
 
+    def test_ssl_epoch_builds_boxes_only_for_kept_targets(self, small_env, monkeypatch):
+        """The teacher pass keeps its pseudo-boxes as rows: ``ssl_epoch``
+        builds no ``PseudoBox``, and one ``Box3D`` per kept (high or
+        ambiguous) target, none with the shuffle off."""
+        tmp, cfg = small_env
+        more = tmp / "more.txt"
+        set_keys(cfg, more, "fraction = 0.5\npretrain_epochs = 6\nepochs = 2\n"
+                            "shuffle_grid_cells = 0\n")
+        main(["gen-data", "--config", str(more)])
+        assert main(["pretrain", "--config", str(more)]) == 0
+        counts = {"pseudo": 0, "box3d": 0, "in_epoch": False}
+        box_new, pseudo_init, ssl_epoch = (geometry.Box3D.__new__, selftrain.PseudoBox.__init__,
+                                           cli.ssl_epoch)
+
+        def counted_box(cls, *args):
+            counts["box3d"] += counts["in_epoch"]
+            return box_new(cls, *args)
+
+        def counted_pseudo(self, *args, **kwargs):
+            counts["pseudo"] += 1
+            pseudo_init(self, *args, **kwargs)
+
+        def counted_epoch(*args, **kwargs):
+            counts["in_epoch"] = True
+            try:
+                return ssl_epoch(*args, **kwargs)
+            finally:
+                counts["in_epoch"] = False
+
+        monkeypatch.setattr(geometry.Box3D, "__new__", staticmethod(counted_box))
+        monkeypatch.setattr(selftrain.PseudoBox, "__init__", counted_pseudo)
+        monkeypatch.setattr(cli, "ssl_epoch", counted_epoch)
+        assert main(["ssl-train", "--config", str(more)]) == 0
+        rows = list(csv.DictReader(open(tmp / "run" / "metrics.csv")))
+        assert len(rows) == 2
+        kept = sum(int(row["n_high"]) + int(row["n_ambiguous"]) for row in rows)
+        assert kept > 0
+        assert counts["pseudo"] == 0
+        assert counts["box3d"] == kept
+
     def test_eval_scores_each_scene_in_one_pass(self, small_env, monkeypatch):
         """``detect_batch`` builds no ``Box3D``; evaluation builds one overlap
         table per scene with detections, not one per class, and runs the

@@ -13,7 +13,7 @@ from cadet3d.evaluation import (
     evaluate_scenes,
     pseudo_quality,
 )
-from cadet3d.geometry import Box3D, PointCloud
+from cadet3d.geometry import Box3D, PointCloud, box_rows
 from cadet3d.selftrain import PseudoBox
 from conftest import boxes, random_box
 from reference import (
@@ -261,33 +261,46 @@ def pseudo_at(box, cls=1, level="ambiguous"):
                      weight=0.5)
 
 
+def quality_rows(pbs, gts, gt_classes):
+    """A scene's ``pseudo_quality`` entry: the rows, classes and kept flags
+    (level high or ambiguous) of its pseudo-boxes, then its labels."""
+    return (box_rows([pb.box for pb in pbs]), np.array([pb.cls for pb in pbs], dtype=np.int64),
+            np.array([pb.level in ("high", "ambiguous") for pb in pbs], dtype=bool),
+            gts, gt_classes)
+
+
+def quality(*scenes):
+    """``pseudo_quality`` of scenes given as ``(pseudo_boxes, gts, gt_classes)``."""
+    return pseudo_quality([quality_rows(*scene) for scene in scenes])
+
+
 class TestPseudoQuality:
     def test_exact_pseudo_no_incorrect(self):
         gt = Box3D(0, 0, 1, 1.6, 1.5, 3.9, 0.4)
-        assert pseudo_quality([([pseudo_at(gt, 1, "high")], [gt], [1])]) == (0, 0)
+        assert quality(([pseudo_at(gt, 1, "high")], [gt], [1])) == (0, 0)
 
     def test_box_in_empty_space_incorrect(self):
         pb = pseudo_at(Box3D(50, 50, 1, 1, 1, 2, 0), 1, "high")
-        assert pseudo_quality([([pb], [], [])]) == (1, 1)
+        assert quality(([pb], [], [])) == (1, 1)
 
     def test_class_mismatch_incorrect(self):
         gt = Box3D(0, 0, 1, 1.6, 1.5, 3.9, 0.4)
-        prefilter, _ = pseudo_quality([([pseudo_at(gt, 2, "high")], [gt], [1])])
+        prefilter, _ = quality(([pseudo_at(gt, 2, "high")], [gt], [1]))
         assert prefilter == 1
 
     def test_low_iou_incorrect(self):
         gt = Box3D(0, 0, 1, 1.6, 1.5, 3.9, 0.0)
         off = Box3D(1.5, 0.8, 1, 1.6, 1.5, 3.9, 0.0)
-        assert pseudo_quality([([pseudo_at(off, 1, "ambiguous")], [gt], [1])]) == (1, 1)
+        assert quality(([pseudo_at(off, 1, "ambiguous")], [gt], [1])) == (1, 1)
 
     def test_postfilter_excludes_low(self):
         bad_low = pseudo_at(Box3D(50, 50, 1, 1, 1, 2, 0), 1, "low")
         bad_high = pseudo_at(Box3D(-50, 50, 1, 1, 1, 2, 0), 1, "high")
-        assert pseudo_quality([([bad_low, bad_high], [], [])]) == (2, 1)
+        assert quality(([bad_low, bad_high], [], [])) == (2, 1)
 
     def test_unknown_level_counts_as_low(self):
         pbs = [pseudo_at(Box3D(50, 50, 1, 1, 1, 2, 0), 1, level) for level in (None, "other")]
-        assert pseudo_quality([(pbs, [], [])]) == (2, 0)
+        assert quality((pbs, [], [])) == (2, 0)
 
     def test_postfilter_never_exceeds_prefilter(self, rng):
         gts = [random_box(rng) for _ in range(3)]
@@ -296,14 +309,14 @@ class TestPseudoQuality:
                       ("high", "ambiguous", "low")[int(rng.integers(0, 3))])
             for _ in range(20)
         ]
-        prefilter, postfilter = pseudo_quality([(pbs, gts, [1, 2, 3])])
+        prefilter, postfilter = quality((pbs, gts, [1, 2, 3]))
         assert postfilter <= prefilter
 
     def test_ties_go_to_the_earliest_truth(self):
         # two equal truths of different classes: the first one is the match
         gt = Box3D(0, 0, 1, 1.6, 1.5, 3.9, 0.4)
         for cls, want in ((1, (0, 0)), (2, (1, 1))):
-            assert pseudo_quality([([pseudo_at(gt, cls, "high")], [gt, gt], [1, 2])]) == want
+            assert quality(([pseudo_at(gt, cls, "high")], [gt, gt], [1, 2])) == want
 
     @given(st.lists(st.tuples(st.lists(boxes(), max_size=4), st.data()), max_size=5))
     @settings(max_examples=60)
@@ -325,4 +338,4 @@ class TestPseudoQuality:
                 pbs.append(pseudo_at(box, data.draw(st.integers(1, 3)), level))
             groups.append((pbs, gts + gts[:1], classes + [4 - c for c in classes[:1]]))
         want = [scalar_pseudo_quality(*group) for group in groups]
-        assert pseudo_quality(groups) == (sum(w[0] for w in want), sum(w[1] for w in want))
+        assert quality(*groups) == (sum(w[0] for w in want), sum(w[1] for w in want))

@@ -681,3 +681,21 @@ def test_points_in_box_boundary():
     assert not points_in_box(b, on_face, strict=True)[0]
     assert points_in_box(b, on_face, strict=False)[0]
     assert points_in_box(b, inside, strict=True)[0]
+
+
+@given(boxes(), st.data())
+@settings(max_examples=100)
+def test_points_in_box_takes_any_seven_sequence(box, data):
+    # points anywhere near the box, and on each of its faces
+    offsets = data.draw(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3), max_size=8))
+    local = np.array([(0.5 * u * box.l, 0.5 * v * box.w, 0.5 * z * box.h)
+                      for u in (-1.0, 0.0, 1.0) for v in (-1.0, 0.0, 1.0) for z in (-1.0, 1.0)]
+                     + [(2.0 * box.l * u, 2.0 * box.w * v, 2.0 * box.h * z)
+                        for u, v, z in offsets])
+    c, s = math.cos(box.r), math.sin(box.r)
+    xyz = np.column_stack([box.cx + c * local[:, 0] - s * local[:, 1],
+                           box.cy + s * local[:, 0] + c * local[:, 1], box.cz + local[:, 2]])
+    for strict in (True, False):
+        want = points_in_box(box, xyz, strict=strict)
+        for row in (box.as_array(), box.as_array().tolist()):
+            assert points_in_box(row, xyz, strict=strict).tolist() == want.tolist()

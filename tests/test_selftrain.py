@@ -28,6 +28,7 @@ from cadet3d.selftrain import (
     ema_update,
     fit_dual_thresholds,
     fit_threshold_bank,
+    levels,
     pairing_iou_consistency,
     optimal_three_partition,
     remove_low_level_points,
@@ -38,8 +39,10 @@ from cadet3d.selftrain import (
 from conftest import random_box
 from reference import (
     brute_force_three_partition,
+    classwise_threshold_bank,
     encode,
     scalar_channel_iou_consistency,
+    scalar_stratify,
     stepwise_ssl_epoch,
     unique_three_partition,
 )
@@ -207,6 +210,30 @@ def pseudo(p=0.8, o=0.7, iou=0.9, cls=1):
     return PseudoBox(box=Box3D(0, 0, 0, 1, 1, 2, 0), cls=cls, p_hat=p, o_hat=o, iou_cons=iou)
 
 
+def table(pseudo_boxes):
+    """The (P,) classes and (P, 3) ``CRITERIA`` values of ``pseudo_boxes``."""
+    return (np.array([pb.cls for pb in pseudo_boxes], dtype=np.int64),
+            np.array([[getattr(pb, name) for name in CRITERIA] for pb in pseudo_boxes],
+                     dtype=np.float64).reshape(-1, len(CRITERIA)))
+
+
+# a pseudo-box criterion value: one of a few low and high boundaries, a value
+# one ulp either side of one, or any value in [0, 1]
+BOUNDS = (0.0, 0.25, 0.5, 0.75, 1.0)
+criterion_values = st.one_of(
+    st.sampled_from(BOUNDS),
+    st.sampled_from(BOUNDS).map(lambda v: float(np.nextafter(v, 2.0))),
+    st.sampled_from(BOUNDS).map(lambda v: float(np.nextafter(v, -1.0))),
+    st.floats(0.0, 1.0),
+)
+pseudo_boxes = st.lists(st.builds(pseudo, criterion_values, criterion_values, criterion_values,
+                                  st.integers(1, 3)), max_size=12)
+dual_thresholds = st.builds(
+    lambda p, o, i: DualThresholds(p_hat=p, o_hat=o, iou_cons=i),
+    *[st.lists(st.sampled_from(BOUNDS), min_size=2, max_size=2).map(lambda b: tuple(sorted(b)))
+      for _ in CRITERIA])
+
+
 class TestFitThresholds:
     def test_worked_example_thresholds(self):
         boxes = [pseudo(p=v, o=1.0, iou=1.0) for v in (0.1, 0.12, 0.5, 0.52, 0.9, 0.92)]
@@ -247,9 +274,18 @@ class TestFitThresholds:
         boxes = [pseudo(p=v, cls=1) for v in (0.2, 0.5, 0.9)] + [
             pseudo(p=v, cls=2) for v in (0.3, 0.6, 0.95)
         ]
-        bank = fit_threshold_bank(boxes, num_classes=3, min_score=0.0)
+        bank = fit_threshold_bank(*table(boxes), num_classes=3, min_score=0.0)
         assert bank[1] != bank[2]
         assert bank[3] == DualThresholds()  # no boxes -> neutral
+
+    @given(pseudo_boxes, st.dictionaries(st.integers(1, 3), dual_thresholds),
+           st.sampled_from([0.0, 0.1, 0.3]))
+    @settings(max_examples=60)
+    def test_bank_equals_classwise_fits(self, boxes, previous, min_score):
+        # each class's rows, in their order, fit as that class's pseudo-boxes
+        assert (fit_threshold_bank(*table(boxes), num_classes=3, previous=previous,
+                                   min_score=min_score)
+                == classwise_threshold_bank(boxes, 3, previous, min_score=min_score))
 
 
 class TestStratify:
@@ -302,6 +338,21 @@ class TestStratify:
         out = stratify(same_scores, bank)
         assert out[0].level == "low"
         assert out[1].level == "high"
+
+
+    @given(pseudo_boxes, st.one_of(dual_thresholds,
+                                   st.fixed_dictionaries({c: dual_thresholds for c in (1, 2, 3)})))
+    @settings(max_examples=200)
+    def test_matches_scalar_oracle(self, boxes, thr):
+        got, want = stratify(boxes, thr), scalar_stratify(boxes, thr)
+        assert [pb.level for pb in got] == [pb.level for pb in want]
+        assert ([np.float64(pb.weight).tobytes() for pb in got]
+                == [np.float64(pb.weight).tobytes() for pb in want])
+
+    def test_levels_of_no_rows(self):
+        codes, weights = levels(*table([]), self.THR)
+        assert codes.shape == weights.shape == (0,)
+        assert stratify([], self.THR) == stratify([], {1: self.THR}) == []
 
 
 class TestRemoveLowLevelPoints:
@@ -449,23 +500,23 @@ class TestSslEpoch:
         assert all(isinstance(t, DualThresholds) for t in state.thresholds.values())
 
     def test_levels_and_counts_settled_before_the_first_step(self, monkeypatch):
-        # every scene is stratified, and all are counted in one call, before
-        # any student step reads a cloud, so no count is a side effect of
-        # drawing the steps
+        # every scene's rows take their levels in one call, and all are
+        # counted in one call, before any student step reads a cloud, so no
+        # count is a side effect of drawing the steps
         calls = []
 
         def recorded(name):
             original = getattr(selftrain, name)
             return lambda *args: calls.append(name) or original(*args)
 
-        for name in ("stratify", "pseudo_quality"):
+        for name in ("levels", "pseudo_quality"):
             monkeypatch.setattr(selftrain, name, recorded(name))
         labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
         assert all(sc.gt_boxes for sc in unlabeled)  # each feeds the quality counts
         ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg,
                   lambda scene: calls.append("read_cloud") or scene.cloud)
         first_read = calls.index("read_cloud")
-        assert calls[:first_read] == ["stratify"] * len(unlabeled) + ["pseudo_quality"]
+        assert calls[:first_read] == ["levels", "pseudo_quality"]
         assert set(calls[first_read:]) == {"read_cloud"}
 
 

@@ -14,13 +14,14 @@ from cadet3d.cli import main
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # names the tracer still lists whose functions are gone from the package
-RETIRED = {"voxels._plan_for", "voxels.BilinearPlan.__init__", "augment.weak_channels"}
-# names whose functions stay in the package, as one-item calls, but that no
-# command calls: the weak passes detect through ``detect_batch`` and the
-# teacher pass scores the consistencies of the whole pass in one call, and
-# the all-pairs baseline only serves acceptance criterion 3
-OFF_PATH = {"detector.detect", "selftrain.pseudo_from_detection",
-            "selftrain.pairing_iou_consistency"}
+RETIRED = {"voxels._plan_for", "voxels.BilinearPlan.__init__", "augment.weak_channels",
+           "selftrain.pseudo_from_detection"}
+# names whose functions stay in the package but that no command calls: the
+# weak passes detect through ``detect_batch``, the teacher pass takes its
+# levels from one ``levels`` call over its rows, and ``stratify`` (the
+# levels of ``PseudoBox`` objects) and the all-pairs baseline only serve the
+# acceptance criteria
+OFF_PATH = {"detector.detect", "selftrain.stratify", "selftrain.pairing_iou_consistency"}
 
 
 @pytest.fixture(scope="module")
