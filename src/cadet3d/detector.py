@@ -306,23 +306,25 @@ def _connected_components(flat: np.ndarray, ny: int) -> tuple[np.ndarray, np.nda
     return order, np.flatnonzero(np.diff(label[order], prepend=-1))
 
 
-def _segment_pca(centered: np.ndarray, weights: np.ndarray | float, start: np.ndarray,
+def _segment_pca(x: np.ndarray, y: np.ndarray, weights: np.ndarray | float, start: np.ndarray,
                  sizes: np.ndarray, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Principal axes and extents of point segments.
+    """Principal axes and extents of point segments, on 1-D columns.
 
-    ``centered`` holds (N, 2) offsets from each segment's weighted mean; the
-    segments begin at the ascending positions ``start`` and hold ``sizes``
-    points and ``total`` weight. Returns the (n, 2, 2) eigenvectors of the
-    weighted covariances (columns, ascending eigenvalues) and the (2, n)
-    extents of the segments projected onto the major and the minor axis.
+    ``x`` and ``y`` hold the (N,) offsets from each segment's weighted mean;
+    the segments begin at the ascending positions ``start`` and hold
+    ``sizes`` points and ``total`` weight. Returns the (n, 2, 2) eigenvectors
+    of the weighted covariances (columns, ascending eigenvalues) and the
+    (2, n) extents along the major and the minor axis: the ranges of the
+    projections ``x * e0 + y * e1``, the axis ``e`` repeated per point.
     """
-    wx, wy = weights * centered[:, 0], weights * centered[:, 1]
-    sums = np.add.reduceat(np.column_stack([wx * centered[:, 0], wx * centered[:, 1],
-                                            wy * centered[:, 1]]), start) / total[:, None]
-    _, vecs = np.linalg.eigh(sums[:, [0, 1, 1, 2]].reshape(-1, 2, 2))
-    axes = np.repeat(vecs[:, :, ::-1], sizes, axis=0)
-    proj = (centered[:, :, None] * axes).sum(axis=1).T  # (2, N): major, minor
-    return vecs, np.maximum.reduceat(proj, start, axis=1) - np.minimum.reduceat(proj, start, axis=1)
+    wx, wy = weights * x, weights * y
+    sxx, sxy, syy = (np.add.reduceat(p, start) / total for p in (wx * x, wx * y, wy * y))
+    _, vecs = np.linalg.eigh(np.stack([sxx, sxy, sxy, syy], axis=1).reshape(-1, 2, 2))
+    extent = np.empty((2, len(start)))
+    for row, k in enumerate((1, 0)):  # the major axis, then the minor
+        proj = x * np.repeat(vecs[:, 0, k], sizes) + y * np.repeat(vecs[:, 1, k], sizes)
+        extent[row] = np.maximum.reduceat(proj, start) - np.minimum.reduceat(proj, start)
+    return vecs, extent
 
 
 @dataclass(frozen=True)
@@ -348,8 +350,8 @@ def propose(fused: BevGrid) -> Proposals:
 
     The planes are labelled as one tall grid with an empty row between
     planes, so no component crosses planes. All components are fitted in one
-    array pass: segment sums (``np.add.reduceat``) for the means and
-    covariances, one stacked ``eigh``, projections onto the repeated
+    array pass over 1-D columns: segment sums (``np.add.reduceat``) for the
+    means and covariances, one stacked ``eigh``, projections onto the repeated
     eigenvectors, and segment extrema for the extents and the vertical span.
     """
     occupied = fused.values[:, BEV_MAX_OCC] >= MIN_OCC
@@ -364,14 +366,13 @@ def propose(fused: BevGrid) -> Proposals:
     idx = order[np.repeat(big, sizes)]
     n_cells = sizes[big]
     start = np.cumsum(n_cells) - n_cells
-    xy, z = fused.cell_xy(flat[idx]), values[idx, BEV_MAX_HEIGHT]
-    sums = np.add.reduceat(np.column_stack([xy, values[idx]]), start)  # x, y, BEV features
-    mean = sums[:, :2] / n_cells[:, None]
-    count = sums[:, 2 + BEV_MAX_OCC]
-    height = sums[:, 2 + BEV_MAX_HEIGHT] / n_cells
+    (x, y), z = fused.cell_xy(flat[idx]).T, values[idx, BEV_MAX_HEIGHT]
+    sum_x, sum_y, count, sum_h = (np.add.reduceat(c, start)
+                                  for c in (x, y, values[idx, BEV_MAX_OCC], z))
+    mean_x, mean_y, height = sum_x / n_cells, sum_y / n_cells, sum_h / n_cells
     spread = np.sqrt(np.add.reduceat((z - np.repeat(height, n_cells)) ** 2, start) / n_cells)
-    centered = xy - np.repeat(mean, n_cells, axis=0)
-    vecs, extent = _segment_pca(centered, 1.0, start, n_cells, n_cells)
+    vecs, extent = _segment_pca(x - np.repeat(mean_x, n_cells), y - np.repeat(mean_y, n_cells),
+                                1.0, start, n_cells, n_cells)
     voxel = fused.voxel_size
     length = extent[0] + voxel + PADDING
     width = extent[1] + voxel + PADDING
@@ -380,7 +381,7 @@ def propose(fused: BevGrid) -> Proposals:
     z_top = np.maximum.reduceat(z, start)
     h = np.maximum(z_top + 0.5 * voxel - fused.z_origin, voxel)
     raw[:, :BOX_DIM] = np.column_stack([
-        mean, fused.z_origin + 0.5 * h, width, h, length,
+        mean_x, mean_y, fused.z_origin + 0.5 * h, width, h, length,
         wrap_angles(np.arctan2(vecs[:, 1, 1], vecs[:, 0, 1]))])
     phi = raw[:, BOX_DIM:]
     phi[:, 0] = np.log1p(count)
@@ -390,7 +391,7 @@ def propose(fused: BevGrid) -> Proposals:
     phi[:, 4] = extent[0] + voxel
     phi[:, 5] = extent[1] + voxel
     phi[:, 6] = h
-    phi[:, 8] = np.hypot(mean[:, 0], mean[:, 1]) / 100.0
+    phi[:, 8] = np.hypot(mean_x, mean_y) / 100.0
     phi[:, 9] = np.minimum(width, length) / np.maximum(width, length)
     phi[:, 10] = count / n_cells
     phi[:, 11] = 1.0
@@ -409,7 +410,7 @@ def _roi_voxels(anchors: np.ndarray, grid: VoxelGrid, slot: np.ndarray | None
     y bound thins it. The candidates are tested with the arithmetic of
     ``points_in_box(strict=False)``.
     """
-    cx, cy, _, w, h, l, r = anchors.T
+    cx, cy, cz, w, h, l, r = anchors.T
     w_e, h_e, l_e = w * ROI_ENLARGE, h * ROI_ENLARGE, l * ROI_ENLARGE
     cfg = grid.cfg
     centers = grid.centers
@@ -421,14 +422,15 @@ def _roi_voxels(anchors: np.ndarray, grid: VoxelGrid, slot: np.ndarray | None
     n_cand = np.searchsorted(key, first + np.searchsorted(x_centers, cx + reach)) - lo
     roi = np.repeat(np.arange(len(anchors)), n_cand)
     vox = np.arange(len(roi)) + np.repeat(lo - np.cumsum(n_cand) + n_cand, n_cand)
-    near = np.flatnonzero(np.abs(centers[vox, 1] - cy[roi]) <= reach[roi])
-    roi, vox = roi[near], vox[near]
+    dy = centers[vox, 1] - cy[roi]
+    near = np.flatnonzero(np.abs(dy) <= reach[roi])
+    roi, vox, dy = roi[near], vox[near], dy[near]
     cos, sin = np.cos(r)[roi], np.sin(r)[roi]
-    d = centers[vox] - anchors[roi, :3]
-    u = cos * d[:, 0] + sin * d[:, 1]
-    v = -sin * d[:, 0] + cos * d[:, 1]
+    dx, dz = centers[vox, 0] - cx[roi], centers[vox, 2] - cz[roi]
+    u = cos * dx + sin * dy
+    v = -sin * dx + cos * dy
     keep = np.flatnonzero((np.abs(u) <= 0.5 * l_e[roi]) & (np.abs(v) <= 0.5 * w_e[roi])
-                          & (np.abs(d[:, 2]) <= 0.5 * h_e[roi]))
+                          & (np.abs(dz) <= 0.5 * h_e[roi]))
     return roi[keep], vox[keep]
 
 
@@ -464,14 +466,15 @@ def roi_features(anchors: np.ndarray, grid: VoxelGrid, slot: np.ndarray | None =
     new_col[1:] = col[1:] != col[:-1]
     new_col[start] = True
     n_cols = np.add.reduceat(new_col, start)
-    zs, cell_z, xy = centers[idx, 2], grid.mean_z[idx], centers[idx, :2]
-    sums = np.add.reduceat(np.column_stack(
-        [counts, counts * cell_z, counts * grid.mean_intensity[idx], counts[:, None] * xy]), start)
-    npts = sums[:, 0]  # whole numbers: exact in any order
-    mean_h = sums[:, 1] / npts
+    x, y, zs = centers[idx].T
+    cell_z, intensity = grid.mean_z[idx], grid.mean_intensity[idx]
+    npts, sum_h, sum_int, sum_x, sum_y = (  # npts: whole numbers, exact in any order
+        np.add.reduceat(c, start)
+        for c in (counts, counts * cell_z, counts * intensity, counts * x, counts * y))
+    mean_h = sum_h / npts
     var_h = np.add.reduceat(counts * (cell_z - np.repeat(mean_h, n_cells)) ** 2, start) / npts
-    centered = xy - np.repeat(sums[:, 3:] / npts[:, None], n_cells, axis=0)
-    _, extent = _segment_pca(centered, counts, start, n_cells, npts)
+    _, extent = _segment_pca(x - np.repeat(sum_x / npts, n_cells),
+                             y - np.repeat(sum_y / npts, n_cells), counts, start, n_cells, npts)
     voxel = cfg.voxel_size
     phi[hit, 0] = np.log1p(npts)
     phi[hit, 1] = np.minimum(1.0, n_cols * voxel * voxel / (w_e[hit] * l_e[hit]))
@@ -480,7 +483,7 @@ def roi_features(anchors: np.ndarray, grid: VoxelGrid, slot: np.ndarray | None =
     phi[hit, 4] = extent[0] + voxel
     phi[hit, 5] = extent[1] + voxel
     phi[hit, 6] = np.maximum.reduceat(zs, start) - np.minimum.reduceat(zs, start) + voxel
-    phi[hit, 7] = sums[:, 2] / npts
+    phi[hit, 7] = sum_int / npts
     phi[hit, 8] = np.hypot(cx[hit], cy[hit]) / 100.0
     phi[hit, 9] = np.minimum(w[hit], l[hit]) / np.maximum(w[hit], l[hit])
     phi[hit, 10] = npts / n_cells

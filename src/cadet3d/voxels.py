@@ -139,7 +139,9 @@ class BevGrid:
         bilinear corner in their ``plane``, and their interpolated features;
         every other point reads exactly zero.
 
-        Corners outside the grid read zero; see :meth:`_corner_rows`.
+        Corners outside the grid read zero; see :meth:`_corner_rows`. The
+        corner weights are computed once, then each feature's column is
+        gathered per corner and summed in the order 00, 01, 10, 11.
         """
         u = (xy[:, 0] - self.origin_xy[0]) / self.voxel_size - 0.5
         v = (xy[:, 1] - self.origin_xy[1]) / self.voxel_size - 0.5
@@ -147,12 +149,15 @@ class BevGrid:
         j0 = np.floor(v).astype(np.int64)
         pos = self._corner_rows(i0, j0, plane)
         hit = np.flatnonzero((pos < len(self.cells)).any(axis=1))
-        pos, fu, fv = pos[hit], u[hit] - i0[hit], v[hit] - j0[hit]
+        pos, fu, fv = pos[hit].T.astype(np.intp), u[hit] - i0[hit], v[hit] - j0[hit]  # (4, n) rows
+        weights = ((1 - fu) * (1 - fv), (1 - fu) * fv, fu * (1 - fv), fu * fv)
         padded = np.vstack([self.values, np.zeros(self.values.shape[1])])
-        rows = ((1 - fu) * (1 - fv))[:, None] * padded[pos[:, 0]]  # corners 00, 01, 10, 11
-        rows += ((1 - fu) * fv)[:, None] * padded[pos[:, 1]]
-        rows += (fu * (1 - fv))[:, None] * padded[pos[:, 2]]
-        rows += (fu * fv)[:, None] * padded[pos[:, 3]]
+        rows = np.empty((len(hit), padded.shape[1]))
+        for f, column in enumerate(padded.T):
+            acc = weights[0] * column[pos[0]]
+            for c in range(1, 4):
+                acc += weights[c] * column[pos[c]]
+            rows[:, f] = acc
         return hit, rows
 
     def _corner_rows(self, i0: np.ndarray, j0: np.ndarray, plane: np.ndarray | int) -> np.ndarray:

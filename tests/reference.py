@@ -11,6 +11,12 @@ best-match, the channel IoU consistency and the pseudo-box quality counts by
 the exact scalar IoU of every pair, and scoring and training one proposal,
 channel, example and box at a time with ``math`` functions.
 
+The stacked-row forms of the encode stages (:func:`stacked_segment_pca`,
+:func:`stacked_propose`, :func:`stacked_roi_features` and
+:func:`stacked_lookup`: sums as one ``reduceat`` over (N, k) stacks,
+projections as length-2 axis sums, offsets and corners as row gathers) are
+what the 1-D column passes of the library must reproduce byte for byte.
+
 It also holds the scalar box map (:func:`scalar_apply_box`), half-turn
 yaw alignment (:func:`align_yaw_to_anchor`) and patch shuffle
 (:func:`scalar_shuffle_augment`) that the array forms must reproduce bit
@@ -51,10 +57,12 @@ from cadet3d.detector import (
     Detection,
     LossTotals,
     NonFiniteLossError,
+    Proposals,
     SceneDetections,
     SceneEncoding,
     TrainExample,
     TrainLosses,
+    _connected_components,
     _smooth_l1,
     detect,
     encode_batch,
@@ -79,6 +87,7 @@ from cadet3d.geometry import (
     points_in_box,
     transform_params,
     wrap_angle,
+    wrap_angles,
 )
 from cadet3d.selftrain import (
     CRITERIA,
@@ -563,6 +572,148 @@ def dense_propose(fused) -> np.ndarray:
         phi[11] = 1.0
         rows.append(np.concatenate([box.as_array(), phi]))
     return np.array(rows).reshape(-1, BOX_DIM + N_FEATURES)
+
+
+def stacked_segment_pca(centered: np.ndarray, weights, start: np.ndarray, sizes: np.ndarray,
+                        total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``detector._segment_pca`` on stacked rows: the covariance sums as one
+    ``reduceat`` over a (N, 3) stack, and the projections as a length-2 axis
+    sum of (N, 2, 2) products against the eigenvectors repeated per point.
+    ``centered`` holds the (N, 2) offsets."""
+    wx, wy = weights * centered[:, 0], weights * centered[:, 1]
+    sums = np.add.reduceat(np.column_stack([wx * centered[:, 0], wx * centered[:, 1],
+                                            wy * centered[:, 1]]), start) / total[:, None]
+    _, vecs = np.linalg.eigh(sums[:, [0, 1, 1, 2]].reshape(-1, 2, 2))
+    axes = np.repeat(vecs[:, :, ::-1], sizes, axis=0)
+    proj = (centered[:, :, None] * axes).sum(axis=1).T  # (2, N): major, minor
+    return vecs, np.maximum.reduceat(proj, start, axis=1) - np.minimum.reduceat(proj, start, axis=1)
+
+
+def stacked_lookup(grid: BevGrid, xy: np.ndarray, plane=0) -> tuple[np.ndarray, np.ndarray]:
+    """``BevGrid.lookup`` with each corner gathered as (N, F) rows and
+    weighted by a broadcast column, corners summed 00, 01, 10, 11."""
+    u = (xy[:, 0] - grid.origin_xy[0]) / grid.voxel_size - 0.5
+    v = (xy[:, 1] - grid.origin_xy[1]) / grid.voxel_size - 0.5
+    i0 = np.floor(u).astype(np.int64)
+    j0 = np.floor(v).astype(np.int64)
+    pos = grid._corner_rows(i0, j0, plane)
+    hit = np.flatnonzero((pos < len(grid.cells)).any(axis=1))
+    pos, fu, fv = pos[hit], u[hit] - i0[hit], v[hit] - j0[hit]
+    padded = np.vstack([grid.values, np.zeros(grid.values.shape[1])])
+    rows = ((1 - fu) * (1 - fv))[:, None] * padded[pos[:, 0]]
+    rows += ((1 - fu) * fv)[:, None] * padded[pos[:, 1]]
+    rows += (fu * (1 - fv))[:, None] * padded[pos[:, 2]]
+    rows += (fu * fv)[:, None] * padded[pos[:, 3]]
+    return hit, rows
+
+
+def stacked_propose(fused: BevGrid) -> Proposals:
+    """``detector.propose`` with its segment sums taken as one ``reduceat``
+    over stacked (N, 4) columns and its fit by :func:`stacked_segment_pca`."""
+    occupied = fused.values[:, BEV_MAX_OCC] >= MIN_OCC
+    flat, values = fused.cells[occupied], fused.values[occupied]
+    ny = fused.shape[1]
+    order, start = _connected_components(flat + flat // fused.plane_size * ny, ny)
+    sizes = np.diff(start, append=len(flat))
+    big = sizes >= MIN_CELLS
+    raw = np.zeros((int(big.sum()), BOX_DIM + N_FEATURES))
+    if not len(raw):
+        return Proposals(raw, np.zeros(0, dtype=np.int64))
+    idx = order[np.repeat(big, sizes)]
+    n_cells = sizes[big]
+    start = np.cumsum(n_cells) - n_cells
+    xy, z = fused.cell_xy(flat[idx]), values[idx, BEV_MAX_HEIGHT]
+    sums = np.add.reduceat(np.column_stack([xy, values[idx]]), start)  # x, y, BEV features
+    mean = sums[:, :2] / n_cells[:, None]
+    count = sums[:, 2 + BEV_MAX_OCC]
+    height = sums[:, 2 + BEV_MAX_HEIGHT] / n_cells
+    spread = np.sqrt(np.add.reduceat((z - np.repeat(height, n_cells)) ** 2, start) / n_cells)
+    centered = xy - np.repeat(mean, n_cells, axis=0)
+    vecs, extent = stacked_segment_pca(centered, 1.0, start, n_cells, n_cells)
+    voxel = fused.voxel_size
+    length = extent[0] + voxel + PADDING
+    width = extent[1] + voxel + PADDING
+    z_top = np.maximum.reduceat(z, start)
+    h = np.maximum(z_top + 0.5 * voxel - fused.z_origin, voxel)
+    raw[:, :BOX_DIM] = np.column_stack([
+        mean, fused.z_origin + 0.5 * h, width, h, length,
+        wrap_angles(np.arctan2(vecs[:, 1, 1], vecs[:, 0, 1]))])
+    phi = raw[:, BOX_DIM:]
+    phi[:, 0] = np.log1p(count)
+    phi[:, 1] = np.minimum(1.0, n_cells * voxel * voxel / (width * length))
+    phi[:, 2] = height
+    phi[:, 3] = spread
+    phi[:, 4] = extent[0] + voxel
+    phi[:, 5] = extent[1] + voxel
+    phi[:, 6] = h
+    phi[:, 8] = np.hypot(mean[:, 0], mean[:, 1]) / 100.0
+    phi[:, 9] = np.minimum(width, length) / np.maximum(width, length)
+    phi[:, 10] = count / n_cells
+    phi[:, 11] = 1.0
+    return Proposals(raw, flat[idx[start]] // fused.plane_size)
+
+
+def stacked_roi_features(anchors: np.ndarray, grid, slot=None) -> np.ndarray:
+    """``detector.roi_features`` with each candidate voxel's offset from its
+    RoI center taken as (P, 3) row gathers, the weighted sums as one
+    ``reduceat`` over stacked (P, 5) columns, and the extents by
+    :func:`stacked_segment_pca`."""
+    phi = np.zeros((len(anchors), N_FEATURES))
+    phi[:, 11] = 1.0
+    cx, cy, _, w, h, l, r = anchors.T
+    w_e, h_e, l_e = w * ROI_ENLARGE, h * ROI_ENLARGE, l * ROI_ENLARGE
+    cfg = grid.cfg
+    centers = grid.centers
+    x_centers = cfg.origin[0] + (np.arange(cfg.nx) + 0.5) * cfg.voxel_size
+    reach = 0.5 * np.hypot(w_e, l_e) + 1e-6
+    key = grid.slot * cfg.nx + grid.coords[:, 0]
+    first = 0 if slot is None else slot * cfg.nx
+    lo = np.searchsorted(key, first + np.searchsorted(x_centers, cx - reach))
+    n_cand = np.searchsorted(key, first + np.searchsorted(x_centers, cx + reach)) - lo
+    roi = np.repeat(np.arange(len(anchors)), n_cand)
+    vox = np.arange(len(roi)) + np.repeat(lo - np.cumsum(n_cand) + n_cand, n_cand)
+    near = np.flatnonzero(np.abs(centers[vox, 1] - cy[roi]) <= reach[roi])
+    roi, vox = roi[near], vox[near]
+    cos, sin = np.cos(r)[roi], np.sin(r)[roi]
+    d = centers[vox] - anchors[roi, :3]
+    u = cos * d[:, 0] + sin * d[:, 1]
+    v = -sin * d[:, 0] + cos * d[:, 1]
+    keep = np.flatnonzero((np.abs(u) <= 0.5 * l_e[roi]) & (np.abs(v) <= 0.5 * w_e[roi])
+                          & (np.abs(d[:, 2]) <= 0.5 * h_e[roi]))
+    roi, idx = roi[keep], vox[keep]
+    if not len(roi):
+        return phi
+    n_cells = np.bincount(roi, minlength=len(anchors))
+    hit = np.flatnonzero(n_cells)
+    n_cells = n_cells[hit]
+    start = np.cumsum(n_cells) - n_cells
+    counts = grid.counts[idx]
+    col = grid.coords[idx, 0] * cfg.ny + grid.coords[idx, 1]
+    new_col = np.ones(len(idx), dtype=bool)
+    new_col[1:] = col[1:] != col[:-1]
+    new_col[start] = True
+    n_cols = np.add.reduceat(new_col, start)
+    zs, cell_z, xy = centers[idx, 2], grid.mean_z[idx], centers[idx, :2]
+    sums = np.add.reduceat(np.column_stack(
+        [counts, counts * cell_z, counts * grid.mean_intensity[idx], counts[:, None] * xy]), start)
+    npts = sums[:, 0]
+    mean_h = sums[:, 1] / npts
+    var_h = np.add.reduceat(counts * (cell_z - np.repeat(mean_h, n_cells)) ** 2, start) / npts
+    centered = xy - np.repeat(sums[:, 3:] / npts[:, None], n_cells, axis=0)
+    _, extent = stacked_segment_pca(centered, counts, start, n_cells, npts)
+    voxel = cfg.voxel_size
+    phi[hit, 0] = np.log1p(npts)
+    phi[hit, 1] = np.minimum(1.0, n_cols * voxel * voxel / (w_e[hit] * l_e[hit]))
+    phi[hit, 2] = mean_h
+    phi[hit, 3] = np.sqrt(var_h)
+    phi[hit, 4] = extent[0] + voxel
+    phi[hit, 5] = extent[1] + voxel
+    phi[hit, 6] = np.maximum.reduceat(zs, start) - np.minimum.reduceat(zs, start) + voxel
+    phi[hit, 7] = sums[:, 2] / npts
+    phi[hit, 8] = np.hypot(cx[hit], cy[hit]) / 100.0
+    phi[hit, 9] = np.minimum(w[hit], l[hit]) / np.maximum(w[hit], l[hit])
+    phi[hit, 10] = npts / n_cells
+    return phi
 
 
 def scalar_best_match(box: Box3D, candidates, skip=()) -> tuple[float, int]:

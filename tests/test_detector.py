@@ -30,6 +30,7 @@ from cadet3d.detector import (
     TrainExample,
     TrainLosses,
     _connected_components,
+    _segment_pca,
     build_training_examples,
     detect,
     detect_batch,
@@ -75,6 +76,10 @@ from reference import (
     scalar_loss_and_grads,
     scalar_score_proposals,
     scalar_sigmoid,
+    stacked_lookup,
+    stacked_propose,
+    stacked_roi_features,
+    stacked_segment_pca,
 )
 
 CONFIG = default_config()  # the channel policies the CLI runs
@@ -557,6 +562,131 @@ class TestStackedEigh:
             v, u = np.linalg.eigh(cov)
             np.testing.assert_array_equal(v_stacked, v)
             np.testing.assert_array_equal(u_stacked, u)
+
+
+@st.composite
+def pca_segments(draw):
+    """Point segments for ``_segment_pca``: (centered (N, 2), weights, start,
+    sizes, total). Each segment holds 1-300 points, random, collinear,
+    repeated, axis-aligned or on a coarse lattice, around an origin near 0 or
+    near 1e4 m, with scalar unit weights or whole weights that may be zero
+    (each segment keeps a positive total); the offsets are taken from each
+    segment's weighted mean, as the callers do."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = draw(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 300)),
+                            min_size=1, max_size=6))
+    kinds = draw(st.lists(st.sampled_from(["random", "collinear", "repeated", "axis_x",
+                                           "axis_y", "lattice"]),
+                          min_size=len(lengths), max_size=len(lengths)))
+    origin = draw(st.sampled_from([0.0, 1e4, -1e4 + 0.37]))
+    segments = []
+    for n, kind in zip(lengths, kinds):
+        scale = 10.0 ** gen.uniform(-3, 1)
+        t = gen.normal(size=n) * scale
+        if kind == "random":
+            pts = gen.normal(size=(n, 2)) * scale
+        elif kind == "collinear":
+            a = gen.uniform(-math.pi, math.pi)
+            pts = np.outer(t, [math.cos(a), math.sin(a)])
+        elif kind == "repeated":
+            pts = np.repeat(gen.normal(size=(1, 2)) * scale, n, axis=0)
+        elif kind == "lattice":
+            pts = np.round(gen.normal(size=(n, 2)) * 4) * 0.25
+        else:
+            pts = np.zeros((n, 2))
+            pts[:, 0 if kind == "axis_x" else 1] = t
+        segments.append(pts + origin + gen.uniform(-20, 20, 2))
+    sizes = np.array(lengths)
+    start = np.cumsum(sizes) - sizes
+    xy = np.vstack(segments)
+    if draw(st.booleans()):
+        weights, total = 1.0, sizes.astype(np.float64)
+    else:
+        weights = gen.integers(0, 4, len(xy)).astype(np.float64)
+        weights[start] = np.maximum(weights[start], 1.0)  # a positive total per segment
+        total = np.add.reduceat(weights, start)
+    mean = np.add.reduceat(weights * xy.T, start, axis=1) / total
+    return xy - np.repeat(mean, sizes, axis=1).T, weights, start, sizes, total
+
+
+class TestSegmentPcaOracle:
+    """``_segment_pca`` on 1-D columns returns the eigenvectors and extents
+    of the stacked-row form, byte for byte."""
+
+    @staticmethod
+    def check(centered, weights, start, sizes, total):
+        vecs, extent = _segment_pca(np.ascontiguousarray(centered[:, 0]),
+                                    np.ascontiguousarray(centered[:, 1]),
+                                    weights, start, sizes, total)
+        want_vecs, want_extent = stacked_segment_pca(centered, weights, start, sizes, total)
+        assert vecs.tobytes() == want_vecs.tobytes()
+        assert (extent.shape, extent.dtype) == (want_extent.shape, want_extent.dtype)
+        assert extent.tobytes() == want_extent.tobytes()
+
+    @given(case=pca_segments())
+    @settings(max_examples=300)
+    def test_segments(self, case):
+        self.check(*case)
+
+    def test_symmetric_zero_projections(self):
+        # the middle point sits at the mean and the minor axis projects the
+        # outer two to zero by cancellation: the column form reads -0.0 for
+        # the middle point (both products -0.0), the stacked sum +0.0
+        for xy in ([[1.0, -1.0], [0.0, 0.0], [-1.0, 1.0]], [[1.0, 1.0], [0.0, 0.0], [-1.0, -1.0]],
+                   [[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]):
+            xy = np.array(xy)
+            sizes = np.array([len(xy)])
+            self.check(xy, 1.0, np.array([0]), sizes, sizes.astype(np.float64))
+
+
+class TestEncodeStackedOracle:
+    """``encode_batch`` with its column passes (``propose``'s and
+    ``roi_features``' per-column sums, ``_roi_voxels``' per-column offsets,
+    ``BevGrid.lookup``'s per-feature corners) equals, byte for byte, the same
+    batch encoded with the stacked-row forms of those stages in
+    ``reference``."""
+
+    STAGES = [(detector, "propose", stacked_propose),
+              (detector, "roi_features", stacked_roi_features),
+              (BevGrid, "lookup", stacked_lookup)]
+
+    def stacked_encode(self, clouds, transforms):
+        originals = [getattr(owner, name) for owner, name, _ in self.STAGES]
+        calls = []
+
+        def counted(name, fn):
+            def run(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return run
+
+        with pytest.MonkeyPatch.context() as mp:
+            for owner, name, fn in self.STAGES:
+                mp.setattr(owner, name, counted(name, fn))
+            encs = encode_batch(clouds, transforms)
+        assert [getattr(owner, name) for owner, name, _ in self.STAGES] == originals
+        assert set(calls) == {name for _, name, _ in self.STAGES}
+        return encs
+
+    @pytest.mark.parametrize("policy", ["weak", "strong"])
+    def test_synth_batch(self, policy):
+        clouds = [synth_scene(seed, SynthConfig()).cloud for seed in range(ENCODE_BATCH)]
+        if policy == "weak":
+            transforms = [CONFIG.weak_policy()] * ENCODE_BATCH
+        else:
+            transforms = [strong_channels(CONFIG, 40 + seed) for seed in range(ENCODE_BATCH)]
+            drawn = [t for ts in transforms for t in ts]
+            assert any(t.flip_y for t in drawn) and all(t.s != 1.0 for t in drawn)
+            assert all(t.theta != 0.0 for t in drawn)
+        got = encode_batch(clouds, transforms)
+        want = self.stacked_encode(clouds, transforms)
+        assert all(len(enc.boxes) > 0 for enc in got)
+        for a, b in zip(got, want, strict=True):
+            assert a.transforms == b.transforms
+            for field in ("boxes", "features", "anchors", "channel_features"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert (x.shape, x.dtype) == (y.shape, y.dtype), field
+                assert x.tobytes() == y.tobytes(), field
 
 
 def random_params(rng, reg_scale=0.05):
