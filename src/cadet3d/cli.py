@@ -274,17 +274,17 @@ def cmd_report(run_dir, svg: bool = True) -> int:
     metrics_path = run / METRICS_CSV
     if not metrics_path.exists():
         raise FileNotFoundError(f"no metrics CSV at {metrics_path}")
-    with open(metrics_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
     needed = ["epoch", *(c for cols in _REPORT_SERIES.values() for c in cols)]
-    missing = [c for c in needed if c not in (reader.fieldnames or ())]
-    if missing:
-        print(f"error: {metrics_path} lacks column(s) {', '.join(missing)}", file=sys.stderr)
-        return EXIT_IO
-    try:
+    try:  # csv.Error: a row the reader refuses, such as an over-long field
+        with open(metrics_path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        missing = [c for c in needed if c not in (reader.fieldnames or ())]
+        if missing:
+            print(f"error: {metrics_path} lacks column(s) {', '.join(missing)}", file=sys.stderr)
+            return EXIT_IO
         values = {c: [float(r[c]) for r in rows] for c in needed}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, csv.Error) as exc:
         print(f"error: {metrics_path}: {exc}", file=sys.stderr)
         return EXIT_IO
     for i, r in enumerate(rows):

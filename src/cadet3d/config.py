@@ -51,7 +51,9 @@ class RunConfig:
         # the weak scales are checked even when n_channels = 1 reads neither
         for key, ok, rule in (
             ("dataset_root", bool(self.dataset_root), "must not be empty"),
+            ("dataset_root", "\0" not in self.dataset_root, "must not hold a NUL byte"),
             ("out_dir", bool(self.out_dir), "must not be empty"),
+            ("out_dir", "\0" not in self.out_dir, "must not hold a NUL byte"),
             ("fraction", 0.0 < self.fraction <= 1.0, "must be in (0, 1]"),
             ("n_scenes", self.n_scenes >= 1, "must be >= 1"),
             ("n_val_scenes", self.n_val_scenes >= 0, "must be >= 0"),

@@ -310,13 +310,13 @@ def write_split(root, name: str, ids: list[str]) -> None:
 def read_split(root, name: str) -> list[str]:
     """Scene ids of a split file, whitespace-separated, so none is empty. An
     id is a file name stem inside the dataset, so ``.``, ``..`` or an id that
-    holds a path separator raises :class:`SplitFormatError`, and so does an id
-    listed twice, which would count its scene twice."""
+    holds a path separator or a NUL byte raises :class:`SplitFormatError`, and
+    so does an id listed twice, which would count its scene twice."""
     path = Path(root) / "splits" / f"{name}.txt"
     ids = path.read_text().split()
     seen = set()
     for sid in ids:
-        if sid in (".", "..") or "/" in sid or "\\" in sid:
+        if sid in (".", "..") or any(c in sid for c in "/\\\0"):
             raise SplitFormatError(f"{path}: scene id {sid!r} is not a file name")
         if sid in seen:
             raise SplitFormatError(f"{path}: scene id {sid!r} is listed twice")

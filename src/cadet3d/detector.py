@@ -11,7 +11,7 @@ replaced by the geometric proposer so every head stays a linear map over a
 fixed 12-component feature vector.
 
 Detection runs in two parts. :func:`encode_batch` takes a batch of clouds,
-each with its own channel transforms, and does everything that reads no
+each with C channel transforms of its own, and does everything that reads no
 weights: channel clouds, voxel grids, the fused BEV, the raw proposals and
 the RoI features pooled for every raw proposal in every channel. Each stage
 is one array pass over every (scene, channel) slot of the batch: voxel, BEV
@@ -509,9 +509,9 @@ def _channel_clouds(clouds: Sequence[PointCloud], transforms: list[tuple[Transfo
 
 def encode_batch(clouds: Sequence[PointCloud],
                  transforms_per_scene: Sequence[Sequence[Transform]]) -> list[SceneEncoding]:
-    """The encoding of every cloud under its own channel transforms; see
-    :class:`SceneEncoding`. Each encoding has the bits of encoding its scene
-    alone.
+    """The encoding of every cloud under its own channel transforms, C of
+    them for every scene (ValueError otherwise, before any work); see
+    :class:`SceneEncoding`. Each encoding has the bits of encoding it alone.
 
     A slot is one (scene, channel) pair, scene-major. The slots' clouds are
     voxelized, compressed to BEV, aligned and fused (one plane per scene),
@@ -520,34 +520,30 @@ def encode_batch(clouds: Sequence[PointCloud],
     parameters repeated per row.
     """
     transforms = [tuple(t) for t in transforms_per_scene]
-    if len(clouds) != len(transforms):
-        raise ValueError("need one transform list per cloud")
-    channels = np.array([len(t) for t in transforms], dtype=np.int64)
+    n_ch = len(transforms[0]) if transforms else 0
+    if len(clouds) != len(transforms) or any(len(ts) != n_ch for ts in transforms):
+        raise ValueError(f"need one transform list per cloud, each of {n_ch} channels")
     pc, sizes = _channel_clouds(clouds, transforms)
     grid = voxelize(pc, VOXEL, sizes)
     del pc  # each channel cloud is dropped once voxelized
-    props = propose(bev_align(bev_from_voxels(grid), [t for ts in transforms for t in ts],
-                              channels))
+    props = propose(bev_align(bev_from_voxels(grid), [t for ts in transforms for t in ts], n_ch))
     # anchor rows: scene-major, then proposal, then channel
-    n_ch = channels[props.plane]
-    first = np.cumsum(channels) - channels
-    row_slot = (np.repeat(first[props.plane] - (np.cumsum(n_ch) - n_ch), n_ch)
-                + np.arange(n_ch.sum()))
+    row_slot = (props.plane[:, None] * n_ch + np.arange(n_ch)).ravel()
     rels = [r for ts in transforms for r in relative_transforms(ts)]
     anchors = np.repeat(props.rows[:, :BOX_DIM], n_ch, axis=0)
     moved = np.flatnonzero(~np.array([r.is_identity for r in rels])[row_slot])
     anchors[moved] = map_boxes(transform_params(rels)[row_slot[moved]], anchors[moved])
-    phi = roi_features(anchors, grid, row_slot)
-    out, k0, r0 = [], 0, 0
+    phi = roi_features(anchors, grid, row_slot).reshape(-1, n_ch, N_FEATURES)
+    anchors = anchors.reshape(-1, n_ch, BOX_DIM)
+    out, k0 = [], 0
     for ts, k in zip(transforms, np.bincount(props.plane, minlength=len(clouds)).tolist()):
-        r1 = r0 + k * len(ts)
         out.append(SceneEncoding(
             transforms=ts,
             boxes=np.ascontiguousarray(props.rows[k0:k0 + k, :BOX_DIM]),
             features=np.ascontiguousarray(props.rows[k0:k0 + k, BOX_DIM:]),
-            anchors=anchors[r0:r1].reshape(k, len(ts), BOX_DIM),
-            channel_features=phi[r0:r1].reshape(k, len(ts), N_FEATURES)))
-        k0, r0 = k0 + k, r1
+            anchors=anchors[k0:k0 + k],
+            channel_features=phi[k0:k0 + k]))
+        k0 += k
     return out
 
 

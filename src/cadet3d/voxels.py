@@ -234,14 +234,14 @@ def _footprints(grid: BevGrid, rels: list[Transform]) -> np.ndarray:
 
 
 def bev_align(grids: BevGrid | Sequence[BevGrid], transforms: Sequence[Transform],
-              channels: Sequence[int] | None = None) -> BevGrid:
+              channels: int | None = None) -> BevGrid:
     """Fuse per-channel BEV grids into channel-1 space, one fused plane per scene.
 
     ``grids`` is one grid whose planes are the channels of every scene in
     turn, or a list of one-plane grids; ``transforms`` holds each plane's
-    channel transform and ``channels`` each scene's channel count (default:
-    one scene of every plane). All planes share one origin, voxel size and
-    shape (ValueError otherwise).
+    channel transform. Plane p is channel ``p % channels`` of scene ``p //
+    channels`` (default: one scene of every plane). All planes share one
+    origin, voxel size and shape (ValueError otherwise).
 
     Grid points are the channel-1 cell centers; each is mapped through
     T_i o T_1^{-1} into channel i, features are bilinearly interpolated there
@@ -258,15 +258,14 @@ def bev_align(grids: BevGrid | Sequence[BevGrid], transforms: Sequence[Transform
             raise ValueError("need one transform per grid")
         grids = _stack_planes(grids)
     grid, size = grids, grids.plane_size
-    channels = [len(transforms)] if channels is None else list(channels)
+    channels = len(transforms) if channels is None else channels
     cell_plane = grid.cells // size
-    if (sum(channels) != len(transforms) or not transforms or min(channels) < 1
+    if (not transforms or channels < 1 or len(transforms) % channels
             or cell_plane.max(initial=0) >= len(transforms)):
         raise ValueError("need one transform per grid")
-    first = np.cumsum(channels) - channels
-    scene = np.repeat(np.arange(len(channels)), channels)  # of each plane
-    chan = np.arange(len(transforms)) - first[scene]
-    rels = [r for b, n in zip(first, channels) for r in relative_transforms(transforms[b:b + n])]
+    scene, chan = np.divmod(np.arange(len(transforms)), channels)  # of each plane
+    rels = [r for b in range(0, len(transforms), channels)
+            for r in relative_transforms(transforms[b:b + channels])]
     moved = np.array([not r.is_identity for r in rels], dtype=bool)
     kept = ~moved[cell_plane]  # cells of identity planes are fused as they are
     keys = [scene[cell_plane[kept]] * size + grid.cells[kept] % size]
@@ -285,21 +284,20 @@ def bev_align(grids: BevGrid | Sequence[BevGrid], transforms: Sequence[Transform
         chans.append(chan[plane[hit]])
         values.append(rows)
     keys, chans, values = np.concatenate(keys), np.concatenate(chans), np.concatenate(values)
-    union = np.zeros(len(channels) * size, dtype=bool)
+    union = np.zeros(len(transforms) // channels * size, dtype=bool)
     union[keys] = True
+    pos = np.empty(len(union), dtype=np.int32)
     union = np.flatnonzero(union)
-    pos = np.empty(len(channels) * size, dtype=np.int32)
     pos[union] = np.arange(len(union), dtype=np.int32)
     pos = pos[keys]
     fused = np.zeros((len(union), grid.values.shape[1]))
     at = chans == 0
     fused[pos[at]] = values[at]
     frame = np.zeros_like(fused)
-    n_channels = np.asarray(channels)[union // size]  # of each fused cell's scene
-    for c in range(1, max(channels)):
+    for c in range(1, channels):
         at = chans == c
         frame[pos[at]] = values[at]
-        np.maximum(fused, frame, out=fused, where=(n_channels > c)[:, None])
+        np.maximum(fused, frame, out=fused)
         frame[pos[at]] = 0.0
     return BevGrid.from_cells(grid.origin_xy, grid.voxel_size, grid.shape, union, fused,
                               grid.z_origin)

@@ -108,7 +108,8 @@ class TestConfigErrors:
                                       "synth.size_jitter = -0.1", "shuffle_grid_cells = -3",
                                       "unsup_background_weight = -1.0",
                                       "prefilter_min_score = 7.0", "prefilter_min_score = -2.0",
-                                      "strong_rot_deg = -1", "strong_scale_low = 1.2"])
+                                      "strong_rot_deg = -1", "strong_scale_low = 1.2",
+                                      "dataset_root = da\0ta", "out_dir = ru\0n"])
     def test_unbuildable_config_exits_2_before_writing(self, small_env, line):
         tmp, cfg = small_env
         main(["gen-data", "--config", str(cfg)])
@@ -346,7 +347,7 @@ class TestEval:
         main(["gen-data", "--config", str(cfg)])
         assert main(["eval", "--config", str(cfg), "--params", str(tmp / "nope.params")]) == 2
 
-    @pytest.mark.parametrize("bad_id", ["../labeled_copy/000000", "DUPLICATE"])
+    @pytest.mark.parametrize("bad_id", ["../labeled_copy/000000", "DUPLICATE", "0000\x0007"])
     def test_bad_split_id_exit_2(self, small_env, capsys, bad_id):
         tmp, cfg = small_env
         main(["gen-data", "--config", str(cfg)])
@@ -546,6 +547,16 @@ class TestReport:
         header, row = metrics.read_text().splitlines()
         metrics.write_text(header + "\n" + row.replace(",", ",x", 1) + "\n")
         assert main(["report", "--run", str(tmp / "run")]) == 2
+
+    def test_field_over_csv_limit_exit_2(self, tmp_path, capsys):
+        # the csv module refuses a field over csv.field_size_limit() (131072 by default)
+        columns = ["epoch", *(c for cols in cli._REPORT_SERIES.values() for c in cols)]
+        (tmp_path / "metrics.csv").write_text(
+            ",".join(columns) + "\n" + '"' + "1" * (csv.field_size_limit() + 1) + '"\n')
+        assert main(["report", "--run", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'metrics.csv'}: ") and err.count("\n") == 1
+        assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("column, value", [("val_map", "inf"), ("sup_total", "nan"),
                                                ("val_ap_car", "-inf")])

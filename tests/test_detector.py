@@ -437,11 +437,22 @@ class TestEncodeRois:
 
 
 class TestEncodeBatch:
-    """A batch of scenes encodes, field for field and byte for byte, as each
-    scene alone; no component, fused cell or pooled voxel crosses scenes."""
+    """A batch of scenes of one channel count encodes, field for field and
+    byte for byte, as each scene alone; no component, fused cell or pooled
+    voxel crosses scenes."""
 
-    POLICIES = [CONFIG.weak_policy(), strong_channels(CONFIG, 21),
-                strong_channels(replace(CONFIG, n_channels=4), 22), CONFIG.weak_policy(1)]
+    # per channel count, the weak policy and drawn ones
+    POLICIES = {1: [CONFIG.weak_policy(1), strong_channels(replace(CONFIG, n_channels=1), 23)],
+                3: [CONFIG.weak_policy(), strong_channels(CONFIG, 21),
+                    strong_channels(CONFIG, 24)],
+                4: [strong_channels(replace(CONFIG, n_channels=4), 22),
+                    strong_channels(replace(CONFIG, n_channels=4), 25)]}
+
+    def batches(self, size):
+        """Per channel count, batches of ``size`` scenes that put every policy
+        of that count at every position."""
+        return [[policies[(i + shift) % len(policies)] for i in range(size)]
+                for policies in self.POLICIES.values() for shift in range(len(policies))]
 
     @staticmethod
     def check(clouds, transforms):
@@ -460,9 +471,8 @@ class TestEncodeBatch:
     @pytest.mark.parametrize("size", [1, 2, ENCODE_BATCH, ENCODE_BATCH + 1])
     def test_sizes_and_mixed_policies(self, size):
         clouds = [synth_scene(seed, SynthConfig()).cloud for seed in range(size)]
-        for shift in range(len(self.POLICIES)):  # every policy at every position
-            encs = self.check(clouds, [self.POLICIES[(i + shift) % len(self.POLICIES)]
-                                       for i in range(size)])
+        for transforms in self.batches(size):
+            encs = self.check(clouds, transforms)
             assert all(len(enc.boxes) > 0 for enc in encs)
 
     def test_empty_outside_and_proposal_free_scenes(self, rng):
@@ -474,9 +484,7 @@ class TestEncodeBatch:
                             np.array([0.3, 0.6, 0.9]))  # occupied cells, no component of MIN_CELLS
         real = synth_scene(1, SynthConfig()).cloud
         clouds = [PointCloud.empty(), real, outside, lonely, real, PointCloud.empty()]
-        for shift in range(len(self.POLICIES)):
-            transforms = [self.POLICIES[(i + shift) % len(self.POLICIES)]
-                          for i in range(len(clouds))]
+        for transforms in self.batches(len(clouds)):
             encs = self.check(clouds, transforms)
             assert [len(enc.boxes) > 0 for enc in encs] == [False, True, False, False, True, False]
             for enc, ts in zip(encs, transforms):
@@ -484,9 +492,9 @@ class TestEncodeBatch:
                 assert enc.channel_features.shape[1:] == (len(ts), N_FEATURES)
 
     def test_only_empty_scenes(self):
-        for enc, ts in zip(self.check([PointCloud.empty()] * 2, self.POLICIES[:2]),
-                           self.POLICIES[:2]):
-            assert enc.anchors.shape == (0, len(ts), BOX_DIM)
+        for policies in self.POLICIES.values():
+            for enc, ts in zip(self.check([PointCloud.empty()] * 2, policies[:2]), policies[:2]):
+                assert enc.anchors.shape == (0, len(ts), BOX_DIM)
 
     def test_scenes_never_mix(self, rng):
         # scene b fills the last grid row and column, scene b + 1 the first:
@@ -506,9 +514,19 @@ class TestEncodeBatch:
         first_row = far - VOXEL.nx * VOXEL.voxel_size + 0.2
         assert first_row < VOXEL.origin[0] + VOXEL.voxel_size  # -far lies in row 0
         identity = (Transform.identity(),)
-        for transforms in ([identity] * 4, [CONFIG.weak_policy()] * 4, self.POLICIES):
+        for transforms in ([identity] * 4, [CONFIG.weak_policy()] * 4, *self.batches(4)):
             encs = self.check(clouds, transforms)
             assert all(len(enc.boxes) >= 3 for enc in encs)
+
+    def test_mixed_channel_counts_raise_before_voxelizing(self, monkeypatch):
+        voxelized = []
+        monkeypatch.setattr(detector, "voxelize", lambda *args: voxelized.append(args))
+        cloud = synth_scene(0, SynthConfig()).cloud
+        for transforms in ([self.POLICIES[3][0], self.POLICIES[1][0]],
+                           [self.POLICIES[4][0], self.POLICIES[4][1], self.POLICIES[3][1]]):
+            with pytest.raises(ValueError, match=f"each of {len(transforms[0])} channels"):
+                encode_batch([cloud] * len(transforms), transforms)
+        assert voxelized == []
 
 
 class TestEncodeMemory:
