@@ -93,17 +93,18 @@ def _load_split(cfg: RunConfig, name: str) -> list[Scene]:
 
     Every point and label file of the split is read and checked first, so a
     bad file exits 2 before any encode; only ids and labels are kept. A cloud
-    is read again, with the same checks, by :func:`_cloud_reader`'s reader
-    when it is used, so no command holds more than a batch of clouds."""
+    is read again by id, with the same checks, by :func:`_cloud_reader`'s
+    reader when it is used, so no command holds more than a batch of clouds."""
     root = Path(cfg.dataset_root)
     return [dataclasses.replace(load_scene(root, sid), cloud=PointCloud.empty())
             for sid in read_split(root, name)]
 
 
-def _cloud_reader(cfg: RunConfig) -> Callable[[Scene], PointCloud]:
-    """The reader of a scene's cloud from its point file."""
+def _cloud_reader(cfg: RunConfig) -> Callable[[str], PointCloud]:
+    """The reader of a scene's cloud from its point file, by scene id, so the
+    student steps of ``ssl_epoch`` read clouds without an unlabeled ``Scene``."""
     points = Path(cfg.dataset_root) / "points"
-    return lambda scene: read_bin_cloud(points / f"{scene.id}.bin")
+    return lambda scene_id: read_bin_cloud(points / f"{scene_id}.bin")
 
 
 def _load_model(path) -> DetectorParams:
@@ -138,14 +139,6 @@ def cmd_gen_data(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _metrics_header() -> list[str]:
-    return [f.name for f in dataclasses.fields(EpochMetrics)]
-
-
-def _metrics_row(m: EpochMetrics) -> list:
-    return [getattr(m, f.name) for f in dataclasses.fields(EpochMetrics)]
-
-
 def cmd_pretrain(cfg: RunConfig) -> int:
     _snapshot_config(cfg)
     labeled = _load_split(cfg, "labeled")
@@ -154,7 +147,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
     # and scores on the same encodings
     policy = cfg.weak_policy(n_channels=1)
     read = _cloud_reader(cfg)
-    encoded = list(encode_batches(labeled, lambda s: (read(s), policy)))
+    encoded = list(encode_batches(labeled, lambda s: (read(s.id), policy)))
     rows = []
     for epoch in range(cfg.pretrain_epochs + 1):  # epoch 0 scores the initialization
         totals = LossTotals()
@@ -183,12 +176,13 @@ def cmd_ssl_train(cfg: RunConfig, params_path) -> int:
     # encodings; ssl_epoch reads the train clouds again for its student steps
     weak = cfg.weak_policy()
     read = _cloud_reader(cfg)
-    unlabeled = list(encode_batches(unlabeled, lambda s: (read(s), weak)))
-    val = list(encode_batches(val, lambda s: (read(s), weak)))
+    unlabeled = list(encode_batches(unlabeled, lambda s: (read(s.id), weak)))
+    val = list(encode_batches(val, lambda s: (read(s.id), weak)))
+    columns = [f.name for f in dataclasses.fields(EpochMetrics)]
     rows = []
     for _ in range(cfg.epochs):
         metrics = ssl_epoch(state, labeled, unlabeled, cfg, read, val)
-        rows.append(_metrics_row(metrics))
+        rows.append([getattr(metrics, c) for c in columns])
         print(
             f"epoch {metrics.epoch}: val mAP {metrics.val_map:.2f}, "
             f"pseudo h/a/l = {metrics.n_high}/{metrics.n_ambiguous}/{metrics.n_low}, "
@@ -197,7 +191,7 @@ def cmd_ssl_train(cfg: RunConfig, params_path) -> int:
     out = Path(cfg.out_dir)
     save_params(state.student, out / STUDENT_PARAMS)
     save_params(state.teacher, out / TEACHER_PARAMS)
-    _write_csv(out / METRICS_CSV, _metrics_header(), rows)
+    _write_csv(out / METRICS_CSV, columns, rows)
     return EXIT_OK
 
 
@@ -208,7 +202,7 @@ def cmd_eval(cfg: RunConfig, params_path, split: str) -> int:
     # each batch is detected and scored scene by scene, so memory holds one batch
     policy = cfg.weak_policy()
     read = _cloud_reader(cfg)
-    result = detect_and_score(encode_batches(scenes, lambda s: (read(s), policy)),
+    result = detect_and_score(encode_batches(scenes, lambda s: (read(s.id), policy)),
                               params, split)
     out = Path(cfg.out_dir)
     per_class = {CLASS_NAMES[c - 1]: (None if v is None else 100.0 * v) for c, v in result.ap.items()}

@@ -1,5 +1,8 @@
 """Teacher-student self-training: channel IoU consistency, dual-threshold
-stratification, hierarchical weighting, EMA teacher updates, and the epoch loop.
+stratification, hierarchical weighting, EMA teacher updates, and the epoch
+loop as two stages: :func:`pseudo_targets`, the only reader of an unlabeled
+scene's labels, gives each scene's id and pseudo-label rows, and
+:func:`student_steps` trains on those, reading each cloud by scene id.
 """
 from __future__ import annotations
 
@@ -61,7 +64,7 @@ class PairCounter:
 @dataclass
 class PseudoBox:
     """Teacher detection promoted to a (to-be-stratified) training target;
-    :func:`ssl_epoch` keeps a pass's pseudo-boxes as table rows instead."""
+    :func:`pseudo_targets` keeps a pass's pseudo-boxes as table rows instead."""
 
     box: Box3D
     cls: int
@@ -359,51 +362,22 @@ def detect_and_score(encoded: Iterable[tuple[Scene, SceneEncoding]], params: Det
     return evaluate_scenes(_detect_each(encoded, params, what))
 
 
-def ssl_epoch(
-    state: SslState,
-    labeled: list[Scene],
-    unlabeled: list[tuple[Scene, SceneEncoding]],
-    cfg: RunConfig,
-    read_cloud: Callable[[Scene], PointCloud],
-    val: Sequence[tuple[Scene, SceneEncoding]] = (),
-) -> EpochMetrics:
-    """One epoch in three stages.
+def pseudo_targets(state: SslState, unlabeled: Sequence[tuple[Scene, SceneEncoding]],
+                   cfg: RunConfig, metrics: EpochMetrics
+                   ) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Stages 1-2 of :func:`ssl_epoch`, counted into ``metrics``.
 
     1. Teacher pass: each teacher detection on an unlabeled scene becomes a
        pseudo-box row of one table: its box, class and ``CRITERIA`` values,
        the last its channel IoU consistency.
     2. Levels: on threshold epochs, refit the per-class dual thresholds;
        then give every row its level and weight in one :func:`levels` call,
-       and count the levels and the incorrect boxes.
-    3. Student steps: per unlabeled scene, remove the points of its low rows,
-       optionally shuffle patches, then train the student on freshly drawn
-       strong channel transforms against the kept boxes with hierarchical
-       weights. Labeled scenes run as supervised steps with unit weights,
-       interleaved 1:1 with the unlabeled steps (the labeled set cycles; with
-       no unlabeled scene, each labeled scene runs once).
-    ``ema_update`` at ``cfg.ema_momentum`` follows every student step that
-    trains. Hidden ground truth on unlabeled scenes is used only for quality
-    metrics, never for supervision.
+       and count the levels and the incorrect boxes. That count, by
+       :func:`pseudo_quality`, is all that reads a scene's labels.
 
-    ``unlabeled`` and ``val`` pair each scene with its encoding under the
-    weak transforms ``cfg.weak_policy()``, so a caller running several
-    epochs encodes each scene once. The ``cloud`` of a scene passed in is
-    never read: ``read_cloud(scene)`` gives a labeled or unlabeled scene's
-    cloud, called when the step that trains on it is built (the CLI reads
-    the scene's point file, tests pass ``lambda s: s.cloud``), and a val
-    scene's cloud is not needed. Each student step draws its channels as
-    ``strong_channels(cfg, seed)``, its own scene seed under ``cfg.seed``.
-    As stages 1 and 2 end before the first step, no step's target, weights
-    or transforms depend on an update: the steps are encoded anew
-    ``ENCODE_BATCH`` at a time (each as if alone), their targets built just
-    before their batch is encoded, and trained on in order, so the epoch
-    holds the clouds of one batch of steps. A step's NonFiniteLossError or
-    ValueError is re-raised, with its type, as ``<kind> scene <id>: ...``,
-    and so is a detection's ValueError in the teacher and val passes,
-    ``<kind>`` being ``teacher`` or ``val``.
+    Returns per scene, in order, its id and the teacher's (L, 7) low boxes,
+    then its (K, 7) kept boxes, (K,) classes and (K,) weights.
     """
-    metrics = EpochMetrics(epoch=state.epoch)
-
     # stage 1: the teacher pass as one table of pseudo-boxes, scene after
     # scene: boxes (P, 7), classes (P,) and CRITERIA values (P, 3)
     channel_pairs = PairCounter()
@@ -423,8 +397,6 @@ def ssl_epoch(
     values = np.column_stack([stacked("p_hat", ()), stacked("objectness", ()),
                               channel_consistencies(stacked("channel_boxes", (1, BOX_DIM)),
                                                     channel_pairs)])
-    starts = np.cumsum([0, *map(len, passes)]).tolist()  # scene k has rows starts[k]:starts[k + 1]
-    del passes  # the channel boxes are not held through the student steps
     metrics.channel_pair_evals = channel_pairs.count
 
     # stage 2: levels
@@ -436,58 +408,68 @@ def ssl_epoch(
             min_score=cfg.prefilter_min_score,
         )
     thr = state.thresholds
-    codes, pseudo_weights = levels(classes, values, thr)
+    codes, weights = levels(classes, values, thr)
     kept = codes != LEVELS.index(LEVEL_LOW)
     metrics.n_pseudo = len(codes)
     metrics.n_low, metrics.n_ambiguous, metrics.n_high = np.bincount(  # in LEVELS order
         codes, minlength=len(LEVELS)).tolist()
+    cuts = np.cumsum([len(dets) for dets in passes[:-1]], dtype=np.int64)  # between scenes
+    per_scene = list(zip(scenes, *(np.split(col, cuts) for col in (boxes, classes, kept, weights))))
     metrics.incorrect_prefilter, metrics.incorrect_postfilter = pseudo_quality(
-        (boxes[a:b], classes[a:b], kept[a:b], scene.gt_boxes, scene.gt_classes)
-        for scene, a, b in zip(scenes, starts, starts[1:]) if scene.gt_boxes)
+        (b, c, k, scene.gt_boxes, scene.gt_classes)
+        for scene, b, c, k, _ in per_scene if scene.gt_boxes)
     # class-mean thresholds, as a compact diagnostic
     means = np.mean([[*t.p_hat, *t.o_hat, *t.iou_cons] for t in thr.values()], axis=0)
     (metrics.thr_p_low, metrics.thr_p_high, metrics.thr_o_low, metrics.thr_o_high,
      metrics.thr_iou_low, metrics.thr_iou_high) = map(float, means)
+    return [(scene.id, b[~k], b[k], c[k], w[k]) for scene, b, c, k, w in per_scene]
 
-    # stage 3: student steps. Unlabeled and labeled steps interleave 1:1 (the
-    # labeled set cycles, with fresh strong channels per visit); the labeled
-    # anchor must stay in the gradient mix or pseudo-label class noise can
-    # snowball through the EMA teacher faster than a trailing supervised
-    # phase can undo.
-    Step = tuple[str, Scene, list[float], int, float]
 
-    def steps() -> Iterator[Step]:
-        """(kind, target, weights, strong-channel seed, background weight) per
-        student step, in training order, each target built when drawn."""
-        for idx in range(len(scenes) or len(labeled)):
-            if scenes:
-                scene, rows = scenes[idx], slice(starts[idx], starts[idx + 1])
-                keep = kept[rows]
-                # the pseudo-labelled view: hidden ground truth stays on ``scene``
-                target = Scene(
-                    scene.id,
-                    remove_low_level_points(read_cloud(scene), boxes[rows][~keep]),
-                    [Box3D(*box) for box in boxes[rows][keep].tolist()],
-                    classes[rows][keep].tolist(),
-                )
+def student_steps(state: SslState,
+                  targets: Sequence[tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+                  labeled: Sequence[Scene], cfg: RunConfig,
+                  read_cloud: Callable[[str], PointCloud]) -> tuple[LossTotals, LossTotals]:
+    """Stage 3 of :func:`ssl_epoch`: the unlabeled and labeled loss totals.
+
+    Per ``(id, low, boxes, classes, weights)`` of :func:`pseudo_targets`,
+    remove the low boxes' points from ``read_cloud(id)``, optionally shuffle
+    patches, and train the student against the kept boxes with their
+    hierarchical weights. Labeled scenes run as supervised steps with unit
+    weights, interleaved 1:1 (the labeled set cycles; with no unlabeled
+    scene, each runs once): the labeled anchor must stay in the gradient mix
+    or pseudo-label class noise can snowball through the EMA teacher faster
+    than a trailing supervised phase can undo. ``ema_update`` at
+    ``cfg.ema_momentum`` follows every step that trains.
+
+    Each step carries the strong channels drawn from its own scene seed. No
+    step's target, weights or transforms depend on an update, so the steps
+    are encoded anew ``ENCODE_BATCH`` at a time (each as if alone), their
+    targets built just before their batch, and trained on in order: the
+    stage holds the clouds of one batch of steps.
+    """
+    def steps() -> Iterator[tuple[str, Scene, list[float], tuple[Transform, ...], float]]:
+        """Each step, in order: (kind, target, weights, channels, background weight)."""
+        for idx in range(len(targets) or len(labeled)):
+            if targets:
+                scene_id, low, boxes, classes, weights = targets[idx]
+                target = Scene(scene_id, remove_low_level_points(read_cloud(scene_id), low),
+                               [Box3D(*box) for box in boxes.tolist()], classes.tolist())
                 if cfg.shuffle_grid_cells >= 2:
-                    target = shuffle_augment(
-                        target, cfg.shuffle_grid_cells, scene_seed(cfg.seed, state.epoch, idx, 1)
-                    )
-                yield ("unlabeled", target, pseudo_weights[rows][keep].tolist(),
-                       scene_seed(cfg.seed, state.epoch, idx, 0), cfg.unsup_background_weight)
+                    target = shuffle_augment(target, cfg.shuffle_grid_cells,
+                                             scene_seed(cfg.seed, state.epoch, idx, 1))
+                yield ("unlabeled", target, weights.tolist(),
+                       strong_channels(cfg, scene_seed(cfg.seed, state.epoch, idx, 0)),
+                       cfg.unsup_background_weight)
             if labeled:
                 scene = labeled[idx % len(labeled)]
-                yield ("labeled", replace(scene, cloud=read_cloud(scene)),
-                       [1.0] * len(scene.gt_boxes), scene_seed(cfg.seed, state.epoch, idx, 2), 1.0)
-
-    def strong_inputs(step: Step) -> tuple[PointCloud, tuple[Transform, ...]]:
-        return step[1].cloud, strong_channels(cfg, step[3])
+                yield ("labeled", replace(scene, cloud=read_cloud(scene.id)),
+                       [1.0] * len(scene.gt_boxes),
+                       strong_channels(cfg, scene_seed(cfg.seed, state.epoch, idx, 2)), 1.0)
 
     unsup = LossTotals()
     sup = LossTotals()
-    for (kind, target, weights, _, background_weight), enc in encode_batches(steps(),
-                                                                            strong_inputs):
+    for (kind, target, weights, _, background_weight), enc in encode_batches(
+            steps(), lambda step: (step[1].cloud, step[3])):
         try:
             losses = train_on_scene(enc, target.gt_boxes, target.gt_classes, weights,
                                     state.student, background_weight)
@@ -496,7 +478,31 @@ def ssl_epoch(
         if losses is not None:
             ema_update(state.teacher, state.student, cfg.ema_momentum)
         (unsup if kind == "unlabeled" else sup).add(losses)
+    return unsup, sup
 
+
+def ssl_epoch(
+    state: SslState,
+    labeled: list[Scene],
+    unlabeled: list[tuple[Scene, SceneEncoding]],
+    cfg: RunConfig,
+    read_cloud: Callable[[str], PointCloud],
+    val: Sequence[tuple[Scene, SceneEncoding]] = (),
+) -> EpochMetrics:
+    """One epoch: :func:`pseudo_targets`, :func:`student_steps` and, with
+    ``val``, the student's AP40.
+
+    ``unlabeled`` and ``val`` pair each scene with its encoding under the
+    weak transforms ``cfg.weak_policy()``, so a caller running several
+    epochs encodes each scene once; their clouds are never read.
+    ``read_cloud(id)`` gives a train scene's cloud (the CLI reads its point
+    file). A student step's NonFiniteLossError or ValueError, and a teacher
+    or val detection's ValueError, is re-raised with its type as ``<kind>
+    scene <id>: ...``, ``<kind>`` naming the step or the pass.
+    """
+    metrics = EpochMetrics(epoch=state.epoch)
+    targets = pseudo_targets(state, unlabeled, cfg, metrics)
+    unsup, sup = student_steps(state, targets, labeled, cfg, read_cloud)
     metrics.unsup_cls, metrics.unsup_reg, metrics.unsup_obj, metrics.unsup_total = unsup.means()
     metrics.sup_cls, metrics.sup_reg, metrics.sup_obj, metrics.sup_total = sup.means()
 

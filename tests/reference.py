@@ -942,7 +942,7 @@ def stepwise_ssl_epoch(
     labeled: list[Scene],
     unlabeled: list[tuple[Scene, SceneEncoding]],
     cfg: RunConfig,
-    read_cloud: Callable[[Scene], PointCloud],
+    read_cloud: Callable[[str], PointCloud],
     val: Sequence[tuple[Scene, SceneEncoding]] = (),
 ) -> EpochMetrics:
     """:func:`cadet3d.selftrain.ssl_epoch` as it ran before its student steps
@@ -987,7 +987,7 @@ def stepwise_ssl_epoch(
         return losses
 
     def labeled_step(scene: Scene, idx: int) -> None:
-        target = Scene(scene.id, read_cloud(scene), scene.gt_boxes, scene.gt_classes)
+        target = Scene(scene.id, read_cloud(scene.id), scene.gt_boxes, scene.gt_classes)
         sup.add(student_step("labeled", target, [1.0] * len(scene.gt_boxes), idx, 2, 1.0))
 
     for idx, ((scene, _), pseudo) in enumerate(zip(unlabeled, pseudo_sets)):
@@ -1005,7 +1005,7 @@ def stepwise_ssl_epoch(
         # the pseudo-labelled view: hidden ground truth stays on ``scene``
         target = Scene(
             scene.id,
-            remove_low_level_points(read_cloud(scene), low_boxes),
+            remove_low_level_points(read_cloud(scene.id), low_boxes),
             [pb.box for pb in kept],
             [pb.cls for pb in kept],
         )

@@ -486,6 +486,74 @@ class TestEval:
         assert scene_id in self.split_ids(small_env, "unlabeled")
 
 
+# a tiny dataset whose clouds or labels the degenerate cases rewrite
+DEGENERATE = """
+seed = 5
+n_scenes = 8
+n_val_scenes = 3
+fraction = 0.5
+pretrain_epochs = 2
+epochs = 2
+"""
+
+
+def flat_cloud(xyz):
+    """A cloud of the (N, 3) ``xyz`` with intensity 0.5."""
+    xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
+    return geometry.PointCloud(xyz, np.full(len(xyz), 0.5))
+
+
+def tiny_label_boxes(text):
+    """The KITTI label ``text`` with every box's height, width and length 1e-7."""
+    rows = [line.split() for line in text.splitlines()]
+    return "".join(" ".join([*row[:8], "1e-07", "1e-07", "1e-07", *row[11:]]) + "\n"
+                   for row in rows)
+
+
+# each case: the rewrite of every cloud, or of every label file's text
+DEGENERATE_CASES = {
+    "empty_clouds": (lambda pc: flat_cloud([]), None),
+    "one_point": (lambda pc: geometry.PointCloud(pc.xyz[:1], pc.intensity[:1]), None),
+    "collinear": (lambda pc: flat_cloud(np.column_stack(
+        [pc.xyz[:, 0], 0.5 * pc.xyz[:, 0] + 1.0, np.ones(len(pc))])), None),
+    "outside_grid": (lambda pc: geometry.PointCloud(pc.xyz + [100.0, 100.0, 0.0],
+                                                    pc.intensity), None),
+    "tiny_label_boxes": (None, tiny_label_boxes),
+    "empty_label_files": (None, lambda text: ""),
+    "stacked_points": (lambda pc: flat_cloud(np.tile([3.0, 3.0, 1.0], (500, 1))), None),
+}
+
+
+class TestDegenerateDatasets:
+    """Valid datasets at the edges of what the detector sees: each command
+    returns a code that the CLI documents, and none raises."""
+
+    @pytest.mark.parametrize("case", list(DEGENERATE_CASES))
+    def test_commands_exit_documented_codes(self, tmp_path, capsys, case):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(DEGENERATE + f"dataset_root = {tmp_path / 'data'}\n"
+                       f"out_dir = {tmp_path / 'run'}\n")
+        assert main(["gen-data", "--config", str(cfg)]) == 0
+        cloud_rewrite, label_rewrite = DEGENERATE_CASES[case]
+        root = tmp_path / "data"
+        for path in sorted((root / "points").glob("*.bin")) if cloud_rewrite else ():
+            data.write_bin_cloud(path, cloud_rewrite(data.read_bin_cloud(path)))
+        for path in sorted((root / "labels").glob("*.txt")) if label_rewrite else ():
+            path.write_text(label_rewrite(path.read_text()))
+        capsys.readouterr()
+        params = str(tmp_path / "run" / "pretrain.params")
+        codes = [main([*command, "--config", str(cfg)])
+                 for command in (["pretrain"], ["ssl-train"], ["eval", "--params", params])]
+        err = capsys.readouterr().err
+        if case == "stacked_points":
+            # the student's log-size residuals overflow on the stacked
+            # points: a numeric failure, exit 1, naming the scene it ran on
+            assert codes == [0, 1, 0]
+            assert err == "internal error: unlabeled scene 000006: non-finite box field\n"
+        else:
+            assert codes == [0, 0, 0]
+
+
 class TestReport:
     def run_pipeline(self, small_env):
         tmp, cfg = small_env

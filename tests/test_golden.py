@@ -1,7 +1,8 @@
-"""Golden outputs: a tiny ``gen-data``, ``pretrain``, ``ssl-train`` (one
-epoch) and ``eval`` through ``cli.main``, with the SHA-256 of every output
-file that the output contract keeps byte-identical compared against
-``golden_outputs.json``.
+"""Golden outputs: a tiny ``gen-data``, ``pretrain``, ``ssl-train`` and
+``eval`` through ``cli.main``, with the SHA-256 of every output file that the
+output contract keeps byte-identical compared against ``golden_outputs.json``.
+``ssl-train`` runs two epochs under ``threshold_period = 2``, so the second
+keeps the first's thresholds and starts from a carried EMA teacher.
 
 Float results can move in their last bits across numpy builds, so the JSON
 records the Python and numpy versions it was written under, and the test
@@ -27,7 +28,8 @@ n_scenes = 16
 n_val_scenes = 4
 fraction = 0.34
 pretrain_epochs = 10
-epochs = 1
+epochs = 2
+threshold_period = 2
 """
 
 # the outputs of pretrain, ssl-train and eval that the output contract keeps

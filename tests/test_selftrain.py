@@ -439,9 +439,10 @@ def tiny_ssl_setup(n_labeled=3, n_unlabeled=5, n_val=2, shuffle_grid_cells=4, mo
     return labeled, unlabeled, val, cfg, state
 
 
-def in_memory(scene):
-    """``ssl_epoch``'s cloud reader for scenes built in memory."""
-    return scene.cloud
+def in_memory(*splits):
+    """``ssl_epoch``'s cloud reader for scenes built in memory: the cloud of
+    each scene of ``splits`` by its id."""
+    return {sc.id: sc.cloud for split in splits for sc in split}.__getitem__
 
 
 def weak_pairs(scenes, cfg):
@@ -452,7 +453,7 @@ def weak_pairs(scenes, cfg):
 class TestSslEpoch:
     def test_no_unlabeled_reduces_to_supervised(self):
         labeled, _, _, cfg, state = tiny_ssl_setup(n_unlabeled=0)
-        m = ssl_epoch(state, labeled, [], cfg, in_memory)
+        m = ssl_epoch(state, labeled, [], cfg, in_memory(labeled))
         assert m.n_pseudo == 0
         assert math.isfinite(m.sup_total)
         assert m.unsup_total == 0.0
@@ -462,10 +463,11 @@ class TestSslEpoch:
         metrics = []
         for _ in range(2):
             labeled, unlabeled, val, cfg, state = tiny_ssl_setup()
+            read = in_memory(labeled, unlabeled)
             unlabeled, val = weak_pairs(unlabeled, cfg), weak_pairs(val, cfg)
             rows = []
             for _ in range(2):
-                m = ssl_epoch(state, labeled, unlabeled, cfg, in_memory, val)
+                m = ssl_epoch(state, labeled, unlabeled, cfg, read, val)
                 rows.append((m.sup_total, m.unsup_total, m.n_high, m.n_ambiguous, m.n_low,
                              m.val_map, m.incorrect_postfilter))
             metrics.append(rows)
@@ -473,7 +475,8 @@ class TestSslEpoch:
 
     def test_counters_recorded(self):
         labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
-        m = ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg, in_memory)
+        m = ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg,
+                      in_memory(labeled, unlabeled))
         assert m.channel_pair_evals == 3 * m.n_pseudo
         assert m.pairing_pair_evals >= m.n_pseudo  # sum over scenes of N^2
 
@@ -485,16 +488,47 @@ class TestSslEpoch:
             labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
             if drop:
                 unlabeled = [Scene(sc.id, sc.cloud) for sc in unlabeled]
-            m = ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg, in_memory)
+            m = ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg,
+                          in_memory(labeled, unlabeled))
             weights = [a.tobytes() for a in state.student.arrays() + state.teacher.arrays()]
             runs.append((weights, m.incorrect_prefilter))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] > 0 and runs[1][1] == 0
 
+    def test_student_steps_receive_only_ids_and_teacher_rows(self, monkeypatch):
+        # the unlabeled scenes carry labels, yet the student stage receives
+        # per scene only its id and the teacher's rows, the same rows that
+        # the scenes give with their labels dropped: no Scene and no Box3D
+        # of the unlabeled split
+        labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
+        assert all(sc.gt_boxes for sc in unlabeled)
+        *_, blind_state = tiny_ssl_setup()
+        blind = selftrain.pseudo_targets(
+            blind_state, weak_pairs([Scene(sc.id, sc.cloud) for sc in unlabeled], cfg), cfg,
+            selftrain.EpochMetrics(epoch=0))
+        received = []
+        original = selftrain.student_steps
+
+        def recorded(*args):
+            received.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(selftrain, "student_steps", recorded)
+        ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg, in_memory(labeled, unlabeled))
+        ((_, targets, labeled_arg, _, _),) = received
+        assert [target[0] for target in targets] == [sc.id for sc in unlabeled]
+        for target, expected in zip(targets, blind, strict=True):
+            assert type(target) is tuple and len(target) == 5
+            assert all(type(rows) is np.ndarray and rows.dtype != object for rows in target[1:])
+            assert target[0] == expected[0]
+            for rows, expected_rows in zip(target[1:], expected[1:], strict=True):
+                np.testing.assert_array_equal(rows, expected_rows)
+        assert labeled_arg is labeled  # the labeled split, and only it, brings labels
+
     def test_thresholds_fitted_on_first_epoch(self):
         labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
         assert state.thresholds is None
-        ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg, in_memory)
+        ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg, in_memory(labeled, unlabeled))
         assert isinstance(state.thresholds, dict)
         assert sorted(state.thresholds) == [1, 2, 3]
         assert all(isinstance(t, DualThresholds) for t in state.thresholds.values())
@@ -513,8 +547,9 @@ class TestSslEpoch:
             monkeypatch.setattr(selftrain, name, recorded(name))
         labeled, unlabeled, _, cfg, state = tiny_ssl_setup()
         assert all(sc.gt_boxes for sc in unlabeled)  # each feeds the quality counts
+        read = in_memory(labeled, unlabeled)
         ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg,
-                  lambda scene: calls.append("read_cloud") or scene.cloud)
+                  lambda scene_id: calls.append("read_cloud") or read(scene_id))
         first_read = calls.index("read_cloud")
         assert calls[:first_read] == ["levels", "pseudo_quality"]
         assert set(calls[first_read:]) == {"read_cloud"}
@@ -557,7 +592,7 @@ class TestPairsNameTheirScene:
         pairs = weak_pairs(unlabeled, cfg)
         fail_at(3)
         with pytest.raises(ValueError) as info:
-            ssl_epoch(state, labeled, pairs, cfg, in_memory)
+            ssl_epoch(state, labeled, pairs, cfg, in_memory(labeled, unlabeled))
         assert type(info.value) is ValueError
         assert str(info.value) == f"teacher scene {unlabeled[3].id}: boom"
         assert state.epoch == 0
@@ -588,10 +623,11 @@ class TestBatchedEpochMatchesStepwise:
             labeled, unlabeled, val, cfg, state = setup()
             if prepare is not None:
                 labeled, unlabeled, state = prepare(labeled, unlabeled, state)
+            read = in_memory(labeled, unlabeled)
             unlabeled, val = weak_pairs(unlabeled, cfg), weak_pairs(val, cfg)
             rows = []
             for _ in range(epochs):
-                m = epoch_fn(state, labeled, unlabeled, cfg, in_memory, val)
+                m = epoch_fn(state, labeled, unlabeled, cfg, read, val)
                 rows.append((m, params_bytes(state)))
             results.append(rows)
         batched, stepwise = results
@@ -663,21 +699,23 @@ class TestNonFiniteStepNamed:
     def test_unlabeled_step(self):
         labeled, unlabeled, cfg, state = self.overflowing(2, 3)
         with pytest.raises(NonFiniteLossError) as info:
-            ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg, in_memory)
+            ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg,
+                      in_memory(labeled, unlabeled))
         assert str(info.value).startswith(f"unlabeled scene {unlabeled[0].id}: ")
 
     def test_value_error(self):
         labeled, unlabeled, _, cfg, state = tiny_ssl_setup(2, 3)
         state.student.w_cls[:] = 1e308
         with pytest.raises(ValueError) as info:
-            ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg, in_memory)
+            ssl_epoch(state, labeled, weak_pairs(unlabeled, cfg), cfg,
+                      in_memory(labeled, unlabeled))
         assert type(info.value) is ValueError
         assert str(info.value) == f"unlabeled scene {unlabeled[0].id}: nms scores must be finite"
 
     def test_labeled_only_epoch(self):
         labeled, _, cfg, state = self.overflowing(2, 0)
         with pytest.raises(NonFiniteLossError) as info:
-            ssl_epoch(state, labeled, [], cfg, in_memory)
+            ssl_epoch(state, labeled, [], cfg, in_memory(labeled))
         assert str(info.value).startswith(f"labeled scene {labeled[0].id}: ")
 
 
