@@ -3,7 +3,8 @@
 Every stage runs on a batch of planes in one array pass. A voxel or BEV cell
 key carries a leading plane index: voxels and channel grids have one plane per
 (scene, channel) slot, a fused grid one per scene. A single cloud or grid is
-the batch of one plane, with the same code and the same bits.
+the batch of one plane, with the same code and the same bits; the alignment
+interpolates every non-identity plane of a batch in one pass.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import PointCloud, Transform, invert, map_xy, relative_transforms, transform_params
+from .geometry import PointCloud, Transform, invert, relative_transforms, transform_params
 
 # BEV feature layout per cell
 BEV_MAX_OCC = 0   # max point count over the vertical column
@@ -94,9 +95,9 @@ class BevGrid:
     :func:`bev_from_voxels`); every other cell is zero. About 1 % of a scene's
     cells are occupied. ``BevGrid(origin_xy, voxel_size, features)`` takes a
     dense (nx, ny, F) array and holds the nonzero cells of its one plane;
-    :meth:`from_cells` takes the held cells, which a fused grid's lookups may
-    leave zero. :attr:`features` is the dense array of a one-plane grid,
-    built when first read.
+    :meth:`from_cells` takes the held cells, which a fused grid's
+    interpolation may leave zero. :attr:`features` is the dense array of a
+    one-plane grid, built when first read.
     """
 
     def __init__(self, origin_xy: tuple[float, float], voxel_size: float,
@@ -134,57 +135,6 @@ class BevGrid:
         ij = np.stack([cells // self.shape[1] % self.shape[0], cells % self.shape[1]], axis=1)
         return np.asarray(self.origin_xy) + (ij + 0.5) * self.voxel_size
 
-    def lookup(self, xy: np.ndarray, plane: np.ndarray | int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """(hit, rows): the indices of the points of ``xy`` that have a held
-        bilinear corner in their ``plane``, and their interpolated features;
-        every other point reads exactly zero.
-
-        Corners outside the grid read zero; see :meth:`_corner_rows`. The
-        corner weights are computed once, then each feature's column is
-        gathered per corner and summed in the order 00, 01, 10, 11.
-        """
-        u = (xy[:, 0] - self.origin_xy[0]) / self.voxel_size - 0.5
-        v = (xy[:, 1] - self.origin_xy[1]) / self.voxel_size - 0.5
-        i0 = np.floor(u).astype(np.int64)
-        j0 = np.floor(v).astype(np.int64)
-        pos = self._corner_rows(i0, j0, plane)
-        hit = np.flatnonzero((pos < len(self.cells)).any(axis=1))
-        pos, fu, fv = pos[hit].T.astype(np.intp), u[hit] - i0[hit], v[hit] - j0[hit]  # (4, n) rows
-        weights = ((1 - fu) * (1 - fv), (1 - fu) * fv, fu * (1 - fv), fu * fv)
-        padded = np.vstack([self.values, np.zeros(self.values.shape[1])])
-        rows = np.empty((len(hit), padded.shape[1]))
-        for f, column in enumerate(padded.T):
-            acc = weights[0] * column[pos[0]]
-            for c in range(1, 4):
-                acc += weights[c] * column[pos[c]]
-            rows[:, f] = acc
-        return hit, rows
-
-    def _corner_rows(self, i0: np.ndarray, j0: np.ndarray, plane: np.ndarray | int) -> np.ndarray:
-        """(N, 4) int32 rows of ``values`` at the corners 00, 01, 10, 11 of the
-        cells (i0, j0) of ``plane``; ``len(cells)`` where no cell is held.
-
-        Each corner is found in a dense map from cell key to the row's offset
-        in its plane, uint16 where a plane has fewer than 65535 cells.
-        """
-        nx, ny = self.shape
-        size, n = self.plane_size, len(self.cells)
-        cell_plane = self.cells // size
-        first = np.searchsorted(cell_plane, np.arange(cell_plane.max(initial=0) + 1))
-        dtype = np.uint16 if size < 65535 else np.int32
-        none = np.iinfo(dtype).max
-        offset = np.full(int(self.cells[-1]) + 1 if n else 0, none, dtype=dtype)
-        offset[self.cells] = np.arange(n) - first[cell_plane]
-        pos = np.full((len(i0), 4), n, dtype=np.int32)
-        for c, (i, j) in enumerate(((i0, j0), (i0, j0 + 1), (i0 + 1, j0), (i0 + 1, j0 + 1))):
-            key = plane * size + i * ny + j
-            inside = np.flatnonzero((i >= 0) & (i < nx) & (j >= 0) & (j < ny) & (key < len(offset)))
-            off = offset[key[inside]]
-            held = off != none
-            at = inside[held]
-            pos[at, c] = first[np.broadcast_to(plane, key.shape)[at]] + off[held]
-        return pos
-
 
 def bev_from_voxels(grid: VoxelGrid) -> BevGrid:
     """Compress each vertical column into (max point count, max mean height),
@@ -202,35 +152,74 @@ def bev_from_voxels(grid: VoxelGrid) -> BevGrid:
                               col[start], values, cfg.origin[2])
 
 
-def _footprints(grid: BevGrid, rels: list[Transform]) -> np.ndarray:
-    """Ascending keys ``p * nx * ny + cell``: for each plane p of ``grid``,
-    the base cells whose centers ``rels[p]`` may map into the bilinear
-    footprint of an occupied cell of plane p.
+def _interpolated(grid: BevGrid, rels: list[Transform], moved: np.ndarray, scene: np.ndarray,
+                  chan: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, chans, rows): fused key, channel and bilinear features of each
+    cell of a plane p with ``moved[p]`` whose center, mapped by ``rels[p]``,
+    has a held corner in plane p.
 
-    A lookup reads a filled corner only within one cell of it per axis, so
-    within sqrt(2) cells; ``rel`` scales distances by ``rel.s``. Each occupied
-    cell center is mapped back through ``rel``'s inverse and dilated by that
-    radius in cells, plus a slack that covers rounding. The result is a
-    superset of the cells whose lookup is nonzero.
+    A corner is read only within one cell per axis, so sqrt(2) cells, and
+    ``rel`` scales distances by ``rel.s``: each held cell center is mapped
+    back through ``rel``'s inverse and dilated by that radius in cells, plus a
+    slack for rounding, in boolean frames padded by the widest span, with
+    window starts clipped into [-pad, n]. The marked cells of the grid are
+    mapped forward and read their corners 00, 01, 10, 11 in frames of row
+    offsets padded by two cells (uint16 where a plane has fewer than 65535
+    cells), the lower corner clipped into [-2, n]; the padding holds no row.
     """
     nx, ny = grid.shape
-    size = grid.plane_size
-    q = grid.cells // size
-    back = map_xy(transform_params([invert(r) for r in rels])[q], grid.cell_xy(grid.cells))
-    back = (back - np.asarray(grid.origin_xy)) / grid.voxel_size - 0.5  # base cell coordinates
-    radius = np.array([math.sqrt(2.0) * grid.voxel_size / (r.s * grid.voxel_size) + 1e-6
-                       for r in rels])
-    n_span = (2 * radius).astype(np.int64) + 1  # integers in [x - radius, x + radius]
-    lo = np.ceil(back - radius[q][:, None]).astype(np.int64)
-    span = np.arange(n_span.max(initial=0))
-    j = lo[:, 1, None] + span
-    j_ok = (j >= 0) & (j < ny) & (span < n_span[q][:, None])
-    mark = np.zeros((len(rels), size), dtype=bool)
-    for di in span:  # one row of each dilation square at a time
-        i = lo[:, 0] + di
-        ok = j_ok & ((i >= 0) & (i < nx) & (di < n_span[q]))[:, None]
-        mark.reshape(-1)[((q * size + i * ny)[:, None] + j)[ok]] = True
-    return np.flatnonzero(mark)
+    size, vs, (ox, oy) = grid.plane_size, grid.voxel_size, grid.origin_xy
+    looked = np.flatnonzero(moved)
+    rels = [rels[p] for p in looked]
+    cell_plane = grid.cells // size
+    row = np.flatnonzero(moved[cell_plane])  # held rows of the moved planes
+    held_q = (np.cumsum(moved) - 1)[cell_plane[row]]  # their planes, renumbered 0, 1, ...
+    held_i, held_j = grid.cells[row] // ny % nx, grid.cells[row] % ny
+
+    def cell_uv(params, q, i, j):
+        """Centers of the cells (i, j) mapped by ``params[q]``, in cell coordinates."""
+        f, c, s, k, _ = params[q].T
+        x, y = ox + (i + 0.5) * vs, f * (oy + (j + 0.5) * vs)
+        return (k * (c * x - s * y) - ox) / vs - 0.5, (k * (s * x + c * y) - oy) / vs - 0.5
+
+    radius = np.array([math.sqrt(2.0) * vs / (r.s * vs) + 1e-6 for r in rels])
+    n_span = (2 * radius).astype(np.int64)[held_q] + 1  # integers in [x - radius, x + radius]
+    pad = int(n_span.max(initial=1))
+    h, w = nx + 2 * pad, ny + 2 * pad
+    u, v = cell_uv(transform_params([invert(r) for r in rels]), held_q, held_i, held_j)
+    lo_i = np.clip(np.ceil(u - radius[held_q]).astype(np.int64), -pad, nx) + pad
+    lo_j = np.clip(np.ceil(v - radius[held_q]).astype(np.int64), -pad, ny) + pad
+    steps = np.arange(pad)
+    start = ((held_q * h + lo_i) * w + lo_j)[:, None] + steps
+    ok = steps < n_span[:, None]
+    mark = np.zeros(len(rels) * h * w, dtype=bool)
+    for di in steps:  # one row of each dilation square at a time
+        mark[(start + di * w)[ok & ok[:, di, None]]] = True
+    q, i, j = np.nonzero(mark.reshape(-1, h, w)[:, pad:pad + nx, pad:pad + ny])
+    del mark, start, ok  # before the frame of row offsets
+    u, v = cell_uv(transform_params(rels), q, i, j)
+    i0, j0 = np.floor(u).astype(np.int64), np.floor(v).astype(np.int64)
+    dtype = np.uint16 if size < 65535 else np.int32
+    h, w, none = nx + 4, ny + 4, np.iinfo(dtype).max
+    first = np.searchsorted(cell_plane, looked)  # first row of each moved plane
+    off = np.full(len(rels) * h * w, none, dtype=dtype)
+    off[(held_q * h + held_i + 2) * w + held_j + 2] = row - first[held_q]
+    at = (q * h + np.clip(i0, -2, nx) + 2) * w + np.clip(j0, -2, ny) + 2
+    off = np.stack([off[at], off[at + 1], off[at + w], off[at + w + 1]])
+    hit = np.flatnonzero((off != none).any(axis=0))
+    off, q, i, j = off[:, hit], q[hit], i[hit], j[hit]
+    pos = np.where(off != none, first[q] + off, len(grid.cells))  # (4, n) rows
+    fu, fv = u[hit] - i0[hit], v[hit] - j0[hit]
+    del at, off, u, v, i0, j0  # before the interpolated rows
+    weights = ((1 - fu) * (1 - fv), (1 - fu) * fv, fu * (1 - fv), fu * fv)
+    padded = np.vstack([grid.values, np.zeros(grid.values.shape[1])])
+    rows = np.empty((len(hit), padded.shape[1]))
+    for f, column in enumerate(padded.T):
+        acc = weights[0] * column[pos[0]]
+        for c in range(1, 4):
+            acc += weights[c] * column[pos[c]]
+        rows[:, f] = acc
+    return scene[looked[q]] * size + i * ny + j, chan[looked[q]], rows
 
 
 def bev_align(grids: BevGrid | Sequence[BevGrid], transforms: Sequence[Transform],
@@ -246,12 +235,13 @@ def bev_align(grids: BevGrid | Sequence[BevGrid], transforms: Sequence[Transform
     Grid points are the channel-1 cell centers; each is mapped through
     T_i o T_1^{-1} into channel i, features are bilinearly interpolated there
     (zero outside the channel extent), and the fusion is the component-wise
-    maximum over channels. Only the cells of :func:`_footprints` are looked
-    up, for every non-identity channel of the batch at once; every other cell
-    is exactly zero. Identity mappings skip interpolation so a single channel,
-    or all-identity transforms, reproduce inputs exactly. The maxima run over
-    the union of the channels' cells, a frame that holds zero wherever a
-    channel has no cell, in channel order.
+    maximum over channels. :func:`_interpolated` reads only the cells near
+    a held cell's back-mapped center, for every non-identity plane of the
+    batch in one pass; every other cell is exactly zero. Identity mappings
+    skip interpolation so a single channel, or all-identity transforms,
+    reproduce inputs exactly. The maxima run over the union of the channels'
+    cells, a frame that holds zero wherever a channel has no cell, in channel
+    order.
     """
     if not isinstance(grids, BevGrid):
         if len(grids) != len(transforms):
@@ -268,22 +258,11 @@ def bev_align(grids: BevGrid | Sequence[BevGrid], transforms: Sequence[Transform
             for r in relative_transforms(transforms[b:b + channels])]
     moved = np.array([not r.is_identity for r in rels], dtype=bool)
     kept = ~moved[cell_plane]  # cells of identity planes are fused as they are
-    keys = [scene[cell_plane[kept]] * size + grid.cells[kept] % size]
-    chans, values = [chan[cell_plane[kept]]], [grid.values[kept]]
-    looked = np.flatnonzero(moved)
-    if len(looked):  # the non-identity planes, renumbered q = 0, 1, ...
-        moving = BevGrid.from_cells(
-            grid.origin_xy, grid.voxel_size, grid.shape,
-            (np.cumsum(moved) - 1)[cell_plane[~kept]] * size + grid.cells[~kept] % size,
-            grid.values[~kept])
-        rels = [rels[p] for p in looked]
-        q, cells = np.divmod(_footprints(moving, rels), size)
-        hit, rows = moving.lookup(map_xy(transform_params(rels)[q], grid.cell_xy(cells)), q)
-        plane = looked[q]
-        keys.append(scene[plane[hit]] * size + cells[hit])
-        chans.append(chan[plane[hit]])
-        values.append(rows)
-    keys, chans, values = np.concatenate(keys), np.concatenate(chans), np.concatenate(values)
+    parts = [(scene[cell_plane[kept]] * size + grid.cells[kept] % size, chan[cell_plane[kept]],
+              grid.values[kept])]
+    if moved.any():
+        parts.append(_interpolated(grid, rels, moved, scene, chan))
+    keys, chans, values = (np.concatenate(part) for part in zip(*parts))
     union = np.zeros(len(transforms) // channels * size, dtype=bool)
     union[keys] = True
     pos = np.empty(len(union), dtype=np.int32)

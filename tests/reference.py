@@ -12,10 +12,10 @@ the exact scalar IoU of every pair, and scoring and training one proposal,
 channel, example and box at a time with ``math`` functions.
 
 The stacked-row forms of the encode stages (:func:`stacked_segment_pca`,
-:func:`stacked_propose`, :func:`stacked_roi_features` and
-:func:`stacked_lookup`: sums as one ``reduceat`` over (N, k) stacks,
-projections as length-2 axis sums, offsets and corners as row gathers) are
-what the 1-D column passes of the library must reproduce byte for byte.
+:func:`stacked_propose` and :func:`stacked_roi_features`: sums as one
+``reduceat`` over (N, k) stacks, projections as length-2 axis sums, offsets
+as row gathers) are what the 1-D column passes of the library must reproduce
+byte for byte.
 
 It also holds the scalar box map (:func:`scalar_apply_box`), half-turn
 yaw alignment (:func:`align_yaw_to_anchor`) and patch shuffle
@@ -25,10 +25,9 @@ for bit, the class-by-class dataset AP (:func:`classwise_evaluate_scenes`, over
 exactly, the :class:`Detection` view of a scene's detection rows
 (:func:`detections`) and its inverse (:func:`scene_detections`), one-transform
 conveniences that build test inputs (:func:`transform_xy`,
-:func:`apply_points`, :func:`interpolate`) on the library's own array maps
-and BEV lookup, the batch of one (:func:`encode`), and the step-by-step
-self-training epoch loop (:func:`stepwise_ssl_epoch`) that the batched one
-must reproduce.
+:func:`apply_points`) on the library's own array maps, the batch of one
+(:func:`encode`), and the step-by-step self-training epoch loop
+(:func:`stepwise_ssl_epoch`) that the batched one must reproduce.
 """
 from __future__ import annotations
 
@@ -118,15 +117,6 @@ def apply_points(t: Transform, pc: PointCloud) -> PointCloud:
         return pc.copy()
     xyz = np.column_stack([transform_xy(t, pc.xyz[:, :2]), t.s * pc.xyz[:, 2]])
     return PointCloud(xyz, pc.intensity.copy())
-
-
-def interpolate(grid: BevGrid, xy: np.ndarray) -> np.ndarray:
-    """(N, F) bilinear feature lookup of a one-plane grid at planar points,
-    zero outside the extent."""
-    hit, rows = grid.lookup(xy)
-    out = np.zeros((len(xy), grid.values.shape[1]))
-    out[hit] = rows
-    return out
 
 
 def encode(pc: PointCloud, transforms: Sequence[Transform]) -> SceneEncoding:
@@ -587,24 +577,6 @@ def stacked_segment_pca(centered: np.ndarray, weights, start: np.ndarray, sizes:
     axes = np.repeat(vecs[:, :, ::-1], sizes, axis=0)
     proj = (centered[:, :, None] * axes).sum(axis=1).T  # (2, N): major, minor
     return vecs, np.maximum.reduceat(proj, start, axis=1) - np.minimum.reduceat(proj, start, axis=1)
-
-
-def stacked_lookup(grid: BevGrid, xy: np.ndarray, plane=0) -> tuple[np.ndarray, np.ndarray]:
-    """``BevGrid.lookup`` with each corner gathered as (N, F) rows and
-    weighted by a broadcast column, corners summed 00, 01, 10, 11."""
-    u = (xy[:, 0] - grid.origin_xy[0]) / grid.voxel_size - 0.5
-    v = (xy[:, 1] - grid.origin_xy[1]) / grid.voxel_size - 0.5
-    i0 = np.floor(u).astype(np.int64)
-    j0 = np.floor(v).astype(np.int64)
-    pos = grid._corner_rows(i0, j0, plane)
-    hit = np.flatnonzero((pos < len(grid.cells)).any(axis=1))
-    pos, fu, fv = pos[hit], u[hit] - i0[hit], v[hit] - j0[hit]
-    padded = np.vstack([grid.values, np.zeros(grid.values.shape[1])])
-    rows = ((1 - fu) * (1 - fv))[:, None] * padded[pos[:, 0]]
-    rows += ((1 - fu) * fv)[:, None] * padded[pos[:, 1]]
-    rows += (fu * (1 - fv))[:, None] * padded[pos[:, 2]]
-    rows += (fu * fv)[:, None] * padded[pos[:, 3]]
-    return hit, rows
 
 
 def stacked_propose(fused: BevGrid) -> Proposals:

@@ -76,7 +76,6 @@ from reference import (
     scalar_loss_and_grads,
     scalar_score_proposals,
     scalar_sigmoid,
-    stacked_lookup,
     stacked_propose,
     stacked_roi_features,
     stacked_segment_pca,
@@ -659,14 +658,12 @@ class TestSegmentPcaOracle:
 
 class TestEncodeStackedOracle:
     """``encode_batch`` with its column passes (``propose``'s and
-    ``roi_features``' per-column sums, ``_roi_voxels``' per-column offsets,
-    ``BevGrid.lookup``'s per-feature corners) equals, byte for byte, the same
-    batch encoded with the stacked-row forms of those stages in
-    ``reference``."""
+    ``roi_features``' per-column sums, ``_roi_voxels``' per-column offsets)
+    equals, byte for byte, the same batch encoded with the stacked-row forms
+    of those stages in ``reference``."""
 
     STAGES = [(detector, "propose", stacked_propose),
-              (detector, "roi_features", stacked_roi_features),
-              (BevGrid, "lookup", stacked_lookup)]
+              (detector, "roi_features", stacked_roi_features)]
 
     def stacked_encode(self, clouds, transforms):
         originals = [getattr(owner, name) for owner, name, _ in self.STAGES]

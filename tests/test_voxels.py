@@ -18,7 +18,7 @@ from cadet3d.voxels import (
     voxelize,
 )
 from conftest import default_config, transforms as transform_draws
-from reference import apply_points, dense_bev_align, dense_bilinear, interpolate
+from reference import apply_points, dense_bev_align, dense_bilinear
 
 
 def cloud(*points):
@@ -86,32 +86,38 @@ class TestBevFeatures:
 
 
 class TestInterpolation:
+    """Hand values of ``dense_bilinear``, the oracle of ``TestAlignOracle``."""
+
     def make_bev(self):
         feats = np.zeros((4, 4, 3))
         feats[1, 1] = (4.0, 0.5, 2.0)
         feats[2, 1] = (8.0, 0.25, 1.0)
         return BevGrid((0.0, 0.0), 1.0, feats)
 
+    @staticmethod
+    def interpolate(bev, xy):
+        return dense_bilinear(bev.features, bev.origin_xy, bev.voxel_size, xy)
+
     def test_exact_center(self):
         bev = self.make_bev()
-        out = interpolate(bev, np.array([[1.5, 1.5]]))
+        out = self.interpolate(bev, np.array([[1.5, 1.5]]))
         np.testing.assert_allclose(out[0], [4.0, 0.5, 2.0])
 
     def test_midpoint_between_cells(self):
         bev = self.make_bev()
-        out = interpolate(bev, np.array([[2.0, 1.5]]))
+        out = self.interpolate(bev, np.array([[2.0, 1.5]]))
         np.testing.assert_allclose(out[0], [6.0, 0.375, 1.5])
 
     def test_outside_is_zero(self):
         bev = self.make_bev()
-        out = interpolate(bev, np.array([[-3.0, 0.0], [40.0, 40.0]]))
+        out = self.interpolate(bev, np.array([[-3.0, 0.0], [40.0, 40.0]]))
         np.testing.assert_allclose(out, 0.0)
 
     def test_boundary_fade(self):
         # halfway past the last cell center only half the mass remains
         feats = np.ones((2, 2, 1))
         bev = BevGrid((0.0, 0.0), 1.0, feats)
-        out = interpolate(bev, np.array([[1.5, 2.0]]))
+        out = self.interpolate(bev, np.array([[1.5, 2.0]]))
         assert out[0, 0] == pytest.approx(0.5)
 
 
@@ -207,23 +213,52 @@ class TestAlignOracle:
             np.testing.assert_array_equal(fused.features, dense_bev_align(grids, transforms))
 
     def test_small_scale_looks_up_every_cell(self):
-        # at s = 0.2 footprints span 15 cells, so dilating them costs more
-        # than a lookup of every cell
+        # at s = 0.2 each held cell dilates over a 15-cell span
         transforms = (Transform.identity(), Transform(flip_y=True, theta=0.3, s=0.2))
         bevs = self.channel_bevs(synth_scene(0, SynthConfig()).cloud, transforms)
         np.testing.assert_array_equal(
             bev_align(bevs, transforms).features, dense_bev_align(bevs, transforms)
         )
 
-    def test_empty_footprint_is_exact_positive_zero(self, rng):
-        feats = np.zeros((8, 8, 2))
+    def test_empty_footprint_is_exact_positive_zero(self):
+        # the flip maps cell centers onto cell centers, so the cells next to
+        # the held one read it with weight exactly zero
+        base, feats = np.zeros((8, 8, 2)), np.zeros((8, 8, 2))
+        base[6, 6] = (1.0, 0.5)
         feats[2, 2] = (3.0, 1.5)
-        bev = BevGrid((0.0, 0.0), 1.0, feats)
-        near = rng.uniform(1.0, 4.0, (50, 2))  # footprints touch cell (2, 2)
-        far = np.vstack([rng.uniform(4.5, 8.0, (50, 2)), [[-3.0, 0.0], [40.0, 40.0]]])
-        out = interpolate(bev, np.vstack([near, far]))
-        ref = dense_bilinear(feats, bev.origin_xy, bev.voxel_size, np.vstack([near, far]))
-        np.testing.assert_array_equal(out, ref)
-        assert np.any(out[: len(near)] > 0)
-        np.testing.assert_array_equal(out[len(near):], 0.0)
-        assert not np.signbit(out[len(near):]).any()
+        grids = [BevGrid((-4.0, -4.0), 1.0, base), BevGrid((-4.0, -4.0), 1.0, feats)]
+        for moving in (Transform(flip_y=True), Transform(flip_y=True, theta=0.4, s=1.3)):
+            transforms = [Transform.identity(), moving]
+            fused = bev_align(grids, transforms)
+            np.testing.assert_array_equal(fused.features, dense_bev_align(grids, transforms))
+            assert np.any(fused.values[fused.cells != 6 * 8 + 6] > 0)
+            assert not np.signbit(fused.features).any()
+            if moving.s == 1.0:  # a held fused cell that read its corner at weight zero
+                assert (fused.values == 0).all(axis=1).any()
+
+    def test_stacked_scenes_of_different_spans(self, rng):
+        # one call over 3 scenes whose moving channels scale by 2, 1.02 and
+        # 0.5, so their planes dilate over 2, 3 and 6 cells; every border cell
+        # of the last plane, which has the widest span, is held
+        n, transforms, planes = 24, [], []
+        for rel in (2.0, 1.02, 0.5):
+            transforms += [Transform(theta=0.3), Transform(flip_y=True, theta=-0.2, s=rel),
+                           Transform(theta=1.1, s=rel)]
+            for _ in range(3):
+                feats = np.zeros((n, n, 2))
+                at = rng.integers(0, n, (30, 2))
+                feats[at[:, 0], at[:, 1]] = rng.uniform(1.0, 5.0, (30, 2))
+                planes.append(feats)
+        planes[-1][[0, -1], :] = rng.uniform(1.0, 5.0, (2, n, 2))
+        planes[-1][:, [0, -1]] = rng.uniform(1.0, 5.0, (n, 2, 2))
+        grids = [BevGrid((-6.0, -6.0), 0.5, feats) for feats in planes]
+        cells = np.concatenate([g.cells + p * n * n for p, g in enumerate(grids)])
+        stacked = BevGrid.from_cells((-6.0, -6.0), 0.5, (n, n), cells,
+                                     np.concatenate([g.values for g in grids]))
+        fused = bev_align(stacked, transforms, channels=3)
+        dense = np.zeros((3 * n * n, 2))
+        dense[fused.cells] = fused.values
+        for b in range(3):
+            np.testing.assert_array_equal(
+                dense[b * n * n:(b + 1) * n * n].reshape(n, n, 2),
+                dense_bev_align(grids[3 * b:3 * b + 3], transforms[3 * b:3 * b + 3]))
