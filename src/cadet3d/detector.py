@@ -18,7 +18,9 @@ is one array pass over every (scene, channel) slot of the batch: voxel, BEV
 cell and RoI keys carry a leading slot or scene index, and per-slot transform
 parameters are broadcast per point and repeated per cell or row, so each
 scene's result has the bits of encoding it alone, in a batch of one
-included. Each scene gets a read-only :class:`SceneEncoding`. Scoring
+included. The channel clouds are written in place, scene by scene, into
+one array of the batch's points. Each scene gets a read-only
+:class:`SceneEncoding`. Scoring
 (:func:`detect_batch`, :func:`build_training_examples`) reads the weights:
 the proposal class scores, proposal NMS, the heads and the final NMS. The
 weak channel transforms are fixed, so one encoding of a scene serves every
@@ -75,7 +77,6 @@ from .geometry import (
     invert,
     iou_3d,
     map_boxes,
-    map_xy,
     nms,
     relative_transforms,
     transform_params,
@@ -493,18 +494,24 @@ def roi_features(anchors: np.ndarray, grid: VoxelGrid, slot: np.ndarray | None =
 def _channel_clouds(clouds: Sequence[PointCloud], transforms: list[tuple[Transform, ...]]
                     ) -> tuple[PointCloud, list[int]]:
     """Every cloud under each of its channel transforms, one (scene, channel)
-    slot after another, and the points per slot. A cloud's channels are
-    mapped in one pass, its transforms' parameters broadcast against its
-    points, with the bits of mapping each alone."""
-    xyz, intensity, sizes = [], [], []
+    slot after another, and the points per slot. A cloud's C channels are
+    written in place as one (C, n) block per coordinate, its transforms'
+    parameters broadcast against its points, with the bits of mapping each
+    alone."""
+    sizes = [len(pc) for pc, ts in zip(clouds, transforms) for _ in ts]
+    xyz, intensity = np.empty((sum(sizes), 3)), np.empty(sum(sizes))
+    at = 0
     for pc, ts in zip(clouds, transforms):
-        params = transform_params(ts)[:, None]  # (C, 1, 5)
-        xyz.append(np.concatenate([map_xy(params, pc.xyz[:, :2]),
-                                   (params[..., 3] * pc.xyz[:, 2])[..., None]], axis=-1))
-        intensity.append(np.tile(pc.intensity, len(ts)))
-        sizes += [len(pc)] * len(ts)
-    return PointCloud(np.concatenate([a.reshape(-1, 3) for a in xyz] or [np.empty((0, 3))]),
-                      np.concatenate(intensity or [np.empty(0)])), sizes
+        n = len(ts) * len(pc)
+        block = xyz[at:at + n].reshape(len(ts), len(pc), 3)
+        f, c, s, k, _ = transform_params(ts).T[:, :, None]  # (C, 1) each
+        x, y = pc.xyz[:, 0], f * pc.xyz[:, 1]
+        block[..., 0] = k * (c * x - s * y)
+        block[..., 1] = k * (s * x + c * y)
+        block[..., 2] = k * pc.xyz[:, 2]
+        intensity[at:at + n].reshape(len(ts), len(pc))[:] = pc.intensity
+        at += n
+    return PointCloud(xyz, intensity), sizes
 
 
 def encode_batch(clouds: Sequence[PointCloud],

@@ -159,20 +159,12 @@ class PointCloud:
 
 def transform_params(transforms: Sequence[Transform]) -> np.ndarray:
     """(n, 5) rows (mirror sign, cos theta, sin theta, s, theta) of ``transforms``,
-    with ``math``'s cos and sin. Indexed per point or box, the rows let one
-    array pass apply a different transform to each (:func:`map_xy`,
+    with ``math``'s cos and sin. Indexed per point, cell or box, the rows let
+    one array pass apply a different transform to each (the channel clouds
+    and the BEV alignment of :mod:`cadet3d.detector` and :mod:`cadet3d.voxels`,
     :func:`map_boxes`) with the bits of applying each alone."""
     return np.array([(-1.0 if t.flip_y else 1.0, math.cos(t.theta), math.sin(t.theta), t.s,
                       t.theta) for t in transforms], dtype=np.float64).reshape(-1, 5)
-
-
-def map_xy(params: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    """(..., 2) planar coordinates mapped by :func:`transform_params` rows
-    ``params``, broadcast against ``xy``'s leading axes: (N, 5) maps row i by
-    ``params[i]``, (C, 1, 5) maps every point by each of C transforms."""
-    f, c, s, k, _ = np.moveaxis(params, -1, 0)
-    x, y = xy[..., 0], f * xy[..., 1]
-    return np.stack([k * (c * x - s * y), k * (s * x + c * y)], axis=-1)
 
 
 def map_boxes(params: np.ndarray, boxes: np.ndarray) -> np.ndarray:

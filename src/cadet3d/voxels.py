@@ -161,11 +161,14 @@ def _interpolated(grid: BevGrid, rels: list[Transform], moved: np.ndarray, scene
     A corner is read only within one cell per axis, so sqrt(2) cells, and
     ``rel`` scales distances by ``rel.s``: each held cell center is mapped
     back through ``rel``'s inverse and dilated by that radius in cells, plus a
-    slack for rounding, in boolean frames padded by the widest span, with
-    window starts clipped into [-pad, n]. The marked cells of the grid are
-    mapped forward and read their corners 00, 01, 10, 11 in frames of row
-    offsets padded by two cells (uint16 where a plane has fewer than 65535
-    cells), the lower corner clipped into [-2, n]; the padding holds no row.
+    slack for rounding, in one boolean (planes, nx, ny) frame. A window row or
+    column is marked only inside the grid and within the cell's own span; the
+    window starts are clipped into [-pad, n], pad the widest span, only to
+    bound the integer keys. The marks are read back flat, in (plane, i, j)
+    order. The marked cells are mapped forward and read their corners 00, 01,
+    10, 11 from a zero-filled frame of row offsets + 1 padded by two cells
+    (uint16 where a plane has fewer than 65535 cells), 0 meaning no row, the
+    lower corner clipped into [-2, n].
     """
     nx, ny = grid.shape
     size, vs, (ox, oy) = grid.plane_size, grid.voxel_size, grid.origin_xy
@@ -178,39 +181,44 @@ def _interpolated(grid: BevGrid, rels: list[Transform], moved: np.ndarray, scene
 
     def cell_uv(params, q, i, j):
         """Centers of the cells (i, j) mapped by ``params[q]``, in cell coordinates."""
-        f, c, s, k, _ = params[q].T
+        f, c, s, k = (params[:, m][q] for m in range(4))
         x, y = ox + (i + 0.5) * vs, f * (oy + (j + 0.5) * vs)
         return (k * (c * x - s * y) - ox) / vs - 0.5, (k * (s * x + c * y) - oy) / vs - 0.5
 
     radius = np.array([math.sqrt(2.0) * vs / (r.s * vs) + 1e-6 for r in rels])
     n_span = (2 * radius).astype(np.int64)[held_q] + 1  # integers in [x - radius, x + radius]
     pad = int(n_span.max(initial=1))
-    h, w = nx + 2 * pad, ny + 2 * pad
     u, v = cell_uv(transform_params([invert(r) for r in rels]), held_q, held_i, held_j)
-    lo_i = np.clip(np.ceil(u - radius[held_q]).astype(np.int64), -pad, nx) + pad
-    lo_j = np.clip(np.ceil(v - radius[held_q]).astype(np.int64), -pad, ny) + pad
-    steps = np.arange(pad)
-    start = ((held_q * h + lo_i) * w + lo_j)[:, None] + steps
-    ok = steps < n_span[:, None]
-    mark = np.zeros(len(rels) * h * w, dtype=bool)
+    lo_i = np.clip(np.ceil(u - radius[held_q]).astype(np.int64), -pad, nx)
+    lo_j = np.clip(np.ceil(v - radius[held_q]).astype(np.int64), -pad, ny)
+    steps = np.arange(pad)  # window row or column d is lo + d, kept in [0, n) and the span
+    row_ok = (steps >= -lo_i[:, None]) & (steps < np.minimum(n_span, nx - lo_i)[:, None])
+    col_ok = (steps >= -lo_j[:, None]) & (steps < np.minimum(n_span, ny - lo_j)[:, None])
+    start = ((held_q * nx + lo_i) * ny + lo_j)[:, None] + steps
+    mark = np.zeros(len(rels) * size, dtype=bool)
     for di in steps:  # one row of each dilation square at a time
-        mark[(start + di * w)[ok & ok[:, di, None]]] = True
-    q, i, j = np.nonzero(mark.reshape(-1, h, w)[:, pad:pad + nx, pad:pad + ny])
-    del mark, start, ok  # before the frame of row offsets
+        mark[(start + di * ny)[col_ok & row_ok[:, di, None]]] = True
+    del row_ok, col_ok, start  # before the scan
+    q, ij = np.divmod(np.flatnonzero(mark), size)
+    i, j = np.divmod(ij, ny)
+    del mark, ij  # before the mapped centers
     u, v = cell_uv(transform_params(rels), q, i, j)
     i0, j0 = np.floor(u).astype(np.int64), np.floor(v).astype(np.int64)
-    dtype = np.uint16 if size < 65535 else np.int32
-    h, w, none = nx + 4, ny + 4, np.iinfo(dtype).max
-    first = np.searchsorted(cell_plane, looked)  # first row of each moved plane
-    off = np.full(len(rels) * h * w, none, dtype=dtype)
-    off[(held_q * h + held_i + 2) * w + held_j + 2] = row - first[held_q]
+    fu, fv = u - i0, v - j0
+    h, w = nx + 4, ny + 4
     at = (q * h + np.clip(i0, -2, nx) + 2) * w + np.clip(j0, -2, ny) + 2
-    off = np.stack([off[at], off[at + 1], off[at + w], off[at + w + 1]])
-    hit = np.flatnonzero((off != none).any(axis=0))
-    off, q, i, j = off[:, hit], q[hit], i[hit], j[hit]
-    pos = np.where(off != none, first[q] + off, len(grid.cells))  # (4, n) rows
-    fu, fv = u[hit] - i0[hit], v[hit] - j0[hit]
-    del at, off, u, v, i0, j0  # before the interpolated rows
+    del u, v, i0, j0  # before the frame of row offsets
+    off = np.zeros(len(rels) * h * w, dtype=np.uint16 if size < 65535 else np.int32)
+    first = np.searchsorted(cell_plane, looked)  # first row of each moved plane
+    off[(held_q * h + held_i + 2) * w + held_j + 2] = row - first[held_q] + 1
+    corners = off[at], off[at + 1], off[at + w], off[at + w + 1]
+    del off, at  # before the rows of the hit cells
+    hit = np.flatnonzero(corners[0] | corners[1] | corners[2] | corners[3])
+    q, i, j, fu, fv = q[hit], i[hit], j[hit], fu[hit], fv[hit]
+    base = first[q] - 1
+    corners = [c[hit] for c in corners]
+    pos = [np.where(c != 0, base + c, len(grid.cells)) for c in corners]
+    del corners, base  # before the interpolated rows
     weights = ((1 - fu) * (1 - fv), (1 - fu) * fv, fu * (1 - fv), fu * fv)
     padded = np.vstack([grid.values, np.zeros(grid.values.shape[1])])
     rows = np.empty((len(hit), padded.shape[1]))
@@ -240,8 +248,9 @@ def bev_align(grids: BevGrid | Sequence[BevGrid], transforms: Sequence[Transform
     batch in one pass; every other cell is exactly zero. Identity mappings
     skip interpolation so a single channel, or all-identity transforms,
     reproduce inputs exactly. The maxima run over the union of the channels'
-    cells, a frame that holds zero wherever a channel has no cell, in channel
-    order.
+    cells, one feature column at a time: each channel's rows, found once, are
+    scattered into a column that holds zero wherever that channel has no
+    cell, in channel order.
     """
     if not isinstance(grids, BevGrid):
         if len(grids) != len(transforms):
@@ -269,15 +278,18 @@ def bev_align(grids: BevGrid | Sequence[BevGrid], transforms: Sequence[Transform
     union = np.flatnonzero(union)
     pos[union] = np.arange(len(union), dtype=np.int32)
     pos = pos[keys]
-    fused = np.zeros((len(union), grid.values.shape[1]))
-    at = chans == 0
-    fused[pos[at]] = values[at]
-    frame = np.zeros_like(fused)
-    for c in range(1, channels):
-        at = chans == c
-        frame[pos[at]] = values[at]
-        np.maximum(fused, frame, out=fused)
-        frame[pos[at]] = 0.0
+    rows = [np.flatnonzero(chans == c) for c in range(channels)]
+    dest = [pos[r] for r in rows]
+    fused = np.empty((len(union), values.shape[1]))
+    frame = np.zeros(len(union))
+    for f in range(values.shape[1]):  # one feature column at a time
+        acc = np.zeros(len(union))
+        acc[dest[0]] = values[rows[0], f]
+        for r, d in zip(rows[1:], dest[1:]):
+            frame[d] = values[r, f]
+            np.maximum(acc, frame, out=acc)
+            frame[d] = 0.0
+        fused[:, f] = acc
     return BevGrid.from_cells(grid.origin_xy, grid.voxel_size, grid.shape, union, fused,
                               grid.z_origin)
 

@@ -25,7 +25,8 @@ for bit, the class-by-class dataset AP (:func:`classwise_evaluate_scenes`, over
 exactly, the :class:`Detection` view of a scene's detection rows
 (:func:`detections`) and its inverse (:func:`scene_detections`), one-transform
 conveniences that build test inputs (:func:`transform_xy`,
-:func:`apply_points`) on the library's own array maps, the batch of one
+:func:`apply_points`) on the planar map :func:`map_xy` whose expressions the
+channel clouds write in place, the batch of one
 (:func:`encode`), and the step-by-step self-training epoch loop
 (:func:`stepwise_ssl_epoch`) that the batched one must reproduce.
 """
@@ -82,7 +83,6 @@ from cadet3d.geometry import (
     invert,
     iou_3d,
     iou_bev,
-    map_xy,
     points_in_box,
     transform_params,
     wrap_angle,
@@ -104,6 +104,16 @@ from cadet3d.selftrain import (
     scene_seed,
 )
 from cadet3d.voxels import BEV_MAX_HEIGHT, BEV_MAX_OCC, BevGrid
+
+
+def map_xy(params: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """(..., 2) planar coordinates mapped by :func:`transform_params` rows
+    ``params``, broadcast against ``xy``'s leading axes: (N, 5) maps row i by
+    ``params[i]``, (C, 1, 5) maps every point by each of C transforms. The
+    channel clouds of ``encode_batch`` write these expressions in place."""
+    f, c, s, k, _ = np.moveaxis(params, -1, 0)
+    x, y = xy[..., 0], f * xy[..., 1]
+    return np.stack([k * (c * x - s * y), k * (s * x + c * y)], axis=-1)
 
 
 def transform_xy(t: Transform, xy: np.ndarray) -> np.ndarray:

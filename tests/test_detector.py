@@ -528,13 +528,41 @@ class TestEncodeBatch:
         assert voxelized == []
 
 
+class TestChannelClouds:
+    """Slot s of ``_channel_clouds`` is its cloud under its transform, as
+    ``apply_points`` maps it, byte for byte, and slots follow scene-major."""
+
+    @pytest.mark.parametrize("policy", ["weak", "strong", "pretrain"])
+    def test_slots_are_the_mapped_clouds(self, policy):
+        clouds = [synth_scene(seed, SynthConfig()).cloud for seed in range(3)]
+        clouds.insert(1, PointCloud.empty())
+        transforms = [{"weak": CONFIG.weak_policy(), "strong": strong_channels(CONFIG, seed),
+                       "pretrain": CONFIG.weak_policy(n_channels=1)}[policy]
+                      for seed in range(len(clouds))]
+        pc, sizes = detector._channel_clouds(clouds, transforms)
+        assert sizes == [len(cloud) for cloud, ts in zip(clouds, transforms) for _ in ts]
+        at = 0
+        for cloud, ts in zip(clouds, transforms):
+            for t in ts:
+                want = apply_points(t, cloud)
+                assert pc.xyz[at:at + len(cloud)].tobytes() == want.xyz.tobytes()
+                assert pc.intensity[at:at + len(cloud)].tobytes() == want.intensity.tobytes()
+                at += len(cloud)
+        assert at == len(pc) == pc.xyz.shape[0]
+
+    def test_no_clouds(self):
+        pc, sizes = detector._channel_clouds([], [])
+        assert (pc.xyz.shape, pc.intensity.shape, sizes) == ((0, 3), (0,), [])
+
+
 class TestEncodeMemory:
     # tracemalloc peak of encode_batch over ENCODE_BATCH synth scenes (0 to
-    # 3, ENCODE_BATCH = 4, numpy 2.4): 2.2 MB measured under the weak policy,
-    # about 0.55 MB a scene, and 2.2 MB under strong channels drawn per scene
-    # (seeds 0 to 3), as the student's steps are encoded. The bound is about
-    # twice that, so a change that densifies per-batch arrays (or raises
-    # ENCODE_BATCH) fails here before it moves the benchmark's peak RSS.
+    # 3, ENCODE_BATCH = 4, numpy 2.4): 1.65 MB measured under the weak
+    # policy, about 0.41 MB a scene, and 1.66 MB under strong channels drawn
+    # per scene (seeds 0 to 3), as the student's steps are encoded. The bound
+    # was set at about twice the 2.2 MB first measured here, so a change that
+    # densifies per-batch arrays (or raises ENCODE_BATCH) fails here before it
+    # moves the benchmark's peak RSS.
     PEAK_BOUND_MB = 4.5
 
     def peak_mb(self, transforms):

@@ -251,14 +251,44 @@ class TestAlignOracle:
                 planes.append(feats)
         planes[-1][[0, -1], :] = rng.uniform(1.0, 5.0, (2, n, 2))
         planes[-1][:, [0, -1]] = rng.uniform(1.0, 5.0, (n, 2, 2))
-        grids = [BevGrid((-6.0, -6.0), 0.5, feats) for feats in planes]
+        self.check_stacked(planes, transforms, (-6.0, -6.0))
+
+    @staticmethod
+    def check_stacked(planes, transforms, origin):
+        """One ``bev_align`` call over the (n, n, 2) ``planes``, three channels
+        a scene, fuses each scene as ``dense_bev_align`` of its three grids."""
+        n = len(planes[0])
+        grids = [BevGrid(origin, 0.5, feats) for feats in planes]
         cells = np.concatenate([g.cells + p * n * n for p, g in enumerate(grids)])
-        stacked = BevGrid.from_cells((-6.0, -6.0), 0.5, (n, n), cells,
+        stacked = BevGrid.from_cells(origin, 0.5, (n, n), cells,
                                      np.concatenate([g.values for g in grids]))
         fused = bev_align(stacked, transforms, channels=3)
-        dense = np.zeros((3 * n * n, 2))
+        dense = np.zeros((len(planes) * n * n, 2))
         dense[fused.cells] = fused.values
-        for b in range(3):
+        for b in range(len(planes) // 3):
             np.testing.assert_array_equal(
                 dense[b * n * n:(b + 1) * n * n].reshape(n, n, 2),
                 dense_bev_align(grids[3 * b:3 * b + 3], transforms[3 * b:3 * b + 3]))
+
+    def test_stacked_spans_from_fifteen_to_one_with_held_borders(self, rng):
+        # one call over 5 scenes whose moving channels scale by 0.2, 0.5,
+        # 1.02, 2 and 3, so their planes dilate over 15, 6, 3, 2 and 1 cells;
+        # every plane holds cells on all four borders and in all four corners,
+        # so dilation windows cross every edge of the grid
+        n, transforms, planes = 20, [], []
+        for rel in (0.2, 0.5, 1.02, 2.0, 3.0):
+            transforms += [Transform(theta=0.3), Transform(flip_y=True, theta=-0.2, s=rel),
+                           Transform(theta=1.1, s=rel)]
+            for _ in range(3):
+                feats = np.zeros((n, n, 2))
+                at = rng.integers(0, n, (20, 2))
+                feats[at[:, 0], at[:, 1]] = rng.uniform(1.0, 5.0, (20, 2))
+                for edge in (0, n - 1):
+                    side = rng.integers(1, n - 1, 3)
+                    feats[edge, side] = rng.uniform(1.0, 5.0, (3, 2))
+                    feats[side, edge] = rng.uniform(1.0, 5.0, (3, 2))
+                feats[[0, 0, -1, -1], [0, -1, 0, -1]] = rng.uniform(1.0, 5.0, (4, 2))
+                planes.append(feats)
+        spans = [int(2 * (math.sqrt(2.0) / rel + 1e-6)) + 1 for rel in (0.2, 0.5, 1.02, 2.0, 3.0)]
+        assert spans == [15, 6, 3, 2, 1]
+        self.check_stacked(planes, transforms, (-5.0, -5.0))
